@@ -2,7 +2,8 @@
 
 Exit codes: 0 the property holds, 1 violated (witness printed as a timed
 word with fractional timestamps), 2 refused (undecidable class, resource cap,
-or an inconclusive bounded search) with the reason, 3 usage or parse errors.
+or an inconclusive bounded search) with the reason, 3 usage or parse errors
+and a malformed TOPAQ_REGION_CAP.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from .deciders import (
     is_oera,
 )
 from .model import ModelError, parse_model
+from .nfa import InclusionCapExceeded
 from .observers import Dynamic, FirstN, ObservationCapExceeded, Static, unfold_first_n, unfold_tau, normalize_sequence
 from .oracle import oracle_check
-from .regions import RegionCapExceeded, augment_ticks, build_region_automaton
+from .regions import BadRegionCap, RegionCapExceeded, augment_ticks, build_region_automaton
 
 EXIT_HOLDS = 0
 EXIT_VIOLATED = 1
@@ -217,7 +219,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "classify":
             return _run_classify(args)
         return _run_export(args)
-    except _UsageError as exc:
+    except (_UsageError, BadRegionCap) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ModelError, OSError) as exc:
@@ -226,7 +228,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UndecidableClass as exc:
         print(f"refused: {exc}")
         return EXIT_REFUSED
-    except (RegionCapExceeded, ObservationCapExceeded) as exc:
+    except (RegionCapExceeded, ObservationCapExceeded, InclusionCapExceeded) as exc:
         print(f"refused: {exc}")
         return EXIT_REFUSED
 

@@ -1,16 +1,26 @@
 """Finite-automaton machinery over region automata.
 
-Everything downstream of the region construction is plain NFA work: silent
-closure, language inclusion with an antichain-pruned product against the
-determinized complement, the tick-normalization transforms, and bitset-based
-boolean reachability matrices.
+Everything downstream of the region construction is plain NFA work on
+states numbered 0..n-1, with state sets as frozensets:
+
+- One reachability routine, `_reach_table`, gives every state its
+  reflexive-transitive successor set by SCC condensation. It serves the
+  silent closure of an NFA, the letter-and-silent closure of the strip
+  transforms and the rows of `eps_closure_matrix`.
+- Closed letter posts are built per state on first use (`NFA.post`) and
+  cached on the NFA, so only states a query reaches pay for them.
+- Language inclusion runs an antichain-pruned product against the
+  determinized complement; the macro-states of the complement are interned
+  once, and the antichain compares them as integer bitsets.
+- The tick-normalization transforms and bitset-based boolean reachability
+  matrices (rows as integers) for the witness verifier complete the module.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Sequence
 
 from .regions import RegionAutomaton, TICK_LETTER
 
@@ -27,51 +37,48 @@ class NFA:
     finals: frozenset[int]
     eps: list[frozenset[int]]  # per-state silent successors
     trans: list[dict[str, frozenset[int]]]  # per-state lettered successors
+    # caches, filled on first use
+    _closures: Optional[list[frozenset[int]]] = field(default=None, init=False, repr=False, compare=False)
+    _posts: Optional[list[Optional[dict[str, list[int]]]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
-    def _tables(self):
-        """Per-state silent closure and closed letter-successor tables."""
-        if not hasattr(self, "_closure1"):
-            closure1 = []
-            for s in range(self.n_states):
-                seen = {s}
-                todo = [s]
-                while todo:
-                    q = todo.pop()
-                    for t in self.eps[q]:
-                        if t not in seen:
-                            seen.add(t)
-                            todo.append(t)
-                closure1.append(frozenset(seen))
-            post: list[dict[str, frozenset[int]]] = []
-            for s in range(self.n_states):
-                d = {}
-                for a in self.alphabet:
-                    raw = set()
-                    for q in closure1[s]:
-                        raw |= self.trans[q].get(a, frozenset())
-                    if raw:
-                        closed = set()
-                        for q in raw:
-                            closed |= closure1[q]
-                        d[a] = frozenset(closed)
-                post.append(d)
-            self._closure1 = closure1
-            self._post = post
-        return self._closure1, self._post
+    def closures(self) -> list[frozenset[int]]:
+        """Per-state silent closure (states of one silent cycle share one set)."""
+        if self._closures is None:
+            self._closures = _reach_table(self.eps)
+        return self._closures
 
     def closure(self, states: Iterable[int]) -> frozenset[int]:
-        closure1, _ = self._tables()
-        out = set()
+        table = self.closures()
+        out: set[int] = set()
         for s in states:
-            out |= closure1[s]
+            if s not in out:  # else closure(s) is already inside `out`
+                out |= table[s]
         return frozenset(out)
 
+    def post(self, s: int) -> dict[str, list[int]]:
+        """Closed letter successors of state `s`: per letter, the sorted
+        closure of the letter-successors of closure(s). Built on first use."""
+        if self._posts is None:
+            self._posts = [None] * self.n_states
+        p = self._posts[s]
+        if p is None:
+            moves: dict[str, set[int]] = {}
+            for q in self.closures()[s]:
+                for a, succs in self.trans[q].items():
+                    moves.setdefault(a, set()).update(succs)
+            p = self._posts[s] = {a: sorted(self.closure(raw)) for a, raw in moves.items()}
+        return p
+
     def step(self, states: frozenset[int], letter: str) -> frozenset[int]:
-        _, post = self._tables()
-        out = set()
-        for s in states:
-            out |= post[s].get(letter, frozenset())
-        return frozenset(out)
+        """Closed successors on `letter` of a closed state set (one returned
+        by `start` or `step`)."""
+        raw: set[int] = set()
+        for q in states:
+            succs = self.trans[q].get(letter)
+            if succs:
+                raw |= succs
+        return self.closure(raw)
 
     def start(self) -> frozenset[int]:
         return self.closure(self.initial)
@@ -110,6 +117,64 @@ class NFA:
                             raise InclusionCapExceeded("language enumeration cap exceeded")
             frontier = nxt
         return out
+
+
+def _reach_table(succ: Sequence[Iterable[int]]) -> list[frozenset[int]]:
+    """Reflexive-transitive successor set of every state of the graph
+    `succ` (state -> successor states).
+
+    Tarjan's algorithm finishes strongly connected components in reverse
+    topological order, so a component's set is its members plus the
+    finished sets of the components its edges enter. The members of one
+    component share one frozenset.
+    """
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    reach: list[Optional[frozenset[int]]] = [None] * n  # None until finished
+    stack: list[int] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if reach[w] is None and index[w] < low[v]:  # w is on the stack
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] != index[v]:
+                    continue
+                members = []
+                while True:
+                    w = stack.pop()
+                    members.append(w)
+                    if w == v:
+                        break
+                out = set(members)
+                for m in members:
+                    for w in succ[m]:
+                        if w not in out:  # else reach[w] is already inside `out`
+                            out |= reach[w]
+                done = frozenset(out)
+                for m in members:
+                    reach[m] = done
+    return reach
 
 
 def from_region_automaton(ra: RegionAutomaton) -> NFA:
@@ -156,73 +221,80 @@ class InclusionResult:
 
 def check_inclusion(a: NFA, b: NFA, alphabet: Optional[tuple[str, ...]] = None,
                     pair_cap: int = 2_000_000) -> InclusionResult:
-    """Does L(a) ⊆ L(b)? On failure returns a shortest counterexample,
-    breaking ties lexicographically by alphabet order.
+    """Does L(a) ⊆ L(b)? On failure returns the shortlex-least
+    counterexample: shortest, ties broken lexicographically by alphabet
+    order.
 
-    On-the-fly product of `a` with the determinized complement of `b`;
-    antichain subsumption ((s, T) is dominated by a visited (s, T') with
-    T' ⊆ T) prunes the search without changing verdicts.
+    Breadth-first, in alphabet order, over the on-the-fly product of the
+    states of `a` with the determinized complement of `b`. Each state of
+    `a` reads its successors from `a.post`, in sorted order. Each macro-state
+    of `b` (a closed frozenset) gets an id the first time it appears, with
+    its integer bitset stored once; `b` steps are memoized per
+    (id, letter). Antichain subsumption ((s, T) is dominated by a recorded
+    (s, T') with T' ⊆ T, tested on the bitsets as T' & T == T') prunes the
+    search without changing the verdict or the counterexample, because a
+    dominated pair is always reached after the pair that dominates it.
+    Every product successor counts toward `pair_cap`.
     """
     alphabet = alphabet or merge_alphabets(a, b)
-    _, post_a = a._tables()
-    b_start = b.start()
-    b_step_memo: dict[tuple[frozenset[int], str], frozenset[int]] = {}
-    # antichain store: per a-state, the set of minimal b-subsets seen
-    seen: dict[int, list[frozenset[int]]] = {}
+    ids: dict[frozenset[int], int] = {}  # b macro-state -> id
+    macro: list[frozenset[int]] = []  # id -> b macro-state
+    bits: list[int] = []  # id -> its bitset
+    rejecting: list[bool] = []  # id -> holds no final of b
+    b_step: dict[tuple[int, str], int] = {}
 
-    def dominated(s: int, t: frozenset[int]) -> bool:
-        return any(prev <= t for prev in seen.get(s, ()))
+    def intern(t: frozenset[int]) -> int:
+        i = ids.get(t)
+        if i is None:
+            i = ids[t] = len(macro)
+            macro.append(t)
+            bits.append(_bitset(t))
+            rejecting.append(t.isdisjoint(b.finals))
+        return i
 
-    def record(s: int, t: frozenset[int]) -> None:
-        bucket = seen.setdefault(s, [])
-        bucket[:] = [prev for prev in bucket if not (t <= prev)]
-        bucket.append(t)
+    # antichain store: per a-state, the bitsets of the minimal b macro-states seen
+    seen: dict[int, list[int]] = {}
+
+    def admit(s: int, tb: int) -> bool:
+        """Record (s, tb) unless a recorded pair dominates it."""
+        bucket = seen.get(s)
+        if bucket is None:
+            seen[s] = [tb]
+            return True
+        for prev in bucket:
+            if prev & tb == prev:
+                return False
+        bucket[:] = [prev for prev in bucket if prev & tb != tb]
+        bucket.append(tb)
+        return True
 
     queue = deque()
+    b_start = intern(b.start())
     for s in sorted(a.start()):
-        if not dominated(s, b_start):
-            record(s, b_start)
+        if admit(s, bits[b_start]):
             queue.append((s, b_start, ()))
     explored = 0
     while queue:
         s, t, word = queue.popleft()
-        if s in a.finals and not (t & b.finals):
+        if s in a.finals and rejecting[t]:
             return InclusionResult(False, word)
+        post = a.post(s)
         for letter in alphabet:
-            succs_a = post_a[s].get(letter)
+            succs_a = post.get(letter)
             if not succs_a:
                 continue
             key = (t, letter)
-            t2 = b_step_memo.get(key)
+            t2 = b_step.get(key)
             if t2 is None:
-                t2 = b.step(t, letter)
-                b_step_memo[key] = t2
-            for s2 in sorted(succs_a):
+                t2 = b_step[key] = intern(b.step(macro[t], letter))
+            tb = bits[t2]
+            for s2 in succs_a:
                 explored += 1
                 if explored > pair_cap:
                     raise InclusionCapExceeded("inclusion search cap exceeded")
-                if not dominated(s2, t2):
-                    record(s2, t2)
+                if admit(s2, tb):
                     queue.append((s2, t2, word + (letter,)))
     return InclusionResult(True, None)
-
-
-def naive_inclusion(a: NFA, b: NFA, alphabet: Optional[tuple[str, ...]] = None) -> bool:
-    """Reference subset-construction inclusion check (cross-validation only)."""
-    alphabet = alphabet or merge_alphabets(a, b)
-    start = (a.start(), b.start())
-    seen = {start}
-    todo = [start]
-    while todo:
-        sa, sb = todo.pop()
-        if (sa & a.finals) and not (sb & b.finals):
-            return False
-        for letter in alphabet:
-            nxt = (a.step(sa, letter), b.step(sb, letter))
-            if nxt[0] and nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return True
 
 
 def strip_trailing_letter(m: NFA, letter: str = TICK_LETTER) -> NFA:
@@ -319,21 +391,9 @@ def strip_ticks_before_suffix(m: NFA, suffix_letters: frozenset[str], letter: st
     )
 
 
-def _letter_closure_map(m: NFA, letter: str) -> list[set[int]]:
+def _letter_closure_map(m: NFA, letter: str) -> list[frozenset[int]]:
     """Per state: everything reachable via `letter` and silent edges."""
-    out = []
-    for s in range(m.n_states):
-        seen = {s}
-        todo = [s]
-        while todo:
-            q = todo.pop()
-            succs = set(m.eps[q]) | set(m.trans[q].get(letter, frozenset()))
-            for t in succs:
-                if t not in seen:
-                    seen.add(t)
-                    todo.append(t)
-        out.append(seen)
-    return out
+    return _reach_table([eps | d[letter] if letter in d else eps for eps, d in zip(m.eps, m.trans)])
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +401,7 @@ def _letter_closure_map(m: NFA, letter: str) -> list[set[int]]:
 
 
 def eps_closure_matrix(m: NFA) -> list[int]:
-    rows = []
-    for s in range(m.n_states):
-        rows.append(_bitset(m.closure([s])))
-    return rows
+    return [_bitset(c) for c in m.closures()]
 
 
 def letter_matrix(m: NFA, letter: str) -> list[int]:
@@ -388,7 +445,16 @@ def vec_mul(vec: int, m: list[int]) -> int:
 
 
 def _bitset(states: Iterable[int]) -> int:
-    acc = 0
+    """Integer with bit s set for each s in `states`. Large sets go through
+    a byte buffer, so the cost is linear in the set and the highest state
+    rather than in their product."""
+    states = list(states)
+    if len(states) < 32:
+        acc = 0
+        for s in states:
+            acc |= 1 << s
+        return acc
+    buf = bytearray((max(states) >> 3) + 1)
     for s in states:
-        acc |= 1 << s
-    return acc
+        buf[s >> 3] |= 1 << (s & 7)
+    return int.from_bytes(buf, "little")

@@ -42,11 +42,26 @@ class RegionCapExceeded(Exception):
         self.cap = cap
 
 
+class BadRegionCap(ValueError):
+    """The region-cap environment variable is not a positive integer."""
+
+    def __init__(self, value: str):
+        super().__init__(f"{REGION_CAP_ENV} must be a positive integer, got {value!r}")
+
+
 def region_cap(explicit: Optional[int] = None) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get(REGION_CAP_ENV)
-    return int(env) if env else DEFAULT_REGION_CAP
+    if not env:
+        return DEFAULT_REGION_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise BadRegionCap(env)
+    return cap
 
 
 @dataclass(frozen=True)
@@ -280,7 +295,8 @@ def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None) -> Reg
 
     finals = frozenset(r for r in states if r.location in ta.final)
     ra = RegionAutomaton(ta.actions, tuple(states), initial, finals, edges, maxc, ta.time_domain)
-    assert len(states) <= region_state_bound(ta), "reachable regions exceed the theoretical bound"
+    if len(states) > region_state_bound(ta):
+        raise RuntimeError(f"{len(states)} reachable regions exceed the theoretical bound")
     return ra
 
 

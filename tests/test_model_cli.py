@@ -1,3 +1,4 @@
+import functools
 import json
 
 import pytest
@@ -178,6 +179,19 @@ class TestCli:
         monkeypatch.setenv("TOPAQ_REGION_CAP", "2")
         assert main(["check", "--mode", "exists", fig1_file]) == 2
         assert "cap" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+    def test_bad_region_cap_env_exit_three(self, fig1_file, monkeypatch, capsys, value):
+        monkeypatch.setenv("TOPAQ_REGION_CAP", value)
+        assert main(["check", "--mode", "weak", "--obs", "first:1", fig1_file]) == 3
+        assert "TOPAQ_REGION_CAP must be a positive integer" in capsys.readouterr().err
+
+    def test_inclusion_cap_refused_exit_two(self, fig1_file, monkeypatch, capsys):
+        from topaq import deciders, nfa
+
+        monkeypatch.setattr(deciders, "check_inclusion", functools.partial(nfa.check_inclusion, pair_cap=10))
+        assert main(["check", "--mode", "weak", "--obs", "first:1", fig1_file]) == 2
+        assert "refused: inclusion search cap exceeded" in capsys.readouterr().out
 
     def test_discrete_weak_decided(self, tmp_path, capsys):
         path = tmp_path / "d.ta"

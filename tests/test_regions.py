@@ -1,10 +1,11 @@
 import random
+from collections import deque
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import fig1_ta, late_guard_ta
-from topaq.nfa import NFA, check_inclusion, from_region_automaton, naive_inclusion
+from topaq.nfa import NFA, check_inclusion, from_region_automaton, merge_alphabets
 from topaq.regions import (
     RegionCapExceeded,
     augment_ticks,
@@ -152,6 +153,54 @@ class TestAugmentTicks:
         assert tick_decode(("t", "a", "t", "t")) == TimedWord.of(("a", 1))
 
 
+def naive_inclusion(a: NFA, b: NFA, alphabet=None) -> bool:
+    """Reference subset-construction inclusion check."""
+    alphabet = alphabet or merge_alphabets(a, b)
+    start = (a.start(), b.start())
+    seen = {start}
+    todo = [start]
+    while todo:
+        sa, sb = todo.pop()
+        if (sa & a.finals) and not (sb & b.finals):
+            return False
+        for letter in alphabet:
+            nxt = (a.step(sa, letter), b.step(sb, letter))
+            if nxt[0] and nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return True
+
+
+def shortlex_counterexample(a: NFA, b: NFA):
+    """Shortlex-least word of L(a) minus L(b), or None: breadth-first over
+    pairs of subsets in alphabet order, with no antichain pruning."""
+    alphabet = merge_alphabets(a, b)
+    start = (a.start(), b.start())
+    seen = {start}
+    queue = deque([(start, ())])
+    while queue:
+        (sa, sb), word = queue.popleft()
+        if (sa & a.finals) and not (sb & b.finals):
+            return word
+        for letter in alphabet:
+            nxt = (a.step(sa, letter), b.step(sb, letter))
+            if nxt[0] and nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, word + (letter,)))
+    return None
+
+
+def naive_closure(m: NFA, s: int) -> frozenset:
+    seen = {s}
+    todo = [s]
+    while todo:
+        for t in m.eps[todo.pop()]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return frozenset(seen)
+
+
 def random_nfa(rng, n_states=5, letters=("a", "b")):
     trans = []
     eps = []
@@ -164,6 +213,27 @@ def random_nfa(rng, n_states=5, letters=("a", "b")):
         eps.append(frozenset(rng.sample(range(n_states), 1)) if rng.random() < 0.25 else frozenset())
     finals = frozenset(s for s in range(n_states) if rng.random() < 0.35)
     return NFA(tuple(letters), n_states, frozenset({0}), finals, eps, trans)
+
+
+def cyclic_nfa(rng, n_states, letters=("a", "b", "c")):
+    """Random NFA whose silent edges form cycles and multi-state strongly
+    connected components: up to three silent successors per state, plus a
+    silent ring through a random subset of states."""
+    states = range(n_states)
+    eps = [set(rng.sample(states, rng.randint(0, min(3, n_states)))) for _ in states]
+    ring = rng.sample(states, rng.randint(2, n_states))
+    for p, q in zip(ring, ring[1:] + ring[:1]):
+        eps[p].add(q)
+    trans = []
+    for _ in states:
+        d = {}
+        for a in letters:
+            if rng.random() < 0.4:
+                d[a] = frozenset(rng.sample(states, rng.randint(1, 2)))
+        trans.append(d)
+    finals = frozenset(s for s in states if rng.random() < 0.2)
+    initial = frozenset(rng.sample(states, rng.randint(1, 2)))
+    return NFA(tuple(letters), n_states, initial, finals, [frozenset(e) for e in eps], trans)
 
 
 class TestRegularInclusion:
@@ -197,6 +267,21 @@ class TestRegularInclusion:
             if not res.holds:
                 assert a.accepts(res.counterexample)
                 assert not b.accepts(res.counterexample)
+
+    def test_silent_cycles_agree_with_references(self):
+        rng = random.Random(20241018)
+        violated = 0
+        for _ in range(150):
+            a, b = cyclic_nfa(rng, rng.randint(2, 9)), cyclic_nfa(rng, rng.randint(2, 9))
+            for m in (a, b):
+                assert [m.closure([s]) for s in range(m.n_states)] == [
+                    naive_closure(m, s) for s in range(m.n_states)
+                ]
+            res = check_inclusion(a, b)
+            assert res.holds == naive_inclusion(a, b)
+            assert res.counterexample == shortlex_counterexample(a, b)
+            violated += not res.holds
+        assert 20 <= violated <= 130  # both outcomes are exercised
 
     def test_region_automaton_level_inclusion(self, discrete_example):
         from topaq.ta import ClockConstraint, Guard, edge as mk_edge
