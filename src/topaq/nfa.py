@@ -6,7 +6,9 @@ states numbered 0..n-1, with state sets as frozensets:
 - One reachability routine, `_reach_table`, gives every state its
   reflexive-transitive successor set by SCC condensation. It serves the
   silent closure of an NFA, the letter-and-silent closure of the strip
-  transforms and the rows of `eps_closure_matrix`.
+  transforms and the rows of `eps_closure_matrix`. `strip_trailing_letter`
+  keeps its own backward search: it needs the one set of states that reach
+  a final, not a reach set per state.
 - Closed letter posts are built per state on first use (`NFA.post`) and
   cached on the NFA, so only states a query reaches pay for them.
 - Language inclusion runs an antichain-pruned product against the
@@ -445,16 +447,10 @@ def vec_mul(vec: int, m: list[int]) -> int:
 
 
 def _bitset(states: Iterable[int]) -> int:
-    """Integer with bit s set for each s in `states`. Large sets go through
-    a byte buffer, so the cost is linear in the set and the highest state
-    rather than in their product."""
+    """Integer with bit s set for each s in `states`, built through a byte
+    buffer so the cost is linear in the set and its highest state."""
     states = list(states)
-    if len(states) < 32:
-        acc = 0
-        for s in states:
-            acc |= 1 << s
-        return acc
-    buf = bytearray((max(states) >> 3) + 1)
+    buf = bytearray((max(states, default=-1) >> 3) + 1)
     for s in states:
         buf[s >> 3] |= 1 << (s & 7)
     return int.from_bytes(buf, "little")

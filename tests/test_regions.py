@@ -277,6 +277,12 @@ class TestRegularInclusion:
                 assert [m.closure([s]) for s in range(m.n_states)] == [
                     naive_closure(m, s) for s in range(m.n_states)
                 ]
+                # on a closed set, `step` equals the union of the closed posts
+                cur = m.start()
+                for letter in rng.choices(m.alphabet, k=3):
+                    union = frozenset().union(*(m.post(s).get(letter, ()) for s in cur))
+                    cur = m.step(cur, letter)
+                    assert cur == union
             res = check_inclusion(a, b)
             assert res.holds == naive_inclusion(a, b)
             assert res.counterexample == shortlex_counterexample(a, b)
