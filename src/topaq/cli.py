@@ -3,13 +3,16 @@
 Exit codes: 0 the property holds, 1 violated (witness printed as a timed
 word with fractional timestamps), 2 refused (undecidable class, resource cap,
 or an inconclusive bounded search) with the reason, 3 usage or parse errors
-and a malformed TOPAQ_REGION_CAP.
+and a malformed TOPAQ_REGION_CAP, 4 an internal error (any other exception,
+reported with its traceback on stderr; never 1, which would claim a
+violation).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from fractions import Fraction
 from typing import Optional
 
@@ -32,6 +35,7 @@ EXIT_HOLDS = 0
 EXIT_VIOLATED = 1
 EXIT_REFUSED = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -231,6 +235,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (RegionCapExceeded, ObservationCapExceeded, InclusionCapExceeded) as exc:
         print(f"refused: {exc}")
         return EXIT_REFUSED
+    except Exception as exc:  # a defect or an exhausted interpreter resource, never a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

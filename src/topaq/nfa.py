@@ -3,12 +3,18 @@
 Everything downstream of the region construction is plain NFA work on
 states numbered 0..n-1, with state sets as frozensets:
 
-- One reachability routine, `_reach_table`, gives every state its
-  reflexive-transitive successor set by SCC condensation. It serves the
-  silent closure of an NFA, the letter-and-silent closure of the strip
-  transforms and the rows of `eps_closure_matrix`. `strip_trailing_letter`
-  keeps its own backward search: it needs the one set of states that reach
-  a final, not a reach set per state.
+- Closed state sets hold active states only: a state is active if it has a
+  letter edge or is final. The future of a closed set (its letter steps and
+  whether it accepts) depends only on its active members, so dropping the
+  others changes no language, verdict or counterexample; it only makes the
+  sets, and every macro-state and product pair built from them, smaller.
+- One reachability routine, `_reach_table`, gives every state the kept
+  part of its reflexive-transitive successor set by SCC condensation. It
+  serves the silent closure of an NFA (keeping active states), the
+  suffix jump of `strip_ticks_before_suffix` (keeping suffix-ready states)
+  and the rows of `eps_closure_matrix`. `strip_trailing_letter` keeps its
+  own backward search: it needs the one set of states that reach a final,
+  not a reach set per state.
 - Closed letter posts are built per state on first use (`NFA.post`) and
   cached on the NFA, so only states a query reaches pay for them.
 - Language inclusion runs an antichain-pruned product against the
@@ -45,16 +51,22 @@ class NFA:
         default=None, init=False, repr=False, compare=False)
 
     def closures(self) -> list[frozenset[int]]:
-        """Per-state silent closure (states of one silent cycle share one set)."""
+        """Per-state silent closure, active states only (states of one
+        silent cycle share one set)."""
         if self._closures is None:
-            self._closures = _reach_table(self.eps)
+            finals = self.finals
+            self._closures = _reach_table(
+                self.eps, [bool(d) or s in finals for s, d in enumerate(self.trans)])
         return self._closures
 
     def closure(self, states: Iterable[int]) -> frozenset[int]:
+        """The active states silently reachable from `states` (each state
+        included if it is active itself). Every closed set the NFA hands out
+        (`start`, `step`, `post`) is of this form."""
         table = self.closures()
         out: set[int] = set()
         for s in states:
-            if s not in out:  # else closure(s) is already inside `out`
+            if s not in out:  # else s is active and closure(s) is already inside `out`
                 out |= table[s]
         return frozenset(out)
 
@@ -121,12 +133,13 @@ class NFA:
         return out
 
 
-def _reach_table(succ: Sequence[Iterable[int]]) -> list[frozenset[int]]:
-    """Reflexive-transitive successor set of every state of the graph
-    `succ` (state -> successor states).
+def _reach_table(succ: Sequence[Iterable[int]], keep: Sequence[bool]) -> list[frozenset[int]]:
+    """Kept part of the reflexive-transitive successor set of every state
+    of the graph `succ` (state -> successor states): the states `v` with
+    `keep[v]` that the state reaches.
 
     Tarjan's algorithm finishes strongly connected components in reverse
-    topological order, so a component's set is its members plus the
+    topological order, so a component's set is its kept members plus the
     finished sets of the components its edges enter. The members of one
     component share one frozenset.
     """
@@ -168,11 +181,13 @@ def _reach_table(succ: Sequence[Iterable[int]]) -> list[frozenset[int]]:
                     members.append(w)
                     if w == v:
                         break
-                out = set(members)
+                out = {m for m in members if keep[m]}
                 for m in members:
                     for w in succ[m]:
-                        if w not in out:  # else reach[w] is already inside `out`
-                            out |= reach[w]
+                        r = reach[w]  # None: w is a member of this component
+                        # w in out: w is kept and reached, so r is already inside
+                        if r is not None and w not in out:
+                            out |= r
                 done = frozenset(out)
                 for m in members:
                     reach[m] = done
@@ -236,7 +251,9 @@ def check_inclusion(a: NFA, b: NFA, alphabet: Optional[tuple[str, ...]] = None,
     (s, T') with T' ⊆ T, tested on the bitsets as T' & T == T') prunes the
     search without changing the verdict or the counterexample, because a
     dominated pair is always reached after the pair that dominates it.
-    Every product successor counts toward `pair_cap`.
+    The pairs are over active states only (closed sets hold no others, see
+    the module docstring), and every product successor counts toward
+    `pair_cap`.
     """
     alphabet = alphabet or merge_alphabets(a, b)
     ids: dict[frozenset[int], int] = {}  # b macro-state -> id
@@ -354,9 +371,13 @@ def strip_ticks_before_suffix(m: NFA, suffix_letters: frozenset[str], letter: st
     tick; a silent jump, allowed only when it was not, follows any path of
     `letter`/silent edges; the suffix phase admits suffix letters only. The
     jump must swallow the whole separating run, because a leftover tick
-    before the suffix block has nowhere to be read.
+    before the suffix block has nowhere to be read. It lands only on
+    suffix-ready states (finals and states with a suffix letter): the
+    suffix phase of any other state it could reach only passes silently on
+    to such a state.
     """
-    reach_via_letter = _letter_closure_map(m, letter)
+    ready = [s in m.finals or not suffix_letters.isdisjoint(d) for s, d in enumerate(m.trans)]
+    jump = _reach_table([eps | d[letter] if letter in d else eps for eps, d in zip(m.eps, m.trans)], ready)
 
     def idx(s, phase):  # 0: prefix after non-tick, 1: prefix after tick, 2: suffix
         return 3 * s + phase
@@ -367,7 +388,7 @@ def strip_ticks_before_suffix(m: NFA, suffix_letters: frozenset[str], letter: st
         for phase in (0, 1):
             e = {idx(j, phase) for j in m.eps[s]}
             if phase == 0:
-                e |= {idx(j, 2) for j in reach_via_letter[s]}
+                e |= {idx(j, 2) for j in jump[s]}
             eps.append(frozenset(e))
             d = {}
             for a, succs in m.trans[s].items():
@@ -393,16 +414,13 @@ def strip_ticks_before_suffix(m: NFA, suffix_letters: frozenset[str], letter: st
     )
 
 
-def _letter_closure_map(m: NFA, letter: str) -> list[frozenset[int]]:
-    """Per state: everything reachable via `letter` and silent edges."""
-    return _reach_table([eps | d[letter] if letter in d else eps for eps, d in zip(m.eps, m.trans)])
-
-
 # ---------------------------------------------------------------------------
 # Boolean reachability matrices (rows as integer bitsets)
 
 
 def eps_closure_matrix(m: NFA) -> list[int]:
+    """Rows of the silent closure, active states only (enough to sandwich
+    letter matrices and test acceptance)."""
     return [_bitset(c) for c in m.closures()]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -78,9 +78,15 @@ class ClockRegion:
     above: frozenset[str]
     blocks: tuple[frozenset[str], ...]
     zero_first: bool
+    _ip: Optional[dict[str, int]] = field(default=None, init=False, repr=False, compare=False)
 
     def ipart_map(self) -> dict[str, int]:
-        return dict(self.ipart)
+        """`ipart` as a dict, built once per region; callers must not mutate it."""
+        ip = self._ip
+        if ip is None:
+            ip = dict(self.ipart)
+            object.__setattr__(self, "_ip", ip)
+        return ip
 
     def is_unbounded(self) -> bool:
         return not self.ipart
@@ -96,7 +102,7 @@ class ClockRegion:
             return cmp in (">", ">=")
         k = self.ipart_map()[x]
         if self.frac_is_zero(x):
-            return ClockConstraint(x, cmp, d).holds(Fraction(k))
+            return constraint.holds(k)
         # value ranges over the open interval (k, k+1)
         if cmp in ("<", "<="):
             return k + 1 <= d
@@ -105,7 +111,10 @@ class ClockRegion:
         return False  # "=": never uniform on an open interval
 
     def satisfies_guard(self, guard: Guard) -> bool:
-        return all(self.satisfies(c) for c in guard.conjuncts)
+        for c in guard.conjuncts:
+            if not self.satisfies(c):
+                return False
+        return True
 
     def reset(self, clocks: frozenset[str]) -> "ClockRegion":
         if not clocks:

@@ -25,7 +25,7 @@ from topaq.deciders import (
     parse_witness_description,
     verify_witness,
 )
-from topaq.nfa import from_region_automaton
+from topaq.nfa import _reach_table, from_region_automaton
 from topaq.observers import (
     Dynamic,
     FirstN,
@@ -283,12 +283,15 @@ def test_criterion_9_region_count_bounds():
                 * (n + n_clocks + 1) ** n_clocks
             )
             m = from_region_automaton(build_region_automaton(tick_construction(base, n)))
+            # the NFA's closed sets keep only active states; bound the full ones
+            full = _reach_table(m.eps, [True] * m.n_states)
             for word in sorted(m.language_upto(8))[:40]:
                 visited = set()
-                states = m.start()
+                states = frozenset().union(*(full[s] for s in m.initial))
                 visited |= states
                 for letter in word:
-                    states = m.step(states, letter)
+                    raw = [t for s in states for t in m.trans[s].get(letter, ())]
+                    states = frozenset().union(*(full[t] for t in raw))
                     visited |= states
                 assert len(visited) <= bound_b, f"word {word} visited {len(visited)} > B={bound_b}"
 

@@ -298,13 +298,18 @@ class TestCheckBounded:
 
     @pytest.mark.parametrize(
         "sel, witness",
-        [(FirstN(2), "(b, 0)"), (FirstN(3), "(b, 0)"), (Dynamic(1), "(o0, 0) (b, 0)")],
-        ids=["first2", "first3", "dynamic1"],
+        [(FirstN(2), "(b, 0)"), (FirstN(3), "(b, 0)"), (Dynamic(1), "(o0, 0) (b, 0)"),
+         (Dynamic(2), "(o0, 0) (b, 0)")],
+        ids=["first2", "first3", "dynamic1", "dynamic2"],
     )
     def test_fig1_ladder_answers(self, fig1, sel, witness):
         assert check_bounded(fig1, sel, "weak").holds is True
         v = check_bounded(fig1, sel, "full")
         assert (v.holds, v.side, str(v.witness)) == (False, "pub-not-priv", witness)
+        # the witness is a word of the public unfolding and not of the private one
+        base, n = (fig1, sel.n) if isinstance(sel, FirstN) else (unfold_free(fig1, sel.n), 2 * sel.n)
+        assert accepts_word(unfold_first_n(build_pub(base), n), v.witness)
+        assert not accepts_word(unfold_first_n(build_priv(base), n), v.witness)
 
     def test_first0_weak_compares_empty_projections(self, fig1):
         assert check_bounded(fig1, FirstN(0), "weak").holds is True

@@ -1,5 +1,6 @@
 import functools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +148,10 @@ class TestCli:
         assert main(["check", "--mode", "weak", "--obs", "static:0,3/2", fig1_file]) == 0
         assert main(["check", "--mode", "weak", "--obs", "dynamic:1", fig1_file]) == 0
 
+    def test_dynamic2_weak_decided(self, fig1_file, capsys):
+        assert main(["check", "--mode", "weak", "--obs", "dynamic:2", fig1_file]) == 0
+        assert "weak opacity: holds" in capsys.readouterr().out
+
     def test_usage_errors_exit_three(self, fig1_file, capsys):
         assert main(["check", "--mode", "sideways", fig1_file]) == 3
         assert main(["check", "--mode", "weak", "--obs", "sometimes:2", fig1_file]) == 3
@@ -192,6 +197,16 @@ class TestCli:
         monkeypatch.setattr(deciders, "check_inclusion", functools.partial(nfa.check_inclusion, pair_cap=10))
         assert main(["check", "--mode", "weak", "--obs", "first:1", fig1_file]) == 2
         assert "refused: inclusion search cap exceeded" in capsys.readouterr().out
+
+    def test_internal_error_exit_four(self, capsys):
+        # the oracle's run enumeration recurses once per step, so this
+        # budget overflows the interpreter stack
+        path = str(Path(__file__).parent.parent / "models" / "fig1-discrete.ta")
+        code = main(["check", "--mode", "weak", "--engine", "oracle", "--max-steps", "3000", path])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("internal error: RecursionError")
+        assert "opacity" not in captured.out
 
     def test_discrete_weak_decided(self, tmp_path, capsys):
         path = tmp_path / "d.ta"

@@ -5,7 +5,14 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import fig1_ta, late_guard_ta
-from topaq.nfa import NFA, check_inclusion, from_region_automaton, merge_alphabets
+from topaq.nfa import (
+    NFA,
+    _reach_table,
+    check_inclusion,
+    from_region_automaton,
+    merge_alphabets,
+    strip_ticks_before_suffix,
+)
 from topaq.regions import (
     RegionCapExceeded,
     augment_ticks,
@@ -201,6 +208,38 @@ def naive_closure(m: NFA, s: int) -> frozenset:
     return frozenset(seen)
 
 
+def dense_strip_ticks_before_suffix(m: NFA, suffix_letters, letter) -> NFA:
+    """Reference for `strip_ticks_before_suffix`: the same three phases, with
+    the prefix-to-suffix jump going to every state reachable through
+    `letter` and silent edges (found by DFS), not only to suffix-ready ones."""
+
+    def idx(s, phase):
+        return 3 * s + phase
+
+    eps, trans = [], []
+    for s in range(m.n_states):
+        jump = {s}
+        todo = [s]
+        while todo:
+            q = todo.pop()
+            for t in m.eps[q] | m.trans[q].get(letter, frozenset()):
+                if t not in jump:
+                    jump.add(t)
+                    todo.append(t)
+        for phase in (0, 1):
+            e = {idx(j, phase) for j in m.eps[s]}
+            if phase == 0:
+                e |= {idx(j, 2) for j in jump}
+            eps.append(frozenset(e))
+            trans.append({a: frozenset(idx(j, 1 if a == letter else 0) for j in succs)
+                          for a, succs in m.trans[s].items() if a not in suffix_letters})
+        eps.append(frozenset(idx(j, 2) for j in m.eps[s]))
+        trans.append({a: frozenset(idx(j, 2) for j in succs)
+                      for a, succs in m.trans[s].items() if a in suffix_letters})
+    return NFA(m.alphabet, 3 * m.n_states, frozenset(idx(s, 0) for s in m.initial),
+               frozenset(idx(s, 2) for s in m.finals), eps, trans)
+
+
 def random_nfa(rng, n_states=5, letters=("a", "b")):
     trans = []
     eps = []
@@ -274,9 +313,11 @@ class TestRegularInclusion:
         for _ in range(150):
             a, b = cyclic_nfa(rng, rng.randint(2, 9)), cyclic_nfa(rng, rng.randint(2, 9))
             for m in (a, b):
-                assert [m.closure([s]) for s in range(m.n_states)] == [
-                    naive_closure(m, s) for s in range(m.n_states)
-                ]
+                states = range(m.n_states)
+                assert _reach_table(m.eps, [True] * m.n_states) == [naive_closure(m, s) for s in states]
+                # closed sets keep only active states: a letter edge or final
+                active = frozenset(s for s in states if m.trans[s] or s in m.finals)
+                assert [m.closure([s]) for s in states] == [naive_closure(m, s) & active for s in states]
                 # on a closed set, `step` equals the union of the closed posts
                 cur = m.start()
                 for letter in rng.choices(m.alphabet, k=3):
@@ -288,6 +329,17 @@ class TestRegularInclusion:
             assert res.counterexample == shortlex_counterexample(a, b)
             violated += not res.holds
         assert 20 <= violated <= 130  # both outcomes are exercised
+
+    def test_strip_ticks_before_suffix_matches_dense_jump(self):
+        rng = random.Random(20261018)
+        suffix = frozenset({"f{1}", "f{2}"})
+        nonempty = 0
+        for _ in range(120):
+            m = cyclic_nfa(rng, rng.randint(2, 8), letters=("a", "f{1}", "f{2}", "t"))
+            words = strip_ticks_before_suffix(m, suffix, "t").language_upto(6)
+            assert words == dense_strip_ticks_before_suffix(m, suffix, "t").language_upto(6)
+            nonempty += bool(words)
+        assert nonempty >= 30
 
     def test_region_automaton_level_inclusion(self, discrete_example):
         from topaq.ta import ClockConstraint, Guard, edge as mk_edge
