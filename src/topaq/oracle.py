@@ -3,6 +3,7 @@ evaluation of the opacity definitions on the enumerated trace sets."""
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -12,12 +13,11 @@ from .observers import Dynamic, FirstN, Static, project
 from .ta import (
     EPSILON,
     BoundExhausted,
-    StepError,
     TimedAutomaton,
     TimedWord,
+    TimeGrid,
     enumerate_runs,
     is_private_run,
-    step,
     trace_of,
 )
 
@@ -91,53 +91,49 @@ def can_produce(
     really has no matching run on the other side at the stated grid.
     """
     horizon, granularity = Fraction(horizon), Fraction(granularity)
-    init = ta.initial_configuration()
-    if not ta.invariant_of(init.location).holds(init.valuation):
+    grid = TimeGrid(ta, granularity)
+    init = ta.init
+    if not grid.admits(init, grid.zero):
         return False
-    if not want_private and init.location in ta.private:
+    if not want_private and init in ta.private:
         return False
-    stamps = w.timestamps()
+    stamps = [grid.units(t) for t in w.timestamps()]  # None never matches
     letters = w.untimed()
     n = len(letters)
+    horizon_u = math.floor(horizon * grid.q)
 
-    start = (init, init.location in ta.private, Fraction(0), 0)
-    seen = {(init.key(), start[1], start[2], 0)}
+    # (location, valuation, privacy flag, elapsed units, letters matched)
+    start = (init, grid.zero, init in ta.private, 0, 0)
+    seen = {start}
     queue = deque([start])
     explored = 0
     while queue:
-        cfg, flag, elapsed, i = queue.popleft()
-        if cfg.location in ta.final:
+        location, valuation, flag, elapsed, i = queue.popleft()
+        if location in ta.final:
             if i == n and (flag if want_private else True):
                 return True
             continue  # runs end at the first final location
-        budget = horizon - elapsed
-        k = 0
-        while k * granularity <= budget:
-            d = k * granularity
-            k += 1
+        for d, move, after in grid.attempts(location, valuation, horizon_u - elapsed):
+            if after is None:
+                continue
+            _, _, _, _, target, action, target_private = move
             now = elapsed + d
-            for e in ta.edges_from(cfg.location):
-                if e.action is EPSILON:
-                    ni = i
-                elif i < n and e.action == letters[i] and now == stamps[i]:
-                    ni = i + 1
-                else:
-                    continue
-                if not want_private and e.target in ta.private:
-                    continue
-                try:
-                    nxt = step(ta, cfg, d, e)
-                except StepError:
-                    continue
-                nflag = flag or nxt.location in ta.private
-                key = (nxt.key(), nflag, now, ni)
-                if key in seen:
-                    continue
-                explored += 1
-                if explored > node_cap:
-                    raise BoundExhausted("membership search cap exceeded")
-                seen.add(key)
-                queue.append((nxt, nflag, now, ni))
+            if action is EPSILON:
+                ni = i
+            elif i < n and action == letters[i] and now == stamps[i]:
+                ni = i + 1
+            else:
+                continue
+            if not want_private and target_private:
+                continue
+            key = (target, after, flag or target_private, now, ni)
+            if key in seen:
+                continue
+            explored += 1
+            if explored > node_cap:
+                raise BoundExhausted("membership search cap exceeded")
+            seen.add(key)
+            queue.append(key)
     return False
 
 
@@ -242,10 +238,11 @@ def oracle_check(
         have no matching run on the other side."""
         nonlocal unconfirmed
         by_len: dict[int, list[TimedWord]] = {}
-        for w in sorted(candidates, key=lambda u: u.sort_key()):
+        for w in candidates:
             by_len.setdefault(len(w), []).append(w)
         for length in sorted(by_len):
-            for w in reversed(by_len[length]):
+            # sort_key is distinct for distinct words; sort a group only once reached
+            for w in sorted(by_len[length], key=lambda u: u.sort_key(), reverse=True):
                 verdict = matched_elsewhere(w, matched_private)
                 if verdict is False:
                     return w

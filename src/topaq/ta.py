@@ -6,6 +6,7 @@ region-boundary comparisons are always exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
@@ -85,6 +86,9 @@ class Guard:
         return " && ".join(str(c) for c in self.conjuncts)
 
 
+_TRUE = Guard()
+
+
 @dataclass(frozen=True)
 class Edge:
     source: str
@@ -133,7 +137,7 @@ class TimedAutomaton:
             raise ValueError(f"bad time domain {self.time_domain!r}")
 
     def invariant_of(self, location: str) -> Guard:
-        return self.invariant.get(location, Guard.true())
+        return self.invariant.get(location, _TRUE)
 
     def edges_from(self, location: str) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.source == location)
@@ -382,6 +386,88 @@ def step(ta: TimedAutomaton, cfg: Configuration, delay: Fraction, e: Edge) -> Co
     return Configuration(e.target, after)
 
 
+class TimeGrid:
+    """`ta` compiled onto the time grid of one granularity p/q.
+
+    Every time value reachable with delays that are multiples of p/q is a
+    whole number of 1/q units, so the searches over the grid run on ints:
+    valuations are int tuples in sorted clock order, and each clock
+    constraint becomes an inclusive interval of units (`x < b` is
+    `v <= b*q - 1`, exact on ints). Per source location, `moves` keeps each
+    edge, in declaration order, as (edge, guard, target invariant, reset
+    mask or None, target, action, target is private).
+    """
+
+    def __init__(self, ta: TimedAutomaton, granularity: Fraction):
+        self.p, self.q = granularity.numerator, granularity.denominator
+        self.clocks = tuple(sorted(ta.clocks))
+        self.zero = (0,) * len(self.clocks)
+        index = {x: i for i, x in enumerate(self.clocks)}
+        locations = ta.locations | {ta.init} | {loc for e in ta.edges for loc in (e.source, e.target)}
+        self.invariants = {loc: self._compile(ta.invariant_of(loc), index) for loc in locations}
+        moves: dict[str, list] = {}
+        for e in ta.edges:
+            mask = tuple(x in e.resets for x in self.clocks) if e.resets & ta.clocks else None
+            moves.setdefault(e.source, []).append(
+                (e, self._compile(e.guard, index), self.invariants[e.target], mask, e.target, e.action,
+                 e.target in ta.private))
+        self.moves = {loc: tuple(ms) for loc, ms in moves.items()}
+
+    def _compile(self, guard: Guard, index: Mapping[str, int]) -> tuple[tuple[int, float, float], ...]:
+        out = []
+        for c in guard.conjuncts:
+            b = c.bound * self.q
+            lo, hi = {
+                "<": (-math.inf, b - 1),
+                "<=": (-math.inf, b),
+                "=": (b, b),
+                ">=": (b, math.inf),
+                ">": (b + 1, math.inf),
+            }[c.cmp]
+            out.append((index[c.clock], lo, hi))
+        return tuple(out)
+
+    def admits(self, location: str, valuation: tuple[int, ...]) -> bool:
+        """Does the invariant of `location` hold at `valuation`?"""
+        return _holds(self.invariants[location], valuation)
+
+    def units(self, t: Fraction) -> Optional[int]:
+        """`t` in 1/q units, or None when `t` is not on the 1/q grid."""
+        u = Fraction(t) * self.q
+        return u.numerator if u.denominator == 1 else None
+
+    def attempts(self, location: str, valuation: tuple[int, ...], limit: int):
+        """Every (delay, edge) attempt from (location, valuation) with a delay
+        of at most `limit` units, delays ascending and edges in declaration
+        order: yields (delay, move, valuation after the step), the valuation
+        None where `step` fails. The checks are those of `step`: the source
+        invariant before and after the delay, the guard, and the target
+        invariant after the resets."""
+        moves = self.moves.get(location)
+        if moves is None:
+            return
+        inv = self.invariants[location]
+        before = _holds(inv, valuation)
+        for d in range(0, limit + 1, self.p):
+            delayed = tuple(v + d for v in valuation) if d else valuation
+            ok = before and _holds(inv, delayed)
+            for move in moves:
+                if ok and _holds(move[1], delayed):
+                    mask = move[3]
+                    after = delayed if mask is None else tuple(0 if r else v for r, v in zip(mask, delayed))
+                    if _holds(move[2], after):
+                        yield d, move, after
+                        continue
+                yield d, move, None
+
+
+def _holds(constraints, valuation) -> bool:
+    for i, lo, hi in constraints:
+        if not lo <= valuation[i] <= hi:
+            return False
+    return True
+
+
 def enumerate_runs(
     ta: TimedAutomaton,
     horizon: Fraction,
@@ -394,10 +480,20 @@ def enumerate_runs(
     duration <= horizon and <= max_steps transitions, in deterministic
     (depth-first, delays ascending, edges in declaration order) order.
 
+    `explored` counts (delay, edge) attempts, failed ones included; the
+    search stops, with complete=False, at the first attempt once
+    `node_cap` attempts were made.
+
     With dedup=True, branches that revisit an already-expanded search node
     (configuration, private flag, elapsed time, trace, remaining budget no
     better than before) are cut; the returned runs then form a representative
     subset that preserves trace sets and their private/public classification.
+
+    The search runs on a `TimeGrid` (time in whole units of 1/q for a
+    granularity p/q) with an explicit stack of attempt iterators, one per
+    depth, so a deep step budget does not recurse. Each step of the shared
+    path is built once, when the search descends into it, so runs with a
+    common prefix share their step tuples.
     """
     horizon = Fraction(horizon)
     granularity = Fraction(granularity)
@@ -406,60 +502,81 @@ def enumerate_runs(
     if ta.time_domain == "discrete" and granularity != 1:
         raise ValueError("discrete time requires granularity 1")
 
+    grid = TimeGrid(ta, granularity)
     init = ta.initial_configuration()
-    if not ta.invariant_of(init.location).holds(init.valuation):
+    if not grid.admits(init.location, grid.zero):
+        return EnumerationResult((), True, 0)
+    if init.location in ta.final:
+        return EnumerationResult((Run(init),), True, 0)
+    if max_steps <= 0:
         return EnumerationResult((), True, 0)
 
+    q = grid.q
+    horizon_u = math.floor(horizon * q)
+    final = ta.final
     runs: list[Run] = []
     explored = 0
     complete = True
     # dedup key -> best (fewest-steps-used) visit seen so far
     seen: dict[tuple, int] = {}
+    priv0 = init.location in ta.private
+    if dedup:
+        seen[(init.location, grid.zero, priv0, 0, ())] = 0
+    delays: dict[int, Fraction] = {}
+    configs: dict[tuple, Configuration] = {}
 
-    edges_by_source: dict[str, list[Edge]] = {}
-    for e in ta.edges:
-        edges_by_source.setdefault(e.source, []).append(e)
+    def entry(d, e, location, valuation):
+        delay = delays.get(d)
+        if delay is None:
+            delay = delays[d] = Fraction(d, q)
+        cfg = configs.get((location, valuation))
+        if cfg is None:
+            cfg = configs[(location, valuation)] = Configuration(
+                location, {x: Fraction(v, q) for x, v in zip(grid.clocks, valuation)})
+        return (delay, e, cfg)
 
-    def visit(cfg, elapsed, steps_used, prefix, trace, is_private):
-        nonlocal explored, complete
-        if cfg.location in ta.final:
-            runs.append(Run(init, tuple(prefix)))
-            return
-        if steps_used >= max_steps:
-            return
-        if dedup:
-            key = (cfg.key(), is_private, elapsed, trace)
-            best = seen.get(key)
-            if best is not None and best <= steps_used:
-                return
-            seen[key] = steps_used
-        budget = horizon - elapsed
-        k = 0
-        while k * granularity <= budget:
-            d = k * granularity
-            for e in edges_by_source.get(cfg.location, ()):
-                if explored >= node_cap:
-                    complete = False
-                    return
-                explored += 1
-                try:
-                    nxt = step(ta, cfg, d, e)
-                except StepError:
+    path: list[tuple[Fraction, Edge, Configuration]] = []
+    # frames[i] resumes the attempts out of the node at depth i, which
+    # nodes[i] describes as (elapsed units, private flag, trace)
+    frames = [grid.attempts(init.location, grid.zero, horizon_u)]
+    nodes = [(0, priv0, ())]
+    while frames:
+        elapsed, private, trace = nodes[-1]
+        depth = len(frames)  # steps used by a successor
+        for d, move, after in frames[-1]:
+            if explored >= node_cap:
+                complete = False
+                break
+            explored += 1
+            if after is None:
+                continue
+            e, _, _, _, target, action, target_private = move
+            now = elapsed + d
+            if target in final:
+                runs.append(Run(init, (*path, entry(d, e, target, after))))
+                continue
+            if depth >= max_steps:
+                continue
+            ntrace = trace if action is EPSILON else trace + ((action, now),)
+            nprivate = private or target_private
+            if dedup:
+                key = (target, after, nprivate, now, ntrace)
+                best = seen.get(key)
+                if best is not None and best <= depth:
                     continue
-                ntrace = trace if e.action is EPSILON else trace + ((e.action, elapsed + d),)
-                visit(
-                    nxt,
-                    elapsed + d,
-                    steps_used + 1,
-                    prefix + [(d, e, nxt)],
-                    ntrace,
-                    is_private or nxt.location in ta.private,
-                )
-                if not complete:
-                    return
-            k += 1
-
-    visit(init, Fraction(0), 0, [], (), init.location in ta.private)
+                seen[key] = depth
+            path.append(entry(d, e, target, after))
+            frames.append(grid.attempts(target, after, horizon_u - now))
+            nodes.append((now, nprivate, ntrace))
+            break
+        else:
+            frames.pop()
+            nodes.pop()
+            if path:
+                path.pop()
+            continue
+        if not complete:
+            break
     return EnumerationResult(tuple(runs), complete, explored)
 
 

@@ -1,0 +1,125 @@
+"""The grid searches (`enumerate_runs`, `can_produce`) against the Fraction
+reference searches in `reference_enumeration.py`."""
+
+import random
+import warnings
+from fractions import Fraction as F
+
+from conftest import fig1_ta
+from reference_enumeration import reference_can_produce, reference_enumerate_runs
+from test_acceptance import random_discrete_ta
+from topaq.oracle import can_produce, default_horizon, discrete_state_count, trace_sets
+from topaq.ta import BoundExhausted, TimedWord, enumerate_runs, trace_of, validate, validate_errors
+
+CRITERION5_SEED = 20240601
+
+
+def criterion5_corpus(count=60):
+    """The first `count` models of the criterion-5 generator and seed that
+    pass its size filter (discrete state count at most 36)."""
+    rng = random.Random(CRITERION5_SEED)
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        while len(out) < count:
+            ta = random_discrete_ta(rng)
+            if not validate_errors(validate(ta)) and discrete_state_count(ta) <= 36:
+                out.append(ta)
+    return out
+
+
+CORPUS = criterion5_corpus()
+
+
+def enumeration_cases():
+    """(automaton, horizon, max_steps, granularity, node_cap, dedup)."""
+    for ta in CORPUS:
+        steps = discrete_state_count(ta)
+        horizon = default_horizon(ta)
+        yield ta, horizon, steps, F(1), 40_000, True  # the oracle's settings
+        for cap in (1, 50, 300):
+            for dedup in (False, True):
+                yield ta, horizon, steps, F(1), cap, dedup
+    fig1 = fig1_ta()
+    for granularity in (F(1, 2), F(1, 3), F(2, 3), F(3, 4)):
+        for horizon in (F(4), F(7, 2), F(9, 4)):
+            for cap in (1, 50, 300, 2_000_000):
+                for dedup in (False, True):
+                    yield fig1, horizon, 4, granularity, cap, dedup
+
+
+def test_enumeration_equals_reference():
+    outcomes = set()
+    for ta, horizon, steps, granularity, cap, dedup in enumeration_cases():
+        got = enumerate_runs(ta, horizon, steps, granularity, node_cap=cap, dedup=dedup)
+        want = reference_enumerate_runs(ta, horizon, steps, granularity, node_cap=cap, dedup=dedup)
+        assert got.explored == want.explored, (ta.name, horizon, granularity, cap, dedup)
+        assert got.complete == want.complete, (ta.name, horizon, granularity, cap, dedup)
+        assert got.runs == want.runs, (ta.name, horizon, granularity, cap, dedup)
+        outcomes.add((cap, got.complete))
+    # every cap cuts some cases short and not others
+    assert outcomes >= {(cap, done) for cap in (50, 300) for done in (True, False)}
+    assert (1, False) in outcomes
+
+
+def shifted(w, offset):
+    return TimedWord(tuple((a, t + offset) for a, t in w.letters))
+
+
+def membership_cases():
+    """(automaton, word, want_private, horizon, granularity, node_cap): each
+    trace the oracle enumerates on the corpus, as is and with its stamps
+    moved off the grid, on the side the oracle asks about (the one it is
+    missing from), and on the other side for the first ten models; on `fig1`
+    at granularity 1/2, both sides of every trace with stamps moved off and
+    along the grid. A small cap pins the point where the search gives up."""
+    for n, ta in enumerate(CORPUS):
+        horizon = default_horizon(ta)
+        t_priv, t_pub, _ = trace_sets(ta, horizon, discrete_state_count(ta), F(1), 40_000)
+        for w in sorted(t_priv | t_pub, key=lambda u: u.sort_key()):
+            for want_private, t in ((False, t_pub), (True, t_priv)):
+                if w not in t:
+                    yield ta, w, want_private, horizon, F(1), 500_000
+                    yield ta, shifted(w, F(1, 2)), want_private, horizon, F(1), 500_000
+                elif n < 10:
+                    yield ta, w, want_private, horizon, F(1), 500_000
+    fig1 = fig1_ta()
+    t_priv, t_pub, _ = trace_sets(fig1, F(4), 3, F(1, 2))
+    for w in sorted(t_priv | t_pub, key=lambda u: u.sort_key()):
+        for v in (w, shifted(w, F(1, 4)), shifted(w, F(1, 2))):
+            for want_private in (False, True):
+                for cap in (500_000, 3):
+                    yield fig1, v, want_private, F(4), F(1, 2), cap
+
+
+def produce(search, ta, w, want_private, horizon, granularity, node_cap):
+    try:
+        return search(ta, w, want_private, horizon, granularity, node_cap=node_cap)
+    except BoundExhausted:
+        return "cap"
+
+
+def test_can_produce_equals_reference():
+    answers = []
+    for ta, w, want_private, horizon, granularity, cap in membership_cases():
+        got = produce(can_produce, ta, w, want_private, horizon, granularity, cap)
+        want = produce(reference_can_produce, ta, w, want_private, horizon, granularity, cap)
+        assert got == want, (ta.name, str(w), want_private, cap)
+        answers.append(got)
+    assert set(answers) == {True, False, "cap"}
+    assert len(answers) > 5000
+
+
+def test_deep_budget_does_not_recurse(fig1_discrete):
+    res = enumerate_runs(fig1_discrete, F(6), 3000, F(1), node_cap=4000, dedup=True)
+    assert not res.complete
+    assert res.explored == 4000
+    assert max(len(r.steps) for r in res.runs) == 3000
+
+
+def test_common_prefixes_share_steps(fig1):
+    runs = enumerate_runs(fig1, F(3), 4, F(2, 3)).runs
+    first = {}
+    for run in runs:
+        for i, s in enumerate(run.steps):
+            assert first.setdefault(run.steps[: i + 1], s) is s
