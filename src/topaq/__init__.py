@@ -7,6 +7,8 @@ static, and dynamic flavors), cross-validated by an independent enumerative
 oracle.
 """
 
+from types import ModuleType as _ModuleType
+
 from .constructions import (
     build_memo,
     build_priv,
@@ -17,17 +19,17 @@ from .constructions import (
     swap_gadget,
 )
 from .deciders import (
-    OpacityVerdict,
     UndecidableClass,
     accepts_word,
     check_bounded,
     check_exists,
     check_opacity,
+    decide,
     is_oera,
     verify_witness,
 )
 from .model import ModelError, parse_model, print_model
-from .nfa import InclusionCapExceeded
+from .nfa import InclusionCapExceeded, regular_inclusion
 from .observers import (
     Dynamic,
     FirstN,
@@ -39,14 +41,13 @@ from .observers import (
     unfold_free,
     unfold_tau,
 )
-from .oracle import OracleVerdict, oracle_check
+from .oracle import oracle_check
 from .regions import (
     RegionAutomaton,
     RegionCapExceeded,
     augment_ticks,
     build_region_automaton,
     region_of,
-    regular_inclusion,
     valuation_equiv,
 )
 from .ta import (
@@ -58,6 +59,7 @@ from .ta import (
     Run,
     TimedAutomaton,
     TimedWord,
+    Verdict,
     edge,
     enumerate_runs,
     make_ta,
@@ -67,5 +69,5 @@ from .ta import (
 )
 from .words import class_recognizer, distort, ticked_word, word_equiv
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _ModuleType))]
 __version__ = "0.1.0"

@@ -1,5 +1,8 @@
 """Command-line front end: check / classify / export.
 
+The CLI only parses arguments and prints results: `check` hands its
+question to `deciders.decide` and prints the `Verdict` that comes back.
+
 Exit codes: 0 the property holds, 1 violated (witness printed as a timed
 word with fractional timestamps), 2 refused (undecidable class, resource cap,
 or an inconclusive bounded search) with the reason, 3 usage or parse errors
@@ -17,19 +20,18 @@ from fractions import Fraction
 from typing import Optional
 
 from . import export
-from .deciders import (
-    OpacityVerdict,
-    UndecidableClass,
-    check_bounded,
-    check_exists,
-    check_opacity,
-    is_oera,
-)
+from .deciders import UndecidableClass, decide, is_oera
 from .model import ModelError, parse_model
 from .nfa import InclusionCapExceeded
-from .observers import Dynamic, FirstN, ObservationCapExceeded, Static, unfold_first_n, unfold_tau, normalize_sequence
-from .oracle import oracle_check
-from .regions import BadRegionCap, RegionCapExceeded, augment_ticks, build_region_automaton
+from .observers import Dynamic, FirstN, ObservationCapExceeded, Static, tick_construction
+from .regions import (
+    BadRegionCap,
+    RegionCapExceeded,
+    augment_ticks,
+    build_region_automaton,
+    force_integer_actions,
+)
+from .ta import Verdict
 
 EXIT_HOLDS = 0
 EXIT_VIOLATED = 1
@@ -101,18 +103,19 @@ def _load(path: str, scale: bool):
         return parse_model(fh.read(), scale=scale)
 
 
-def _report(verdict: OpacityVerdict, mode: str) -> int:
+def _report(verdict: Verdict, mode: str) -> int:
+    label = "existential" if mode == "exists" else mode
     if verdict.holds is True:
-        print(f"{mode} opacity: holds")
+        print(f"{label} opacity: holds")
         return EXIT_HOLDS
     if verdict.holds is False:
-        print(f"{mode} opacity: violated" + (f" ({verdict.side})" if verdict.side else ""))
+        print(f"{label} opacity: violated" + (f" ({verdict.side})" if verdict.side else ""))
         if verdict.witness is not None:
             print(f"witness: {verdict.witness}")
         if verdict.note:
             print(f"note: {verdict.note}")
         return EXIT_VIOLATED
-    print(f"{mode} opacity: inconclusive (no violation found within the search bounds)")
+    print(f"{label} opacity: inconclusive (no violation found within the search bounds)")
     return EXIT_REFUSED
 
 
@@ -121,42 +124,9 @@ def _run_check(args) -> int:
     horizon = parse_rational(args.horizon) if args.horizon else None
     granularity = parse_rational(args.granularity) if args.granularity else None
     sel = parse_observation(args.obs) if args.obs else None
-
-    if args.engine == "oracle":
-        if isinstance(sel, Dynamic):
-            print("refused: the dynamic attacker has no executable projection; "
-                  "the oracle supports first:N and static:LIST only")
-            return EXIT_REFUSED
-        verdict = oracle_check(ta, args.mode, sel, horizon=horizon,
-                               max_steps=args.max_steps, granularity=granularity)
-        return _report(verdict.as_opacity_verdict(), args.mode)
-
-    if args.mode == "exists":
-        if sel is None:
-            return _report(check_exists(ta), "existential")
-        if isinstance(sel, FirstN):
-            return _report(check_exists(unfold_first_n(ta, sel.n)), "existential")
-        if isinstance(sel, Static):
-            from .regions import force_integer_actions
-
-            tau = normalize_sequence(sel.times)
-            base = force_integer_actions(ta) if ta.time_domain == "discrete" else ta
-            factor = len({t - (t.numerator // t.denominator) for t in tau} - {Fraction(0)}) + 1
-            verdict = check_exists(unfold_tau(base, tau))
-            if verdict.witness is not None:
-                verdict = OpacityVerdict(
-                    verdict.holds,
-                    verdict.witness.scaled(Fraction(1, factor)),
-                    verdict.side,
-                    "witness uses the normalized switch-time sequence",
-                )
-            return _report(verdict, "existential")
-        print("refused: existential opacity against a dynamic attacker is not supported")
-        return EXIT_REFUSED
-
-    if sel is not None:
-        return _report(check_bounded(ta, sel, args.mode), args.mode)
-    return _report(check_opacity(ta, args.mode, engine=args.engine), args.mode)
+    verdict = decide(ta, args.mode, sel, engine=args.engine, horizon=horizon,
+                     max_steps=args.max_steps, granularity=granularity)
+    return _report(verdict, args.mode)
 
 
 def _run_classify(args) -> int:
@@ -187,16 +157,12 @@ def _run_classify(args) -> int:
 
 
 def _run_export(args) -> int:
-    from .observers import tick_construction
-
     ta = _load(args.file, args.scale)
     if args.what == "ta":
         obj = ta
         text = export.ta_to_dot(obj) if args.format == "dot" else export.ta_to_json(obj)
     else:
         if args.what == "tick":
-            from .regions import force_integer_actions
-
             sel = parse_observation(args.obs) if args.obs else FirstN(1)
             if not isinstance(sel, FirstN):
                 raise _UsageError("--what tick takes --obs first:N")
@@ -229,10 +195,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except UndecidableClass as exc:
-        print(f"refused: {exc}")
-        return EXIT_REFUSED
-    except (RegionCapExceeded, ObservationCapExceeded, InclusionCapExceeded) as exc:
+    except (UndecidableClass, RegionCapExceeded, ObservationCapExceeded, InclusionCapExceeded) as exc:
         print(f"refused: {exc}")
         return EXIT_REFUSED
     except Exception as exc:  # a defect or an exhausted interpreter resource, never a verdict

@@ -1,16 +1,17 @@
-"""Opacity decision procedures: the general existence check, the
-discrete-time and observable-event-recording engines for weak/full opacity,
-the bounded-attacker pipeline, and the matrix-based witness verifier."""
+"""Opacity decision procedures: `decide`, the one entry point for every
+form of the question, over the general existence check, the discrete-time
+and observable-event-recording engines for weak/full opacity, the
+bounded-attacker pipeline and the oracle; plus the matrix-based witness
+verifier."""
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from . import nfa as nfalib
-from .constructions import S_TAG, build_memo, build_priv, build_pub
+from .constructions import S_TAG, build_memo, build_priv, build_pub, product
 from .nfa import NFA, check_inclusion, from_region_automaton
 from .observers import (
     DEFAULT_OBSERVATION_CAP,
@@ -21,39 +22,75 @@ from .observers import (
     TimeSelection,
     normalize_sequence,
     tick_construction,
+    unfold_first_n,
     unfold_free,
     unfold_tau,
 )
+from .oracle import oracle_check
 from .regions import (
     RegionAutomaton,
+    RegionCapExceeded,
     TICK_LETTER,
+    _canonical_delay,
+    augment_ticks,
     build_region_automaton,
     clock_region_of,
     concretize_region_path,
+    dense_delay_successor,
+    discrete_delay_successor,
     force_integer_actions,
+    region_cap,
     tick_decode,
 )
-from .ta import EPSILON, TimedAutomaton, TimedWord
+from .ta import EPSILON, TimedAutomaton, TimedWord, Verdict
 from .words import class_recognizer, parse_group
+
+
+NORMALIZED_NOTE = "witness uses the normalized switch-time sequence"
 
 
 class UndecidableClass(Exception):
     """No sound engine applies to this automaton class."""
 
 
-@dataclass(frozen=True)
-class OpacityVerdict:
-    """holds=True/False for a definitive answer; None when a bounded search
-    found no violation but cannot conclude (oracle engine on dense time)."""
+def decide(
+    ta: TimedAutomaton,
+    mode: str,
+    sel: Optional[TimeSelection] = None,
+    engine: str = "auto",
+    horizon: Optional[Fraction] = None,
+    max_steps: Optional[int] = None,
+    granularity: Optional[Fraction] = None,
+) -> Verdict:
+    """Existential, weak or full opacity (`mode`) against the attacker `sel`
+    (None: unbounded; FirstN, Static or Dynamic: bounded).
 
-    holds: Optional[bool]
-    witness: Optional[TimedWord] = None
-    side: Optional[str] = None  # "priv-not-pub" | "pub-not-priv" | "intersection"
-    note: str = ""
-
-    @property
-    def violated(self) -> bool:
-        return self.holds is False
+    engine=oracle runs the bounded enumerative search, with `horizon`,
+    `max_steps` and `granularity` as its bounds; otherwise existential
+    opacity is region reachability, a bounded attacker goes through
+    `check_bounded`, and an unbounded one through `check_opacity` with the
+    given engine. Raises UndecidableClass where no procedure applies.
+    """
+    if engine == "oracle":
+        if isinstance(sel, Dynamic):
+            raise UndecidableClass("the dynamic attacker has no executable projection; "
+                                   "the oracle supports first:N and static:LIST only")
+        return oracle_check(ta, mode, sel, horizon=horizon, max_steps=max_steps, granularity=granularity)
+    if mode == "exists":
+        if sel is None:
+            return check_exists(ta)
+        if isinstance(sel, FirstN):
+            return check_exists(unfold_first_n(ta, sel.n))
+        if isinstance(sel, Static):
+            unfolded, _, scale = _switch_times(ta, sel.times)
+            verdict = check_exists(unfolded)
+            if verdict.witness is None:
+                return verdict
+            return Verdict(verdict.holds, verdict.witness.scaled(scale), verdict.side, NORMALIZED_NOTE)
+        raise UndecidableClass("existential opacity against a dynamic attacker is not supported")
+    if sel is not None:
+        return check_bounded(ta, sel, mode)
+    return check_opacity(ta, mode, engine=engine)
 
 
 def is_oera(ta: TimedAutomaton) -> bool:
@@ -78,19 +115,17 @@ def is_oera(ta: TimedAutomaton) -> bool:
     return len(ta.actions - set(assigned)) == len(ta.clocks - set(assigned.values()))
 
 
-def check_exists(ta: TimedAutomaton, cap: Optional[int] = None) -> OpacityVerdict:
+def check_exists(ta: TimedAutomaton, cap: Optional[int] = None) -> Verdict:
     """Existential opacity: some trace produced by both a private and a
     public run, decided as final-region reachability in the product of the
     private-runs and public-runs automata."""
-    from .constructions import product
-
     prod = product(build_priv(ta), build_pub(ta))
     ra = build_region_automaton(prod, cap)
     path = _shortest_accepting_path(ra)
     if path is None:
-        return OpacityVerdict(False, note="no trace is produced by both a private and a public run")
+        return Verdict(False, note="no trace is produced by both a private and a public run")
     _, word = concretize_region_path(prod, path)
-    return OpacityVerdict(True, witness=word, side="intersection")
+    return Verdict(True, witness=word, side="intersection")
 
 
 def _shortest_accepting_path(ra: RegionAutomaton):
@@ -127,7 +162,7 @@ def check_opacity(
     horizon: Optional[Fraction] = None,
     max_steps: Optional[int] = None,
     granularity: Optional[Fraction] = None,
-) -> OpacityVerdict:
+) -> Verdict:
     """Weak or full opacity on the decidable classes.
 
     engine=auto picks the discrete-time engine, then the observable
@@ -157,10 +192,7 @@ def check_opacity(
                 "event-recording automaton, or the bounded oracle engine"
             )
     if engine == "oracle":
-        from .oracle import oracle_check
-
-        res = oracle_check(ta, mode, None, horizon=horizon, max_steps=max_steps, granularity=granularity)
-        return res.as_opacity_verdict()
+        return oracle_check(ta, mode, None, horizon=horizon, max_steps=max_steps, granularity=granularity)
     if engine == "discrete":
         if ta.time_domain != "discrete":
             raise UndecidableClass("the discrete engine requires a discrete-time automaton")
@@ -177,27 +209,30 @@ def check_opacity(
 
 
 def _ticked_language(ta: TimedAutomaton, cap: Optional[int]) -> NFA:
-    from .regions import augment_ticks
-
     ra = build_region_automaton(augment_ticks(ta), cap)
     # ticks after the last action only encode the time to reach the final
     # location, which the trace does not record: quotient them away
     return nfalib.strip_trailing_letter(from_region_automaton(ra), TICK_LETTER)
 
 
-def _check_discrete(ta: TimedAutomaton, mode: str, cap: Optional[int]) -> OpacityVerdict:
+def _check_discrete(ta: TimedAutomaton, mode: str, cap: Optional[int]) -> Verdict:
     priv = _ticked_language(build_priv(ta), cap)
     pub = _ticked_language(build_pub(ta), cap)
+    return _compare(priv, pub, mode, tick_decode)
+
+
+def _compare(priv: NFA, pub: NFA, mode: str, decode) -> Verdict:
+    """Weak opacity as priv ⊆ pub, full also as pub ⊆ priv; a counterexample
+    is decoded into the witness timed word."""
     alphabet = nfalib.merge_alphabets(priv, pub)
     inc = check_inclusion(priv, pub, alphabet)
     if not inc.holds:
-        return OpacityVerdict(False, witness=tick_decode(inc.counterexample), side="priv-not-pub")
-    if mode == "weak":
-        return OpacityVerdict(True)
-    inc = check_inclusion(pub, priv, alphabet)
-    if not inc.holds:
-        return OpacityVerdict(False, witness=tick_decode(inc.counterexample), side="pub-not-priv")
-    return OpacityVerdict(True)
+        return Verdict(False, witness=decode(inc.counterexample), side="priv-not-pub")
+    if mode == "full":
+        inc = check_inclusion(pub, priv, alphabet)
+        if not inc.holds:
+            return Verdict(False, witness=decode(inc.counterexample), side="pub-not-priv")
+    return Verdict(True)
 
 
 def language_inclusion_discrete(a: TimedAutomaton, b: TimedAutomaton, cap: Optional[int] = None):
@@ -213,7 +248,7 @@ def language_inclusion_discrete(a: TimedAutomaton, b: TimedAutomaton, cap: Optio
 # Observable event-recording engine
 
 
-def _check_oera(ta: TimedAutomaton, mode: str, cap: Optional[int]) -> OpacityVerdict:
+def _check_oera(ta: TimedAutomaton, mode: str, cap: Optional[int]) -> Verdict:
     """Macro-state search on the memo automaton.
 
     In an observable ERA every run with the same timed trace carries the same
@@ -228,8 +263,6 @@ def _check_oera(ta: TimedAutomaton, mode: str, cap: Optional[int]) -> OpacityVer
     arrival (entry hits plus the silent/delay closure of the target node),
     while node deduplication only limits expansion.
     """
-    from .regions import RegionCapExceeded, dense_delay_successor, discrete_delay_successor, region_cap
-
     memo = build_memo(ta)
     maxc = memo.max_constants()
     successor = discrete_delay_successor if memo.time_domain == "discrete" else dense_delay_successor
@@ -305,12 +338,12 @@ def _check_oera(ta: TimedAutomaton, mode: str, cap: Optional[int]) -> OpacityVer
 
     init_cr = clock_region_of(memo.zero_valuation(), maxc)
     if not init_cr.satisfies_guard(memo.invariant_of(memo.init)):
-        return OpacityVerdict(True, note="empty language")
+        return Verdict(True, note="empty language")
     start_locs, seed_tags = eps_close(init_cr, [memo.init])
     start = (init_cr, start_locs)
     side = violation(seed_tags | closure_tags(start))
     if side is not None:
-        return OpacityVerdict(False, witness=TimedWord(()), side=side)
+        return Verdict(False, witness=TimedWord(()), side=side)
 
     parents: dict[tuple, Optional[tuple]] = {start: None}
     queue = deque([start])
@@ -347,21 +380,19 @@ def _check_oera(ta: TimedAutomaton, mode: str, cap: Optional[int]) -> OpacityVer
             nxt = (cr2, closed)
             side = violation(frozenset(direct_tags) | closure_tags(nxt))
             if side is not None:
-                word = _oera_witness(memo, parents, node, letter)
-                return OpacityVerdict(False, witness=word, side=side)
+                word = _oera_witness(memo, clock_of, parents, node, letter)
+                return Verdict(False, witness=word, side=side)
             if closed and nxt not in parents:
                 if len(parents) >= limit:
                     raise RegionCapExceeded(limit)
                 parents[nxt] = (node, "letter", letter)
                 queue.append(nxt)
-    return OpacityVerdict(True)
+    return Verdict(True)
 
 
-def _oera_witness(memo: TimedAutomaton, parents, node, last_letter: Optional[str]) -> TimedWord:
+def _oera_witness(memo: TimedAutomaton, clock_of: dict, parents, node, last_letter: Optional[str]) -> TimedWord:
     """Concrete trace for an arrival: replay the shared clock region path
     with canonical delays, then the final letter."""
-    from .regions import _canonical_delay
-
     steps = []
     cur = node
     while parents[cur] is not None:
@@ -373,10 +404,6 @@ def _oera_witness(memo: TimedAutomaton, parents, node, last_letter: Optional[str
         steps.append(("letter", last_letter))
     maxc = memo.max_constants()
     val = {x: Fraction(0) for x in memo.clocks}
-    clock_of = {}
-    for e in memo.edges:
-        if e.action is not EPSILON:
-            (clock_of[e.action],) = e.resets
     now = Fraction(0)
     letters = []
     for kind, letter in steps:
@@ -400,7 +427,7 @@ def check_bounded(
     mode: str,
     cap: Optional[int] = None,
     obs_cap: int = DEFAULT_OBSERVATION_CAP,
-) -> OpacityVerdict:
+) -> Verdict:
     """Weak/full opacity against a bounded attacker.
 
     First-N: the tick construction over the private/public split, compared as
@@ -415,19 +442,13 @@ def check_bounded(
         if 2 * sel.n > obs_cap:
             raise ObservationCapExceeded(2 * sel.n, obs_cap)
         inner = check_bounded(unfold_free(ta, sel.n), FirstN(2 * sel.n), mode, cap, obs_cap)
-        return OpacityVerdict(inner.holds, inner.witness, inner.side,
-                              note="witness includes the attacker's arming letters")
+        return Verdict(inner.holds, inner.witness, inner.side,
+                       note="witness includes the attacker's arming letters")
     if isinstance(sel, Static):
-        tau = normalize_sequence(sel.times)
-        if len(tau) > obs_cap:
-            raise ObservationCapExceeded(len(tau), obs_cap)
-        base = force_integer_actions(ta) if ta.time_domain == "discrete" else ta
-        fracs = {t - (t.numerator // t.denominator) for t in tau} - {Fraction(0)}
-        factor = len(fracs) + 1
-        inner = check_bounded(unfold_tau(base, tau), FirstN(len(tau)), mode, cap, obs_cap)
-        witness = inner.witness.scaled(Fraction(1, factor)) if inner.witness is not None else None
-        return OpacityVerdict(inner.holds, witness, inner.side,
-                              note="witness uses the normalized switch-time sequence")
+        unfolded, n, scale = _switch_times(ta, sel.times, obs_cap)
+        inner = check_bounded(unfolded, FirstN(n), mode, cap, obs_cap)
+        witness = inner.witness.scaled(scale) if inner.witness is not None else None
+        return Verdict(inner.holds, witness, inner.side, note=NORMALIZED_NOTE)
     if not isinstance(sel, FirstN):
         raise TypeError(f"unsupported time selection {sel!r}")
     if sel.n > obs_cap:
@@ -435,16 +456,19 @@ def check_bounded(
     base = force_integer_actions(ta) if ta.time_domain == "discrete" else ta
     priv = _ticked_bounded_language(build_priv(base), sel.n, cap, obs_cap)
     pub = _ticked_bounded_language(build_pub(base), sel.n, cap, obs_cap)
-    alphabet = nfalib.merge_alphabets(priv, pub)
-    inc = check_inclusion(priv, pub, alphabet)
-    if not inc.holds:
-        return OpacityVerdict(False, witness=decode_ticked_tokens(inc.counterexample), side="priv-not-pub")
-    if mode == "weak":
-        return OpacityVerdict(True)
-    inc = check_inclusion(pub, priv, alphabet)
-    if not inc.holds:
-        return OpacityVerdict(False, witness=decode_ticked_tokens(inc.counterexample), side="pub-not-priv")
-    return OpacityVerdict(True)
+    return _compare(priv, pub, mode, decode_ticked_tokens)
+
+
+def _switch_times(ta: TimedAutomaton, times, obs_cap: Optional[int] = None):
+    """Unfold `ta` against the normalized switch-time sequence: returns the
+    unfolding, its observation count, and the factor that maps a witness of
+    the unfolding back to the original time scale."""
+    tau = normalize_sequence(times)
+    if obs_cap is not None and len(tau) > obs_cap:
+        raise ObservationCapExceeded(len(tau), obs_cap)
+    base = force_integer_actions(ta) if ta.time_domain == "discrete" else ta
+    fracs = {t - (t.numerator // t.denominator) for t in tau} - {Fraction(0)}
+    return unfold_tau(base, tau), len(tau), Fraction(1, len(fracs) + 1)
 
 
 def _ticked_bounded_language(ta: TimedAutomaton, n: int, cap: Optional[int], obs_cap: int) -> NFA:
@@ -557,14 +581,6 @@ def _matrix_accepts(m: NFA, tokens: list[tuple[str, int]], allowed: frozenset[st
     return bool(vec & nfalib._bitset(m.finals))
 
 
-def nfa_accepts_expanded(m: NFA, tokens: list[tuple[str, int]]) -> bool:
-    """Step-by-step simulation with tick runs expanded literally."""
-    word = []
-    for tok, repeat in tokens:
-        word.extend([tok] * repeat)
-    return m.accepts(word)
-
-
 # ---------------------------------------------------------------------------
 # Exact membership of a timed word
 
@@ -573,8 +589,6 @@ def accepts_word(ta: TimedAutomaton, w: TimedWord, cap: Optional[int] = None) ->
     """Does `ta` accept `w`? Exact, via reachability in the region automaton
     of the product with the word's class recognizer (a language contains a
     word iff it meets the word's equivalence class)."""
-    from .constructions import product
-
     if any(a not in ta.actions for a, _ in w):
         return False
     base = force_integer_actions(ta) if ta.time_domain == "discrete" else ta

@@ -316,6 +316,18 @@ def check_inclusion(a: NFA, b: NFA, alphabet: Optional[tuple[str, ...]] = None,
     return InclusionResult(True, None)
 
 
+def regular_inclusion(ra1: RegionAutomaton, ra2: RegionAutomaton, pair_cap: int = 2_000_000):
+    """Untimed language inclusion of two region automata over the same
+    alphabet (silent edges closed away). On failure the result carries a
+    shortest counterexample word, ties broken lexicographically.
+    """
+    if ra1.alphabet != ra2.alphabet:
+        raise ValueError("region automata must share an alphabet")
+    a = from_region_automaton(ra1)
+    b = from_region_automaton(ra2)
+    return check_inclusion(a, b, merge_alphabets(a, b), pair_cap=pair_cap)
+
+
 def strip_trailing_letter(m: NFA, letter: str = TICK_LETTER) -> NFA:
     """Language image under removal of a maximal trailing `letter` run.
 

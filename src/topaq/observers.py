@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+from .constructions import relax_finals
 from .regions import fresh_name, TICK_LETTER
 from .ta import (
     EPSILON,
@@ -145,8 +146,6 @@ def tick_construction(ta: TimedAutomaton, n: int, cap: int = DEFAULT_OBSERVATION
     matter at entry; the relaxation is what lets the gadget spend its extra
     time units there.
     """
-    from .constructions import relax_finals
-
     if n > cap:
         raise ObservationCapExceeded(n, cap)
     if TICK_LETTER in ta.actions:

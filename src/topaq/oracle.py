@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -16,24 +15,11 @@ from .ta import (
     TimedAutomaton,
     TimedWord,
     TimeGrid,
+    Verdict,
     enumerate_runs,
     is_private_run,
     trace_of,
 )
-
-
-@dataclass(frozen=True)
-class OracleVerdict:
-    status: str  # "holds" | "violated" | "inconclusive"
-    witness: Optional[TimedWord] = None
-    side: Optional[str] = None
-    diagnostics: dict = field(default_factory=dict)
-
-    def as_opacity_verdict(self):
-        from .deciders import OpacityVerdict
-
-        holds = {"holds": True, "violated": False, "inconclusive": None}[self.status]
-        return OpacityVerdict(holds, self.witness, self.side, note=self.diagnostics.get("note", ""))
 
 
 def default_granularity(ta: TimedAutomaton, obs: int = 0) -> Fraction:
@@ -145,7 +131,7 @@ def oracle_check(
     max_steps: Optional[int] = None,
     granularity: Optional[Fraction] = None,
     node_cap: int = 2_000_000,
-) -> OracleVerdict:
+) -> Verdict:
     """Evaluate an opacity definition literally over enumerated runs.
 
     A violation is reported only after the candidate trace is confirmed to
@@ -201,13 +187,14 @@ def oracle_check(
             "steps cover the discrete region count (silent cycles between region repeats are cuttable)"
         )
 
+    def verdict(holds, witness=None, side=None) -> Verdict:
+        return Verdict(holds, witness, side, note=diag.get("note", ""), diagnostics=diag)
+
     if query == "exists":
         common = t_priv & t_pub
         if common:
-            return OracleVerdict(
-                "holds", witness=min(common, key=lambda w: w.sort_key()), side="intersection", diagnostics=diag
-            )
-        return OracleVerdict("violated" if definitive else "inconclusive", diagnostics=diag)
+            return verdict(True, min(common, key=lambda w: w.sort_key()), "intersection")
+        return verdict(False if definitive else None)
 
     boosted: dict[bool, Optional[set[TimedWord]]] = {}
     unconfirmed = False
@@ -243,10 +230,10 @@ def oracle_check(
         for length in sorted(by_len):
             # sort_key is distinct for distinct words; sort a group only once reached
             for w in sorted(by_len[length], key=lambda u: u.sort_key(), reverse=True):
-                verdict = matched_elsewhere(w, matched_private)
-                if verdict is False:
+                matched = matched_elsewhere(w, matched_private)
+                if matched is False:
                     return w
-                if verdict is None:
+                if matched is None:
                     unconfirmed = True
         return None
 
@@ -254,14 +241,14 @@ def oracle_check(
     if missing_pub:
         w = confirmed_witness(missing_pub, matched_private=False)
         if w is not None:
-            return OracleVerdict("violated", witness=w, side="priv-not-pub", diagnostics=diag)
+            return verdict(False, w, "priv-not-pub")
     if query == "full":
         missing_priv = t_pub - t_priv
         if missing_priv:
             w = confirmed_witness(missing_priv, matched_private=True)
             if w is not None:
-                return OracleVerdict("violated", witness=w, side="pub-not-priv", diagnostics=diag)
+                return verdict(False, w, "pub-not-priv")
     if unconfirmed:
         diag["note"] = "violation candidates could not be confirmed within the resource caps"
-        return OracleVerdict("inconclusive", diagnostics=diag)
-    return OracleVerdict("holds" if definitive else "inconclusive", diagnostics=diag)
+        return verdict(None)
+    return verdict(True if definitive else None)

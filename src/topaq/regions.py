@@ -319,20 +319,6 @@ def region_state_bound(ta: TimedAutomaton) -> int:
     return len(ta.locations) * math.factorial(n) * (2**n) * prod
 
 
-def regular_inclusion(ra1: "RegionAutomaton", ra2: "RegionAutomaton", pair_cap: int = 2_000_000):
-    """Untimed language inclusion of two region automata over the same
-    alphabet (silent edges closed away). On failure the result carries a
-    shortest counterexample word, ties broken lexicographically.
-    """
-    from .nfa import check_inclusion, from_region_automaton, merge_alphabets
-
-    if ra1.alphabet != ra2.alphabet:
-        raise ValueError("region automata must share an alphabet")
-    a = from_region_automaton(ra1)
-    b = from_region_automaton(ra2)
-    return check_inclusion(a, b, merge_alphabets(a, b), pair_cap=pair_cap)
-
-
 def fresh_name(base: str, taken) -> str:
     if base not in taken:
         return base
@@ -406,22 +392,10 @@ def force_integer_actions(ta: TimedAutomaton) -> TimedAutomaton:
     )
 
 
-def tick_encode(word: TimedWord) -> tuple[str, ...]:
-    """Untimed tick form of an integral-timestamp word: t^k1 a1 t^k2 a2 ..."""
-    out: list[str] = []
-    prev = 0
-    for a, stamp in word:
-        if stamp.denominator != 1:
-            raise ValueError("tick encoding needs integral timestamps")
-        out.extend([TICK_LETTER] * (int(stamp) - prev))
-        out.append(a)
-        prev = int(stamp)
-    return tuple(out)
-
-
 def tick_decode(tokens) -> TimedWord:
-    """Inverse of tick_encode; trailing ticks are dropped (they only encode
-    time elapsing after the last observable action)."""
+    """Timed word of a tick-form word t^k1 a1 t^k2 a2 ...: each letter is
+    stamped with the number of ticks before it; trailing ticks are dropped
+    (they only encode time elapsing after the last observable action)."""
     letters = []
     now = 0
     for tok in tokens:

@@ -7,7 +7,7 @@ region-boundary comparisons are always exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
@@ -262,6 +262,28 @@ class TimedWord:
         if not self.letters:
             return "ε"
         return " ".join(f"({a}, {t})" for a, t in self.letters)
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """The answer to an opacity question, from any engine.
+
+    `holds` is True or False when decided, and None when a bounded search
+    found no violation but cannot conclude (the oracle on dense time).
+    `side` says which inclusion failed ("priv-not-pub", "pub-not-priv") or,
+    for existential opacity, that the witness lies in both trace sets
+    ("intersection"); `diagnostics` holds the oracle's search bounds.
+    """
+
+    holds: Optional[bool]
+    witness: Optional[TimedWord] = None
+    side: Optional[str] = None
+    note: str = ""
+    diagnostics: dict = field(default_factory=dict, hash=False)
+
+    @property
+    def status(self) -> str:
+        return {True: "holds", False: "violated", None: "inconclusive"}[self.holds]
 
 
 @dataclass(frozen=True)

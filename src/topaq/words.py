@@ -173,22 +173,3 @@ def class_recognizer(w: TimedWord) -> TimedAutomaton:
         name="class-recognizer",
     )
 
-
-def simulate_chain(ta: TimedAutomaton, w: TimedWord) -> bool:
-    """Membership of `w` in a deterministic chain TA (one edge per step)."""
-    from .ta import StepError, step
-
-    cfg = ta.initial_configuration()
-    elapsed = Fraction(0)
-    edges = list(ta.edges)
-    if len(w) != len(edges):
-        return False
-    for (letter, stamp), e in zip(w, edges):
-        if e.action != letter:
-            return False
-        try:
-            cfg = step(ta, cfg, stamp - elapsed, e)
-        except (StepError, ValueError):
-            return False
-        elapsed = stamp
-    return cfg.location in ta.final

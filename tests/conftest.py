@@ -5,6 +5,14 @@ import pytest
 from topaq.ta import ClockConstraint, Guard, edge, make_ta
 
 
+def nfa_accepts_expanded(m, tokens) -> bool:
+    """Step-by-step simulation with tick runs expanded literally."""
+    word = []
+    for tok, repeat in tokens:
+        word.extend([tok] * repeat)
+    return m.accepts(word)
+
+
 def fig1_ta(time_domain="dense"):
     """Three locations, one clock: an a-loop at the initial location
     (invariant x<=3), a silent move into the private location l2 (guard x>=1,

@@ -6,7 +6,7 @@ import time
 import warnings
 from fractions import Fraction as F
 
-from conftest import fig1_ta, oera_pair_ta
+from conftest import fig1_ta, nfa_accepts_expanded, oera_pair_ta
 from topaq.constructions import (
     build_priv,
     build_pub,
@@ -21,7 +21,6 @@ from topaq.deciders import (
     check_exists,
     check_opacity,
     language_inclusion_discrete,
-    nfa_accepts_expanded,
     parse_witness_description,
     verify_witness,
 )

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import fig1_ta, single_word_ta
+from conftest import fig1_ta, nfa_accepts_expanded, single_word_ta
 from topaq.constructions import (
     build_priv,
     build_pub,
@@ -19,9 +19,9 @@ from topaq.deciders import (
     check_bounded,
     check_exists,
     check_opacity,
+    decide,
     is_oera,
     language_inclusion_discrete,
-    nfa_accepts_expanded,
     parse_witness_description,
     verify_witness,
 )
@@ -34,10 +34,11 @@ from topaq.observers import (
     tick_construction,
     unfold_first_n,
     unfold_free,
+    unfold_tau,
 )
 from topaq.oracle import discrete_state_count, oracle_check
 from topaq.regions import build_region_automaton
-from topaq.ta import ClockConstraint, Guard, TimedWord, edge, make_ta, validate, validate_errors
+from topaq.ta import ClockConstraint, Guard, TimedWord, Verdict, edge, make_ta, validate, validate_errors
 
 
 def tw(*pairs):
@@ -352,6 +353,44 @@ class TestCheckBounded:
         v = check_bounded(fig1_discrete, FirstN(1), "full")
         assert v.holds is False
         assert all(t.denominator == 1 for t in v.witness.timestamps())
+
+
+class TestDecide:
+    def test_exists_under_static_rescales_the_unfolding_witness(self, fig1):
+        # the existential answer against switch times, computed the long way
+        tau = normalize_sequence((F(0), F(3, 2)))
+        factor = len({t - (t.numerator // t.denominator) for t in tau} - {F(0)}) + 1
+        inner = check_exists(unfold_tau(fig1, tau))
+        expected = Verdict(inner.holds, inner.witness.scaled(F(1, factor)), inner.side,
+                           "witness uses the normalized switch-time sequence")
+        assert decide(fig1, "exists", Static((F(0), F(3, 2)))) == expected
+
+    def test_routes_to_the_deciders(self, fig1, fig1_discrete):
+        assert decide(fig1, "exists") == check_exists(fig1)
+        assert decide(fig1, "exists", FirstN(1)) == check_exists(unfold_first_n(fig1, 1))
+        assert decide(fig1, "full", Dynamic(1)) == check_bounded(fig1, Dynamic(1), "full")
+        assert decide(fig1_discrete, "full") == check_opacity(fig1_discrete, "full")
+        bounds = dict(horizon=F(4), granularity=F(1, 2), max_steps=4)
+        assert decide(fig1, "full", FirstN(1), engine="oracle", **bounds) == oracle_check(
+            fig1, "full", FirstN(1), **bounds)
+
+    def test_refusals(self, fig1):
+        with pytest.raises(UndecidableClass, match="^existential opacity against a dynamic attacker"):
+            decide(fig1, "exists", Dynamic(1))
+        with pytest.raises(UndecidableClass, match="^the dynamic attacker has no executable projection"):
+            decide(fig1, "weak", Dynamic(1), engine="oracle")
+
+    def test_every_engine_returns_one_verdict_type(self, fig1, fig1_discrete):
+        bounds = dict(horizon=F(4), granularity=F(1, 2))
+        verdicts = [
+            check_exists(fig1),
+            check_opacity(fig1_discrete, "weak"),
+            check_opacity(fig1, "full", engine="oracle", **bounds),
+            check_bounded(fig1, FirstN(1), "full"),
+            oracle_check(fig1, "full", **bounds),
+        ]
+        assert all(type(v) is Verdict for v in verdicts)
+        assert [v.status for v in verdicts] == ["holds", "holds", "violated", "violated", "violated"]
 
 
 class TestVerifyWitness:

@@ -133,6 +133,31 @@ class TestCli:
         assert code == 1
         assert "witness: (b, 3)" in out
 
+    @pytest.mark.parametrize("extra", [
+        ["--obs", "first:1"],
+        ["--obs", "static:0,3/2"],
+        ["--engine", "oracle", "--horizon", "4", "--granularity", "1/2"],
+    ], ids=["first", "static", "oracle"])
+    def test_exists_paths_hold(self, fig1_file, capsys, extra):
+        assert main(["check", "--mode", "exists", fig1_file] + extra) == 0
+        assert capsys.readouterr().out == "existential opacity: holds\n"
+
+    @pytest.mark.parametrize("mode, extra, reason", [
+        ("exists", [], "existential opacity against a dynamic attacker is not supported"),
+        ("weak", ["--engine", "oracle"], "the dynamic attacker has no executable projection; "
+                                         "the oracle supports first:N and static:LIST only"),
+    ], ids=["exists", "oracle"])
+    def test_dynamic_refused(self, fig1_file, capsys, mode, extra, reason):
+        assert main(["check", "--mode", mode, "--obs", "dynamic:1", fig1_file] + extra) == 2
+        assert capsys.readouterr().out == f"refused: {reason}\n"
+
+    def test_full_static_violated_with_note(self, fig1_file, capsys):
+        assert main(["check", "--mode", "full", "--obs", "static:0,3/2", fig1_file]) == 1
+        assert capsys.readouterr().out == (
+            "full opacity: violated (pub-not-priv)\n"
+            "witness: (b, 0)\n"
+            "note: witness uses the normalized switch-time sequence\n")
+
     def test_weak_dense_refused_exit_two(self, fig1_file, capsys):
         code = main(["check", "--mode", "weak", fig1_file])
         out = capsys.readouterr().out
@@ -199,12 +224,12 @@ class TestCli:
         assert "refused: inclusion search cap exceeded" in capsys.readouterr().out
 
     def test_internal_error_exit_four(self, monkeypatch, capsys):
-        from topaq import cli
+        from topaq import deciders
 
         def broken(*args, **kwargs):
             raise RuntimeError("defect in the oracle")
 
-        monkeypatch.setattr(cli, "oracle_check", broken)
+        monkeypatch.setattr(deciders, "oracle_check", broken)
         path = str(Path(__file__).parent.parent / "models" / "fig1-discrete.ta")
         code = main(["check", "--mode", "weak", "--engine", "oracle", path])
         assert code == 4

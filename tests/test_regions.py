@@ -11,20 +11,33 @@ from topaq.nfa import (
     check_inclusion,
     from_region_automaton,
     merge_alphabets,
+    regular_inclusion,
     strip_ticks_before_suffix,
 )
 from topaq.regions import (
+    TICK_LETTER,
     RegionCapExceeded,
     augment_ticks,
     build_region_automaton,
     region_of,
     region_state_bound,
-    regular_inclusion,
     tick_decode,
-    tick_encode,
     valuation_equiv,
 )
 from topaq.ta import Configuration, TimedWord, enumerate_runs, make_ta
+
+
+def tick_encode(word: TimedWord) -> tuple[str, ...]:
+    """Untimed tick form of an integral-timestamp word: t^k1 a1 t^k2 a2 ..."""
+    out: list[str] = []
+    prev = 0
+    for a, stamp in word:
+        if stamp.denominator != 1:
+            raise ValueError("tick encoding needs integral timestamps")
+        out.extend([TICK_LETTER] * (int(stamp) - prev))
+        out.append(a)
+        prev = int(stamp)
+    return tuple(out)
 
 
 class TestValuationEquiv:
