@@ -20,17 +20,11 @@ from fractions import Fraction
 from typing import Optional
 
 from . import export
-from .deciders import UndecidableClass, decide, is_oera
+from .deciders import UndecidableClass, decide, dense_time, is_oera, opacity_class
 from .model import ModelError, parse_model
 from .nfa import InclusionCapExceeded
 from .observers import Dynamic, FirstN, ObservationCapExceeded, Static, tick_construction
-from .regions import (
-    BadRegionCap,
-    RegionCapExceeded,
-    augment_ticks,
-    build_region_automaton,
-    force_integer_actions,
-)
+from .regions import BadRegionCap, RegionCapExceeded, augment_ticks, build_region_automaton
 from .ta import Verdict
 
 EXIT_HOLDS = 0
@@ -133,6 +127,7 @@ def _run_classify(args) -> int:
     ta = _load(args.file, args.scale)
     eps = ta.has_epsilon_edges()
     oera = is_oera(ta)
+    rung = opacity_class(ta)
     print(f"time domain: {ta.time_domain}")
     print(f"locations: {len(ta.locations)}")
     print(f"actions: {len(ta.actions)}")
@@ -141,17 +136,16 @@ def _run_classify(args) -> int:
     print(f"observable ERA: {'yes' if oera else 'no'}")
     deciders = ["exists (region reachability)", "bounded attacker (first:N / static / dynamic)",
                 "oracle (bounded enumeration, semi-decision)"]
-    if ta.time_domain == "discrete":
+    if rung == "discrete":
         deciders.append("weak/full (discrete-time engine)")
-    if oera:
+    if oera:  # also on a discrete-time automaton, where `auto` takes the discrete engine
         deciders.append("weak/full (observable-ERA engine)")
-    if ta.time_domain == "dense" and not oera:
-        if len(ta.clocks) == 1 and not eps:
-            print("weak/full unbounded: decidable for one-clock automata without "
-                  "silent edges but not primitive recursive; no exact engine here")
-        else:
-            print("weak/full unbounded: undecidable for this class "
-                  "(dense time, not an observable ERA)")
+    if rung == "one-clock":
+        print("weak/full unbounded: decidable for one-clock automata without "
+              "silent edges but not primitive recursive; no exact engine here")
+    elif rung == "undecidable":
+        print("weak/full unbounded: undecidable for this class "
+              "(dense time, not an observable ERA)")
     print("applicable deciders: " + "; ".join(deciders))
     return EXIT_HOLDS
 
@@ -166,8 +160,7 @@ def _run_export(args) -> int:
             sel = parse_observation(args.obs) if args.obs else FirstN(1)
             if not isinstance(sel, FirstN):
                 raise _UsageError("--what tick takes --obs first:N")
-            base = force_integer_actions(ta) if ta.time_domain == "discrete" else ta
-            subject = tick_construction(base, sel.n)
+            subject = tick_construction(dense_time(ta), sel.n)
         else:
             subject = augment_ticks(ta) if ta.time_domain == "discrete" else ta
         ra = build_region_automaton(subject)

@@ -14,10 +14,8 @@ from . import nfa as nfalib
 from .constructions import S_TAG, build_memo, build_priv, build_pub, product
 from .nfa import NFA, check_inclusion, from_region_automaton
 from .observers import (
-    DEFAULT_OBSERVATION_CAP,
     Dynamic,
     FirstN,
-    ObservationCapExceeded,
     Static,
     TimeSelection,
     normalize_sequence,
@@ -115,6 +113,35 @@ def is_oera(ta: TimedAutomaton) -> bool:
     return len(ta.actions - set(assigned)) == len(ta.clocks - set(assigned.values()))
 
 
+def opacity_class(ta: TimedAutomaton) -> str:
+    """Where `ta` sits on the ladder for unbounded weak/full opacity:
+    `discrete` or `oera` (the exact engine that applies, tried in this
+    order), `one-clock` (decidable, no engine here) or `undecidable`."""
+    if ta.time_domain == "discrete":
+        return "discrete"
+    if is_oera(ta):
+        return "oera"
+    if len(ta.clocks) == 1 and not ta.has_epsilon_edges():
+        return "one-clock"
+    return "undecidable"
+
+
+# why `check_opacity` refuses each class of the ladder that has no engine
+_REFUSALS = {
+    "one-clock": (
+        "weak/full opacity for one-clock automata without silent edges is decidable "
+        "but not primitive recursive; no exact engine is implemented, use the bounded "
+        "oracle engine for a semi-decision"
+    ),
+    "undecidable": (
+        "weak/full opacity is undecidable for general dense-time timed automata "
+        "(already for one-clock automata with silent transitions, and from two "
+        "clocks or one action onward); use a discrete-time model, an observable "
+        "event-recording automaton, or the bounded oracle engine"
+    ),
+}
+
+
 def check_exists(ta: TimedAutomaton, cap: Optional[int] = None) -> Verdict:
     """Existential opacity: some trace produced by both a private and a
     public run, decided as final-region reachability in the product of the
@@ -174,23 +201,9 @@ def check_opacity(
     if mode not in ("weak", "full"):
         raise ValueError("mode must be 'weak' or 'full'")
     if engine == "auto":
-        if ta.time_domain == "discrete":
-            engine = "discrete"
-        elif is_oera(ta):
-            engine = "oera"
-        elif len(ta.clocks) == 1 and not ta.has_epsilon_edges():
-            raise UndecidableClass(
-                "weak/full opacity for one-clock automata without silent edges is decidable "
-                "but not primitive recursive; no exact engine is implemented, use the bounded "
-                "oracle engine for a semi-decision"
-            )
-        else:
-            raise UndecidableClass(
-                "weak/full opacity is undecidable for general dense-time timed automata "
-                "(already for one-clock automata with silent transitions, and from two "
-                "clocks or one action onward); use a discrete-time model, an observable "
-                "event-recording automaton, or the bounded oracle engine"
-            )
+        engine = opacity_class(ta)
+        if engine in _REFUSALS:
+            raise UndecidableClass(_REFUSALS[engine])
     if engine == "oracle":
         return oracle_check(ta, mode, None, horizon=horizon, max_steps=max_steps, granularity=granularity)
     if engine == "discrete":
@@ -208,16 +221,20 @@ def check_opacity(
 # Discrete-time engine
 
 
-def _ticked_language(ta: TimedAutomaton, cap: Optional[int]) -> NFA:
-    ra = build_region_automaton(augment_ticks(ta), cap)
-    # ticks after the last action only encode the time to reach the final
-    # location, which the trace does not record: quotient them away
-    return nfalib.strip_trailing_letter(from_region_automaton(ra), TICK_LETTER)
+def _ticked_language(ticked: TimedAutomaton, cap: Optional[int]) -> NFA:
+    """Untimed language of a tick automaton (`augment_ticks` or
+    `tick_construction`), with the ticks between the last observed letter
+    and the f-letter suffix erased: they only encode unobserved waiting,
+    which the trace does not record. `augment_ticks` has no f-letters, so
+    there the erased run is the trailing one."""
+    m = from_region_automaton(build_region_automaton(ticked, cap))
+    suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
+    return nfalib.strip_ticks_before_suffix(m, suffix, TICK_LETTER)
 
 
 def _check_discrete(ta: TimedAutomaton, mode: str, cap: Optional[int]) -> Verdict:
-    priv = _ticked_language(build_priv(ta), cap)
-    pub = _ticked_language(build_pub(ta), cap)
+    priv = _ticked_language(augment_ticks(build_priv(ta)), cap)
+    pub = _ticked_language(augment_ticks(build_pub(ta)), cap)
     return _compare(priv, pub, mode, tick_decode)
 
 
@@ -238,8 +255,8 @@ def _compare(priv: NFA, pub: NFA, mode: str, decode) -> Verdict:
 def language_inclusion_discrete(a: TimedAutomaton, b: TimedAutomaton, cap: Optional[int] = None):
     """Trace-language inclusion of two discrete-time TAs via their ticked
     region automata; returns (holds, counterexample timed word or None)."""
-    na = _ticked_language(a, cap)
-    nb = _ticked_language(b, cap)
+    na = _ticked_language(augment_ticks(a), cap)
+    nb = _ticked_language(augment_ticks(b), cap)
     inc = check_inclusion(na, nb, nfalib.merge_alphabets(na, nb))
     return inc.holds, None if inc.holds else tick_decode(inc.counterexample)
 
@@ -426,7 +443,6 @@ def check_bounded(
     sel: TimeSelection,
     mode: str,
     cap: Optional[int] = None,
-    obs_cap: int = DEFAULT_OBSERVATION_CAP,
 ) -> Verdict:
     """Weak/full opacity against a bounded attacker.
 
@@ -434,51 +450,42 @@ def check_bounded(
     untimed regular languages. Static switch times: normalize the sequence,
     unfold against it, then the first-N machinery (the projection is the
     identity on the already bounded language). Dynamic: the free unfolding,
-    then first-2N.
+    then first-2N. The unfoldings refuse more observations than the
+    observation cap.
     """
     if mode not in ("weak", "full"):
         raise ValueError("mode must be 'weak' or 'full'")
     if isinstance(sel, Dynamic):
-        if 2 * sel.n > obs_cap:
-            raise ObservationCapExceeded(2 * sel.n, obs_cap)
-        inner = check_bounded(unfold_free(ta, sel.n), FirstN(2 * sel.n), mode, cap, obs_cap)
+        inner = check_bounded(unfold_free(ta, sel.n), FirstN(2 * sel.n), mode, cap)
         return Verdict(inner.holds, inner.witness, inner.side,
                        note="witness includes the attacker's arming letters")
     if isinstance(sel, Static):
-        unfolded, n, scale = _switch_times(ta, sel.times, obs_cap)
-        inner = check_bounded(unfolded, FirstN(n), mode, cap, obs_cap)
+        unfolded, n, scale = _switch_times(ta, sel.times)
+        inner = check_bounded(unfolded, FirstN(n), mode, cap)
         witness = inner.witness.scaled(scale) if inner.witness is not None else None
         return Verdict(inner.holds, witness, inner.side, note=NORMALIZED_NOTE)
     if not isinstance(sel, FirstN):
         raise TypeError(f"unsupported time selection {sel!r}")
-    if sel.n > obs_cap:
-        raise ObservationCapExceeded(sel.n, obs_cap)
-    base = force_integer_actions(ta) if ta.time_domain == "discrete" else ta
-    priv = _ticked_bounded_language(build_priv(base), sel.n, cap, obs_cap)
-    pub = _ticked_bounded_language(build_pub(base), sel.n, cap, obs_cap)
+    base = dense_time(ta)
+    priv = _ticked_language(tick_construction(build_priv(base), sel.n), cap)
+    pub = _ticked_language(tick_construction(build_pub(base), sel.n), cap)
     return _compare(priv, pub, mode, decode_ticked_tokens)
 
 
-def _switch_times(ta: TimedAutomaton, times, obs_cap: Optional[int] = None):
+def dense_time(ta: TimedAutomaton) -> TimedAutomaton:
+    """`ta` for the dense-time constructions: a discrete-time automaton is
+    confined to integral instants (`force_integer_actions`), so it keeps its
+    discrete trace sets; a dense-time one is returned as it is."""
+    return force_integer_actions(ta) if ta.time_domain == "discrete" else ta
+
+
+def _switch_times(ta: TimedAutomaton, times):
     """Unfold `ta` against the normalized switch-time sequence: returns the
     unfolding, its observation count, and the factor that maps a witness of
     the unfolding back to the original time scale."""
     tau = normalize_sequence(times)
-    if obs_cap is not None and len(tau) > obs_cap:
-        raise ObservationCapExceeded(len(tau), obs_cap)
-    base = force_integer_actions(ta) if ta.time_domain == "discrete" else ta
     fracs = {t - (t.numerator // t.denominator) for t in tau} - {Fraction(0)}
-    return unfold_tau(base, tau), len(tau), Fraction(1, len(fracs) + 1)
-
-
-def _ticked_bounded_language(ta: TimedAutomaton, n: int, cap: Optional[int], obs_cap: int) -> NFA:
-    tick = tick_construction(ta, n, obs_cap)
-    ra = build_region_automaton(tick, cap)
-    m = from_region_automaton(ra)
-    suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
-    # ticks between the last observation and the final location only encode
-    # unobserved waiting; erase them so equal projected traces coincide
-    return nfalib.strip_ticks_before_suffix(m, suffix, TICK_LETTER)
+    return unfold_tau(dense_time(ta), tau), len(tau), Fraction(1, len(fracs) + 1)
 
 
 def decode_ticked_tokens(tokens) -> TimedWord:
@@ -591,30 +598,7 @@ def accepts_word(ta: TimedAutomaton, w: TimedWord, cap: Optional[int] = None) ->
     word iff it meets the word's equivalence class)."""
     if any(a not in ta.actions for a, _ in w):
         return False
-    base = force_integer_actions(ta) if ta.time_domain == "discrete" else ta
     if ta.time_domain == "discrete" and any(t.denominator != 1 for t in w.timestamps()):
         return False
-    rec = class_recognizer(w)
-    if not w.letters:
-        # empty-word membership: can a final be reached silently?
-        ra = build_region_automaton(base, cap)
-        return _silent_final_reachable(ra)
-    prod = product(base, rec)
-    ra = build_region_automaton(prod, cap)
+    ra = build_region_automaton(product(dense_time(ta), class_recognizer(w)), cap)
     return _shortest_accepting_path(ra) is not None
-
-
-def _silent_final_reachable(ra: RegionAutomaton) -> bool:
-    if ra.initial is None:
-        return False
-    seen = {ra.initial}
-    todo = [ra.initial]
-    while todo:
-        r = todo.pop()
-        if r in ra.finals:
-            return True
-        for e in ra.out_edges(r):
-            if e.label is None and e.target not in seen:
-                seen.add(e.target)
-                todo.append(e.target)
-    return False

@@ -12,16 +12,19 @@ states numbered 0..n-1, with state sets as frozensets:
   part of its reflexive-transitive successor set by SCC condensation. It
   serves the silent closure of an NFA (keeping active states), the
   suffix jump of `strip_ticks_before_suffix` (keeping suffix-ready states)
-  and the rows of `eps_closure_matrix`. `strip_trailing_letter` keeps its
-  own backward search: it needs the one set of states that reach a final,
-  not a reach set per state.
+  and the rows of `eps_closure_matrix`.
+- One tick-stripping construction, `strip_ticks_before_suffix`, erases the
+  tick run before the suffix block (the f-letters of the bounded
+  attacker); `strip_trailing_letter`, for discrete time, is its case
+  without suffix letters. Its suffix phase is built only for the states
+  that phase can reach, so without suffix letters it has none.
 - Closed letter posts are built per state on first use (`NFA.post`) and
   cached on the NFA, so only states a query reaches pay for them.
 - Language inclusion runs an antichain-pruned product against the
   determinized complement; the macro-states of the complement are interned
   once, and the antichain compares them as integer bitsets.
-- The tick-normalization transforms and bitset-based boolean reachability
-  matrices (rows as integers) for the witness verifier complete the module.
+- Bitset-based boolean reachability matrices (rows as integers) for the
+  witness verifier complete the module.
 """
 
 from __future__ import annotations
@@ -329,98 +332,69 @@ def regular_inclusion(ra1: RegionAutomaton, ra2: RegionAutomaton, pair_cap: int 
 
 
 def strip_trailing_letter(m: NFA, letter: str = TICK_LETTER) -> NFA:
-    """Language image under removal of a maximal trailing `letter` run.
-
-    States from which a final is reachable via only `letter`/silent moves
-    become accepting, and words ending in `letter` are then excluded, so the
-    result is exactly { strip(u) : u in L(m) }.
-    """
-    # backward closure: can reach a final using only `letter` and ε edges
-    rev = [set() for _ in range(m.n_states)]
-    for i in range(m.n_states):
-        for j in m.eps[i]:
-            rev[j].add(i)
-        for j in m.trans[i].get(letter, frozenset()):
-            rev[j].add(i)
-    good = set(m.finals)
-    todo = list(good)
-    while todo:
-        s = todo.pop()
-        for p in rev[s]:
-            if p not in good:
-                good.add(p)
-                todo.append(p)
-    # forbid a trailing `letter`: double the automaton on a came-via-letter flag
-    def idx(s, flag):
-        return 2 * s + flag
-
-    eps = []
-    trans: list[dict[str, frozenset[int]]] = []
-    for s in range(m.n_states):
-        for flag in (0, 1):
-            eps.append(frozenset(idx(j, flag) for j in m.eps[s]))
-            d = {}
-            for a, succs in m.trans[s].items():
-                nf = 1 if a == letter else 0
-                d[a] = frozenset(idx(j, nf) for j in succs)
-            trans.append(d)
-    return NFA(
-        alphabet=m.alphabet,
-        n_states=2 * m.n_states,
-        initial=frozenset(idx(s, 0) for s in m.initial),
-        finals=frozenset(idx(s, 0) for s in good),
-        eps=eps,
-        trans=trans,
-    )
+    """Language image under removal of a maximal trailing `letter` run: the
+    case of `strip_ticks_before_suffix` without suffix letters."""
+    return strip_ticks_before_suffix(m, frozenset(), letter)
 
 
 def strip_ticks_before_suffix(m: NFA, suffix_letters: frozenset[str], letter: str = TICK_LETTER) -> NFA:
     """Language image under removal of the maximal `letter` run separating
     the last non-suffix letter from the suffix block.
 
-    Three phases per state: the prefix phase reads tick and action letters
-    (never suffix letters) and tracks whether the last letter read was a
-    tick; a silent jump, allowed only when it was not, follows any path of
-    `letter`/silent edges; the suffix phase admits suffix letters only. The
-    jump must swallow the whole separating run, because a leftover tick
-    before the suffix block has nowhere to be read. It lands only on
-    suffix-ready states (finals and states with a suffix letter): the
-    suffix phase of any other state it could reach only passes silently on
-    to such a state.
-    """
-    ready = [s in m.finals or not suffix_letters.isdisjoint(d) for s, d in enumerate(m.trans)]
-    jump = _reach_table([eps | d[letter] if letter in d else eps for eps, d in zip(m.eps, m.trans)], ready)
+    Two prefix phases read tick and action letters (never suffix letters)
+    and track whether the last letter read was a tick; a silent jump,
+    allowed only when it was not, follows any path of `letter`/silent edges
+    into the suffix phase, which admits suffix letters only. The jump must
+    swallow the whole separating run, because a leftover tick before the
+    suffix block has nowhere to be read. It lands only on states with a
+    suffix letter: the suffix phase of any other state it could reach only
+    passes silently on to such a state or to a final, and a prefix state
+    whose jump can reach a final is final itself (the empty suffix block).
 
-    def idx(s, phase):  # 0: prefix after non-tick, 1: prefix after tick, 2: suffix
-        return 3 * s + phase
+    State numbering, for the n states of `m`: 2s is state s in the prefix
+    phase after a non-tick letter (or before any letter), 2s + 1 after a
+    tick. The suffix phase exists only for the states it can reach, the
+    states with a suffix letter and what they reach by silent and
+    suffix-letter moves; they are numbered from 2n on, in increasing order
+    for the states with a suffix letter, then in the order a worklist finds
+    the rest. So without suffix letters the result has 2n states.
+    """
+    n = m.n_states
+    finals = m.finals
+    ready = [not suffix_letters.isdisjoint(d) for d in m.trans]
+    jump = _reach_table([eps | d[letter] if letter in d else eps for eps, d in zip(m.eps, m.trans)],
+                        [r or s in finals for s, r in enumerate(ready)])
+    suffix = {s: 2 * n + k for k, s in enumerate([s for s in range(n) if ready[s]])}  # state -> suffix-phase id
+    todo = list(suffix)
+    while todo:
+        s = todo.pop()
+        for succs in [m.eps[s], *(t for a, t in m.trans[s].items() if a in suffix_letters)]:
+            for j in succs:
+                if j not in suffix:
+                    suffix[j] = 2 * n + len(suffix)
+                    todo.append(j)
 
     eps = []
     trans: list[dict[str, frozenset[int]]] = []
-    for s in range(m.n_states):
-        for phase in (0, 1):
-            e = {idx(j, phase) for j in m.eps[s]}
-            if phase == 0:
-                e |= {idx(j, 2) for j in jump[s]}
-            eps.append(frozenset(e))
-            d = {}
-            for a, succs in m.trans[s].items():
-                if a in suffix_letters:
-                    continue
-                d[a] = frozenset(idx(j, 1 if a == letter else 0) for j in succs)
-            trans.append(d)
-        eps.append(frozenset(idx(j, 2) for j in m.eps[s]))
-        trans.append(
-            {
-                a: frozenset(idx(j, 2) for j in succs)
-                for a, succs in m.trans[s].items()
-                if a in suffix_letters
-            }
-        )
+    for s in range(n):
+        moves = {}  # both prefix phases read the same letters into the same targets
+        for a, succs in m.trans[s].items():
+            if a not in suffix_letters:
+                tick = a == letter
+                moves[a] = frozenset([2 * j + tick for j in succs])
+        eps.append(frozenset([2 * j for j in m.eps[s]] + [suffix[j] for j in jump[s] if ready[j]]))
+        eps.append(frozenset(2 * j + 1 for j in m.eps[s]))
+        trans += (moves, moves)
+    for s in suffix:  # in id order
+        eps.append(frozenset(suffix[j] for j in m.eps[s]))
+        trans.append({a: frozenset(suffix[j] for j in succs)
+                      for a, succs in m.trans[s].items() if a in suffix_letters})
     return NFA(
         alphabet=m.alphabet,
-        n_states=3 * m.n_states,
-        initial=frozenset(idx(s, 0) for s in m.initial),
-        finals=frozenset(idx(s, 2) for s in m.finals),
+        n_states=len(eps),
+        initial=frozenset(2 * s for s in m.initial),
+        finals=frozenset([2 * s for s in range(n) if not finals.isdisjoint(jump[s])]
+                         + [suffix[s] for s in finals if s in suffix]),
         eps=eps,
         trans=trans,
     )

@@ -28,6 +28,14 @@ class ObservationCapExceeded(Exception):
         super().__init__(f"observation bound {n} exceeds the configured cap {cap}")
 
 
+def _check_observations(n: int) -> None:
+    """The one observation-cap check, made by every unfolding against the
+    attacker before it builds anything, so every bounded question passes
+    it, existential opacity included."""
+    if n > DEFAULT_OBSERVATION_CAP:
+        raise ObservationCapExceeded(n, DEFAULT_OBSERVATION_CAP)
+
+
 @dataclass(frozen=True)
 class FirstN:
     n: int
@@ -95,6 +103,7 @@ def unfold_first_n(ta: TimedAutomaton, n: int) -> TimedAutomaton:
     accept: traces(result) = first-N projections of traces(ta)."""
     if n < 0:
         raise ValueError("observation count must be nonnegative")
+    _check_observations(n)
     cp = lambda loc, i: f"{loc}~{i}"
     locations = frozenset(cp(l, i) for l in ta.locations for i in range(n + 1))
     inv = {cp(l, i): ta.invariant_of(l) for l in ta.locations for i in range(n + 1)}
@@ -131,7 +140,7 @@ def _all_subsets(items: Sequence[str]):
         yield frozenset(x for i, x in enumerate(items) if mask >> i & 1)
 
 
-def tick_construction(ta: TimedAutomaton, n: int, cap: int = DEFAULT_OBSERVATION_CAP) -> TimedAutomaton:
+def tick_construction(ta: TimedAutomaton, n: int) -> TimedAutomaton:
     """Dense-time gadget whose region automaton's untimed language encodes
     the first-N projected traces of `ta` as ticked words.
 
@@ -146,8 +155,6 @@ def tick_construction(ta: TimedAutomaton, n: int, cap: int = DEFAULT_OBSERVATION
     matter at entry; the relaxation is what lets the gadget spend its extra
     time units there.
     """
-    if n > cap:
-        raise ObservationCapExceeded(n, cap)
     if TICK_LETTER in ta.actions:
         raise ValueError(f"alphabet already contains the tick letter {TICK_LETTER!r}")
     unfolded = relax_finals(unfold_first_n(ta, n))
@@ -261,6 +268,7 @@ def unfold_tau(ta: TimedAutomaton, tau: Sequence[Fraction]) -> TimedAutomaton:
     if tuple(normalize_sequence(tau)) != tau:
         raise ValueError("switch-time sequence must be simple (use normalize_sequence)")
     n = len(tau)
+    _check_observations(n)
     fracs = {_frac(t) for t in tau} - {Fraction(0)}
     factor = len(fracs) + 1
     scaled = [int(t * factor) for t in tau]
@@ -342,6 +350,7 @@ def unfold_free(ta: TimedAutomaton, n: int) -> TimedAutomaton:
     """
     if n < 0:
         raise ValueError("observation count must be nonnegative")
+    _check_observations(2 * n)
     on = lambda loc, i: f"{loc}~on{i}"
     off = lambda loc, j: f"{loc}~off{j}"
     obs_letters = tuple(f"o{i}" for i in range(n))

@@ -339,28 +339,7 @@ def augment_ticks(ta: TimedAutomaton) -> TimedAutomaton:
         raise ValueError("tick augmentation requires a discrete-time automaton")
     if TICK_LETTER in ta.actions:
         raise ValueError(f"alphabet already contains the tick letter {TICK_LETTER!r}")
-    z = fresh_name("z", ta.clocks)
-    inv = {loc: g.conjoin(Guard.of(ClockConstraint(z, "<=", 1))) for loc, g in ta.invariant.items()}
-    edges = [
-        Edge(e.source, e.guard.conjoin(Guard.of(ClockConstraint(z, "=", 0))), e.action, e.resets, e.target)
-        for e in ta.edges
-    ]
-    edges += [
-        Edge(loc, Guard.of(ClockConstraint(z, "=", 1)), TICK_LETTER, frozenset({z}), loc)
-        for loc in sorted(ta.locations)
-    ]
-    return TimedAutomaton(
-        actions=ta.actions | {TICK_LETTER},
-        locations=ta.locations,
-        init=ta.init,
-        private=ta.private,
-        final=ta.final,
-        clocks=ta.clocks | {z},
-        invariant=inv,
-        edges=tuple(edges),
-        time_domain="discrete",
-        name=f"{ta.name}+ticks",
-    )
+    return _unit_clock(ta, TICK_LETTER, "z", "discrete", "+ticks")
 
 
 def force_integer_actions(ta: TimedAutomaton) -> TimedAutomaton:
@@ -368,18 +347,25 @@ def force_integer_actions(ta: TimedAutomaton) -> TimedAutomaton:
     instants (silent unit-clock loops instead of observable ticks), so a
     discrete-time TA keeps its discrete trace sets under the dense-time
     constructions."""
-    z = fresh_name("zd", ta.clocks)
+    return _unit_clock(ta, EPSILON, "zd", "dense", "@int")
+
+
+def _unit_clock(ta: TimedAutomaton, loop: Optional[str], clock: str, time_domain: str, suffix: str) -> TimedAutomaton:
+    """`ta` with a fresh clock that every original edge needs at 0 and every
+    invariant keeps at most 1, reset by a `loop`-labelled self-loop at 1 on
+    every location."""
+    z = fresh_name(clock, ta.clocks)
     inv = {loc: g.conjoin(Guard.of(ClockConstraint(z, "<=", 1))) for loc, g in ta.invariant.items()}
     edges = [
         Edge(e.source, e.guard.conjoin(Guard.of(ClockConstraint(z, "=", 0))), e.action, e.resets, e.target)
         for e in ta.edges
     ]
     edges += [
-        Edge(loc, Guard.of(ClockConstraint(z, "=", 1)), EPSILON, frozenset({z}), loc)
+        Edge(loc, Guard.of(ClockConstraint(z, "=", 1)), loop, frozenset({z}), loc)
         for loc in sorted(ta.locations)
     ]
     return TimedAutomaton(
-        actions=ta.actions,
+        actions=ta.actions if loop is EPSILON else ta.actions | {loop},
         locations=ta.locations,
         init=ta.init,
         private=ta.private,
@@ -387,8 +373,8 @@ def force_integer_actions(ta: TimedAutomaton) -> TimedAutomaton:
         clocks=ta.clocks | {z},
         invariant=inv,
         edges=tuple(edges),
-        time_domain="dense",
-        name=f"{ta.name}@int",
+        time_domain=time_domain,
+        name=f"{ta.name}{suffix}",
     )
 
 

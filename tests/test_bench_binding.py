@@ -1,10 +1,14 @@
 """The benchmark under `perfbench/` resolves library names by home module
-and wraps layer entry points by module attribute; this guard fails when a
-refactor moves or renames one of them."""
+and wraps layer entry points by module attribute; these guards fail when a
+refactor moves or renames one of them, or when the benchmark's answers stop
+matching its references."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,3 +32,13 @@ def test_benchmark_binds_and_traces():
     done = subprocess.run([sys.executable, "-c", CHILD], cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().startswith("bound ")
+
+
+@pytest.mark.parametrize("workload", ["first-n", "switch-times"])
+def test_benchmark_answers_are_correct(workload):
+    # one untimed pass: every verdict checked and every witness replayed exactly
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "11", "--seconds", "0", "--trace", "0"]
+    done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

@@ -22,6 +22,7 @@ from topaq.deciders import (
     decide,
     is_oera,
     language_inclusion_discrete,
+    opacity_class,
     parse_witness_description,
     verify_witness,
 )
@@ -106,6 +107,40 @@ class TestIsOera:
             clocks={"xa", "xb"}, edges=[edge("s", "f", "a", resets={"xa"})],
         )
         assert is_oera(ta)
+
+
+class TestOpacityClass:
+    def test_ladder_order(self, fig1, oera_guarded):
+        one_clock = make_ta(
+            actions={"a", "b"}, locations={"s", "f"}, init="s", final={"f"},
+            clocks={"x"}, edges=[edge("s", "f", "a"), edge("s", "f", "b")],
+        )
+        discrete_oera = make_ta(
+            actions=oera_guarded.actions, locations=oera_guarded.locations, init=oera_guarded.init,
+            private=oera_guarded.private, final=oera_guarded.final, clocks=oera_guarded.clocks,
+            edges=oera_guarded.edges, time_domain="discrete",
+        )
+        classes = [opacity_class(ta) for ta in (fig1_ta("discrete"), discrete_oera, oera_guarded, one_clock, fig1)]
+        # a discrete-time OERA takes the discrete engine: discrete time is the first rung
+        assert classes == ["discrete", "discrete", "oera", "one-clock", "undecidable"]
+
+
+class TestAcceptsWord:
+    @pytest.mark.parametrize("domain", ["dense", "discrete"])
+    def test_empty_word(self, domain):
+        def ta(edges, invariant=None):
+            return make_ta(actions={"a"}, locations={"s", "m", "f"}, init="s", final={"f"}, clocks={"x"},
+                           edges=edges, invariant=invariant, time_domain=domain)
+
+        wait = Guard.of(ClockConstraint("x", ">=", 2))
+        silent = [edge("s", "m", None, wait), edge("m", "f")]
+        # a final reached silently, after a wait, accepts the empty word
+        assert accepts_word(ta(silent), TimedWord(()))
+        # an invariant that forbids the wait cuts the silent path
+        assert not accepts_word(ta(silent, {"s": Guard.of(ClockConstraint("x", "<=", 1))}), TimedWord(()))
+        # every path to the final reads a letter
+        assert not accepts_word(ta([edge("s", "m", None, wait), edge("m", "f", "a")]), TimedWord(()))
+        assert accepts_word(ta([edge("s", "m", None, wait), edge("m", "f", "a")]), tw(("a", 2)))
 
 
 class TestCheckExists:

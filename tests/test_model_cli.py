@@ -151,6 +151,15 @@ class TestCli:
         assert main(["check", "--mode", mode, "--obs", "dynamic:1", fig1_file] + extra) == 2
         assert capsys.readouterr().out == f"refused: {reason}\n"
 
+    @pytest.mark.parametrize("spec, bound", [("static:0,1,2,3,4,5,6,7,8,9", 10), ("first:9", 9)],
+                             ids=["static", "first"])
+    def test_observation_cap_refuses_every_mode(self, capsys, spec, bound):
+        path = str(Path(__file__).parent.parent / "models" / "late-guard.ta")
+        refusal = f"refused: observation bound {bound} exceeds the configured cap 8\n"
+        for mode in ("weak", "exists"):
+            assert main(["check", "--mode", mode, "--obs", spec, path]) == 2
+            assert capsys.readouterr().out == refusal
+
     def test_full_static_violated_with_note(self, fig1_file, capsys):
         assert main(["check", "--mode", "full", "--obs", "static:0,3/2", fig1_file]) == 1
         assert capsys.readouterr().out == (
