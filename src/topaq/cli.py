@@ -24,7 +24,7 @@ from .deciders import UndecidableClass, decide, dense_time, is_oera, opacity_cla
 from .model import ModelError, parse_model
 from .nfa import InclusionCapExceeded
 from .observers import Dynamic, FirstN, ObservationCapExceeded, Static, tick_construction
-from .regions import BadRegionCap, RegionCapExceeded, augment_ticks, build_region_automaton
+from .regions import BadRegionCap, RegionCapExceeded, augment_ticks, build_region_automaton, region_state_bound
 from .ta import Verdict
 
 EXIT_HOLDS = 0
@@ -134,6 +134,7 @@ def _run_classify(args) -> int:
     print(f"clocks: {len(ta.clocks)}")
     print(f"epsilon transitions: {'yes' if eps else 'no'}")
     print(f"observable ERA: {'yes' if oera else 'no'}")
+    print(f"region state bound: {region_state_bound(ta)}")
     deciders = ["exists (region reachability)", "bounded attacker (first:N / static / dynamic)",
                 "oracle (bounded enumeration, semi-decision)"]
     if rung == "discrete":

@@ -24,6 +24,7 @@ from .ta import (
 
 S_TAG = "~S"       # already visited the private set
 NS_TAG = "~nS"     # not yet visited
+MEMO_TAGS = (S_TAG, NS_TAG)  # the final classes of the memo automaton: private, public
 
 
 def prune_final_exits(ta: TimedAutomaton) -> TimedAutomaton:
@@ -135,6 +136,14 @@ def build_memo(ta: TimedAutomaton) -> TimedAutomaton:
         time_domain=pv.time_domain,
         name=f"{ta.name}_memo",
     )
+
+
+def memo_classes(memo: TimedAutomaton) -> dict[str, frozenset[str]]:
+    """The final locations of a `build_memo` automaton by copy tag: the
+    visited copy's accept the private runs, the not-yet copy's the public
+    ones (which is the language of `build_pub`, as no run leaves the
+    visited copy)."""
+    return {tag: frozenset(l for l in memo.final if l.endswith(tag)) for tag in MEMO_TAGS}
 
 
 def relax_finals(ta: TimedAutomaton) -> TimedAutomaton:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import nfa as nfalib
-from .constructions import S_TAG, build_memo, build_priv, build_pub, product
+from .constructions import MEMO_TAGS, S_TAG, build_memo, build_priv, build_pub, memo_classes, product
 from .nfa import NFA, check_inclusion, from_region_automaton
 from .observers import (
     Dynamic,
@@ -221,20 +221,40 @@ def check_opacity(
 # Discrete-time engine
 
 
-def _ticked_language(ticked: TimedAutomaton, cap: Optional[int]) -> NFA:
+def _ticked_language(ticked: TimedAutomaton, cap: Optional[int], tags: tuple[str, ...] = ()) -> NFA:
     """Untimed language of a tick automaton (`augment_ticks` or
     `tick_construction`), with the ticks between the last observed letter
     and the f-letter suffix erased: they only encode unobserved waiting,
     which the trace does not record. `augment_ticks` has no f-letters, so
-    there the erased run is the trailing one."""
-    m = from_region_automaton(build_region_automaton(ticked, cap))
+    there the erased run is the trailing one.
+
+    With `tags`, the final locations ending in the i-th tag make the i-th
+    final class of the result, whose views (`NFA.views`) are the classes'
+    languages: one region build, one conversion and one strip serve them
+    all."""
+    ra = build_region_automaton(ticked, cap)
+    m = from_region_automaton(ra)
+    if tags:
+        class_of = {loc: k for loc in ticked.final for k, tag in enumerate(tags) if loc.endswith(tag)}
+        classes: list[list[int]] = [[] for _ in tags]
+        for i, r in enumerate(ra.states):  # state i of `m` is region i
+            k = class_of.get(r.location)
+            if k is not None:
+                classes[k].append(i)
+        m.final_classes = tuple(frozenset(c) for c in classes)
+    del ra  # the largest structure of the query; the strip does not need it
     suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
     return nfalib.strip_ticks_before_suffix(m, suffix, TICK_LETTER)
 
 
+def _discrete_languages(ta: TimedAutomaton, cap: Optional[int]) -> list[NFA]:
+    """[private, public] ticked languages of a discrete-time automaton: the
+    two final classes of the tick-augmented memo automaton."""
+    return _ticked_language(augment_ticks(build_memo(ta)), cap, MEMO_TAGS).views()
+
+
 def _check_discrete(ta: TimedAutomaton, mode: str, cap: Optional[int]) -> Verdict:
-    priv = _ticked_language(augment_ticks(build_priv(ta)), cap)
-    pub = _ticked_language(augment_ticks(build_pub(ta)), cap)
+    priv, pub = _discrete_languages(ta, cap)
     return _compare(priv, pub, mode, tick_decode)
 
 
@@ -446,12 +466,14 @@ def check_bounded(
 ) -> Verdict:
     """Weak/full opacity against a bounded attacker.
 
-    First-N: the tick construction over the private/public split, compared as
-    untimed regular languages. Static switch times: normalize the sequence,
-    unfold against it, then the first-N machinery (the projection is the
-    identity on the already bounded language). Dynamic: the free unfolding,
-    then first-2N. The unfoldings refuse more observations than the
-    observation cap.
+    First-N: the tick construction of the memo automaton, with one end
+    gadget for the visited and one for the not-yet copy's finals, so the
+    private and public projected languages are the two final classes of one
+    region automaton; they are compared as untimed regular languages.
+    Static switch times: normalize the sequence, unfold against it, then the
+    first-N machinery (the projection is the identity on the already
+    bounded language). Dynamic: the free unfolding, then first-2N. The
+    unfoldings refuse more observations than the observation cap.
     """
     if mode not in ("weak", "full"):
         raise ValueError("mode must be 'weak' or 'full'")
@@ -466,10 +488,15 @@ def check_bounded(
         return Verdict(inner.holds, witness, inner.side, note=NORMALIZED_NOTE)
     if not isinstance(sel, FirstN):
         raise TypeError(f"unsupported time selection {sel!r}")
-    base = dense_time(ta)
-    priv = _ticked_language(tick_construction(build_priv(base), sel.n), cap)
-    pub = _ticked_language(tick_construction(build_pub(base), sel.n), cap)
+    priv, pub = _first_n_languages(ta, sel.n, cap)
     return _compare(priv, pub, mode, decode_ticked_tokens)
+
+
+def _first_n_languages(ta: TimedAutomaton, n: int, cap: Optional[int]) -> list[NFA]:
+    """[private, public] ticked first-N languages: the two final classes of
+    the tick construction of the memo automaton, one end gadget each."""
+    memo = build_memo(dense_time(ta))
+    return _ticked_language(tick_construction(memo, n, memo_classes(memo)), cap, MEMO_TAGS).views()
 
 
 def dense_time(ta: TimedAutomaton) -> TimedAutomaton:

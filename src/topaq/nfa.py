@@ -20,6 +20,10 @@ states numbered 0..n-1, with state sets as frozensets:
   that phase can reach, so without suffix letters it has none.
 - Closed letter posts are built per state on first use (`NFA.post`) and
   cached on the NFA, so only states a query reaches pay for them.
+- One NFA can carry several final classes (`final_classes`), such as the
+  private and public languages of the memo automaton. `NFA.views` gives one
+  NFA per class; the views share the transitions, the closure table and
+  the post cache, whose active states are those final in any class.
 - Language inclusion runs an antichain-pruned product against the
   determinized complement; the macro-states of the complement are interned
   once, and the antichain compares them as integer bitsets.
@@ -40,6 +44,16 @@ class InclusionCapExceeded(Exception):
     pass
 
 
+class _Tables:
+    """Caches filled on first use, shared by the views of one NFA."""
+
+    __slots__ = ("closures", "posts")
+
+    def __init__(self):
+        self.closures: Optional[list[frozenset[int]]] = None
+        self.posts: Optional[list[Optional[dict[str, list[int]]]]] = None
+
+
 @dataclass
 class NFA:
     alphabet: tuple[str, ...]  # sorted, silent moves excluded
@@ -48,19 +62,34 @@ class NFA:
     finals: frozenset[int]
     eps: list[frozenset[int]]  # per-state silent successors
     trans: list[dict[str, frozenset[int]]]  # per-state lettered successors
-    # caches, filled on first use
-    _closures: Optional[list[frozenset[int]]] = field(default=None, init=False, repr=False, compare=False)
-    _posts: Optional[list[Optional[dict[str, list[int]]]]] = field(
-        default=None, init=False, repr=False, compare=False)
+    # the final sets of the views (`views`); empty for an NFA of one language
+    final_classes: tuple[frozenset[int], ...] = ()
+    _tables: _Tables = field(default_factory=_Tables, init=False, repr=False, compare=False)
 
     def closures(self) -> list[frozenset[int]]:
         """Per-state silent closure, active states only (states of one
-        silent cycle share one set)."""
-        if self._closures is None:
-            finals = self.finals
-            self._closures = _reach_table(
+        silent cycle share one set). A state final in any final class is
+        active, so every view computes the same table."""
+        t = self._tables
+        if t.closures is None:
+            finals = self.finals.union(*self.final_classes)
+            t.closures = _reach_table(
                 self.eps, [bool(d) or s in finals for s, d in enumerate(self.trans)])
-        return self._closures
+        return t.closures
+
+    def views(self) -> list["NFA"]:
+        """One NFA per final class, with that class as its final set. The
+        views share this NFA's transitions, closure table and post cache: a
+        state final only in another view is one more member of the closed
+        sets, with no letter edge and not final here, so it changes no
+        language."""
+        out = []
+        for finals in self.final_classes:
+            view = NFA(self.alphabet, self.n_states, self.initial, finals, self.eps, self.trans,
+                       self.final_classes)
+            view._tables = self._tables
+            out.append(view)
+        return out
 
     def closure(self, states: Iterable[int]) -> frozenset[int]:
         """The active states silently reachable from `states` (each state
@@ -76,15 +105,16 @@ class NFA:
     def post(self, s: int) -> dict[str, list[int]]:
         """Closed letter successors of state `s`: per letter, the sorted
         closure of the letter-successors of closure(s). Built on first use."""
-        if self._posts is None:
-            self._posts = [None] * self.n_states
-        p = self._posts[s]
+        posts = self._tables.posts
+        if posts is None:
+            posts = self._tables.posts = [None] * self.n_states
+        p = posts[s]
         if p is None:
             moves: dict[str, set[int]] = {}
             for q in self.closures()[s]:
                 for a, succs in self.trans[q].items():
                     moves.setdefault(a, set()).update(succs)
-            p = self._posts[s] = {a: sorted(self.closure(raw)) for a, raw in moves.items()}
+            p = posts[s] = {a: sorted(self.closure(raw)) for a, raw in moves.items()}
         return p
 
     def step(self, states: frozenset[int], letter: str) -> frozenset[int]:
@@ -201,28 +231,31 @@ def from_region_automaton(ra: RegionAutomaton) -> NFA:
     """NFA view of a region automaton: delay edges and ε-labelled action
     edges become silent; the alphabet is the set of letters on real edges."""
     index = {r: i for i, r in enumerate(ra.states)}
-    n = len(ra.states)
-    eps = [set() for _ in range(n)]
-    trans: list[dict[str, set[int]]] = [{} for _ in range(n)]
+    # each state's successor sets are built once, as frozensets: the region
+    # automaton is still alive here, so this is the peak memory of a query
+    eps: list[frozenset[int]] = []
+    trans: list[dict[str, frozenset[int]]] = []
     letters = set()
     for r in ra.states:
-        i = index[r]
+        silent = []
+        moves: dict[str, list[int]] = {}
         for e in ra.out_edges(r):
-            j = index[e.target]
             if e.label is None:
-                eps[i].add(j)
+                silent.append(index[e.target])
             else:
-                letters.add(e.label)
-                trans[i].setdefault(e.label, set()).add(j)
+                moves.setdefault(e.label, []).append(index[e.target])
+        eps.append(frozenset(silent))
+        trans.append({a: frozenset(v) for a, v in moves.items()})
+        letters.update(moves)
     initial = frozenset([index[ra.initial]]) if ra.initial is not None else frozenset()
     finals = frozenset(index[r] for r in ra.finals)
     return NFA(
         alphabet=tuple(sorted(letters)),
-        n_states=n,
+        n_states=len(ra.states),
         initial=initial,
         finals=finals,
-        eps=[frozenset(s) for s in eps],
-        trans=[{a: frozenset(v) for a, v in d.items()} for d in trans],
+        eps=eps,
+        trans=trans,
     )
 
 
@@ -237,6 +270,7 @@ def merge_alphabets(*nfas: NFA) -> tuple[str, ...]:
 class InclusionResult:
     holds: bool
     counterexample: Optional[tuple[str, ...]] = None
+    explored: int = 0  # product successors counted toward `pair_cap`
 
 
 def check_inclusion(a: NFA, b: NFA, alphabet: Optional[tuple[str, ...]] = None,
@@ -299,7 +333,7 @@ def check_inclusion(a: NFA, b: NFA, alphabet: Optional[tuple[str, ...]] = None,
     while queue:
         s, t, word = queue.popleft()
         if s in a.finals and rejecting[t]:
-            return InclusionResult(False, word)
+            return InclusionResult(False, word, explored)
         post = a.post(s)
         for letter in alphabet:
             succs_a = post.get(letter)
@@ -316,7 +350,7 @@ def check_inclusion(a: NFA, b: NFA, alphabet: Optional[tuple[str, ...]] = None,
                     raise InclusionCapExceeded("inclusion search cap exceeded")
                 if admit(s2, tb):
                     queue.append((s2, t2, word + (letter,)))
-    return InclusionResult(True, None)
+    return InclusionResult(True, None, explored)
 
 
 def regular_inclusion(ra1: RegionAutomaton, ra2: RegionAutomaton, pair_cap: int = 2_000_000):
@@ -358,9 +392,14 @@ def strip_ticks_before_suffix(m: NFA, suffix_letters: frozenset[str], letter: st
     suffix-letter moves; they are numbered from 2n on, in increasing order
     for the states with a suffix letter, then in the order a worklist finds
     the rest. So without suffix letters the result has 2n states.
+
+    The final classes of `m` (`NFA.final_classes`) carry over: one jump
+    table, which lands on the finals of every class, gives each class its
+    image, and the result's views are the stripped languages of `m`'s
+    views. A jump onto a final of another class is a dead end in a view.
     """
     n = m.n_states
-    finals = m.finals
+    finals = m.finals.union(*m.final_classes)
     ready = [not suffix_letters.isdisjoint(d) for d in m.trans]
     jump = _reach_table([eps | d[letter] if letter in d else eps for eps, d in zip(m.eps, m.trans)],
                         [r or s in finals for s, r in enumerate(ready)])
@@ -389,14 +428,19 @@ def strip_ticks_before_suffix(m: NFA, suffix_letters: frozenset[str], letter: st
         eps.append(frozenset(suffix[j] for j in m.eps[s]))
         trans.append({a: frozenset(suffix[j] for j in succs)
                       for a, succs in m.trans[s].items() if a in suffix_letters})
+
+    def image(finals: frozenset[int]) -> frozenset[int]:
+        return frozenset([2 * s for s in range(n) if not finals.isdisjoint(jump[s])]
+                         + [suffix[s] for s in finals if s in suffix])
+
     return NFA(
         alphabet=m.alphabet,
         n_states=len(eps),
         initial=frozenset(2 * s for s in m.initial),
-        finals=frozenset([2 * s for s in range(n) if not finals.isdisjoint(jump[s])]
-                         + [suffix[s] for s in finals if s in suffix]),
+        finals=image(finals),
         eps=eps,
         trans=trans,
+        final_classes=tuple(image(c) for c in m.final_classes),
     )
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .constructions import relax_finals
 from .regions import fresh_name, TICK_LETTER
@@ -140,7 +140,9 @@ def _all_subsets(items: Sequence[str]):
         yield frozenset(x for i, x in enumerate(items) if mask >> i & 1)
 
 
-def tick_construction(ta: TimedAutomaton, n: int) -> TimedAutomaton:
+def tick_construction(
+    ta: TimedAutomaton, n: int, classes: Optional[Mapping[str, frozenset[str]]] = None
+) -> TimedAutomaton:
     """Dense-time gadget whose region automaton's untimed language encodes
     the first-N projected traces of `ta` as ticked words.
 
@@ -149,6 +151,14 @@ def tick_construction(ta: TimedAutomaton, n: int) -> TimedAutomaton:
     kept below 1 by silent reset loops), and an end gadget reached from the
     unfolding's final locations emits the fractional groups as f-letters, one
     full time unit long.
+
+    `classes` splits the final locations of `ta` into final classes, keyed
+    by a tag; each class gets its own end gadget, whose two locations carry
+    the tag as a suffix, so the result's final locations are one per class
+    and a run's class can be read off the tag. The memo automaton split by
+    visited/not-visited this way holds the private and the public language
+    in one automaton. A final location in no class is a dead end. None (the
+    default) is one gadget for all final locations, with untagged names.
 
     The unfolding is final-relaxed first: a run ends the moment it reaches a
     final location, so exits from finals are dead and their invariants only
@@ -181,6 +191,16 @@ def tick_construction(ta: TimedAutomaton, n: int) -> TimedAutomaton:
     below1 = guard_all_below_one()
     lg0 = fresh_name("gadget0", unfolded.locations)
     lg1 = fresh_name("gadget1", unfolded.locations)
+    # (unfolding finals, gadget entry, gadget final) per class; a tagged
+    # name cannot clash, as every unfolded location ends in `~<copy index>`
+    # and a tag such as `~S` is no copy index
+    if classes is None:
+        gadgets = [(sorted(unfolded.final), lg0, lg1)]
+    else:
+        gadgets = [
+            (sorted(l for l in unfolded.final if l.rsplit("~", 1)[0] in locs), lg0 + tag, lg1 + tag)
+            for tag, locs in classes.items()
+        ]
 
     edges = []
     # original edges, confined to sub-unit observation clocks (the relaxed
@@ -205,23 +225,26 @@ def tick_construction(ta: TimedAutomaton, n: int) -> TimedAutomaton:
         group = subset | {x0}
         letter = render_group(frozenset(index_of[c] for c in group))
         f_letters.add(letter)
-        for lf in sorted(unfolded.final):
-            edges.append(Edge(lf, guard_group(group, obs), letter, group, lg0))
-        edges.append(Edge(lg0, guard_group(group, obs), EPSILON, frozenset(), lg1))
+        for finals, g0, g1 in gadgets:
+            for lf in finals:
+                edges.append(Edge(lf, guard_group(group, obs), letter, group, g0))
+            edges.append(Edge(g0, guard_group(group, obs), EPSILON, frozenset(), g1))
     for subset in _nonempty_subsets(rest):
         letter = render_group(frozenset(index_of[c] for c in subset))
         f_letters.add(letter)
-        edges.append(Edge(lg0, guard_group(subset, obs), letter, subset, lg0))
+        for _, g0, _ in gadgets:
+            edges.append(Edge(g0, guard_group(subset, obs), letter, subset, g0))
 
     inv = dict(unfolded.invariant)
-    inv[lg0] = Guard.true()
-    inv[lg1] = Guard.true()
+    for _, g0, g1 in gadgets:
+        inv[g0] = Guard.true()
+        inv[g1] = Guard.true()
     return TimedAutomaton(
         actions=unfolded.actions | {TICK_LETTER} | f_letters,
-        locations=unfolded.locations | {lg0, lg1},
+        locations=unfolded.locations | {g for _, g0, g1 in gadgets for g in (g0, g1)},
         init=unfolded.init,
         private=unfolded.private,
-        final=frozenset({lg1}),
+        final=frozenset(g1 for _, _, g1 in gadgets),
         clocks=unfolded.clocks | frozenset(obs),
         invariant=inv,
         edges=tuple(edges),

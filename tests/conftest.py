@@ -49,6 +49,38 @@ def fig1_discrete():
     return fig1_ta("discrete")
 
 
+def random_discrete_ta(rng):
+    """The criterion-5 shape: 2-4 locations, 0-2 clocks, constants 0-2,
+    1-6 edges, discrete time."""
+    n_loc = rng.randint(2, 4)
+    locs = [f"q{i}" for i in range(n_loc)]
+    clocks = [f"c{i}" for i in range(rng.randint(0, 2))]
+    letters = ["a", "b"][: rng.randint(1, 2)]
+
+    def rguard():
+        conj = []
+        for x in clocks:
+            if rng.random() < 0.4:
+                conj.append(ClockConstraint(x, rng.choice(["<", "<=", "=", ">=", ">"]), rng.randint(0, 2)))
+        return Guard(tuple(conj))
+
+    edges = []
+    for _ in range(rng.randint(1, 6)):
+        a = rng.choice(letters + [None])
+        resets = frozenset(x for x in clocks if rng.random() < 0.3)
+        edges.append(edge(rng.choice(locs), rng.choice(locs), a, rguard(), resets))
+    inv = {}
+    for l in locs:
+        if clocks and rng.random() < 0.3:
+            inv[l] = Guard.of(ClockConstraint(rng.choice(clocks), "<=", rng.randint(0, 2)))
+    private = {l for l in locs if rng.random() < 0.35}
+    final = {l for l in locs if rng.random() < 0.4} or {locs[-1]}
+    return make_ta(
+        actions=letters, locations=locs, init=locs[0], final=final, private=private,
+        clocks=clocks, invariant=inv, edges=edges, time_domain="discrete", name="rand",
+    )
+
+
 def late_guard_ta():
     """One clock, one action: a single a-edge guarded x>2 into a final
     private location (the canonical discrete-time example)."""

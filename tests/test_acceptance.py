@@ -6,7 +6,7 @@ import time
 import warnings
 from fractions import Fraction as F
 
-from conftest import fig1_ta, nfa_accepts_expanded, oera_pair_ta
+from conftest import fig1_ta, nfa_accepts_expanded, oera_pair_ta, random_discrete_ta
 from topaq.constructions import (
     build_priv,
     build_pub,
@@ -90,36 +90,6 @@ def equivalent_variant(rng, w):
     if any(a > b for a, b in zip(stamps, stamps[1:])):
         return w
     return TimedWord(tuple((a, t) for (a, _), t in zip(w, stamps)))
-
-
-def random_discrete_ta(rng):
-    n_loc = rng.randint(2, 4)
-    locs = [f"q{i}" for i in range(n_loc)]
-    clocks = [f"c{i}" for i in range(rng.randint(0, 2))]
-    letters = ["a", "b"][: rng.randint(1, 2)]
-
-    def rguard():
-        conj = []
-        for x in clocks:
-            if rng.random() < 0.4:
-                conj.append(ClockConstraint(x, rng.choice(["<", "<=", "=", ">=", ">"]), rng.randint(0, 2)))
-        return Guard(tuple(conj))
-
-    edges = []
-    for _ in range(rng.randint(1, 6)):
-        a = rng.choice(letters + [None])
-        resets = frozenset(x for x in clocks if rng.random() < 0.3)
-        edges.append(edge(rng.choice(locs), rng.choice(locs), a, rguard(), resets))
-    inv = {}
-    for l in locs:
-        if clocks and rng.random() < 0.3:
-            inv[l] = Guard.of(ClockConstraint(rng.choice(clocks), "<=", rng.randint(0, 2)))
-    private = {l for l in locs if rng.random() < 0.35}
-    final = {l for l in locs if rng.random() < 0.4} or {locs[-1]}
-    return make_ta(
-        actions=letters, locations=locs, init=locs[0], final=final, private=private,
-        clocks=clocks, invariant=inv, edges=edges, time_domain="discrete", name="rand",
-    )
 
 
 def test_criterion_1_worked_example():

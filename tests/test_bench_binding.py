@@ -34,11 +34,25 @@ def test_benchmark_binds_and_traces():
     assert done.stdout.strip().startswith("bound ")
 
 
+def run_benchmark(workload: str, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "11", "--seconds", "0",
+           "--trace", str(trace)]
+    done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
 @pytest.mark.parametrize("workload", ["first-n", "switch-times"])
 def test_benchmark_answers_are_correct(workload):
     # one untimed pass: every verdict checked and every witness replayed exactly
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "11", "--seconds", "0", "--trace", "0"]
-    done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    result = run_benchmark(workload, 0)
     assert result["correct"] is True and result["failed"] == 0
+
+
+def test_traced_benchmark_answers_are_correct():
+    # traced and untraced passes alternate; a tracer counter that no longer
+    # fits the layer it wraps fails the queries it traces
+    result = run_benchmark("first-n", 1)
+    assert result["correct"] is True and result["failed"] == 0
+    assert result["metrics"]["regions.states"]["value"] > 0
+    assert result["metrics"]["nfa.strip_states"]["value"] > 0

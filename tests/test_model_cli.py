@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 from pathlib import Path
 
@@ -268,6 +269,33 @@ class TestBundledModels:
     def test_classify_runs(self, path, capsys):
         assert main(["classify", str(path)]) == 0
         assert "applicable deciders" in capsys.readouterr().out
+
+    REGION_STATE_BOUNDS = {"fig1-discrete.ta": 48, "fig1.ta": 48, "late-guard.ta": 24, "oera-pair.ta": 256}
+
+    @pytest.mark.parametrize("path", MODELS, ids=lambda p: p.name)
+    def test_classify_prints_region_state_bound(self, path, capsys):
+        assert main(["classify", str(path)]) == 0
+        assert f"\nregion state bound: {self.REGION_STATE_BOUNDS[path.name]}\n" in capsys.readouterr().out
+
+    # sha256 of `topaq export --what tick` (first:1): the one-class tick
+    # construction, its region automaton and the export stay byte-identical
+    TICK_EXPORTS = {
+        ("fig1-discrete.ta", "dot"): "56fa4e9a70a906e6d2ef0aa9cbe5d5e7c6d0c1fea4249f1a8620a435e353dc88",
+        ("fig1-discrete.ta", "json"): "7a3a1689571242987f35074e2de958e9e30e252d79ece318b88e8a687b08f51f",
+        ("fig1.ta", "dot"): "60ac9c837c64f846618508750fb5cd90845cb5a264f9bc82c0814ac92d58e8bc",
+        ("fig1.ta", "json"): "50635cb5a34d990246e2931f7c635c12c5eb710c2577a2f95c8550867b7588f6",
+        ("late-guard.ta", "dot"): "1fe081ae1bcacfa137dfdcc06c8f82d4225ece23919601c506441503e6c5593a",
+        ("late-guard.ta", "json"): "044f87bd5947599be80f3918d314a311363e828e0dcfb7e372894ef0a96a5a6a",
+        ("oera-pair.ta", "dot"): "ffda6c2267a625001834b5616d3a767d9cbe5496ea5d78adf658c73c2af43564",
+        ("oera-pair.ta", "json"): "2ce80c86b5f297038732052a6b2b7faf9aba8e94e5a23d5a0443f59abb69d59f",
+    }
+
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    @pytest.mark.parametrize("path", MODELS, ids=lambda p: p.name)
+    def test_tick_export_pinned(self, path, fmt, capsys):
+        assert main(["export", "--what", "tick", "--format", fmt, str(path)]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == self.TICK_EXPORTS[(path.name, fmt)]
 
     def test_oera_model_classified(self, capsys):
         path = next(p for p in self.MODELS if p.name == "oera-pair.ta")

@@ -1,10 +1,14 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from topaq.constructions import build_priv, build_pub
-from topaq.nfa import from_region_automaton, strip_ticks_before_suffix
+from topaq.constructions import MEMO_TAGS, build_memo, build_priv, build_pub, memo_classes
+from topaq.deciders import dense_time
+from topaq.model import parse_model
+from topaq.nfa import check_inclusion, from_region_automaton, strip_ticks_before_suffix
 from topaq.observers import (
     Dynamic,
     FirstN,
@@ -139,6 +143,24 @@ class TestTickConstruction:
     def test_observation_cap(self, fig1):
         with pytest.raises(ObservationCapExceeded):
             tick_construction(fig1, 9)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("model", sorted(Path(__file__).parent.parent.glob("models/*.ta")),
+                             ids=lambda p: p.name)
+    def test_two_class_gadget_splits_private_and_public(self, model, n):
+        # one end gadget per final class of the memo automaton: each class's
+        # language is that of the tick construction of build_priv/build_pub
+        ta = dense_time(parse_model(model.read_text()))
+        memo = build_memo(ta)
+        ticked = tick_construction(memo, n, memo_classes(memo))
+        assert ticked.final == {"gadget1" + tag for tag in MEMO_TAGS}
+        ra = build_region_automaton(ticked)
+        m = from_region_automaton(ra)
+        for tag, part in zip(MEMO_TAGS, (build_priv(ta), build_pub(ta))):
+            view = replace(m, finals=frozenset(i for i, r in enumerate(ra.states) if r.location == "gadget1" + tag))
+            reference = from_region_automaton(build_region_automaton(tick_construction(part, n)))
+            assert check_inclusion(view, reference).holds
+            assert check_inclusion(reference, view).holds
 
     def test_decode_and_replay(self, fig1):
         # every stripped word decodes to a projected trace accepted by the part

@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from conftest import fig1_ta, late_guard_ta
 from topaq.nfa import (
     NFA,
+    InclusionCapExceeded,
     _reach_table,
     check_inclusion,
     from_region_automaton,
@@ -357,6 +359,37 @@ class TestRegularInclusion:
             assert words == dense_strip_ticks_before_suffix(m, suffix, "t").language_upto(6)
             nonempty[suffix] += bool(words)
         assert min(nonempty.values()) >= 10
+
+    def test_final_class_views_match_separate_strips(self):
+        # one strip of an NFA with two final classes, read through its views,
+        # against one strip per class: same languages and same inclusion
+        # answers, although the views share one closure table
+        rng = random.Random(20261019)
+        differ = 0
+        for _ in range(120):
+            m = cyclic_nfa(rng, rng.randint(2, 8), letters=("a", "f{1}", "t"))
+            split = [rng.random() < 0.5 for _ in range(m.n_states)]
+            classes = (frozenset(s for s in m.finals if split[s]), frozenset(s for s in m.finals if not split[s]))
+            suffix = rng.choice((frozenset(), frozenset({"f{1}"})))
+            views = strip_ticks_before_suffix(replace(m, final_classes=classes), suffix, "t").views()
+            alone = [strip_ticks_before_suffix(replace(m, finals=c), suffix, "t") for c in classes]
+            for view, single in zip(views, alone):
+                assert view.language_upto(6) == single.language_upto(6)
+            for x, y in ((0, 1), (1, 0)):
+                got, want = check_inclusion(views[x], views[y]), check_inclusion(alone[x], alone[y])
+                assert (got.holds, got.counterexample) == (want.holds, want.counterexample)
+            differ += views[0].language_upto(6) != views[1].language_upto(6)
+        assert differ >= 30
+
+    def test_explored_is_what_the_cap_counts(self):
+        rng = random.Random(99)
+        for _ in range(60):
+            a, b = cyclic_nfa(rng, rng.randint(2, 7)), cyclic_nfa(rng, rng.randint(2, 7))
+            res = check_inclusion(a, b)
+            assert check_inclusion(a, b, pair_cap=res.explored) == res
+            if res.explored:
+                with pytest.raises(InclusionCapExceeded):
+                    check_inclusion(a, b, pair_cap=res.explored - 1)
 
     def test_region_automaton_level_inclusion(self, discrete_example):
         from topaq.ta import ClockConstraint, Guard, edge as mk_edge
