@@ -156,28 +156,29 @@ def check_exists(ta: TimedAutomaton, cap: Optional[int] = None) -> Verdict:
 
 
 def _shortest_accepting_path(ra: RegionAutomaton):
-    if ra.initial is None:
+    """The edges of a shortest path from the initial to a final region, or
+    None; the search runs on state ids and decodes only the path."""
+    if not ra.n_states:
         return None
-    parent = {ra.initial: None}
-    queue = deque([ra.initial])
+    via: dict[int, Optional[tuple[int, int]]] = {0: None}  # state -> (previous state, edge id)
+    queue = deque([0])
     goal = None
     while queue:
-        r = queue.popleft()
-        if r in ra.finals:
-            goal = r
+        i = queue.popleft()
+        if i in ra.final_ids:
+            goal = i
             break
-        for e in ra.out_edges(r):
-            if e.target not in parent:
-                parent[e.target] = (r, e)
-                queue.append(e.target)
+        for k in ra.edge_ids(i):
+            j = ra.edge_target[k]
+            if j not in via:
+                via[j] = (i, k)
+                queue.append(j)
     if goal is None:
         return None
     path = []
-    cur = goal
-    while parent[cur] is not None:
-        prev, e = parent[cur]
-        path.append(e)
-        cur = prev
+    while via[goal] is not None:
+        goal, k = via[goal]
+        path.append(ra.edge(k))
     return list(reversed(path))
 
 
@@ -237,12 +238,12 @@ def _ticked_language(ticked: TimedAutomaton, cap: Optional[int], tags: tuple[str
     if tags:
         class_of = {loc: k for loc in ticked.final for k, tag in enumerate(tags) if loc.endswith(tag)}
         classes: list[list[int]] = [[] for _ in tags]
-        for i, r in enumerate(ra.states):  # state i of `m` is region i
-            k = class_of.get(r.location)
+        for i in m.finals:  # state i of `m` is region i
+            k = class_of.get(ra.location_of(i))
             if k is not None:
                 classes[k].append(i)
         m.final_classes = tuple(frozenset(c) for c in classes)
-    del ra  # the largest structure of the query; the strip does not need it
+    del ra  # its edge arrays and interning tables: the strip needs only `m`
     suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
     return nfalib.strip_ticks_before_suffix(m, suffix, TICK_LETTER)
 

@@ -228,34 +228,16 @@ def _reach_table(succ: Sequence[Iterable[int]], keep: Sequence[bool]) -> list[fr
 
 
 def from_region_automaton(ra: RegionAutomaton) -> NFA:
-    """NFA view of a region automaton: delay edges and ε-labelled action
-    edges become silent; the alphabet is the set of letters on real edges."""
-    index = {r: i for i, r in enumerate(ra.states)}
-    # each state's successor sets are built once, as frozensets: the region
-    # automaton is still alive here, so this is the peak memory of a query
-    eps: list[frozenset[int]] = []
-    trans: list[dict[str, frozenset[int]]] = []
-    letters = set()
-    for r in ra.states:
-        silent = []
-        moves: dict[str, list[int]] = {}
-        for e in ra.out_edges(r):
-            if e.label is None:
-                silent.append(index[e.target])
-            else:
-                moves.setdefault(e.label, []).append(index[e.target])
-        eps.append(frozenset(silent))
-        trans.append({a: frozenset(v) for a, v in moves.items()})
-        letters.update(moves)
-    initial = frozenset([index[ra.initial]]) if ra.initial is not None else frozenset()
-    finals = frozenset(index[r] for r in ra.finals)
+    """NFA view of a region automaton, state i being region i: delay edges
+    and ε-labelled action edges are silent, and the alphabet is the set of
+    letters on real edges. The builder emits these arrays; this wraps them."""
     return NFA(
-        alphabet=tuple(sorted(letters)),
-        n_states=len(ra.states),
-        initial=initial,
-        finals=finals,
-        eps=eps,
-        trans=trans,
+        alphabet=ra.letters,
+        n_states=ra.n_states,
+        initial=frozenset([0]) if ra.n_states else frozenset(),
+        finals=ra.final_ids,
+        eps=ra.eps,
+        trans=ra.trans,
     )
 
 

@@ -4,14 +4,28 @@ Dense-time regions follow the classical equivalence (integral parts up to the
 per-clock maximum constant, zero fractions, fractional ordering); discrete
 time uses the simplified per-clock equivalence (equal value, or both above the
 maximum constant). Both share one canonical representation.
+
+`build_region_automaton` works on ints. It takes the clocks in sorted
+order and gives clock x with maximum constant M one code: 2k when its value
+is exactly k <= M, 2k+1 when k < x < k+1 and k < M, and 2M+1 above M.
+Every constraint is then an inclusive interval of codes: `x<b` is [0, 2b-1],
+`x<=b` [0, 2b], `x=b` [2b, 2b], `x>=b` [2b, 2M+1] and `x>b` [2b+1, 2M+1].
+The fractional order is a per-clock rank: 0 for an integral or above clock,
+and 1, 2, ... for the classes of equal nonzero fraction, ascending. A clock
+region is an interned (codes, ranks) pair and a region a (location id,
+clock-region id) pair. The `RegionAutomaton` it returns holds the NFA arrays
+and the int states; `ClockRegion`, `Region` and `RAEdge` objects are decoded
+from them only when read. The object operations on `ClockRegion` serve the
+event-recording engine and the concrete-valuation helpers.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import deque
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -43,14 +57,17 @@ class RegionCapExceeded(Exception):
 
 
 class BadRegionCap(ValueError):
-    """The region-cap environment variable is not a positive integer."""
+    """A region cap, from the `cap` argument or the environment variable, is
+    not a positive integer."""
 
-    def __init__(self, value: str):
-        super().__init__(f"{REGION_CAP_ENV} must be a positive integer, got {value!r}")
+    def __init__(self, value, source: str = REGION_CAP_ENV):
+        super().__init__(f"{source} must be a positive integer, got {value!r}")
 
 
 def region_cap(explicit: Optional[int] = None) -> int:
     if explicit is not None:
+        if not isinstance(explicit, int) or explicit < 1:
+            raise BadRegionCap(explicit, "cap")
         return explicit
     env = os.environ.get(REGION_CAP_ENV)
     if not env:
@@ -181,17 +198,13 @@ def dense_delay_successor(cr: ClockRegion, maxc: Mapping[str, int]) -> Optional[
         nip = tuple(sorted((x, k) for x, k in ip.items() if x not in going_above))
         nblocks = ((frozenset(staying),) if staying else ()) + cr.blocks[1:]
         return ClockRegion(nip, cr.above | going_above, nblocks, False)
-    # no zero block: the largest fractional block reaches the next integer
+    # no zero block: the largest fractional block reaches the next integer,
+    # which is at most M for each of its clocks (a clock in (k, k+1) has k < M)
     last = cr.blocks[-1]
-    new_zero = frozenset(x for x in last if ip[x] + 1 <= maxc[x])
-    going_above = last - new_zero
     nip = dict(ip)
-    for x in going_above:
-        del nip[x]
-    for x in new_zero:
+    for x in last:
         nip[x] += 1
-    nblocks = ((frozenset(new_zero),) if new_zero else ()) + cr.blocks[:-1]
-    return ClockRegion(tuple(sorted(nip.items())), cr.above | going_above, nblocks, bool(new_zero))
+    return ClockRegion(tuple(sorted(nip.items())), cr.above, (last,) + cr.blocks[:-1], True)
 
 
 def discrete_delay_successor(cr: ClockRegion, maxc: Mapping[str, int]) -> Optional[ClockRegion]:
@@ -223,15 +236,68 @@ class RAEdge:
     ta_edge: Optional[Edge] = None
 
 
-@dataclass
+@dataclass(eq=False)
 class RegionAutomaton:
+    """Reachable region automaton, as the compiled builder emits it.
+
+    States are numbered 0..n_states-1 in breadth-first order, state 0
+    initial. `eps`, `trans`, `letters` and `final_ids` are the arrays of its
+    NFA view (`nfa.from_region_automaton`). The out-edges of state i are the
+    edge ids `edge_ids(i)`, in build order, edge k entering state
+    `edge_target[k]`. `region(i)` and `edge(k)` decode one `Region` or
+    `RAEdge`; `states`, `initial`, `finals`, `edges` and `out_edges` decode
+    them all on first access.
+    """
+
     alphabet: frozenset[str]
-    states: tuple[Region, ...]
-    initial: Optional[Region]
-    finals: frozenset[Region]
-    edges: dict[Region, tuple[RAEdge, ...]]
     max_constants: dict[str, int]
     time_domain: str
+    eps: list[frozenset[int]]  # per-state silent successors
+    trans: list[dict[str, frozenset[int]]]  # per-state lettered successors
+    letters: tuple[str, ...]  # sorted letters of the lettered edges
+    final_ids: frozenset[int]
+    edge_target: array
+    _edge_start: array  # state i's edge ids are _edge_start[i] .. _edge_start[i+1]-1
+    _edge_ta: array  # index into the automaton's edges, -1 for a delay edge
+    _keys: array  # state -> region key (clock-region id * locations + location id)
+    _code: "_Compiled"
+
+    @property
+    def n_states(self) -> int:
+        return len(self.eps)
+
+    def location_of(self, i: int) -> str:
+        return self._code.names[self._keys[i] % len(self._code.names)]
+
+    def region(self, i: int) -> Region:
+        cr, loc = divmod(self._keys[i], len(self._code.names))
+        return Region(self._code.names[loc], self._code.clock_region(cr))
+
+    def edge_ids(self, i: int) -> range:
+        return range(self._edge_start[i], self._edge_start[i + 1])
+
+    def edge(self, k: int) -> RAEdge:
+        target, index = self.region(self.edge_target[k]), self._edge_ta[k]
+        if index < 0:
+            return RAEdge(None, target, "delay", None)
+        e = self._code.edges[index]
+        return RAEdge(e.action, target, "action", e)
+
+    @cached_property
+    def states(self) -> tuple[Region, ...]:
+        return tuple(self.region(i) for i in range(self.n_states))
+
+    @property
+    def initial(self) -> Optional[Region]:
+        return self.region(0) if self.n_states else None
+
+    @cached_property
+    def finals(self) -> frozenset[Region]:
+        return frozenset(self.region(i) for i in self.final_ids)
+
+    @cached_property
+    def edges(self) -> dict[Region, tuple[RAEdge, ...]]:
+        return {r: tuple(map(self.edge, self.edge_ids(i))) for i, r in enumerate(self.states)}
 
     def out_edges(self, r: Region) -> tuple[RAEdge, ...]:
         return self.edges.get(r, ())
@@ -250,73 +316,221 @@ def valuation_equiv(
     return clock_region_of(mu1, maxc) == clock_region_of(mu2, maxc)
 
 
+class _Compiled:
+    """`ta` compiled onto int clock codes (module docstring).
+
+    Guards and invariants share one id space. `table[i][c]` has bit g set
+    when every conjunct of guard g on clock i accepts code c, so the guards
+    a clock region satisfies are the AND of its clocks' rows, one bitmask
+    (`sat`) per clock region. Mask id 0 is no reset, mask id 1 the delay
+    successor, and the others the edges' reset masks; `after` applies one.
+    """
+
+    def __init__(self, ta: TimedAutomaton, maxc: Mapping[str, int]):
+        self.clocks = tuple(sorted(ta.clocks))
+        self.tops = tuple(2 * maxc[x] + 1 for x in self.clocks)
+        self.discrete = ta.time_domain == "discrete"
+        self.edges = ta.edges
+        index = {x: i for i, x in enumerate(self.clocks)}
+        self.names = list(ta.locations | {ta.init} | {loc for e in ta.edges for loc in (e.source, e.target)})
+        lid = {name: i for i, name in enumerate(self.names)}
+        self.final = [name in ta.final for name in self.names]
+        guards: dict[tuple, int] = {(): 0}  # guard 0 is `true`
+
+        def gid(guard: Guard) -> int:
+            return guards.setdefault(self._compile(guard, index), len(guards)) if guard.conjuncts else 0
+
+        self.inv = [gid(ta.invariant_of(name)) for name in self.names]
+        masks: dict[Optional[tuple[int, ...]], int] = {(): 0, None: 1}
+        # per location: (guard, mask id, target invariant, target, label, edge index)
+        self.moves: list[list[tuple]] = [[] for _ in self.names]
+        for k, e in enumerate(ta.edges):
+            mask = tuple(sorted(index[x] for x in e.resets if x in index)) if e.resets else ()
+            t = lid[e.target]
+            self.moves[lid[e.source]].append(
+                (gid(e.guard), masks.setdefault(mask, len(masks)), self.inv[t], t, e.action, k))
+        for loc, moves in enumerate(self.moves):
+            moves.append((0, 1, self.inv[loc], loc, None, -1))
+        self.start = lid[ta.init]
+        self.masks = list(masks)
+        self.full = (1 << len(guards)) - 1
+        self.table = [[self.full] * (top + 1) for top in self.tops]
+        for g, conjuncts in enumerate(guards):
+            for i, lo, hi in conjuncts:
+                row = self.table[i]
+                for c in range(len(row)):
+                    if not lo <= c <= hi:
+                        row[c] &= ~(1 << g)
+        self.clock_regions: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # id -> (codes, ranks)
+        self.sat: list[int] = []  # id -> bitmask of the guards it satisfies
+        self._ids: dict[tuple, int] = {}
+        self._decoded: dict[int, ClockRegion] = {}
+
+    def _compile(self, guard: Guard, index: Mapping[str, int]) -> tuple[tuple[int, int, int], ...]:
+        out = []
+        for c in guard.conjuncts:
+            i = index[c.clock]
+            top, b, cmp = self.tops[i], 2 * c.bound, c.cmp
+            if cmp == "<":
+                lo, hi = 0, b - 1
+            elif cmp == "<=":
+                lo, hi = 0, b
+            elif cmp == "=":
+                lo, hi = b, b
+            else:
+                lo, hi = (b, top) if cmp == ">=" else (b + 1, top)
+            if lo > 0 or hi < top:  # else it holds on every code
+                out.append((i, lo, hi))
+        return tuple(out)
+
+    def intern(self, codes: tuple[int, ...], ranks: tuple[int, ...]) -> int:
+        key = (codes, ranks)
+        cr = self._ids.get(key)
+        if cr is None:
+            cr = self._ids[key] = len(self.clock_regions)
+            self.clock_regions.append(key)
+            sat = self.full
+            for row, c in zip(self.table, codes):
+                sat &= row[c]
+            self.sat.append(sat)
+        return cr
+
+    def after(self, cr: int, m: int) -> int:
+        """Clock region `cr` after its delay successor (m = 1) or the reset
+        of mask m; the delay of a region with every clock above is the
+        region itself (the silent self-loop)."""
+        codes, ranks = self.clock_regions[cr]
+        mask = self.masks[m]
+        if mask is not None:
+            codes, ranks = list(codes), list(ranks)
+            emptied = any(ranks[i] for i in mask)
+            for i in mask:
+                codes[i] = ranks[i] = 0
+            if emptied:  # renumber the classes left 1, 2, ...
+                order = {r: k for k, r in enumerate(sorted(set(ranks)))}
+                ranks = [order[r] for r in ranks]
+            return self.intern(tuple(codes), tuple(ranks))
+        tops = self.tops
+        if codes == tops:
+            return cr
+        if self.discrete:
+            return self.intern(tuple(min(c + 2, t) for c, t in zip(codes, tops)), ranks)
+        if any(not c & 1 for c in codes):
+            # the zero-fraction clocks move into the open: those at their
+            # maximum constant go above, the rest make the new smallest class
+            stay = any(not c & 1 and c + 1 < t for c, t in zip(codes, tops))
+            return self.intern(tuple(c | 1 for c in codes), tuple(
+                r + stay if r else int(not c & 1 and c + 1 < t) for c, r, t in zip(codes, ranks, tops)))
+        # the largest class reaches the next integer, which is at most M: a
+        # clock in (k, k+1) has k < M
+        last = max(ranks)
+        return self.intern(tuple(c + 1 if r == last else c for c, r in zip(codes, ranks)),
+                           tuple(0 if r == last else r for r in ranks))
+
+    def clock_region(self, cr: int) -> ClockRegion:
+        """The `ClockRegion` object of clock-region id `cr`."""
+        out = self._decoded.get(cr)
+        if out is None:
+            codes, ranks = self.clock_regions[cr]
+            ipart, above, zero = [], [], []
+            fracs: list[list[str]] = [[] for _ in range(max(ranks, default=0))]
+            for x, c, r, top in zip(self.clocks, codes, ranks, self.tops):
+                if c == top:
+                    above.append(x)
+                    continue
+                ipart.append((x, c >> 1))
+                (fracs[r - 1] if r else zero).append(x)
+            blocks = tuple(frozenset(b) for b in ([zero] if zero else []) + fracs)
+            out = self._decoded[cr] = ClockRegion(tuple(ipart), frozenset(above), blocks, bool(zero))
+        return out
+
+
 def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None) -> RegionAutomaton:
     """Reachable region automaton of `ta` (dense or discrete per its domain).
 
     Final regions have no outgoing edges: runs end at the first final
     location. Delay edges are single-step time-successors; unbounded regions
-    carry the silent self-loop.
+    carry the silent self-loop. The search is breadth-first over int-coded
+    regions, each region's edges in declaration order and then its delay
+    edge, and it writes the NFA arrays as it goes.
     """
     cap = region_cap(cap)
     maxc = ta.max_constants()
-    successor = discrete_delay_successor if ta.time_domain == "discrete" else dense_delay_successor
+    code = _Compiled(ta, maxc)
+    n_locs, n_masks = len(code.names), len(code.masks)
+    zero = (0,) * len(code.clocks)
+    init = code.intern(zero, zero)
+    keys = array("q")  # state -> region key, clock region * n_locs + location
+    ids: dict[int, int] = {}  # region key -> state
+    finals: list[int] = []
+    if code.sat[init] >> code.inv[code.start] & 1:
+        ids[init * n_locs + code.start] = 0
+        keys.append(init * n_locs + code.start)
+        if code.final[code.start]:
+            finals.append(0)
+    eps: list[frozenset[int]] = []
+    trans: list[dict[str, frozenset[int]]] = []
+    letters: set[str] = set()
+    edge_start, edge_target, edge_ta = array("q", [0]), array("q"), array("q")
+    moves, final, sat, after = code.moves, code.final, code.sat, code.after
+    memo: dict[int, int] = {}  # clock region * n_masks + mask id -> clock region after it
+    i = 0
+    while i < len(keys):  # states are numbered in discovery order, so i is the queue head
+        cr, loc = divmod(keys[i], n_locs)
+        i += 1
+        silent: list[int] = []
+        lettered: dict[str, list[int]] = {}
+        if not final[loc]:
+            ok = sat[cr]
+            for g, m, inv, t, label, k in moves[loc]:
+                if not ok >> g & 1:
+                    continue
+                if m:
+                    mk = cr * n_masks + m
+                    cr2 = memo.get(mk)
+                    if cr2 is None:
+                        cr2 = memo[mk] = after(cr, m)
+                else:
+                    cr2 = cr
+                # the unbounded delay self-loop passes: a reached region
+                # satisfies its location's invariant
+                if not sat[cr2] >> inv & 1:
+                    continue
+                key = cr2 * n_locs + t
+                j = ids.get(key)
+                if j is None:
+                    j = ids[key] = len(keys)
+                    if j >= cap:
+                        raise RegionCapExceeded(cap)
+                    keys.append(key)
+                    if final[t]:
+                        finals.append(j)
+                edge_target.append(j)
+                edge_ta.append(k)
+                if label is None:
+                    silent.append(j)
+                else:
+                    lettered.setdefault(label, []).append(j)
+        eps.append(frozenset(silent))
+        trans.append({a: frozenset(v) for a, v in lettered.items()})
+        letters.update(lettered)
+        edge_start.append(len(edge_target))
 
-    init_cr = clock_region_of(ta.zero_valuation(), maxc)
-    if not init_cr.satisfies_guard(ta.invariant_of(ta.init)):
-        return RegionAutomaton(ta.actions, (), None, frozenset(), {}, maxc, ta.time_domain)
-    initial = Region(ta.init, init_cr)
-
-    edges_by_source: dict[str, list[Edge]] = {}
-    for e in ta.edges:
-        edges_by_source.setdefault(e.source, []).append(e)
-
-    states: list[Region] = [initial]
-    seen = {initial}
-    edges: dict[Region, tuple[RAEdge, ...]] = {}
-    queue = deque([initial])
-    while queue:
-        r = queue.popleft()
-        if r.location in ta.final:
-            edges[r] = ()
-            continue
-        out: list[RAEdge] = []
-        for e in edges_by_source.get(r.location, ()):
-            if not r.clock_region.satisfies_guard(e.guard):
-                continue
-            cr2 = r.clock_region.reset(e.resets)
-            if not cr2.satisfies_guard(ta.invariant_of(e.target)):
-                continue
-            out.append(RAEdge(e.action, Region(e.target, cr2), "action", e))
-        succ = successor(r.clock_region, maxc)
-        if succ is None:
-            out.append(RAEdge(None, r, "delay", None))  # unbounded self-loop
-        elif succ.satisfies_guard(ta.invariant_of(r.location)):
-            out.append(RAEdge(None, Region(r.location, succ), "delay", None))
-        edges[r] = tuple(out)
-        for ra_edge in out:
-            tgt = ra_edge.target
-            if tgt not in seen:
-                if len(seen) >= cap:
-                    raise RegionCapExceeded(cap)
-                seen.add(tgt)
-                states.append(tgt)
-                queue.append(tgt)
-
-    finals = frozenset(r for r in states if r.location in ta.final)
-    ra = RegionAutomaton(ta.actions, tuple(states), initial, finals, edges, maxc, ta.time_domain)
-    if len(states) > region_state_bound(ta):
-        raise RuntimeError(f"{len(states)} reachable regions exceed the theoretical bound")
-    return ra
+    if len(keys) > _state_bound(len(ta.locations), maxc.values()):
+        raise RuntimeError(f"{len(keys)} reachable regions exceed the theoretical bound")
+    return RegionAutomaton(ta.actions, maxc, ta.time_domain, eps, trans, tuple(sorted(letters)),
+                           frozenset(finals), edge_target, edge_start, edge_ta, keys, code)
 
 
 def region_state_bound(ta: TimedAutomaton) -> int:
     """|L| * |X|! * 2^|X| * prod(2*M(x)+2), an upper bound on reachable regions."""
-    maxc = ta.max_constants()
-    n = len(ta.clocks)
-    prod = 1
-    for x in ta.clocks:
-        prod *= 2 * maxc[x] + 2
-    return len(ta.locations) * math.factorial(n) * (2**n) * prod
+    return _state_bound(len(ta.locations), ta.max_constants().values())
+
+
+def _state_bound(n_locations: int, constants) -> int:
+    constants = list(constants)
+    n = len(constants)
+    return n_locations * math.factorial(n) * 2**n * math.prod(2 * m + 2 for m in constants)
 
 
 def fresh_name(base: str, taken) -> str:

@@ -51,8 +51,11 @@ def test_benchmark_answers_are_correct(workload):
 
 def test_traced_benchmark_answers_are_correct():
     # traced and untraced passes alternate; a tracer counter that no longer
-    # fits the layer it wraps fails the queries it traces
+    # fits the layer it wraps fails the queries it traces, and the exact
+    # counts fail any change to the region graph or the strip
     result = run_benchmark("first-n", 1)
     assert result["correct"] is True and result["failed"] == 0
-    assert result["metrics"]["regions.states"]["value"] > 0
-    assert result["metrics"]["nfa.strip_states"]["value"] > 0
+    metrics = result["metrics"]
+    assert metrics["regions.states"]["value"] == 18028
+    assert metrics["regions.edges"]["value"] == 24720
+    assert metrics["nfa.strip_states"]["value"] == 44738

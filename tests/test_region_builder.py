@@ -1,0 +1,165 @@
+"""The compiled region builder against the object search of
+`reference_regions`: the same numbered states, edges and finals, the same
+NFA, the same exports, shortest accepting paths and cap behaviour."""
+
+import random
+import warnings
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from conftest import fig1_ta, random_discrete_ta
+from reference_languages import first_n_instance
+from reference_regions import reference_nfa, reference_region_automaton
+from topaq.constructions import build_memo, build_priv, build_pub, memo_classes, product
+from topaq.deciders import _shortest_accepting_path, check_opacity, dense_time
+from topaq.export import region_automaton_to_dot, region_automaton_to_json
+from topaq.model import parse_model
+from topaq.nfa import from_region_automaton
+from topaq.observers import Dynamic, FirstN, Static, tick_construction
+from topaq.oracle import discrete_state_count
+from topaq.regions import BadRegionCap, RegionCapExceeded, augment_ticks, build_region_automaton
+from topaq.ta import ClockConstraint, Guard, edge, make_ta, validate, validate_errors
+
+MODELS = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.ta"))
+
+
+def reference_path(ref):
+    """Shortest accepting path of a reference automaton, by the same
+    breadth-first search over region objects."""
+    if ref.initial is None:
+        return None
+    parent = {ref.initial: None}
+    queue = [ref.initial]
+    for r in queue:
+        if r in ref.finals:
+            path = []
+            while parent[r] is not None:
+                r, e = parent[r]
+                path.append(e)
+            return list(reversed(path))
+        for e in ref.out_edges(r):
+            if e.target not in parent:
+                parent[e.target] = (r, e)
+                queue.append(e.target)
+    return None
+
+
+def assert_same(ta):
+    ra = build_region_automaton(ta)
+    ref = reference_region_automaton(ta)
+    assert ra.states == ref.states
+    assert ra.initial == ref.initial
+    assert ra.finals == ref.finals
+    assert ra.edges == ref.edges
+    for r in ref.states:
+        assert ra.out_edges(r) == ref.out_edges(r)
+    assert from_region_automaton(ra) == reference_nfa(ref)
+    assert _shortest_accepting_path(ra) == reference_path(ref)
+    return ra, ref
+
+
+def ticked_memo(ta, sel):
+    """The tick construction a bounded query builds for `sel`."""
+    base, n, _ = first_n_instance(ta, sel)
+    memo = build_memo(dense_time(base))
+    return tick_construction(memo, n, memo_classes(memo))
+
+
+@pytest.mark.parametrize("sel", [FirstN(1), FirstN(2), FirstN(3), Dynamic(1), Static((F(0), F(1, 2), F(3, 2)))],
+                         ids=["first:1", "first:2", "first:3", "dynamic:1", "static:0,1/2,3/2"])
+def test_fig1_tick_constructions(sel):
+    assert_same(ticked_memo(fig1_ta(), sel))
+
+
+def criterion5_corpus(count):
+    rng = random.Random(20240601)
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        while len(out) < count:
+            ta = random_discrete_ta(rng)
+            if not validate_errors(validate(ta)) and discrete_state_count(ta) <= 36:
+                out.append(ta)
+    return out
+
+
+def test_criterion5_corpus():
+    for ta in criterion5_corpus(100):
+        assert_same(augment_ticks(build_memo(ta)))
+        assert_same(product(build_priv(ta), build_pub(ta)))
+
+
+def random_oera(rng):
+    """A dense-time observable event-recording automaton: one clock per
+    letter, reset by every edge carrying that letter."""
+    locs = [f"q{i}" for i in range(rng.randint(2, 4))]
+    letters = ["a", "b"][: rng.randint(1, 2)]
+    clocks = [f"x{a}" for a in letters]
+
+    def guard():
+        return Guard(tuple(ClockConstraint(x, rng.choice(["<", "<=", "=", ">=", ">"]), rng.randint(0, 2))
+                           for x in clocks if rng.random() < 0.4))
+
+    edges = []
+    for _ in range(rng.randint(1, 6)):
+        a = rng.choice(letters + [None])
+        edges.append(edge(rng.choice(locs), rng.choice(locs), a, guard(), {f"x{a}"} if a else ()))
+    inv = {loc: Guard.of(ClockConstraint(rng.choice(clocks), "<=", rng.randint(1, 2)))
+           for loc in locs if rng.random() < 0.2}
+    return make_ta(actions=letters, locations=locs, init=locs[0], edges=edges, clocks=clocks, invariant=inv,
+                   private={l for l in locs if rng.random() < 0.35},
+                   final={l for l in locs if rng.random() < 0.4} or {locs[-1]}, name="oera")
+
+
+def test_random_oeras():
+    rng = random.Random(8080)
+    for _ in range(60):
+        ta = random_oera(rng)
+        assert_same(ta)
+        assert_same(product(build_priv(ta), build_pub(ta)))
+        assert_same(build_memo(ta))
+
+
+@pytest.mark.parametrize("path", MODELS, ids=[p.stem for p in MODELS])
+def test_models_and_their_exports(path):
+    ta = parse_model(path.read_text())
+    subjects = [ta, augment_ticks(ta)] if ta.time_domain == "discrete" else [ta]
+    subjects.append(tick_construction(dense_time(ta), 1))
+    for subject in subjects:
+        ra, ref = assert_same(subject)
+        assert region_automaton_to_json(ra) == region_automaton_to_json(ref)
+        assert region_automaton_to_dot(ra) == region_automaton_to_dot(ref)
+
+
+def test_zero_clock_automaton():
+    ta = make_ta(actions={"a"}, locations={"p", "q"}, init="p", final={"q"},
+                 edges=[edge("p", "p", "a"), edge("p", "q", None)])
+    ra, _ = assert_same(ta)
+    assert len(ra.states) == 2  # the single clock region of no clocks
+
+
+def test_initial_invariant_fails():
+    ta = make_ta(actions={"a"}, locations={"p", "q"}, init="p", final={"q"}, clocks={"x"},
+                 invariant={"p": Guard.of(ClockConstraint("x", ">", 0))}, edges=[edge("p", "q", "a")])
+    ra, _ = assert_same(ta)
+    assert ra.states == () and ra.initial is None and ra.edges == {}
+
+
+def test_cap_fires_at_the_same_state():
+    ta = ticked_memo(fig1_ta(), FirstN(1))
+    n = len(reference_region_automaton(ta).states)
+    for cap in (2, n - 1):
+        for build in (build_region_automaton, reference_region_automaton):
+            with pytest.raises(RegionCapExceeded):
+                build(ta, cap)
+    assert len(build_region_automaton(ta, n).states) == n
+
+
+@pytest.mark.parametrize("cap", [0, -5, 1.5])
+def test_explicit_cap_must_be_a_positive_int(cap):
+    with pytest.raises(BadRegionCap, match="^cap must be a positive integer"):
+        check_opacity(fig1_ta("discrete"), "weak", cap=cap)
+    with pytest.raises(BadRegionCap):
+        build_region_automaton(fig1_ta(), cap)
