@@ -5,10 +5,10 @@ question to `deciders.decide` and prints the `Verdict` that comes back.
 
 Exit codes: 0 the property holds, 1 violated (witness printed as a timed
 word with fractional timestamps), 2 refused (undecidable class, resource cap,
-or an inconclusive bounded search) with the reason, 3 usage or parse errors
-and a malformed TOPAQ_REGION_CAP, 4 an internal error (any other exception,
-reported with its traceback on stderr; never 1, which would claim a
-violation).
+or an inconclusive bounded search) with the reason, 3 usage or parse errors,
+a malformed TOPAQ_REGION_CAP and an out-of-range oracle bound, 4 an internal
+error (any other exception, reported with its traceback on stderr; never 1,
+which would claim a violation).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .deciders import UndecidableClass, decide, dense_time, is_oera, opacity_cla
 from .model import ModelError, parse_model
 from .nfa import InclusionCapExceeded
 from .observers import Dynamic, FirstN, ObservationCapExceeded, Static, tick_construction
+from .oracle import BadOracleBound
 from .regions import BadRegionCap, RegionCapExceeded, augment_ticks, build_region_automaton, region_state_bound
 from .ta import Verdict
 
@@ -183,7 +184,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "classify":
             return _run_classify(args)
         return _run_export(args)
-    except (_UsageError, BadRegionCap) as exc:
+    except (_UsageError, BadRegionCap, BadOracleBound) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ModelError, OSError) as exc:

@@ -13,11 +13,16 @@ states numbered 0..n-1, with state sets as frozensets:
   serves the silent closure of an NFA (keeping active states), the
   suffix jump of `strip_ticks_before_suffix` (keeping suffix-ready states)
   and the rows of `eps_closure_matrix`.
+- `silent_free` eliminates silent moves: its NFA has the same languages
+  on the active states only, with each letter edge landing on a closed set.
 - One tick-stripping construction, `strip_ticks_before_suffix`, erases the
   tick run before the suffix block (the f-letters of the bounded
   attacker); `strip_trailing_letter`, for discrete time, is its case
-  without suffix letters. Its suffix phase is built only for the states
-  that phase can reach, so without suffix letters it has none.
+  without suffix letters. It runs on `silent_free` of its input, so it
+  doubles only the active states, and its suffix phase is built only for
+  the states that phase can reach (without suffix letters it has none).
+  Its only silent edges are its jumps, one step deep, so it writes its own
+  closure table and no reachability pass runs over its result.
 - Closed letter posts are built per state on first use (`NFA.post`) and
   cached on the NFA, so only states a query reaches pay for them.
 - One NFA can carry several final classes (`final_classes`), such as the
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .regions import RegionAutomaton, TICK_LETTER
 
@@ -166,7 +171,7 @@ class NFA:
         return out
 
 
-def _reach_table(succ: Sequence[Iterable[int]], keep: Sequence[bool]) -> list[frozenset[int]]:
+def _reach_table(succ: Sequence[Collection[int]], keep: Sequence[bool]) -> list[frozenset[int]]:
     """Kept part of the reflexive-transitive successor set of every state
     of the graph `succ` (state -> successor states): the states `v` with
     `keep[v]` that the state reaches.
@@ -174,7 +179,8 @@ def _reach_table(succ: Sequence[Iterable[int]], keep: Sequence[bool]) -> list[fr
     Tarjan's algorithm finishes strongly connected components in reverse
     topological order, so a component's set is its kept members plus the
     finished sets of the components its edges enter. The members of one
-    component share one frozenset.
+    component share one frozenset, and so does a chain link (a state alone
+    in its component, not kept, with one successor) with its successor.
     """
     n = len(succ)
     index = [-1] * n
@@ -208,6 +214,14 @@ def _reach_table(succ: Sequence[Iterable[int]], keep: Sequence[bool]) -> list[fr
                         low[u] = low[v]
                 if low[v] != index[v]:
                     continue
+                if stack[-1] == v and not keep[v] and len(succ[v]) == 1:
+                    # a chain link: a singleton that is not kept and has one
+                    # successor shares that successor's finished set
+                    (w,) = succ[v]
+                    if w != v:
+                        stack.pop()
+                        reach[v] = reach[w]
+                        continue
                 members = []
                 while True:
                     w = stack.pop()
@@ -353,77 +367,129 @@ def strip_trailing_letter(m: NFA, letter: str = TICK_LETTER) -> NFA:
     return strip_ticks_before_suffix(m, frozenset(), letter)
 
 
+def silent_free(m: NFA) -> NFA:
+    """The same-language NFA without silent edges whose states are the
+    active states of `m` (a letter edge, or final in any class), numbered in
+    increasing order of their `m` ids. A letter edge s -a-> t of `m` becomes
+    s -a-> closure(t), the initial set is `m.start()`, and the finals and
+    every final class keep their (active) members. Every set the result
+    enters is a closed set of `m`, which holds the letter edges of all the
+    states `m` reaches silently, so each language is unchanged."""
+    table = m.closures()
+    finals = m.finals.union(*m.final_classes)
+    active = [s for s, d in enumerate(m.trans) if d or s in finals]
+    new = dict(zip(active, range(len(active))))
+    rows: dict[int, frozenset[int]] = {}  # id of a row of `table` -> the row renumbered
+    for row in table:
+        if id(row) not in rows:
+            rows[id(row)] = frozenset([new[q] for q in row])
+    closure = [rows[id(row)] for row in table]
+    trans = []
+    for s in active:
+        moves = {}
+        for a, succs in m.trans[s].items():
+            t = closure[next(iter(succs))] if len(succs) == 1 else frozenset().union(*[closure[j] for j in succs])
+            if t:
+                moves[a] = t
+        trans.append(moves)
+    return NFA(
+        alphabet=m.alphabet,
+        n_states=len(active),
+        initial=frozenset().union(*[closure[s] for s in m.initial]),
+        finals=frozenset(new[s] for s in m.finals),
+        eps=[frozenset()] * len(active),
+        trans=trans,
+        final_classes=tuple(frozenset(new[s] for s in c) for c in m.final_classes),
+    )
+
+
 def strip_ticks_before_suffix(m: NFA, suffix_letters: frozenset[str], letter: str = TICK_LETTER) -> NFA:
     """Language image under removal of the maximal `letter` run separating
     the last non-suffix letter from the suffix block.
 
-    Two prefix phases read tick and action letters (never suffix letters)
-    and track whether the last letter read was a tick; a silent jump,
-    allowed only when it was not, follows any path of `letter`/silent edges
-    into the suffix phase, which admits suffix letters only. The jump must
-    swallow the whole separating run, because a leftover tick before the
-    suffix block has nowhere to be read. It lands only on states with a
-    suffix letter: the suffix phase of any other state it could reach only
-    passes silently on to such a state or to a final, and a prefix state
-    whose jump can reach a final is final itself (the empty suffix block).
+    The construction runs on `silent_free(m)`, whose n states are the active
+    states of `m`; below, state s means the s-th of them. Two prefix phases
+    read tick and action letters (never suffix letters) and track whether
+    the last letter read was a tick; a silent jump, allowed only when it was
+    not, follows any path of `letter` edges into the suffix phase, which
+    admits suffix letters only. The jump must swallow the whole separating
+    run, because a leftover tick before the suffix block has nowhere to be
+    read. It lands only on states with a suffix letter: the suffix phase of
+    any other state it could reach has no letter to read, and a prefix
+    state whose jump can reach a final is final itself (the empty suffix
+    block).
 
-    State numbering, for the n states of `m`: 2s is state s in the prefix
-    phase after a non-tick letter (or before any letter), 2s + 1 after a
-    tick. The suffix phase exists only for the states it can reach, the
-    states with a suffix letter and what they reach by silent and
-    suffix-letter moves; they are numbered from 2n on, in increasing order
-    for the states with a suffix letter, then in the order a worklist finds
-    the rest. So without suffix letters the result has 2n states.
+    State numbering: 2s is state s in the prefix phase after a non-tick
+    letter (or before any letter), 2s + 1 after a tick. The suffix phase
+    exists only for the states it can reach, the states with a suffix
+    letter and what they reach by suffix-letter moves; they are numbered
+    from 2n on, in increasing order for the states with a suffix letter,
+    then in the order a worklist finds the rest. So without suffix letters
+    the result has 2n states.
+
+    The jumps are the result's only silent edges, and a jump lands on a
+    state with a letter edge, so every closure row is known here: the state
+    itself if it is active, plus its jump landings. The result carries that
+    table (`NFA.closures`), and no reachability pass runs over it.
 
     The final classes of `m` (`NFA.final_classes`) carry over: one jump
     table, which lands on the finals of every class, gives each class its
     image, and the result's views are the stripped languages of `m`'s
     views. A jump onto a final of another class is a dead end in a view.
     """
+    m = silent_free(m)
     n = m.n_states
     finals = m.finals.union(*m.final_classes)
     ready = [not suffix_letters.isdisjoint(d) for d in m.trans]
-    jump = _reach_table([eps | d[letter] if letter in d else eps for eps, d in zip(m.eps, m.trans)],
-                        [r or s in finals for s, r in enumerate(ready)])
+    jump = _reach_table([d.get(letter, ()) for d in m.trans], [r or s in finals for s, r in enumerate(ready)])
     suffix = {s: 2 * n + k for k, s in enumerate([s for s in range(n) if ready[s]])}  # state -> suffix-phase id
     todo = list(suffix)
     while todo:
         s = todo.pop()
-        for succs in [m.eps[s], *(t for a, t in m.trans[s].items() if a in suffix_letters)]:
-            for j in succs:
-                if j not in suffix:
-                    suffix[j] = 2 * n + len(suffix)
-                    todo.append(j)
+        for a, succs in m.trans[s].items():
+            if a in suffix_letters:
+                for j in succs:
+                    if j not in suffix:
+                        suffix[j] = 2 * n + len(suffix)
+                        todo.append(j)
 
+    def image(finals: frozenset[int]) -> frozenset[int]:
+        return frozenset([2 * s for s in range(n) if not finals.isdisjoint(jump[s])]
+                         + [suffix[s] for s in finals if s in suffix])
+
+    stripped_finals = image(finals)
+    empty = frozenset()
     eps = []
     trans: list[dict[str, frozenset[int]]] = []
+    closures = []
     for s in range(n):
         moves = {}  # both prefix phases read the same letters into the same targets
         for a, succs in m.trans[s].items():
             if a not in suffix_letters:
                 tick = a == letter
                 moves[a] = frozenset([2 * j + tick for j in succs])
-        eps.append(frozenset([2 * j for j in m.eps[s]] + [suffix[j] for j in jump[s] if ready[j]]))
-        eps.append(frozenset(2 * j + 1 for j in m.eps[s]))
+        landings = frozenset([suffix[j] for j in jump[s] if ready[j]])
+        eps += (landings, empty)
         trans += (moves, moves)
+        closures.append(landings | {2 * s} if moves or 2 * s in stripped_finals else landings)
+        closures.append(frozenset([2 * s + 1]) if moves else empty)
     for s in suffix:  # in id order
-        eps.append(frozenset(suffix[j] for j in m.eps[s]))
-        trans.append({a: frozenset(suffix[j] for j in succs)
-                      for a, succs in m.trans[s].items() if a in suffix_letters})
+        moves = {a: frozenset(suffix[j] for j in succs) for a, succs in m.trans[s].items() if a in suffix_letters}
+        eps.append(empty)
+        trans.append(moves)
+        closures.append(frozenset([suffix[s]]) if moves or s in finals else empty)
 
-    def image(finals: frozenset[int]) -> frozenset[int]:
-        return frozenset([2 * s for s in range(n) if not finals.isdisjoint(jump[s])]
-                         + [suffix[s] for s in finals if s in suffix])
-
-    return NFA(
+    out = NFA(
         alphabet=m.alphabet,
         n_states=len(eps),
         initial=frozenset(2 * s for s in m.initial),
-        finals=image(finals),
+        finals=stripped_finals,
         eps=eps,
         trans=trans,
         final_classes=tuple(image(c) for c in m.final_classes),
     )
+    out._tables.closures = closures
+    return out
 
 
 # ---------------------------------------------------------------------------

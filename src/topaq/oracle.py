@@ -123,6 +123,26 @@ def can_produce(
     return False
 
 
+class BadOracleBound(ValueError):
+    """A search bound given to `oracle_check` is out of range."""
+
+    def __init__(self, name: str, value, want: str):
+        super().__init__(f"{name} must be {want}, got {value}")
+
+
+def _check_bounds(ta: TimedAutomaton, horizon, max_steps, granularity) -> None:
+    """Reject explicit bounds the enumeration cannot use (None: the default)."""
+    if granularity is not None:
+        if Fraction(granularity) <= 0:
+            raise BadOracleBound("granularity", granularity, "positive")
+        if ta.time_domain == "discrete" and granularity != 1:
+            raise BadOracleBound("granularity", granularity, "1 in discrete time")
+    if max_steps is not None and (not isinstance(max_steps, int) or max_steps < 1):
+        raise BadOracleBound("max_steps", max_steps, "a positive integer")
+    if horizon is not None and Fraction(horizon) < 0:
+        raise BadOracleBound("horizon", horizon, "non-negative")
+
+
 def oracle_check(
     ta: TimedAutomaton,
     query: str,
@@ -142,10 +162,13 @@ def oracle_check(
     constant plus |L|+1, and the step budget at least the discrete region
     count (a longer run revisits a region and the silent cycle between the
     repeats can be cut without changing its trace); otherwise the verdict is
-    inconclusive.
+    inconclusive. An explicit bound out of range (a granularity that is
+    not positive, or not 1 in discrete time, a step budget below 1 or a
+    negative horizon) raises `BadOracleBound`.
     """
     if query not in ("exists", "weak", "full"):
         raise ValueError("query must be exists|weak|full")
+    _check_bounds(ta, horizon, max_steps, granularity)
     if isinstance(sel, Dynamic):
         raise ValueError(
             "the dynamic selection has no executable projection; use the free unfolding reduction instead"

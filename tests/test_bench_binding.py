@@ -58,4 +58,4 @@ def test_traced_benchmark_answers_are_correct():
     metrics = result["metrics"]
     assert metrics["regions.states"]["value"] == 18028
     assert metrics["regions.edges"]["value"] == 24720
-    assert metrics["nfa.strip_states"]["value"] == 44738
+    assert metrics["nfa.strip_states"]["value"] == 7006

@@ -1,6 +1,9 @@
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -192,6 +195,22 @@ class TestCli:
         assert main(["check", "--mode", "weak", "--obs", "sometimes:2", fig1_file]) == 3
         assert main(["check", "--mode", "weak", "missing-file.ta"]) == 3
 
+    @pytest.mark.parametrize("model, option, message", [
+        ("fig1.ta", ["--granularity", "0"], "granularity must be positive, got 0"),
+        ("fig1.ta", ["--granularity=-1/2"], "granularity must be positive, got -1/2"),
+        ("fig1-discrete.ta", ["--granularity", "1/2"], "granularity must be 1 in discrete time, got 1/2"),
+        ("fig1.ta", ["--max-steps", "-3"], "max_steps must be a positive integer, got -3"),
+        ("fig1.ta", ["--max-steps", "0"], "max_steps must be a positive integer, got 0"),
+        ("fig1.ta", ["--horizon=-1"], "horizon must be non-negative, got -1"),
+    ], ids=["granularity-zero", "granularity-negative", "granularity-discrete", "steps-negative", "steps-zero",
+            "horizon-negative"])
+    def test_bad_oracle_bound_exit_three(self, capsys, model, option, message):
+        path = str(Path(__file__).parent.parent / "models" / model)
+        assert main(["check", "--mode", "weak", "--engine", "oracle", path] + option) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {message}\n"
+        assert captured.out == ""
+
     def test_parse_error_exit_three(self, tmp_path, capsys):
         bad = tmp_path / "bad.ta"
         bad.write_text("ta t { actions a }")
@@ -252,6 +271,21 @@ class TestCli:
         path.write_text(FIG1_TEXT.replace("time: dense;", "time: discrete;"))
         assert main(["check", "--mode", "weak", str(path)]) == 0
         assert main(["check", "--mode", "full", str(path)]) == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "topaq", *args], cwd=root, env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    done = run("check", "--mode", "exists", "models/fig1.ta")
+    assert (done.returncode, done.stdout) == (0, "existential opacity: holds\n")
+    done = run()
+    assert done.returncode == 3
+    assert done.stderr.startswith("usage error:")
 
 
 class TestBundledModels:

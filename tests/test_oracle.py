@@ -6,6 +6,7 @@ from topaq.constructions import build_priv, build_pub
 from topaq.deciders import accepts_word
 from topaq.observers import Dynamic, FirstN, Static
 from topaq.oracle import (
+    BadOracleBound,
     can_produce,
     default_granularity,
     discrete_state_count,
@@ -79,6 +80,20 @@ class TestOracleRobustness:
     def test_dynamic_selection_rejected(self, fig1):
         with pytest.raises(ValueError):
             oracle_check(fig1, "weak", Dynamic(1))
+
+    @pytest.mark.parametrize("bounds", [
+        {"granularity": F(0)}, {"granularity": F(-1, 2)}, {"max_steps": 0}, {"max_steps": -3}, {"max_steps": 1.5},
+        {"horizon": F(-1)},
+    ], ids=["granularity-zero", "granularity-negative", "steps-zero", "steps-negative", "steps-fraction",
+            "horizon-negative"])
+    def test_bad_bounds_rejected_before_the_search(self, fig1, bounds):
+        with pytest.raises(BadOracleBound, match=next(iter(bounds))):
+            oracle_check(fig1, "weak", **bounds)
+
+    def test_discrete_time_takes_granularity_one_only(self, fig1_discrete):
+        with pytest.raises(BadOracleBound, match="granularity must be 1 in discrete time"):
+            oracle_check(fig1_discrete, "weak", granularity=F(1, 2))
+        assert oracle_check(fig1_discrete, "weak", granularity=F(1), horizon=F(0), max_steps=1).status
 
     def test_default_granularity_heuristic(self, fig1, fig1_discrete):
         assert default_granularity(fig1, 0) == F(1, 3)

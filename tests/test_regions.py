@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import fig1_ta, late_guard_ta
+from topaq.deciders import _first_n_languages
 from topaq.nfa import (
     NFA,
     InclusionCapExceeded,
@@ -14,9 +15,11 @@ from topaq.nfa import (
     from_region_automaton,
     merge_alphabets,
     regular_inclusion,
+    silent_free,
     strip_ticks_before_suffix,
     strip_trailing_letter,
 )
+from topaq.observers import unfold_free
 from topaq.regions import (
     TICK_LETTER,
     RegionCapExceeded,
@@ -291,6 +294,22 @@ def cyclic_nfa(rng, n_states, letters=("a", "b", "c")):
     return NFA(tuple(letters), n_states, initial, finals, [frozenset(e) for e in eps], trans)
 
 
+def with_two_classes(rng, m: NFA) -> NFA:
+    """`m` with its finals split at random into two final classes."""
+    split = [rng.random() < 0.5 for _ in range(m.n_states)]
+    return replace(m, final_classes=(frozenset(s for s in m.finals if split[s]),
+                                     frozenset(s for s in m.finals if not split[s])))
+
+
+def assert_closures_handed_over(stripped: NFA):
+    """The strip filled the closure table itself, and the table is what the
+    reachability pass over the stripped NFA's own silent edges gives."""
+    table = stripped._tables.closures
+    assert table is not None
+    finals = stripped.finals.union(*stripped.final_classes)
+    assert table == _reach_table(stripped.eps, [bool(d) or s in finals for s, d in enumerate(stripped.trans)])
+
+
 class TestRegularInclusion:
     def make_word_nfa(self, word, alphabet):
         n = len(word) + 1
@@ -367,12 +386,11 @@ class TestRegularInclusion:
         rng = random.Random(20261019)
         differ = 0
         for _ in range(120):
-            m = cyclic_nfa(rng, rng.randint(2, 8), letters=("a", "f{1}", "t"))
-            split = [rng.random() < 0.5 for _ in range(m.n_states)]
-            classes = (frozenset(s for s in m.finals if split[s]), frozenset(s for s in m.finals if not split[s]))
+            m = with_two_classes(rng, cyclic_nfa(rng, rng.randint(2, 8), letters=("a", "f{1}", "t")))
             suffix = rng.choice((frozenset(), frozenset({"f{1}"})))
-            views = strip_ticks_before_suffix(replace(m, final_classes=classes), suffix, "t").views()
-            alone = [strip_ticks_before_suffix(replace(m, finals=c), suffix, "t") for c in classes]
+            views = strip_ticks_before_suffix(m, suffix, "t").views()
+            alone = [strip_ticks_before_suffix(replace(m, finals=c, final_classes=()), suffix, "t")
+                     for c in m.final_classes]
             for view, single in zip(views, alone):
                 assert view.language_upto(6) == single.language_upto(6)
             for x, y in ((0, 1), (1, 0)):
@@ -380,6 +398,39 @@ class TestRegularInclusion:
                 assert (got.holds, got.counterexample) == (want.holds, want.counterexample)
             differ += views[0].language_upto(6) != views[1].language_upto(6)
         assert differ >= 30
+
+    def test_silent_free_keeps_every_class_language(self):
+        rng = random.Random(20261020)
+        differ = 0
+        for _ in range(150):
+            m = with_two_classes(rng, cyclic_nfa(rng, rng.randint(2, 9)))
+            free = silent_free(m)
+            active = [s for s in range(m.n_states) if m.trans[s] or s in m.finals]
+            assert free.n_states == len(active) and not any(free.eps)
+            views, free_views = m.views(), free.views()
+            for x, y in zip(views, free_views):
+                assert check_inclusion(x, y).holds and check_inclusion(y, x).holds
+                assert x.language_upto(6) == y.language_upto(6)
+            # the shortlex-least counterexample is a property of the languages
+            got, want = check_inclusion(free_views[0], free_views[1]), check_inclusion(views[0], views[1])
+            assert (got.holds, got.counterexample) == (want.holds, want.counterexample)
+            differ += not want.holds
+        assert differ >= 30
+
+    def test_strip_hands_over_its_closure_table(self):
+        rng = random.Random(20261021)
+        for _ in range(150):
+            m = with_two_classes(rng, cyclic_nfa(rng, rng.randint(2, 8), letters=("a", "f{1}", "f{2}", "t")))
+            suffix = rng.choice((frozenset(), frozenset({"f{1}"}), frozenset({"f{1}", "f{2}"})))
+            assert_closures_handed_over(strip_ticks_before_suffix(m, suffix, "t"))
+
+    @pytest.mark.parametrize("label", ["first:1", "first:2", "first:3", "dynamic:1"])
+    def test_fig1_tick_strips_hand_over_their_closure_tables(self, label):
+        kind, n = label.split(":")
+        ta, n = (fig1_ta(), int(n)) if kind == "first" else (unfold_free(fig1_ta(), int(n)), 2 * int(n))
+        priv, pub = _first_n_languages(ta, n, None)
+        assert priv._tables is pub._tables
+        assert_closures_handed_over(priv)
 
     def test_explored_is_what_the_cap_counts(self):
         rng = random.Random(99)
