@@ -234,15 +234,13 @@ def _ticked_language(ticked: TimedAutomaton, cap: Optional[int], tags: tuple[str
     languages: one region build, one conversion and one strip serve them
     all."""
     ra = build_region_automaton(ticked, cap)
-    m = from_region_automaton(ra)
-    if tags:
-        class_of = {loc: k for loc in ticked.final for k, tag in enumerate(tags) if loc.endswith(tag)}
-        classes: list[list[int]] = [[] for _ in tags]
-        for i in m.finals:  # state i of `m` is region i
-            k = class_of.get(ra.location_of(i))
-            if k is not None:
-                classes[k].append(i)
-        m.final_classes = tuple(frozenset(c) for c in classes)
+    class_of = {loc: k for loc in ticked.final for k, tag in enumerate(tags) if loc.endswith(tag)}
+    classes: list[list[int]] = [[] for _ in tags]
+    for i in ra.final_ids:  # region ids
+        k = class_of.get(ra.location_of(i))
+        if k is not None:
+            classes[k].append(i)
+    m = from_region_automaton(ra, tuple(frozenset(c) for c in classes))
     del ra  # its edge arrays and interning tables: the strip needs only `m`
     suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
     return nfalib.strip_ticks_before_suffix(m, suffix, TICK_LETTER)
@@ -596,21 +594,17 @@ def _matrix_accepts(m: NFA, tokens: list[tuple[str, int]], allowed: frozenset[st
     if unknown:
         raise WitnessFormatError(f"letters outside the alphabet: {sorted(unknown)}")
     letters &= set(m.alphabet)  # letters with no edges anywhere reject below
-    closure = nfalib.eps_closure_matrix(m)
-    sandwiched = {
-        a: nfalib.mat_mul(nfalib.mat_mul(closure, nfalib.letter_matrix(m, a)), closure)
-        for a in letters
-    }
-    vec = nfalib.vec_mul(nfalib._bitset(m.initial), closure)
+    matrices = {a: nfalib.letter_matrix(m, a) for a in letters}
+    vec = nfalib._bitset(m.initial)
     for tok, repeat in tokens:
         if repeat == 0:
             continue
-        if tok not in sandwiched:
+        if tok not in matrices:
             return False  # letter without any edge
         if repeat == 1:
-            vec = nfalib.vec_mul(vec, sandwiched[tok])
+            vec = nfalib.vec_mul(vec, matrices[tok])
         else:
-            vec = nfalib.vec_mul(vec, nfalib.mat_pow(sandwiched[tok], repeat))
+            vec = nfalib.vec_mul(vec, nfalib.mat_pow(matrices[tok], repeat))
         if not vec:
             return False
     return bool(vec & nfalib._bitset(m.finals))

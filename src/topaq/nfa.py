@@ -1,34 +1,33 @@
 """Finite-automaton machinery over region automata.
 
 Everything downstream of the region construction is plain NFA work on
-states numbered 0..n-1, with state sets as frozensets:
+silent-free automata with states numbered 0..n-1 and state sets as
+frozensets:
 
-- Closed state sets hold active states only: a state is active if it has a
-  letter edge or is final. The future of a closed set (its letter steps and
+- Silent moves are read in one place. `silent_free` turns a raw silent
+  graph (the arrays of a region automaton, `from_region_automaton`) into an
+  NFA whose states are the active states of the graph: a state is active if
+  it has a letter edge or is final. Each letter edge lands on the closed set
+  of its target, the active states it reaches silently, and the initial set
+  is closed the same way. The future of a closed set (its letter steps and
   whether it accepts) depends only on its active members, so dropping the
   others changes no language, verdict or counterexample; it only makes the
   sets, and every macro-state and product pair built from them, smaller.
 - One reachability routine, `_reach_table`, gives every state the kept
   part of its reflexive-transitive successor set by SCC condensation. It
-  serves the silent closure of an NFA (keeping active states), the
-  suffix jump of `strip_ticks_before_suffix` (keeping suffix-ready states)
-  and the rows of `eps_closure_matrix`.
-- `silent_free` eliminates silent moves: its NFA has the same languages
-  on the active states only, with each letter edge landing on a closed set.
+  serves the silent closure of `silent_free` (keeping active states) and
+  the suffix jump of `strip_ticks_before_suffix` (keeping suffix-ready
+  states).
 - One tick-stripping construction, `strip_ticks_before_suffix`, erases the
   tick run before the suffix block (the f-letters of the bounded
   attacker); `strip_trailing_letter`, for discrete time, is its case
-  without suffix letters. It runs on `silent_free` of its input, so it
-  doubles only the active states, and its suffix phase is built only for
-  the states that phase can reach (without suffix letters it has none).
-  Its only silent edges are its jumps, one step deep, so it writes its own
-  closure table and no reachability pass runs over its result.
-- Closed letter posts are built per state on first use (`NFA.post`) and
-  cached on the NFA, so only states a query reaches pay for them.
+  without suffix letters. It maps a silent-free NFA to a silent-free NFA:
+  its jumps are folded into the target sets that enter the states they
+  start from.
 - One NFA can carry several final classes (`final_classes`), such as the
   private and public languages of the memo automaton. `NFA.views` gives one
-  NFA per class; the views share the transitions, the closure table and
-  the post cache, whose active states are those final in any class.
+  NFA per class; the views share the transitions, and their active states
+  are those final in any class.
 - Language inclusion runs an antichain-pruned product against the
   determinized complement; the macro-states of the complement are interned
   once, and the antichain compares them as integer bitsets.
@@ -39,8 +38,8 @@ states numbered 0..n-1, with state sets as frozensets:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Collection, Iterable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .regions import RegionAutomaton, TICK_LETTER
 
@@ -49,104 +48,42 @@ class InclusionCapExceeded(Exception):
     pass
 
 
-class _Tables:
-    """Caches filled on first use, shared by the views of one NFA."""
-
-    __slots__ = ("closures", "posts")
-
-    def __init__(self):
-        self.closures: Optional[list[frozenset[int]]] = None
-        self.posts: Optional[list[Optional[dict[str, list[int]]]]] = None
-
-
 @dataclass
 class NFA:
-    alphabet: tuple[str, ...]  # sorted, silent moves excluded
+    alphabet: tuple[str, ...]  # sorted
     n_states: int
     initial: frozenset[int]
     finals: frozenset[int]
-    eps: list[frozenset[int]]  # per-state silent successors
-    trans: list[dict[str, frozenset[int]]]  # per-state lettered successors
+    trans: list[dict[str, frozenset[int]]]  # per-state successors per letter
     # the final sets of the views (`views`); empty for an NFA of one language
     final_classes: tuple[frozenset[int], ...] = ()
-    _tables: _Tables = field(default_factory=_Tables, init=False, repr=False, compare=False)
-
-    def closures(self) -> list[frozenset[int]]:
-        """Per-state silent closure, active states only (states of one
-        silent cycle share one set). A state final in any final class is
-        active, so every view computes the same table."""
-        t = self._tables
-        if t.closures is None:
-            finals = self.finals.union(*self.final_classes)
-            t.closures = _reach_table(
-                self.eps, [bool(d) or s in finals for s, d in enumerate(self.trans)])
-        return t.closures
 
     def views(self) -> list["NFA"]:
         """One NFA per final class, with that class as its final set. The
-        views share this NFA's transitions, closure table and post cache: a
-        state final only in another view is one more member of the closed
-        sets, with no letter edge and not final here, so it changes no
-        language."""
-        out = []
-        for finals in self.final_classes:
-            view = NFA(self.alphabet, self.n_states, self.initial, finals, self.eps, self.trans,
-                       self.final_classes)
-            view._tables = self._tables
-            out.append(view)
-        return out
+        views share this NFA's transitions: a state final only in another
+        class stays in the state sets, where it is not final, so it changes
+        no language."""
+        return [replace(self, finals=finals) for finals in self.final_classes]
 
-    def closure(self, states: Iterable[int]) -> frozenset[int]:
-        """The active states silently reachable from `states` (each state
-        included if it is active itself). Every closed set the NFA hands out
-        (`start`, `step`, `post`) is of this form."""
-        table = self.closures()
+    def step(self, states: Iterable[int], letter: str) -> frozenset[int]:
+        """Successors on `letter` of the states `states`."""
         out: set[int] = set()
-        for s in states:
-            if s not in out:  # else s is active and closure(s) is already inside `out`
-                out |= table[s]
-        return frozenset(out)
-
-    def post(self, s: int) -> dict[str, list[int]]:
-        """Closed letter successors of state `s`: per letter, the sorted
-        closure of the letter-successors of closure(s). Built on first use."""
-        posts = self._tables.posts
-        if posts is None:
-            posts = self._tables.posts = [None] * self.n_states
-        p = posts[s]
-        if p is None:
-            moves: dict[str, set[int]] = {}
-            for q in self.closures()[s]:
-                for a, succs in self.trans[q].items():
-                    moves.setdefault(a, set()).update(succs)
-            p = posts[s] = {a: sorted(self.closure(raw)) for a, raw in moves.items()}
-        return p
-
-    def step(self, states: frozenset[int], letter: str) -> frozenset[int]:
-        """Closed successors on `letter` of a closed state set (one returned
-        by `start` or `step`)."""
-        raw: set[int] = set()
         for q in states:
             succs = self.trans[q].get(letter)
             if succs:
-                raw |= succs
-        return self.closure(raw)
+                out |= succs
+        return frozenset(out)
 
     def start(self) -> frozenset[int]:
-        return self.closure(self.initial)
+        return self.initial
 
     def accepts(self, word: Iterable[str]) -> bool:
         cur = self.start()
         for a in word:
-            if a not in self.trans_alphabet():
-                return False
             cur = self.step(cur, a)
             if not cur:
                 return False
         return bool(cur & self.finals)
-
-    def trans_alphabet(self) -> frozenset[str]:
-        return frozenset(self.alphabet)
 
     def language_upto(self, max_len: int, cap: int = 200_000) -> set[tuple[str, ...]]:
         """All accepted words of length <= max_len (for small-case oracles)."""
@@ -241,18 +178,62 @@ def _reach_table(succ: Sequence[Collection[int]], keep: Sequence[bool]) -> list[
     return reach
 
 
-def from_region_automaton(ra: RegionAutomaton) -> NFA:
-    """NFA view of a region automaton, state i being region i: delay edges
-    and ε-labelled action edges are silent, and the alphabet is the set of
-    letters on real edges. The builder emits these arrays; this wraps them."""
+def _union(rows: Sequence[frozenset[int]] | Mapping[int, frozenset[int]], states: Collection[int]) -> frozenset[int]:
+    """Union of the rows of `states`; a single state's row itself."""
+    if len(states) == 1:
+        (s,) = states
+        return rows[s]
+    return frozenset().union(*[rows[s] for s in states])
+
+
+def silent_free(alphabet: tuple[str, ...], initial: Collection[int], finals: frozenset[int],
+                eps: Sequence[Collection[int]], trans: Sequence[dict[str, frozenset[int]]],
+                final_classes: tuple[frozenset[int], ...] = ()) -> NFA:
+    """The NFA of the graph with per-state silent successors `eps` and
+    letter successors `trans`, with the same languages and no silent moves.
+
+    Its states are the active states of the graph (a letter edge, or final
+    in `finals` or in a final class), numbered in increasing order of their
+    graph ids. A letter edge s -a-> t becomes s -a-> closure(t), the active
+    states t reaches silently, and the initial set is the closure of
+    `initial`; the finals and every final class keep their members. A closed
+    set holds the letter edges and the finals of every state it stands for,
+    so each language is unchanged."""
+    every = finals.union(*final_classes)
+    keep = [bool(d) or s in every for s, d in enumerate(trans)]
+    table = _reach_table(eps, keep)
+    active = [s for s, k in enumerate(keep) if k]
+    new = dict(zip(active, range(len(active))))
+    rows: dict[int, frozenset[int]] = {}  # id of a row of `table` -> the row renumbered
+    for row in table:
+        if id(row) not in rows:
+            rows[id(row)] = frozenset([new[q] for q in row])
+    closure = [rows[id(row)] for row in table]
+    out = []
+    for s in active:
+        moves = {}
+        for a, succs in trans[s].items():
+            t = _union(closure, succs)
+            if t:
+                moves[a] = t
+        out.append(moves)
     return NFA(
-        alphabet=ra.letters,
-        n_states=ra.n_states,
-        initial=frozenset([0]) if ra.n_states else frozenset(),
-        finals=ra.final_ids,
-        eps=ra.eps,
-        trans=ra.trans,
+        alphabet=alphabet,
+        n_states=len(active),
+        initial=_union(closure, initial),
+        finals=frozenset(new[s] for s in finals),
+        trans=out,
+        final_classes=tuple(frozenset(new[s] for s in c) for c in final_classes),
     )
+
+
+def from_region_automaton(ra: RegionAutomaton, final_classes: tuple[frozenset[int], ...] = ()) -> NFA:
+    """Silent-free NFA of a region automaton: `silent_free` of the arrays the
+    builder emits, where delay edges and ε-labelled action edges are silent
+    and the alphabet is the set of letters on real edges. Region i is state
+    i of that graph, so `final_classes` are sets of region ids."""
+    initial = frozenset([0]) if ra.n_states else frozenset()
+    return silent_free(ra.letters, initial, ra.final_ids, ra.eps, ra.trans, final_classes)
 
 
 def merge_alphabets(*nfas: NFA) -> tuple[str, ...]:
@@ -275,18 +256,21 @@ def check_inclusion(a: NFA, b: NFA, alphabet: Optional[tuple[str, ...]] = None,
     counterexample: shortest, ties broken lexicographically by alphabet
     order.
 
-    Breadth-first, in alphabet order, over the on-the-fly product of the
-    states of `a` with the determinized complement of `b`. Each state of
-    `a` reads its successors from `a.post`, in sorted order. Each macro-state
-    of `b` (a closed frozenset) gets an id the first time it appears, with
-    its integer bitset stored once; `b` steps are memoized per
-    (id, letter). Antichain subsumption ((s, T) is dominated by a recorded
-    (s, T') with T' ⊆ T, tested on the bitsets as T' & T == T') prunes the
-    search without changing the verdict or the counterexample, because a
-    dominated pair is always reached after the pair that dominates it.
-    The pairs are over active states only (closed sets hold no others, see
-    the module docstring), and every product successor counts toward
-    `pair_cap`.
+    Breadth-first over words, in alphabet order, through the on-the-fly
+    product of `a` with the determinized complement of `b`. A queue entry is
+    one word, the macro-state of `b` it reaches and the states of `a` it
+    reaches that the antichain admitted. Entries leave the queue in shortlex
+    order of their words, so the first one with a final of `a` and no final
+    of `b` holds the shortlex-least counterexample, whatever the numbering
+    of the states or the iteration order of the sets. Each macro-state of
+    `b` gets an id the first time it appears, with its integer bitset stored
+    once; `b` steps are memoized per (id, letter). Antichain subsumption
+    ((s, T) is dominated by a recorded (s, T') with T' ⊆ T, tested on the
+    bitsets as T' & T == T') prunes the search without changing the verdict
+    or the counterexample, because a dominated pair is always reached by a
+    word that comes after the one reaching the pair that dominates it. Every
+    state of `a` that a word's letter step reaches counts as one product
+    successor toward `pair_cap`.
     """
     alphabet = alphabet or merge_alphabets(a, b)
     ids: dict[frozenset[int], int] = {}  # b macro-state -> id
@@ -320,32 +304,33 @@ def check_inclusion(a: NFA, b: NFA, alphabet: Optional[tuple[str, ...]] = None,
         bucket.append(tb)
         return True
 
-    queue = deque()
     b_start = intern(b.start())
-    for s in sorted(a.start()):
-        if admit(s, bits[b_start]):
-            queue.append((s, b_start, ()))
+    queue = deque([((), b_start, [s for s in a.start() if admit(s, bits[b_start])])])
     explored = 0
     while queue:
-        s, t, word = queue.popleft()
-        if s in a.finals and rejecting[t]:
+        word, t, states = queue.popleft()
+        if rejecting[t] and not a.finals.isdisjoint(states):
             return InclusionResult(False, word, explored)
-        post = a.post(s)
+        moves: dict[str, frozenset[int]] = {}
+        for s in states:
+            for letter, succs in a.trans[s].items():
+                prev = moves.get(letter)
+                moves[letter] = succs if prev is None else prev | succs
         for letter in alphabet:
-            succs_a = post.get(letter)
-            if not succs_a:
+            succs = moves.get(letter)
+            if not succs:
                 continue
+            explored += len(succs)
+            if explored > pair_cap:
+                raise InclusionCapExceeded("inclusion search cap exceeded")
             key = (t, letter)
             t2 = b_step.get(key)
             if t2 is None:
                 t2 = b_step[key] = intern(b.step(macro[t], letter))
             tb = bits[t2]
-            for s2 in succs_a:
-                explored += 1
-                if explored > pair_cap:
-                    raise InclusionCapExceeded("inclusion search cap exceeded")
-                if admit(s2, tb):
-                    queue.append((s2, t2, word + (letter,)))
+            admitted = [s2 for s2 in succs if admit(s2, tb)]
+            if admitted:
+                queue.append((word + (letter,), t2, admitted))
     return InclusionResult(True, None, explored)
 
 
@@ -367,77 +352,41 @@ def strip_trailing_letter(m: NFA, letter: str = TICK_LETTER) -> NFA:
     return strip_ticks_before_suffix(m, frozenset(), letter)
 
 
-def silent_free(m: NFA) -> NFA:
-    """The same-language NFA without silent edges whose states are the
-    active states of `m` (a letter edge, or final in any class), numbered in
-    increasing order of their `m` ids. A letter edge s -a-> t of `m` becomes
-    s -a-> closure(t), the initial set is `m.start()`, and the finals and
-    every final class keep their (active) members. Every set the result
-    enters is a closed set of `m`, which holds the letter edges of all the
-    states `m` reaches silently, so each language is unchanged."""
-    table = m.closures()
-    finals = m.finals.union(*m.final_classes)
-    active = [s for s, d in enumerate(m.trans) if d or s in finals]
-    new = dict(zip(active, range(len(active))))
-    rows: dict[int, frozenset[int]] = {}  # id of a row of `table` -> the row renumbered
-    for row in table:
-        if id(row) not in rows:
-            rows[id(row)] = frozenset([new[q] for q in row])
-    closure = [rows[id(row)] for row in table]
-    trans = []
-    for s in active:
-        moves = {}
-        for a, succs in m.trans[s].items():
-            t = closure[next(iter(succs))] if len(succs) == 1 else frozenset().union(*[closure[j] for j in succs])
-            if t:
-                moves[a] = t
-        trans.append(moves)
-    return NFA(
-        alphabet=m.alphabet,
-        n_states=len(active),
-        initial=frozenset().union(*[closure[s] for s in m.initial]),
-        finals=frozenset(new[s] for s in m.finals),
-        eps=[frozenset()] * len(active),
-        trans=trans,
-        final_classes=tuple(frozenset(new[s] for s in c) for c in m.final_classes),
-    )
-
-
 def strip_ticks_before_suffix(m: NFA, suffix_letters: frozenset[str], letter: str = TICK_LETTER) -> NFA:
     """Language image under removal of the maximal `letter` run separating
-    the last non-suffix letter from the suffix block.
+    the last non-suffix letter from the suffix block: a silent-free NFA
+    built from the silent-free NFA `m`.
 
-    The construction runs on `silent_free(m)`, whose n states are the active
-    states of `m`; below, state s means the s-th of them. Two prefix phases
-    read tick and action letters (never suffix letters) and track whether
-    the last letter read was a tick; a silent jump, allowed only when it was
-    not, follows any path of `letter` edges into the suffix phase, which
-    admits suffix letters only. The jump must swallow the whole separating
-    run, because a leftover tick before the suffix block has nowhere to be
-    read. It lands only on states with a suffix letter: the suffix phase of
-    any other state it could reach has no letter to read, and a prefix
-    state whose jump can reach a final is final itself (the empty suffix
-    block).
+    Two prefix phases read tick and action letters (never suffix letters)
+    and track whether the last letter read was a tick; a jump, allowed only
+    when it was not, follows any path of `letter` edges into the suffix
+    phase, which admits suffix letters only. The jump must swallow the whole
+    separating run, because a leftover tick before the suffix block has
+    nowhere to be read. It lands only on states with a suffix letter: the
+    suffix phase of any other state it could reach has no letter to read,
+    and a prefix state whose jump can reach a final is final itself (the
+    empty suffix block).
 
-    State numbering: 2s is state s in the prefix phase after a non-tick
-    letter (or before any letter), 2s + 1 after a tick. The suffix phase
-    exists only for the states it can reach, the states with a suffix
+    State numbering: 2s is state s of `m` in the prefix phase after a
+    non-tick letter (or before any letter), 2s + 1 after a tick. The suffix
+    phase exists only for the states it can reach, the states with a suffix
     letter and what they reach by suffix-letter moves; they are numbered
     from 2n on, in increasing order for the states with a suffix letter,
     then in the order a worklist finds the rest. So without suffix letters
     the result has 2n states.
 
-    The jumps are the result's only silent edges, and a jump lands on a
-    state with a letter edge, so every closure row is known here: the state
-    itself if it is active, plus its jump landings. The result carries that
-    table (`NFA.closures`), and no reachability pass runs over it.
+    The jumps are not edges of the result: the set that stands for 2s (in
+    the initial set and in the targets of non-tick letters) also holds the
+    jump landings of s. The sets hold no state that can neither read nor
+    accept: 2s is in them only if s has a non-suffix letter or 2s is final,
+    2s + 1 only if s has a non-suffix letter, and suffix[s] only if s has a
+    suffix letter or is final.
 
     The final classes of `m` (`NFA.final_classes`) carry over: one jump
     table, which lands on the finals of every class, gives each class its
     image, and the result's views are the stripped languages of `m`'s
     views. A jump onto a final of another class is a dead end in a view.
     """
-    m = silent_free(m)
     n = m.n_states
     finals = m.finals.union(*m.final_classes)
     ready = [not suffix_letters.isdisjoint(d) for d in m.trans]
@@ -459,47 +408,45 @@ def strip_ticks_before_suffix(m: NFA, suffix_letters: frozenset[str], letter: st
 
     stripped_finals = image(finals)
     empty = frozenset()
-    eps = []
+    # the sets that stand for 2s, 2s + 1 and suffix[s] when a letter enters them
+    enter, enter_tick = [], []
+    for s in range(n):
+        landings = frozenset([suffix[j] for j in jump[s] if ready[j]])
+        reads = not suffix_letters.issuperset(m.trans[s])  # both prefix phases read a letter
+        enter.append(landings | {2 * s} if reads or 2 * s in stripped_finals else landings)
+        enter_tick.append(frozenset([2 * s + 1]) if reads else empty)
+    enter_suffix = {s: frozenset([i]) if ready[s] or s in finals else empty for s, i in suffix.items()}
+
     trans: list[dict[str, frozenset[int]]] = []
-    closures = []
     for s in range(n):
         moves = {}  # both prefix phases read the same letters into the same targets
         for a, succs in m.trans[s].items():
             if a not in suffix_letters:
-                tick = a == letter
-                moves[a] = frozenset([2 * j + tick for j in succs])
-        landings = frozenset([suffix[j] for j in jump[s] if ready[j]])
-        eps += (landings, empty)
+                t = _union(enter_tick if a == letter else enter, succs)
+                if t:
+                    moves[a] = t
         trans += (moves, moves)
-        closures.append(landings | {2 * s} if moves or 2 * s in stripped_finals else landings)
-        closures.append(frozenset([2 * s + 1]) if moves else empty)
     for s in suffix:  # in id order
-        moves = {a: frozenset(suffix[j] for j in succs) for a, succs in m.trans[s].items() if a in suffix_letters}
-        eps.append(empty)
+        moves = {}
+        for a, succs in m.trans[s].items():
+            if a in suffix_letters:
+                t = _union(enter_suffix, succs)
+                if t:
+                    moves[a] = t
         trans.append(moves)
-        closures.append(frozenset([suffix[s]]) if moves or s in finals else empty)
 
-    out = NFA(
+    return NFA(
         alphabet=m.alphabet,
-        n_states=len(eps),
-        initial=frozenset(2 * s for s in m.initial),
+        n_states=len(trans),
+        initial=_union(enter, m.initial),
         finals=stripped_finals,
-        eps=eps,
         trans=trans,
         final_classes=tuple(image(c) for c in m.final_classes),
     )
-    out._tables.closures = closures
-    return out
 
 
 # ---------------------------------------------------------------------------
 # Boolean reachability matrices (rows as integer bitsets)
-
-
-def eps_closure_matrix(m: NFA) -> list[int]:
-    """Rows of the silent closure, active states only (enough to sandwich
-    letter matrices and test acceptance)."""
-    return [_bitset(c) for c in m.closures()]
 
 
 def letter_matrix(m: NFA, letter: str) -> list[int]:

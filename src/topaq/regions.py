@@ -13,7 +13,7 @@ Every constraint is then an inclusive interval of codes: `x<b` is [0, 2b-1],
 The fractional order is a per-clock rank: 0 for an integral or above clock,
 and 1, 2, ... for the classes of equal nonzero fraction, ascending. A clock
 region is an interned (codes, ranks) pair and a region a (location id,
-clock-region id) pair. The `RegionAutomaton` it returns holds the NFA arrays
+clock-region id) pair. The `RegionAutomaton` it returns holds the edge arrays
 and the int states; `ClockRegion`, `Region` and `RAEdge` objects are decoded
 from them only when read. The object operations on `ClockRegion` serve the
 event-recording engine and the concrete-valuation helpers.
@@ -241,12 +241,13 @@ class RegionAutomaton:
     """Reachable region automaton, as the compiled builder emits it.
 
     States are numbered 0..n_states-1 in breadth-first order, state 0
-    initial. `eps`, `trans`, `letters` and `final_ids` are the arrays of its
-    NFA view (`nfa.from_region_automaton`). The out-edges of state i are the
-    edge ids `edge_ids(i)`, in build order, edge k entering state
-    `edge_target[k]`. `region(i)` and `edge(k)` decode one `Region` or
-    `RAEdge`; `states`, `initial`, `finals`, `edges` and `out_edges` decode
-    them all on first access.
+    initial. `eps`, `trans`, `letters` and `final_ids` are its graph of
+    silent and letter edges, which `nfa.from_region_automaton` turns into a
+    silent-free NFA. The out-edges of state i are the edge ids
+    `edge_ids(i)`, in build order, edge k entering state `edge_target[k]`.
+    `region(i)` and `edge(k)` decode one `Region` or `RAEdge`; `states`,
+    `initial`, `finals`, `edges` and `out_edges` decode them all on first
+    access.
     """
 
     alphabet: frozenset[str]
@@ -452,7 +453,7 @@ def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None) -> Reg
     location. Delay edges are single-step time-successors; unbounded regions
     carry the silent self-loop. The search is breadth-first over int-coded
     regions, each region's edges in declaration order and then its delay
-    edge, and it writes the NFA arrays as it goes.
+    edge, and it writes the edge arrays as it goes.
     """
     cap = region_cap(cap)
     maxc = ta.max_constants()

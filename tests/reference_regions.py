@@ -2,9 +2,10 @@
 differential tests.
 
 This is the object breadth-first search that `topaq.regions` ran before
-its compiled integer builder, with the matching NFA conversion.
-`build_region_automaton` must agree with it: the same numbered states,
-the same edges in the same order, the same finals, and an identical NFA.
+its compiled integer builder, with the matching graph of silent and
+letter edges. `build_region_automaton` must agree with it: the same
+numbered states, the same edges in the same order, the same finals, the
+same edge arrays and an identical NFA.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from topaq.nfa import NFA
+from topaq.nfa import NFA, silent_free
 from topaq.regions import (
     RAEdge,
     Region,
@@ -95,9 +96,10 @@ def reference_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None) ->
     return ReferenceRegions(ta.actions, tuple(states), initial, finals, edges, maxc, ta.time_domain)
 
 
-def reference_nfa(ra: ReferenceRegions) -> NFA:
-    """NFA view of a reference region automaton, numbering region i as
-    state i: delay edges and ε-labelled action edges become silent."""
+def reference_graph(ra: ReferenceRegions):
+    """(letters, initial, finals, eps, trans) of a reference region
+    automaton, numbering region i as state i: delay edges and ε-labelled
+    action edges are silent (`eps`), the others letter edges (`trans`)."""
     index = {r: i for i, r in enumerate(ra.states)}
     eps: list[frozenset[int]] = []
     trans: list[dict[str, frozenset[int]]] = []
@@ -114,11 +116,9 @@ def reference_nfa(ra: ReferenceRegions) -> NFA:
         trans.append({a: frozenset(v) for a, v in moves.items()})
         letters.update(moves)
     initial = frozenset([index[ra.initial]]) if ra.initial is not None else frozenset()
-    return NFA(
-        alphabet=tuple(sorted(letters)),
-        n_states=len(ra.states),
-        initial=initial,
-        finals=frozenset(index[r] for r in ra.finals),
-        eps=eps,
-        trans=trans,
-    )
+    return tuple(sorted(letters)), initial, frozenset(index[r] for r in ra.finals), eps, trans
+
+
+def reference_nfa(ra: ReferenceRegions) -> NFA:
+    """Silent-free NFA of a reference region automaton."""
+    return silent_free(*reference_graph(ra))

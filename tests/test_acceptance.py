@@ -251,15 +251,17 @@ def test_criterion_9_region_count_bounds():
                 * 2 ** n_clocks
                 * (n + n_clocks + 1) ** n_clocks
             )
-            m = from_region_automaton(build_region_automaton(tick_construction(base, n)))
-            # the NFA's closed sets keep only active states; bound the full ones
-            full = _reach_table(m.eps, [True] * m.n_states)
+            ra = build_region_automaton(tick_construction(base, n))
+            m = from_region_automaton(ra)
+            # the NFA's sets keep only active states; bound the full closures
+            # of the region graph along the same words
+            full = _reach_table(ra.eps, [True] * ra.n_states)
             for word in sorted(m.language_upto(8))[:40]:
                 visited = set()
-                states = frozenset().union(*(full[s] for s in m.initial))
+                states = full[0]
                 visited |= states
                 for letter in word:
-                    raw = [t for s in states for t in m.trans[s].get(letter, ())]
+                    raw = [t for s in states for t in ra.trans[s].get(letter, ())]
                     states = frozenset().union(*(full[t] for t in raw))
                     visited |= states
                 assert len(visited) <= bound_b, f"word {word} visited {len(visited)} > B={bound_b}"

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -155,9 +154,10 @@ class TestTickConstruction:
         ticked = tick_construction(memo, n, memo_classes(memo))
         assert ticked.final == {"gadget1" + tag for tag in MEMO_TAGS}
         ra = build_region_automaton(ticked)
-        m = from_region_automaton(ra)
-        for tag, part in zip(MEMO_TAGS, (build_priv(ta), build_pub(ta))):
-            view = replace(m, finals=frozenset(i for i, r in enumerate(ra.states) if r.location == "gadget1" + tag))
+        classes = tuple(frozenset(i for i, r in enumerate(ra.states) if r.location == "gadget1" + tag)
+                        for tag in MEMO_TAGS)
+        views = from_region_automaton(ra, classes).views()
+        for view, part in zip(views, (build_priv(ta), build_pub(ta))):
             reference = from_region_automaton(build_region_automaton(tick_construction(part, n)))
             assert check_inclusion(view, reference).holds
             assert check_inclusion(reference, view).holds

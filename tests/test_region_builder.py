@@ -1,6 +1,7 @@
 """The compiled region builder against the object search of
 `reference_regions`: the same numbered states, edges and finals, the same
-NFA, the same exports, shortest accepting paths and cap behaviour."""
+edge arrays and NFA, the same exports, shortest accepting paths and cap
+behaviour."""
 
 import random
 import warnings
@@ -11,7 +12,7 @@ import pytest
 
 from conftest import fig1_ta, random_discrete_ta
 from reference_languages import first_n_instance
-from reference_regions import reference_nfa, reference_region_automaton
+from reference_regions import reference_graph, reference_nfa, reference_region_automaton
 from topaq.constructions import build_memo, build_priv, build_pub, memo_classes, product
 from topaq.deciders import _shortest_accepting_path, check_opacity, dense_time
 from topaq.export import region_automaton_to_dot, region_automaton_to_json
@@ -55,6 +56,9 @@ def assert_same(ta):
     assert ra.edges == ref.edges
     for r in ref.states:
         assert ra.out_edges(r) == ref.out_edges(r)
+    letters, initial, finals, eps, trans = reference_graph(ref)
+    assert (ra.letters, ra.final_ids, ra.eps, ra.trans) == (letters, finals, eps, trans)
+    assert initial == (frozenset([0]) if ra.n_states else frozenset())
     assert from_region_automaton(ra) == reference_nfa(ref)
     assert _shortest_accepting_path(ra) == reference_path(ref)
     return ra, ref
