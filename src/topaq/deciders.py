@@ -30,12 +30,10 @@ from .regions import (
     RegionCapExceeded,
     TICK_LETTER,
     _canonical_delay,
+    _Compiled,
     augment_ticks,
     build_region_automaton,
-    clock_region_of,
     concretize_region_path,
-    dense_delay_successor,
-    discrete_delay_successor,
     force_integer_actions,
     region_cap,
     tick_decode,
@@ -283,6 +281,8 @@ def language_inclusion_discrete(a: TimedAutomaton, b: TimedAutomaton, cap: Optio
 # ---------------------------------------------------------------------------
 # Observable event-recording engine
 
+_PRIV, _PUB = 1, 2  # final tags of the visited and the not-yet copy
+
 
 def _check_oera(ta: TimedAutomaton, mode: str, cap: Optional[int]) -> Verdict:
     """Macro-state search on the memo automaton.
@@ -298,60 +298,69 @@ def _check_oera(ta: TimedAutomaton, mode: str, cap: Optional[int]) -> Verdict:
     Acceptance evidence is per trace, so the violation test runs on every
     arrival (entry hits plus the silent/delay closure of the target node),
     while node deduplication only limits expansion.
+
+    A node is a clock-region id of the compiled memo automaton
+    (`regions._Compiled`) and a frozenset of location ids: a guard or an
+    invariant holds when its bit of `sat[cr]` is set, a letter's reset is
+    `after(cr, m)` with m the mask id of its edges, and the delay successor
+    is `after(cr, 1)`, which is `cr` itself when the region is unbounded.
     """
     memo = build_memo(ta)
-    maxc = memo.max_constants()
-    successor = discrete_delay_successor if memo.time_domain == "discrete" else dense_delay_successor
+    code = _Compiled(memo, memo.max_constants())
     limit = region_cap(cap)
+    sat, inv, moves, after = code.sat, code.inv, code.moves, code.after
 
     clock_of = {}
     for e in memo.edges:
         if e.action is not EPSILON:
             (clock_of[e.action],) = e.resets
 
-    def tag(loc: str) -> Optional[str]:
-        if loc in memo.final:
-            return "S" if loc.endswith(S_TAG) else "nS"
-        return None
+    # per location id: its final tag (0 if not final) and its silent moves
+    tag = [(_PRIV if name.endswith(S_TAG) else _PUB) if final else 0 for name, final in zip(code.names, code.final)]
+    silent = [[(g, inv_t, t) for g, _, inv_t, t, label, k in out if label is EPSILON and k >= 0] for out in moves]
 
-    def eps_close(cr, locs):
+    def delay(cr: int) -> Optional[int]:
+        nxt = after(cr, 1)
+        return None if nxt == cr else nxt
+
+    def eps_close(cr: int, locs) -> tuple[frozenset[int], int]:
         """Silent closure at a fixed clock region; returns the closed set of
         non-final locations plus the final tags hit on the way."""
+        ok = sat[cr]
         alive = set()
-        tags = set()
+        tags = 0
         todo = list(locs)
         seen = set(todo)
         while todo:
             loc = todo.pop()
-            t = tag(loc)
-            if t:
-                tags.add(t)
+            if tag[loc]:
+                tags |= tag[loc]
                 continue  # runs end at the first final location
             alive.add(loc)
-            for e in memo.edges_from(loc):
-                if e.action is EPSILON and e.target not in seen:
-                    if cr.satisfies_guard(e.guard) and cr.satisfies_guard(memo.invariant_of(e.target)):
-                        seen.add(e.target)
-                        todo.append(e.target)
-        return frozenset(alive), frozenset(tags)
+            for g, inv_t, t in silent[loc]:
+                if t not in seen and ok >> g & 1 and ok >> inv_t & 1:
+                    seen.add(t)
+                    todo.append(t)
+        return frozenset(alive), tags
 
-    def survivors(cr, locs):
-        return frozenset(l for l in locs if cr.satisfies_guard(memo.invariant_of(l)))
+    def survivors(cr: int, locs) -> frozenset[int]:
+        ok = sat[cr]
+        return frozenset(l for l in locs if ok >> inv[l] & 1)
 
-    closure_memo: dict[tuple, frozenset] = {}
+    closure_memo: dict[tuple, int] = {}
 
-    def closure_tags(node) -> frozenset:
+    def closure_tags(node) -> int:
         """Final tags reachable from the node via delays and silent moves."""
         if node in closure_memo:
             return closure_memo[node]
-        tags = set()
+        tags = 0
         seen = {node}
         todo = [node]
         while todo:
             c, ls = todo.pop()
             ls2, tg = eps_close(c, ls)
             tags |= tg
-            succ = successor(c, maxc)
+            succ = delay(c)
             if succ is None:
                 continue
             ls3 = survivors(succ, ls2)
@@ -361,21 +370,20 @@ def _check_oera(ta: TimedAutomaton, mode: str, cap: Optional[int]) -> Verdict:
             if nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)
-        result = frozenset(tags)
-        closure_memo[node] = result
-        return result
+        closure_memo[node] = tags
+        return tags
 
-    def violation(tags: frozenset) -> Optional[str]:
-        if "S" in tags and "nS" not in tags:
+    def violation(tags: int) -> Optional[str]:
+        if tags == _PRIV:
             return "priv-not-pub"
-        if mode == "full" and "nS" in tags and "S" not in tags:
+        if mode == "full" and tags == _PUB:
             return "pub-not-priv"
         return None
 
-    init_cr = clock_region_of(memo.zero_valuation(), maxc)
-    if not init_cr.satisfies_guard(memo.invariant_of(memo.init)):
+    init_cr = code.intern((0,) * len(code.clocks), (0,) * len(code.clocks))
+    if not sat[init_cr] >> inv[code.start] & 1:
         return Verdict(True, note="empty language")
-    start_locs, seed_tags = eps_close(init_cr, [memo.init])
+    start_locs, seed_tags = eps_close(init_cr, [code.start])
     start = (init_cr, start_locs)
     side = violation(seed_tags | closure_tags(start))
     if side is not None:
@@ -387,34 +395,31 @@ def _check_oera(ta: TimedAutomaton, mode: str, cap: Optional[int]) -> Verdict:
         node = queue.popleft()
         cr, locs = node
         # delay successor: no new trace, so no violation check needed here
-        succ = successor(cr, maxc)
+        succ = delay(cr)
         if succ is not None:
             closed, _ = eps_close(succ, survivors(succ, locs))
             nxt = (succ, closed)
             if closed and nxt not in parents:
                 parents[nxt] = (node, "delay", None)
                 queue.append(nxt)
-        for letter in sorted(a for a in memo.actions if a in clock_of):
-            targets = set()
-            direct_tags = set()
-            for loc in locs:
-                for e in memo.edges_from(loc):
-                    if e.action != letter or not cr.satisfies_guard(e.guard):
-                        continue
-                    cr2 = cr.reset(e.resets)
-                    if not cr2.satisfies_guard(memo.invariant_of(e.target)):
-                        continue
-                    t = tag(e.target)
-                    if t:
-                        direct_tags.add(t)
-                    else:
-                        targets.add(e.target)
-            if not targets and not direct_tags:
+        ok = sat[cr]
+        enabled: dict[str, tuple[int, list]] = {}  # letter -> (mask id, [(target invariant, target)])
+        for loc in locs:
+            for g, m, inv_t, t, label, _ in moves[loc]:
+                if label is not EPSILON and ok >> g & 1:
+                    enabled.setdefault(label, (m, []))[1].append((inv_t, t))
+        for letter in sorted(enabled):
+            m, hits = enabled[letter]
+            cr2 = after(cr, m)
+            ok2 = sat[cr2]
+            entered = [t for inv_t, t in hits if ok2 >> inv_t & 1]
+            if not entered:
                 continue
-            cr2 = cr.reset(frozenset({clock_of[letter]}))
-            closed, _ = eps_close(cr2, targets)
+            # `hit` holds the tags of the finals entered directly; the rest
+            # of it is also in the closure tags of `nxt`
+            closed, hit = eps_close(cr2, entered)
             nxt = (cr2, closed)
-            side = violation(frozenset(direct_tags) | closure_tags(nxt))
+            side = violation(hit | closure_tags(nxt))
             if side is not None:
                 word = _oera_witness(memo, clock_of, parents, node, letter)
                 return Verdict(False, witness=word, side=side)

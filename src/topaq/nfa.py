@@ -4,11 +4,13 @@ Everything downstream of the region construction is plain NFA work on
 silent-free automata with states numbered 0..n-1 and state sets as
 frozensets:
 
-- Silent moves are read in one place. `silent_free` turns a raw silent
-  graph (the arrays of a region automaton, `from_region_automaton`) into an
-  NFA whose states are the active states of the graph: a state is active if
-  it has a letter edge or is final. Each letter edge lands on the closed set
-  of its target, the active states it reaches silently, and the initial set
+- Silent moves are read in one place, the conversion.
+  `from_region_automaton` reads a region automaton's edge arrays into
+  per-state silent and letter successors, which exist only for the
+  conversion, and `silent_free` turns that raw graph into an NFA whose
+  states are the active states of the graph: a state is active if it has
+  a letter edge or is final. Each letter edge lands on the closed set of
+  its target, the active states it reaches silently, and the initial set
   is closed the same way. The future of a closed set (its letter steps and
   whether it accepts) depends only on its active members, so dropping the
   others changes no language, verdict or counterexample; it only makes the
@@ -228,12 +230,29 @@ def silent_free(alphabet: tuple[str, ...], initial: Collection[int], finals: fro
 
 
 def from_region_automaton(ra: RegionAutomaton, final_classes: tuple[frozenset[int], ...] = ()) -> NFA:
-    """Silent-free NFA of a region automaton: `silent_free` of the arrays the
-    builder emits, where delay edges and ε-labelled action edges are silent
-    and the alphabet is the set of letters on real edges. Region i is state
-    i of that graph, so `final_classes` are sets of region ids."""
+    """Silent-free NFA of a region automaton: `silent_free` of the graph in
+    its edge arrays, where an edge is silent when it is a delay
+    (`_edge_ta` -1) or its automaton edge is ε-labelled, and the alphabet
+    is the set of letters on the other edges. Region i is state i of that
+    graph, so `final_classes` are sets of region ids."""
+    labels = [e.action for e in ra._code.edges] + [None]  # [-1]: a delay edge
+    target, start, through = ra.edge_target, ra._edge_start, ra._edge_ta
+    no_moves: dict[str, frozenset[int]] = {}  # shared by the states without letter edges
+    eps: list[list[int]] = []
+    trans: list[dict[str, frozenset[int]]] = []
+    for i in range(ra.n_states):
+        silent: list[int] = []
+        moves: dict[str, list[int]] = {}
+        for k in range(start[i], start[i + 1]):
+            a = labels[through[k]]
+            if a is None:
+                silent.append(target[k])
+            else:
+                moves.setdefault(a, []).append(target[k])
+        eps.append(silent)
+        trans.append({a: frozenset(v) for a, v in moves.items()} if moves else no_moves)
     initial = frozenset([0]) if ra.n_states else frozenset()
-    return silent_free(ra.letters, initial, ra.final_ids, ra.eps, ra.trans, final_classes)
+    return silent_free(ra.letters, initial, ra.final_ids, eps, trans, final_classes)
 
 
 def merge_alphabets(*nfas: NFA) -> tuple[str, ...]:

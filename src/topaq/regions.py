@@ -13,10 +13,11 @@ Every constraint is then an inclusive interval of codes: `x<b` is [0, 2b-1],
 The fractional order is a per-clock rank: 0 for an integral or above clock,
 and 1, 2, ... for the classes of equal nonzero fraction, ascending. A clock
 region is an interned (codes, ranks) pair and a region a (location id,
-clock-region id) pair. The `RegionAutomaton` it returns holds the edge arrays
-and the int states; `ClockRegion`, `Region` and `RAEdge` objects are decoded
-from them only when read. The object operations on `ClockRegion` serve the
-event-recording engine and the concrete-valuation helpers.
+clock-region id) pair. The `RegionAutomaton` it returns holds its graph
+only as edge arrays over the int states; `ClockRegion`, `Region` and `RAEdge`
+objects are decoded from them only when read. The event-recording engine
+runs on the same compiled clock regions (`_Compiled`), so `ClockRegion`
+only decodes, describes and compares regions of concrete valuations.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -66,7 +67,7 @@ class BadRegionCap(ValueError):
 
 def region_cap(explicit: Optional[int] = None) -> int:
     if explicit is not None:
-        if not isinstance(explicit, int) or explicit < 1:
+        if isinstance(explicit, bool) or not isinstance(explicit, int) or explicit < 1:
             raise BadRegionCap(explicit, "cap")
         return explicit
     env = os.environ.get(REGION_CAP_ENV)
@@ -95,65 +96,14 @@ class ClockRegion:
     above: frozenset[str]
     blocks: tuple[frozenset[str], ...]
     zero_first: bool
-    _ip: Optional[dict[str, int]] = field(default=None, init=False, repr=False, compare=False)
-
-    def ipart_map(self) -> dict[str, int]:
-        """`ipart` as a dict, built once per region; callers must not mutate it."""
-        ip = self._ip
-        if ip is None:
-            ip = dict(self.ipart)
-            object.__setattr__(self, "_ip", ip)
-        return ip
-
-    def is_unbounded(self) -> bool:
-        return not self.ipart
 
     def frac_is_zero(self, clock: str) -> bool:
         return self.zero_first and bool(self.blocks) and clock in self.blocks[0]
 
-    def satisfies(self, constraint: ClockConstraint) -> bool:
-        """Uniform truth over the region; needs bound <= M(clock), which holds
-        for every constraint of the automaton the region was built for."""
-        x, cmp, d = constraint.clock, constraint.cmp, constraint.bound
-        if x in self.above:
-            return cmp in (">", ">=")
-        k = self.ipart_map()[x]
-        if self.frac_is_zero(x):
-            return constraint.holds(k)
-        # value ranges over the open interval (k, k+1)
-        if cmp in ("<", "<="):
-            return k + 1 <= d
-        if cmp in (">", ">="):
-            return d <= k
-        return False  # "=": never uniform on an open interval
-
-    def satisfies_guard(self, guard: Guard) -> bool:
-        for c in guard.conjuncts:
-            if not self.satisfies(c):
-                return False
-        return True
-
-    def reset(self, clocks: frozenset[str]) -> "ClockRegion":
-        if not clocks:
-            return self
-        ip = dict(self.ipart)
-        for x in clocks:
-            ip[x] = 0
-        old_zero = self.blocks[0] if self.zero_first else frozenset()
-        zero = frozenset(old_zero | clocks)
-        frac_blocks = []
-        for b in self.blocks[1 if self.zero_first else 0:]:
-            kept = b - clocks
-            if kept:
-                frac_blocks.append(frozenset(kept))
-        return ClockRegion(
-            tuple(sorted(ip.items())), self.above - clocks, (zero,) + tuple(frac_blocks), True
-        )
-
     def describe(self, maxc: Mapping[str, int]) -> str:
         """Canonical constraint string, e.g. `x>2, z=0`."""
         parts = []
-        ip = self.ipart_map()
+        ip = dict(self.ipart)
         for x in sorted(ip):
             k = ip[x]
             parts.append(f"{x}={k}" if self.frac_is_zero(x) else f"{k}<{x}<{k + 1}")
@@ -184,44 +134,6 @@ def clock_region_of(valuation: Mapping[str, Fraction], maxc: Mapping[str, int]) 
     return ClockRegion(tuple(ipart), frozenset(above), blocks, zero_first)
 
 
-def dense_delay_successor(cr: ClockRegion, maxc: Mapping[str, int]) -> Optional[ClockRegion]:
-    """The adjacent time-successor region, or None for unbounded regions."""
-    if cr.is_unbounded():
-        return None
-    ip = cr.ipart_map()
-    if cr.zero_first:
-        # the zero-fraction block moves into the open: clocks at their maximum
-        # constant go above, the rest become the new smallest fractional block
-        zero = cr.blocks[0]
-        going_above = frozenset(x for x in zero if ip[x] == maxc[x])
-        staying = zero - going_above
-        nip = tuple(sorted((x, k) for x, k in ip.items() if x not in going_above))
-        nblocks = ((frozenset(staying),) if staying else ()) + cr.blocks[1:]
-        return ClockRegion(nip, cr.above | going_above, nblocks, False)
-    # no zero block: the largest fractional block reaches the next integer,
-    # which is at most M for each of its clocks (a clock in (k, k+1) has k < M)
-    last = cr.blocks[-1]
-    nip = dict(ip)
-    for x in last:
-        nip[x] += 1
-    return ClockRegion(tuple(sorted(nip.items())), cr.above, (last,) + cr.blocks[:-1], True)
-
-
-def discrete_delay_successor(cr: ClockRegion, maxc: Mapping[str, int]) -> Optional[ClockRegion]:
-    """One time unit in discrete time: every clock value advances by 1."""
-    if cr.is_unbounded():
-        return None
-    nip = {}
-    above = set(cr.above)
-    for x, k in cr.ipart:
-        if k + 1 > maxc[x]:
-            above.add(x)
-        else:
-            nip[x] = k + 1
-    blocks = (frozenset(nip),) if nip else ()
-    return ClockRegion(tuple(sorted(nip.items())), frozenset(above), blocks, bool(nip))
-
-
 @dataclass(frozen=True)
 class Region:
     location: str
@@ -241,11 +153,14 @@ class RegionAutomaton:
     """Reachable region automaton, as the compiled builder emits it.
 
     States are numbered 0..n_states-1 in breadth-first order, state 0
-    initial. `eps`, `trans`, `letters` and `final_ids` are its graph of
-    silent and letter edges, which `nfa.from_region_automaton` turns into a
-    silent-free NFA. The out-edges of state i are the edge ids
-    `edge_ids(i)`, in build order, edge k entering state `edge_target[k]`.
-    `region(i)` and `edge(k)` decode one `Region` or `RAEdge`; `states`,
+    initial, and `final_ids` are the final ones. The graph lives only in
+    the edge arrays: the out-edges of state i are the edge ids
+    `edge_ids(i)`, in build order, edge k entering state `edge_target[k]`
+    through the automaton's edge `_edge_ta[k]`, or through a delay when that
+    is -1. Delay edges and ε-labelled action edges are silent, and `letters`
+    are the sorted labels of the others; `nfa.from_region_automaton` reads
+    the arrays into a silent-free NFA. `region(i)` and `edge(k)` decode one
+    `Region` or `RAEdge`; `states`,
     `initial`, `finals`, `edges` and `out_edges` decode them all on first
     access.
     """
@@ -253,8 +168,6 @@ class RegionAutomaton:
     alphabet: frozenset[str]
     max_constants: dict[str, int]
     time_domain: str
-    eps: list[frozenset[int]]  # per-state silent successors
-    trans: list[dict[str, frozenset[int]]]  # per-state lettered successors
     letters: tuple[str, ...]  # sorted letters of the lettered edges
     final_ids: frozenset[int]
     edge_target: array
@@ -265,7 +178,7 @@ class RegionAutomaton:
 
     @property
     def n_states(self) -> int:
-        return len(self.eps)
+        return len(self._keys)
 
     def location_of(self, i: int) -> str:
         return self._code.names[self._keys[i] % len(self._code.names)]
@@ -325,6 +238,8 @@ class _Compiled:
     a clock region satisfies are the AND of its clocks' rows, one bitmask
     (`sat`) per clock region. Mask id 0 is no reset, mask id 1 the delay
     successor, and the others the edges' reset masks; `after` applies one.
+    The region builder and the event-recording engine
+    (`deciders._check_oera`) both run on it.
     """
 
     def __init__(self, ta: TimedAutomaton, maxc: Mapping[str, int]):
@@ -469,9 +384,6 @@ def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None) -> Reg
         keys.append(init * n_locs + code.start)
         if code.final[code.start]:
             finals.append(0)
-    eps: list[frozenset[int]] = []
-    trans: list[dict[str, frozenset[int]]] = []
-    letters: set[str] = set()
     edge_start, edge_target, edge_ta = array("q", [0]), array("q"), array("q")
     moves, final, sat, after = code.moves, code.final, code.sat, code.after
     memo: dict[int, int] = {}  # clock region * n_masks + mask id -> clock region after it
@@ -479,11 +391,9 @@ def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None) -> Reg
     while i < len(keys):  # states are numbered in discovery order, so i is the queue head
         cr, loc = divmod(keys[i], n_locs)
         i += 1
-        silent: list[int] = []
-        lettered: dict[str, list[int]] = {}
         if not final[loc]:
             ok = sat[cr]
-            for g, m, inv, t, label, k in moves[loc]:
+            for g, m, inv, t, _, k in moves[loc]:
                 if not ok >> g & 1:
                     continue
                 if m:
@@ -508,19 +418,13 @@ def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None) -> Reg
                         finals.append(j)
                 edge_target.append(j)
                 edge_ta.append(k)
-                if label is None:
-                    silent.append(j)
-                else:
-                    lettered.setdefault(label, []).append(j)
-        eps.append(frozenset(silent))
-        trans.append({a: frozenset(v) for a, v in lettered.items()})
-        letters.update(lettered)
         edge_start.append(len(edge_target))
 
     if len(keys) > _state_bound(len(ta.locations), maxc.values()):
         raise RuntimeError(f"{len(keys)} reachable regions exceed the theoretical bound")
-    return RegionAutomaton(ta.actions, maxc, ta.time_domain, eps, trans, tuple(sorted(letters)),
-                           frozenset(finals), edge_target, edge_start, edge_ta, keys, code)
+    letters = {ta.edges[k].action for k in set(edge_ta) if k >= 0} - {EPSILON}
+    return RegionAutomaton(ta.actions, maxc, ta.time_domain, tuple(sorted(letters)), frozenset(finals),
+                           edge_target, edge_start, edge_ta, keys, code)
 
 
 def region_state_bound(ta: TimedAutomaton) -> int:

@@ -7,6 +7,7 @@ import warnings
 from fractions import Fraction as F
 
 from conftest import fig1_ta, nfa_accepts_expanded, oera_pair_ta, random_discrete_ta
+from reference_regions import graph_of
 from topaq.constructions import (
     build_priv,
     build_pub,
@@ -255,13 +256,14 @@ def test_criterion_9_region_count_bounds():
             m = from_region_automaton(ra)
             # the NFA's sets keep only active states; bound the full closures
             # of the region graph along the same words
-            full = _reach_table(ra.eps, [True] * ra.n_states)
+            _, _, _, eps, trans = graph_of(ra)
+            full = _reach_table(eps, [True] * ra.n_states)
             for word in sorted(m.language_upto(8))[:40]:
                 visited = set()
                 states = full[0]
                 visited |= states
                 for letter in word:
-                    raw = [t for s in states for t in ra.trans[s].get(letter, ())]
+                    raw = [t for s in states for t in trans[s].get(letter, ())]
                     states = frozenset().union(*(full[t] for t in raw))
                     visited |= states
                 assert len(visited) <= bound_b, f"word {word} visited {len(visited)} > B={bound_b}"

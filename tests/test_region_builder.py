@@ -1,20 +1,28 @@
 """The compiled region builder against the object search of
 `reference_regions`: the same numbered states, edges and finals, the same
 edge arrays and NFA, the same exports, shortest accepting paths and cap
-behaviour."""
+behaviour. The event-recording engine against its object reference: the
+same verdicts, witnesses, sides, notes and cap refusals."""
 
 import random
 import warnings
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from conftest import fig1_ta, random_discrete_ta
+from conftest import fig1_ta, oera_pair_ta, random_discrete_ta
 from reference_languages import first_n_instance
-from reference_regions import reference_graph, reference_nfa, reference_region_automaton
+from reference_regions import (
+    graph_of,
+    reference_check_oera,
+    reference_graph,
+    reference_nfa,
+    reference_region_automaton,
+)
 from topaq.constructions import build_memo, build_priv, build_pub, memo_classes, product
-from topaq.deciders import _shortest_accepting_path, check_opacity, dense_time
+from topaq.deciders import _shortest_accepting_path, check_opacity, dense_time, is_oera
 from topaq.export import region_automaton_to_dot, region_automaton_to_json
 from topaq.model import parse_model
 from topaq.nfa import from_region_automaton
@@ -57,8 +65,8 @@ def assert_same(ta):
     for r in ref.states:
         assert ra.out_edges(r) == ref.out_edges(r)
     letters, initial, finals, eps, trans = reference_graph(ref)
-    assert (ra.letters, ra.final_ids, ra.eps, ra.trans) == (letters, finals, eps, trans)
-    assert initial == (frozenset([0]) if ra.n_states else frozenset())
+    assert graph_of(ra) == (letters, initial, finals, eps, trans)
+    assert ra.letters == letters
     assert from_region_automaton(ra) == reference_nfa(ref)
     assert _shortest_accepting_path(ra) == reference_path(ref)
     return ra, ref
@@ -126,6 +134,70 @@ def test_random_oeras():
         assert_same(build_memo(ta))
 
 
+def oera_outcome(engine, ta, mode, cap=None):
+    """(holds, witness, side, note) of an event-recording check, or
+    ("cap", cap) when it refuses at the region cap."""
+    try:
+        v = engine(ta, mode, cap)
+    except RegionCapExceeded as exc:
+        return "cap", exc.cap
+    return v.holds, v.witness, v.side, v.note
+
+
+def compiled_oera(ta, mode, cap=None):
+    return check_opacity(ta, mode, engine="oera", cap=cap)
+
+
+def assert_same_oera(ta, cap=None):
+    """Both engines, weak and full, give the same outcome; returns the full one."""
+    assert is_oera(ta)
+    for mode in ("weak", "full"):
+        got = oera_outcome(compiled_oera, ta, mode, cap)
+        assert got == oera_outcome(reference_check_oera, ta, mode, cap), (ta, mode)
+    return got
+
+
+def test_oera_engine_matches_object_reference():
+    rng = random.Random(20261105)
+    sides = []
+    for _ in range(320):
+        ta = random_oera(rng)
+        sides.append(assert_same_oera(ta)[2])
+        sides.append(assert_same_oera(replace(ta, time_domain="discrete"))[2])
+    # holding, and violated on either side
+    assert min(sides.count(side) for side in (None, "priv-not-pub", "pub-not-priv")) >= 50
+
+
+def test_oera_hand_cases_match_object_reference():
+    pair = parse_model(next(p for p in MODELS if p.name == "oera-pair.ta").read_text())
+    holds, witness, side, _ = assert_same_oera(pair)
+    assert (holds, side) == (False, "priv-not-pub") and witness is not None
+    # the initial invariant fails
+    empty = make_ta(actions={"a"}, locations={"p", "q"}, init="p", final={"q"}, clocks={"xa"},
+                    invariant={"p": Guard.of(ClockConstraint("xa", ">", 0))},
+                    edges=[edge("p", "q", "a", resets={"xa"})])
+    assert assert_same_oera(empty) == (True, None, None, "empty language")
+    # the private a-edge's guard holds, but its target's invariant fails after the reset
+    blocked = make_ta(actions={"a", "b"}, locations={"p", "q", "r"}, init="p", private={"q"}, final={"q", "r"},
+                      clocks={"xa", "xb"}, invariant={"q": Guard.of(ClockConstraint("xb", "<=", 1))},
+                      edges=[edge("p", "q", "a", Guard.of(ClockConstraint("xb", ">=", 2)), {"xa"}),
+                             edge("p", "r", "b", resets={"xb"})])
+    assert assert_same_oera(blocked)[2] == "pub-not-priv"
+    assert check_opacity(blocked, "weak").holds
+
+
+def test_oera_cap_fires_at_the_same_node():
+    rng = random.Random(20261106)
+    subjects = [oera_pair_ta(True), oera_pair_ta(False)] + [random_oera(rng) for _ in range(150)]
+    refused = 0
+    for ta in subjects:
+        cap = 1
+        while assert_same_oera(ta, cap)[0] == "cap":  # up to the first cap that lets both finish
+            refused += 1
+            cap += 1
+    assert refused >= 40
+
+
 @pytest.mark.parametrize("path", MODELS, ids=[p.stem for p in MODELS])
 def test_models_and_their_exports(path):
     ta = parse_model(path.read_text())
@@ -161,9 +233,11 @@ def test_cap_fires_at_the_same_state():
     assert len(build_region_automaton(ta, n).states) == n
 
 
-@pytest.mark.parametrize("cap", [0, -5, 1.5])
+@pytest.mark.parametrize("cap", [0, -5, 1.5, True])
 def test_explicit_cap_must_be_a_positive_int(cap):
     with pytest.raises(BadRegionCap, match="^cap must be a positive integer"):
         check_opacity(fig1_ta("discrete"), "weak", cap=cap)
+    with pytest.raises(BadRegionCap, match="^cap must be a positive integer"):
+        check_opacity(oera_pair_ta(True), "weak", engine="oera", cap=cap)
     with pytest.raises(BadRegionCap):
         build_region_automaton(fig1_ta(), cap)

@@ -6,6 +6,7 @@ from typing import NamedTuple
 import pytest
 
 from conftest import fig1_ta, late_guard_ta
+from reference_regions import graph_of
 from topaq.constructions import MEMO_TAGS, build_memo, memo_classes
 from topaq.nfa import (
     NFA,
@@ -443,7 +444,8 @@ class TestRegularInclusion:
         suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
         views = strip_ticks_before_suffix(m, suffix, TICK_LETTER).views()
         for view, finals in zip(views, classes):
-            g = Graph(ra.letters, frozenset([0]), finals, ra.eps, ra.trans)
+            letters, initial, _, eps, trans = graph_of(ra)
+            g = Graph(letters, initial, finals, eps, trans)
             words = view.language_upto(7)
             assert words and words == dense_strip_ticks_before_suffix(g, suffix, TICK_LETTER).language_upto(7)
 
