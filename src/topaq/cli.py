@@ -1,14 +1,17 @@
 """Command-line front end: check / classify / export.
 
 The CLI only parses arguments and prints results: `check` hands its
-question to `deciders.decide` and prints the `Verdict` that comes back.
+question to `deciders.decide` and prints the `Verdict` that comes back, and
+`classify` prints what `deciders.applicable` says of the automaton.
 
 Exit codes: 0 the property holds, 1 violated (witness printed as a timed
-word with fractional timestamps), 2 refused (undecidable class, resource cap,
-or an inconclusive bounded search) with the reason, 3 usage or parse errors,
-a malformed TOPAQ_REGION_CAP and an out-of-range oracle bound, 4 an internal
-error (any other exception, reported with its traceback on stderr; never 1,
-which would claim a violation).
+word with fractional timestamps), 2 refused (undecidable class, an engine
+that does not decide the question, resource cap, or an inconclusive
+bounded search) with the reason, 3 usage or parse errors, a malformed
+TOPAQ_REGION_CAP, an out-of-range oracle bound and an oracle bound given
+without `--engine oracle`, 4 an internal error (any other exception,
+reported with its traceback on stderr; never 1, which would claim a
+violation).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import export
-from .deciders import UndecidableClass, decide, dense_time, is_oera, opacity_class
+from .deciders import UndecidableClass, applicable, decide, dense_time, is_oera
 from .model import ModelError, parse_model
 from .nfa import InclusionCapExceeded
 from .observers import Dynamic, FirstN, ObservationCapExceeded, Static, tick_construction
@@ -126,28 +129,16 @@ def _run_check(args) -> int:
 
 def _run_classify(args) -> int:
     ta = _load(args.file, args.scale)
-    eps = ta.has_epsilon_edges()
-    oera = is_oera(ta)
-    rung = opacity_class(ta)
+    deciders, refusal = applicable(ta)
     print(f"time domain: {ta.time_domain}")
     print(f"locations: {len(ta.locations)}")
     print(f"actions: {len(ta.actions)}")
     print(f"clocks: {len(ta.clocks)}")
-    print(f"epsilon transitions: {'yes' if eps else 'no'}")
-    print(f"observable ERA: {'yes' if oera else 'no'}")
+    print(f"epsilon transitions: {'yes' if ta.has_epsilon_edges() else 'no'}")
+    print(f"observable ERA: {'yes' if is_oera(ta) else 'no'}")
     print(f"region state bound: {region_state_bound(ta)}")
-    deciders = ["exists (region reachability)", "bounded attacker (first:N / static / dynamic)",
-                "oracle (bounded enumeration, semi-decision)"]
-    if rung == "discrete":
-        deciders.append("weak/full (discrete-time engine)")
-    if oera:  # also on a discrete-time automaton, where `auto` takes the discrete engine
-        deciders.append("weak/full (observable-ERA engine)")
-    if rung == "one-clock":
-        print("weak/full unbounded: decidable for one-clock automata without "
-              "silent edges but not primitive recursive; no exact engine here")
-    elif rung == "undecidable":
-        print("weak/full unbounded: undecidable for this class "
-              "(dense time, not an observable ERA)")
+    if refusal is not None:
+        print(f"weak/full unbounded: refused: {refusal}")
     print("applicable deciders: " + "; ".join(deciders))
     return EXIT_HOLDS
 

@@ -11,6 +11,7 @@ factor's run ends, and stops constraining time, the moment it accepts.
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 from .regions import fresh_name
@@ -36,18 +37,7 @@ def prune_final_exits(ta: TimedAutomaton) -> TimedAutomaton:
     edges = tuple(e for e in ta.edges if e.source not in ta.final)
     if len(edges) == len(ta.edges):
         return ta
-    return TimedAutomaton(
-        actions=ta.actions,
-        locations=ta.locations,
-        init=ta.init,
-        private=ta.private,
-        final=ta.final,
-        clocks=ta.clocks,
-        invariant=ta.invariant,
-        edges=edges,
-        time_domain=ta.time_domain,
-        name=ta.name,
-    )
+    return replace(ta, edges=edges)
 
 
 def build_pub(ta: TimedAutomaton) -> TimedAutomaton:
@@ -124,18 +114,7 @@ def build_memo(ta: TimedAutomaton) -> TimedAutomaton:
     """Same language as `ta`, with the visited-private bit stored in the
     location: the private-runs automaton with the not-yet finals restored."""
     pv = build_priv(ta)
-    return TimedAutomaton(
-        actions=pv.actions,
-        locations=pv.locations,
-        init=pv.init,
-        private=pv.private,
-        final=pv.final | frozenset(l + NS_TAG for l in ta.final),
-        clocks=pv.clocks,
-        invariant=pv.invariant,
-        edges=pv.edges,
-        time_domain=pv.time_domain,
-        name=f"{ta.name}_memo",
-    )
+    return replace(pv, final=pv.final | frozenset(l + NS_TAG for l in ta.final), name=f"{ta.name}_memo")
 
 
 def memo_classes(memo: TimedAutomaton) -> dict[str, frozenset[str]]:
@@ -178,36 +157,19 @@ def relax_finals(ta: TimedAutomaton) -> TimedAutomaton:
         # the zero-step run was never admissible, so nothing is accepted
         finals = frozenset()
         edges = []
-    return TimedAutomaton(
-        actions=ta.actions,
-        locations=ta.locations,
-        init=ta.init,
-        private=ta.private,
-        final=finals,
-        clocks=ta.clocks,
-        invariant=inv,
-        edges=tuple(edges),
-        time_domain=ta.time_domain,
-        name=ta.name,
-    )
+    return replace(ta, final=finals, invariant=inv, edges=tuple(edges))
 
 
 def rename_clocks(ta: TimedAutomaton, mapping: dict[str, str]) -> TimedAutomaton:
     remap = lambda g: Guard(tuple(ClockConstraint(mapping[c.clock], c.cmp, c.bound) for c in g.conjuncts))
-    return TimedAutomaton(
-        actions=ta.actions,
-        locations=ta.locations,
-        init=ta.init,
-        private=ta.private,
-        final=ta.final,
+    return replace(
+        ta,
         clocks=frozenset(mapping[x] for x in ta.clocks),
         invariant={loc: remap(g) for loc, g in ta.invariant.items()},
         edges=tuple(
             Edge(e.source, remap(e.guard), e.action, frozenset(mapping[x] for x in e.resets), e.target)
             for e in ta.edges
         ),
-        time_domain=ta.time_domain,
-        name=ta.name,
     )
 
 
@@ -367,17 +329,14 @@ def embed_gadget(ta: TimedAutomaton) -> TimedAutomaton:
 
 def retag(ta: TimedAutomaton, suffix: str) -> TimedAutomaton:
     ren = lambda l: l + suffix
-    return TimedAutomaton(
-        actions=ta.actions,
+    return replace(
+        ta,
         locations=frozenset(ren(l) for l in ta.locations),
         init=ren(ta.init),
         private=frozenset(ren(l) for l in ta.private),
         final=frozenset(ren(l) for l in ta.final),
-        clocks=ta.clocks,
         invariant={ren(l): g for l, g in ta.invariant.items()},
         edges=tuple(Edge(ren(e.source), e.guard, e.action, e.resets, ren(e.target)) for e in ta.edges),
-        time_domain=ta.time_domain,
-        name=ta.name,
     )
 
 
@@ -415,15 +374,4 @@ def inclusion_gadget(a: TimedAutomaton, b: TimedAutomaton) -> TimedAutomaton:
 
 
 def strip_private(ta: TimedAutomaton) -> TimedAutomaton:
-    return TimedAutomaton(
-        actions=ta.actions,
-        locations=ta.locations,
-        init=ta.init,
-        private=frozenset(),
-        final=ta.final,
-        clocks=ta.clocks,
-        invariant=ta.invariant,
-        edges=ta.edges,
-        time_domain=ta.time_domain,
-        name=ta.name,
-    )
+    return replace(ta, private=frozenset())

@@ -1,14 +1,15 @@
-"""Opacity decision procedures: `decide`, the one entry point for every
-form of the question, over the general existence check, the discrete-time
-and observable-event-recording engines for weak/full opacity, the
-bounded-attacker pipeline and the oracle; plus the matrix-based witness
-verifier."""
+"""Opacity decision procedures. `decide` is the one router: it checks the
+question, picks the engine and reduces a bounded attacker (`_attacker`).
+Below it: the existence check, the discrete-time and observable
+event-recording engines with the class ladder that says which automata
+they decide and why the rest are refused (`LADDER`), the bounded-attacker
+pipeline, and the matrix-based witness verifier."""
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import nfa as nfalib
 from .constructions import MEMO_TAGS, S_TAG, build_memo, build_priv, build_pub, memo_classes, product
@@ -24,7 +25,7 @@ from .observers import (
     unfold_free,
     unfold_tau,
 )
-from .oracle import oracle_check
+from .oracle import BadOracleBound, oracle_check
 from .regions import (
     RegionAutomaton,
     RegionCapExceeded,
@@ -43,10 +44,11 @@ from .words import class_recognizer, parse_group
 
 
 NORMALIZED_NOTE = "witness uses the normalized switch-time sequence"
+ARMING_NOTE = "witness includes the attacker's arming letters"
 
 
 class UndecidableClass(Exception):
-    """No sound engine applies to this automaton class."""
+    """No sound engine applies to this automaton class or question."""
 
 
 def decide(
@@ -61,32 +63,68 @@ def decide(
     """Existential, weak or full opacity (`mode`) against the attacker `sel`
     (None: unbounded; FirstN, Static or Dynamic: bounded).
 
-    engine=oracle runs the bounded enumerative search, with `horizon`,
-    `max_steps` and `granularity` as its bounds; otherwise existential
-    opacity is region reachability, a bounded attacker goes through
-    `check_bounded`, and an unbounded one through `check_opacity` with the
-    given engine. Raises UndecidableClass where no procedure applies.
+    engine=oracle runs the bounded enumerative search with `horizon`,
+    `max_steps` and `granularity` as its bounds; any other engine refuses
+    them with `BadOracleBound`. Unbounded weak/full opacity goes through
+    `check_opacity` with the given engine; existential opacity (region
+    reachability) and a bounded attacker (`check_bounded`) take engine auto
+    only, on the attacker's reduction (`_attacker`). Raises UndecidableClass
+    where no procedure applies.
     """
     if engine == "oracle":
         if isinstance(sel, Dynamic):
             raise UndecidableClass("the dynamic attacker has no executable projection; "
                                    "the oracle supports first:N and static:LIST only")
         return oracle_check(ta, mode, sel, horizon=horizon, max_steps=max_steps, granularity=granularity)
-    if mode == "exists":
-        if sel is None:
-            return check_exists(ta)
-        if isinstance(sel, FirstN):
-            return check_exists(unfold_first_n(ta, sel.n))
-        if isinstance(sel, Static):
-            unfolded, _, scale = _switch_times(ta, sel.times)
-            verdict = check_exists(unfolded)
-            if verdict.witness is None:
-                return verdict
-            return Verdict(verdict.holds, verdict.witness.scaled(scale), verdict.side, NORMALIZED_NOTE)
-        raise UndecidableClass("existential opacity against a dynamic attacker is not supported")
-    if sel is not None:
+    for name, bound in (("horizon", horizon), ("max_steps", max_steps), ("granularity", granularity)):
+        if bound is not None:
+            raise BadOracleBound(name, bound, "unset unless the engine is oracle")
+    if mode != "exists" and sel is None:
+        return check_opacity(ta, mode, engine=engine)
+    if engine != "auto":
+        raise UndecidableClass(f"the {_engine_rung(engine).name} engine decides unbounded weak/full opacity "
+                               "only; existential and bounded questions take engine auto or oracle")
+    if mode != "exists":
         return check_bounded(ta, sel, mode)
-    return check_opacity(ta, mode, engine=engine)
+    if sel is None:
+        return check_exists(ta)
+    if isinstance(sel, Dynamic):
+        raise UndecidableClass("existential opacity against a dynamic attacker is not supported")
+    automaton, n, scale, note = _attacker(ta, sel)
+    # a switch-time unfolding observes at most n letters already
+    return _noted(check_exists(unfold_first_n(automaton, n) if isinstance(sel, FirstN) else automaton),
+                  scale, note)
+
+
+def _attacker(ta: TimedAutomaton, sel: TimeSelection) -> tuple[TimedAutomaton, int, Fraction, Optional[str]]:
+    """The one reduction of a bounded attacker to the first-N one: the
+    automaton whose first-`n` projections are the traces `sel` observes of
+    `ta`, that `n`, the factor that maps a witness on it back to `ta`'s time
+    scale, and the note that says how to read that witness (None: as it is).
+
+    First-N is `ta` itself. Static switch times: the unfolding of
+    `dense_time(ta)` against the normalized sequence, with its constants
+    scaled to integers. Dynamic: the free unfolding, where arming the
+    sensor is a letter, so twice the observations. The unfoldings refuse
+    more observations than the observation cap.
+    """
+    if isinstance(sel, FirstN):
+        return ta, sel.n, Fraction(1), None
+    if isinstance(sel, Static):
+        tau = normalize_sequence(sel.times)
+        fracs = {t - (t.numerator // t.denominator) for t in tau} - {Fraction(0)}
+        return unfold_tau(dense_time(ta), tau), len(tau), Fraction(1, len(fracs) + 1), NORMALIZED_NOTE
+    if isinstance(sel, Dynamic):
+        return unfold_free(ta, sel.n), 2 * sel.n, Fraction(1), ARMING_NOTE
+    raise TypeError(f"unsupported time selection {sel!r}")
+
+
+def _noted(inner: Verdict, scale: Fraction, note: Optional[str]) -> Verdict:
+    """`inner` with its witness mapped back by `scale` and read by `note`;
+    a verdict without a witness, or a reduction without a note, is kept."""
+    if note is None or inner.witness is None:
+        return inner
+    return Verdict(inner.holds, inner.witness.scaled(scale), inner.side, note)
 
 
 def is_oera(ta: TimedAutomaton) -> bool:
@@ -109,35 +147,6 @@ def is_oera(ta: TimedAutomaton) -> bool:
         return False
     # letters without edges pair up with the leftover clocks
     return len(ta.actions - set(assigned)) == len(ta.clocks - set(assigned.values()))
-
-
-def opacity_class(ta: TimedAutomaton) -> str:
-    """Where `ta` sits on the ladder for unbounded weak/full opacity:
-    `discrete` or `oera` (the exact engine that applies, tried in this
-    order), `one-clock` (decidable, no engine here) or `undecidable`."""
-    if ta.time_domain == "discrete":
-        return "discrete"
-    if is_oera(ta):
-        return "oera"
-    if len(ta.clocks) == 1 and not ta.has_epsilon_edges():
-        return "one-clock"
-    return "undecidable"
-
-
-# why `check_opacity` refuses each class of the ladder that has no engine
-_REFUSALS = {
-    "one-clock": (
-        "weak/full opacity for one-clock automata without silent edges is decidable "
-        "but not primitive recursive; no exact engine is implemented, use the bounded "
-        "oracle engine for a semi-decision"
-    ),
-    "undecidable": (
-        "weak/full opacity is undecidable for general dense-time timed automata "
-        "(already for one-clock automata with silent transitions, and from two "
-        "clocks or one action onward); use a discrete-time model, an observable "
-        "event-recording automaton, or the bounded oracle engine"
-    ),
-}
 
 
 def check_exists(ta: TimedAutomaton, cap: Optional[int] = None) -> Verdict:
@@ -178,42 +187,6 @@ def _shortest_accepting_path(ra: RegionAutomaton):
         goal, k = via[goal]
         path.append(ra.edge(k))
     return list(reversed(path))
-
-
-def check_opacity(
-    ta: TimedAutomaton,
-    mode: str,
-    engine: str = "auto",
-    cap: Optional[int] = None,
-    horizon: Optional[Fraction] = None,
-    max_steps: Optional[int] = None,
-    granularity: Optional[Fraction] = None,
-) -> Verdict:
-    """Weak or full opacity on the decidable classes.
-
-    engine=auto picks the discrete-time engine, then the observable
-    event-recording engine, and otherwise refuses: weak and full opacity are
-    undecidable for general dense-time TAs (already with one clock plus
-    silent transitions, or two clocks, or a single action). engine=oracle
-    runs the bounded enumerative search instead and may be inconclusive.
-    """
-    if mode not in ("weak", "full"):
-        raise ValueError("mode must be 'weak' or 'full'")
-    if engine == "auto":
-        engine = opacity_class(ta)
-        if engine in _REFUSALS:
-            raise UndecidableClass(_REFUSALS[engine])
-    if engine == "oracle":
-        return oracle_check(ta, mode, None, horizon=horizon, max_steps=max_steps, granularity=granularity)
-    if engine == "discrete":
-        if ta.time_domain != "discrete":
-            raise UndecidableClass("the discrete engine requires a discrete-time automaton")
-        return _check_discrete(ta, mode, cap)
-    if engine == "oera":
-        if not is_oera(ta):
-            raise UndecidableClass("the event-recording engine requires an observable ERA")
-        return _check_oera(ta, mode, cap)
-    raise ValueError(f"unknown engine {engine!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +432,76 @@ def _oera_witness(memo: TimedAutomaton, clock_of: dict, parents, node, last_lett
 
 
 # ---------------------------------------------------------------------------
+# The class ladder for unbounded weak/full opacity
+
+
+class Rung(NamedTuple):
+    name: str
+    member: Callable[[TimedAutomaton], bool]
+    engine: Optional[Callable[[TimedAutomaton, str, Optional[int]], Verdict]]  # None: no exact engine
+    label: Optional[str]  # the engine as `topaq classify` lists it
+    refusal: str  # with an engine: why it refuses a non-member; without one: why members are refused
+
+
+# `auto` takes the first class `ta` belongs to; the last one takes every automaton
+LADDER = (
+    Rung("discrete", lambda ta: ta.time_domain == "discrete", _check_discrete, "discrete-time engine",
+         "the discrete engine requires a discrete-time automaton"),
+    Rung("oera", is_oera, _check_oera, "observable-ERA engine",
+         "the event-recording engine requires an observable ERA"),
+    Rung("one-clock", lambda ta: len(ta.clocks) == 1 and not ta.has_epsilon_edges(), None, None,
+         "weak/full opacity for one-clock automata without silent edges is decidable "
+         "but not primitive recursive; no exact engine is implemented, use the bounded "
+         "oracle engine for a semi-decision"),
+    Rung("undecidable", lambda ta: True, None, None,
+         "weak/full opacity is undecidable for general dense-time timed automata "
+         "(already for one-clock automata with silent transitions, and from two "
+         "clocks or one action onward); use a discrete-time model, an observable "
+         "event-recording automaton, or the bounded oracle engine"),
+)
+
+# what `decide` answers on every automaton, as `topaq classify` lists it
+GENERAL_DECIDERS = ["exists (region reachability)", "bounded attacker (first:N / static / dynamic)",
+                    "oracle (bounded enumeration, semi-decision)"]
+
+
+def _rung_of(ta: TimedAutomaton) -> Rung:
+    return next(rung for rung in LADDER if rung.member(ta))
+
+
+def _engine_rung(engine: str) -> Rung:
+    for rung in LADDER:
+        if rung.name == engine and rung.engine is not None:
+            return rung
+    raise ValueError(f"unknown engine {engine!r}")
+
+
+def opacity_class(ta: TimedAutomaton) -> str:
+    """The name of the first class of `LADDER` that `ta` belongs to."""
+    return _rung_of(ta).name
+
+
+def applicable(ta: TimedAutomaton) -> tuple[list[str], Optional[str]]:
+    """The deciders that apply to `ta`, as `topaq classify` lists them, and
+    why engine auto refuses unbounded weak/full opacity on it, or None."""
+    engines = [f"weak/full ({rung.label})" for rung in LADDER if rung.engine is not None and rung.member(ta)]
+    rung = _rung_of(ta)
+    return GENERAL_DECIDERS + engines, None if rung.engine is not None else rung.refusal
+
+
+def check_opacity(ta: TimedAutomaton, mode: str, engine: str = "auto", cap: Optional[int] = None) -> Verdict:
+    """Weak or full opacity on the decidable classes of `LADDER`: engine auto
+    runs the engine of `ta`'s class or refuses the class, an explicit engine
+    (`discrete`, `oera`) refuses an automaton outside its class."""
+    if mode not in ("weak", "full"):
+        raise ValueError("mode must be 'weak' or 'full'")
+    rung = _rung_of(ta) if engine == "auto" else _engine_rung(engine)
+    if rung.engine is None or (engine != "auto" and not rung.member(ta)):
+        raise UndecidableClass(rung.refusal)
+    return rung.engine(ta, mode, cap)
+
+
+# ---------------------------------------------------------------------------
 # Bounded-attacker pipeline
 
 
@@ -468,32 +511,19 @@ def check_bounded(
     mode: str,
     cap: Optional[int] = None,
 ) -> Verdict:
-    """Weak/full opacity against a bounded attacker.
-
-    First-N: the tick construction of the memo automaton, with one end
-    gadget for the visited and one for the not-yet copy's finals, so the
-    private and public projected languages are the two final classes of one
-    region automaton; they are compared as untimed regular languages.
-    Static switch times: normalize the sequence, unfold against it, then the
-    first-N machinery (the projection is the identity on the already
-    bounded language). Dynamic: the free unfolding, then first-2N. The
-    unfoldings refuse more observations than the observation cap.
+    """Weak/full opacity against a bounded attacker: the tick construction
+    of the memo automaton of the attacker's first-N reduction (`_attacker`),
+    with one end gadget for the visited and one for the not-yet copy's
+    finals, so the private and public projected languages are the two final
+    classes of one region automaton; they are compared as untimed regular
+    languages. For switch times the projection is the identity on the
+    already bounded language of the unfolding.
     """
     if mode not in ("weak", "full"):
         raise ValueError("mode must be 'weak' or 'full'")
-    if isinstance(sel, Dynamic):
-        inner = check_bounded(unfold_free(ta, sel.n), FirstN(2 * sel.n), mode, cap)
-        return Verdict(inner.holds, inner.witness, inner.side,
-                       note="witness includes the attacker's arming letters")
-    if isinstance(sel, Static):
-        unfolded, n, scale = _switch_times(ta, sel.times)
-        inner = check_bounded(unfolded, FirstN(n), mode, cap)
-        witness = inner.witness.scaled(scale) if inner.witness is not None else None
-        return Verdict(inner.holds, witness, inner.side, note=NORMALIZED_NOTE)
-    if not isinstance(sel, FirstN):
-        raise TypeError(f"unsupported time selection {sel!r}")
-    priv, pub = _first_n_languages(ta, sel.n, cap)
-    return _compare(priv, pub, mode, decode_ticked_tokens)
+    automaton, n, scale, note = _attacker(ta, sel)
+    priv, pub = _first_n_languages(automaton, n, cap)
+    return _noted(_compare(priv, pub, mode, decode_ticked_tokens), scale, note)
 
 
 def _first_n_languages(ta: TimedAutomaton, n: int, cap: Optional[int]) -> list[NFA]:
@@ -508,15 +538,6 @@ def dense_time(ta: TimedAutomaton) -> TimedAutomaton:
     confined to integral instants (`force_integer_actions`), so it keeps its
     discrete trace sets; a dense-time one is returned as it is."""
     return force_integer_actions(ta) if ta.time_domain == "discrete" else ta
-
-
-def _switch_times(ta: TimedAutomaton, times):
-    """Unfold `ta` against the normalized switch-time sequence: returns the
-    unfolding, its observation count, and the factor that maps a witness of
-    the unfolding back to the original time scale."""
-    tau = normalize_sequence(times)
-    fracs = {t - (t.numerator // t.denominator) for t in tau} - {Fraction(0)}
-    return unfold_tau(dense_time(ta), tau), len(tau), Fraction(1, len(fracs) + 1)
 
 
 def decode_ticked_tokens(tokens) -> TimedWord:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -483,12 +483,9 @@ def _unit_clock(ta: TimedAutomaton, loop: Optional[str], clock: str, time_domain
         Edge(loc, Guard.of(ClockConstraint(z, "=", 1)), loop, frozenset({z}), loc)
         for loc in sorted(ta.locations)
     ]
-    return TimedAutomaton(
+    return replace(
+        ta,
         actions=ta.actions if loop is EPSILON else ta.actions | {loop},
-        locations=ta.locations,
-        init=ta.init,
-        private=ta.private,
-        final=ta.final,
         clocks=ta.clocks | {z},
         invariant=inv,
         edges=tuple(edges),

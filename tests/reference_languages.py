@@ -10,14 +10,13 @@ side, and the same status, side and witness.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from topaq import nfa as nfalib
 from topaq.constructions import build_priv, build_pub
-from topaq.deciders import NORMALIZED_NOTE, _compare, _switch_times, decode_ticked_tokens, dense_time
+from topaq.deciders import _attacker, _compare, decode_ticked_tokens, dense_time
 from topaq.nfa import NFA, from_region_automaton
-from topaq.observers import Dynamic, Static, TimeSelection, tick_construction, unfold_free
+from topaq.observers import TimeSelection, tick_construction
 from topaq.regions import TICK_LETTER, augment_ticks, build_region_automaton, tick_decode
 from topaq.ta import TimedAutomaton, Verdict
 
@@ -47,27 +46,15 @@ def reference_discrete(ta: TimedAutomaton, mode: str) -> Verdict:
     return _compare(priv, pub, mode, tick_decode)
 
 
-def first_n_instance(ta: TimedAutomaton, sel: TimeSelection) -> tuple[TimedAutomaton, int, Fraction]:
-    """The automaton and observation count whose first-N languages decide
-    `sel`, and the factor that maps their witness back to `ta`'s time scale."""
-    if isinstance(sel, Dynamic):
-        return unfold_free(ta, sel.n), 2 * sel.n, Fraction(1)
-    if isinstance(sel, Static):
-        return _switch_times(ta, sel.times)
-    return ta, sel.n, Fraction(1)
-
-
 def reference_bounded(ta: TimedAutomaton, sel: TimeSelection, mode: str,
                       languages: Optional[tuple[NFA, NFA]] = None) -> Verdict:
     """`check_bounded` with the two languages built separately, or taken
-    from `languages` (`reference_first_n_languages` of `first_n_instance`)."""
-    base, n, scale = first_n_instance(ta, sel)
+    from `languages` (`reference_first_n_languages` of the reduction
+    `deciders._attacker`); a witness is mapped back to `ta`'s time scale and
+    carries the reduction's note."""
+    base, n, scale, note = _attacker(ta, sel)
     priv, pub = languages or reference_first_n_languages(base, n)
     inner = _compare(priv, pub, mode, decode_ticked_tokens)
-    if isinstance(sel, Dynamic):
-        return Verdict(inner.holds, inner.witness, inner.side,
-                       note="witness includes the attacker's arming letters")
-    if isinstance(sel, Static):
-        witness = inner.witness.scaled(scale) if inner.witness is not None else None
-        return Verdict(inner.holds, witness, inner.side, note=NORMALIZED_NOTE)
-    return inner
+    if note is None or inner.witness is None:
+        return inner
+    return Verdict(inner.holds, inner.witness.scaled(scale), inner.side, note)

@@ -21,6 +21,7 @@ from topaq.deciders import (
     check_bounded,
     check_exists,
     check_opacity,
+    decide,
     language_inclusion_discrete,
     parse_witness_description,
     verify_witness,
@@ -97,9 +98,9 @@ def test_criterion_1_worked_example():
     with Budget("criterion 1 (worked example verdicts)", 1.0):
         fig1 = fig1_ta()
         assert check_exists(fig1).holds is True
-        weak = check_opacity(fig1, "weak", engine="oracle", horizon=F(4), granularity=F(1, 2), max_steps=4)
+        weak = decide(fig1, "weak", engine="oracle", horizon=F(4), granularity=F(1, 2), max_steps=4)
         assert weak.holds is not False  # no violation found
-        full = check_opacity(fig1, "full", engine="oracle", horizon=F(4), granularity=F(1, 2), max_steps=4)
+        full = decide(fig1, "full", engine="oracle", horizon=F(4), granularity=F(1, 2), max_steps=4)
         assert full.holds is False
         assert accepts_word(build_pub(fig1), full.witness)
         assert not accepts_word(build_priv(fig1), full.witness)

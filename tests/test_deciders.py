@@ -37,7 +37,7 @@ from topaq.observers import (
     unfold_free,
     unfold_tau,
 )
-from topaq.oracle import discrete_state_count, oracle_check
+from topaq.oracle import BadOracleBound, discrete_state_count, oracle_check
 from topaq.regions import build_region_automaton
 from topaq.ta import ClockConstraint, Guard, TimedWord, Verdict, edge, make_ta, validate, validate_errors
 
@@ -202,9 +202,9 @@ class TestCheckOpacityDiscrete:
             check_opacity(ta, "weak")
 
     def test_oracle_engine_passthrough(self, fig1):
-        v = check_opacity(fig1, "weak", engine="oracle", horizon=F(4), granularity=F(1, 2))
+        v = decide(fig1, "weak", engine="oracle", horizon=F(4), granularity=F(1, 2))
         assert v.holds is not False  # no violation found (dense: inconclusive)
-        v = check_opacity(fig1, "full", engine="oracle", horizon=F(4), granularity=F(1, 2))
+        v = decide(fig1, "full", engine="oracle", horizon=F(4), granularity=F(1, 2))
         assert v.holds is False
         assert F(2) < v.witness.timestamps()[0] <= F(3)
 
@@ -414,13 +414,35 @@ class TestDecide:
             decide(fig1, "exists", Dynamic(1))
         with pytest.raises(UndecidableClass, match="^the dynamic attacker has no executable projection"):
             decide(fig1, "weak", Dynamic(1), engine="oracle")
+        # a ladder engine decides unbounded weak/full opacity only, on any automaton
+        engine_only = ("^the {} engine decides unbounded weak/full opacity only; "
+                       "existential and bounded questions take engine auto or oracle$")
+        with pytest.raises(UndecidableClass, match=engine_only.format("oera")):
+            decide(fig1, "exists", engine="oera")
+        with pytest.raises(UndecidableClass, match=engine_only.format("discrete")):
+            decide(fig1, "weak", FirstN(1), engine="discrete")
+        with pytest.raises(UndecidableClass, match=engine_only.format("discrete")):
+            decide(fig1_ta("discrete"), "full", Static((F(0),)), engine="discrete")
+        # the oracle's bounds need the oracle engine
+        with pytest.raises(BadOracleBound, match="^horizon must be unset unless the engine is oracle, got -5$"):
+            decide(fig1, "weak", FirstN(1), horizon=F(-5), granularity=F(0))
+        with pytest.raises(BadOracleBound, match="^max_steps must be unset unless the engine is oracle, got 4$"):
+            decide(fig1_ta("discrete"), "weak", max_steps=4)
+        with pytest.raises(BadOracleBound, match="^granularity must be unset unless the engine is oracle, got 1/2$"):
+            decide(fig1, "exists", granularity=F(1, 2))
+        # an unknown engine is a usage error wherever it is given
+        for args in ((fig1, "exists"), (fig1, "weak", FirstN(1)), (fig1, "weak")):
+            with pytest.raises(ValueError, match="^unknown engine 'sideways'$"):
+                decide(*args, engine="sideways")
+        with pytest.raises(ValueError, match="^unknown engine 'oracle'$"):
+            check_opacity(fig1, "weak", engine="oracle")
 
     def test_every_engine_returns_one_verdict_type(self, fig1, fig1_discrete):
         bounds = dict(horizon=F(4), granularity=F(1, 2))
         verdicts = [
             check_exists(fig1),
             check_opacity(fig1_discrete, "weak"),
-            check_opacity(fig1, "full", engine="oracle", **bounds),
+            decide(fig1, "full", engine="oracle", **bounds),
             check_bounded(fig1, FirstN(1), "full"),
             oracle_check(fig1, "full", **bounds),
         ]

@@ -12,13 +12,12 @@ import pytest
 
 from conftest import fig1_ta, random_discrete_ta
 from reference_languages import (
-    first_n_instance,
     reference_bounded,
     reference_discrete,
     reference_discrete_languages,
     reference_first_n_languages,
 )
-from topaq.deciders import _discrete_languages, _first_n_languages, decide
+from topaq.deciders import _attacker, _discrete_languages, _first_n_languages, decide
 from topaq.nfa import check_inclusion, merge_alphabets
 from topaq.observers import Dynamic, FirstN, Static
 from topaq.oracle import discrete_state_count
@@ -46,7 +45,7 @@ def assert_same_language(view, reference):
 def test_fig1_ladder_views_and_verdicts(label):
     fig1 = fig1_ta()
     sel = LADDER[label]
-    ta, n, _ = first_n_instance(fig1, sel)
+    ta, n, _, _ = _attacker(fig1, sel)
     references = reference_first_n_languages(ta, n)
     for view, reference in zip(_first_n_languages(ta, n, None), references):
         assert_same_language(view, reference)

@@ -171,6 +171,24 @@ class TestCli:
             "witness: (b, 0)\n"
             "note: witness uses the normalized switch-time sequence\n")
 
+    @pytest.mark.parametrize("extra, code, out, err", [
+        (["--mode", "exists", "--engine", "oera"], 2,
+         "refused: the oera engine decides unbounded weak/full opacity only; "
+         "existential and bounded questions take engine auto or oracle\n", ""),
+        (["--mode", "weak", "--obs", "first:1", "--engine", "discrete"], 2,
+         "refused: the discrete engine decides unbounded weak/full opacity only; "
+         "existential and bounded questions take engine auto or oracle\n", ""),
+        (["--mode", "weak", "--obs", "first:1", "--horizon=-5", "--granularity", "0"], 3,
+         "", "usage error: horizon must be unset unless the engine is oracle, got -5\n"),
+        (["--mode", "full", "--max-steps", "4"], 3,
+         "", "usage error: max_steps must be unset unless the engine is oracle, got 4\n"),
+    ], ids=["exists-oera", "bounded-discrete", "bounds-without-oracle", "steps-without-oracle"])
+    def test_options_that_do_not_apply_are_refused(self, capsys, extra, code, out, err):
+        path = str(Path(__file__).parent.parent / "models" / "fig1.ta")
+        assert main(["check"] + extra + [path]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, err)
+
     def test_weak_dense_refused_exit_two(self, fig1_file, capsys):
         code = main(["check", "--mode", "weak", fig1_file])
         out = capsys.readouterr().out

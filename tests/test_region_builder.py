@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from conftest import fig1_ta, oera_pair_ta, random_discrete_ta
-from reference_languages import first_n_instance
 from reference_regions import (
     graph_of,
     reference_check_oera,
@@ -22,7 +21,7 @@ from reference_regions import (
     reference_region_automaton,
 )
 from topaq.constructions import build_memo, build_priv, build_pub, memo_classes, product
-from topaq.deciders import _shortest_accepting_path, check_opacity, dense_time, is_oera
+from topaq.deciders import _attacker, _shortest_accepting_path, check_opacity, dense_time, is_oera
 from topaq.export import region_automaton_to_dot, region_automaton_to_json
 from topaq.model import parse_model
 from topaq.nfa import from_region_automaton
@@ -74,7 +73,7 @@ def assert_same(ta):
 
 def ticked_memo(ta, sel):
     """The tick construction a bounded query builds for `sel`."""
-    base, n, _ = first_n_instance(ta, sel)
+    base, n, _, _ = _attacker(ta, sel)
     memo = build_memo(dense_time(base))
     return tick_construction(memo, n, memo_classes(memo))
 
@@ -166,6 +165,42 @@ def test_oera_engine_matches_object_reference():
         sides.append(assert_same_oera(replace(ta, time_domain="discrete"))[2])
     # holding, and violated on either side
     assert min(sides.count(side) for side in (None, "priv-not-pub", "pub-not-priv")) >= 50
+
+
+def random_blocking_oera(rng):
+    """A dense-time observable ERA whose letter-edge targets carry
+    invariants that can fail right after the reset: a lower bound on the
+    letter's own clock, which the reset sets to 0, or an upper bound on the
+    other clock, which the edge's guard may let exceed it."""
+    locs = [f"q{i}" for i in range(rng.randint(2, 4))]
+    letters = ["a", "b"]
+    clocks = ["xa", "xb"]
+    edges = []
+    inv = {}
+    for _ in range(rng.randint(2, 7)):
+        a = rng.choice(letters + letters + [None])
+        x = rng.choice(clocks)
+        guard = Guard.of(ClockConstraint(x, rng.choice(["<", "<=", ">=", ">"]), rng.randint(0, 2))) \
+            if rng.random() < 0.6 else Guard.true()
+        target = rng.choice(locs[1:])
+        edges.append(edge(rng.choice(locs), target, a, guard, {f"x{a}"} if a else ()))
+        if a and target not in inv and rng.random() < 0.7:
+            other = "xb" if a == "a" else "xa"
+            inv[target] = rng.choice([Guard.of(ClockConstraint(f"x{a}", rng.choice([">", ">="]), rng.randint(0, 1))),
+                                      Guard.of(ClockConstraint(other, rng.choice(["<", "<="]), rng.randint(0, 2)))])
+    return make_ta(actions=letters, locations=locs, init=locs[0], edges=edges, clocks=clocks, invariant=inv,
+                   private={l for l in locs[1:] if rng.random() < 0.4},
+                   final={l for l in locs[1:] if rng.random() < 0.5} or {locs[-1]}, name="blocking")
+
+
+def test_oera_engine_matches_object_reference_on_blocked_entries():
+    rng = random.Random(20261018)
+    sides = []
+    for _ in range(150):
+        ta = random_blocking_oera(rng)
+        sides.append(assert_same_oera(ta)[2])
+        sides.append(assert_same_oera(replace(ta, time_domain="discrete"))[2])
+    assert min(sides.count(side) for side in (None, "priv-not-pub", "pub-not-priv")) >= 30
 
 
 def test_oera_hand_cases_match_object_reference():
