@@ -45,6 +45,7 @@ from .oracle import oracle_check
 from .regions import (
     RegionAutomaton,
     RegionCapExceeded,
+    ReservedLetter,
     augment_ticks,
     build_region_automaton,
     region_of,

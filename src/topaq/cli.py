@@ -6,10 +6,11 @@ question to `deciders.decide` and prints the `Verdict` that comes back, and
 
 Exit codes: 0 the property holds, 1 violated (witness printed as a timed
 word with fractional timestamps), 2 refused (undecidable class, an engine
-that does not decide the question, resource cap, or an inconclusive
-bounded search) with the reason, 3 usage or parse errors, a malformed
-TOPAQ_REGION_CAP, an out-of-range oracle bound and an oracle bound given
-without `--engine oracle`, 4 an internal error (any other exception,
+that does not decide the question, resource cap, a model letter that a
+construction reserves, or an inconclusive bounded search) with the
+reason, 3 usage or parse errors, a malformed TOPAQ_REGION_CAP, an
+out-of-range oracle bound and an oracle bound given without
+`--engine oracle`, 4 an internal error (any other exception,
 reported with its traceback on stderr; never 1, which would claim a
 violation).
 """
@@ -28,7 +29,14 @@ from .model import ModelError, parse_model
 from .nfa import InclusionCapExceeded
 from .observers import Dynamic, FirstN, ObservationCapExceeded, Static, tick_construction
 from .oracle import BadOracleBound
-from .regions import BadRegionCap, RegionCapExceeded, augment_ticks, build_region_automaton, region_state_bound
+from .regions import (
+    BadRegionCap,
+    RegionCapExceeded,
+    ReservedLetter,
+    augment_ticks,
+    build_region_automaton,
+    region_state_bound,
+)
 from .ta import Verdict
 
 EXIT_HOLDS = 0
@@ -181,7 +189,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (UndecidableClass, RegionCapExceeded, ObservationCapExceeded, InclusionCapExceeded) as exc:
+    except (UndecidableClass, RegionCapExceeded, ObservationCapExceeded, InclusionCapExceeded,
+            ReservedLetter) as exc:
         print(f"refused: {exc}")
         return EXIT_REFUSED
     except Exception as exc:  # a defect or an exhausted interpreter resource, never a verdict

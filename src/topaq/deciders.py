@@ -20,6 +20,7 @@ from .observers import (
     Static,
     TimeSelection,
     normalize_sequence,
+    switch_scale,
     tick_construction,
     unfold_first_n,
     unfold_free,
@@ -112,8 +113,7 @@ def _attacker(ta: TimedAutomaton, sel: TimeSelection) -> tuple[TimedAutomaton, i
         return ta, sel.n, Fraction(1), None
     if isinstance(sel, Static):
         tau = normalize_sequence(sel.times)
-        fracs = {t - (t.numerator // t.denominator) for t in tau} - {Fraction(0)}
-        return unfold_tau(dense_time(ta), tau), len(tau), Fraction(1, len(fracs) + 1), NORMALIZED_NOTE
+        return unfold_tau(dense_time(ta), tau), len(tau), Fraction(1, switch_scale(tau)), NORMALIZED_NOTE
     if isinstance(sel, Dynamic):
         return unfold_free(ta, sel.n), 2 * sel.n, Fraction(1), ARMING_NOTE
     raise TypeError(f"unsupported time selection {sel!r}")
@@ -620,20 +620,18 @@ def _matrix_accepts(m: NFA, tokens: list[tuple[str, int]], allowed: frozenset[st
     if unknown:
         raise WitnessFormatError(f"letters outside the alphabet: {sorted(unknown)}")
     letters &= set(m.alphabet)  # letters with no edges anywhere reject below
-    matrices = {a: nfalib.letter_matrix(m, a) for a in letters}
-    vec = nfalib._bitset(m.initial)
+    matrices = {a: [d.get(a, frozenset()) for d in m.trans] for a in letters}  # row s: s's a-successors
+    cur = m.initial
     for tok, repeat in tokens:
         if repeat == 0:
             continue
         if tok not in matrices:
             return False  # letter without any edge
-        if repeat == 1:
-            vec = nfalib.vec_mul(vec, matrices[tok])
-        else:
-            vec = nfalib.vec_mul(vec, nfalib.mat_pow(matrices[tok], repeat))
-        if not vec:
+        matrix = matrices[tok] if repeat == 1 else nfalib.mat_pow(matrices[tok], repeat)
+        cur = nfalib._union(matrix, cur)
+        if not cur:
             return False
-    return bool(vec & nfalib._bitset(m.finals))
+    return not cur.isdisjoint(m.finals)
 
 
 # ---------------------------------------------------------------------------

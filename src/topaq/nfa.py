@@ -31,10 +31,11 @@ frozensets:
   NFA per class; the views share the transitions, and their active states
   are those final in any class.
 - Language inclusion runs an antichain-pruned product against the
-  determinized complement; the macro-states of the complement are interned
-  once, and the antichain compares them as integer bitsets.
-- Bitset-based boolean reachability matrices (rows as integers) for the
-  witness verifier complete the module.
+  determinized complement, whose macro-states are the frozensets that
+  `NFA.step` returns; the antichain compares them by subset tests.
+- Boolean reachability matrices for the witness verifier complete the
+  module: row s of a matrix is the set of states s reaches, so a letter's
+  matrix is a column of `NFA.trans`.
 """
 
 from __future__ import annotations
@@ -281,54 +282,38 @@ def check_inclusion(a: NFA, b: NFA, alphabet: Optional[tuple[str, ...]] = None,
     reaches that the antichain admitted. Entries leave the queue in shortlex
     order of their words, so the first one with a final of `a` and no final
     of `b` holds the shortlex-least counterexample, whatever the numbering
-    of the states or the iteration order of the sets. Each macro-state of
-    `b` gets an id the first time it appears, with its integer bitset stored
-    once; `b` steps are memoized per (id, letter). Antichain subsumption
-    ((s, T) is dominated by a recorded (s, T') with T' ⊆ T, tested on the
-    bitsets as T' & T == T') prunes the search without changing the verdict
-    or the counterexample, because a dominated pair is always reached by a
-    word that comes after the one reaching the pair that dominates it. Every
-    state of `a` that a word's letter step reaches counts as one product
-    successor toward `pair_cap`.
+    of the states or the iteration order of the sets. `b` steps are
+    memoized per (macro-state, letter). Antichain subsumption ((s, T) is
+    dominated by a recorded (s, T') with T' ⊆ T) prunes the search without
+    changing the verdict or the counterexample, because a dominated pair is
+    always reached by a word that comes after the one reaching the pair that
+    dominates it. Every state of `a` that a word's letter step reaches
+    counts as one product successor toward `pair_cap`.
     """
     alphabet = alphabet or merge_alphabets(a, b)
-    ids: dict[frozenset[int], int] = {}  # b macro-state -> id
-    macro: list[frozenset[int]] = []  # id -> b macro-state
-    bits: list[int] = []  # id -> its bitset
-    rejecting: list[bool] = []  # id -> holds no final of b
-    b_step: dict[tuple[int, str], int] = {}
+    b_step: dict[tuple[frozenset[int], str], frozenset[int]] = {}
+    # antichain store: per a-state, the minimal b macro-states seen
+    seen: dict[int, list[frozenset[int]]] = {}
 
-    def intern(t: frozenset[int]) -> int:
-        i = ids.get(t)
-        if i is None:
-            i = ids[t] = len(macro)
-            macro.append(t)
-            bits.append(_bitset(t))
-            rejecting.append(t.isdisjoint(b.finals))
-        return i
-
-    # antichain store: per a-state, the bitsets of the minimal b macro-states seen
-    seen: dict[int, list[int]] = {}
-
-    def admit(s: int, tb: int) -> bool:
-        """Record (s, tb) unless a recorded pair dominates it."""
+    def admit(s: int, t: frozenset[int]) -> bool:
+        """Record (s, t) unless a recorded pair dominates it."""
         bucket = seen.get(s)
         if bucket is None:
-            seen[s] = [tb]
+            seen[s] = [t]
             return True
         for prev in bucket:
-            if prev & tb == prev:
+            if prev <= t:
                 return False
-        bucket[:] = [prev for prev in bucket if prev & tb != tb]
-        bucket.append(tb)
+        bucket[:] = [prev for prev in bucket if not t <= prev]
+        bucket.append(t)
         return True
 
-    b_start = intern(b.start())
-    queue = deque([((), b_start, [s for s in a.start() if admit(s, bits[b_start])])])
+    b_start = b.start()
+    queue = deque([((), b_start, [s for s in a.start() if admit(s, b_start)])])
     explored = 0
     while queue:
         word, t, states = queue.popleft()
-        if rejecting[t] and not a.finals.isdisjoint(states):
+        if not a.finals.isdisjoint(states) and t.isdisjoint(b.finals):
             return InclusionResult(False, word, explored)
         moves: dict[str, frozenset[int]] = {}
         for s in states:
@@ -345,9 +330,8 @@ def check_inclusion(a: NFA, b: NFA, alphabet: Optional[tuple[str, ...]] = None,
             key = (t, letter)
             t2 = b_step.get(key)
             if t2 is None:
-                t2 = b_step[key] = intern(b.step(macro[t], letter))
-            tb = bits[t2]
-            admitted = [s2 for s2 in succs if admit(s2, tb)]
+                t2 = b_step[key] = b.step(t, letter)
+            admitted = [s2 for s2 in succs if admit(s2, t2)]
             if admitted:
                 queue.append((word + (letter,), t2, admitted))
     return InclusionResult(True, None, explored)
@@ -465,54 +449,16 @@ def strip_ticks_before_suffix(m: NFA, suffix_letters: frozenset[str], letter: st
 
 
 # ---------------------------------------------------------------------------
-# Boolean reachability matrices (rows as integer bitsets)
+# Boolean reachability matrices (row s: the set of states s reaches)
 
 
-def letter_matrix(m: NFA, letter: str) -> list[int]:
-    return [_bitset(m.trans[s].get(letter, frozenset())) for s in range(m.n_states)]
-
-
-def mat_mul(a: list[int], b: list[int]) -> list[int]:
-    out = []
-    for row in a:
-        acc = 0
-        r = row
-        while r:
-            j = (r & -r).bit_length() - 1
-            acc |= b[j]
-            r &= r - 1
-        out.append(acc)
-    return out
-
-
-def mat_pow(m: list[int], k: int) -> list[int]:
-    """m^k by repeated squaring."""
-    n = len(m)
-    result = [1 << i for i in range(n)]  # identity
-    base = m
+def mat_pow(m: list[frozenset[int]], k: int) -> list[frozenset[int]]:
+    """m^k by repeated squaring; a product's row is the union of the rows
+    of the other factor that the row names."""
+    result = [frozenset([s]) for s in range(len(m))]  # identity
     while k:
         if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
+            result = [_union(m, row) for row in result]
+        m = [_union(m, row) for row in m]
         k >>= 1
     return result
-
-
-def vec_mul(vec: int, m: list[int]) -> int:
-    acc = 0
-    v = vec
-    while v:
-        j = (v & -v).bit_length() - 1
-        acc |= m[j]
-        v &= v - 1
-    return acc
-
-
-def _bitset(states: Iterable[int]) -> int:
-    """Integer with bit s set for each s in `states`, built through a byte
-    buffer so the cost is linear in the set and its highest state."""
-    states = list(states)
-    buf = bytearray((max(states, default=-1) >> 3) + 1)
-    for s in states:
-        buf[s >> 3] |= 1 << (s & 7)
-    return int.from_bytes(buf, "little")

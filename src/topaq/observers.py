@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .constructions import relax_finals
-from .regions import fresh_name, TICK_LETTER
+from .regions import fresh_name, reserve_letters, TICK_LETTER
 from .ta import (
     EPSILON,
     ClockConstraint,
@@ -165,8 +165,7 @@ def tick_construction(
     matter at entry; the relaxation is what lets the gadget spend its extra
     time units there.
     """
-    if TICK_LETTER in ta.actions:
-        raise ValueError(f"alphabet already contains the tick letter {TICK_LETTER!r}")
+    reserve_letters(ta.actions, [TICK_LETTER], "tick construction")
     unfolded = relax_finals(unfold_first_n(ta, n))
 
     taken = set(unfolded.clocks)
@@ -268,6 +267,14 @@ def normalize_sequence(tau: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(_ipart(t) + Fraction(rank[_frac(t)], nf + 1) for t in tau)
 
 
+def switch_scale(tau: Sequence[Fraction]) -> int:
+    """The factor `unfold_tau` scales constants by: one plus the number of
+    distinct nonzero fractional parts of `tau`. It makes every time of a
+    simple sequence an integer, and a witness on the unfolding maps back by
+    its inverse."""
+    return len({_frac(t) for t in tau} - {Fraction(0)}) + 1
+
+
 def scale_guard(g: Guard, factor: int) -> Guard:
     return Guard(tuple(ClockConstraint(c.clock, c.cmp, c.bound * factor) for c in g.conjuncts))
 
@@ -276,9 +283,8 @@ def unfold_tau(ta: TimedAutomaton, tau: Sequence[Fraction]) -> TimedAutomaton:
     """Unfolding against a simple switch-time sequence: sensor-off copies
     (everything silent) alternate with sensor-on copies, and a fresh global
     clock fires each switch-on at its sequence time. All constants are
-    scaled by one plus the number of distinct nonzero fractional parts, so
-    the result has integer constants and its traces are the projected traces
-    at that same scale.
+    scaled by `switch_scale(tau)`, so the result has integer constants and
+    its traces are the projected traces at that same scale.
 
     Copies are indexed by switch slots, not observation counts: an armed
     sensor stays armed until a letter arrives, and the letter's timestamp
@@ -292,8 +298,7 @@ def unfold_tau(ta: TimedAutomaton, tau: Sequence[Fraction]) -> TimedAutomaton:
         raise ValueError("switch-time sequence must be simple (use normalize_sequence)")
     n = len(tau)
     _check_observations(n)
-    fracs = {_frac(t) for t in tau} - {Fraction(0)}
-    factor = len(fracs) + 1
+    factor = switch_scale(tau)
     scaled = [int(t * factor) for t in tau]
 
     z = fresh_name("zobs", ta.clocks)
@@ -377,9 +382,7 @@ def unfold_free(ta: TimedAutomaton, n: int) -> TimedAutomaton:
     on = lambda loc, i: f"{loc}~on{i}"
     off = lambda loc, j: f"{loc}~off{j}"
     obs_letters = tuple(f"o{i}" for i in range(n))
-    clash = set(obs_letters) & ta.actions
-    if clash:
-        raise ValueError(f"alphabet already contains arming letters {sorted(clash)}")
+    reserve_letters(ta.actions, obs_letters, "dynamic attacker's unfolding")
     locations = set()
     inv = {}
     for l in ta.locations:

@@ -28,7 +28,7 @@ from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .ta import (
     EPSILON,
@@ -55,6 +55,24 @@ class RegionCapExceeded(Exception):
             f"region construction exceeded the cap of {cap} states (override with {REGION_CAP_ENV})"
         )
         self.cap = cap
+
+
+class ReservedLetter(ValueError):
+    """The automaton uses a letter that a construction reserves for its own
+    use: the tick letter or an arming letter of the dynamic attacker."""
+
+    def __init__(self, letters: Iterable[str], construction: str):
+        self.letters = tuple(sorted(letters))
+        names = ", ".join(repr(a) for a in self.letters)
+        plural = "s" if len(self.letters) > 1 else ""
+        super().__init__(f"the model uses the letter{plural} {names}, which the {construction} reserves")
+
+
+def reserve_letters(actions: Iterable[str], letters: Iterable[str], construction: str) -> None:
+    """Raise `ReservedLetter` if `actions` uses any of `letters`."""
+    clash = set(letters).intersection(actions)
+    if clash:
+        raise ReservedLetter(clash, construction)
 
 
 class BadRegionCap(ValueError):
@@ -456,8 +474,7 @@ def augment_ticks(ta: TimedAutomaton) -> TimedAutomaton:
     """
     if ta.time_domain != "discrete":
         raise ValueError("tick augmentation requires a discrete-time automaton")
-    if TICK_LETTER in ta.actions:
-        raise ValueError(f"alphabet already contains the tick letter {TICK_LETTER!r}")
+    reserve_letters(ta.actions, [TICK_LETTER], "tick augmentation")
     return _unit_clock(ta, TICK_LETTER, "z", "discrete", "+ticks")
 
 

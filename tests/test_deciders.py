@@ -347,6 +347,33 @@ class TestCheckBounded:
         assert accepts_word(unfold_first_n(build_pub(base), n), v.witness)
         assert not accepts_word(unfold_first_n(build_priv(base), n), v.witness)
 
+    @pytest.mark.parametrize("sel, calls", [
+        (FirstN(1), [(True, None, 122), (False, ("b", "f{0,1}"), 78)]),
+        (FirstN(2), [(True, None, 548), (False, ("b", "f{0,1,2}"), 215)]),
+        (FirstN(3), [(True, None, 2266), (False, ("b", "f{0,1,2,3}"), 294)]),
+        (Dynamic(1), [(True, None, 535), (False, ("o0", "b", "f{0,1,2}"), 295)]),
+        (Static((F(0), F(1, 2), F(3, 2))), [(True, None, 4011), (False, ("a", "f{0,1,2,3}"), 48)]),
+    ], ids=["first1", "first2", "first3", "dynamic1", "static"])
+    def test_fig1_ladder_inclusion_calls(self, fig1, monkeypatch, sel, calls):
+        """(holds, counterexample, explored) of every inclusion a fig1 ladder
+        query runs: weak runs the first, full both. `explored` pins the
+        antichain's pruning: a plain visited set of (state, macro-state)
+        pairs gives the same verdicts but explores more pairs."""
+        from topaq import deciders, nfa
+
+        seen = []
+
+        def recording(*args, **kwargs):
+            res = nfa.check_inclusion(*args, **kwargs)
+            seen.append((res.holds, res.counterexample, res.explored))
+            return res
+
+        monkeypatch.setattr(deciders, "check_inclusion", recording)
+        for mode, want in (("weak", calls[:1]), ("full", calls)):
+            seen.clear()
+            decide(fig1, mode, sel)
+            assert seen == want
+
     def test_first0_weak_compares_empty_projections(self, fig1):
         assert check_bounded(fig1, FirstN(0), "weak").holds is True
         assert check_bounded(fig1, FirstN(0), "full").holds is True

@@ -189,6 +189,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (out, err)
 
+    @pytest.mark.parametrize("domain, letter, command, construction", [
+        ("discrete", "t", ["check", "--mode", "weak"], "tick augmentation"),
+        ("dense", "t", ["check", "--mode", "full", "--obs", "first:1"], "tick construction"),
+        ("dense", "o0", ["check", "--mode", "weak", "--obs", "dynamic:1"], "dynamic attacker's unfolding"),
+        ("discrete", "t", ["export", "--what", "region-automaton"], "tick augmentation"),
+    ], ids=["discrete-weak", "first-full", "dynamic-weak", "export-regions"])
+    def test_reserved_letter_refused_exit_two(self, tmp_path, capsys, domain, letter, command, construction):
+        path = tmp_path / "reserved.ta"
+        path.write_text(FIG1_TEXT.replace("time: dense;", f"time: {domain};")
+                        .replace("actions: a, b;", f"actions: {letter}, b;").replace("act: a;", f"act: {letter};"))
+        assert main(command + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            f"refused: the model uses the letter {letter!r}, which the {construction} reserves\n", "")
+
     def test_weak_dense_refused_exit_two(self, fig1_file, capsys):
         code = main(["check", "--mode", "weak", fig1_file])
         out = capsys.readouterr().out

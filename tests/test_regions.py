@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction as F
 from typing import NamedTuple
 
@@ -24,6 +25,7 @@ from topaq.observers import tick_construction, unfold_free
 from topaq.regions import (
     TICK_LETTER,
     RegionCapExceeded,
+    ReservedLetter,
     augment_ticks,
     build_region_automaton,
     region_of,
@@ -167,6 +169,25 @@ class TestAugmentTicks:
     def test_requires_discrete(self, fig1):
         with pytest.raises(ValueError):
             augment_ticks(fig1)
+
+    def test_reserved_letters_raise_one_exception(self, fig1):
+        """Each construction that adds a letter refuses a model that uses it,
+        with one exception naming the letters."""
+        ticked = replace(fig1, actions=fig1.actions | {"t"})
+        armed = replace(fig1, actions=fig1.actions | {"o0", "o1"})
+        cases = [
+            (lambda: augment_ticks(replace(ticked, time_domain="discrete")), ("t",),
+             "the model uses the letter 't', which the tick augmentation reserves"),
+            (lambda: tick_construction(ticked, 1), ("t",),
+             "the model uses the letter 't', which the tick construction reserves"),
+            (lambda: unfold_free(armed, 2), ("o0", "o1"),
+             "the model uses the letters 'o0', 'o1', which the dynamic attacker's unfolding reserves"),
+        ]
+        for build, letters, message in cases:
+            with pytest.raises(ReservedLetter) as info:
+                build()
+            assert (info.value.letters, str(info.value)) == (letters, message)
+        assert unfold_free(armed, 0).actions == armed.actions  # no arming letter, no clash
 
     def test_word_to_ticks_bijection(self):
         w = TimedWord.of(("a", 4))
