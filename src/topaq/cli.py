@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import export
 from .deciders import UndecidableClass, applicable, decide, dense_time, is_oera
-from .model import ModelError, parse_model
+from .model import ModelError, parse_scaled_model
 from .nfa import InclusionCapExceeded
 from .observers import Dynamic, FirstN, ObservationCapExceeded, Static, tick_construction
 from .oracle import BadOracleBound
@@ -88,7 +88,8 @@ def build_parser() -> _Parser:
     check.add_argument("--horizon", help="oracle horizon (rational)")
     check.add_argument("--granularity", help="oracle granularity (rational)")
     check.add_argument("--max-steps", type=int, help="oracle step budget")
-    check.add_argument("--scale", action="store_true", help="scale non-integer model constants")
+    check.add_argument("--scale", action="store_true",
+                       help="scale non-integer constants of a dense-time model (times stay in its units)")
     check.add_argument("file")
 
     classify = sub.add_parser("classify", help="report the automaton's class and applicable deciders")
@@ -105,11 +106,12 @@ def build_parser() -> _Parser:
 
 
 def _load(path: str, scale: bool):
+    """The automaton, and the factor `--scale` multiplied its times by."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read(), scale=scale)
+        return parse_scaled_model(fh.read(), scale=scale)
 
 
-def _report(verdict: Verdict, mode: str) -> int:
+def _report(verdict: Verdict, mode: str, factor: int) -> int:
     label = "existential" if mode == "exists" else mode
     if verdict.holds is True:
         print(f"{label} opacity: holds")
@@ -117,7 +119,7 @@ def _report(verdict: Verdict, mode: str) -> int:
     if verdict.holds is False:
         print(f"{label} opacity: violated" + (f" ({verdict.side})" if verdict.side else ""))
         if verdict.witness is not None:
-            print(f"witness: {verdict.witness}")
+            print(f"witness: {verdict.witness.scaled(Fraction(1, factor))}")
         if verdict.note:
             print(f"note: {verdict.note}")
         return EXIT_VIOLATED
@@ -126,17 +128,20 @@ def _report(verdict: Verdict, mode: str) -> int:
 
 
 def _run_check(args) -> int:
-    ta = _load(args.file, args.scale)
-    horizon = parse_rational(args.horizon) if args.horizon else None
-    granularity = parse_rational(args.granularity) if args.granularity else None
+    # times on the command line and in the witness are in the model's units
+    ta, factor = _load(args.file, args.scale)
+    horizon = parse_rational(args.horizon) * factor if args.horizon else None
+    granularity = parse_rational(args.granularity) * factor if args.granularity else None
     sel = parse_observation(args.obs) if args.obs else None
+    if isinstance(sel, Static):
+        sel = Static(tuple(t * factor for t in sel.times))
     verdict = decide(ta, args.mode, sel, engine=args.engine, horizon=horizon,
                      max_steps=args.max_steps, granularity=granularity)
-    return _report(verdict, args.mode)
+    return _report(verdict, args.mode, factor)
 
 
 def _run_classify(args) -> int:
-    ta = _load(args.file, args.scale)
+    ta, _ = _load(args.file, args.scale)
     deciders, refusal = applicable(ta)
     print(f"time domain: {ta.time_domain}")
     print(f"locations: {len(ta.locations)}")
@@ -152,7 +157,7 @@ def _run_classify(args) -> int:
 
 
 def _run_export(args) -> int:
-    ta = _load(args.file, args.scale)
+    ta, _ = _load(args.file, args.scale)
     if args.what == "ta":
         obj = ta
         text = export.ta_to_dot(obj) if args.format == "dot" else export.ta_to_json(obj)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from typing import Sequence
 
 from .regions import fresh_name
 from .ta import (
@@ -236,95 +237,65 @@ def product(ta1: TimedAutomaton, ta2: TimedAutomaton) -> TimedAutomaton:
     )
 
 
-def _merge_parts(part1: TimedAutomaton, part2: TimedAutomaton):
-    """Disjoint union of two part automata (shared clocks allowed)."""
+def urgent_choice(
+    part1: TimedAutomaton,
+    part2: TimedAutomaton,
+    public: Sequence[str],
+    private: Sequence[str],
+    name: str,
+) -> TimedAutomaton:
+    """The disjoint union of two parts (shared clocks allowed) under an
+    urgent choice at time 0: the fresh initial location moves silently to
+    each part location in `public`, or to the one fresh private location,
+    which moves silently to each part location in `private`. Both fresh
+    locations have the invariant x = 0 on the parts' least clock (a fresh
+    clock `u` if they have none), so no time passes before the choice."""
+    if part1.time_domain != part2.time_domain:
+        raise ValueError("gadget parts must share a time domain")
     overlap = part1.locations & part2.locations
     if overlap:
         raise ValueError(f"gadget parts share locations: {sorted(overlap)[:3]}")
-    inv = dict(part1.invariant)
-    inv.update(part2.invariant)
-    return (
-        part1.locations | part2.locations,
-        inv,
-        part1.edges + part2.edges,
-        part1.final | part2.final,
-        part1.clocks | part2.clocks,
-        part1.actions | part2.actions,
+    locations = part1.locations | part2.locations
+    clocks = part1.clocks | part2.clocks or frozenset({"u"})
+    init, lpriv = fresh_name("init'", locations), fresh_name("priv'", locations)
+    urgent = Guard.of(ClockConstraint(min(clocks), "=", 0))
+    inv = {**part1.invariant, **part2.invariant, init: urgent, lpriv: urgent}
+    choice = [Edge(init, Guard.true(), EPSILON, frozenset(), l) for l in public]
+    choice.append(Edge(init, Guard.true(), EPSILON, frozenset(), lpriv))
+    choice += [Edge(lpriv, Guard.true(), EPSILON, frozenset(), l) for l in private]
+    return TimedAutomaton(
+        actions=part1.actions | part2.actions,
+        locations=locations | {init, lpriv},
+        init=init,
+        private=frozenset({lpriv}),
+        final=part1.final | part2.final,
+        clocks=clocks,
+        invariant=inv,
+        edges=tuple(choice) + part1.edges + part2.edges,
+        time_domain=part1.time_domain,
+        name=name,
     )
-
-
-def _urgency_clock(clocks: frozenset[str]) -> tuple[str, frozenset[str]]:
-    if clocks:
-        return sorted(clocks)[0], clocks
-    u = "u"
-    return u, frozenset({u})
 
 
 def swap_gadget(ta: TimedAutomaton) -> TimedAutomaton:
-    """A TA whose private and public trace sets are those of `ta` swapped.
-
-    Two urgent entry locations (invariant x = 0) feed the private-runs part
-    (publicly) and the public-runs part (through the one private location),
-    so full opacity of `ta` equals weak opacity of `ta` and of this gadget.
+    """A TA whose private and public trace sets are those of `ta` swapped:
+    the private-runs part sits behind the public branch, the public-runs
+    part behind the private one. So full opacity of `ta` equals weak
+    opacity of `ta` and of this gadget.
     """
     pub = build_pub(ta)
     priv = build_priv(ta)
-    locations, inv, edges, finals, clocks, actions = _merge_parts(priv, pub)
-    x, clocks = _urgency_clock(clocks)
-    init, lpriv = fresh_name("init'", locations), fresh_name("priv'", locations)
-    urgent = Guard.of(ClockConstraint(x, "=", 0))
-    inv = dict(inv)
-    inv[init] = urgent
-    inv[lpriv] = urgent
-    new_edges = (
-        Edge(init, Guard.true(), EPSILON, frozenset(), priv.init),
-        Edge(init, Guard.true(), EPSILON, frozenset(), lpriv),
-        Edge(lpriv, Guard.true(), EPSILON, frozenset(), pub.init),
-    )
-    return TimedAutomaton(
-        actions=actions,
-        locations=locations | {init, lpriv},
-        init=init,
-        private=frozenset({lpriv}),
-        final=finals,
-        clocks=clocks,
-        invariant=inv,
-        edges=new_edges + edges,
-        time_domain=ta.time_domain,
-        name=f"{ta.name}_swap",
-    )
+    return urgent_choice(priv, pub, [priv.init], [pub.init], f"{ta.name}_swap")
 
 
 def embed_gadget(ta: TimedAutomaton) -> TimedAutomaton:
-    """A TA that is fully opaque iff `ta` is weakly opaque: its public traces
-    are ta's public ones, its private traces the union of both sets."""
+    """A TA that is fully opaque iff `ta` is weakly opaque: the public-runs
+    part sits behind the public branch, and both the private-runs and the
+    public-runs part behind the private one. So its public traces are ta's
+    public ones, its private traces the union of both sets."""
     pub = build_pub(ta)
     priv = build_priv(ta)
-    locations, inv, edges, finals, clocks, actions = _merge_parts(priv, pub)
-    x, clocks = _urgency_clock(clocks)
-    init, lpriv = fresh_name("init'", locations), fresh_name("priv'", locations)
-    urgent = Guard.of(ClockConstraint(x, "=", 0))
-    inv = dict(inv)
-    inv[init] = urgent
-    inv[lpriv] = urgent
-    new_edges = (
-        Edge(init, Guard.true(), EPSILON, frozenset(), pub.init),
-        Edge(init, Guard.true(), EPSILON, frozenset(), lpriv),
-        Edge(lpriv, Guard.true(), EPSILON, frozenset(), priv.init),
-        Edge(lpriv, Guard.true(), EPSILON, frozenset(), pub.init),
-    )
-    return TimedAutomaton(
-        actions=actions,
-        locations=locations | {init, lpriv},
-        init=init,
-        private=frozenset({lpriv}),
-        final=finals,
-        clocks=clocks,
-        invariant=inv,
-        edges=new_edges + edges,
-        time_domain=ta.time_domain,
-        name=f"{ta.name}_embed",
-    )
+    return urgent_choice(priv, pub, [pub.init], [priv.init, pub.init], f"{ta.name}_embed")
 
 
 def retag(ta: TimedAutomaton, suffix: str) -> TimedAutomaton:
@@ -341,36 +312,11 @@ def retag(ta: TimedAutomaton, suffix: str) -> TimedAutomaton:
 
 
 def inclusion_gadget(a: TimedAutomaton, b: TimedAutomaton) -> TimedAutomaton:
-    """A TA that is weakly opaque iff traces(a) ⊆ traces(b): `a` is reachable
-    only through the single private location, `b` only publicly."""
-    if a.time_domain != b.time_domain:
-        raise ValueError("gadget parts must share a time domain")
+    """A TA that is weakly opaque iff traces(a) ⊆ traces(b): `b` sits behind
+    the public branch, `a` behind the private one."""
     pa = retag(strip_private(a), "~A")
     pb = retag(strip_private(b), "~B")
-    locations, inv, edges, finals, clocks, actions = _merge_parts(pa, pb)
-    x, clocks = _urgency_clock(clocks)
-    init, lpriv = fresh_name("init'", locations), fresh_name("priv'", locations)
-    zero = Guard.of(ClockConstraint(x, "=", 0))
-    inv = dict(inv)
-    inv[init] = Guard.true()
-    inv[lpriv] = Guard.true()
-    new_edges = (
-        Edge(init, zero, EPSILON, frozenset(), lpriv),
-        Edge(init, zero, EPSILON, frozenset(), pb.init),
-        Edge(lpriv, zero, EPSILON, frozenset(), pa.init),
-    )
-    return TimedAutomaton(
-        actions=actions,
-        locations=locations | {init, lpriv},
-        init=init,
-        private=frozenset({lpriv}),
-        final=finals,
-        clocks=clocks,
-        invariant=inv,
-        edges=new_edges + edges,
-        time_domain=a.time_domain,
-        name=f"incl({a.name},{b.name})",
-    )
+    return urgent_choice(pa, pb, [pb.init], [pa.init], f"incl({a.name},{b.name})")
 
 
 def strip_private(ta: TimedAutomaton) -> TimedAutomaton:

@@ -214,7 +214,7 @@ def _ticked_language(ticked: TimedAutomaton, cap: Optional[int], tags: tuple[str
     m = from_region_automaton(ra, tuple(frozenset(c) for c in classes))
     del ra  # its edge arrays and interning tables: the strip needs only `m`
     suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
-    return nfalib.strip_ticks_before_suffix(m, suffix, TICK_LETTER)
+    return nfalib.strip_ticks_before_suffix(m, suffix)
 
 
 def _discrete_languages(ta: TimedAutomaton, cap: Optional[int]) -> list[NFA]:
@@ -231,12 +231,11 @@ def _check_discrete(ta: TimedAutomaton, mode: str, cap: Optional[int]) -> Verdic
 def _compare(priv: NFA, pub: NFA, mode: str, decode) -> Verdict:
     """Weak opacity as priv ⊆ pub, full also as pub ⊆ priv; a counterexample
     is decoded into the witness timed word."""
-    alphabet = nfalib.merge_alphabets(priv, pub)
-    inc = check_inclusion(priv, pub, alphabet)
+    inc = check_inclusion(priv, pub)
     if not inc.holds:
         return Verdict(False, witness=decode(inc.counterexample), side="priv-not-pub")
     if mode == "full":
-        inc = check_inclusion(pub, priv, alphabet)
+        inc = check_inclusion(pub, priv)
         if not inc.holds:
             return Verdict(False, witness=decode(inc.counterexample), side="pub-not-priv")
     return Verdict(True)
@@ -247,7 +246,7 @@ def language_inclusion_discrete(a: TimedAutomaton, b: TimedAutomaton, cap: Optio
     region automata; returns (holds, counterexample timed word or None)."""
     na = _ticked_language(augment_ticks(a), cap)
     nb = _ticked_language(augment_ticks(b), cap)
-    inc = check_inclusion(na, nb, nfalib.merge_alphabets(na, nb))
+    inc = check_inclusion(na, nb)
     return inc.holds, None if inc.holds else tick_decode(inc.counterexample)
 
 

@@ -13,8 +13,8 @@
 
 `act: eps` marks a silent edge; omitted `when` means true, omitted `reset`
 the empty set. Bounds are integers; decimals or fractions are accepted only
-when a scaling pass is requested, and then every constant is scaled to an
-integer by the common denominator.
+in dense time when a scaling pass is requested, and then every constant is
+scaled to an integer by the common denominator.
 """
 
 from __future__ import annotations
@@ -137,6 +137,14 @@ class _Parser:
 def parse_model(text: str, scale: bool = False) -> TimedAutomaton:
     """Parse one automaton; raises ModelError with positions on bad input and
     on validation errors, warns on validation warnings."""
+    return parse_scaled_model(text, scale)[0]
+
+
+def parse_scaled_model(text: str, scale: bool) -> tuple[TimedAutomaton, int]:
+    """`parse_model`, and the factor every constant was multiplied by (1
+    without `scale`): time t of the model as written is time t * factor of
+    the automaton. A discrete-time model must have integer bounds even with
+    `scale`, since scaling would move the integer instants it runs on."""
     p = _Parser(_tokenize(text))
     p.expect("name", "ta")
     name = p.expect("name").text
@@ -220,11 +228,10 @@ def parse_model(text: str, scale: bool = False) -> TimedAutomaton:
     all_bounds = [c for conj in invariants.values() for c in conj]
     all_bounds += [c for e in raw_edges for c in e["when"]]
     denom = lcm(*(c[2].denominator for c in all_bounds)) if all_bounds else 1
-    if denom != 1 and not scale:
+    if denom != 1 and (time_domain == "discrete" or not scale):
         offender = next(c for c in all_bounds if c[2].denominator != 1)
-        raise ModelError(
-            f"non-integer bound {offender[2]} (pass scale=True to scale all constants)", offender[3]
-        )
+        why = "in discrete time" if time_domain == "discrete" else "(pass scale=True to scale all constants)"
+        raise ModelError(f"non-integer bound {offender[2]} {why}", offender[3])
 
     def guard(conj) -> Guard:
         out = []
@@ -257,7 +264,7 @@ def parse_model(text: str, scale: bool = False) -> TimedAutomaton:
     for d in diags:
         if d.severity == "warning":
             warnings.warn(d.message)
-    return ta
+    return ta, denom
 
 
 def print_model(ta: TimedAutomaton) -> str:

@@ -270,8 +270,7 @@ class InclusionResult:
     explored: int = 0  # product successors counted toward `pair_cap`
 
 
-def check_inclusion(a: NFA, b: NFA, alphabet: Optional[tuple[str, ...]] = None,
-                    pair_cap: int = 2_000_000) -> InclusionResult:
+def check_inclusion(a: NFA, b: NFA, pair_cap: int = 2_000_000) -> InclusionResult:
     """Does L(a) ⊆ L(b)? On failure returns the shortlex-least
     counterexample: shortest, ties broken lexicographically by alphabet
     order.
@@ -290,7 +289,7 @@ def check_inclusion(a: NFA, b: NFA, alphabet: Optional[tuple[str, ...]] = None,
     dominates it. Every state of `a` that a word's letter step reaches
     counts as one product successor toward `pair_cap`.
     """
-    alphabet = alphabet or merge_alphabets(a, b)
+    alphabet = merge_alphabets(a, b)
     b_step: dict[tuple[frozenset[int], str], frozenset[int]] = {}
     # antichain store: per a-state, the minimal b macro-states seen
     seen: dict[int, list[frozenset[int]]] = {}
@@ -346,23 +345,23 @@ def regular_inclusion(ra1: RegionAutomaton, ra2: RegionAutomaton, pair_cap: int 
         raise ValueError("region automata must share an alphabet")
     a = from_region_automaton(ra1)
     b = from_region_automaton(ra2)
-    return check_inclusion(a, b, merge_alphabets(a, b), pair_cap=pair_cap)
+    return check_inclusion(a, b, pair_cap=pair_cap)
 
 
-def strip_trailing_letter(m: NFA, letter: str = TICK_LETTER) -> NFA:
-    """Language image under removal of a maximal trailing `letter` run: the
+def strip_trailing_letter(m: NFA) -> NFA:
+    """Language image under removal of a maximal trailing tick run: the
     case of `strip_ticks_before_suffix` without suffix letters."""
-    return strip_ticks_before_suffix(m, frozenset(), letter)
+    return strip_ticks_before_suffix(m, frozenset())
 
 
-def strip_ticks_before_suffix(m: NFA, suffix_letters: frozenset[str], letter: str = TICK_LETTER) -> NFA:
-    """Language image under removal of the maximal `letter` run separating
+def strip_ticks_before_suffix(m: NFA, suffix_letters: frozenset[str]) -> NFA:
+    """Language image under removal of the maximal tick run separating
     the last non-suffix letter from the suffix block: a silent-free NFA
     built from the silent-free NFA `m`.
 
     Two prefix phases read tick and action letters (never suffix letters)
     and track whether the last letter read was a tick; a jump, allowed only
-    when it was not, follows any path of `letter` edges into the suffix
+    when it was not, follows any path of tick edges into the suffix
     phase, which admits suffix letters only. The jump must swallow the whole
     separating run, because a leftover tick before the suffix block has
     nowhere to be read. It lands only on states with a suffix letter: the
@@ -393,7 +392,7 @@ def strip_ticks_before_suffix(m: NFA, suffix_letters: frozenset[str], letter: st
     n = m.n_states
     finals = m.finals.union(*m.final_classes)
     ready = [not suffix_letters.isdisjoint(d) for d in m.trans]
-    jump = _reach_table([d.get(letter, ()) for d in m.trans], [r or s in finals for s, r in enumerate(ready)])
+    jump = _reach_table([d.get(TICK_LETTER, ()) for d in m.trans], [r or s in finals for s, r in enumerate(ready)])
     suffix = {s: 2 * n + k for k, s in enumerate([s for s in range(n) if ready[s]])}  # state -> suffix-phase id
     todo = list(suffix)
     while todo:
@@ -425,7 +424,7 @@ def strip_ticks_before_suffix(m: NFA, suffix_letters: frozenset[str], letter: st
         moves = {}  # both prefix phases read the same letters into the same targets
         for a, succs in m.trans[s].items():
             if a not in suffix_letters:
-                t = _union(enter_tick if a == letter else enter, succs)
+                t = _union(enter_tick if a == TICK_LETTER else enter, succs)
                 if t:
                     moves[a] = t
         trans += (moves, moves)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .constructions import relax_finals
 from .regions import fresh_name, reserve_letters, TICK_LETTER
@@ -95,6 +95,34 @@ def project(w: TimedWord, sel: Union[FirstN, Static]) -> TimedWord:
     return TimedWord(tuple(kept))
 
 
+def copy_locations(
+    ta: TimedAutomaton,
+    copies: Sequence[str],
+    invariant: Callable[[str, str], Guard],
+    edges: Iterable[Edge],
+    name: str,
+    actions: frozenset[str] = frozenset(),
+    clocks: frozenset[str] = frozenset(),
+) -> TimedAutomaton:
+    """The automaton on one copy `loc~c` of every location of `ta` per copy
+    name `c`, starting in the first copy: `invariant(loc, c)` is the
+    invariant of `loc~c`, every copy's finals and privates are final and
+    private, and `actions` and `clocks` join those of `ta`."""
+    cp = lambda locs: frozenset(f"{l}~{c}" for l in locs for c in copies)
+    return TimedAutomaton(
+        actions=ta.actions | actions,
+        locations=cp(ta.locations),
+        init=f"{ta.init}~{copies[0]}",
+        private=cp(ta.private),
+        final=cp(ta.final),
+        clocks=ta.clocks | clocks,
+        invariant={f"{l}~{c}": invariant(l, c) for l in ta.locations for c in copies},
+        edges=tuple(edges),
+        time_domain=ta.time_domain,
+        name=name,
+    )
+
+
 def unfold_first_n(ta: TimedAutomaton, n: int) -> TimedAutomaton:
     """N+1 copies of `ta`; silent edges stay in-copy, observable edges
     advance the copy until the last one, where they turn silent (the attacker
@@ -104,40 +132,20 @@ def unfold_first_n(ta: TimedAutomaton, n: int) -> TimedAutomaton:
     if n < 0:
         raise ValueError("observation count must be nonnegative")
     _check_observations(n)
-    cp = lambda loc, i: f"{loc}~{i}"
-    locations = frozenset(cp(l, i) for l in ta.locations for i in range(n + 1))
-    inv = {cp(l, i): ta.invariant_of(l) for l in ta.locations for i in range(n + 1)}
     edges = []
     for i in range(n + 1):
         for e in ta.edges:
             if e.action is EPSILON or i == n:
-                edges.append(Edge(cp(e.source, i), e.guard, EPSILON, e.resets, cp(e.target, i)))
+                edges.append(Edge(f"{e.source}~{i}", e.guard, EPSILON, e.resets, f"{e.target}~{i}"))
             else:
-                edges.append(Edge(cp(e.source, i), e.guard, e.action, e.resets, cp(e.target, i + 1)))
-    return TimedAutomaton(
-        actions=ta.actions,
-        locations=locations,
-        init=cp(ta.init, 0),
-        private=frozenset(cp(l, i) for l in ta.private for i in range(n + 1)),
-        final=frozenset(cp(l, i) for l in ta.final for i in range(n + 1)),
-        clocks=ta.clocks,
-        invariant=inv,
-        edges=tuple(edges),
-        time_domain=ta.time_domain,
-        name=f"{ta.name}~unfold{n}",
-    )
+                edges.append(Edge(f"{e.source}~{i}", e.guard, e.action, e.resets, f"{e.target}~{i + 1}"))
+    return copy_locations(ta, [str(i) for i in range(n + 1)], lambda l, c: ta.invariant_of(l),
+                          edges, f"{ta.name}~unfold{n}")
 
 
-def _nonempty_subsets(items: Sequence[str]):
-    items = list(items)
-    for mask in range(1, 1 << len(items)):
-        yield frozenset(x for i, x in enumerate(items) if mask >> i & 1)
-
-
-def _all_subsets(items: Sequence[str]):
-    items = list(items)
-    for mask in range(1 << len(items)):
-        yield frozenset(x for i, x in enumerate(items) if mask >> i & 1)
+def _subsets(items: Sequence[str]) -> list[frozenset[str]]:
+    """Every subset of `items`, the empty one first."""
+    return [frozenset(x for i, x in enumerate(items) if mask >> i & 1) for mask in range(1 << len(items))]
 
 
 def tick_construction(
@@ -188,6 +196,7 @@ def tick_construction(
         return Guard(tuple(conj))
 
     below1 = guard_all_below_one()
+    subsets = _subsets(rest)
     lg0 = fresh_name("gadget0", unfolded.locations)
     lg1 = fresh_name("gadget1", unfolded.locations)
     # (unfolding finals, gadget entry, gadget final) per class; a tagged
@@ -214,13 +223,13 @@ def tick_construction(
     for loc in sorted(unfolded.locations):
         if loc not in unfolded.final:
             edges.append(Edge(loc, Guard.of(ClockConstraint(x0, "=", 1)), TICK_LETTER, frozenset({x0}), loc))
-        for subset in _nonempty_subsets(rest):
+        for subset in subsets[1:]:
             edges.append(Edge(loc, guard_group(subset, rest), EPSILON, subset, loc))
     # end gadget: first the group synchronized with the tick clock, then each
     # later fractional group as it reaches 1, closing after one full unit
     f_letters = set()
     index_of = {c: i for i, c in enumerate(obs)}
-    for subset in _all_subsets(rest):
+    for subset in subsets:
         group = subset | {x0}
         letter = render_group(frozenset(index_of[c] for c in group))
         f_letters.add(letter)
@@ -228,7 +237,7 @@ def tick_construction(
             for lf in finals:
                 edges.append(Edge(lf, guard_group(group, obs), letter, group, g0))
             edges.append(Edge(g0, guard_group(group, obs), EPSILON, frozenset(), g1))
-    for subset in _nonempty_subsets(rest):
+    for subset in subsets[1:]:
         letter = render_group(frozenset(index_of[c] for c in subset))
         f_letters.add(letter)
         for _, g0, _ in gadgets:
@@ -279,6 +288,20 @@ def scale_guard(g: Guard, factor: int) -> Guard:
     return Guard(tuple(ClockConstraint(c.clock, c.cmp, c.bound * factor) for c in g.conjuncts))
 
 
+def _on(loc: str, i: int) -> str:
+    return f"{loc}~on{i}"
+
+
+def _off(loc: str, j: int) -> str:
+    return f"{loc}~off{j}"
+
+
+def _switch_copies(n: int) -> list[str]:
+    """The copies of the switch-slot unfoldings: the sensor off before each
+    of the n slots and after the last, and on in each slot."""
+    return [f"off{j}" for j in range(n + 1)] + [f"on{i}" for i in range(n)]
+
+
 def unfold_tau(ta: TimedAutomaton, tau: Sequence[Fraction]) -> TimedAutomaton:
     """Unfolding against a simple switch-time sequence: sensor-off copies
     (everything silent) alternate with sensor-on copies, and a fresh global
@@ -302,19 +325,8 @@ def unfold_tau(ta: TimedAutomaton, tau: Sequence[Fraction]) -> TimedAutomaton:
     scaled = [int(t * factor) for t in tau]
 
     z = fresh_name("zobs", ta.clocks)
-    on = lambda loc, i: f"{loc}~on{i}"
-    off = lambda loc, j: f"{loc}~off{j}"
-    locations = set()
-    inv = {}
-    for l in ta.locations:
-        base = scale_guard(ta.invariant_of(l), factor)
-        for i in range(n):
-            locations.add(on(l, i))
-            inv[on(l, i)] = base
-        for j in range(n + 1):
-            locations.add(off(l, j))
-            limit = Guard.of(ClockConstraint(z, "<=", scaled[j])) if j < n else Guard.true()
-            inv[off(l, j)] = base.conjoin(limit)
+    base = {l: scale_guard(ta.invariant_of(l), factor) for l in ta.locations}
+    limit = {f"off{j}": Guard.of(ClockConstraint(z, "<=", scaled[j])) for j in range(n)}
 
     def window(k: int, j: int) -> Guard:
         # observed from slot j at time t: the next armed slot is k, i.e.
@@ -336,39 +348,23 @@ def unfold_tau(ta: TimedAutomaton, tau: Sequence[Fraction]) -> TimedAutomaton:
                 # a letter at exactly the switch time is observed, so its
                 # silenced variant must fire strictly before it
                 gj = g.conjoin(Guard.of(ClockConstraint(z, "<", scaled[j])))
-            edges.append(Edge(off(e.source, j), gj, EPSILON, e.resets, off(e.target, j)))
+            edges.append(Edge(_off(e.source, j), gj, EPSILON, e.resets, _off(e.target, j)))
         if e.action is EPSILON:
             for i in range(n):
-                edges.append(Edge(on(e.source, i), g, EPSILON, e.resets, on(e.target, i)))
+                edges.append(Edge(_on(e.source, i), g, EPSILON, e.resets, _on(e.target, i)))
         else:
             for i in range(n):
                 for k in range(i + 1, n + 1):
                     edges.append(
-                        Edge(on(e.source, i), g.conjoin(window(k, i)), e.action, e.resets, off(e.target, k))
+                        Edge(_on(e.source, i), g.conjoin(window(k, i)), e.action, e.resets, _off(e.target, k))
                     )
     for l in ta.locations:
         for i in range(n):
             at = Guard.of(ClockConstraint(z, "=", scaled[i]))
-            edges.append(Edge(off(l, i), at, EPSILON, frozenset(), on(l, i)))
+            edges.append(Edge(_off(l, i), at, EPSILON, frozenset(), _on(l, i)))
 
-    finals = set()
-    for l in ta.final:
-        finals.update(on(l, i) for i in range(n))
-        finals.update(off(l, j) for j in range(n + 1))
-    privates = {on(l, i) for l in ta.private for i in range(n)}
-    privates |= {off(l, j) for l in ta.private for j in range(n + 1)}
-    return TimedAutomaton(
-        actions=ta.actions,
-        locations=frozenset(locations),
-        init=off(ta.init, 0),
-        private=frozenset(privates),
-        final=frozenset(finals),
-        clocks=ta.clocks | {z},
-        invariant=inv,
-        edges=tuple(edges),
-        time_domain=ta.time_domain,
-        name=f"{ta.name}~tau{n}",
-    )
+    return copy_locations(ta, _switch_copies(n), lambda l, c: base[l].conjoin(limit.get(c, Guard.true())),
+                          edges, f"{ta.name}~tau{n}", clocks=frozenset({z}))
 
 
 def unfold_free(ta: TimedAutomaton, n: int) -> TimedAutomaton:
@@ -379,49 +375,22 @@ def unfold_free(ta: TimedAutomaton, n: int) -> TimedAutomaton:
     if n < 0:
         raise ValueError("observation count must be nonnegative")
     _check_observations(2 * n)
-    on = lambda loc, i: f"{loc}~on{i}"
-    off = lambda loc, j: f"{loc}~off{j}"
     obs_letters = tuple(f"o{i}" for i in range(n))
     reserve_letters(ta.actions, obs_letters, "dynamic attacker's unfolding")
-    locations = set()
-    inv = {}
-    for l in ta.locations:
-        for i in range(n):
-            locations.add(on(l, i))
-            inv[on(l, i)] = ta.invariant_of(l)
-        for j in range(n + 1):
-            locations.add(off(l, j))
-            inv[off(l, j)] = ta.invariant_of(l)
     edges = []
     for e in ta.edges:
         for j in range(n + 1):
-            edges.append(Edge(off(e.source, j), e.guard, EPSILON, e.resets, off(e.target, j)))
+            edges.append(Edge(_off(e.source, j), e.guard, EPSILON, e.resets, _off(e.target, j)))
         if e.action is EPSILON:
             for i in range(n):
-                edges.append(Edge(on(e.source, i), e.guard, EPSILON, e.resets, on(e.target, i)))
+                edges.append(Edge(_on(e.source, i), e.guard, EPSILON, e.resets, _on(e.target, i)))
         else:
             for i in range(n):
-                edges.append(Edge(on(e.source, i), e.guard, e.action, e.resets, off(e.target, i + 1)))
+                edges.append(Edge(_on(e.source, i), e.guard, e.action, e.resets, _off(e.target, i + 1)))
     for l in ta.locations:
         for i in range(n):
-            edges.append(Edge(off(l, i), Guard.true(), obs_letters[i], frozenset(), on(l, i)))
+            edges.append(Edge(_off(l, i), Guard.true(), obs_letters[i], frozenset(), _on(l, i)))
         for i in range(n - 1):
-            edges.append(Edge(on(l, i), Guard.true(), obs_letters[i], frozenset(), on(l, i + 1)))
-    finals = set()
-    for l in ta.final:
-        finals.update(on(l, i) for i in range(n))
-        finals.update(off(l, j) for j in range(n + 1))
-    privates = {on(l, i) for l in ta.private for i in range(n)}
-    privates |= {off(l, j) for l in ta.private for j in range(n + 1)}
-    return TimedAutomaton(
-        actions=ta.actions | set(obs_letters),
-        locations=frozenset(locations),
-        init=off(ta.init, 0),
-        private=frozenset(privates),
-        final=frozenset(finals),
-        clocks=ta.clocks,
-        invariant=inv,
-        edges=tuple(edges),
-        time_domain=ta.time_domain,
-        name=f"{ta.name}~free{n}",
-    )
+            edges.append(Edge(_on(l, i), Guard.true(), obs_letters[i], frozenset(), _on(l, i + 1)))
+    return copy_locations(ta, _switch_copies(n), lambda l, c: ta.invariant_of(l), edges,
+                          f"{ta.name}~free{n}", actions=frozenset(obs_letters))

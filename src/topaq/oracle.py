@@ -3,6 +3,7 @@ evaluation of the opacity definitions on the enumerated trace sets."""
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from fractions import Fraction
@@ -219,8 +220,16 @@ def oracle_check(
             return verdict(True, min(common, key=lambda w: w.sort_key()), "intersection")
         return verdict(False if definitive else None)
 
-    boosted: dict[bool, Optional[set[TimedWord]]] = {}
     unconfirmed = False
+
+    @functools.cache
+    def boosted() -> Optional[dict[bool, set[TimedWord]]]:
+        """The projected traces by privacy at a boosted step budget, or None
+        when that enumeration is incomplete."""
+        b_priv, b_pub, b_complete = trace_sets(ta, horizon, max_steps + 4, granularity, node_cap)
+        if not b_complete:
+            return None
+        return {True: {project(u, sel) for u in b_priv}, False: {project(u, sel) for u in b_pub}}
 
     def matched_elsewhere(w: TimedWord, matched_private: bool) -> Optional[bool]:
         """True/False when decided; None when the recheck ran out of budget."""
@@ -231,17 +240,8 @@ def oracle_check(
                 return None
         # projections cannot be replayed directly; recheck against the other
         # side's projected set at a boosted step budget instead
-        if matched_private not in boosted:
-            result = enumerate_runs(ta, horizon, max_steps + 4, granularity, node_cap=node_cap, dedup=True)
-            if not result.complete:
-                boosted[matched_private] = None
-            else:
-                side = {
-                    trace_of(r) for r in result.runs if is_private_run(ta, r) == matched_private
-                }
-                boosted[matched_private] = {project(u, sel) for u in side}
-        table = boosted[matched_private]
-        return None if table is None else w in table
+        table = boosted()
+        return None if table is None else w in table[matched_private]
 
     def confirmed_witness(candidates: set[TimedWord], matched_private: bool) -> Optional[TimedWord]:
         """The canonical (greatest of the shortest) candidate confirmed to

@@ -294,15 +294,8 @@ class Run:
     initial: Configuration
     steps: tuple[tuple[Fraction, Edge, Configuration], ...] = ()
 
-    @property
-    def last(self) -> Configuration:
-        return self.steps[-1][2] if self.steps else self.initial
-
     def configurations(self) -> list[Configuration]:
         return [self.initial] + [cfg for _, _, cfg in self.steps]
-
-    def duration(self) -> Fraction:
-        return sum((d for d, _, _ in self.steps), Fraction(0))
 
     def visits(self, locations: frozenset[str]) -> bool:
         return any(c.location in locations for c in self.configurations())

@@ -17,7 +17,7 @@ from topaq.constructions import build_priv, build_pub
 from topaq.deciders import _attacker, _compare, decode_ticked_tokens, dense_time
 from topaq.nfa import NFA, from_region_automaton
 from topaq.observers import TimeSelection, tick_construction
-from topaq.regions import TICK_LETTER, augment_ticks, build_region_automaton, tick_decode
+from topaq.regions import augment_ticks, build_region_automaton, tick_decode
 from topaq.ta import TimedAutomaton, Verdict
 
 
@@ -25,7 +25,7 @@ def reference_ticked_language(ticked: TimedAutomaton, cap: Optional[int] = None)
     """Stripped untimed language of one tick automaton."""
     m = from_region_automaton(build_region_automaton(ticked, cap))
     suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
-    return nfalib.strip_ticks_before_suffix(m, suffix, TICK_LETTER)
+    return nfalib.strip_ticks_before_suffix(m, suffix)
 
 
 def reference_discrete_languages(ta: TimedAutomaton) -> tuple[NFA, NFA]:

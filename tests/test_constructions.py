@@ -1,7 +1,7 @@
 import warnings
 from fractions import Fraction as F
 
-from conftest import single_word_ta
+from conftest import late_guard_ta, single_word_ta
 from topaq.constructions import (
     build_memo,
     build_priv,
@@ -12,6 +12,7 @@ from topaq.constructions import (
     prune_final_exits,
     swap_gadget,
 )
+from topaq.model import print_model
 from topaq.oracle import trace_sets
 from topaq.ta import TimedWord, make_ta, edge, Guard, ClockConstraint
 
@@ -237,6 +238,84 @@ class TestGadgets:
         )
         assert swap_gadget(ta).clocks == {"u"}
         assert embed_gadget(ta).clocks == {"u"}
+
+
+# the exact gadgets, pinned: the part order, the urgency on both entry
+# locations and the public entries before the private one
+SWAP_LATE_GUARD = """\
+ta late-guard_swap {
+  time: discrete;
+  clocks: x;
+  actions: a;
+  init: init';
+  private: priv';
+  final: lf~S;
+  loc init' { inv: x = 0; }
+  loc l0 { }
+  loc l0~S { }
+  loc l0~nS { }
+  loc lf~S { }
+  loc lf~nS { }
+  loc priv' { inv: x = 0; }
+  edge init' -> l0~nS { act: eps; }
+  edge init' -> priv' { act: eps; }
+  edge priv' -> l0 { act: eps; }
+  edge l0~S -> lf~S { when: x > 2; act: a; }
+  edge l0~nS -> lf~S { when: x > 2; act: a; }
+}
+"""
+
+EMBED_LATE_GUARD = """\
+ta late-guard_embed {
+  time: discrete;
+  clocks: x;
+  actions: a;
+  init: init';
+  private: priv';
+  final: lf~S;
+  loc init' { inv: x = 0; }
+  loc l0 { }
+  loc l0~S { }
+  loc l0~nS { }
+  loc lf~S { }
+  loc lf~nS { }
+  loc priv' { inv: x = 0; }
+  edge init' -> l0 { act: eps; }
+  edge init' -> priv' { act: eps; }
+  edge priv' -> l0~nS { act: eps; }
+  edge priv' -> l0 { act: eps; }
+  edge l0~S -> lf~S { when: x > 2; act: a; }
+  edge l0~nS -> lf~S { when: x > 2; act: a; }
+}
+"""
+
+INCLUSION_A1_A2 = """\
+ta incl(one-a1,one-a2) {
+  time: dense;
+  clocks: c;
+  actions: a;
+  init: init';
+  private: priv';
+  final: f~A, f~B;
+  loc f~A { }
+  loc f~B { }
+  loc init' { inv: c = 0; }
+  loc priv' { inv: c = 0; }
+  loc s~A { }
+  loc s~B { }
+  edge init' -> s~B { act: eps; }
+  edge init' -> priv' { act: eps; }
+  edge priv' -> s~A { act: eps; }
+  edge s~A -> f~A { when: c = 1; act: a; }
+  edge s~B -> f~B { when: c = 2; act: a; }
+}
+"""
+
+
+def test_gadgets_pinned():
+    assert print_model(swap_gadget(late_guard_ta())) == SWAP_LATE_GUARD
+    assert print_model(embed_gadget(late_guard_ta())) == EMBED_LATE_GUARD
+    assert print_model(inclusion_gadget(single_word_ta("a", 1), single_word_ta("a", 2))) == INCLUSION_A1_A2
 
 
 class TestPruneFinalExits:

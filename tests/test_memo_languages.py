@@ -18,7 +18,7 @@ from reference_languages import (
     reference_first_n_languages,
 )
 from topaq.deciders import _attacker, _discrete_languages, _first_n_languages, decide
-from topaq.nfa import check_inclusion, merge_alphabets
+from topaq.nfa import check_inclusion
 from topaq.observers import Dynamic, FirstN, Static
 from topaq.oracle import discrete_state_count
 from topaq.ta import validate, validate_errors
@@ -34,10 +34,9 @@ LADDER = {
 
 
 def assert_same_language(view, reference):
-    alphabet = merge_alphabets(view, reference)
-    forward = check_inclusion(view, reference, alphabet)
+    forward = check_inclusion(view, reference)
     assert forward.holds, forward.counterexample
-    backward = check_inclusion(reference, view, alphabet)
+    backward = check_inclusion(reference, view)
     assert backward.holds, backward.counterexample
 
 

@@ -33,6 +33,37 @@ ta fig1 {
 }
 """
 
+# the private branch needs x = 1/2, never true in discrete time, so the
+# model answers as it would without that branch
+HALF_DISCRETE_TEXT = """ta half {
+  time: discrete;
+  clocks: x;
+  actions: a;
+  init: l0;
+  private: lp;
+  final: lf;
+  loc l0 { }
+  loc lp { }
+  loc lf { }
+  edge l0 -> lp { when: x = 1/2; act: eps; }
+  edge lp -> lf { act: a; }
+  edge l0 -> lf { when: x = 1; act: a; }
+}
+"""
+
+# emits a only at x = 1/2, and only privately
+HALF_DENSE_TEXT = """ta half {
+  clocks: x;
+  actions: a;
+  init: l0;
+  private: lp;
+  final: lp;
+  loc l0 { }
+  loc lp { }
+  edge l0 -> lp { when: x = 1/2; act: a; }
+}
+"""
+
 
 def structural_key(ta):
     return (
@@ -79,6 +110,10 @@ class TestParseModel:
         ta = parse_model(text, scale=True)
         (c,) = ta.invariant_of("l0").conjuncts
         assert c.bound == 3  # scaled by the common denominator 2
+
+    def test_discrete_bounds_are_never_scaled(self):
+        with pytest.raises(ModelError, match="non-integer bound 1/2 in discrete time"):
+            parse_model(HALF_DISCRETE_TEXT, scale=True)
 
     def test_fraction_bounds_scale_consistently(self):
         text = ("ta t { clocks: x; actions: a; init: l0; final: l1; loc l0 { } loc l1 { } "
@@ -304,6 +339,31 @@ class TestCli:
         path.write_text(FIG1_TEXT.replace("time: dense;", "time: discrete;"))
         assert main(["check", "--mode", "weak", str(path)]) == 0
         assert main(["check", "--mode", "full", str(path)]) == 1
+
+    @pytest.mark.parametrize("mode", ["weak", "exists"])
+    def test_scale_refused_in_discrete_time(self, tmp_path, capsys, mode):
+        # scaled by 2, the private branch's x = 1/2 would become the instant 1
+        path = tmp_path / "half.ta"
+        path.write_text(HALF_DISCRETE_TEXT)
+        assert main(["check", "--mode", mode, "--scale", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: line 11: non-integer bound 1/2 in discrete time\n")
+
+    @pytest.mark.parametrize("extra, code, out", [
+        (["--obs", "first:1"], 1, "weak opacity: violated (priv-not-pub)\nwitness: (a, 1/2)\n"),
+        (["--obs", "static:1"], 1, "weak opacity: violated (priv-not-pub)\nwitness: ε\n"
+                                   "note: witness uses the normalized switch-time sequence\n"),
+        (["--engine", "oracle", "--horizon", "1/2"], 1, "weak opacity: violated (priv-not-pub)\nwitness: (a, 1/2)\n"),
+        (["--engine", "oracle", "--horizon", "1", "--granularity", "1"], 2,
+         "weak opacity: inconclusive (no violation found within the search bounds)\n"),
+    ], ids=["first", "static", "oracle-horizon", "oracle-granularity"])
+    def test_scale_keeps_model_units(self, tmp_path, capsys, extra, code, out):
+        # times on the command line and in the witness are the model's, not
+        # the scaled automaton's
+        path = tmp_path / "half.ta"
+        path.write_text(HALF_DENSE_TEXT)
+        assert main(["check", "--mode", "weak", "--scale"] + extra + [str(path)]) == code
+        assert capsys.readouterr().out == out
 
 
 def test_python_dash_m_runs_the_cli():

@@ -6,7 +6,7 @@ import pytest
 
 from topaq.constructions import MEMO_TAGS, build_memo, build_priv, build_pub, memo_classes
 from topaq.deciders import dense_time
-from topaq.model import parse_model
+from topaq.model import parse_model, print_model
 from topaq.nfa import check_inclusion, from_region_automaton, strip_ticks_before_suffix
 from topaq.observers import (
     Dynamic,
@@ -21,7 +21,7 @@ from topaq.observers import (
     unfold_tau,
 )
 from topaq.oracle import trace_sets
-from topaq.regions import TICK_LETTER, build_region_automaton
+from topaq.regions import build_region_automaton
 from topaq.ta import TimedWord, enumerate_runs, trace_of
 from topaq.words import ticked_word
 
@@ -115,7 +115,7 @@ class TestTickConstruction:
         tk = tick_construction(part, n)
         m = from_region_automaton(build_region_automaton(tk))
         suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
-        return strip_ticks_before_suffix(m, suffix, TICK_LETTER).language_upto(maxlen)
+        return strip_ticks_before_suffix(m, suffix).language_upto(maxlen)
 
     def test_private_side_language(self, fig1):
         p, _, complete = trace_sets(fig1, F(3), 5, F(1, 2))
@@ -224,6 +224,100 @@ class TestUnfoldTau:
     def test_requires_simple_sequence(self, loop_deadline):
         with pytest.raises(ValueError):
             unfold_tau(loop_deadline, (F(1, 3),))
+
+
+# the exact unfoldings of loop_deadline, pinned; the switch-slot unfoldings
+# add their per-location edges in set order, which follows the string hash
+# seed, so their edge lines are compared sorted
+FIRST_N_LOOP_DEADLINE = """\
+ta loop-deadline~unfold1 {
+  time: dense;
+  clocks: x;
+  actions: a, b;
+  init: li~0;
+  final: lf~0, lf~1;
+  loc lf~0 { }
+  loc lf~1 { }
+  loc li~0 { }
+  loc li~1 { }
+  edge li~0 -> li~1 { act: a; }
+  edge li~0 -> lf~1 { when: x = 1; act: b; }
+  edge li~1 -> li~1 { act: eps; }
+  edge li~1 -> lf~1 { when: x = 1; act: eps; }
+}
+"""
+
+TAU_LOOP_DEADLINE = """\
+ta loop-deadline~tau2 {
+  time: dense;
+  clocks: x, zobs;
+  actions: a, b;
+  init: li~off0;
+  final: lf~off0, lf~off1, lf~off2, lf~on0, lf~on1;
+  loc lf~off0 { inv: zobs <= 0; }
+  loc lf~off1 { inv: zobs <= 1; }
+  loc lf~off2 { }
+  loc lf~on0 { }
+  loc lf~on1 { }
+  loc li~off0 { inv: zobs <= 0; }
+  loc li~off1 { inv: zobs <= 1; }
+  loc li~off2 { }
+  loc li~on0 { }
+  loc li~on1 { }
+  edge lf~off0 -> lf~on0 { when: zobs = 0; act: eps; }
+  edge lf~off1 -> lf~on1 { when: zobs = 1; act: eps; }
+  edge li~off0 -> lf~off0 { when: x = 2 && zobs < 0; act: eps; }
+  edge li~off0 -> li~off0 { when: zobs < 0; act: eps; }
+  edge li~off0 -> li~on0 { when: zobs = 0; act: eps; }
+  edge li~off1 -> lf~off1 { when: x = 2 && zobs < 1; act: eps; }
+  edge li~off1 -> li~off1 { when: zobs < 1; act: eps; }
+  edge li~off1 -> li~on1 { when: zobs = 1; act: eps; }
+  edge li~off2 -> lf~off2 { when: x = 2; act: eps; }
+  edge li~off2 -> li~off2 { act: eps; }
+  edge li~on0 -> lf~off1 { when: x = 2 && zobs <= 1; act: b; }
+  edge li~on0 -> lf~off2 { when: x = 2 && zobs > 1; act: b; }
+  edge li~on0 -> li~off1 { when: zobs <= 1; act: a; }
+  edge li~on0 -> li~off2 { when: zobs > 1; act: a; }
+  edge li~on1 -> lf~off2 { when: x = 2; act: b; }
+  edge li~on1 -> li~off2 { act: a; }
+}
+"""
+
+FREE_LOOP_DEADLINE = """\
+ta loop-deadline~free1 {
+  time: dense;
+  clocks: x;
+  actions: a, b, o0;
+  init: li~off0;
+  final: lf~off0, lf~off1, lf~on0;
+  loc lf~off0 { }
+  loc lf~off1 { }
+  loc lf~on0 { }
+  loc li~off0 { }
+  loc li~off1 { }
+  loc li~on0 { }
+  edge lf~off0 -> lf~on0 { act: o0; }
+  edge li~off0 -> lf~off0 { when: x = 1; act: eps; }
+  edge li~off0 -> li~off0 { act: eps; }
+  edge li~off0 -> li~on0 { act: o0; }
+  edge li~off1 -> lf~off1 { when: x = 1; act: eps; }
+  edge li~off1 -> li~off1 { act: eps; }
+  edge li~on0 -> lf~off1 { when: x = 1; act: b; }
+  edge li~on0 -> li~off1 { act: a; }
+}
+"""
+
+
+def sorted_edges(text):
+    lines = text.splitlines()
+    edges = sorted(line for line in lines if line.startswith("  edge"))
+    return [line for line in lines if not line.startswith("  edge") and line != "}"] + edges + ["}"]
+
+
+def test_unfoldings_pinned(loop_deadline):
+    assert print_model(unfold_first_n(loop_deadline, 1)) == FIRST_N_LOOP_DEADLINE
+    assert sorted_edges(print_model(unfold_tau(loop_deadline, (F(0), F(1, 2))))) == TAU_LOOP_DEADLINE.splitlines()
+    assert sorted_edges(print_model(unfold_free(loop_deadline, 1))) == FREE_LOOP_DEADLINE.splitlines()
 
 
 class TestUnfoldFree:

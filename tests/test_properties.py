@@ -9,12 +9,7 @@ from topaq.deciders import accepts_word, check_exists, check_opacity
 from topaq.nfa import from_region_automaton, strip_ticks_before_suffix
 from topaq.observers import FirstN, project, tick_construction
 from topaq.oracle import discrete_state_count, oracle_check, trace_sets
-from topaq.regions import (
-    TICK_LETTER,
-    augment_ticks,
-    build_region_automaton,
-    tick_decode,
-)
+from topaq.regions import augment_ticks, build_region_automaton, tick_decode
 from topaq.ta import ClockConstraint, Guard, edge, make_ta, validate, validate_errors
 
 
@@ -88,7 +83,7 @@ def test_bounded_comparison_languages_are_n_bounded(fig1):
         for part in (build_priv(fig1), build_pub(fig1)):
             m = from_region_automaton(build_region_automaton(tick_construction(part, n)))
             suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
-            stripped = strip_ticks_before_suffix(m, suffix, TICK_LETTER)
+            stripped = strip_ticks_before_suffix(m, suffix)
             sigma = set("ab")
             for word in stripped.language_upto(7):
                 assert sum(1 for tok in word if tok in sigma) <= n

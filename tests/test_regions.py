@@ -446,7 +446,7 @@ class TestRegularInclusion:
             m = silent_free(*g)
             suffix = rng.choice(suffixes)
             # without suffix letters the construction is `strip_trailing_letter`
-            stripped = strip_ticks_before_suffix(m, suffix, "t") if suffix else strip_trailing_letter(m, "t")
+            stripped = strip_ticks_before_suffix(m, suffix) if suffix else strip_trailing_letter(m)
             words = stripped.language_upto(6)
             assert words == dense_strip_ticks_before_suffix(g, suffix, "t").language_upto(6)
             nonempty[suffix] += bool(words)
@@ -463,7 +463,7 @@ class TestRegularInclusion:
         classes = tuple(frozenset(i for i in ra.final_ids if ra.location_of(i).endswith(tag)) for tag in MEMO_TAGS)
         m = from_region_automaton(ra, classes)
         suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
-        views = strip_ticks_before_suffix(m, suffix, TICK_LETTER).views()
+        views = strip_ticks_before_suffix(m, suffix).views()
         for view, finals in zip(views, classes):
             letters, initial, _, eps, trans = graph_of(ra)
             g = Graph(letters, initial, finals, eps, trans)
@@ -479,8 +479,8 @@ class TestRegularInclusion:
         for _ in range(120):
             g = with_two_classes(rng, cyclic_graph(rng, rng.randint(2, 8), letters=("a", "f{1}", "t")))
             suffix = rng.choice((frozenset(), frozenset({"f{1}"})))
-            views = strip_ticks_before_suffix(silent_free(*g), suffix, "t").views()
-            alone = [strip_ticks_before_suffix(silent_free(*g._replace(finals=c, final_classes=())), suffix, "t")
+            views = strip_ticks_before_suffix(silent_free(*g), suffix).views()
+            alone = [strip_ticks_before_suffix(silent_free(*g._replace(finals=c, final_classes=())), suffix)
                      for c in g.final_classes]
             for view, single in zip(views, alone):
                 assert view.language_upto(6) == single.language_upto(6)
