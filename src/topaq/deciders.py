@@ -1,9 +1,11 @@
 """Opacity decision procedures. `decide` is the one router: it checks the
 question, picks the engine and reduces a bounded attacker (`_attacker`).
-Below it: the existence check, the discrete-time and observable
-event-recording engines with the class ladder that says which automata
-they decide and why the rest are refused (`LADDER`), the bounded-attacker
-pipeline, and the matrix-based witness verifier."""
+Below it: the existence check; one region-to-inclusion pipeline
+(`_ticked_language`) under the discrete-time and observable event-recording
+engines and the bounded attacker, which differ only in what a delay edge
+reads; the class ladder that says which automata the two engines decide
+and why the rest are refused (`LADDER`); and the matrix-based witness
+verifier."""
 
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Union
 
 from . import nfa as nfalib
-from .constructions import MEMO_TAGS, S_TAG, build_memo, build_priv, build_pub, memo_classes, product
+from .constructions import MEMO_TAGS, build_memo, build_priv, build_pub, memo_classes, product
 from .nfa import NFA, check_inclusion, from_region_automaton
 from .observers import (
     Dynamic,
@@ -29,15 +31,12 @@ from .observers import (
 from .oracle import BadOracleBound, oracle_check
 from .regions import (
     RegionAutomaton,
-    RegionCapExceeded,
     TICK_LETTER,
     _canonical_delay,
-    _Compiled,
-    augment_ticks,
     build_region_automaton,
     concretize_region_path,
     force_integer_actions,
-    region_cap,
+    reserve_letters,
     tick_decode,
 )
 from .ta import EPSILON, TimedAutomaton, TimedWord, Verdict
@@ -190,37 +189,52 @@ def _shortest_accepting_path(ra: RegionAutomaton):
 
 
 # ---------------------------------------------------------------------------
-# Discrete-time engine
+# The region-to-inclusion pipeline: discrete-time and event-recording engines
+
+# the letter the event-recording engine reads a delay step as: it sorts before
+# every model letter, so the shortlex order of its words takes a delay first
+DELAY_LETTER = ""
 
 
-def _ticked_language(ticked: TimedAutomaton, cap: Optional[int], tags: tuple[str, ...] = ()) -> NFA:
-    """Untimed language of a tick automaton (`augment_ticks` or
-    `tick_construction`), with the ticks between the last observed letter
-    and the f-letter suffix erased: they only encode unobserved waiting,
-    which the trace does not record. `augment_ticks` has no f-letters, so
-    there the erased run is the trailing one.
+def _ticked_language(automaton: TimedAutomaton, cap: Optional[int], tags: tuple[str, ...] = (),
+                     delay: Optional[str] = None) -> NFA:
+    """Untimed language of `automaton`'s region automaton, whose delay edges
+    are silent (`delay` None: a tick construction emits its own ticks `t`)
+    or read the letter `delay`, with the run of ticks (`t`, or `delay`)
+    between the last observed letter and the f-letter suffix erased: they
+    only encode unobserved waiting, which the trace does not record.
+    Without f-letters the erased run is the trailing one.
 
     With `tags`, the final locations ending in the i-th tag make the i-th
     final class of the result, whose views (`NFA.views`) are the classes'
     languages: one region build, one conversion and one strip serve them
     all."""
-    ra = build_region_automaton(ticked, cap)
-    class_of = {loc: k for loc in ticked.final for k, tag in enumerate(tags) if loc.endswith(tag)}
+    ra = build_region_automaton(automaton, cap)
+    class_of = {loc: k for loc in automaton.final for k, tag in enumerate(tags) if loc.endswith(tag)}
     classes: list[list[int]] = [[] for _ in tags]
     for i in ra.final_ids:  # region ids
         k = class_of.get(ra.location_of(i))
         if k is not None:
             classes[k].append(i)
-    m = from_region_automaton(ra, tuple(frozenset(c) for c in classes))
+    m = from_region_automaton(ra, tuple(frozenset(c) for c in classes), delay)
     del ra  # its edge arrays and interning tables: the strip needs only `m`
     suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
-    return nfalib.strip_ticks_before_suffix(m, suffix)
+    return nfalib.strip_ticks_before_suffix(m, suffix, TICK_LETTER if delay is None else delay)
+
+
+def _tick_language(ta: TimedAutomaton, cap: Optional[int], tags: tuple[str, ...] = ()) -> NFA:
+    """Ticked language of a discrete-time automaton: a delay edge of its
+    region automaton is one time unit, read as a tick `t`."""
+    if ta.time_domain != "discrete":
+        raise ValueError("tick augmentation requires a discrete-time automaton")
+    reserve_letters(ta.actions, [TICK_LETTER], "tick augmentation")
+    return _ticked_language(ta, cap, tags, TICK_LETTER)
 
 
 def _discrete_languages(ta: TimedAutomaton, cap: Optional[int]) -> list[NFA]:
     """[private, public] ticked languages of a discrete-time automaton: the
-    two final classes of the tick-augmented memo automaton."""
-    return _ticked_language(augment_ticks(build_memo(ta)), cap, MEMO_TAGS).views()
+    two final classes of its memo automaton."""
+    return _tick_language(build_memo(ta), cap, MEMO_TAGS).views()
 
 
 def _check_discrete(ta: TimedAutomaton, mode: str, cap: Optional[int]) -> Verdict:
@@ -228,206 +242,71 @@ def _check_discrete(ta: TimedAutomaton, mode: str, cap: Optional[int]) -> Verdic
     return _compare(priv, pub, mode, tick_decode)
 
 
-def _compare(priv: NFA, pub: NFA, mode: str, decode) -> Verdict:
+def _check_oera(ta: TimedAutomaton, mode: str, cap: Optional[int]) -> Verdict:
+    """The private and public languages of the memo automaton's region
+    words, with each delay step read as `DELAY_LETTER`, compared.
+
+    In an observable ERA every run with the same timed trace carries the
+    same clock valuation, so the region word of a trace (its letters and
+    the delay steps between them) is the same on every run, and a trace is
+    private or public exactly when its region word is. In full mode the
+    shortlex-lesser of the two inclusions' counterexamples is reported:
+    the first violation a breadth-first search over traces meets."""
+    memo = build_memo(ta)
+    reserve_letters(memo.actions, [DELAY_LETTER], "event-recording engine")
+    if not memo.invariant_of(memo.init).holds(memo.zero_valuation()):
+        return Verdict(True, note="empty language")
+    priv, pub = _ticked_language(memo, cap, MEMO_TAGS, DELAY_LETTER).views()
+    return _compare(priv, pub, mode, lambda tokens: decode_delay_tokens(memo, tokens), least=True)
+
+
+def _compare(priv: NFA, pub: NFA, mode: str, decode, least: bool = False) -> Verdict:
     """Weak opacity as priv ⊆ pub, full also as pub ⊆ priv; a counterexample
-    is decoded into the witness timed word."""
-    inc = check_inclusion(priv, pub)
-    if not inc.holds:
-        return Verdict(False, witness=decode(inc.counterexample), side="priv-not-pub")
+    is decoded into the witness timed word. Full mode reports the first
+    inclusion's counterexample, or with `least` the shortlex-lesser of
+    both."""
+    checks = [("priv-not-pub", priv, pub)]
     if mode == "full":
-        inc = check_inclusion(pub, priv)
+        checks.append(("pub-not-priv", pub, priv))
+    found = []
+    for side, a, b in checks:
+        inc = check_inclusion(a, b)
         if not inc.holds:
-            return Verdict(False, witness=decode(inc.counterexample), side="pub-not-priv")
-    return Verdict(True)
+            found.append((len(inc.counterexample), inc.counterexample, side))
+            if not least:
+                break
+    if not found:
+        return Verdict(True)
+    _, word, side = min(found)
+    return Verdict(False, witness=decode(word), side=side)
+
+
+def decode_delay_tokens(ta: TimedAutomaton, tokens) -> TimedWord:
+    """Timed word of a word of the observable ERA `ta` with delay steps
+    (`DELAY_LETTER`): each delay step is one canonical delay
+    (`_canonical_delay`) of the clocks, which every run on the word shares,
+    and each letter is stamped with the time so far and resets its clock."""
+    clock_of = {e.action: clock for e in ta.edges if e.action is not EPSILON for clock in e.resets}
+    maxc = ta.max_constants()
+    val = {x: Fraction(0) for x in ta.clocks}
+    now = Fraction(0)
+    letters = []
+    for tok in tokens:
+        if tok == DELAY_LETTER:
+            d = _canonical_delay(val, maxc, ta.time_domain)
+            now += d
+            val = {x: v + d for x, v in val.items()}
+        else:
+            letters.append((tok, now))
+            val[clock_of[tok]] = Fraction(0)
+    return TimedWord(tuple(letters))
 
 
 def language_inclusion_discrete(a: TimedAutomaton, b: TimedAutomaton, cap: Optional[int] = None):
     """Trace-language inclusion of two discrete-time TAs via their ticked
     region automata; returns (holds, counterexample timed word or None)."""
-    na = _ticked_language(augment_ticks(a), cap)
-    nb = _ticked_language(augment_ticks(b), cap)
-    inc = check_inclusion(na, nb)
+    inc = check_inclusion(_tick_language(a, cap), _tick_language(b, cap))
     return inc.holds, None if inc.holds else tick_decode(inc.counterexample)
-
-
-# ---------------------------------------------------------------------------
-# Observable event-recording engine
-
-_PRIV, _PUB = 1, 2  # final tags of the visited and the not-yet copy
-
-
-def _check_oera(ta: TimedAutomaton, mode: str, cap: Optional[int]) -> Verdict:
-    """Macro-state search on the memo automaton.
-
-    In an observable ERA every run with the same timed trace carries the same
-    clock valuation, so a macro-state pairs one shared clock region with the
-    set of (still running) locations reachable on that trace. A trace is
-    accepted privately/publicly according to the copy tags of the final
-    locations its runs can end in; it violates weak opacity when a
-    visited-copy final is reachable but no not-yet-copy final is, and full
-    opacity also checks the mirror image.
-
-    Acceptance evidence is per trace, so the violation test runs on every
-    arrival (entry hits plus the silent/delay closure of the target node),
-    while node deduplication only limits expansion.
-
-    A node is a clock-region id of the compiled memo automaton
-    (`regions._Compiled`) and a frozenset of location ids: a guard or an
-    invariant holds when its bit of `sat[cr]` is set, a letter's reset is
-    `after(cr, m)` with m the mask id of its edges, and the delay successor
-    is `after(cr, 1)`, which is `cr` itself when the region is unbounded.
-    """
-    memo = build_memo(ta)
-    code = _Compiled(memo, memo.max_constants())
-    limit = region_cap(cap)
-    sat, inv, moves, after = code.sat, code.inv, code.moves, code.after
-
-    clock_of = {}
-    for e in memo.edges:
-        if e.action is not EPSILON:
-            (clock_of[e.action],) = e.resets
-
-    # per location id: its final tag (0 if not final) and its silent moves
-    tag = [(_PRIV if name.endswith(S_TAG) else _PUB) if final else 0 for name, final in zip(code.names, code.final)]
-    silent = [[(g, inv_t, t) for g, _, inv_t, t, label, k in out if label is EPSILON and k >= 0] for out in moves]
-
-    def delay(cr: int) -> Optional[int]:
-        nxt = after(cr, 1)
-        return None if nxt == cr else nxt
-
-    def eps_close(cr: int, locs) -> tuple[frozenset[int], int]:
-        """Silent closure at a fixed clock region; returns the closed set of
-        non-final locations plus the final tags hit on the way."""
-        ok = sat[cr]
-        alive = set()
-        tags = 0
-        todo = list(locs)
-        seen = set(todo)
-        while todo:
-            loc = todo.pop()
-            if tag[loc]:
-                tags |= tag[loc]
-                continue  # runs end at the first final location
-            alive.add(loc)
-            for g, inv_t, t in silent[loc]:
-                if t not in seen and ok >> g & 1 and ok >> inv_t & 1:
-                    seen.add(t)
-                    todo.append(t)
-        return frozenset(alive), tags
-
-    def survivors(cr: int, locs) -> frozenset[int]:
-        ok = sat[cr]
-        return frozenset(l for l in locs if ok >> inv[l] & 1)
-
-    closure_memo: dict[tuple, int] = {}
-
-    def closure_tags(node) -> int:
-        """Final tags reachable from the node via delays and silent moves."""
-        if node in closure_memo:
-            return closure_memo[node]
-        tags = 0
-        seen = {node}
-        todo = [node]
-        while todo:
-            c, ls = todo.pop()
-            ls2, tg = eps_close(c, ls)
-            tags |= tg
-            succ = delay(c)
-            if succ is None:
-                continue
-            ls3 = survivors(succ, ls2)
-            if not ls3:
-                continue
-            nxt = (succ, ls3)
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-        closure_memo[node] = tags
-        return tags
-
-    def violation(tags: int) -> Optional[str]:
-        if tags == _PRIV:
-            return "priv-not-pub"
-        if mode == "full" and tags == _PUB:
-            return "pub-not-priv"
-        return None
-
-    init_cr = code.intern((0,) * len(code.clocks), (0,) * len(code.clocks))
-    if not sat[init_cr] >> inv[code.start] & 1:
-        return Verdict(True, note="empty language")
-    start_locs, seed_tags = eps_close(init_cr, [code.start])
-    start = (init_cr, start_locs)
-    side = violation(seed_tags | closure_tags(start))
-    if side is not None:
-        return Verdict(False, witness=TimedWord(()), side=side)
-
-    parents: dict[tuple, Optional[tuple]] = {start: None}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        cr, locs = node
-        # delay successor: no new trace, so no violation check needed here
-        succ = delay(cr)
-        if succ is not None:
-            closed, _ = eps_close(succ, survivors(succ, locs))
-            nxt = (succ, closed)
-            if closed and nxt not in parents:
-                parents[nxt] = (node, "delay", None)
-                queue.append(nxt)
-        ok = sat[cr]
-        enabled: dict[str, tuple[int, list]] = {}  # letter -> (mask id, [(target invariant, target)])
-        for loc in locs:
-            for g, m, inv_t, t, label, _ in moves[loc]:
-                if label is not EPSILON and ok >> g & 1:
-                    enabled.setdefault(label, (m, []))[1].append((inv_t, t))
-        for letter in sorted(enabled):
-            m, hits = enabled[letter]
-            cr2 = after(cr, m)
-            ok2 = sat[cr2]
-            entered = [t for inv_t, t in hits if ok2 >> inv_t & 1]
-            if not entered:
-                continue
-            # `hit` holds the tags of the finals entered directly; the rest
-            # of it is also in the closure tags of `nxt`
-            closed, hit = eps_close(cr2, entered)
-            nxt = (cr2, closed)
-            side = violation(hit | closure_tags(nxt))
-            if side is not None:
-                word = _oera_witness(memo, clock_of, parents, node, letter)
-                return Verdict(False, witness=word, side=side)
-            if closed and nxt not in parents:
-                if len(parents) >= limit:
-                    raise RegionCapExceeded(limit)
-                parents[nxt] = (node, "letter", letter)
-                queue.append(nxt)
-    return Verdict(True)
-
-
-def _oera_witness(memo: TimedAutomaton, clock_of: dict, parents, node, last_letter: Optional[str]) -> TimedWord:
-    """Concrete trace for an arrival: replay the shared clock region path
-    with canonical delays, then the final letter."""
-    steps = []
-    cur = node
-    while parents[cur] is not None:
-        prev, kind, letter = parents[cur]
-        steps.append((kind, letter))
-        cur = prev
-    steps.reverse()
-    if last_letter is not None:
-        steps.append(("letter", last_letter))
-    maxc = memo.max_constants()
-    val = {x: Fraction(0) for x in memo.clocks}
-    now = Fraction(0)
-    letters = []
-    for kind, letter in steps:
-        if kind == "delay":
-            d = _canonical_delay(val, maxc, memo.time_domain)
-            now += d
-            val = {x: v + d for x, v in val.items()}
-        else:
-            letters.append((letter, now))
-            val[clock_of[letter]] = Fraction(0)
-    return TimedWord(tuple(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +370,10 @@ def applicable(ta: TimedAutomaton) -> tuple[list[str], Optional[str]]:
 def check_opacity(ta: TimedAutomaton, mode: str, engine: str = "auto", cap: Optional[int] = None) -> Verdict:
     """Weak or full opacity on the decidable classes of `LADDER`: engine auto
     runs the engine of `ta`'s class or refuses the class, an explicit engine
-    (`discrete`, `oera`) refuses an automaton outside its class."""
+    (`discrete`, `oera`) refuses an automaton outside its class. Both
+    engines compare the private and public languages of the memo
+    automaton's region words, a delay edge read as a tick (`discrete`) or
+    as `DELAY_LETTER` (`oera`); `cap` bounds that one region build."""
     if mode not in ("weak", "full"):
         raise ValueError("mode must be 'weak' or 'full'")
     rung = _rung_of(ta) if engine == "auto" else _engine_rung(engine)

@@ -7,7 +7,9 @@ frozensets:
 - Silent moves are read in one place, the conversion.
   `from_region_automaton` reads a region automaton's edge arrays into
   per-state silent and letter successors, which exist only for the
-  conversion, and `silent_free` turns that raw graph into an NFA whose
+  conversion; a delay edge is silent, or reads a letter the caller names
+  (the discrete engine's tick, the event-recording engine's delay letter).
+  `silent_free` turns that raw graph into an NFA whose
   states are the active states of the graph: a state is active if it has
   a letter edge or is final. Each letter edge lands on the closed set of
   its target, the active states it reaches silently, and the initial set
@@ -21,9 +23,9 @@ frozensets:
   the suffix jump of `strip_ticks_before_suffix` (keeping suffix-ready
   states).
 - One tick-stripping construction, `strip_ticks_before_suffix`, erases the
-  tick run before the suffix block (the f-letters of the bounded
-  attacker); `strip_trailing_letter`, for discrete time, is its case
-  without suffix letters. It maps a silent-free NFA to a silent-free NFA:
+  run of a tick letter before the suffix block (the f-letters of the
+  bounded attacker); `strip_trailing_letter` is its case without suffix
+  letters. It maps a silent-free NFA to a silent-free NFA:
   its jumps are folded into the target sets that enter the states they
   start from.
 - One NFA can carry several final classes (`final_classes`), such as the
@@ -230,13 +232,16 @@ def silent_free(alphabet: tuple[str, ...], initial: Collection[int], finals: fro
     )
 
 
-def from_region_automaton(ra: RegionAutomaton, final_classes: tuple[frozenset[int], ...] = ()) -> NFA:
+def from_region_automaton(ra: RegionAutomaton, final_classes: tuple[frozenset[int], ...] = (),
+                          delay: Optional[str] = None) -> NFA:
     """Silent-free NFA of a region automaton: `silent_free` of the graph in
-    its edge arrays, where an edge is silent when it is a delay
-    (`_edge_ta` -1) or its automaton edge is ε-labelled, and the alphabet
-    is the set of letters on the other edges. Region i is state i of that
-    graph, so `final_classes` are sets of region ids."""
-    labels = [e.action for e in ra._code.edges] + [None]  # [-1]: a delay edge
+    its edge arrays, where an edge is silent when its automaton edge is
+    ε-labelled, or when it is a delay (`_edge_ta` -1) and `delay` is None;
+    otherwise a delay edge reads the letter `delay`. The alphabet is the
+    set of letters on the lettered edges, with `delay` when it is given.
+    Region i is state i of that graph, so `final_classes` are sets of
+    region ids."""
+    labels = [e.action for e in ra._code.edges] + [delay]  # [-1]: a delay edge
     target, start, through = ra.edge_target, ra._edge_start, ra._edge_ta
     no_moves: dict[str, frozenset[int]] = {}  # shared by the states without letter edges
     eps: list[list[int]] = []
@@ -253,7 +258,8 @@ def from_region_automaton(ra: RegionAutomaton, final_classes: tuple[frozenset[in
         eps.append(silent)
         trans.append({a: frozenset(v) for a, v in moves.items()} if moves else no_moves)
     initial = frozenset([0]) if ra.n_states else frozenset()
-    return silent_free(ra.letters, initial, ra.final_ids, eps, trans, final_classes)
+    letters = ra.letters if delay is None else tuple(sorted({*ra.letters, delay}))
+    return silent_free(letters, initial, ra.final_ids, eps, trans, final_classes)
 
 
 def merge_alphabets(*nfas: NFA) -> tuple[str, ...]:
@@ -354,10 +360,10 @@ def strip_trailing_letter(m: NFA) -> NFA:
     return strip_ticks_before_suffix(m, frozenset())
 
 
-def strip_ticks_before_suffix(m: NFA, suffix_letters: frozenset[str]) -> NFA:
-    """Language image under removal of the maximal tick run separating
-    the last non-suffix letter from the suffix block: a silent-free NFA
-    built from the silent-free NFA `m`.
+def strip_ticks_before_suffix(m: NFA, suffix_letters: frozenset[str], tick: str = TICK_LETTER) -> NFA:
+    """Language image under removal of the maximal run of `tick` letters
+    separating the last non-suffix letter from the suffix block: a
+    silent-free NFA built from the silent-free NFA `m`.
 
     Two prefix phases read tick and action letters (never suffix letters)
     and track whether the last letter read was a tick; a jump, allowed only
@@ -392,7 +398,7 @@ def strip_ticks_before_suffix(m: NFA, suffix_letters: frozenset[str]) -> NFA:
     n = m.n_states
     finals = m.finals.union(*m.final_classes)
     ready = [not suffix_letters.isdisjoint(d) for d in m.trans]
-    jump = _reach_table([d.get(TICK_LETTER, ()) for d in m.trans], [r or s in finals for s, r in enumerate(ready)])
+    jump = _reach_table([d.get(tick, ()) for d in m.trans], [r or s in finals for s, r in enumerate(ready)])
     suffix = {s: 2 * n + k for k, s in enumerate([s for s in range(n) if ready[s]])}  # state -> suffix-phase id
     todo = list(suffix)
     while todo:
@@ -424,7 +430,7 @@ def strip_ticks_before_suffix(m: NFA, suffix_letters: frozenset[str]) -> NFA:
         moves = {}  # both prefix phases read the same letters into the same targets
         for a, succs in m.trans[s].items():
             if a not in suffix_letters:
-                t = _union(enter_tick if a == TICK_LETTER else enter, succs)
+                t = _union(enter_tick if a == tick else enter, succs)
                 if t:
                     moves[a] = t
         trans += (moves, moves)

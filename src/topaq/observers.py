@@ -358,7 +358,7 @@ def unfold_tau(ta: TimedAutomaton, tau: Sequence[Fraction]) -> TimedAutomaton:
                     edges.append(
                         Edge(_on(e.source, i), g.conjoin(window(k, i)), e.action, e.resets, _off(e.target, k))
                     )
-    for l in ta.locations:
+    for l in sorted(ta.locations):
         for i in range(n):
             at = Guard.of(ClockConstraint(z, "=", scaled[i]))
             edges.append(Edge(_off(l, i), at, EPSILON, frozenset(), _on(l, i)))
@@ -387,7 +387,7 @@ def unfold_free(ta: TimedAutomaton, n: int) -> TimedAutomaton:
         else:
             for i in range(n):
                 edges.append(Edge(_on(e.source, i), e.guard, e.action, e.resets, _off(e.target, i + 1)))
-    for l in ta.locations:
+    for l in sorted(ta.locations):
         for i in range(n):
             edges.append(Edge(_off(l, i), Guard.true(), obs_letters[i], frozenset(), _on(l, i)))
         for i in range(n - 1):

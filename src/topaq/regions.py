@@ -15,9 +15,9 @@ and 1, 2, ... for the classes of equal nonzero fraction, ascending. A clock
 region is an interned (codes, ranks) pair and a region a (location id,
 clock-region id) pair. The `RegionAutomaton` it returns holds its graph
 only as edge arrays over the int states; `ClockRegion`, `Region` and `RAEdge`
-objects are decoded from them only when read. The event-recording engine
-runs on the same compiled clock regions (`_Compiled`), so `ClockRegion`
-only decodes, describes and compares regions of concrete valuations.
+objects are decoded from them only when read, so `ClockRegion` only
+decodes, describes and compares regions of concrete valuations. Every
+engine reads the edge arrays through `nfa.from_region_automaton`.
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ class RegionCapExceeded(Exception):
 
 class ReservedLetter(ValueError):
     """The automaton uses a letter that a construction reserves for its own
-    use: the tick letter or an arming letter of the dynamic attacker."""
+    use: the tick letter, the event-recording engine's delay letter or an
+    arming letter of the dynamic attacker."""
 
     def __init__(self, letters: Iterable[str], construction: str):
         self.letters = tuple(sorted(letters))
@@ -175,9 +176,10 @@ class RegionAutomaton:
     the edge arrays: the out-edges of state i are the edge ids
     `edge_ids(i)`, in build order, edge k entering state `edge_target[k]`
     through the automaton's edge `_edge_ta[k]`, or through a delay when that
-    is -1. Delay edges and ε-labelled action edges are silent, and `letters`
-    are the sorted labels of the others; `nfa.from_region_automaton` reads
-    the arrays into a silent-free NFA. `region(i)` and `edge(k)` decode one
+    is -1. Delay edges and ε-labelled action edges are unlabelled, and
+    `letters` are the sorted labels of the others; `nfa.from_region_automaton`
+    reads the arrays into a silent-free NFA, a delay edge silent or read as
+    a letter it is given. `region(i)` and `edge(k)` decode one
     `Region` or `RAEdge`; `states`,
     `initial`, `finals`, `edges` and `out_edges` decode them all on first
     access.
@@ -256,8 +258,8 @@ class _Compiled:
     a clock region satisfies are the AND of its clocks' rows, one bitmask
     (`sat`) per clock region. Mask id 0 is no reset, mask id 1 the delay
     successor, and the others the edges' reset masks; `after` applies one.
-    The region builder and the event-recording engine
-    (`deciders._check_oera`) both run on it.
+    `build_region_automaton` runs on it, and its `RegionAutomaton` keeps it
+    to decode regions and edges.
     """
 
     def __init__(self, ta: TimedAutomaton, maxc: Mapping[str, int]):
@@ -470,7 +472,10 @@ def augment_ticks(ta: TimedAutomaton) -> TimedAutomaton:
 
     Adds a clock `z` with self-loops (z=1, t, reset z) on every location,
     conjoins z=0 to every original edge and z<=1 to every invariant, so the
-    number of emitted `t` letters pins down every timestamp.
+    number of emitted `t` letters pins down every timestamp. The discrete
+    engine reads the delay edges of the plain region automaton as ticks
+    instead; this automaton is what `topaq export --what region-automaton`
+    shows of a discrete-time model.
     """
     if ta.time_domain != "discrete":
         raise ValueError("tick augmentation requires a discrete-time automaton")

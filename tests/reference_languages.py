@@ -4,8 +4,11 @@ language separately, for differential tests.
 Each side gets its own tick automaton over `build_priv` or `build_pub`, its
 own region automaton, NFA conversion and tick strip, as the discrete and
 bounded engines did before they read both languages off one memo
-automaton. `topaq.deciders` must agree with them: equal languages per
-side, and the same status, side and witness.
+automaton. In discrete time the tick automaton is `augment_ticks`, whose
+extra clock emits the ticks as letters, where the discrete engine reads
+the delay edges of the plain region automaton as ticks. `topaq.deciders`
+must agree with them: equal languages per side, and the same status, side
+and witness.
 """
 
 from __future__ import annotations

@@ -8,9 +8,13 @@ differential tests.
   edges. `build_region_automaton` must agree with it: the same numbered
   states, the same edges in the same order, the same finals, the same edge
   arrays (read back per state by `graph_of`) and an identical NFA.
-- The event-recording engine as it ran on region objects
-  (`reference_check_oera`). `deciders._check_oera`, on compiled regions,
-  must give the same verdict, witness, side and note.
+- The macro-state search that decided observable event-recording automata
+  before that engine joined the region-to-inclusion pipeline, on region
+  objects (`reference_check_oera`). A node pairs the clock region that
+  every run on a trace shares with the set of locations the runs reach.
+  `deciders._check_oera` must give the same verdict, witness, side and
+  note; the reference's witness is its parent chain read as the engine's
+  delay-letter word and decoded by the engine's decoder.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from topaq.constructions import S_TAG, build_memo
-from topaq.deciders import _oera_witness
+from topaq.deciders import DELAY_LETTER, decode_delay_tokens
 from topaq.nfa import NFA, silent_free
 from topaq.regions import (
     ClockRegion,
@@ -366,8 +370,11 @@ def reference_check_oera(ta: TimedAutomaton, mode: str, cap: Optional[int] = Non
             nxt = (cr2, closed)
             side = violation(frozenset(direct_tags) | closure_tags(nxt))
             if side is not None:
-                word = _oera_witness(memo, clock_of, parents, node, letter)
-                return Verdict(False, witness=word, side=side)
+                tokens = [letter]
+                while parents[node] is not None:
+                    node, kind, via = parents[node]
+                    tokens.append(DELAY_LETTER if kind == "delay" else via)
+                return Verdict(False, witness=decode_delay_tokens(memo, reversed(tokens)), side=side)
             if closed and nxt not in parents:
                 if len(parents) >= limit:
                     raise RegionCapExceeded(limit)

@@ -1,5 +1,6 @@
 import random
 import warnings
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +14,9 @@ from topaq.constructions import (
     strip_private,
     swap_gadget,
 )
+from topaq import cli
 from topaq.deciders import (
+    DELAY_LETTER,
     UndecidableClass,
     accepts_word,
     check_bounded,
@@ -38,7 +41,7 @@ from topaq.observers import (
     unfold_tau,
 )
 from topaq.oracle import BadOracleBound, discrete_state_count, oracle_check
-from topaq.regions import build_region_automaton
+from topaq.regions import ReservedLetter, build_region_automaton
 from topaq.ta import ClockConstraint, Guard, TimedWord, Verdict, edge, make_ta, validate, validate_errors
 
 
@@ -269,6 +272,54 @@ class TestCheckOpacityOera:
         assert check_opacity(flipped, "weak").holds is True
         v = check_opacity(flipped, "full")
         assert v.holds is False and v.side == "pub-not-priv"
+
+
+def renamed_letter(ta, old, new):
+    """`ta` with the letter `old` renamed `new`."""
+    edges = tuple(replace(e, action=new) if e.action == old else e for e in ta.edges)
+    return replace(ta, actions=(ta.actions - {old}) | {new}, edges=edges)
+
+
+class TestEngineLetters:
+    """The discrete engine reads a delay edge as the tick `t` and the
+    event-recording engine as `DELAY_LETTER`; each refuses a model that uses
+    its letter."""
+
+    def test_oera_using_the_delay_letter_is_refused(self, oera_guarded, monkeypatch, capsys):
+        ta = renamed_letter(oera_guarded, "a", DELAY_LETTER)
+        assert is_oera(ta) and DELAY_LETTER == ""
+        message = "the model uses the letter '', which the event-recording engine reserves"
+        for mode in ("weak", "full"):
+            with pytest.raises(ReservedLetter) as info:
+                decide(ta, mode)
+            assert (info.value.letters, str(info.value)) == ((DELAY_LETTER,), message)
+        monkeypatch.setattr(cli, "_load", lambda path, scale: (ta, 1))
+        assert cli.main(["check", "--mode", "weak", "reserved.ta"]) == 2
+        assert capsys.readouterr() == (f"refused: {message}\n", "")
+
+    def test_discrete_model_using_the_tick_letter_is_refused(self, fig1_discrete):
+        ta = renamed_letter(fig1_discrete, "a", "t")
+        for call in (lambda: check_opacity(ta, "full"), lambda: language_inclusion_discrete(ta, fig1_discrete),
+                     lambda: language_inclusion_discrete(fig1_discrete, ta)):
+            with pytest.raises(ReservedLetter) as info:
+                call()
+            assert str(info.value) == "the model uses the letter 't', which the tick augmentation reserves"
+
+    def test_discrete_inclusion_requires_discrete_time(self, fig1, fig1_discrete):
+        with pytest.raises(ValueError, match="requires a discrete-time automaton"):
+            language_inclusion_discrete(fig1, fig1_discrete)
+
+    def test_oera_witness_takes_a_delay_before_a_letter(self):
+        # two shortest private-only traces: b then a at time 0, and a after a
+        # delay; the delay letter sorts first, so the delay one is the witness
+        after_zero = Guard.of(ClockConstraint("xa", ">", 0))
+        ta = make_ta(actions={"a", "b"}, locations={"p", "s", "q", "r"}, init="p", private={"q"},
+                     final={"q", "r"}, clocks={"xa", "xb"},
+                     edges=[edge("p", "q", "a", after_zero, {"xa"}), edge("p", "s", "b", resets={"xb"}),
+                            edge("s", "q", "a", resets={"xa"}),
+                            edge("p", "r", "a", Guard.of(ClockConstraint("xa", "=", 0)), {"xa"})])
+        v = check_opacity(ta, "weak")
+        assert (v.holds, v.side, v.witness) == (False, "priv-not-pub", tw(("a", F(1, 2))))
 
 
 class TestMetamorphic:

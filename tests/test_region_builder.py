@@ -1,8 +1,10 @@
 """The compiled region builder against the object search of
 `reference_regions`: the same numbered states, edges and finals, the same
 edge arrays and NFA, the same exports, shortest accepting paths and cap
-behaviour. The event-recording engine against its object reference: the
-same verdicts, witnesses, sides, notes and cap refusals."""
+behaviour. The event-recording engine against the macro-state search of
+its object reference: the same verdicts, witnesses, sides and notes, and a
+cap refusal exactly where the memo automaton's region build exceeds the
+cap."""
 
 import random
 import warnings
@@ -147,12 +149,12 @@ def compiled_oera(ta, mode, cap=None):
     return check_opacity(ta, mode, engine="oera", cap=cap)
 
 
-def assert_same_oera(ta, cap=None):
+def assert_same_oera(ta):
     """Both engines, weak and full, give the same outcome; returns the full one."""
     assert is_oera(ta)
     for mode in ("weak", "full"):
-        got = oera_outcome(compiled_oera, ta, mode, cap)
-        assert got == oera_outcome(reference_check_oera, ta, mode, cap), (ta, mode)
+        got = oera_outcome(compiled_oera, ta, mode)
+        assert got == oera_outcome(reference_check_oera, ta, mode), (ta, mode)
     return got
 
 
@@ -249,23 +251,27 @@ def random_opaque_oera(rng):
                    name="opaque")
 
 
-def test_oera_cap_fires_at_the_same_node():
+def test_oera_cap_is_the_memo_region_cap():
+    """The event-recording engine refuses at cap c exactly when the memo
+    automaton has more than c regions, and otherwise answers as the
+    macro-state search of the reference does."""
     rng = random.Random(20261106)
     chains = random.Random(20261019)
     subjects = [oera_pair_ta(True), oera_pair_ta(False)] + [random_oera(rng) for _ in range(150)]
     subjects += [random_opaque_oera(chains) for _ in range(40)]
-    refused = at_one = 0
+    refused = 0
     for ta in subjects:
-        cap = 1
-        while (outcome := assert_same_oera(ta, cap))[0] == "cap":  # up to the first cap that lets both finish
-            refused += 1
-            cap += 1
-        at_one += cap > 1
-        if ta.name == "opaque":
-            assert outcome[0] is True
-    # measured when written: 56 of the 192 subjects refuse at cap 1 (38 of
-    # them the 40 opaque chains), 728 refusals in all (658 on the chains)
-    assert at_one >= 56 and refused >= 700
+        n = build_region_automaton(build_memo(ta)).n_states
+        for mode in ("weak", "full"):
+            expected = oera_outcome(reference_check_oera, ta, mode)
+            for cap in range(1, n + 2):
+                got = oera_outcome(compiled_oera, ta, mode, cap)
+                assert got == (("cap", cap) if cap < n else expected), (ta, mode, cap)
+                refused += cap < n
+            if ta.name == "opaque":
+                assert expected[0] is True
+    # measured when written: the memo automata have 2,259 regions in all
+    assert refused == 2 * (2259 - len(subjects))
 
 
 @pytest.mark.parametrize("path", MODELS, ids=[p.stem for p in MODELS])

@@ -33,7 +33,14 @@ from topaq.regions import (
     tick_decode,
     valuation_equiv,
 )
-from topaq.ta import Configuration, TimedWord, enumerate_runs, make_ta
+from topaq.ta import ClockConstraint, Configuration, Guard, TimedWord, edge, enumerate_runs, make_ta
+
+
+def renamed(m: NFA, old: str, new: str) -> NFA:
+    """`m` with the letter `old` renamed `new`."""
+    name = {old: new}
+    return replace(m, alphabet=tuple(sorted(name.get(a, a) for a in m.alphabet)),
+                   trans=[{name.get(a, a): t for a, t in d.items()} for d in m.trans])
 
 
 def tick_encode(word: TimedWord) -> tuple[str, ...]:
@@ -469,6 +476,34 @@ class TestRegularInclusion:
             g = Graph(letters, initial, finals, eps, trans)
             words = view.language_upto(7)
             assert words and words == dense_strip_ticks_before_suffix(g, suffix, TICK_LETTER).language_upto(7)
+
+    @pytest.mark.parametrize("subject", ["fig1-first:2", "discrete-memo"])
+    def test_strip_erases_the_tick_letter_it_is_given(self, subject):
+        # the views of fig1's first:2 tick construction (silent delays, `t`
+        # ticks) and of a discrete memo automaton (delays read as `t`) whose
+        # private runs wait two ticks after their letter, with `t` renamed:
+        # stripping on the new letter gives the renamed language
+        if subject == "fig1-first:2":
+            memo = build_memo(fig1_ta())
+            ra, delay = build_region_automaton(tick_construction(memo, 2, memo_classes(memo))), None
+        else:
+            late_exit = make_ta(actions={"a"}, locations={"l0", "l1", "lf"}, init="l0", private={"l1"},
+                                final={"lf"}, clocks={"x"}, time_domain="discrete",
+                                edges=[edge("l0", "l1", "a", resets={"x"}),
+                                       edge("l1", "lf", None, Guard.of(ClockConstraint("x", "=", 2)))])
+            ra, delay = build_region_automaton(build_memo(late_exit)), TICK_LETTER
+        classes = tuple(frozenset(i for i in ra.final_ids if ra.location_of(i).endswith(tag)) for tag in MEMO_TAGS)
+        m = from_region_automaton(ra, classes, delay)
+        suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
+        expected = strip_ticks_before_suffix(m, suffix).views()
+        for new in ("w", ""):  # "" is falsy: a test `tick or ...` would miss it
+            stripped = strip_ticks_before_suffix(renamed(m, TICK_LETTER, new), suffix, new).views()
+            for got, want in zip(stripped, (renamed(v, TICK_LETTER, new) for v in expected)):
+                assert check_inclusion(got, want).holds and check_inclusion(want, got).holds
+            # stripping on the old letter erases nothing
+            unstripped = strip_ticks_before_suffix(renamed(m, TICK_LETTER, new), suffix).views()
+            assert any(not check_inclusion(got, renamed(want, TICK_LETTER, new)).holds
+                       for got, want in zip(unstripped, expected))
 
     def test_final_class_views_match_separate_strips(self):
         # one strip of an NFA with two final classes, read through its views,
