@@ -29,7 +29,7 @@ from .deciders import (
     verify_witness,
 )
 from .model import ModelError, parse_model, print_model
-from .nfa import InclusionCapExceeded, regular_inclusion
+from .nfa import InclusionCapExceeded
 from .observers import (
     Dynamic,
     FirstN,

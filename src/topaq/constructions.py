@@ -1,5 +1,6 @@
-"""Structural transformations of timed automata: public/private/memo
-automata, the synchronized product, and the opacity inter-reduction gadgets.
+"""Structural transformations of timed automata: the location-copy builder
+(`copy_locations`) and the public/private/memo automata, the synchronized
+product, and the opacity inter-reduction gadgets.
 
 All derived location names carry provenance tags so counterexamples stay
 readable. Every construction respects the run semantics (runs end at the
@@ -13,7 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .regions import fresh_name
 from .ta import (
@@ -39,6 +40,34 @@ def prune_final_exits(ta: TimedAutomaton) -> TimedAutomaton:
     if len(edges) == len(ta.edges):
         return ta
     return replace(ta, edges=edges)
+
+
+def copy_locations(
+    ta: TimedAutomaton,
+    copies: Sequence[str],
+    invariant: Callable[[str, str], Guard],
+    edges: Iterable[Edge],
+    name: str,
+    actions: frozenset[str] = frozenset(),
+    clocks: frozenset[str] = frozenset(),
+) -> TimedAutomaton:
+    """The automaton on one copy `loc~c` of every location of `ta` per copy
+    name `c`, starting in the first copy: `invariant(loc, c)` is the
+    invariant of `loc~c`, every copy's finals and privates are final and
+    private, and `actions` and `clocks` join those of `ta`."""
+    cp = lambda locs: frozenset(f"{l}~{c}" for l in locs for c in copies)
+    return TimedAutomaton(
+        actions=ta.actions | actions,
+        locations=cp(ta.locations),
+        init=f"{ta.init}~{copies[0]}",
+        private=cp(ta.private),
+        final=cp(ta.final),
+        clocks=ta.clocks | clocks,
+        invariant={f"{l}~{c}": invariant(l, c) for l in ta.locations for c in copies},
+        edges=tuple(edges),
+        time_domain=ta.time_domain,
+        name=name,
+    )
 
 
 def build_pub(ta: TimedAutomaton) -> TimedAutomaton:
@@ -75,47 +104,34 @@ def build_pub(ta: TimedAutomaton) -> TimedAutomaton:
 
 
 def build_priv(ta: TimedAutomaton) -> TimedAutomaton:
-    """Automaton of the private runs: two copies of the location set keyed on
-    whether the private set was already visited, with entries into private
-    locations redirected from the not-yet copy to the visited copy.
-
-    A private initial location starts directly in the visited copy (every run
-    is private then); otherwise the not-yet copy's initial is used.
-    """
-    ta = prune_final_exits(ta)
-    s = lambda loc: loc + S_TAG
-    ns = lambda loc: loc + NS_TAG
-    locations = frozenset(s(l) for l in ta.locations) | frozenset(ns(l) for l in ta.locations)
-    inv = {s(l): ta.invariant_of(l) for l in ta.locations}
-    inv.update({ns(l): ta.invariant_of(l) for l in ta.locations})
-    edges = []
-    for e in ta.edges:
-        edges.append(Edge(s(e.source), e.guard, e.action, e.resets, s(e.target)))
-    for e in ta.edges:
-        if e.target not in ta.private:
-            edges.append(Edge(ns(e.source), e.guard, e.action, e.resets, ns(e.target)))
-    for e in ta.edges:
-        if e.target in ta.private:
-            edges.append(Edge(ns(e.source), e.guard, e.action, e.resets, s(e.target)))
-    return TimedAutomaton(
-        actions=ta.actions,
-        locations=locations,
-        init=s(ta.init) if ta.init in ta.private else ns(ta.init),
-        private=frozenset(s(l) for l in ta.private),
-        final=frozenset(s(l) for l in ta.final),
-        clocks=ta.clocks,
-        invariant=inv,
-        edges=tuple(edges),
-        time_domain=ta.time_domain,
-        name=f"{ta.name}_priv",
-    )
+    """Automaton of the private runs: the memo automaton (`build_memo`) with
+    only the visited copy's finals."""
+    return _visit_copies(ta, (S_TAG,), f"{ta.name}_priv")
 
 
 def build_memo(ta: TimedAutomaton) -> TimedAutomaton:
     """Same language as `ta`, with the visited-private bit stored in the
-    location: the private-runs automaton with the not-yet finals restored."""
-    pv = build_priv(ta)
-    return replace(pv, final=pv.final | frozenset(l + NS_TAG for l in ta.final), name=f"{ta.name}_memo")
+    location: a not-yet copy `loc~nS` and a visited copy `loc~S` of every
+    location, with entries into private locations redirected from the
+    not-yet copy to the visited copy, and both copies' finals.
+
+    A private initial location starts directly in the visited copy (every run
+    is private then); otherwise the not-yet copy's initial is used. The
+    private locations are the visited copy's."""
+    return _visit_copies(ta, MEMO_TAGS, f"{ta.name}_memo")
+
+
+def _visit_copies(ta: TimedAutomaton, final_tags: Sequence[str], name: str) -> TimedAutomaton:
+    """`build_memo` with the finals of the copies in `final_tags`."""
+    ta = prune_final_exits(ta)
+    copy = lambda e, source, target: Edge(e.source + source, e.guard, e.action, e.resets, e.target + target)
+    edges = [copy(e, S_TAG, S_TAG) for e in ta.edges]
+    edges += [copy(e, NS_TAG, NS_TAG) for e in ta.edges if e.target not in ta.private]
+    edges += [copy(e, NS_TAG, S_TAG) for e in ta.edges if e.target in ta.private]
+    memo = copy_locations(ta, ["nS", "S"], lambda l, c: ta.invariant_of(l), edges, name)
+    return replace(memo, init=ta.init + S_TAG if ta.init in ta.private else memo.init,
+                   private=frozenset(l + S_TAG for l in ta.private),
+                   final=frozenset(l + tag for l in ta.final for tag in final_tags))
 
 
 def memo_classes(memo: TimedAutomaton) -> dict[str, frozenset[str]]:
@@ -298,24 +314,18 @@ def embed_gadget(ta: TimedAutomaton) -> TimedAutomaton:
     return urgent_choice(priv, pub, [pub.init], [priv.init, pub.init], f"{ta.name}_embed")
 
 
-def retag(ta: TimedAutomaton, suffix: str) -> TimedAutomaton:
-    ren = lambda l: l + suffix
-    return replace(
-        ta,
-        locations=frozenset(ren(l) for l in ta.locations),
-        init=ren(ta.init),
-        private=frozenset(ren(l) for l in ta.private),
-        final=frozenset(ren(l) for l in ta.final),
-        invariant={ren(l): g for l, g in ta.invariant.items()},
-        edges=tuple(Edge(ren(e.source), e.guard, e.action, e.resets, ren(e.target)) for e in ta.edges),
-    )
+def retag(ta: TimedAutomaton, tag: str) -> TimedAutomaton:
+    """`ta` on the locations `loc~tag`."""
+    ren = lambda l: f"{l}~{tag}"
+    edges = [Edge(ren(e.source), e.guard, e.action, e.resets, ren(e.target)) for e in ta.edges]
+    return copy_locations(ta, [tag], lambda l, c: ta.invariant_of(l), edges, ta.name)
 
 
 def inclusion_gadget(a: TimedAutomaton, b: TimedAutomaton) -> TimedAutomaton:
     """A TA that is weakly opaque iff traces(a) ⊆ traces(b): `b` sits behind
     the public branch, `a` behind the private one."""
-    pa = retag(strip_private(a), "~A")
-    pb = retag(strip_private(b), "~B")
+    pa = retag(strip_private(a), "A")
+    pb = retag(strip_private(b), "B")
     return urgent_choice(pa, pb, [pb.init], [pa.init], f"incl({a.name},{b.name})")
 
 

@@ -9,7 +9,6 @@ verifier."""
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -36,6 +35,7 @@ from .regions import (
     build_region_automaton,
     concretize_region_path,
     force_integer_actions,
+    region_cap,
     reserve_letters,
     tick_decode,
 )
@@ -45,6 +45,7 @@ from .words import class_recognizer, parse_group
 
 NORMALIZED_NOTE = "witness uses the normalized switch-time sequence"
 ARMING_NOTE = "witness includes the attacker's arming letters"
+EMPTY_NOTE = "empty language"
 
 
 class UndecidableClass(Exception):
@@ -153,39 +154,11 @@ def check_exists(ta: TimedAutomaton, cap: Optional[int] = None) -> Verdict:
     public run, decided as final-region reachability in the product of the
     private-runs and public-runs automata."""
     prod = product(build_priv(ta), build_pub(ta))
-    ra = build_region_automaton(prod, cap)
-    path = _shortest_accepting_path(ra)
+    path = build_region_automaton(prod, cap).shortest_accepting_path()
     if path is None:
         return Verdict(False, note="no trace is produced by both a private and a public run")
     _, word = concretize_region_path(prod, path)
     return Verdict(True, witness=word, side="intersection")
-
-
-def _shortest_accepting_path(ra: RegionAutomaton):
-    """The edges of a shortest path from the initial to a final region, or
-    None; the search runs on state ids and decodes only the path."""
-    if not ra.n_states:
-        return None
-    via: dict[int, Optional[tuple[int, int]]] = {0: None}  # state -> (previous state, edge id)
-    queue = deque([0])
-    goal = None
-    while queue:
-        i = queue.popleft()
-        if i in ra.final_ids:
-            goal = i
-            break
-        for k in ra.edge_ids(i):
-            j = ra.edge_target[k]
-            if j not in via:
-                via[j] = (i, k)
-                queue.append(j)
-    if goal is None:
-        return None
-    path = []
-    while via[goal] is not None:
-        goal, k = via[goal]
-        path.append(ra.edge(k))
-    return list(reversed(path))
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +227,6 @@ def _check_oera(ta: TimedAutomaton, mode: str, cap: Optional[int]) -> Verdict:
     the first violation a breadth-first search over traces meets."""
     memo = build_memo(ta)
     reserve_letters(memo.actions, [DELAY_LETTER], "event-recording engine")
-    if not memo.invariant_of(memo.init).holds(memo.zero_valuation()):
-        return Verdict(True, note="empty language")
     priv, pub = _ticked_language(memo, cap, MEMO_TAGS, DELAY_LETTER).views()
     return _compare(priv, pub, mode, lambda tokens: decode_delay_tokens(memo, tokens), least=True)
 
@@ -373,13 +344,25 @@ def check_opacity(ta: TimedAutomaton, mode: str, engine: str = "auto", cap: Opti
     (`discrete`, `oera`) refuses an automaton outside its class. Both
     engines compare the private and public languages of the memo
     automaton's region words, a delay edge read as a tick (`discrete`) or
-    as `DELAY_LETTER` (`oera`); `cap` bounds that one region build."""
+    as `DELAY_LETTER` (`oera`); `cap` bounds that one region build. A
+    model whose initial invariant fails has no run: it holds, with the note
+    `EMPTY_NOTE`, as it does for `check_bounded`."""
     if mode not in ("weak", "full"):
         raise ValueError("mode must be 'weak' or 'full'")
     rung = _rung_of(ta) if engine == "auto" else _engine_rung(engine)
     if rung.engine is None or (engine != "auto" and not rung.member(ta)):
         raise UndecidableClass(rung.refusal)
+    if _has_no_run(ta, cap):
+        return Verdict(True, note=EMPTY_NOTE)
     return rung.engine(ta, mode, cap)
+
+
+def _has_no_run(ta: TimedAutomaton, cap: Optional[int]) -> bool:
+    """The initial configuration of `ta` violates the initial invariant, so
+    its language is empty and every weak/full question holds. A bad `cap`
+    is refused first, as the region build would refuse it."""
+    region_cap(cap)
+    return not ta.invariant_of(ta.init).holds(ta.zero_valuation())
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +386,8 @@ def check_bounded(
     if mode not in ("weak", "full"):
         raise ValueError("mode must be 'weak' or 'full'")
     automaton, n, scale, note = _attacker(ta, sel)
+    if _has_no_run(ta, cap):
+        return Verdict(True, note=EMPTY_NOTE)
     priv, pub = _first_n_languages(automaton, n, cap)
     return _noted(_compare(priv, pub, mode, decode_ticked_tokens), scale, note)
 
@@ -527,5 +512,5 @@ def accepts_word(ta: TimedAutomaton, w: TimedWord, cap: Optional[int] = None) ->
         return False
     if ta.time_domain == "discrete" and any(t.denominator != 1 for t in w.timestamps()):
         return False
-    ra = build_region_automaton(product(dense_time(ta), class_recognizer(w)), cap)
-    return _shortest_accepting_path(ra) is not None
+    # every region of the build is reachable
+    return bool(build_region_automaton(product(dense_time(ta), class_recognizer(w)), cap).final_ids)

@@ -342,18 +342,6 @@ def check_inclusion(a: NFA, b: NFA, pair_cap: int = 2_000_000) -> InclusionResul
     return InclusionResult(True, None, explored)
 
 
-def regular_inclusion(ra1: RegionAutomaton, ra2: RegionAutomaton, pair_cap: int = 2_000_000):
-    """Untimed language inclusion of two region automata over the same
-    alphabet (silent edges closed away). On failure the result carries a
-    shortest counterexample word, ties broken lexicographically.
-    """
-    if ra1.alphabet != ra2.alphabet:
-        raise ValueError("region automata must share an alphabet")
-    a = from_region_automaton(ra1)
-    b = from_region_automaton(ra2)
-    return check_inclusion(a, b, pair_cap=pair_cap)
-
-
 def strip_trailing_letter(m: NFA) -> NFA:
     """Language image under removal of a maximal trailing tick run: the
     case of `strip_ticks_before_suffix` without suffix letters."""

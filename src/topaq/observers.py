@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
-from .constructions import relax_finals
+from .constructions import copy_locations, relax_finals
 from .regions import fresh_name, reserve_letters, TICK_LETTER
 from .ta import (
     EPSILON,
@@ -95,34 +95,6 @@ def project(w: TimedWord, sel: Union[FirstN, Static]) -> TimedWord:
     return TimedWord(tuple(kept))
 
 
-def copy_locations(
-    ta: TimedAutomaton,
-    copies: Sequence[str],
-    invariant: Callable[[str, str], Guard],
-    edges: Iterable[Edge],
-    name: str,
-    actions: frozenset[str] = frozenset(),
-    clocks: frozenset[str] = frozenset(),
-) -> TimedAutomaton:
-    """The automaton on one copy `loc~c` of every location of `ta` per copy
-    name `c`, starting in the first copy: `invariant(loc, c)` is the
-    invariant of `loc~c`, every copy's finals and privates are final and
-    private, and `actions` and `clocks` join those of `ta`."""
-    cp = lambda locs: frozenset(f"{l}~{c}" for l in locs for c in copies)
-    return TimedAutomaton(
-        actions=ta.actions | actions,
-        locations=cp(ta.locations),
-        init=f"{ta.init}~{copies[0]}",
-        private=cp(ta.private),
-        final=cp(ta.final),
-        clocks=ta.clocks | clocks,
-        invariant={f"{l}~{c}": invariant(l, c) for l in ta.locations for c in copies},
-        edges=tuple(edges),
-        time_domain=ta.time_domain,
-        name=name,
-    )
-
-
 def unfold_first_n(ta: TimedAutomaton, n: int) -> TimedAutomaton:
     """N+1 copies of `ta`; silent edges stay in-copy, observable edges
     advance the copy until the last one, where they turn silent (the attacker
@@ -202,13 +174,10 @@ def tick_construction(
     # (unfolding finals, gadget entry, gadget final) per class; a tagged
     # name cannot clash, as every unfolded location ends in `~<copy index>`
     # and a tag such as `~S` is no copy index
-    if classes is None:
-        gadgets = [(sorted(unfolded.final), lg0, lg1)]
-    else:
-        gadgets = [
-            (sorted(l for l in unfolded.final if l.rsplit("~", 1)[0] in locs), lg0 + tag, lg1 + tag)
-            for tag, locs in classes.items()
-        ]
+    gadgets = [
+        (sorted(l for l in unfolded.final if l.rsplit("~", 1)[0] in locs), lg0 + tag, lg1 + tag)
+        for tag, locs in ({"": ta.final} if classes is None else classes).items()
+    ]
 
     edges = []
     # original edges, confined to sub-unit observation clocks (the relaxed

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import os
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
@@ -182,7 +183,8 @@ class RegionAutomaton:
     a letter it is given. `region(i)` and `edge(k)` decode one
     `Region` or `RAEdge`; `states`,
     `initial`, `finals`, `edges` and `out_edges` decode them all on first
-    access.
+    access. `shortest_accepting_path` reads a shortest path to a final
+    region off the numbering, with no second search.
     """
 
     alphabet: frozenset[str]
@@ -235,6 +237,20 @@ class RegionAutomaton:
 
     def out_edges(self, r: Region) -> tuple[RAEdge, ...]:
         return self.edges.get(r, ())
+
+    def shortest_accepting_path(self) -> Optional[list[RAEdge]]:
+        """The edges of a shortest path from the initial to a final region,
+        or None. The build numbers regions breadth-first, so the lowest final
+        id is a nearest final region, and a region's first in-edge is the
+        one that discovered it, one step nearer the initial region."""
+        if not self.final_ids:
+            return None
+        path, j = [], min(self.final_ids)
+        while j:
+            k = self.edge_target.index(j)
+            path.append(self.edge(k))
+            j = bisect_right(self._edge_start, k) - 1
+        return path[::-1]
 
 
 def region_of(cfg: Configuration, ta: TimedAutomaton) -> Region:

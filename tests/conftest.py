@@ -81,6 +81,54 @@ def random_discrete_ta(rng):
     )
 
 
+def random_oera(rng):
+    """A dense-time observable event-recording automaton: one clock per
+    letter, reset by every edge carrying that letter."""
+    locs = [f"q{i}" for i in range(rng.randint(2, 4))]
+    letters = ["a", "b"][: rng.randint(1, 2)]
+    clocks = [f"x{a}" for a in letters]
+
+    def guard():
+        return Guard(tuple(ClockConstraint(x, rng.choice(["<", "<=", "=", ">=", ">"]), rng.randint(0, 2))
+                           for x in clocks if rng.random() < 0.4))
+
+    edges = []
+    for _ in range(rng.randint(1, 6)):
+        a = rng.choice(letters + [None])
+        edges.append(edge(rng.choice(locs), rng.choice(locs), a, guard(), {f"x{a}"} if a else ()))
+    inv = {loc: Guard.of(ClockConstraint(rng.choice(clocks), "<=", rng.randint(1, 2)))
+           for loc in locs if rng.random() < 0.2}
+    return make_ta(actions=letters, locations=locs, init=locs[0], edges=edges, clocks=clocks, invariant=inv,
+                   private={l for l in locs if rng.random() < 0.35},
+                   final={l for l in locs if rng.random() < 0.4} or {locs[-1]}, name="oera")
+
+
+def random_blocking_oera(rng):
+    """A dense-time observable ERA whose letter-edge targets carry
+    invariants that can fail right after the reset: a lower bound on the
+    letter's own clock, which the reset sets to 0, or an upper bound on the
+    other clock, which the edge's guard may let exceed it."""
+    locs = [f"q{i}" for i in range(rng.randint(2, 4))]
+    letters = ["a", "b"]
+    clocks = ["xa", "xb"]
+    edges = []
+    inv = {}
+    for _ in range(rng.randint(2, 7)):
+        a = rng.choice(letters + letters + [None])
+        x = rng.choice(clocks)
+        guard = Guard.of(ClockConstraint(x, rng.choice(["<", "<=", ">=", ">"]), rng.randint(0, 2))) \
+            if rng.random() < 0.6 else Guard.true()
+        target = rng.choice(locs[1:])
+        edges.append(edge(rng.choice(locs), target, a, guard, {f"x{a}"} if a else ()))
+        if a and target not in inv and rng.random() < 0.7:
+            other = "xb" if a == "a" else "xa"
+            inv[target] = rng.choice([Guard.of(ClockConstraint(f"x{a}", rng.choice([">", ">="]), rng.randint(0, 1))),
+                                      Guard.of(ClockConstraint(other, rng.choice(["<", "<="]), rng.randint(0, 2)))])
+    return make_ta(actions=letters, locations=locs, init=locs[0], edges=edges, clocks=clocks, invariant=inv,
+                   private={l for l in locs[1:] if rng.random() < 0.4},
+                   final={l for l in locs[1:] if rng.random() < 0.5} or {locs[-1]}, name="blocking")
+
+
 def late_guard_ta():
     """One clock, one action: a single a-edge guarded x>2 into a final
     private location (the canonical discrete-time example)."""

@@ -1,5 +1,6 @@
 import warnings
 from fractions import Fraction as F
+from pathlib import Path
 
 from conftest import late_guard_ta, single_word_ta
 from topaq.constructions import (
@@ -12,7 +13,7 @@ from topaq.constructions import (
     prune_final_exits,
     swap_gadget,
 )
-from topaq.model import print_model
+from topaq.model import parse_model, print_model
 from topaq.oracle import trace_sets
 from topaq.ta import TimedWord, make_ta, edge, Guard, ClockConstraint
 
@@ -316,6 +317,18 @@ def test_gadgets_pinned():
     assert print_model(swap_gadget(late_guard_ta())) == SWAP_LATE_GUARD
     assert print_model(embed_gadget(late_guard_ta())) == EMBED_LATE_GUARD
     assert print_model(inclusion_gadget(single_word_ta("a", 1), single_word_ta("a", 2))) == INCLUSION_A1_A2
+
+
+def test_memo_and_priv_pinned():
+    """The memo and private-runs automata of every model in `models/`,
+    printed: the copy names, the edge order (visited copy, not-yet copy,
+    then the entries into the private set) and the finals of each."""
+    root = Path(__file__).resolve().parent
+    prints = []
+    for path in sorted((root.parent / "models").glob("*.ta")):
+        ta = parse_model(path.read_text())
+        prints += [print_model(build_memo(ta)), print_model(build_priv(ta))]
+    assert "".join(prints) == (root / "memo_priv_pinned.txt").read_text()
 
 
 class TestPruneFinalExits:

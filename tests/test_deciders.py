@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import fig1_ta, nfa_accepts_expanded, single_word_ta
+from conftest import fig1_ta, nfa_accepts_expanded, random_discrete_ta, single_word_ta
 from topaq.constructions import (
     build_priv,
     build_pub,
@@ -41,42 +41,12 @@ from topaq.observers import (
     unfold_tau,
 )
 from topaq.oracle import BadOracleBound, discrete_state_count, oracle_check
-from topaq.regions import ReservedLetter, build_region_automaton
+from topaq.regions import BadRegionCap, ReservedLetter, build_region_automaton
 from topaq.ta import ClockConstraint, Guard, TimedWord, Verdict, edge, make_ta, validate, validate_errors
 
 
 def tw(*pairs):
     return TimedWord.of(*pairs)
-
-
-def random_discrete_ta(rng):
-    n_loc = rng.randint(2, 4)
-    locs = [f"q{i}" for i in range(n_loc)]
-    clocks = [f"c{i}" for i in range(rng.randint(0, 2))]
-    letters = ["a", "b"][: rng.randint(1, 2)]
-
-    def rguard():
-        conj = []
-        for x in clocks:
-            if rng.random() < 0.4:
-                conj.append(ClockConstraint(x, rng.choice(["<", "<=", "=", ">=", ">"]), rng.randint(0, 2)))
-        return Guard(tuple(conj))
-
-    edges = []
-    for _ in range(rng.randint(1, 6)):
-        a = rng.choice(letters + [None])
-        resets = frozenset(x for x in clocks if rng.random() < 0.3)
-        edges.append(edge(rng.choice(locs), rng.choice(locs), a, rguard(), resets))
-    inv = {}
-    for l in locs:
-        if clocks and rng.random() < 0.3:
-            inv[l] = Guard.of(ClockConstraint(rng.choice(clocks), "<=", rng.randint(0, 2)))
-    private = {l for l in locs if rng.random() < 0.35}
-    final = {l for l in locs if rng.random() < 0.4} or {locs[-1]}
-    return make_ta(
-        actions=letters, locations=locs, init=locs[0], final=final, private=private,
-        clocks=clocks, invariant=inv, edges=edges, time_domain="discrete", name="rand",
-    )
 
 
 def definitive_oracle(ta, mode):
@@ -320,6 +290,26 @@ class TestEngineLetters:
                             edge("p", "r", "a", Guard.of(ClockConstraint("xa", "=", 0)), {"xa"})])
         v = check_opacity(ta, "weak")
         assert (v.holds, v.side, v.witness) == (False, "priv-not-pub", tw(("a", F(1, 2))))
+
+
+@pytest.mark.parametrize("domain", ["dense", "discrete"])
+def test_every_engine_notes_an_empty_language(domain):
+    """The initial invariant fails, so the model has no run: every weak/full
+    engine answers holds with the note `empty language`, and a bad cap is
+    still refused."""
+    ta = make_ta(actions={"a"}, locations={"p", "q"}, init="p", final={"q"}, clocks={"xa"},
+                 invariant={"p": Guard.of(ClockConstraint("xa", ">", 0))},
+                 edges=[edge("p", "q", "a", resets={"xa"})], time_domain=domain)
+    engines = ["oera", "discrete"] if domain == "discrete" else ["oera"]
+    for mode in ("weak", "full"):
+        verdicts = [check_opacity(ta, mode, engine=engine) for engine in engines]
+        verdicts += [check_bounded(ta, sel, mode) for sel in (FirstN(1), Dynamic(1))]
+        for v in verdicts:
+            assert (v.holds, v.witness, v.side, v.note) == (True, None, None, "empty language")
+        with pytest.raises(BadRegionCap):
+            check_opacity(ta, mode, engine="oera", cap=0)
+        with pytest.raises(BadRegionCap):
+            check_bounded(ta, FirstN(1), mode, cap=0)
 
 
 class TestMetamorphic:

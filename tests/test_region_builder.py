@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fig1_ta, oera_pair_ta, random_discrete_ta
+from conftest import fig1_ta, oera_pair_ta, random_blocking_oera, random_discrete_ta, random_oera
 from reference_regions import (
     graph_of,
     reference_check_oera,
@@ -23,7 +23,7 @@ from reference_regions import (
     reference_region_automaton,
 )
 from topaq.constructions import build_memo, build_priv, build_pub, memo_classes, product
-from topaq.deciders import _attacker, _shortest_accepting_path, check_opacity, dense_time, is_oera
+from topaq.deciders import _attacker, check_opacity, dense_time, is_oera
 from topaq.export import region_automaton_to_dot, region_automaton_to_json
 from topaq.model import parse_model
 from topaq.nfa import from_region_automaton
@@ -69,7 +69,7 @@ def assert_same(ta):
     assert graph_of(ra) == (letters, initial, finals, eps, trans)
     assert ra.letters == letters
     assert from_region_automaton(ra) == reference_nfa(ref)
-    assert _shortest_accepting_path(ra) == reference_path(ref)
+    assert ra.shortest_accepting_path() == reference_path(ref)
     return ra, ref
 
 
@@ -102,28 +102,6 @@ def test_criterion5_corpus():
     for ta in criterion5_corpus(100):
         assert_same(augment_ticks(build_memo(ta)))
         assert_same(product(build_priv(ta), build_pub(ta)))
-
-
-def random_oera(rng):
-    """A dense-time observable event-recording automaton: one clock per
-    letter, reset by every edge carrying that letter."""
-    locs = [f"q{i}" for i in range(rng.randint(2, 4))]
-    letters = ["a", "b"][: rng.randint(1, 2)]
-    clocks = [f"x{a}" for a in letters]
-
-    def guard():
-        return Guard(tuple(ClockConstraint(x, rng.choice(["<", "<=", "=", ">=", ">"]), rng.randint(0, 2))
-                           for x in clocks if rng.random() < 0.4))
-
-    edges = []
-    for _ in range(rng.randint(1, 6)):
-        a = rng.choice(letters + [None])
-        edges.append(edge(rng.choice(locs), rng.choice(locs), a, guard(), {f"x{a}"} if a else ()))
-    inv = {loc: Guard.of(ClockConstraint(rng.choice(clocks), "<=", rng.randint(1, 2)))
-           for loc in locs if rng.random() < 0.2}
-    return make_ta(actions=letters, locations=locs, init=locs[0], edges=edges, clocks=clocks, invariant=inv,
-                   private={l for l in locs if rng.random() < 0.35},
-                   final={l for l in locs if rng.random() < 0.4} or {locs[-1]}, name="oera")
 
 
 def test_random_oeras():
@@ -167,32 +145,6 @@ def test_oera_engine_matches_object_reference():
         sides.append(assert_same_oera(replace(ta, time_domain="discrete"))[2])
     # holding, and violated on either side
     assert min(sides.count(side) for side in (None, "priv-not-pub", "pub-not-priv")) >= 50
-
-
-def random_blocking_oera(rng):
-    """A dense-time observable ERA whose letter-edge targets carry
-    invariants that can fail right after the reset: a lower bound on the
-    letter's own clock, which the reset sets to 0, or an upper bound on the
-    other clock, which the edge's guard may let exceed it."""
-    locs = [f"q{i}" for i in range(rng.randint(2, 4))]
-    letters = ["a", "b"]
-    clocks = ["xa", "xb"]
-    edges = []
-    inv = {}
-    for _ in range(rng.randint(2, 7)):
-        a = rng.choice(letters + letters + [None])
-        x = rng.choice(clocks)
-        guard = Guard.of(ClockConstraint(x, rng.choice(["<", "<=", ">=", ">"]), rng.randint(0, 2))) \
-            if rng.random() < 0.6 else Guard.true()
-        target = rng.choice(locs[1:])
-        edges.append(edge(rng.choice(locs), target, a, guard, {f"x{a}"} if a else ()))
-        if a and target not in inv and rng.random() < 0.7:
-            other = "xb" if a == "a" else "xa"
-            inv[target] = rng.choice([Guard.of(ClockConstraint(f"x{a}", rng.choice([">", ">="]), rng.randint(0, 1))),
-                                      Guard.of(ClockConstraint(other, rng.choice(["<", "<="]), rng.randint(0, 2)))])
-    return make_ta(actions=letters, locations=locs, init=locs[0], edges=edges, clocks=clocks, invariant=inv,
-                   private={l for l in locs[1:] if rng.random() < 0.4},
-                   final={l for l in locs[1:] if rng.random() < 0.5} or {locs[-1]}, name="blocking")
 
 
 def test_oera_engine_matches_object_reference_on_blocked_entries():
