@@ -97,7 +97,9 @@ def build_parser() -> _Parser:
     classify.add_argument("file")
 
     exp = sub.add_parser("export", help="export the model or derived automata")
-    exp.add_argument("--what", default="ta", choices=["ta", "region-automaton", "tick"])
+    exp.add_argument("--what", default="ta", choices=["ta", "region-automaton", "tick"],
+                     help="tick: the tick construction in its reference form, with the end gadget "
+                          "that the bounded engine reads off the regions instead")
     exp.add_argument("--format", default="dot", choices=["dot", "json"])
     exp.add_argument("--obs", help="first:N for --what tick (default first:1)")
     exp.add_argument("--scale", action="store_true")

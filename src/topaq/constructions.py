@@ -71,9 +71,17 @@ def copy_locations(
 
 
 def build_pub(ta: TimedAutomaton) -> TimedAutomaton:
-    """Automaton of the public runs: private locations removed outright."""
+    """Automaton of the public runs: private locations removed outright.
+    Warns when the initial location is private, as the language is then
+    empty; the deciders, whose answer says so, build it with `_public_runs`."""
     if ta.init in ta.private:
         warnings.warn("initial location is private: the public-run language is empty")
+    return _public_runs(ta)
+
+
+def _public_runs(ta: TimedAutomaton) -> TimedAutomaton:
+    """`build_pub` without the warning."""
+    if ta.init in ta.private:
         sink = fresh_name("pub_sink", ta.locations)
         return TimedAutomaton(
             actions=ta.actions,
@@ -132,14 +140,6 @@ def _visit_copies(ta: TimedAutomaton, final_tags: Sequence[str], name: str) -> T
     return replace(memo, init=ta.init + S_TAG if ta.init in ta.private else memo.init,
                    private=frozenset(l + S_TAG for l in ta.private),
                    final=frozenset(l + tag for l in ta.final for tag in final_tags))
-
-
-def memo_classes(memo: TimedAutomaton) -> dict[str, frozenset[str]]:
-    """The final locations of a `build_memo` automaton by copy tag: the
-    visited copy's accept the private runs, the not-yet copy's the public
-    ones (which is the language of `build_pub`, as no run leaves the
-    visited copy)."""
-    return {tag: frozenset(l for l in memo.final if l.endswith(tag)) for tag in MEMO_TAGS}
 
 
 def relax_finals(ta: TimedAutomaton) -> TimedAutomaton:

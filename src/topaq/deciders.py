@@ -3,7 +3,8 @@ question, picks the engine and reduces a bounded attacker (`_attacker`).
 Below it: the existence check; one region-to-inclusion pipeline
 (`_ticked_language`) under the discrete-time and observable event-recording
 engines and the bounded attacker, which differ only in what a delay edge
-reads; the class ladder that says which automata the two engines decide
+reads and, for the bounded attacker, in the f-suffix its stop regions read
+(`_first_n_languages`); the class ladder that says which automata the two engines decide
 and why the rest are refused (`LADDER`); and the matrix-based witness
 verifier."""
 
@@ -13,16 +14,16 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Union
 
 from . import nfa as nfalib
-from .constructions import MEMO_TAGS, build_memo, build_priv, build_pub, memo_classes, product
+from .constructions import MEMO_TAGS, _public_runs, build_memo, build_priv, product, relax_finals
 from .nfa import NFA, check_inclusion, from_region_automaton
 from .observers import (
     Dynamic,
     FirstN,
     Static,
     TimeSelection,
+    last_observation_ticks,
     normalize_sequence,
     switch_scale,
-    tick_construction,
     unfold_first_n,
     unfold_free,
     unfold_tau,
@@ -40,7 +41,7 @@ from .regions import (
     tick_decode,
 )
 from .ta import EPSILON, TimedAutomaton, TimedWord, Verdict
-from .words import class_recognizer, parse_group
+from .words import class_recognizer, parse_group, render_group
 
 
 NORMALIZED_NOTE = "witness uses the normalized switch-time sequence"
@@ -153,7 +154,7 @@ def check_exists(ta: TimedAutomaton, cap: Optional[int] = None) -> Verdict:
     """Existential opacity: some trace produced by both a private and a
     public run, decided as final-region reachability in the product of the
     private-runs and public-runs automata."""
-    prod = product(build_priv(ta), build_pub(ta))
+    prod = product(build_priv(ta), _public_runs(ta))
     path = build_region_automaton(prod, cap).shortest_accepting_path()
     if path is None:
         return Verdict(False, note="no trace is produced by both a private and a public run")
@@ -170,7 +171,7 @@ DELAY_LETTER = ""
 
 
 def _ticked_language(automaton: TimedAutomaton, cap: Optional[int], tags: tuple[str, ...] = (),
-                     delay: Optional[str] = None) -> NFA:
+                     delay: Optional[str] = None, ends: Optional[Callable] = None) -> NFA:
     """Untimed language of `automaton`'s region automaton, whose delay edges
     are silent (`delay` None: a tick construction emits its own ticks `t`)
     or read the letter `delay`, with the run of ticks (`t`, or `delay`)
@@ -181,15 +182,15 @@ def _ticked_language(automaton: TimedAutomaton, cap: Optional[int], tags: tuple[
     With `tags`, the final locations ending in the i-th tag make the i-th
     final class of the result, whose views (`NFA.views`) are the classes'
     languages: one region build, one conversion and one strip serve them
-    all."""
+    all. For the bounded attacker, `ends(ra)` gives instead the final
+    classes and the f-suffixes (`nfa.from_region_automaton`)."""
     ra = build_region_automaton(automaton, cap)
-    class_of = {loc: k for loc in automaton.final for k, tag in enumerate(tags) if loc.endswith(tag)}
-    classes: list[list[int]] = [[] for _ in tags]
-    for i in ra.final_ids:  # region ids
-        k = class_of.get(ra.location_of(i))
-        if k is not None:
-            classes[k].append(i)
-    m = from_region_automaton(ra, tuple(frozenset(c) for c in classes), delay)
+    if ends is None:
+        classes = tuple(frozenset(i for i in ra.final_ids if ra.location_of(i).endswith(tag)) for tag in tags)
+        m = from_region_automaton(ra, classes, delay)
+    else:
+        classes, suffixes = ends(ra)
+        m = from_region_automaton(ra, classes, suffixes=suffixes)
     del ra  # its edge arrays and interning tables: the strip needs only `m`
     suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
     return nfalib.strip_ticks_before_suffix(m, suffix, TICK_LETTER if delay is None else delay)
@@ -375,13 +376,11 @@ def check_bounded(
     mode: str,
     cap: Optional[int] = None,
 ) -> Verdict:
-    """Weak/full opacity against a bounded attacker: the tick construction
-    of the memo automaton of the attacker's first-N reduction (`_attacker`),
-    with one end gadget for the visited and one for the not-yet copy's
-    finals, so the private and public projected languages are the two final
-    classes of one region automaton; they are compared as untimed regular
-    languages. For switch times the projection is the identity on the
-    already bounded language of the unfolding.
+    """Weak/full opacity against a bounded attacker: the private and public
+    ticked languages of the attacker's first-N reduction (`_attacker`),
+    read off one region build (`_first_n_languages`) and compared as
+    untimed regular languages. For switch times the projection is the
+    identity on the already bounded language of the unfolding.
     """
     if mode not in ("weak", "full"):
         raise ValueError("mode must be 'weak' or 'full'")
@@ -393,10 +392,76 @@ def check_bounded(
 
 
 def _first_n_languages(ta: TimedAutomaton, n: int, cap: Optional[int]) -> list[NFA]:
-    """[private, public] ticked first-N languages: the two final classes of
-    the tick construction of the memo automaton, one end gadget each."""
+    """[private, public] ticked first-N languages of `ta`, equal to those of
+    the memo automaton's `tick_construction` with one end gadget per class,
+    from a region build that stops where a run stops
+    (`last_observation_ticks`). The conversion gives each stop region the
+    f-suffix the gadget would emit (`_suffix_word`), into each class a run
+    reaches from its location and model clocks (`_reachable_classes`)."""
     memo = build_memo(dense_time(ta))
-    return _ticked_language(tick_construction(memo, n, memo_classes(memo)), cap, MEMO_TAGS).views()
+    ticked, obs = last_observation_ticks(memo, n)
+    reachable = _reachable_classes(memo, cap)
+    column = {x: j for j, x in enumerate(sorted(ticked.clocks))}
+    model = [column[x] for x in sorted(memo.clocks)]
+    observed = [column[x] for x in obs]
+
+    def ends(ra: RegionAutomaton):
+        classes: list[list[int]] = [[] for _ in MEMO_TAGS]
+        suffixes = {}
+        words: dict[tuple[int, ...], tuple[str, ...]] = {}  # observation ranks -> suffix
+        for i in sorted(ra.final_ids):
+            codes, ranks = ra.clock_codes(i)
+            # the model clocks have the memo automaton's max constants: the
+            # copies below the last have all its edges (n = 0 builds only
+            # the initial region, all codes 0)
+            location = ra.location_of(i).rsplit("~", 1)[0]
+            found = reachable[location, tuple(codes[j] for j in model), _renumber([ranks[j] for j in model])]
+            if found:
+                key = tuple(ranks[j] for j in observed)
+                word = words.get(key)
+                if word is None:
+                    word = words[key] = _suffix_word(key)
+                suffixes[i] = word
+                for k in found:
+                    classes[k].append(i)
+        return tuple(frozenset(c) for c in classes), suffixes
+
+    return _ticked_language(ticked, cap, ends=ends).views()
+
+
+def _renumber(ranks: list[int]) -> tuple[int, ...]:
+    """Fractional ranks of some clocks as a build on them alone ranks them:
+    renumbered 1, 2, ... in order, 0 (a zero fraction) kept."""
+    order = {r: k for k, r in enumerate(sorted(set(ranks) - {0}), 1)}
+    return tuple(order.get(r, 0) for r in ranks)
+
+
+def _suffix_word(ranks: tuple[int, ...]) -> tuple[str, ...]:
+    """The f-suffix the end gadget emits from a stop region whose
+    observation clocks, tick clock first, have the fractional ranks `ranks`:
+    their groups of equal fraction in the order they reach the next integer,
+    decreasing cyclic order from the tick clock's group."""
+    order = sorted(set(ranks), reverse=True)
+    k = order.index(ranks[0])
+    return tuple(render_group(frozenset(i for i, r in enumerate(ranks) if r == g)) for g in order[k:] + order[:k])
+
+
+def _reachable_classes(memo: TimedAutomaton, cap: Optional[int]) -> dict[tuple, list[int]]:
+    """The final classes (indices into `MEMO_TAGS`) a run of the
+    final-relaxed memo automaton reaches from each region, letters read as
+    silent, keyed by location, codes and ranks: a final's own class, and
+    what the last copy of the unfolding, all silent, adds to a run entering
+    it there (its observation clocks never block a move)."""
+    ra = build_region_automaton(relax_finals(memo), cap)
+    reach = nfalib._reach_table([ra.edge_target[ra._edge_start[i]:ra._edge_start[i + 1]]
+                                 for i in range(ra.n_states)],
+                                [i in ra.final_ids for i in range(ra.n_states)])
+    found: dict[int, list[int]] = {}  # id of a row of `reach` -> its classes
+    for row in reach:
+        if id(row) not in found:
+            found[id(row)] = [k for k, tag in enumerate(MEMO_TAGS)
+                              if any(ra.location_of(f).endswith(tag) for f in row)]
+    return {(ra.location_of(i), *ra.clock_codes(i)): found[id(reach[i])] for i in range(ra.n_states)}
 
 
 def dense_time(ta: TimedAutomaton) -> TimedAutomaton:

@@ -8,8 +8,9 @@ frozensets:
   `from_region_automaton` reads a region automaton's edge arrays into
   per-state silent and letter successors, which exist only for the
   conversion; a delay edge is silent, or reads a letter the caller names
-  (the discrete engine's tick, the event-recording engine's delay letter).
-  `silent_free` turns that raw graph into an NFA whose
+  (the discrete engine's tick, the event-recording engine's delay letter);
+  a final region may read a suffix word before it accepts (the bounded
+  attacker's f-letters). `silent_free` turns that raw graph into an NFA whose
   states are the active states of the graph: a state is active if it has
   a letter edge or is final. Each letter edge lands on the closed set of
   its target, the active states it reaches silently, and the initial set
@@ -233,18 +234,26 @@ def silent_free(alphabet: tuple[str, ...], initial: Collection[int], finals: fro
 
 
 def from_region_automaton(ra: RegionAutomaton, final_classes: tuple[frozenset[int], ...] = (),
-                          delay: Optional[str] = None) -> NFA:
+                          delay: Optional[str] = None,
+                          suffixes: Optional[Mapping[int, tuple[str, ...]]] = None) -> NFA:
     """Silent-free NFA of a region automaton: `silent_free` of the graph in
     its edge arrays, where an edge is silent when its automaton edge is
     ε-labelled, or when it is a delay (`_edge_ta` -1) and `delay` is None;
     otherwise a delay edge reads the letter `delay`. The alphabet is the
     set of letters on the lettered edges, with `delay` when it is given.
     Region i is state i of that graph, so `final_classes` are sets of
-    region ids."""
+    region ids.
+
+    With `suffixes`, a region i of the final classes accepts only after
+    reading the nonempty word `suffixes[i]`, through a chain of fresh states
+    whose last is final in i's classes. A chain state is keyed by the rest
+    of the word it reads and that class set, so words share their common
+    tails; sharing a common prefix would accept the shorter word from the
+    longer one's region."""
     labels = [e.action for e in ra._code.edges] + [delay]  # [-1]: a delay edge
     target, start, through = ra.edge_target, ra._edge_start, ra._edge_ta
     no_moves: dict[str, frozenset[int]] = {}  # shared by the states without letter edges
-    eps: list[list[int]] = []
+    eps: list[Collection[int]] = []
     trans: list[dict[str, frozenset[int]]] = []
     for i in range(ra.n_states):
         silent: list[int] = []
@@ -258,8 +267,31 @@ def from_region_automaton(ra: RegionAutomaton, final_classes: tuple[frozenset[in
         eps.append(silent)
         trans.append({a: frozenset(v) for a, v in moves.items()} if moves else no_moves)
     initial = frozenset([0]) if ra.n_states else frozenset()
-    letters = ra.letters if delay is None else tuple(sorted({*ra.letters, delay}))
-    return silent_free(letters, initial, ra.final_ids, eps, trans, final_classes)
+    letters = set(ra.letters) if delay is None else {*ra.letters, delay}
+    finals = ra.final_ids
+    if suffixes is not None:
+        chains: dict[tuple, int] = {}  # (rest of a word, classes) -> chain state
+        ends: list[list[int]] = [[] for _ in final_classes]
+        for i in sorted(set().union(*final_classes)):
+            word = suffixes[i]
+            classes = tuple(k for k, c in enumerate(final_classes) if i in c)
+            letters.update(word)
+            s = i
+            for position, a in enumerate(word, 1):
+                key = (word[position:], classes)
+                t = chains.get(key)
+                if t is None:
+                    t = chains[key] = len(trans)
+                    eps.append(())
+                    trans.append({})
+                    if position == len(word):
+                        for k in classes:
+                            ends[k].append(t)
+                trans[s] = {a: frozenset([t])}  # a final region has no out-edge
+                s = t
+        final_classes = tuple(frozenset(c) for c in ends)
+        finals = frozenset().union(*final_classes)
+    return silent_free(tuple(sorted(letters)), initial, finals, eps, trans, final_classes)
 
 
 def merge_alphabets(*nfas: NFA) -> tuple[str, ...]:

@@ -4,7 +4,7 @@ the switch-time unfolding, and the free unfolding for dynamic attackers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -120,17 +120,76 @@ def _subsets(items: Sequence[str]) -> list[frozenset[str]]:
     return [frozenset(x for i, x in enumerate(items) if mask >> i & 1) for mask in range(1 << len(items))]
 
 
+def _group_guard(at_one: frozenset[str], inside: Sequence[str]) -> Guard:
+    """The clocks `at_one` at 1, the other clocks of `inside` strictly
+    between 0 and 1."""
+    conj = [ClockConstraint(c, "=", 1) for c in sorted(at_one)]
+    for c in inside:
+        if c not in at_one:
+            conj.append(ClockConstraint(c, ">", 0))
+            conj.append(ClockConstraint(c, "<", 1))
+    return Guard(tuple(conj))
+
+
+def _ticked_unfolding(ta: TimedAutomaton, n: int, stop: bool) -> tuple[TimedAutomaton, list[str]]:
+    """The final-relaxed N-unfolding of `ta` with a global tick clock that
+    emits `t` each time unit and one clock per observation that records its
+    timestamp's fractional part (all kept below 1 by silent reset loops),
+    and the observation clocks, tick clock first. Finals have no tick loop;
+    with `stop`, they and the last copy's locations have no out-edge and
+    are final."""
+    reserve_letters(ta.actions, [TICK_LETTER], "tick construction")
+    unfolded = relax_finals(unfold_first_n(ta, n))
+    taken = set(unfolded.clocks)
+    obs = []
+    for i in range(n + 1):
+        c = fresh_name(f"tk{i}", taken)
+        obs.append(c)
+        taken.add(c)
+    x0, rest = obs[0], obs[1:]
+    below1 = Guard(tuple(ClockConstraint(c, "<", 1) for c in obs))
+    dead = unfolded.final | {l for l in unfolded.locations if l.endswith(f"~{n}")} if stop else frozenset()
+
+    edges = []
+    # original edges, confined to sub-unit observation clocks (the relaxed
+    # unfolding has no exits from final locations)
+    for e in unfolded.edges:
+        if e.source in dead:
+            continue
+        resets = e.resets
+        if e.action is not EPSILON:
+            copy_index = int(e.target.rsplit("~", 1)[1])
+            resets = resets | {obs[copy_index]}
+        edges.append(Edge(e.source, e.guard.conjoin(below1), e.action, resets, e.target))
+    # tick loops (not on unfolding finals) and silent observation-clock resets
+    for loc in sorted(unfolded.locations - dead):
+        if loc not in unfolded.final:
+            edges.append(Edge(loc, Guard.of(ClockConstraint(x0, "=", 1)), TICK_LETTER, frozenset({x0}), loc))
+        for subset in _subsets(rest)[1:]:
+            edges.append(Edge(loc, _group_guard(subset, rest), EPSILON, subset, loc))
+    return replace(unfolded, actions=unfolded.actions | {TICK_LETTER}, final=unfolded.final | dead,
+                   clocks=unfolded.clocks | frozenset(obs), edges=tuple(edges), time_domain="dense",
+                   name=f"{ta.name}~tick{n}"), obs
+
+
+def last_observation_ticks(ta: TimedAutomaton, n: int) -> tuple[TimedAutomaton, list[str]]:
+    """The tick construction of `ta` cut where a run stops, and its
+    observation clocks, tick clock first: no end gadget, and the
+    unfolding's finals and the last copy's locations final with no
+    out-edges. The stop region fixes the rest of the ticked word, which the
+    bounded engine attaches (`deciders._first_n_languages`)."""
+    return _ticked_unfolding(ta, n, stop=True)
+
+
 def tick_construction(
     ta: TimedAutomaton, n: int, classes: Optional[Mapping[str, frozenset[str]]] = None
 ) -> TimedAutomaton:
     """Dense-time gadget whose region automaton's untimed language encodes
-    the first-N projected traces of `ta` as ticked words.
-
-    On top of the N-unfolding: a global tick clock emits `t` each time unit,
-    one clock per observation records its timestamp's fractional part (all
-    kept below 1 by silent reset loops), and an end gadget reached from the
-    unfolding's final locations emits the fractional groups as f-letters, one
-    full time unit long.
+    the first-N projected traces of `ta` as ticked words: the reference
+    form, which `topaq export --what tick` shows, of the bounded engine's
+    `last_observation_ticks`. An end gadget reached from the final
+    locations of `_ticked_unfolding` emits the fractional groups of the
+    observation clocks as f-letters, one full time unit long.
 
     `classes` splits the final locations of `ta` into final classes, keyed
     by a tag; each class gets its own end gadget, whose two locations carry
@@ -145,30 +204,8 @@ def tick_construction(
     matter at entry; the relaxation is what lets the gadget spend its extra
     time units there.
     """
-    reserve_letters(ta.actions, [TICK_LETTER], "tick construction")
-    unfolded = relax_finals(unfold_first_n(ta, n))
-
-    taken = set(unfolded.clocks)
-    obs = []
-    for i in range(n + 1):
-        c = fresh_name(f"tk{i}", taken)
-        obs.append(c)
-        taken.add(c)
+    unfolded, obs = _ticked_unfolding(ta, n, stop=False)
     x0, rest = obs[0], obs[1:]
-
-    def guard_all_below_one() -> Guard:
-        return Guard(tuple(ClockConstraint(c, "<", 1) for c in obs))
-
-    def guard_group(at_one: frozenset[str], inside: Sequence[str]) -> Guard:
-        conj = [ClockConstraint(c, "=", 1) for c in sorted(at_one)]
-        for c in inside:
-            if c not in at_one:
-                conj.append(ClockConstraint(c, ">", 0))
-                conj.append(ClockConstraint(c, "<", 1))
-        return Guard(tuple(conj))
-
-    below1 = guard_all_below_one()
-    subsets = _subsets(rest)
     lg0 = fresh_name("gadget0", unfolded.locations)
     lg1 = fresh_name("gadget1", unfolded.locations)
     # (unfolding finals, gadget entry, gadget final) per class; a tagged
@@ -178,56 +215,32 @@ def tick_construction(
         (sorted(l for l in unfolded.final if l.rsplit("~", 1)[0] in locs), lg0 + tag, lg1 + tag)
         for tag, locs in ({"": ta.final} if classes is None else classes).items()
     ]
-
-    edges = []
-    # original edges, confined to sub-unit observation clocks (the relaxed
-    # unfolding has no exits from final locations)
-    for e in unfolded.edges:
-        resets = e.resets
-        if e.action is not EPSILON:
-            copy_index = int(e.target.rsplit("~", 1)[1])
-            resets = resets | {obs[copy_index]}
-        edges.append(Edge(e.source, e.guard.conjoin(below1), e.action, resets, e.target))
-    # tick loops (not on unfolding finals) and silent observation-clock resets
-    for loc in sorted(unfolded.locations):
-        if loc not in unfolded.final:
-            edges.append(Edge(loc, Guard.of(ClockConstraint(x0, "=", 1)), TICK_LETTER, frozenset({x0}), loc))
-        for subset in subsets[1:]:
-            edges.append(Edge(loc, guard_group(subset, rest), EPSILON, subset, loc))
     # end gadget: first the group synchronized with the tick clock, then each
     # later fractional group as it reaches 1, closing after one full unit
+    edges = list(unfolded.edges)
     f_letters = set()
     index_of = {c: i for i, c in enumerate(obs)}
-    for subset in subsets:
+    for subset in _subsets(rest):
         group = subset | {x0}
         letter = render_group(frozenset(index_of[c] for c in group))
         f_letters.add(letter)
         for finals, g0, g1 in gadgets:
             for lf in finals:
-                edges.append(Edge(lf, guard_group(group, obs), letter, group, g0))
-            edges.append(Edge(g0, guard_group(group, obs), EPSILON, frozenset(), g1))
-    for subset in subsets[1:]:
+                edges.append(Edge(lf, _group_guard(group, obs), letter, group, g0))
+            edges.append(Edge(g0, _group_guard(group, obs), EPSILON, frozenset(), g1))
+    for subset in _subsets(rest)[1:]:
         letter = render_group(frozenset(index_of[c] for c in subset))
         f_letters.add(letter)
         for _, g0, _ in gadgets:
-            edges.append(Edge(g0, guard_group(subset, obs), letter, subset, g0))
+            edges.append(Edge(g0, _group_guard(subset, obs), letter, subset, g0))
 
     inv = dict(unfolded.invariant)
     for _, g0, g1 in gadgets:
         inv[g0] = Guard.true()
         inv[g1] = Guard.true()
-    return TimedAutomaton(
-        actions=unfolded.actions | {TICK_LETTER} | f_letters,
-        locations=unfolded.locations | {g for _, g0, g1 in gadgets for g in (g0, g1)},
-        init=unfolded.init,
-        private=unfolded.private,
-        final=frozenset(g1 for _, _, g1 in gadgets),
-        clocks=unfolded.clocks | frozenset(obs),
-        invariant=inv,
-        edges=tuple(edges),
-        time_domain="dense",
-        name=f"{ta.name}~tick{n}",
-    )
+    return replace(unfolded, actions=unfolded.actions | f_letters,
+                   locations=unfolded.locations | {g for _, g0, g1 in gadgets for g in (g0, g1)},
+                   final=frozenset(g1 for _, _, g1 in gadgets), invariant=inv, edges=tuple(edges))
 
 
 def normalize_sequence(tau: Sequence[Fraction]) -> tuple[Fraction, ...]:

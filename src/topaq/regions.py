@@ -205,6 +205,11 @@ class RegionAutomaton:
     def location_of(self, i: int) -> str:
         return self._code.names[self._keys[i] % len(self._code.names)]
 
+    def clock_codes(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The int codes and fractional ranks of region i's clocks, in
+        sorted clock order (module docstring)."""
+        return self._code.clock_regions[self._keys[i] // len(self._code.names)]
+
     def region(self, i: int) -> Region:
         cr, loc = divmod(self._keys[i], len(self._code.names))
         return Region(self._code.names[loc], self._code.clock_region(cr))

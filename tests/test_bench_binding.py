@@ -56,6 +56,6 @@ def test_traced_benchmark_answers_are_correct():
     result = run_benchmark("first-n", 1)
     assert result["correct"] is True and result["failed"] == 0
     metrics = result["metrics"]
-    assert metrics["regions.states"]["value"] == 18028
-    assert metrics["regions.edges"]["value"] == 24720
-    assert metrics["nfa.strip_states"]["value"] == 7006
+    assert metrics["regions.states"]["value"] == 2492
+    assert metrics["regions.edges"]["value"] == 3136
+    assert metrics["nfa.strip_states"]["value"] == 4126

@@ -6,11 +6,20 @@ witness."""
 
 import random
 import warnings
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import fig1_ta, random_discrete_ta
+from conftest import (
+    fig1_ta,
+    late_guard_ta,
+    loop_and_deadline_ta,
+    oera_pair_ta,
+    random_blocking_oera,
+    random_discrete_ta,
+    random_oera,
+)
 from reference_languages import (
     reference_bounded,
     reference_discrete,
@@ -25,10 +34,13 @@ from topaq.ta import validate, validate_errors
 
 SWITCH_TIMES = (F(0), F(1, 2), F(3, 2))
 LADDER = {
+    "first:0": FirstN(0),
     "first:1": FirstN(1),
     "first:2": FirstN(2),
     "first:3": FirstN(3),
+    "first:4": FirstN(4),
     "dynamic:1": Dynamic(1),
+    "dynamic:2": Dynamic(2),
     "static:0,1/2,3/2": Static(SWITCH_TIMES),
 }
 
@@ -75,6 +87,38 @@ def test_discrete_corpus_views_and_verdicts():
                 assert verdict == reference_discrete(ta, mode), (ta, mode)
                 violated += verdict.holds is False
     assert violated > 0  # the corpus exercises witnesses, not only `holds`
+
+
+def first_n_corpus():
+    """The random observable ERAs, blocking observable ERAs and discrete
+    automata of `conftest`, the discrete ones also read in dense time, and
+    three fixtures."""
+    rng = random.Random(20261019)
+    out = [late_guard_ta(), loop_and_deadline_ta(), oera_pair_ta()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # vacuous-guard warnings
+        for make in (random_oera, random_blocking_oera, random_discrete_ta):
+            made = 0
+            while made < 50:
+                ta = make(rng)
+                if validate_errors(validate(ta)):
+                    continue
+                made += 1
+                out.append(ta)
+                if ta.time_domain == "discrete":
+                    out.append(replace(ta, time_domain="dense"))
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_corpus_first_n_views(n):
+    # the engine's views, cut at the last observation, against the full tick
+    # construction of build_priv and build_pub
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # build_pub of private-initial models
+        for ta in first_n_corpus():
+            for view, reference in zip(_first_n_languages(ta, n, None), reference_first_n_languages(ta, n)):
+                assert_same_language(view, reference)
 
 
 def test_discrete_corpus_first_n_views_and_verdicts():

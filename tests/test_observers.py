@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from topaq.constructions import MEMO_TAGS, build_memo, build_priv, build_pub, memo_classes
+from reference_languages import memo_classes
+from topaq.constructions import MEMO_TAGS, build_memo, build_priv, build_pub
 from topaq.deciders import dense_time
 from topaq.model import parse_model, print_model
 from topaq.nfa import check_inclusion, from_region_automaton, strip_ticks_before_suffix
@@ -164,6 +165,43 @@ class TestTickConstruction:
             reference = from_region_automaton(build_region_automaton(tick_construction(part, n)))
             assert check_inclusion(view, reference).holds
             assert check_inclusion(reference, view).holds
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gadget_emits_the_suffix_read_off_the_ranks(self, fig1, n):
+        # every region where a run of the gadget form enters an unfolding
+        # final (a final region of the engine's cut form) leads through the
+        # gadget to exactly one word, into its memo tag's class, and that word
+        # is the suffix the engine reads off the observation clocks' ranks
+        from topaq.deciders import _suffix_word
+
+        memo = build_memo(fig1)
+        ticked = tick_construction(memo, n, memo_classes(memo))
+        ra = build_region_automaton(ticked)
+        column = {x: j for j, x in enumerate(sorted(ticked.clocks))}
+        observed = [column[f"tk{i}"] for i in range(n + 1)]
+        at_final = [ra.location_of(i).rsplit("~", 1)[0] in memo.final for i in range(ra.n_states)]
+        entries = {0} if at_final[0] else set()
+        for i in range(ra.n_states):
+            entries.update(j for j in map(ra.edge_target.__getitem__, ra.edge_ids(i))
+                           if at_final[j] and ra.location_of(j) != ra.location_of(i))
+        assert len(entries) > 10
+        for r in entries:
+            ends, todo, seen = set(), [(r, ())], set()
+            while todo:
+                i, word = todo.pop()
+                if i in ra.final_ids:
+                    ends.add((word, ra.location_of(i)))
+                for k in ra.edge_ids(i):
+                    a = ra.edge(k).label
+                    assert a is None or a.startswith("f{")
+                    step = (ra.edge_target[k], word if a is None else word + (a,))
+                    if step not in seen:
+                        seen.add(step)
+                        todo.append(step)
+            (word, end), = ends
+            tag = next(tag for tag in MEMO_TAGS if ra.location_of(r).rsplit("~", 1)[0].endswith(tag))
+            assert end == "gadget1" + tag
+            assert word == _suffix_word(tuple(ra.clock_codes(r)[1][j] for j in observed))
 
     def test_decode_and_replay(self, fig1):
         # every stripped word decodes to a projected trace accepted by the part

@@ -7,8 +7,9 @@ from typing import NamedTuple
 import pytest
 
 from conftest import fig1_ta, late_guard_ta
+from reference_languages import memo_classes
 from reference_regions import graph_of
-from topaq.constructions import MEMO_TAGS, build_memo, memo_classes
+from topaq.constructions import MEMO_TAGS, build_memo
 from topaq.nfa import (
     NFA,
     InclusionCapExceeded,
