@@ -159,6 +159,8 @@ def _run_classify(args) -> int:
 
 
 def _run_export(args) -> int:
+    if args.obs and args.what != "tick":
+        raise _UsageError(f"--obs applies to --what tick only, not to --what {args.what}")
     ta, _ = _load(args.file, args.scale)
     if args.what == "ta":
         obj = ta

@@ -183,16 +183,18 @@ def _ticked_language(automaton: TimedAutomaton, cap: Optional[int], tags: tuple[
     final class of the result, whose views (`NFA.views`) are the classes'
     languages: one region build, one conversion and one strip serve them
     all. For the bounded attacker, `ends(ra)` gives instead the final
-    classes and the f-suffixes (`nfa.from_region_automaton`)."""
+    classes and the f-suffixes (`nfa.from_region_automaton`), whose letters
+    are the strip's suffix letters."""
     ra = build_region_automaton(automaton, cap)
     if ends is None:
         classes = tuple(frozenset(i for i in ra.final_ids if ra.location_of(i).endswith(tag)) for tag in tags)
         m = from_region_automaton(ra, classes, delay)
+        suffix = frozenset()
     else:
         classes, suffixes = ends(ra)
         m = from_region_automaton(ra, classes, suffixes=suffixes)
+        suffix = frozenset().union(*suffixes.values())
     del ra  # its edge arrays and interning tables: the strip needs only `m`
-    suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
     return nfalib.strip_ticks_before_suffix(m, suffix, TICK_LETTER if delay is None else delay)
 
 

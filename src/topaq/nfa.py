@@ -21,14 +21,15 @@ frozensets:
 - One reachability routine, `_reach_table`, gives every state the kept
   part of its reflexive-transitive successor set by SCC condensation. It
   serves the silent closure of `silent_free` (keeping active states) and
-  the suffix jump of `strip_ticks_before_suffix` (keeping suffix-ready
-  states).
+  the tick jump of `strip_ticks_before_suffix` (keeping finals and
+  suffix-ready states).
 - One tick-stripping construction, `strip_ticks_before_suffix`, erases the
   run of a tick letter before the suffix block (the f-letters of the
   bounded attacker); `strip_trailing_letter` is its case without suffix
-  letters. It maps a silent-free NFA to a silent-free NFA:
-  its jumps are folded into the target sets that enter the states they
-  start from.
+  letters. It takes a silent-free NFA in stop form, where finals and the
+  states of the suffix block read suffix letters only, and keeps its
+  states and numbering: in one phase it reroutes the letters that enter a
+  state, a non-tick letter also entering what the state reaches by ticks.
 - One NFA can carry several final classes (`final_classes`), such as the
   private and public languages of the memo automaton. `NFA.views` gives one
   NFA per class; the views share the transitions, and their active states
@@ -383,94 +384,51 @@ def strip_trailing_letter(m: NFA) -> NFA:
 def strip_ticks_before_suffix(m: NFA, suffix_letters: frozenset[str], tick: str = TICK_LETTER) -> NFA:
     """Language image under removal of the maximal run of `tick` letters
     separating the last non-suffix letter from the suffix block: a
-    silent-free NFA built from the silent-free NFA `m`.
+    silent-free NFA on `m`'s own states and numbering, with `m`'s finals and
+    final classes (`NFA.final_classes`).
 
-    Two prefix phases read tick and action letters (never suffix letters)
-    and track whether the last letter read was a tick; a jump, allowed only
-    when it was not, follows any path of tick edges into the suffix
-    phase, which admits suffix letters only. The jump must swallow the whole
-    separating run, because a leftover tick before the suffix block has
-    nowhere to be read. It lands only on states with a suffix letter: the
-    suffix phase of any other state it could reach has no letter to read,
-    and a prefix state whose jump can reach a final is final itself (the
-    empty suffix block).
-
-    State numbering: 2s is state s of `m` in the prefix phase after a
-    non-tick letter (or before any letter), 2s + 1 after a tick. The suffix
-    phase exists only for the states it can reach, the states with a suffix
-    letter and what they reach by suffix-letter moves; they are numbered
-    from 2n on, in increasing order for the states with a suffix letter,
-    then in the order a worklist finds the rest. So without suffix letters
-    the result has 2n states.
-
-    The jumps are not edges of the result: the set that stands for 2s (in
-    the initial set and in the targets of non-tick letters) also holds the
-    jump landings of s. The sets hold no state that can neither read nor
-    accept: 2s is in them only if s has a non-suffix letter or 2s is final,
-    2s + 1 only if s has a non-suffix letter, and suffix[s] only if s has a
-    suffix letter or is final.
-
-    The final classes of `m` (`NFA.final_classes`) carry over: one jump
-    table, which lands on the finals of every class, gives each class its
-    image, and the result's views are the stripped languages of `m`'s
-    views. A jump onto a final of another class is a dead end in a view.
+    `m` must be in stop form, or `ValueError` is raised: a state that is
+    final in any class, reads a suffix letter, or is entered by a suffix
+    letter from such a state (a stop state) reads no other letter. The
+    region build gives final regions no out-edges, and the suffix chains of
+    `from_region_automaton` read only suffix letters. On stop form the
+    strip only reroutes the letters that enter a state t:
+    - a non-tick letter enters t, if t reads a non-suffix letter, and
+      `jump[t]`, the stop states that are final or read a suffix letter
+      and that t reaches by ticks (t itself included), so the tick run
+      after the letter is skipped;
+    - a tick enters t only if t reads a non-suffix letter, as the erased
+      run must be maximal: no tick stands right before the suffix block;
+    - a suffix letter keeps its targets.
+    The initial set is rerouted like a non-tick letter. A jump onto a final
+    of another class is a dead end in a view, so the views are the stripped
+    languages of `m`'s views.
     """
-    n = m.n_states
     finals = m.finals.union(*m.final_classes)
-    ready = [not suffix_letters.isdisjoint(d) for d in m.trans]
-    jump = _reach_table([d.get(tick, ()) for d in m.trans], [r or s in finals for s, r in enumerate(ready)])
-    suffix = {s: 2 * n + k for k, s in enumerate([s for s in range(n) if ready[s]])}  # state -> suffix-phase id
-    todo = list(suffix)
+    stop = set(finals).union([s for s, d in enumerate(m.trans) if not suffix_letters.isdisjoint(d)])
+    todo = list(stop)
     while todo:
         s = todo.pop()
-        for a, succs in m.trans[s].items():
-            if a in suffix_letters:
-                for j in succs:
-                    if j not in suffix:
-                        suffix[j] = 2 * n + len(suffix)
-                        todo.append(j)
-
-    def image(finals: frozenset[int]) -> frozenset[int]:
-        return frozenset([2 * s for s in range(n) if not finals.isdisjoint(jump[s])]
-                         + [suffix[s] for s in finals if s in suffix])
-
-    stripped_finals = image(finals)
-    empty = frozenset()
-    # the sets that stand for 2s, 2s + 1 and suffix[s] when a letter enters them
-    enter, enter_tick = [], []
-    for s in range(n):
-        landings = frozenset([suffix[j] for j in jump[s] if ready[j]])
-        reads = not suffix_letters.issuperset(m.trans[s])  # both prefix phases read a letter
-        enter.append(landings | {2 * s} if reads or 2 * s in stripped_finals else landings)
-        enter_tick.append(frozenset([2 * s + 1]) if reads else empty)
-    enter_suffix = {s: frozenset([i]) if ready[s] or s in finals else empty for s, i in suffix.items()}
-
-    trans: list[dict[str, frozenset[int]]] = []
-    for s in range(n):
-        moves = {}  # both prefix phases read the same letters into the same targets
-        for a, succs in m.trans[s].items():
-            if a not in suffix_letters:
-                t = _union(enter_tick if a == tick else enter, succs)
-                if t:
-                    moves[a] = t
-        trans += (moves, moves)
-    for s in suffix:  # in id order
+        if not suffix_letters.issuperset(m.trans[s]):
+            raise ValueError(f"state {s} is final, reads a suffix letter or follows one, "
+                             "and reads another letter: the NFA is not in stop form")
+        for succs in m.trans[s].values():
+            todo += succs - stop
+            stop.update(succs)
+    jump = _reach_table([d.get(tick, ()) for d in m.trans], [s in stop and bool(s in finals or d)
+                                                            for s, d in enumerate(m.trans)])
+    reads = [s not in stop and bool(d) for s, d in enumerate(m.trans)]
+    enter = [jump[s] | {s} if r else jump[s] for s, r in enumerate(reads)]
+    enter_tick = [frozenset([s]) if r else frozenset() for s, r in enumerate(reads)]
+    trans = []
+    for d in m.trans:
         moves = {}
-        for a, succs in m.trans[s].items():
-            if a in suffix_letters:
-                t = _union(enter_suffix, succs)
-                if t:
-                    moves[a] = t
+        for a, succs in d.items():
+            t = succs if a in suffix_letters else _union(enter_tick if a == tick else enter, succs)
+            if t:
+                moves[a] = t
         trans.append(moves)
-
-    return NFA(
-        alphabet=m.alphabet,
-        n_states=len(trans),
-        initial=_union(enter, m.initial),
-        finals=stripped_finals,
-        trans=trans,
-        final_classes=tuple(image(c) for c in m.final_classes),
-    )
+    return replace(m, initial=_union(enter, m.initial), trans=trans)
 
 
 # ---------------------------------------------------------------------------

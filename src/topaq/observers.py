@@ -137,8 +137,10 @@ def _ticked_unfolding(ta: TimedAutomaton, n: int, stop: bool) -> tuple[TimedAuto
     timestamp's fractional part (all kept below 1 by silent reset loops),
     and the observation clocks, tick clock first. Finals have no tick loop;
     with `stop`, they and the last copy's locations have no out-edge and
-    are final."""
-    reserve_letters(ta.actions, [TICK_LETTER], "tick construction")
+    are final. A model letter `t` or `f{...}` would read as a tick or an
+    f-letter, so it is refused."""
+    reserve_letters(ta.actions, [TICK_LETTER, *(a for a in ta.actions if a.startswith("f{"))],
+                    "tick construction")
     unfolded = relax_finals(unfold_first_n(ta, n))
     taken = set(unfolded.clocks)
     obs = []

@@ -60,8 +60,9 @@ class RegionCapExceeded(Exception):
 
 class ReservedLetter(ValueError):
     """The automaton uses a letter that a construction reserves for its own
-    use: the tick letter, the event-recording engine's delay letter or an
-    arming letter of the dynamic attacker."""
+    use: the tick letter, a fractional-group letter `f{...}` of the tick
+    construction, the event-recording engine's delay letter or an arming
+    letter of the dynamic attacker."""
 
     def __init__(self, letters: Iterable[str], construction: str):
         self.letters = tuple(sorted(letters))

@@ -209,11 +209,11 @@ def reference_graph(ra: ReferenceRegions):
     return tuple(sorted(letters)), initial, frozenset(index[r] for r in ra.finals), eps, trans
 
 
-def graph_of(ra: RegionAutomaton):
+def graph_of(ra: RegionAutomaton, delay: Optional[str] = None):
     """(letters, initial, finals, eps, trans) of a region automaton in the
     shape of `reference_graph`, read from its edge arrays through the
     decoded edges: silent successors from the unlabelled edges, letter
-    successors from the others."""
+    successors from the others; with `delay`, a delay edge reads it."""
     eps: list[frozenset[int]] = []
     trans: list[dict[str, frozenset[int]]] = []
     letters = set()
@@ -221,7 +221,8 @@ def graph_of(ra: RegionAutomaton):
         silent = []
         moves: dict[str, list[int]] = {}
         for k in ra.edge_ids(i):
-            label = ra.edge(k).label
+            e = ra.edge(k)
+            label = delay if e.kind == "delay" else e.label
             if label is None:
                 silent.append(ra.edge_target[k])
             else:

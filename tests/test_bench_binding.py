@@ -58,4 +58,4 @@ def test_traced_benchmark_answers_are_correct():
     metrics = result["metrics"]
     assert metrics["regions.states"]["value"] == 2492
     assert metrics["regions.edges"]["value"] == 3136
-    assert metrics["nfa.strip_states"]["value"] == 4126
+    assert metrics["nfa.strip_states"]["value"] == 1626

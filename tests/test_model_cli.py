@@ -302,6 +302,11 @@ class TestCli:
         assert main(["export", "--what", "tick", "--obs", "first:1", fig1_file]) == 0
         assert "digraph" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("what", ["ta", "region-automaton"])
+    def test_export_refuses_obs_outside_tick(self, fig1_file, capsys, what):
+        assert main(["export", "--what", what, "--obs", "first:2", fig1_file]) == 3
+        assert capsys.readouterr() == ("", f"usage error: --obs applies to --what tick only, not to --what {what}\n")
+
     def test_region_cap_env(self, fig1_file, monkeypatch, capsys):
         monkeypatch.setenv("TOPAQ_REGION_CAP", "2")
         assert main(["check", "--mode", "exists", fig1_file]) == 2

@@ -6,10 +6,11 @@ from typing import NamedTuple
 
 import pytest
 
-from conftest import fig1_ta, late_guard_ta
+from conftest import fig1_ta, late_guard_ta, oera_pair_ta
 from reference_languages import memo_classes
 from reference_regions import graph_of
 from topaq.constructions import MEMO_TAGS, build_memo
+from topaq.deciders import DELAY_LETTER
 from topaq.nfa import (
     NFA,
     InclusionCapExceeded,
@@ -359,6 +360,23 @@ def with_two_classes(rng, g: Graph) -> Graph:
                                      frozenset(s for s in g.finals if not split[s])))
 
 
+def stop_form(g: Graph, suffix_letters) -> Graph:
+    """`g` in the stop form `strip_ticks_before_suffix` takes: its suffix
+    states keep only their suffix letters. The suffix states are the
+    finals, the states with a suffix letter, and everything those reach by
+    silent edges or suffix letters."""
+    stop = set(g.finals).union(*g.final_classes)
+    stop.update(s for s, d in enumerate(g.trans) if not suffix_letters.isdisjoint(d))
+    todo = list(stop)
+    while todo:
+        s = todo.pop()
+        nxt = g.eps[s].union(*[t for a, t in g.trans[s].items() if a in suffix_letters])
+        todo += nxt - stop
+        stop.update(nxt)
+    return g._replace(trans=[{a: t for a, t in d.items() if a in suffix_letters} if s in stop else d
+                             for s, d in enumerate(g.trans)])
+
+
 def renumbered(m: NFA, perm: list[int]) -> NFA:
     """`m` with state s renamed perm[s]."""
 
@@ -449,33 +467,52 @@ class TestRegularInclusion:
         suffixes = (frozenset(), frozenset({"f{1}"}), frozenset({"f{1}", "f{2}"}))
         nonempty = dict.fromkeys(suffixes, 0)
         for _ in range(120):
-            g = cyclic_graph(rng, rng.randint(2, 8), letters=("a", "f{1}", "f{2}", "t"))
-            m = silent_free(*g)
             suffix = rng.choice(suffixes)
+            g = stop_form(cyclic_graph(rng, rng.randint(2, 8), letters=("a", "f{1}", "f{2}", "t")), suffix)
+            m = silent_free(*g)
             # without suffix letters the construction is `strip_trailing_letter`
             stripped = strip_ticks_before_suffix(m, suffix) if suffix else strip_trailing_letter(m)
+            assert stripped.n_states == m.n_states
             words = stripped.language_upto(6)
             assert words == dense_strip_ticks_before_suffix(g, suffix, "t").language_upto(6)
             nonempty[suffix] += bool(words)
         assert min(nonempty.values()) >= 10
 
-    @pytest.mark.parametrize("label", ["first:1", "dynamic:1"])
+    @pytest.mark.parametrize("label", ["first:1", "dynamic:1", "discrete-memo", "oera-memo"])
     def test_fig1_tick_strips_match_dense_jump(self, label):
         # the strip of one conversion with two final classes, read through its
-        # views, against the dense reference on the raw region graph per class
-        kind, n = label.split(":")
-        ta, n = (fig1_ta(), int(n)) if kind == "first" else (unfold_free(fig1_ta(), int(n)), 2 * int(n))
-        memo = build_memo(ta)
-        ra = build_region_automaton(tick_construction(memo, n, memo_classes(memo)))
+        # views, against the dense reference on the raw region graph per class:
+        # the gadget form with f-letters and silent delays, and the engines'
+        # memo automata with delays read as `t` (discrete) or `DELAY_LETTER`
+        if label == "discrete-memo":
+            ra, delay = build_region_automaton(build_memo(fig1_ta("discrete"))), TICK_LETTER
+        elif label == "oera-memo":
+            ra, delay = build_region_automaton(build_memo(oera_pair_ta())), DELAY_LETTER
+        else:
+            kind, n = label.split(":")
+            ta, n = (fig1_ta(), int(n)) if kind == "first" else (unfold_free(fig1_ta(), int(n)), 2 * int(n))
+            memo = build_memo(ta)
+            ra, delay = build_region_automaton(tick_construction(memo, n, memo_classes(memo))), None
         classes = tuple(frozenset(i for i in ra.final_ids if ra.location_of(i).endswith(tag)) for tag in MEMO_TAGS)
-        m = from_region_automaton(ra, classes)
+        m = from_region_automaton(ra, classes, delay)
         suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
-        views = strip_ticks_before_suffix(m, suffix).views()
+        tick = TICK_LETTER if delay is None else delay
+        views = strip_ticks_before_suffix(m, suffix, tick).views()
         for view, finals in zip(views, classes):
-            letters, initial, _, eps, trans = graph_of(ra)
+            letters, initial, _, eps, trans = graph_of(ra, delay)
             g = Graph(letters, initial, finals, eps, trans)
             words = view.language_upto(7)
-            assert words and words == dense_strip_ticks_before_suffix(g, suffix, TICK_LETTER).language_upto(7)
+            assert words and words == dense_strip_ticks_before_suffix(g, suffix, tick).language_upto(7)
+
+    @pytest.mark.parametrize("trans", [
+        [{"a": frozenset({1})}, {"a": frozenset({1})}],
+        [{"a": frozenset({1}), "f{1}": frozenset({1})}, {}],
+        [{"f{1}": frozenset({1})}, {"a": frozenset({0})}],
+    ], ids=["final-reads-a-letter", "reads-f-and-a", "f-into-a-reader"])
+    def test_strip_refuses_an_nfa_not_in_stop_form(self, trans):
+        m = NFA(("a", "f{1}"), 2, frozenset({0}), frozenset({1}), trans)
+        with pytest.raises(ValueError, match="stop form"):
+            strip_ticks_before_suffix(m, frozenset({"f{1}"}))
 
     @pytest.mark.parametrize("subject", ["fig1-first:2", "discrete-memo"])
     def test_strip_erases_the_tick_letter_it_is_given(self, subject):
@@ -512,9 +549,13 @@ class TestRegularInclusion:
         rng = random.Random(20261019)
         differ = 0
         for _ in range(120):
-            g = with_two_classes(rng, cyclic_graph(rng, rng.randint(2, 8), letters=("a", "f{1}", "t")))
             suffix = rng.choice((frozenset(), frozenset({"f{1}"})))
-            views = strip_ticks_before_suffix(silent_free(*g), suffix).views()
+            g = with_two_classes(rng, stop_form(cyclic_graph(rng, rng.randint(2, 8), letters=("a", "f{1}", "t")),
+                                                suffix))
+            m = silent_free(*g)
+            stripped = strip_ticks_before_suffix(m, suffix)
+            assert stripped.n_states == m.n_states
+            views = stripped.views()
             alone = [strip_ticks_before_suffix(silent_free(*g._replace(finals=c, final_classes=())), suffix)
                      for c in g.final_classes]
             for view, single in zip(views, alone):
