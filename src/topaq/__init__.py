@@ -63,6 +63,7 @@ from .ta import (
     Verdict,
     edge,
     enumerate_runs,
+    grid_word,
     make_ta,
     step,
     trace_of,

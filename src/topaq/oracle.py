@@ -13,13 +13,13 @@ from .observers import Dynamic, FirstN, Static, project
 from .ta import (
     EPSILON,
     BoundExhausted,
+    GridTrace,
     TimedAutomaton,
     TimedWord,
     TimeGrid,
     Verdict,
     enumerate_runs,
-    is_private_run,
-    trace_of,
+    grid_word,
 )
 
 
@@ -52,13 +52,12 @@ def trace_sets(
     max_steps: int,
     granularity: Fraction,
     node_cap: int = 2_000_000,
-) -> tuple[set[TimedWord], set[TimedWord], bool]:
-    """(private traces, public traces, complete?) over the enumerated runs."""
+) -> tuple[frozenset[GridTrace], frozenset[GridTrace], bool]:
+    """(private traces, public traces, complete?) over the enumerated runs.
+    The traces are grid traces in 1/q units for the granularity p/q, as the
+    enumeration collects them; `grid_word` decodes one."""
     result = enumerate_runs(ta, horizon, max_steps, granularity, node_cap=node_cap, dedup=True)
-    t_priv, t_pub = set(), set()
-    for run in result.runs:
-        (t_priv if is_private_run(ta, run) else t_pub).add(trace_of(run))
-    return t_priv, t_pub, result.complete
+    return result.private_traces, result.public_traces, result.complete
 
 
 def can_produce(
@@ -138,7 +137,8 @@ def _check_bounds(ta: TimedAutomaton, horizon, max_steps, granularity) -> None:
             raise BadOracleBound("granularity", granularity, "positive")
         if ta.time_domain == "discrete" and granularity != 1:
             raise BadOracleBound("granularity", granularity, "1 in discrete time")
-    if max_steps is not None and (not isinstance(max_steps, int) or max_steps < 1):
+    # bool is an int subclass, but True is no step budget
+    if max_steps is not None and (not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < 1):
         raise BadOracleBound("max_steps", max_steps, "a positive integer")
     if horizon is not None and Fraction(horizon) < 0:
         raise BadOracleBound("horizon", horizon, "non-negative")
@@ -164,8 +164,8 @@ def oracle_check(
     count (a longer run revisits a region and the silent cycle between the
     repeats can be cut without changing its trace); otherwise the verdict is
     inconclusive. An explicit bound out of range (a granularity that is
-    not positive, or not 1 in discrete time, a step budget below 1 or a
-    negative horizon) raises `BadOracleBound`.
+    not positive, or not 1 in discrete time, a step budget that is not an
+    integer of at least 1, or a negative horizon) raises `BadOracleBound`.
     """
     if query not in ("exists", "weak", "full"):
         raise ValueError("query must be exists|weak|full")
@@ -177,23 +177,29 @@ def oracle_check(
     obs = sel.n if isinstance(sel, FirstN) else len(sel.times) if isinstance(sel, Static) else 0
     if granularity is None:
         granularity = default_granularity(ta, obs)
+    cover = default_horizon(ta)
     if horizon is None:
-        horizon = default_horizon(ta)
+        horizon = cover
     if max_steps is None:
         # the discrete definitive cover needs the full region count; dense
         # searches are inconclusive-unless-violated anyway, so stay small
         max_steps = min(discrete_state_count(ta), 24) if ta.time_domain == "discrete" else 8
     horizon, granularity = Fraction(horizon), Fraction(granularity)
+    q = granularity.denominator  # grid traces count time in 1/q units
+
+    def projected(traces) -> set[GridTrace]:
+        """The attacker's views of grid traces, as grid traces (a projection
+        keeps the stamps of the letters it keeps, so they stay on the grid)."""
+        return {tuple((a, int(t * q)) for a, t in project(grid_word(u, q), sel)) for u in traces}
 
     t_priv, t_pub, complete = trace_sets(ta, horizon, max_steps, granularity, node_cap)
     if sel is not None:
-        t_priv = {project(w, sel) for w in t_priv}
-        t_pub = {project(w, sel) for w in t_pub}
+        t_priv, t_pub = projected(t_priv), projected(t_pub)
 
     definitive = (
         complete
         and ta.time_domain == "discrete"
-        and horizon >= default_horizon(ta)
+        and horizon >= cover
         and max_steps >= discrete_state_count(ta)
     )
     diag = {
@@ -212,65 +218,70 @@ def oracle_check(
         )
 
     def verdict(holds, witness=None, side=None) -> Verdict:
-        return Verdict(holds, witness, side, note=diag.get("note", ""), diagnostics=diag)
+        return Verdict(holds, None if witness is None else grid_word(witness, q), side, note=diag.get("note", ""),
+                       diagnostics=diag)
+
+    def order(t: GridTrace):
+        """The grid image of `TimedWord.sort_key`."""
+        return len(t), tuple(a for a, _ in t), tuple(u for _, u in t)
 
     if query == "exists":
         common = t_priv & t_pub
         if common:
-            return verdict(True, min(common, key=lambda w: w.sort_key()), "intersection")
+            return verdict(True, min(common, key=order), "intersection")
         return verdict(False if definitive else None)
 
     unconfirmed = False
 
     @functools.cache
-    def boosted() -> Optional[dict[bool, set[TimedWord]]]:
+    def boosted() -> Optional[dict[bool, set[GridTrace]]]:
         """The projected traces by privacy at a boosted step budget, or None
         when that enumeration is incomplete."""
         b_priv, b_pub, b_complete = trace_sets(ta, horizon, max_steps + 4, granularity, node_cap)
         if not b_complete:
             return None
-        return {True: {project(u, sel) for u in b_priv}, False: {project(u, sel) for u in b_pub}}
+        return {True: projected(b_priv), False: projected(b_pub)}
 
-    def matched_elsewhere(w: TimedWord, matched_private: bool) -> Optional[bool]:
+    def matched_elsewhere(t: GridTrace, matched_private: bool) -> Optional[bool]:
         """True/False when decided; None when the recheck ran out of budget."""
         if sel is None:
             try:
-                return can_produce(ta, w, matched_private, horizon, granularity)
+                return can_produce(ta, grid_word(t, q), matched_private, horizon, granularity)
             except BoundExhausted:
                 return None
         # projections cannot be replayed directly; recheck against the other
         # side's projected set at a boosted step budget instead
         table = boosted()
-        return None if table is None else w in table[matched_private]
+        return None if table is None else t in table[matched_private]
 
-    def confirmed_witness(candidates: set[TimedWord], matched_private: bool) -> Optional[TimedWord]:
+    def confirmed_witness(candidates: set[GridTrace], matched_private: bool) -> Optional[GridTrace]:
         """The canonical (greatest of the shortest) candidate confirmed to
         have no matching run on the other side."""
         nonlocal unconfirmed
-        by_len: dict[int, list[TimedWord]] = {}
-        for w in candidates:
-            by_len.setdefault(len(w), []).append(w)
+        by_len: dict[int, list[GridTrace]] = {}
+        for t in candidates:
+            by_len.setdefault(len(t), []).append(t)
         for length in sorted(by_len):
-            # sort_key is distinct for distinct words; sort a group only once reached
-            for w in sorted(by_len[length], key=lambda u: u.sort_key(), reverse=True):
-                matched = matched_elsewhere(w, matched_private)
+            # the order is total on distinct traces; sort a group only once reached
+            for t in sorted(by_len[length], key=order, reverse=True):
+                matched = matched_elsewhere(t, matched_private)
                 if matched is False:
-                    return w
+                    return t
                 if matched is None:
                     unconfirmed = True
         return None
 
     missing_pub = t_priv - t_pub
     if missing_pub:
-        w = confirmed_witness(missing_pub, matched_private=False)
-        if w is not None:
-            return verdict(False, w, "priv-not-pub")
+        t = confirmed_witness(missing_pub, matched_private=False)
+        if t is not None:
+            return verdict(False, t, "priv-not-pub")
     if query == "full":
         missing_priv = t_pub - t_priv
         if missing_priv:
-            w = confirmed_witness(missing_priv, matched_private=True)
-            if w is not None:
-                return verdict(False, w, "pub-not-priv")
+            t = confirmed_witness(missing_priv, matched_private=True)
+            if t is not None:
+                return verdict(False, t, "pub-not-priv")
     if unconfirmed:
         diag["note"] = "violation candidates could not be confirmed within the resource caps"
         return verdict(None)

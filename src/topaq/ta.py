@@ -301,14 +301,30 @@ class Run:
         return any(c.location in locations for c in self.configurations())
 
 
+# the trace of a run on the time grid of a granularity p/q: (letter,
+# absolute time in 1/q units) pairs; `grid_word` decodes one
+GridTrace = tuple[tuple[str, int], ...]
+
+
+def grid_word(trace: GridTrace, q: int) -> TimedWord:
+    """The timed word of a grid trace whose times count 1/q units."""
+    return TimedWord(tuple((a, Fraction(u, q)) for a, u in trace))
+
+
 @dataclass(frozen=True)
 class EnumerationResult:
     """Runs found within the bounds; `complete` is False when a node cap cut
-    the search short (a bound-exhausted result, distinct from `no runs`)."""
+    the search short (a bound-exhausted result, distinct from `no runs`).
+
+    `private_traces` and `public_traces` are the distinct traces of the
+    runs that visit a private location and of those that do not, as grid
+    traces in 1/q units for the granularity p/q."""
 
     runs: tuple[Run, ...]
     complete: bool
     explored: int
+    private_traces: frozenset[GridTrace] = frozenset()
+    public_traces: frozenset[GridTrace] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -497,7 +513,9 @@ def enumerate_runs(
 
     `explored` counts (delay, edge) attempts, failed ones included; the
     search stops, with complete=False, at the first attempt once
-    `node_cap` attempts were made.
+    `node_cap` attempts were made. Each run's grid trace goes, as it is
+    found, into `private_traces` or `public_traces` by whether the run
+    visits a private location.
 
     With dedup=True, branches that revisit an already-expanded search node
     (configuration, private flag, elapsed time, trace, remaining budget no
@@ -519,10 +537,12 @@ def enumerate_runs(
 
     grid = TimeGrid(ta, granularity)
     init = ta.initial_configuration()
+    priv0 = init.location in ta.private
     if not grid.admits(init.location, grid.zero):
         return EnumerationResult((), True, 0)
     if init.location in ta.final:
-        return EnumerationResult((Run(init),), True, 0)
+        empty, traces = frozenset(), frozenset({()})
+        return EnumerationResult((Run(init),), True, 0, traces if priv0 else empty, empty if priv0 else traces)
     if max_steps <= 0:
         return EnumerationResult((), True, 0)
 
@@ -534,7 +554,7 @@ def enumerate_runs(
     complete = True
     # dedup key -> best (fewest-steps-used) visit seen so far
     seen: dict[tuple, int] = {}
-    priv0 = init.location in ta.private
+    traces = {True: set(), False: set()}  # by private flag
     if dedup:
         seen[(init.location, grid.zero, priv0, 0, ())] = 0
     delays: dict[int, Fraction] = {}
@@ -566,14 +586,16 @@ def enumerate_runs(
             if after is None:
                 continue
             e, _, _, _, target, action, target_private = move
+            done = target in final
+            if not done and depth >= max_steps:
+                continue
             now = elapsed + d
-            if target in final:
-                runs.append(Run(init, (*path, entry(d, e, target, after))))
-                continue
-            if depth >= max_steps:
-                continue
             ntrace = trace if action is EPSILON else trace + ((action, now),)
             nprivate = private or target_private
+            if done:
+                runs.append(Run(init, (*path, entry(d, e, target, after))))
+                traces[nprivate].add(ntrace)
+                continue
             if dedup:
                 key = (target, after, nprivate, now, ntrace)
                 best = seen.get(key)
@@ -592,7 +614,7 @@ def enumerate_runs(
             continue
         if not complete:
             break
-    return EnumerationResult(tuple(runs), complete, explored)
+    return EnumerationResult(tuple(runs), complete, explored, frozenset(traces[True]), frozenset(traces[False]))
 
 
 def trace_of(run: Run) -> TimedWord:
@@ -604,7 +626,3 @@ def trace_of(run: Run) -> TimedWord:
         if e.action is not EPSILON:
             letters.append((e.action, elapsed))
     return TimedWord(tuple(letters))
-
-
-def is_private_run(ta: TimedAutomaton, run: Run) -> bool:
-    return run.visits(ta.private)

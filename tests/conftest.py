@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from topaq.ta import ClockConstraint, Guard, edge, make_ta
+from topaq.oracle import trace_sets
+from topaq.ta import ClockConstraint, Guard, edge, grid_word, make_ta
 
 
 def nfa_accepts_expanded(m, tokens) -> bool:
@@ -11,6 +12,13 @@ def nfa_accepts_expanded(m, tokens) -> bool:
     for tok, repeat in tokens:
         word.extend([tok] * repeat)
     return m.accepts(word)
+
+
+def trace_words(ta, horizon, max_steps, granularity, node_cap=2_000_000):
+    """`oracle.trace_sets` with its grid traces decoded to timed words."""
+    p, q, complete = trace_sets(ta, horizon, max_steps, granularity, node_cap)
+    units = Fraction(granularity).denominator
+    return {grid_word(t, units) for t in p}, {grid_word(t, units) for t in q}, complete
 
 
 def fig1_ta(time_domain="dense"):

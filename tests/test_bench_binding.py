@@ -42,7 +42,7 @@ def run_benchmark(workload: str, trace: int) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-@pytest.mark.parametrize("workload", ["first-n", "switch-times"])
+@pytest.mark.parametrize("workload", ["first-n", "switch-times", "oracle-crosscheck"])
 def test_benchmark_answers_are_correct(workload):
     # one untimed pass: every verdict checked and every witness replayed exactly
     result = run_benchmark(workload, 0)
@@ -59,3 +59,15 @@ def test_traced_benchmark_answers_are_correct():
     assert metrics["regions.states"]["value"] == 2492
     assert metrics["regions.edges"]["value"] == 3136
     assert metrics["nfa.strip_states"]["value"] == 1626
+
+
+def test_traced_oracle_counts():
+    # the traces the oracle collects, the runs it enumerates and the queries
+    # it leaves open on the criterion-5 corpus and fig1: a change to the
+    # enumeration or to the trace sets moves one of them
+    result = run_benchmark("oracle-crosscheck", 1)
+    assert result["correct"] is True and result["failed"] == 0
+    metrics = result["metrics"]
+    assert metrics["oracle.traces"]["value"] == 13170
+    assert metrics["ta.runs"]["value"] == 13752
+    assert metrics["oracle.inconclusive"]["value"] == 2

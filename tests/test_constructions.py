@@ -2,7 +2,7 @@ import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
-from conftest import late_guard_ta, single_word_ta
+from conftest import late_guard_ta, single_word_ta, trace_words
 from topaq.constructions import (
     build_memo,
     build_priv,
@@ -14,12 +14,11 @@ from topaq.constructions import (
     swap_gadget,
 )
 from topaq.model import parse_model, print_model
-from topaq.oracle import trace_sets
 from topaq.ta import TimedWord, make_ta, edge, Guard, ClockConstraint
 
 
 def all_traces(ta, horizon=F(3), steps=6, g=F(1, 2)):
-    p, q, complete = trace_sets(ta, horizon, steps, g)
+    p, q, complete = trace_words(ta, horizon, steps, g)
     assert complete
     return p, q
 
@@ -191,25 +190,25 @@ class TestProduct:
 
 
 class TestGadgets:
-    def test_swap_exchanges_trace_sets(self, fig1):
-        p, q = trace_sets(fig1, F(3), 6, F(1, 2))[:2]
-        pb, qb, complete = trace_sets(swap_gadget(fig1), F(3), 7, F(1, 2))
+    def test_swap_exchanges_trace_words(self, fig1):
+        p, q = trace_words(fig1, F(3), 6, F(1, 2))[:2]
+        pb, qb, complete = trace_words(swap_gadget(fig1), F(3), 7, F(1, 2))
         assert complete
         assert qb == p
         assert window(pb, 5) == window(q, 5)
 
     def test_swap_old_public_trace_is_private(self, fig1):
-        pb, _, _ = trace_sets(swap_gadget(fig1), F(3), 7, F(1, 2))
+        pb, _, _ = trace_words(swap_gadget(fig1), F(3), 7, F(1, 2))
         assert TimedWord.of(("b", F(5, 2))) in pb
 
     def test_swap_on_empty_language(self):
         dead = make_ta(actions={"a"}, locations={"s"}, init="s", final=set(), clocks=set(), edges=[])
-        pb, qb, _ = trace_sets(swap_gadget(dead), F(2), 4, F(1))
+        pb, qb, _ = trace_words(swap_gadget(dead), F(2), 4, F(1))
         assert pb == qb == set()
 
     def test_embed_identities(self, fig1):
-        p, q = trace_sets(fig1, F(3), 6, F(1, 2))[:2]
-        pe, qe, complete = trace_sets(embed_gadget(fig1), F(3), 8, F(1, 2))
+        p, q = trace_words(fig1, F(3), 6, F(1, 2))[:2]
+        pe, qe, complete = trace_words(embed_gadget(fig1), F(3), 8, F(1, 2))
         assert complete
         assert window(qe, 5) == window(q, 5)
         assert window(pe, 5) == window(p | q, 5)
@@ -220,15 +219,15 @@ class TestGadgets:
             final=fig1.final, clocks=fig1.clocks, invariant=dict(fig1.invariant),
             edges=fig1.edges,
         )
-        _, q = trace_sets(plain, F(3), 6, F(1, 2))[:2]
-        pe, qe, _ = trace_sets(embed_gadget(plain), F(3), 8, F(1, 2))
+        _, q = trace_words(plain, F(3), 6, F(1, 2))[:2]
+        pe, qe, _ = trace_words(embed_gadget(plain), F(3), 8, F(1, 2))
         assert window(pe, 5) == window(qe, 5) == window(q, 5)
 
     def test_inclusion_gadget_splits_languages(self):
         a = single_word_ta("a", 1)
         b = single_word_ta("a", 2)
         gad = inclusion_gadget(a, b)
-        p, q, _ = trace_sets(gad, F(3), 4, F(1))
+        p, q, _ = trace_words(gad, F(3), 4, F(1))
         assert p == {TimedWord.of(("a", 1))}
         assert q == {TimedWord.of(("a", 2))}
 

@@ -532,6 +532,9 @@ class TestDecide:
             decide(fig1_ta("discrete"), "weak", max_steps=4)
         with pytest.raises(BadOracleBound, match="^granularity must be unset unless the engine is oracle, got 1/2$"):
             decide(fig1, "exists", granularity=F(1, 2))
+        # a bool is an int to Python, but no step budget
+        with pytest.raises(BadOracleBound, match="^max_steps must be a positive integer, got True$"):
+            decide(fig1, "weak", engine="oracle", max_steps=True)
         # an unknown engine is a usage error wherever it is given
         for args in ((fig1, "exists"), (fig1, "weak", FirstN(1)), (fig1, "weak")):
             with pytest.raises(ValueError, match="^unknown engine 'sideways'$"):

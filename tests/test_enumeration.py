@@ -5,11 +5,19 @@ import random
 import warnings
 from fractions import Fraction as F
 
-from conftest import fig1_ta
+from conftest import fig1_ta, late_guard_ta, trace_words
 from reference_enumeration import reference_can_produce, reference_enumerate_runs
 from test_acceptance import random_discrete_ta
-from topaq.oracle import can_produce, default_horizon, discrete_state_count, trace_sets
-from topaq.ta import BoundExhausted, TimedWord, enumerate_runs, trace_of, validate, validate_errors
+from topaq.oracle import can_produce, default_horizon, discrete_state_count
+from topaq.ta import (
+    BoundExhausted,
+    TimedWord,
+    enumerate_runs,
+    grid_word,
+    trace_of,
+    validate,
+    validate_errors,
+)
 
 CRITERION5_SEED = 20240601
 
@@ -40,6 +48,9 @@ def enumeration_cases():
         for cap in (1, 50, 300):
             for dedup in (False, True):
                 yield ta, horizon, steps, F(1), cap, dedup
+    # the only private location is the final one, entered by the last step
+    for dedup in (False, True):
+        yield late_guard_ta(), F(4), 3, F(1), 2_000_000, dedup
     fig1 = fig1_ta()
     for granularity in (F(1, 2), F(1, 3), F(2, 3), F(3, 4)):
         for horizon in (F(4), F(7, 2), F(9, 4)):
@@ -49,13 +60,20 @@ def enumeration_cases():
 
 
 def test_enumeration_equals_reference():
+    """The same runs, attempt count and cap behaviour as the reference, and
+    the grid traces the search collects decode to the traces of the
+    reference runs, split by whether the run visits a private location."""
     outcomes = set()
     for ta, horizon, steps, granularity, cap, dedup in enumeration_cases():
         got = enumerate_runs(ta, horizon, steps, granularity, node_cap=cap, dedup=dedup)
         want = reference_enumerate_runs(ta, horizon, steps, granularity, node_cap=cap, dedup=dedup)
-        assert got.explored == want.explored, (ta.name, horizon, granularity, cap, dedup)
-        assert got.complete == want.complete, (ta.name, horizon, granularity, cap, dedup)
-        assert got.runs == want.runs, (ta.name, horizon, granularity, cap, dedup)
+        case = (ta.name, horizon, granularity, cap, dedup)
+        assert got.explored == want.explored, case
+        assert got.complete == want.complete, case
+        assert got.runs == want.runs, case
+        for private, traces in ((True, got.private_traces), (False, got.public_traces)):
+            want_traces = {trace_of(r) for r in want.runs if r.visits(ta.private) == private}
+            assert {grid_word(t, granularity.denominator) for t in traces} == want_traces, (*case, private)
         outcomes.add((cap, got.complete))
     # every cap cuts some cases short and not others
     assert outcomes >= {(cap, done) for cap in (50, 300) for done in (True, False)}
@@ -75,7 +93,7 @@ def membership_cases():
     along the grid. A small cap pins the point where the search gives up."""
     for n, ta in enumerate(CORPUS):
         horizon = default_horizon(ta)
-        t_priv, t_pub, _ = trace_sets(ta, horizon, discrete_state_count(ta), F(1), 40_000)
+        t_priv, t_pub, _ = trace_words(ta, horizon, discrete_state_count(ta), F(1), 40_000)
         for w in sorted(t_priv | t_pub, key=lambda u: u.sort_key()):
             for want_private, t in ((False, t_pub), (True, t_priv)):
                 if w not in t:
@@ -84,7 +102,7 @@ def membership_cases():
                 elif n < 10:
                     yield ta, w, want_private, horizon, F(1), 500_000
     fig1 = fig1_ta()
-    t_priv, t_pub, _ = trace_sets(fig1, F(4), 3, F(1, 2))
+    t_priv, t_pub, _ = trace_words(fig1, F(4), 3, F(1, 2))
     for w in sorted(t_priv | t_pub, key=lambda u: u.sort_key()):
         for v in (w, shifted(w, F(1, 4)), shifted(w, F(1, 2))):
             for want_private in (False, True):

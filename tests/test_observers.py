@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import trace_words
 from reference_languages import memo_classes
 from topaq.constructions import MEMO_TAGS, build_memo, build_priv, build_pub
 from topaq.deciders import dense_time
@@ -24,7 +25,6 @@ from topaq.observers import (
     unfold_free,
     unfold_tau,
 )
-from topaq.oracle import trace_sets
 from topaq.regions import build_region_automaton
 from topaq.ta import TimedWord, enumerate_runs, trace_of
 from topaq.words import ticked_word
@@ -88,24 +88,24 @@ class TestProject:
 
 class TestUnfoldFirstN:
     def test_traces_are_projections(self, fig1):
-        p, q, c1 = trace_sets(fig1, F(3), 5, F(1, 2))
+        p, q, c1 = trace_words(fig1, F(3), 5, F(1, 2))
         assert c1
         u = unfold_first_n(fig1, 1)
-        pu, qu, c2 = trace_sets(u, F(3), 6, F(1, 2))
+        pu, qu, c2 = trace_words(u, F(3), 6, F(1, 2))
         assert c2
         assert pu | qu == {project(w, FirstN(1)) for w in p | q}
         assert pu == {project(w, FirstN(1)) for w in p}
 
     def test_one_observation_no_two_letter_words(self, fig1):
         u = unfold_first_n(fig1, 1)
-        pu, qu, _ = trace_sets(u, F(4), 6, F(1, 2))
+        pu, qu, _ = trace_words(u, F(4), 6, F(1, 2))
         assert all(len(w) <= 1 for w in pu | qu)
         assert tw(("a", 3)) in pu | qu
         assert tw(("b", 3)) in pu | qu
 
     def test_zero_observations(self, fig1):
         u = unfold_first_n(fig1, 0)
-        pu, qu, _ = trace_sets(u, F(3), 5, F(1, 2))
+        pu, qu, _ = trace_words(u, F(3), 5, F(1, 2))
         assert pu | qu == {TimedWord(())}
 
     def test_copies_and_privates(self, fig1):
@@ -122,13 +122,13 @@ class TestTickConstruction:
         return strip_ticks_before_suffix(m, suffix).language_upto(maxlen)
 
     def test_private_side_language(self, fig1):
-        p, _, complete = trace_sets(fig1, F(3), 5, F(1, 2))
+        p, _, complete = trace_words(fig1, F(3), 5, F(1, 2))
         assert complete
         expected = {ticked_word(project(w, FirstN(1)), 1).tokens() for w in p}
         assert self.stripped(build_priv(fig1), 1) == expected
 
     def test_public_side_language(self, fig1):
-        _, q, _ = trace_sets(fig1, F(3), 5, F(1, 2))
+        _, q, _ = trace_words(fig1, F(3), 5, F(1, 2))
         expected = {ticked_word(project(w, FirstN(1)), 1).tokens() for w in q}
         assert self.stripped(build_pub(fig1), 1) == expected
 
@@ -247,7 +247,7 @@ class TestUnfoldTau:
 
     def test_empty_sequence(self, loop_deadline):
         u = unfold_tau(loop_deadline, ())
-        p, q, _ = trace_sets(u, F(2), 4, F(1, 2))
+        p, q, _ = trace_words(u, F(2), 4, F(1, 2))
         assert p | q == {TimedWord(())}
 
     def test_traces_equal_scaled_projections(self, loop_deadline):
@@ -256,9 +256,9 @@ class TestUnfoldTau:
             raw = tuple(sorted(F(rng.randint(0, 4), rng.choice([1, 2])) for _ in range(rng.randint(1, 2))))
             tau = normalize_sequence(raw)
             factor = len({t - t.numerator // t.denominator for t in tau} - {F(0)}) + 1
-            p, q, c1 = trace_sets(loop_deadline, F(2), 4, F(1, 2))
+            p, q, c1 = trace_words(loop_deadline, F(2), 4, F(1, 2))
             proj = {project(w, Static(tau)).scaled(F(factor)) for w in p | q}
-            pu, qu, c2 = trace_sets(unfold_tau(loop_deadline, tau), F(2) * factor, 6, F(factor, 2))
+            pu, qu, c2 = trace_words(unfold_tau(loop_deadline, tau), F(2) * factor, 6, F(factor, 2))
             assert c1 and c2
             assert pu | qu == proj
 
@@ -386,7 +386,7 @@ class TestUnfoldFree:
 
     def test_zero_budget(self, loop_deadline):
         u = unfold_free(loop_deadline, 0)
-        p, q, _ = trace_sets(u, F(2), 4, F(1, 2))
+        p, q, _ = trace_words(u, F(2), 4, F(1, 2))
         assert p | q == {TimedWord(())}
 
     def test_observable_letters_capped_at_two_n(self, loop_deadline):

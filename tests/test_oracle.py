@@ -1,7 +1,10 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from conftest import fig1_ta, trace_words
+from test_enumeration import CORPUS
 from topaq.constructions import build_priv, build_pub
 from topaq.deciders import accepts_word
 from topaq.observers import Dynamic, FirstN, Static
@@ -11,9 +14,8 @@ from topaq.oracle import (
     default_granularity,
     discrete_state_count,
     oracle_check,
-    trace_sets,
 )
-from topaq.ta import TimedWord, edge, make_ta
+from topaq.ta import ClockConstraint, Guard, TimedWord, edge, make_ta
 
 
 def tw(*pairs):
@@ -24,7 +26,7 @@ class TestOracleExamples:
     def test_fig1_exists_holds(self, fig1):
         v = oracle_check(fig1, "exists", horizon=F(4), granularity=F(1, 2))
         assert v.status == "holds"
-        assert tw(("b", F(3, 2))) in trace_sets(fig1, F(4), 4, F(1, 2))[0]
+        assert tw(("b", F(3, 2))) in trace_words(fig1, F(4), 4, F(1, 2))[0]
         assert accepts_word(build_priv(fig1), v.witness)
         assert accepts_word(build_pub(fig1), v.witness)
 
@@ -33,7 +35,7 @@ class TestOracleExamples:
         assert v.status == "violated" and v.side == "pub-not-priv"
         assert F(2) < v.witness.timestamps()[0] <= F(3)
         # the paper's example member is in the enumerated difference
-        p, q, _ = trace_sets(fig1, F(4), 4, F(1, 2))
+        p, q, _ = trace_words(fig1, F(4), 4, F(1, 2))
         assert tw(("b", F(5, 2))) in q - p
 
     def test_fig1_weak_no_violation(self, fig1):
@@ -83,9 +85,9 @@ class TestOracleRobustness:
 
     @pytest.mark.parametrize("bounds", [
         {"granularity": F(0)}, {"granularity": F(-1, 2)}, {"max_steps": 0}, {"max_steps": -3}, {"max_steps": 1.5},
-        {"horizon": F(-1)},
+        {"max_steps": True}, {"horizon": F(-1)},
     ], ids=["granularity-zero", "granularity-negative", "steps-zero", "steps-negative", "steps-fraction",
-            "horizon-negative"])
+            "steps-bool", "horizon-negative"])
     def test_bad_bounds_rejected_before_the_search(self, fig1, bounds):
         with pytest.raises(BadOracleBound, match=next(iter(bounds))):
             oracle_check(fig1, "weak", **bounds)
@@ -108,7 +110,7 @@ class TestProjectedQueries:
         f = oracle_check(fig1, "full", FirstN(1), horizon=F(4), granularity=F(1, 2), max_steps=4)
         assert f.status == "violated"
         # (b, 5/2) is among the projected public-only traces
-        p, q, _ = trace_sets(fig1, F(4), 4, F(1, 2))
+        p, q, _ = trace_words(fig1, F(4), 4, F(1, 2))
         from topaq.observers import project
 
         proj_p = {project(x, FirstN(1)) for x in p}
@@ -135,3 +137,57 @@ class TestCanProduce:
             edges=[edge("l0", "m1", None), edge("m1", "m2", None), edge("m2", "lf", "a")],
         )
         assert can_produce(ta, tw(("a", 0)), False, F(1), F(1))
+
+
+def witness_order_ta(shared: bool):
+    """Discrete time; the public runs give (a, 0), (a, 2) and (b, 1), the
+    private runs (a, 2) and (b, 1) when `shared` and (a, 0) otherwise. The
+    shared traces or the public-only ones are two candidates of one length
+    whose letter order and time order disagree, which pins the witness
+    order: letters first, then times."""
+    at = lambda letter, t: (letter, Guard.of(ClockConstraint("x", "=", t)))
+    private = [at("a", 2), at("b", 1)] if shared else [at("a", 0)]
+    return make_ta(
+        actions={"a", "b"}, locations={"l0", "p", "f"}, init="l0", private={"p"}, final={"f"}, clocks={"x"},
+        edges=[edge("l0", "f", a, g) for a, g in (at("a", 0), at("a", 2), at("b", 1))] + [edge("l0", "p")]
+        + [edge("p", "f", a, g) for a, g in private],
+        time_domain="discrete", name="witness-order",
+    )
+
+
+def pinned_oracle_lines():
+    """One line per query: its name, then the verdict's status, witness,
+    side and diagnostics. The criterion-5 corpus runs at its acceptance
+    settings (steps = discrete state count, node cap 40,000); `fig1` at
+    horizon 4 and granularity 1/2, also under a first-N and a static
+    selection (the projected path and its boosted recheck); the two
+    `witness_order_ta` models at the oracle's defaults."""
+    queries = []
+    for i, ta in enumerate(CORPUS):
+        for query in ("exists", "weak", "full"):
+            queries.append((f"criterion5-{i}/{query}", ta, query, None,
+                            {"max_steps": discrete_state_count(ta), "node_cap": 40_000}))
+    fig1 = fig1_ta()
+    grid = {"horizon": F(4), "granularity": F(1, 2)}
+    for query in ("exists", "weak", "full"):
+        queries.append((f"fig1/{query}", fig1, query, None, grid))
+    queries.append(("fig1/full/first:2", fig1, "full", FirstN(2), {**grid, "max_steps": 4}))
+    queries.append(("fig1/full/static:0,3/2", fig1, "full", Static((F(0), F(3, 2))), {**grid, "max_steps": 4}))
+    for shared in (False, True):
+        for query in ("exists", "weak", "full"):
+            queries.append((f"witness-order/{'shared' if shared else 'apart'}/{query}", witness_order_ta(shared),
+                            query, None, {}))
+    lines = []
+    for name, ta, query, sel, bounds in queries:
+        v = oracle_check(ta, query, sel, **bounds)
+        diag = ", ".join(f"{k}={v.diagnostics[k]}" for k in sorted(v.diagnostics))
+        lines.append(f"{name} | {v.status} | {v.witness if v.witness is not None else '-'} | {v.side} | {diag}\n")
+    return lines
+
+
+def test_oracle_answers_pinned():
+    """Every answer of the oracle on the queries of `pinned_oracle_lines`,
+    as recorded in `oracle_pinned.txt`: how the oracle represents traces
+    may change, its verdicts, witnesses and diagnostics may not."""
+    pinned = (Path(__file__).resolve().parent / "oracle_pinned.txt").read_text()
+    assert "".join(pinned_oracle_lines()) == pinned

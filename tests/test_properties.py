@@ -7,12 +7,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_blocking_oera, random_discrete_ta, random_oera
+from conftest import random_blocking_oera, random_discrete_ta, random_oera, trace_words
 from topaq.constructions import build_priv, build_pub, prune_final_exits
 from topaq.deciders import accepts_word, check_bounded, check_exists, check_opacity
 from topaq.nfa import from_region_automaton, strip_ticks_before_suffix
 from topaq.observers import FirstN, project, tick_construction
-from topaq.oracle import discrete_state_count, oracle_check, trace_sets
+from topaq.oracle import discrete_state_count, oracle_check
 from topaq.regions import augment_ticks, build_region_automaton, tick_decode
 from topaq.ta import EPSILON, ClockConstraint, Guard, edge, make_ta, validate, validate_errors
 
@@ -23,7 +23,7 @@ def test_discrete_tick_words_decode_to_accepted_traces(fig1_discrete):
     ra = build_region_automaton(augment_ticks(fig1_discrete))
     words = from_region_automaton(ra).language_upto(6)
     assert words
-    p, q, complete = trace_sets(fig1_discrete, F(5), 6, F(1))
+    p, q, complete = trace_words(fig1_discrete, F(5), 6, F(1))
     assert complete
     for word in words:
         decoded = tick_decode(word)
@@ -45,7 +45,7 @@ def test_exists_follows_from_weak_with_nonempty_private(fig1_discrete):
             if validate_errors(validate(ta)) or discrete_state_count(ta) > 36:
                 continue
             trials += 1
-            p, _, complete = trace_sets(ta, F(6), 8, F(1), node_cap=50_000)
+            p, _, complete = trace_words(ta, F(6), 8, F(1), node_cap=50_000)
             if not complete or not p:
                 continue
             if check_opacity(ta, "weak").holds:
@@ -65,7 +65,7 @@ def test_bounded_comparison_languages_are_n_bounded(fig1):
 
 def test_observed_projections_respect_switch_times(fig1):
     # every projected trace the pipeline compares comes from a real trace
-    p, q, complete = trace_sets(fig1, F(3), 5, F(1, 2))
+    p, q, complete = trace_words(fig1, F(3), 5, F(1, 2))
     assert complete
     for w in p | q:
         proj = project(w, FirstN(1))
