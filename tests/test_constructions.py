@@ -190,7 +190,7 @@ class TestProduct:
 
 
 class TestGadgets:
-    def test_swap_exchanges_trace_words(self, fig1):
+    def test_swap_exchanges_trace_sets(self, fig1):
         p, q = trace_words(fig1, F(3), 6, F(1, 2))[:2]
         pb, qb, complete = trace_words(swap_gadget(fig1), F(3), 7, F(1, 2))
         assert complete
