@@ -34,9 +34,11 @@ frozensets:
   private and public languages of the memo automaton. `NFA.views` gives one
   NFA per class; the views share the transitions, and their active states
   are those final in any class.
-- Language inclusion runs an antichain-pruned product against the
-  determinized complement, whose macro-states are the frozensets that
-  `NFA.step` returns; the antichain compares them by subset tests.
+- Language inclusion is one breadth-first subset construction over pairs
+  of macro-states (frozensets), one of each automaton, with a visited set.
+  The views of one NFA share their transitions and initial set, so a word
+  reaches the same macro-state in both, and an inclusion between them
+  determinizes that one NFA.
 - Boolean reachability matrices for the witness verifier complete the
   module: row s of a matrix is the set of states s reaches, so a letter's
   matrix is a column of `NFA.trans`.
@@ -295,18 +297,11 @@ def from_region_automaton(ra: RegionAutomaton, final_classes: tuple[frozenset[in
     return silent_free(tuple(sorted(letters)), initial, finals, eps, trans, final_classes)
 
 
-def merge_alphabets(*nfas: NFA) -> tuple[str, ...]:
-    letters = set()
-    for m in nfas:
-        letters |= set(m.alphabet)
-    return tuple(sorted(letters))
-
-
 @dataclass(frozen=True)
 class InclusionResult:
     holds: bool
     counterexample: Optional[tuple[str, ...]] = None
-    explored: int = 0  # product successors counted toward `pair_cap`
+    explored: int = 0  # states of the reached macro-states of `a`, counted toward `pair_cap`
 
 
 def check_inclusion(a: NFA, b: NFA, pair_cap: int = 2_000_000) -> InclusionResult:
@@ -314,64 +309,57 @@ def check_inclusion(a: NFA, b: NFA, pair_cap: int = 2_000_000) -> InclusionResul
     counterexample: shortest, ties broken lexicographically by alphabet
     order.
 
-    Breadth-first over words, in alphabet order, through the on-the-fly
-    product of `a` with the determinized complement of `b`. A queue entry is
-    one word, the macro-state of `b` it reaches and the states of `a` it
-    reaches that the antichain admitted. Entries leave the queue in shortlex
-    order of their words, so the first one with a final of `a` and no final
-    of `b` holds the shortlex-least counterexample, whatever the numbering
-    of the states or the iteration order of the sets. `b` steps are
-    memoized per (macro-state, letter). Antichain subsumption ((s, T) is
-    dominated by a recorded (s, T') with T' ⊆ T) prunes the search without
-    changing the verdict or the counterexample, because a dominated pair is
-    always reached by a word that comes after the one reaching the pair that
-    dominates it. Every state of `a` that a word's letter step reaches
-    counts as one product successor toward `pair_cap`.
+    Breadth-first over words, in alphabet order, through the product of the
+    subset constructions of `a` and `b`. A pair holds the macro-states that
+    a word reaches in `a` and in `b`. Pairs are reached in shortlex order of
+    their words, so only the first word to reach a pair is searched on, and
+    the first pair with a final of `a` and no final of `b` gives the
+    shortlex-least counterexample, whatever the numbering of the states or
+    the iteration order of the sets. A macro-state's letter successors are
+    computed in one pass over its members and memoized. The views of one
+    NFA (`NFA.views`) share their transitions and initial set, so they share
+    the memo, each pair is one macro-state taken twice, and the search
+    determinizes one NFA. The states of each newly reached macro-state of
+    `a` count toward `pair_cap`.
     """
-    alphabet = merge_alphabets(a, b)
-    b_step: dict[tuple[frozenset[int], str], frozenset[int]] = {}
-    # antichain store: per a-state, the minimal b macro-states seen
-    seen: dict[int, list[frozenset[int]]] = {}
+    a_memo: dict[frozenset[int], dict[str, frozenset[int]]] = {}
+    b_memo = a_memo if a.trans is b.trans else {}
 
-    def admit(s: int, t: frozenset[int]) -> bool:
-        """Record (s, t) unless a recorded pair dominates it."""
-        bucket = seen.get(s)
-        if bucket is None:
-            seen[s] = [t]
-            return True
-        for prev in bucket:
-            if prev <= t:
-                return False
-        bucket[:] = [prev for prev in bucket if not t <= prev]
-        bucket.append(t)
-        return True
+    def moves(m: NFA, memo: dict, states: frozenset[int]) -> dict[str, frozenset[int]]:
+        """Letter -> successors of `states`, in alphabet order."""
+        out = memo.get(states)
+        if out is None:
+            parts: dict[str, list[frozenset[int]]] = {}
+            for s in states:
+                for letter, succs in m.trans[s].items():
+                    parts.setdefault(letter, []).append(succs)
+            out = memo[states] = {letter: sets[0] if len(sets) == 1 else frozenset().union(*sets)
+                                  for letter, sets in sorted(parts.items())}
+        return out
 
-    b_start = b.start()
-    queue = deque([((), b_start, [s for s in a.start() if admit(s, b_start)])])
+    empty: frozenset[int] = frozenset()
+    pair = (a.initial, b.initial)
+    came_from: dict[tuple, Optional[tuple]] = {pair: None}  # pair -> (pair before, letter)
     explored = 0
+    queue = deque([pair])
     while queue:
-        word, t, states = queue.popleft()
-        if not a.finals.isdisjoint(states) and t.isdisjoint(b.finals):
-            return InclusionResult(False, word, explored)
-        moves: dict[str, frozenset[int]] = {}
-        for s in states:
-            for letter, succs in a.trans[s].items():
-                prev = moves.get(letter)
-                moves[letter] = succs if prev is None else prev | succs
-        for letter in alphabet:
-            succs = moves.get(letter)
-            if not succs:
+        pair = queue.popleft()
+        if not a.finals.isdisjoint(pair[0]) and b.finals.isdisjoint(pair[1]):
+            word = []
+            while came_from[pair] is not None:
+                pair, letter = came_from[pair]
+                word.append(letter)
+            return InclusionResult(False, tuple(reversed(word)), explored)
+        b_moves = moves(b, b_memo, pair[1])
+        for letter, s in moves(a, a_memo, pair[0]).items():
+            nxt = (s, b_moves.get(letter, empty))
+            if not s or nxt in came_from:
                 continue
-            explored += len(succs)
+            came_from[nxt] = (pair, letter)
+            explored += len(s)
             if explored > pair_cap:
                 raise InclusionCapExceeded("inclusion search cap exceeded")
-            key = (t, letter)
-            t2 = b_step.get(key)
-            if t2 is None:
-                t2 = b_step[key] = b.step(t, letter)
-            admitted = [s2 for s2 in succs if admit(s2, t2)]
-            if admitted:
-                queue.append((word + (letter,), t2, admitted))
+            queue.append(nxt)
     return InclusionResult(True, None, explored)
 
 

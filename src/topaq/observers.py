@@ -36,13 +36,18 @@ def _check_observations(n: int) -> None:
         raise ObservationCapExceeded(n, DEFAULT_OBSERVATION_CAP)
 
 
+def _check_count(n) -> None:
+    # bool is an int subclass, but True is no observation count
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"observation count must be a nonnegative integer, not {n!r}")
+
+
 @dataclass(frozen=True)
 class FirstN:
     n: int
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("observation count must be nonnegative")
+        _check_count(self.n)
 
 
 @dataclass(frozen=True)
@@ -63,8 +68,7 @@ class Dynamic:
     n: int
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("observation count must be nonnegative")
+        _check_count(self.n)
 
 
 TimeSelection = Union[FirstN, Static, Dynamic]

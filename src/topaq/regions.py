@@ -8,8 +8,9 @@ maximum constant). Both share one canonical representation.
 `build_region_automaton` works on ints. It takes the clocks in sorted
 order and gives clock x with maximum constant M one code: 2k when its value
 is exactly k <= M, 2k+1 when k < x < k+1 and k < M, and 2M+1 above M.
-Every constraint is then an inclusive interval of codes: `x<b` is [0, 2b-1],
-`x<=b` [0, 2b], `x=b` [2b, 2b], `x>=b` [2b, 2M+1] and `x>b` [2b+1, 2M+1].
+Every constraint is then an inclusive interval of codes, its
+`ClockConstraint.interval` at unit 2 with open ends 0 and 2M+1: `x<b` is
+[0, 2b-1] and `x>b` [2b+1, 2M+1].
 The fractional order is a per-clock rank: 0 for an integral or above clock,
 and 1, 2, ... for the classes of equal nonzero fraction, ascending. A clock
 region is an interned (codes, ranks) pair and a region a (location id,
@@ -328,15 +329,8 @@ class _Compiled:
         out = []
         for c in guard.conjuncts:
             i = index[c.clock]
-            top, b, cmp = self.tops[i], 2 * c.bound, c.cmp
-            if cmp == "<":
-                lo, hi = 0, b - 1
-            elif cmp == "<=":
-                lo, hi = 0, b
-            elif cmp == "=":
-                lo, hi = b, b
-            else:
-                lo, hi = (b, top) if cmp == ">=" else (b + 1, top)
+            top = self.tops[i]
+            lo, hi = c.interval(2, 0, top)
             if lo > 0 or hi < top:  # else it holds on every code
                 out.append((i, lo, hi))
         return tuple(out)

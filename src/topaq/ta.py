@@ -47,6 +47,20 @@ class ClockConstraint:
             return value >= self.bound
         return value > self.bound
 
+    def interval(self, unit: int, low: float = -math.inf, high: float = math.inf) -> tuple[float, float]:
+        """The inclusive range of ints n at which the constraint holds, for
+        n in 1/`unit` time units (`x < b` is n <= b*unit - 1, exact on ints),
+        with `low` or `high` at an open end. At unit 2 the same range holds
+        on region codes (`regions` module docstring)."""
+        b, cmp = self.bound * unit, self.cmp
+        if cmp == "<":
+            return low, b - 1
+        if cmp == "<=":
+            return low, b
+        if cmp == "=":
+            return b, b
+        return (b, high) if cmp == ">=" else (b + 1, high)
+
     def __str__(self):
         return f"{self.clock} {self.cmp} {self.bound}"
 
@@ -423,8 +437,8 @@ class TimeGrid:
     Every time value reachable with delays that are multiples of p/q is a
     whole number of 1/q units, so the searches over the grid run on ints:
     valuations are int tuples in sorted clock order, and each clock
-    constraint becomes an inclusive interval of units (`x < b` is
-    `v <= b*q - 1`, exact on ints). Per source location, `moves` keeps each
+    constraint becomes an inclusive interval of units
+    (`ClockConstraint.interval`). Per source location, `moves` keeps each
     edge, in declaration order, as (edge, guard, target invariant, reset
     mask or None, target, action, target is private).
     """
@@ -447,14 +461,7 @@ class TimeGrid:
     def _compile(self, guard: Guard, index: Mapping[str, int]) -> tuple[tuple[int, float, float], ...]:
         out = []
         for c in guard.conjuncts:
-            b = c.bound * self.q
-            lo, hi = {
-                "<": (-math.inf, b - 1),
-                "<=": (-math.inf, b),
-                "=": (b, b),
-                ">=": (b, math.inf),
-                ">": (b + 1, math.inf),
-            }[c.cmp]
+            lo, hi = c.interval(self.q)
             out.append((index[c.clock], lo, hi))
         return tuple(out)
 

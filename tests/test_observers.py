@@ -40,6 +40,15 @@ LONG = tw(
 )
 
 
+@pytest.mark.parametrize("kind", [FirstN, Dynamic])
+@pytest.mark.parametrize("n", [True, False, 1.5, 2.0, -1, "2", None])
+def test_observation_count_must_be_a_nonnegative_int(kind, n):
+    # a bool would be decided as 0 or 1 observations; a float failed deep
+    # inside the unfolding with a TypeError
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        kind(n)
+
+
 class TestProject:
     def test_first_n_prefix(self):
         w = tw(("a", F(12, 10)), ("b", F(14, 10)), ("b", F(15, 10)), ("a", F(21, 10)))

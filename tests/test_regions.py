@@ -17,7 +17,6 @@ from topaq.nfa import (
     _reach_table,
     check_inclusion,
     from_region_automaton,
-    merge_alphabets,
     silent_free,
     strip_ticks_before_suffix,
     strip_trailing_letter,
@@ -209,6 +208,10 @@ class TestAugmentTicks:
         assert tick_decode(("t", "a", "t", "t")) == TimedWord.of(("a", 1))
 
 
+def merge_alphabets(a: NFA, b: NFA) -> tuple[str, ...]:
+    return tuple(sorted({*a.alphabet, *b.alphabet}))
+
+
 def naive_inclusion(a: NFA, b: NFA, alphabet=None) -> bool:
     """Reference subset-construction inclusion check."""
     alphabet = alphabet or merge_alphabets(a, b)
@@ -229,7 +232,7 @@ def naive_inclusion(a: NFA, b: NFA, alphabet=None) -> bool:
 
 def shortlex_counterexample(a: NFA, b: NFA):
     """Shortlex-least word of L(a) minus L(b), or None: breadth-first over
-    pairs of subsets in alphabet order, with no antichain pruning."""
+    pairs of subsets in alphabet order, each word held whole in the queue."""
     alphabet = merge_alphabets(a, b)
     start = (a.start(), b.start())
     seen = {start}
@@ -448,8 +451,9 @@ class TestRegularInclusion:
         assert 20 <= violated <= 130  # both outcomes are exercised
 
     def test_answers_do_not_depend_on_state_numbering(self):
-        # one queue entry per word: the verdict, the counterexample and the
-        # explored count are the same under any renumbering of the states
+        # one queue entry per pair of macro-states, reached in shortlex order
+        # of words: the verdict, the counterexample and the explored count
+        # are the same under any renumbering of the states
         rng = random.Random(20261022)
         violated = 0
         for _ in range(150):
@@ -563,6 +567,8 @@ class TestRegularInclusion:
             for x, y in ((0, 1), (1, 0)):
                 got, want = check_inclusion(views[x], views[y]), check_inclusion(alone[x], alone[y])
                 assert (got.holds, got.counterexample) == (want.holds, want.counterexample)
+                # the views share one memo: check it against the test reference too
+                assert got.counterexample == shortlex_counterexample(views[x], views[y])
             differ += views[0].language_upto(6) != views[1].language_upto(6)
         assert differ >= 30
 
