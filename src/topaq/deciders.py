@@ -40,7 +40,7 @@ from .regions import (
     reserve_letters,
     tick_decode,
 )
-from .ta import EPSILON, TimedAutomaton, TimedWord, Verdict
+from .ta import EPSILON, TimedAutomaton, TimedWord, Verdict, collector_off
 from .words import class_recognizer, parse_group, render_group
 
 
@@ -53,6 +53,7 @@ class UndecidableClass(Exception):
     """No sound engine applies to this automaton class or question."""
 
 
+@collector_off
 def decide(
     ta: TimedAutomaton,
     mode: str,
@@ -72,6 +73,10 @@ def decide(
     reachability) and a bounded attacker (`check_bounded`) take engine auto
     only, on the attacker's reduction (`_attacker`). Raises UndecidableClass
     where no procedure applies.
+
+    The query runs with the cyclic garbage collector off (`collector_off`),
+    as do the engines called on their own. The setting is global to the
+    process, so another thread sees the collector off while a query runs.
     """
     if engine == "oracle":
         if isinstance(sel, Dynamic):
@@ -150,6 +155,7 @@ def is_oera(ta: TimedAutomaton) -> bool:
     return len(ta.actions - set(assigned)) == len(ta.clocks - set(assigned.values()))
 
 
+@collector_off
 def check_exists(ta: TimedAutomaton, cap: Optional[int] = None) -> Verdict:
     """Existential opacity: some trace produced by both a private and a
     public run, decided as final-region reachability in the product of the
@@ -341,6 +347,7 @@ def applicable(ta: TimedAutomaton) -> tuple[list[str], Optional[str]]:
     return GENERAL_DECIDERS + engines, None if rung.engine is not None else rung.refusal
 
 
+@collector_off
 def check_opacity(ta: TimedAutomaton, mode: str, engine: str = "auto", cap: Optional[int] = None) -> Verdict:
     """Weak or full opacity on the decidable classes of `LADDER`: engine auto
     runs the engine of `ta`'s class or refuses the class, an explicit engine
@@ -372,6 +379,7 @@ def _has_no_run(ta: TimedAutomaton, cap: Optional[int]) -> bool:
 # Bounded-attacker pipeline
 
 
+@collector_off
 def check_bounded(
     ta: TimedAutomaton,
     sel: TimeSelection,

@@ -9,15 +9,16 @@ frozensets:
   per-state silent and letter successors, which exist only for the
   conversion; a delay edge is silent, or reads a letter the caller names
   (the discrete engine's tick, the event-recording engine's delay letter);
-  a final region may read a suffix word before it accepts (the bounded
-  attacker's f-letters). `silent_free` turns that raw graph into an NFA whose
-  states are the active states of the graph: a state is active if it has
-  a letter edge or is final. Each letter edge lands on the closed set of
-  its target, the active states it reaches silently, and the initial set
-  is closed the same way. The future of a closed set (its letter steps and
-  whether it accepts) depends only on its active members, so dropping the
-  others changes no language, verdict or counterexample; it only makes the
-  sets, and every macro-state and product pair built from them, smaller.
+  a final region may stand for the head of a chain that reads a suffix
+  word before it accepts (the bounded attacker's f-letters). `silent_free`
+  turns that raw graph into an NFA whose states are the active states of
+  the graph: a state is active if it has a letter edge or is final. Each
+  letter edge lands on the closed set of its target, the active states it
+  reaches silently, and the initial set is closed the same way. The
+  future of a closed set (its letter steps and whether it accepts) depends
+  only on its active members, so dropping the others changes no language,
+  verdict or counterexample; it only makes the sets, and every macro-state
+  and product pair built from them, smaller.
 - One reachability routine, `_reach_table`, gives every state the kept
   part of its reflexive-transitive successor set by SCC condensation. It
   serves the silent closure of `silent_free` (keeping active states) and
@@ -252,7 +253,10 @@ def from_region_automaton(ra: RegionAutomaton, final_classes: tuple[frozenset[in
     whose last is final in i's classes. A chain state is keyed by the rest
     of the word it reads and that class set, so words share their common
     tails; sharing a common prefix would accept the shorter word from the
-    longer one's region."""
+    longer one's region. Region i stands for the head of its chain, keyed by
+    the whole word: its one out-edge is a silent one to the head, so
+    `silent_free` drops it and its incoming edges land on the head, which
+    every final region with the same word and classes shares."""
     labels = [e.action for e in ra._code.edges] + [delay]  # [-1]: a delay edge
     target, start, through = ra.edge_target, ra._edge_start, ra._edge_ta
     no_moves: dict[str, frozenset[int]] = {}  # shared by the states without letter edges
@@ -279,19 +283,21 @@ def from_region_automaton(ra: RegionAutomaton, final_classes: tuple[frozenset[in
             word = suffixes[i]
             classes = tuple(k for k, c in enumerate(final_classes) if i in c)
             letters.update(word)
-            s = i
-            for position, a in enumerate(word, 1):
+            t = None  # the chain is made from its final end back to its head
+            for position in range(len(word), -1, -1):
                 key = (word[position:], classes)
-                t = chains.get(key)
-                if t is None:
-                    t = chains[key] = len(trans)
+                s = chains.get(key)
+                if s is None:
+                    s = chains[key] = len(trans)
                     eps.append(())
-                    trans.append({})
-                    if position == len(word):
+                    if t is None:
+                        trans.append({})
                         for k in classes:
-                            ends[k].append(t)
-                trans[s] = {a: frozenset([t])}  # a final region has no out-edge
-                s = t
+                            ends[k].append(s)
+                    else:
+                        trans.append({word[position]: frozenset([t])})
+                t = s
+            eps[i] = (t,)  # a final region has no out-edge of its own
         final_classes = tuple(frozenset(c) for c in ends)
         finals = frozenset().union(*final_classes)
     return silent_free(tuple(sorted(letters)), initial, finals, eps, trans, final_classes)

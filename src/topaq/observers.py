@@ -142,7 +142,13 @@ def _ticked_unfolding(ta: TimedAutomaton, n: int, stop: bool) -> tuple[TimedAuto
     and the observation clocks, tick clock first. Finals have no tick loop;
     with `stop`, they and the last copy's locations have no out-edge and
     are final. A model letter `t` or `f{...}` would read as a tick or an
-    f-letter, so it is refused."""
+    f-letter, so it is refused.
+
+    With `stop`, every other location also keeps each observation clock at
+    most 1 by its invariant. This changes no language: every model edge
+    needs them all below 1 and every reset needs its clocks at exactly 1,
+    so a run that lets one pass 1 never moves again and never stops, and
+    its regions, which the invariant removes, reach no final region."""
     reserve_letters(ta.actions, [TICK_LETTER, *(a for a in ta.actions if a.startswith("f{"))],
                     "tick construction")
     unfolded = relax_finals(unfold_first_n(ta, n))
@@ -173,9 +179,14 @@ def _ticked_unfolding(ta: TimedAutomaton, n: int, stop: bool) -> tuple[TimedAuto
             edges.append(Edge(loc, Guard.of(ClockConstraint(x0, "=", 1)), TICK_LETTER, frozenset({x0}), loc))
         for subset in _subsets(rest)[1:]:
             edges.append(Edge(loc, _group_guard(subset, rest), EPSILON, subset, loc))
+    inv = dict(unfolded.invariant)
+    if stop:
+        unit = Guard(tuple(ClockConstraint(c, "<=", 1) for c in obs))
+        for loc in unfolded.locations - dead:
+            inv[loc] = unfolded.invariant_of(loc).conjoin(unit)
     return replace(unfolded, actions=unfolded.actions | {TICK_LETTER}, final=unfolded.final | dead,
-                   clocks=unfolded.clocks | frozenset(obs), edges=tuple(edges), time_domain="dense",
-                   name=f"{ta.name}~tick{n}"), obs
+                   clocks=unfolded.clocks | frozenset(obs), invariant=inv, edges=tuple(edges),
+                   time_domain="dense", name=f"{ta.name}~tick{n}"), obs
 
 
 def last_observation_ticks(ta: TimedAutomaton, n: int) -> tuple[TimedAutomaton, list[str]]:

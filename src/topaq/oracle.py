@@ -18,6 +18,7 @@ from .ta import (
     TimedWord,
     TimeGrid,
     Verdict,
+    collector_off,
     enumerate_runs,
     grid_word,
 )
@@ -144,6 +145,7 @@ def _check_bounds(ta: TimedAutomaton, horizon, max_steps, granularity) -> None:
         raise BadOracleBound("horizon", horizon, "non-negative")
 
 
+@collector_off
 def oracle_check(
     ta: TimedAutomaton,
     query: str,

@@ -6,6 +6,8 @@ region-boundary comparisons are always exact.
 
 from __future__ import annotations
 
+import functools
+import gc
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,6 +24,27 @@ class StepError(Exception):
 
 class BoundExhausted(Exception):
     """Run enumeration hit its node cap before covering the requested bounds."""
+
+
+def collector_off(fn):
+    """`fn` with CPython's cyclic garbage collector off while it runs. A
+    query allocates millions of containers and frees them all by reference
+    counting, as it makes no reference cycles, so the collector's passes
+    over them find nothing. The previous setting is restored in a
+    `finally`, after a return or an exception alike: a caller who turned
+    the collector off keeps it off, and a nested call changes nothing."""
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return call
 
 
 @dataclass(frozen=True)

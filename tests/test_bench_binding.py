@@ -56,9 +56,9 @@ def test_traced_benchmark_answers_are_correct():
     result = run_benchmark("first-n", 1)
     assert result["correct"] is True and result["failed"] == 0
     metrics = result["metrics"]
-    assert metrics["regions.states"]["value"] == 2492
-    assert metrics["regions.edges"]["value"] == 3136
-    assert metrics["nfa.strip_states"]["value"] == 1626
+    assert metrics["regions.states"]["value"] == 1710
+    assert metrics["regions.edges"]["value"] == 2136
+    assert metrics["nfa.strip_states"]["value"] == 1144
 
 
 def test_traced_oracle_counts():

@@ -2,6 +2,7 @@ import random
 import warnings
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from topaq.constructions import (
     swap_gadget,
 )
 from topaq import cli
+from topaq.model import parse_model
 from topaq.deciders import (
     DELAY_LETTER,
     UndecidableClass,
@@ -423,11 +425,11 @@ class TestCheckBounded:
         assert not accepts_word(unfold_first_n(build_priv(base), n), v.witness)
 
     @pytest.mark.parametrize("sel, calls", [
-        (FirstN(1), [(True, None, 40), (False, ("b", "f{0,1}"), 28)]),
-        (FirstN(2), [(True, None, 194), (False, ("b", "f{0,1,2}"), 113)]),
-        (FirstN(3), [(True, None, 893), (False, ("b", "f{0,1,2,3}"), 241)]),
-        (Dynamic(1), [(True, None, 184), (False, ("o0", "b", "f{0,1,2}"), 130)]),
-        (Static((F(0), F(1, 2), F(3, 2))), [(True, None, 1913), (False, ("a", "f{0,1,2,3}"), 55)]),
+        (FirstN(1), [(True, None, 36), (False, ("b", "f{0,1}"), 25)]),
+        (FirstN(2), [(True, None, 181), (False, ("b", "f{0,1,2}"), 110)]),
+        (FirstN(3), [(True, None, 853), (False, ("b", "f{0,1,2,3}"), 232)]),
+        (Dynamic(1), [(True, None, 174), (False, ("o0", "b", "f{0,1,2}"), 123)]),
+        (Static((F(0), F(1, 2), F(3, 2))), [(True, None, 1278), (False, ("a", "f{0,1,2,3}"), 40)]),
     ], ids=["first1", "first2", "first3", "dynamic1", "static"])
     def test_fig1_ladder_inclusion_calls(self, fig1, monkeypatch, sel, calls):
         """(holds, counterexample, explored) of every inclusion a fig1 ladder
@@ -491,6 +493,35 @@ class TestCheckBounded:
         v = check_bounded(fig1_discrete, FirstN(1), "full")
         assert v.holds is False
         assert all(t.denominator == 1 for t in v.witness.timestamps())
+
+
+# the bounded attackers of `bounded_pinned.txt`
+PINNED_SELECTIONS = ([(f"first:{n}", FirstN(n)) for n in range(1, 6)]
+                     + [(f"dynamic:{n}", Dynamic(n)) for n in (1, 2)]
+                     + [("static:0,1/2,3/2", Static((F(0), F(1, 2), F(3, 2))))])
+
+
+def pinned_bounded_lines():
+    """(holds, witness, side, note) of `check_bounded` on every model in
+    `models/`, under each attacker of `PINNED_SELECTIONS`, weak and full."""
+    lines = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "models").glob("*.ta")):
+        ta = parse_model(path.read_text())
+        for label, sel in PINNED_SELECTIONS:
+            for mode in ("weak", "full"):
+                v = check_bounded(ta, sel, mode)
+                witness = "-" if v.witness is None else v.witness
+                lines.append(f"{path.stem}/{label}/{mode} | {v.holds} | {witness} | {v.side} | {v.note or '-'}\n")
+    return lines
+
+
+def test_bounded_answers_pinned():
+    """Every answer of the bounded engine on the queries of
+    `pinned_bounded_lines`, as recorded in `bounded_pinned.txt`: the
+    automata the engine builds may change, its verdicts, witnesses, sides
+    and notes may not."""
+    pinned = (Path(__file__).resolve().parent / "bounded_pinned.txt").read_text()
+    assert "".join(pinned_bounded_lines()) == pinned
 
 
 class TestDecide:

@@ -12,12 +12,13 @@ from reference_languages import memo_classes
 from topaq.constructions import MEMO_TAGS, build_memo, build_priv, build_pub
 from topaq.deciders import dense_time
 from topaq.model import parse_model, print_model
-from topaq.nfa import check_inclusion, from_region_automaton, strip_ticks_before_suffix
+from topaq.nfa import _reach_table, check_inclusion, from_region_automaton, strip_ticks_before_suffix
 from topaq.observers import (
     Dynamic,
     FirstN,
     ObservationCapExceeded,
     Static,
+    last_observation_ticks,
     normalize_sequence,
     project,
     tick_construction,
@@ -220,6 +221,17 @@ class TestTickConstruction:
         for tokens in sorted(self.stripped(part, 1)):
             word = decode_ticked_tokens(tokens)
             assert accepts_word(unfold_first_n(part, 1), word)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stop_form_builds_only_live_regions(fig1, n):
+    """Every region of the bounded engine's stop form reaches a final
+    region: the invariants that keep the observation clocks at most 1 cut
+    exactly the regions from which no run stops."""
+    ra = build_region_automaton(last_observation_ticks(build_memo(fig1), n)[0])
+    succ = [[ra.edge_target[k] for k in ra.edge_ids(i)] for i in range(ra.n_states)]
+    reach = _reach_table(succ, [i in ra.final_ids for i in range(ra.n_states)])
+    assert all(reach)
 
 
 class TestNormalizeSequence:
