@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fig1_ta, nfa_accepts_expanded, random_discrete_ta, single_word_ta
+from conftest import fig1_ta, nfa_accepts_expanded, random_discrete_ta, random_oera, single_word_ta
+from test_enumeration import CORPUS
 from topaq.constructions import (
     build_priv,
     build_pub,
@@ -522,6 +523,43 @@ def test_bounded_answers_pinned():
     and notes may not."""
     pinned = (Path(__file__).resolve().parent / "bounded_pinned.txt").read_text()
     assert "".join(pinned_bounded_lines()) == pinned
+
+
+EXISTS_OERA_SEED = 20261019
+
+
+def pinned_exists_models():
+    """(name, automaton) of every model in `models/` and its first-1 to
+    first-3 and static 0,1/2,3/2 unfoldings, the criterion-5 discrete
+    corpus and 60 random observable ERAs of a fixed seed."""
+    models = []
+    tau = normalize_sequence((F(0), F(1, 2), F(3, 2)))
+    for path in sorted((Path(__file__).resolve().parent.parent / "models").glob("*.ta")):
+        ta = parse_model(path.read_text())
+        models.append((path.stem, ta))
+        models += [(f"{path.stem}/first:{n}", unfold_first_n(ta, n)) for n in (1, 2, 3)]
+        models.append((f"{path.stem}/static:0,1/2,3/2", unfold_tau(ta, tau)))
+    models += [(f"criterion5-{i}", ta) for i, ta in enumerate(CORPUS)]
+    rng = random.Random(EXISTS_OERA_SEED)
+    models += [(f"oera-{i}", random_oera(rng)) for i in range(60)]
+    return models
+
+
+def test_exists_answers_pinned():
+    """Every answer of `check_exists` on `pinned_exists_models`, as recorded
+    in `exists_pinned.txt`, and every witness a trace of both the private
+    and the public runs."""
+    lines = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # `build_pub` of a private initial location
+        for name, ta in pinned_exists_models():
+            v = check_exists(ta)
+            if v.witness is not None:
+                assert accepts_word(build_priv(ta), v.witness), name
+                assert accepts_word(build_pub(ta), v.witness), name
+            lines.append(f"{name} | {v.holds} | {'-' if v.witness is None else v.witness} | {v.side}\n")
+    pinned = (Path(__file__).resolve().parent / "exists_pinned.txt").read_text()
+    assert "".join(lines) == pinned
 
 
 class TestDecide:
