@@ -48,8 +48,6 @@ from .regions import (
     ReservedLetter,
     augment_ticks,
     build_region_automaton,
-    region_of,
-    valuation_equiv,
 )
 from .ta import (
     EPSILON,

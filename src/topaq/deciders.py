@@ -164,8 +164,7 @@ def check_exists(ta: TimedAutomaton, cap: Optional[int] = None) -> Verdict:
     path = build_region_automaton(prod, cap).shortest_accepting_path()
     if path is None:
         return Verdict(False, note="no trace is produced by both a private and a public run")
-    _, word = concretize_region_path(prod, path)
-    return Verdict(True, witness=word, side="intersection")
+    return Verdict(True, witness=concretize_region_path(prod, path), side="intersection")
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +402,7 @@ def check_bounded(
 
 def _first_n_languages(ta: TimedAutomaton, n: int, cap: Optional[int]) -> list[NFA]:
     """[private, public] ticked first-N languages of `ta`, equal to those of
-    the memo automaton's `tick_construction` with one end gadget per class,
+    the `tick_construction` of `build_priv` and of `build_pub` of `ta`,
     from a region build that stops where a run stops
     (`last_observation_ticks`). The conversion gives each stop region the
     f-suffix the gadget would emit (`_suffix_word`), into each class a run

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Collection, Iterable, Mapping, Optional, Sequence
+from typing import Collection, Mapping, Optional, Sequence
 
 from .regions import RegionAutomaton, TICK_LETTER
 
@@ -75,47 +75,8 @@ class NFA:
         no language."""
         return [replace(self, finals=finals) for finals in self.final_classes]
 
-    def step(self, states: Iterable[int], letter: str) -> frozenset[int]:
-        """Successors on `letter` of the states `states`."""
-        out: set[int] = set()
-        for q in states:
-            succs = self.trans[q].get(letter)
-            if succs:
-                out |= succs
-        return frozenset(out)
-
     def start(self) -> frozenset[int]:
         return self.initial
-
-    def accepts(self, word: Iterable[str]) -> bool:
-        cur = self.start()
-        for a in word:
-            cur = self.step(cur, a)
-            if not cur:
-                return False
-        return bool(cur & self.finals)
-
-    def language_upto(self, max_len: int, cap: int = 200_000) -> set[tuple[str, ...]]:
-        """All accepted words of length <= max_len (for small-case oracles)."""
-        out = set()
-        frontier = {(): self.start()}
-        count = 0
-        for _ in range(max_len + 1):
-            nxt = {}
-            for word, states in sorted(frontier.items()):
-                if states & self.finals:
-                    out.add(word)
-                if len(word) == max_len:
-                    continue
-                for a in self.alphabet:
-                    s2 = self.step(states, a)
-                    if s2:
-                        nxt[word + (a,)] = s2
-                        count += 1
-                        if count > cap:
-                            raise InclusionCapExceeded("language enumeration cap exceeded")
-            frontier = nxt
-        return out
 
 
 def _reach_table(succ: Sequence[Collection[int]], keep: Sequence[bool]) -> list[frozenset[int]]:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .constructions import copy_locations, relax_finals
 from .regions import fresh_name, reserve_letters, TICK_LETTER
@@ -105,8 +105,7 @@ def unfold_first_n(ta: TimedAutomaton, n: int) -> TimedAutomaton:
     has spent the budget, the run continues unobserved). Finals and privates
     are every copy's finals and privates, so exactly the complete runs
     accept: traces(result) = first-N projections of traces(ta)."""
-    if n < 0:
-        raise ValueError("observation count must be nonnegative")
+    _check_count(n)
     _check_observations(n)
     edges = []
     for i in range(n + 1):
@@ -198,23 +197,13 @@ def last_observation_ticks(ta: TimedAutomaton, n: int) -> tuple[TimedAutomaton, 
     return _ticked_unfolding(ta, n, stop=True)
 
 
-def tick_construction(
-    ta: TimedAutomaton, n: int, classes: Optional[Mapping[str, frozenset[str]]] = None
-) -> TimedAutomaton:
+def tick_construction(ta: TimedAutomaton, n: int) -> TimedAutomaton:
     """Dense-time gadget whose region automaton's untimed language encodes
     the first-N projected traces of `ta` as ticked words: the reference
     form, which `topaq export --what tick` shows, of the bounded engine's
     `last_observation_ticks`. An end gadget reached from the final
     locations of `_ticked_unfolding` emits the fractional groups of the
     observation clocks as f-letters, one full time unit long.
-
-    `classes` splits the final locations of `ta` into final classes, keyed
-    by a tag; each class gets its own end gadget, whose two locations carry
-    the tag as a suffix, so the result's final locations are one per class
-    and a run's class can be read off the tag. The memo automaton split by
-    visited/not-visited this way holds the private and the public language
-    in one automaton. A final location in no class is a dead end. None (the
-    default) is one gadget for all final locations, with untagged names.
 
     The unfolding is final-relaxed first: a run ends the moment it reaches a
     final location, so exits from finals are dead and their invariants only
@@ -223,15 +212,9 @@ def tick_construction(
     """
     unfolded, obs = _ticked_unfolding(ta, n, stop=False)
     x0, rest = obs[0], obs[1:]
-    lg0 = fresh_name("gadget0", unfolded.locations)
-    lg1 = fresh_name("gadget1", unfolded.locations)
-    # (unfolding finals, gadget entry, gadget final) per class; a tagged
-    # name cannot clash, as every unfolded location ends in `~<copy index>`
-    # and a tag such as `~S` is no copy index
-    gadgets = [
-        (sorted(l for l in unfolded.final if l.rsplit("~", 1)[0] in locs), lg0 + tag, lg1 + tag)
-        for tag, locs in ({"": ta.final} if classes is None else classes).items()
-    ]
+    g0 = fresh_name("gadget0", unfolded.locations)
+    g1 = fresh_name("gadget1", unfolded.locations)
+    finals = sorted(unfolded.final)
     # end gadget: first the group synchronized with the tick clock, then each
     # later fractional group as it reaches 1, closing after one full unit
     edges = list(unfolded.edges)
@@ -241,23 +224,17 @@ def tick_construction(
         group = subset | {x0}
         letter = render_group(frozenset(index_of[c] for c in group))
         f_letters.add(letter)
-        for finals, g0, g1 in gadgets:
-            for lf in finals:
-                edges.append(Edge(lf, _group_guard(group, obs), letter, group, g0))
-            edges.append(Edge(g0, _group_guard(group, obs), EPSILON, frozenset(), g1))
+        for lf in finals:
+            edges.append(Edge(lf, _group_guard(group, obs), letter, group, g0))
+        edges.append(Edge(g0, _group_guard(group, obs), EPSILON, frozenset(), g1))
     for subset in _subsets(rest)[1:]:
         letter = render_group(frozenset(index_of[c] for c in subset))
         f_letters.add(letter)
-        for _, g0, _ in gadgets:
-            edges.append(Edge(g0, _group_guard(subset, obs), letter, subset, g0))
+        edges.append(Edge(g0, _group_guard(subset, obs), letter, subset, g0))
 
-    inv = dict(unfolded.invariant)
-    for _, g0, g1 in gadgets:
-        inv[g0] = Guard.true()
-        inv[g1] = Guard.true()
-    return replace(unfolded, actions=unfolded.actions | f_letters,
-                   locations=unfolded.locations | {g for _, g0, g1 in gadgets for g in (g0, g1)},
-                   final=frozenset(g1 for _, _, g1 in gadgets), invariant=inv, edges=tuple(edges))
+    inv = {**unfolded.invariant, g0: Guard.true(), g1: Guard.true()}
+    return replace(unfolded, actions=unfolded.actions | f_letters, locations=unfolded.locations | {g0, g1},
+                   final=frozenset({g1}), invariant=inv, edges=tuple(edges))
 
 
 def normalize_sequence(tau: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -371,8 +348,7 @@ def unfold_free(ta: TimedAutomaton, n: int) -> TimedAutomaton:
     observable o_i letter allowed at any time, so every possible choice of
     switch-on times is represented; runs carry at most 2N observable letters.
     """
-    if n < 0:
-        raise ValueError("observation count must be nonnegative")
+    _check_count(n)
     _check_observations(2 * n)
     obs_letters = tuple(f"o{i}" for i in range(n))
     reserve_letters(ta.actions, obs_letters, "dynamic attacker's unfolding")

@@ -17,8 +17,8 @@ region is an interned (codes, ranks) pair and a region a (location id,
 clock-region id) pair. The `RegionAutomaton` it returns holds its graph
 only as edge arrays over the int states; `ClockRegion`, `Region` and `RAEdge`
 objects are decoded from them only when read, so `ClockRegion` only
-decodes, describes and compares regions of concrete valuations. Every
-engine reads the edge arrays through `nfa.from_region_automaton`.
+decodes and describes regions. Every engine reads the edge arrays
+through `nfa.from_region_automaton`.
 """
 
 from __future__ import annotations
@@ -32,17 +32,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .ta import (
-    EPSILON,
-    ClockConstraint,
-    Configuration,
-    Edge,
-    Guard,
-    Run,
-    TimedAutomaton,
-    TimedWord,
-    trace_of,
-)
+from .ta import EPSILON, ClockConstraint, Edge, Guard, TimedAutomaton, TimedWord
 from .ta import step as ta_step
 
 DEFAULT_REGION_CAP = 1_000_000
@@ -136,24 +126,6 @@ class ClockRegion:
             order = " < ".join("{" + ",".join(sorted(b)) + "}" for b in frac_blocks)
             parts.append(f"frac: {order}")
         return ", ".join(parts) if parts else "true"
-
-
-def clock_region_of(valuation: Mapping[str, Fraction], maxc: Mapping[str, int]) -> ClockRegion:
-    ipart = []
-    above = set()
-    by_frac: dict[Fraction, set[str]] = {}
-    for x in sorted(valuation):
-        v = Fraction(valuation[x])
-        if v > maxc[x]:
-            above.add(x)
-            continue
-        k = v.numerator // v.denominator
-        ipart.append((x, k))
-        by_frac.setdefault(v - k, set()).add(x)
-    fracs = sorted(by_frac)
-    blocks = tuple(frozenset(by_frac[f]) for f in fracs)
-    zero_first = bool(fracs) and fracs[0] == 0
-    return ClockRegion(tuple(ipart), frozenset(above), blocks, zero_first)
 
 
 @dataclass(frozen=True)
@@ -258,19 +230,6 @@ class RegionAutomaton:
             path.append(self.edge(k))
             j = bisect_right(self._edge_start, k) - 1
         return path[::-1]
-
-
-def region_of(cfg: Configuration, ta: TimedAutomaton) -> Region:
-    return Region(cfg.location, clock_region_of(cfg.valuation, ta.max_constants()))
-
-
-def valuation_equiv(
-    mu1: Mapping[str, Fraction], mu2: Mapping[str, Fraction], maxc: Mapping[str, int]
-) -> bool:
-    """Region equivalence of two valuations over the same clock set."""
-    if set(mu1) != set(mu2):
-        raise ValueError("valuations over different clock sets")
-    return clock_region_of(mu1, maxc) == clock_region_of(mu2, maxc)
 
 
 class _Compiled:
@@ -546,8 +505,9 @@ def tick_decode(tokens) -> TimedWord:
     return TimedWord(tuple(letters))
 
 
-def concretize_region_path(ta: TimedAutomaton, path: list[RAEdge]) -> tuple[Run, TimedWord]:
-    """Replay a region path with concrete rational delays.
+def concretize_region_path(ta: TimedAutomaton, path: list[RAEdge]) -> TimedWord:
+    """The timed word of a region path replayed with concrete rational
+    delays.
 
     Delay edges take the canonical representative duration: half the gap to
     the next boundary when leaving a zero-fraction region, otherwise exactly
@@ -558,8 +518,8 @@ def concretize_region_path(ta: TimedAutomaton, path: list[RAEdge]) -> tuple[Run,
     maxc = ta.max_constants()
     cfg = ta.initial_configuration()
     val_now = dict(cfg.valuation)
-    pending = Fraction(0)
-    steps = []
+    now = pending = Fraction(0)
+    letters = []
     for ra_edge in path:
         if ra_edge.kind == "delay":
             d = _canonical_delay(val_now, maxc, ta.time_domain)
@@ -567,11 +527,12 @@ def concretize_region_path(ta: TimedAutomaton, path: list[RAEdge]) -> tuple[Run,
             val_now = {x: v + d for x, v in val_now.items()}
         else:
             cfg = ta_step(ta, cfg, pending, ra_edge.ta_edge)
-            steps.append((pending, ra_edge.ta_edge, cfg))
+            now += pending
+            if ra_edge.ta_edge.action is not EPSILON:
+                letters.append((ra_edge.ta_edge.action, now))
             val_now = dict(cfg.valuation)
             pending = Fraction(0)
-    run = Run(ta.initial_configuration(), tuple(steps))
-    return run, trace_of(run)
+    return TimedWord(tuple(letters))
 
 
 def _canonical_delay(valuation: Mapping[str, Fraction], maxc: Mapping[str, int], time_domain: str) -> Fraction:

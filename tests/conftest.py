@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from reference_nfa import accepts
 from topaq.oracle import trace_sets
 from topaq.ta import ClockConstraint, Guard, edge, grid_word, make_ta
 
@@ -11,7 +12,7 @@ def nfa_accepts_expanded(m, tokens) -> bool:
     word = []
     for tok, repeat in tokens:
         word.extend([tok] * repeat)
-    return m.accepts(word)
+    return accepts(m, word)
 
 
 def trace_words(ta, horizon, max_steps, granularity, node_cap=2_000_000):

@@ -16,20 +16,12 @@ from __future__ import annotations
 from typing import Optional
 
 from topaq import nfa as nfalib
-from topaq.constructions import MEMO_TAGS, build_priv, build_pub
+from topaq.constructions import build_priv, build_pub
 from topaq.deciders import _attacker, _compare, decode_ticked_tokens, dense_time
 from topaq.nfa import NFA, from_region_automaton
 from topaq.observers import TimeSelection, tick_construction
 from topaq.regions import augment_ticks, build_region_automaton, tick_decode
 from topaq.ta import TimedAutomaton, Verdict
-
-
-def memo_classes(memo: TimedAutomaton) -> dict[str, frozenset[str]]:
-    """The final locations of a `build_memo` automaton by copy tag, the
-    `classes` of its `tick_construction` with one end gadget per class: the
-    visited copy's accept the private runs, the not-yet copy's the public
-    ones (the language of `build_pub`, as no run leaves the visited copy)."""
-    return {tag: frozenset(l for l in memo.final if l.endswith(tag)) for tag in MEMO_TAGS}
 
 
 def reference_ticked_language(ticked: TimedAutomaton, cap: Optional[int] = None) -> NFA:

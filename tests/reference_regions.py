@@ -1,7 +1,8 @@
 """Reference region constructions on `Region`/`ClockRegion` objects, for
 differential tests.
 
-- The operations on region objects: guard truth, resets and the dense and
+- The region of a concrete valuation (`clock_region_of`), and the
+  operations on region objects: guard truth, resets and the dense and
   discrete delay successors.
 - The object breadth-first search that `topaq.regions` ran before its
   compiled integer builder, with the matching graph of silent and letter
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Optional
 
 from topaq.constructions import S_TAG, build_memo
@@ -32,11 +34,29 @@ from topaq.regions import (
     Region,
     RegionAutomaton,
     RegionCapExceeded,
-    clock_region_of,
     region_cap,
     region_state_bound,
 )
 from topaq.ta import EPSILON, ClockConstraint, Edge, Guard, TimedAutomaton, TimedWord, Verdict
+
+
+def clock_region_of(valuation: Mapping[str, Fraction], maxc: Mapping[str, int]) -> ClockRegion:
+    """The clock region of a concrete valuation."""
+    ipart = []
+    above = set()
+    by_frac: dict[Fraction, set[str]] = {}
+    for x in sorted(valuation):
+        v = Fraction(valuation[x])
+        if v > maxc[x]:
+            above.add(x)
+            continue
+        k = v.numerator // v.denominator
+        ipart.append((x, k))
+        by_frac.setdefault(v - k, set()).add(x)
+    fracs = sorted(by_frac)
+    blocks = tuple(frozenset(by_frac[f]) for f in fracs)
+    zero_first = bool(fracs) and fracs[0] == 0
+    return ClockRegion(tuple(ipart), frozenset(above), blocks, zero_first)
 
 
 def is_unbounded(cr: ClockRegion) -> bool:

@@ -7,6 +7,7 @@ import warnings
 from fractions import Fraction as F
 
 from conftest import fig1_ta, nfa_accepts_expanded, oera_pair_ta, random_discrete_ta
+from reference_nfa import language_upto
 from reference_regions import graph_of
 from topaq.constructions import (
     build_priv,
@@ -259,7 +260,7 @@ def test_criterion_9_region_count_bounds():
             # of the region graph along the same words
             _, _, _, eps, trans = graph_of(ra)
             full = _reach_table(eps, [True] * ra.n_states)
-            for word in sorted(m.language_upto(8))[:40]:
+            for word in sorted(language_upto(m, 8))[:40]:
                 visited = set()
                 states = full[0]
                 visited |= states

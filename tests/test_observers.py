@@ -7,12 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import trace_words
-from reference_languages import memo_classes
-from topaq.constructions import MEMO_TAGS, build_memo, build_priv, build_pub
-from topaq.deciders import dense_time
-from topaq.model import parse_model, print_model
-from topaq.nfa import _reach_table, check_inclusion, from_region_automaton, strip_ticks_before_suffix
+from conftest import fig1_ta, trace_words
+from reference_nfa import language_upto
+from topaq.constructions import build_memo, build_priv, build_pub
+from topaq.model import print_model
+from topaq.nfa import _reach_table, from_region_automaton, strip_ticks_before_suffix
 from topaq.observers import (
     Dynamic,
     FirstN,
@@ -41,7 +40,15 @@ LONG = tw(
 )
 
 
-@pytest.mark.parametrize("kind", [FirstN, Dynamic])
+def unfold_first_n_of_fig1(n):
+    return unfold_first_n(fig1_ta(), n)
+
+
+def unfold_free_of_fig1(n):
+    return unfold_free(fig1_ta(), n)
+
+
+@pytest.mark.parametrize("kind", [FirstN, Dynamic, unfold_first_n_of_fig1, unfold_free_of_fig1])
 @pytest.mark.parametrize("n", [True, False, 1.5, 2.0, -1, "2", None])
 def test_observation_count_must_be_a_nonnegative_int(kind, n):
     # a bool would be decided as 0 or 1 observations; a float failed deep
@@ -129,7 +136,7 @@ class TestTickConstruction:
         tk = tick_construction(part, n)
         m = from_region_automaton(build_region_automaton(tk))
         suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
-        return strip_ticks_before_suffix(m, suffix).language_upto(maxlen)
+        return language_upto(strip_ticks_before_suffix(m, suffix), maxlen)
 
     def test_private_side_language(self, fig1):
         p, _, complete = trace_words(fig1, F(3), 5, F(1, 2))
@@ -157,35 +164,16 @@ class TestTickConstruction:
         with pytest.raises(ObservationCapExceeded):
             tick_construction(fig1, 9)
 
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("model", sorted(Path(__file__).parent.parent.glob("models/*.ta")),
-                             ids=lambda p: p.name)
-    def test_two_class_gadget_splits_private_and_public(self, model, n):
-        # one end gadget per final class of the memo automaton: each class's
-        # language is that of the tick construction of build_priv/build_pub
-        ta = dense_time(parse_model(model.read_text()))
-        memo = build_memo(ta)
-        ticked = tick_construction(memo, n, memo_classes(memo))
-        assert ticked.final == {"gadget1" + tag for tag in MEMO_TAGS}
-        ra = build_region_automaton(ticked)
-        classes = tuple(frozenset(i for i, r in enumerate(ra.states) if r.location == "gadget1" + tag)
-                        for tag in MEMO_TAGS)
-        views = from_region_automaton(ra, classes).views()
-        for view, part in zip(views, (build_priv(ta), build_pub(ta))):
-            reference = from_region_automaton(build_region_automaton(tick_construction(part, n)))
-            assert check_inclusion(view, reference).holds
-            assert check_inclusion(reference, view).holds
-
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gadget_emits_the_suffix_read_off_the_ranks(self, fig1, n):
         # every region where a run of the gadget form enters an unfolding
         # final (a final region of the engine's cut form) leads through the
-        # gadget to exactly one word, into its memo tag's class, and that word
-        # is the suffix the engine reads off the observation clocks' ranks
+        # gadget to exactly one word, and that word is the suffix the engine
+        # reads off the observation clocks' ranks
         from topaq.deciders import _suffix_word
 
         memo = build_memo(fig1)
-        ticked = tick_construction(memo, n, memo_classes(memo))
+        ticked = tick_construction(memo, n)
         ra = build_region_automaton(ticked)
         column = {x: j for j, x in enumerate(sorted(ticked.clocks))}
         observed = [column[f"tk{i}"] for i in range(n + 1)]
@@ -200,7 +188,7 @@ class TestTickConstruction:
             while todo:
                 i, word = todo.pop()
                 if i in ra.final_ids:
-                    ends.add((word, ra.location_of(i)))
+                    ends.add(word)
                 for k in ra.edge_ids(i):
                     a = ra.edge(k).label
                     assert a is None or a.startswith("f{")
@@ -208,9 +196,7 @@ class TestTickConstruction:
                     if step not in seen:
                         seen.add(step)
                         todo.append(step)
-            (word, end), = ends
-            tag = next(tag for tag in MEMO_TAGS if ra.location_of(r).rsplit("~", 1)[0].endswith(tag))
-            assert end == "gadget1" + tag
+            (word,) = ends
             assert word == _suffix_word(tuple(ra.clock_codes(r)[1][j] for j in observed))
 
     def test_decode_and_replay(self, fig1):

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_blocking_oera, random_discrete_ta, random_oera, trace_words
+from reference_nfa import language_upto
 from topaq.constructions import build_priv, build_pub, prune_final_exits
 from topaq.deciders import accepts_word, check_bounded, check_exists, check_opacity
 from topaq.nfa import from_region_automaton, strip_ticks_before_suffix
@@ -21,7 +22,7 @@ def test_discrete_tick_words_decode_to_accepted_traces(fig1_discrete):
     """Every word of the ticked region automaton reconstructs a timed word of
     the original discrete automaton."""
     ra = build_region_automaton(augment_ticks(fig1_discrete))
-    words = from_region_automaton(ra).language_upto(6)
+    words = language_upto(from_region_automaton(ra), 6)
     assert words
     p, q, complete = trace_words(fig1_discrete, F(5), 6, F(1))
     assert complete
@@ -59,7 +60,7 @@ def test_bounded_comparison_languages_are_n_bounded(fig1):
             suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
             stripped = strip_ticks_before_suffix(m, suffix)
             sigma = set("ab")
-            for word in stripped.language_upto(7):
+            for word in language_upto(stripped, 7):
                 assert sum(1 for tok in word if tok in sigma) <= n
 
 

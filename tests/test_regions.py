@@ -7,9 +7,9 @@ from typing import NamedTuple
 import pytest
 
 from conftest import fig1_ta, late_guard_ta, oera_pair_ta
-from reference_languages import memo_classes
-from reference_regions import graph_of
-from topaq.constructions import MEMO_TAGS, build_memo
+from reference_nfa import accepts, language_upto, step
+from reference_regions import clock_region_of, graph_of
+from topaq.constructions import MEMO_TAGS, build_memo, build_priv, build_pub
 from topaq.deciders import DELAY_LETTER
 from topaq.nfa import (
     NFA,
@@ -26,12 +26,11 @@ from topaq.regions import (
     TICK_LETTER,
     RegionCapExceeded,
     ReservedLetter,
+    Region,
     augment_ticks,
     build_region_automaton,
-    region_of,
     region_state_bound,
     tick_decode,
-    valuation_equiv,
 )
 from topaq.ta import ClockConstraint, Configuration, Guard, TimedWord, edge, enumerate_runs, make_ta
 
@@ -56,24 +55,28 @@ def tick_encode(word: TimedWord) -> tuple[str, ...]:
     return tuple(out)
 
 
+def region_of(cfg: Configuration, ta) -> Region:
+    return Region(cfg.location, clock_region_of(cfg.valuation, ta.max_constants()))
+
+
 class TestValuationEquiv:
     def test_same_interval_same_order(self):
-        assert valuation_equiv({"x": F(12, 10)}, {"x": F(17, 10)}, {"x": 3})
+        assert clock_region_of({"x": F(12, 10)}, {"x": 3}) == clock_region_of({"x": F(17, 10)}, {"x": 3})
 
     def test_reflexive(self):
         mu = {"x": F(1), "y": F(1, 3)}
-        assert valuation_equiv(mu, mu, {"x": 2, "y": 2})
+        assert clock_region_of(mu, {"x": 2, "y": 2}) == clock_region_of(mu, {"x": 2, "y": 2})
 
     def test_zero_vs_nonzero_fraction(self):
-        assert not valuation_equiv({"x": F(1)}, {"x": F(3, 2)}, {"x": 3})
+        assert clock_region_of({"x": F(1)}, {"x": 3}) != clock_region_of({"x": F(3, 2)}, {"x": 3})
 
     def test_fraction_order_matters(self):
         m = {"x": 2, "y": 2}
-        assert valuation_equiv({"x": F(1, 4), "y": F(1, 2)}, {"x": F(1, 3), "y": F(2, 3)}, m)
-        assert not valuation_equiv({"x": F(1, 4), "y": F(1, 2)}, {"x": F(2, 3), "y": F(1, 3)}, m)
+        assert clock_region_of({"x": F(1, 4), "y": F(1, 2)}, m) == clock_region_of({"x": F(1, 3), "y": F(2, 3)}, m)
+        assert clock_region_of({"x": F(1, 4), "y": F(1, 2)}, m) != clock_region_of({"x": F(2, 3), "y": F(1, 3)}, m)
 
     def test_above_maximum_merged(self):
-        assert valuation_equiv({"x": F(5, 2)}, {"x": F(7)}, {"x": 2})
+        assert clock_region_of({"x": F(5, 2)}, {"x": 2}) == clock_region_of({"x": F(7)}, {"x": 2})
 
 
 class TestRegionOf:
@@ -112,7 +115,7 @@ class TestBuildRegionAutomaton:
 
     def test_discrete_example_language(self, discrete_example):
         ra = build_region_automaton(augment_ticks(discrete_example))
-        words = from_region_automaton(ra).language_upto(6)
+        words = language_upto(from_region_automaton(ra), 6)
         assert words == {("t",) * k + ("a",) for k in (3, 4, 5)}
 
     def test_no_edges_just_delay_closure(self):
@@ -223,7 +226,7 @@ def naive_inclusion(a: NFA, b: NFA, alphabet=None) -> bool:
         if (sa & a.finals) and not (sb & b.finals):
             return False
         for letter in alphabet:
-            nxt = (a.step(sa, letter), b.step(sb, letter))
+            nxt = (step(a, sa, letter), step(b, sb, letter))
             if nxt[0] and nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)
@@ -242,7 +245,7 @@ def shortlex_counterexample(a: NFA, b: NFA):
         if (sa & a.finals) and not (sb & b.finals):
             return word
         for letter in alphabet:
-            nxt = (a.step(sa, letter), b.step(sb, letter))
+            nxt = (step(a, sa, letter), step(b, sb, letter))
             if nxt[0] and nxt not in seen:
                 seen.add(nxt)
                 queue.append((nxt, word + (letter,)))
@@ -422,8 +425,8 @@ class TestRegularInclusion:
             res = check_inclusion(a, b)
             assert res.holds == naive_inclusion(a, b)
             if not res.holds:
-                assert a.accepts(res.counterexample)
-                assert not b.accepts(res.counterexample)
+                assert accepts(a, res.counterexample)
+                assert not accepts(b, res.counterexample)
 
     def test_silent_cycles_agree_with_references(self):
         rng = random.Random(20241018)
@@ -441,7 +444,7 @@ class TestRegularInclusion:
                 cur, want = m.start(), ref.start()
                 for letter in rng.choices(g.alphabet, k=3):
                     assert {active[i] for i in cur} == want.intersection(active)
-                    cur, want = m.step(cur, letter), ref.step(want, letter)
+                    cur, want = step(m, cur, letter), step(ref, want, letter)
                 assert {active[i] for i in cur} == want.intersection(active)
             a, b = silent_free(*ga), silent_free(*gb)
             res = check_inclusion(a, b)
@@ -477,36 +480,39 @@ class TestRegularInclusion:
             # without suffix letters the construction is `strip_trailing_letter`
             stripped = strip_ticks_before_suffix(m, suffix) if suffix else strip_trailing_letter(m)
             assert stripped.n_states == m.n_states
-            words = stripped.language_upto(6)
-            assert words == dense_strip_ticks_before_suffix(g, suffix, "t").language_upto(6)
+            words = language_upto(stripped, 6)
+            assert words == language_upto(dense_strip_ticks_before_suffix(g, suffix, "t"), 6)
             nonempty[suffix] += bool(words)
         assert min(nonempty.values()) >= 10
 
     @pytest.mark.parametrize("label", ["first:1", "dynamic:1", "discrete-memo", "oera-memo"])
     def test_fig1_tick_strips_match_dense_jump(self, label):
-        # the strip of one conversion with two final classes, read through its
-        # views, against the dense reference on the raw region graph per class:
-        # the gadget form with f-letters and silent delays, and the engines'
-        # memo automata with delays read as `t` (discrete) or `DELAY_LETTER`
-        if label == "discrete-memo":
-            ra, delay = build_region_automaton(build_memo(fig1_ta("discrete"))), TICK_LETTER
-        elif label == "oera-memo":
-            ra, delay = build_region_automaton(build_memo(oera_pair_ta())), DELAY_LETTER
+        # the strip of a conversion, read through its views, against the
+        # dense reference on the raw region graph per class: the engines'
+        # memo automata with two final classes and delays read as `t`
+        # (discrete) or `DELAY_LETTER`, and the gadget form of each side
+        # with f-letters and silent delays
+        if label in ("discrete-memo", "oera-memo"):
+            memo, delay = ((build_memo(fig1_ta("discrete")), TICK_LETTER) if label == "discrete-memo"
+                           else (build_memo(oera_pair_ta()), DELAY_LETTER))
+            ra = build_region_automaton(memo)
+            cases = [(ra, tuple(frozenset(i for i in ra.final_ids if ra.location_of(i).endswith(tag))
+                                for tag in MEMO_TAGS))]
         else:
             kind, n = label.split(":")
             ta, n = (fig1_ta(), int(n)) if kind == "first" else (unfold_free(fig1_ta(), int(n)), 2 * int(n))
-            memo = build_memo(ta)
-            ra, delay = build_region_automaton(tick_construction(memo, n, memo_classes(memo))), None
-        classes = tuple(frozenset(i for i in ra.final_ids if ra.location_of(i).endswith(tag)) for tag in MEMO_TAGS)
-        m = from_region_automaton(ra, classes, delay)
-        suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
-        tick = TICK_LETTER if delay is None else delay
-        views = strip_ticks_before_suffix(m, suffix, tick).views()
-        for view, finals in zip(views, classes):
-            letters, initial, _, eps, trans = graph_of(ra, delay)
-            g = Graph(letters, initial, finals, eps, trans)
-            words = view.language_upto(7)
-            assert words and words == dense_strip_ticks_before_suffix(g, suffix, tick).language_upto(7)
+            parts = [build_region_automaton(tick_construction(part, n)) for part in (build_priv(ta), build_pub(ta))]
+            cases, delay = [(ra, (ra.final_ids,)) for ra in parts], None
+        for ra, classes in cases:
+            m = from_region_automaton(ra, classes, delay)
+            suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
+            tick = TICK_LETTER if delay is None else delay
+            views = strip_ticks_before_suffix(m, suffix, tick).views()
+            for view, finals in zip(views, classes):
+                letters, initial, _, eps, trans = graph_of(ra, delay)
+                g = Graph(letters, initial, finals, eps, trans)
+                words = language_upto(view, 7)
+                assert words and words == language_upto(dense_strip_ticks_before_suffix(g, suffix, tick), 7)
 
     @pytest.mark.parametrize("trans", [
         [{"a": frozenset({1})}, {"a": frozenset({1})}],
@@ -520,31 +526,35 @@ class TestRegularInclusion:
 
     @pytest.mark.parametrize("subject", ["fig1-first:2", "discrete-memo"])
     def test_strip_erases_the_tick_letter_it_is_given(self, subject):
-        # the views of fig1's first:2 tick construction (silent delays, `t`
-        # ticks) and of a discrete memo automaton (delays read as `t`) whose
-        # private runs wait two ticks after their letter, with `t` renamed:
-        # stripping on the new letter gives the renamed language
+        # the views of the first:2 tick construction of each side of fig1
+        # (silent delays, `t` ticks) and of a discrete memo automaton (delays
+        # read as `t`) whose private runs wait two ticks after their letter,
+        # with `t` renamed: stripping on the new letter gives the renamed
+        # language
         if subject == "fig1-first:2":
-            memo = build_memo(fig1_ta())
-            ra, delay = build_region_automaton(tick_construction(memo, 2, memo_classes(memo))), None
+            parts = [build_region_automaton(tick_construction(part, 2))
+                     for part in (build_priv(fig1_ta()), build_pub(fig1_ta()))]
+            cases = [from_region_automaton(ra, (ra.final_ids,)) for ra in parts]
         else:
             late_exit = make_ta(actions={"a"}, locations={"l0", "l1", "lf"}, init="l0", private={"l1"},
                                 final={"lf"}, clocks={"x"}, time_domain="discrete",
                                 edges=[edge("l0", "l1", "a", resets={"x"}),
                                        edge("l1", "lf", None, Guard.of(ClockConstraint("x", "=", 2)))])
-            ra, delay = build_region_automaton(build_memo(late_exit)), TICK_LETTER
-        classes = tuple(frozenset(i for i in ra.final_ids if ra.location_of(i).endswith(tag)) for tag in MEMO_TAGS)
-        m = from_region_automaton(ra, classes, delay)
-        suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
-        expected = strip_ticks_before_suffix(m, suffix).views()
-        for new in ("w", ""):  # "" is falsy: a test `tick or ...` would miss it
-            stripped = strip_ticks_before_suffix(renamed(m, TICK_LETTER, new), suffix, new).views()
-            for got, want in zip(stripped, (renamed(v, TICK_LETTER, new) for v in expected)):
-                assert check_inclusion(got, want).holds and check_inclusion(want, got).holds
-            # stripping on the old letter erases nothing
-            unstripped = strip_ticks_before_suffix(renamed(m, TICK_LETTER, new), suffix).views()
-            assert any(not check_inclusion(got, renamed(want, TICK_LETTER, new)).holds
-                       for got, want in zip(unstripped, expected))
+            ra = build_region_automaton(build_memo(late_exit))
+            classes = tuple(frozenset(i for i in ra.final_ids if ra.location_of(i).endswith(tag))
+                            for tag in MEMO_TAGS)
+            cases = [from_region_automaton(ra, classes, TICK_LETTER)]
+        for m in cases:
+            suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
+            expected = strip_ticks_before_suffix(m, suffix).views()
+            for new in ("w", ""):  # "" is falsy: a test `tick or ...` would miss it
+                stripped = strip_ticks_before_suffix(renamed(m, TICK_LETTER, new), suffix, new).views()
+                for got, want in zip(stripped, (renamed(v, TICK_LETTER, new) for v in expected)):
+                    assert check_inclusion(got, want).holds and check_inclusion(want, got).holds
+                # stripping on the old letter erases nothing
+                unstripped = strip_ticks_before_suffix(renamed(m, TICK_LETTER, new), suffix).views()
+                assert any(not check_inclusion(got, renamed(want, TICK_LETTER, new)).holds
+                           for got, want in zip(unstripped, expected))
 
     def test_final_class_views_match_separate_strips(self):
         # one strip of an NFA with two final classes, read through its views,
@@ -563,13 +573,13 @@ class TestRegularInclusion:
             alone = [strip_ticks_before_suffix(silent_free(*g._replace(finals=c, final_classes=())), suffix)
                      for c in g.final_classes]
             for view, single in zip(views, alone):
-                assert view.language_upto(6) == single.language_upto(6)
+                assert language_upto(view, 6) == language_upto(single, 6)
             for x, y in ((0, 1), (1, 0)):
                 got, want = check_inclusion(views[x], views[y]), check_inclusion(alone[x], alone[y])
                 assert (got.holds, got.counterexample) == (want.holds, want.counterexample)
                 # the views share one memo: check it against the test reference too
                 assert got.counterexample == shortlex_counterexample(views[x], views[y])
-            differ += views[0].language_upto(6) != views[1].language_upto(6)
+            differ += language_upto(views[0], 6) != language_upto(views[1], 6)
         assert differ >= 30
 
     def test_silent_free_keeps_every_class_language(self):
@@ -583,7 +593,7 @@ class TestRegularInclusion:
             views, free_views = ref.views(), free.views()
             for x, y in zip(views, free_views):
                 assert check_inclusion(x, y).holds and check_inclusion(y, x).holds
-                assert x.language_upto(6) == y.language_upto(6)
+                assert language_upto(x, 6) == language_upto(y, 6)
             # the shortlex-least counterexample is a property of the languages
             got, want = check_inclusion(free_views[0], free_views[1]), check_inclusion(views[0], views[1])
             assert (got.holds, got.counterexample) == (want.holds, want.counterexample)
