@@ -3,13 +3,14 @@ question, picks the engine and reduces a bounded attacker (`_attacker`).
 Below it: the existence check; one region-to-inclusion pipeline
 (`_ticked_language`) under the discrete-time and observable event-recording
 engines and the bounded attacker, which differ only in what a delay edge
-reads and, for the bounded attacker, in the f-suffix its stop regions read
-(`_first_n_languages`); the class ladder that says which automata the two engines decide
+reads and, for the bounded attacker, in the ending the build gives its stop
+regions (`_first_n_stop`); the class ladder that says which automata the two engines decide
 and why the rest are refused (`LADDER`); and the matrix-based witness
 verifier."""
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -176,7 +177,7 @@ DELAY_LETTER = ""
 
 
 def _ticked_language(automaton: TimedAutomaton, cap: Optional[int], tags: tuple[str, ...] = (),
-                     delay: Optional[str] = None, ends: Optional[Callable] = None) -> NFA:
+                     delay: Optional[str] = None, stop: Optional[Callable] = None) -> NFA:
     """Untimed language of `automaton`'s region automaton, whose delay edges
     are silent (`delay` None: a tick construction emits its own ticks `t`)
     or read the letter `delay`, with the run of ticks (`t`, or `delay`)
@@ -187,18 +188,19 @@ def _ticked_language(automaton: TimedAutomaton, cap: Optional[int], tags: tuple[
     With `tags`, the final locations ending in the i-th tag make the i-th
     final class of the result, whose views (`NFA.views`) are the classes'
     languages: one region build, one conversion and one strip serve them
-    all. For the bounded attacker, `ends(ra)` gives instead the final
-    classes and the f-suffixes (`nfa.from_region_automaton`), whose letters
-    are the strip's suffix letters."""
-    ra = build_region_automaton(automaton, cap)
-    if ends is None:
+    all. For the bounded attacker, the build's stop rule `stop` gives
+    instead each final state its ending: an f-suffix, whose letters are the
+    strip's suffix letters, and the indices of its classes
+    (`nfa.from_region_automaton`)."""
+    ra = build_region_automaton(automaton, cap, stop)
+    if stop is None:
         classes = tuple(frozenset(i for i in ra.final_ids if ra.location_of(i).endswith(tag)) for tag in tags)
-        m = from_region_automaton(ra, classes, delay)
         suffix = frozenset()
     else:
-        classes, suffixes = ends(ra)
-        m = from_region_automaton(ra, classes, suffixes=suffixes)
-        suffix = frozenset().union(*suffixes.values())
+        classes = tuple(frozenset(i for i, (_, found) in ra.endings.items() if k in found)
+                        for k in range(len(tags)))
+        suffix = frozenset().union(*(word for word, _ in ra.endings.values()))
+    m = from_region_automaton(ra, classes, delay)
     del ra  # its edge arrays and interning tables: the strip needs only `m`
     return nfalib.strip_ticks_before_suffix(m, suffix, TICK_LETTER if delay is None else delay)
 
@@ -403,46 +405,49 @@ def check_bounded(
 def _first_n_languages(ta: TimedAutomaton, n: int, cap: Optional[int]) -> list[NFA]:
     """[private, public] ticked first-N languages of `ta`, equal to those of
     the `tick_construction` of `build_priv` and of `build_pub` of `ta`,
-    from a region build that stops where a run stops
-    (`last_observation_ticks`). The conversion gives each stop region the
-    f-suffix the gadget would emit (`_suffix_word`), into each class a run
-    reaches from its location and model clocks (`_reachable_classes`)."""
+    from a region build that stops where a run stops (`_first_n_stop`)."""
+    ticked, stop = _first_n_stop(ta, n, cap)
+    return _ticked_language(ticked, cap, MEMO_TAGS, stop=stop).views()
+
+
+def _first_n_stop(ta: TimedAutomaton, n: int, cap: Optional[int]) -> tuple[TimedAutomaton, Callable]:
+    """The tick construction of `ta`'s memo automaton cut where a run stops
+    (`last_observation_ticks`), and its stop rule for
+    `build_region_automaton`. The ending of a final region is the f-suffix
+    the gadget would emit from it (`_suffix_word`) and the indices of the
+    classes of `MEMO_TAGS` a run reaches from its location and model clocks
+    (`_reachable_classes`), or None when it reaches none. Suffix words are
+    worked out once per ranking of the observation clocks."""
     memo = build_memo(dense_time(ta))
     ticked, obs = last_observation_ticks(memo, n)
     reachable = _reachable_classes(memo, cap)
     column = {x: j for j, x in enumerate(sorted(ticked.clocks))}
     model = [column[x] for x in sorted(memo.clocks)]
     observed = [column[x] for x in obs]
+    words: dict[tuple[int, ...], tuple[str, ...]] = {}  # observation ranks -> suffix
 
-    def ends(ra: RegionAutomaton):
-        classes: list[list[int]] = [[] for _ in MEMO_TAGS]
-        suffixes = {}
-        words: dict[tuple[int, ...], tuple[str, ...]] = {}  # observation ranks -> suffix
-        for i in sorted(ra.final_ids):
-            codes, ranks = ra.clock_codes(i)
-            # the model clocks have the memo automaton's max constants: the
-            # copies below the last have all its edges (n = 0 builds only
-            # the initial region, all codes 0)
-            location = ra.location_of(i).rsplit("~", 1)[0]
-            found = reachable[location, tuple(codes[j] for j in model), _renumber([ranks[j] for j in model])]
-            if found:
-                key = tuple(ranks[j] for j in observed)
-                word = words.get(key)
-                if word is None:
-                    word = words[key] = _suffix_word(key)
-                suffixes[i] = word
-                for k in found:
-                    classes[k].append(i)
-        return tuple(frozenset(c) for c in classes), suffixes
+    def stop(location: str, codes: tuple[int, ...], ranks: tuple[int, ...]):
+        # the model clocks have the memo automaton's max constants: the
+        # copies below the last have all its edges (n = 0 builds only the
+        # initial region, all codes 0)
+        found = reachable[location.rsplit("~", 1)[0], tuple(map(codes.__getitem__, model)),
+                          _renumber(list(map(ranks.__getitem__, model)))]
+        if not found:
+            return None
+        key = tuple(map(ranks.__getitem__, observed))
+        word = words.get(key)
+        if word is None:
+            word = words[key] = _suffix_word(key)
+        return word, found
 
-    return _ticked_language(ticked, cap, ends=ends).views()
+    return ticked, stop
 
 
 def _renumber(ranks: list[int]) -> tuple[int, ...]:
     """Fractional ranks of some clocks as a build on them alone ranks them:
     renumbered 1, 2, ... in order, 0 (a zero fraction) kept."""
-    order = {r: k for k, r in enumerate(sorted(set(ranks) - {0}), 1)}
-    return tuple(order.get(r, 0) for r in ranks)
+    levels = sorted({0, *ranks})
+    return tuple(map(levels.index, ranks))
 
 
 def _suffix_word(ranks: tuple[int, ...]) -> tuple[str, ...]:
@@ -450,12 +455,20 @@ def _suffix_word(ranks: tuple[int, ...]) -> tuple[str, ...]:
     observation clocks, tick clock first, have the fractional ranks `ranks`:
     their groups of equal fraction in the order they reach the next integer,
     decreasing cyclic order from the tick clock's group."""
-    order = sorted(set(ranks), reverse=True)
+    groups: dict[int, list[int]] = {}
+    for i, r in enumerate(ranks):
+        groups.setdefault(r, []).append(i)
+    order = sorted(groups, reverse=True)
     k = order.index(ranks[0])
-    return tuple(render_group(frozenset(i for i, r in enumerate(ranks) if r == g)) for g in order[k:] + order[:k])
+    return tuple(_group_letter(tuple(groups[g])) for g in order[k:] + order[:k])
 
 
-def _reachable_classes(memo: TimedAutomaton, cap: Optional[int]) -> dict[tuple, list[int]]:
+@functools.cache  # bounded: one entry per set of observation clocks, at most 2^(cap+1)
+def _group_letter(indices: tuple[int, ...]) -> str:
+    return render_group(indices)
+
+
+def _reachable_classes(memo: TimedAutomaton, cap: Optional[int]) -> dict[tuple, tuple[int, ...]]:
     """The final classes (indices into `MEMO_TAGS`) a run of the
     final-relaxed memo automaton reaches from each region, letters read as
     silent, keyed by location, codes and ranks: a final's own class, and
@@ -465,11 +478,11 @@ def _reachable_classes(memo: TimedAutomaton, cap: Optional[int]) -> dict[tuple, 
     reach = nfalib._reach_table([ra.edge_target[ra._edge_start[i]:ra._edge_start[i + 1]]
                                  for i in range(ra.n_states)],
                                 [i in ra.final_ids for i in range(ra.n_states)])
-    found: dict[int, list[int]] = {}  # id of a row of `reach` -> its classes
+    found: dict[int, tuple[int, ...]] = {}  # id of a row of `reach` -> its classes
     for row in reach:
         if id(row) not in found:
-            found[id(row)] = [k for k, tag in enumerate(MEMO_TAGS)
-                              if any(ra.location_of(f).endswith(tag) for f in row)]
+            found[id(row)] = tuple(k for k, tag in enumerate(MEMO_TAGS)
+                                   if any(ra.location_of(f).endswith(tag) for f in row))
     return {(ra.location_of(i), *ra.clock_codes(i)): found[id(reach[i])] for i in range(ra.n_states)}
 
 

@@ -9,8 +9,9 @@ frozensets:
   per-state silent and letter successors, which exist only for the
   conversion; a delay edge is silent, or reads a letter the caller names
   (the discrete engine's tick, the event-recording engine's delay letter);
-  a final region may stand for the head of a chain that reads a suffix
-  word before it accepts (the bounded attacker's f-letters). `silent_free`
+  a final state of a build with a stop rule reads its ending's suffix
+  word through a chain before it accepts (the bounded attacker's
+  f-letters). `silent_free`
   turns that raw graph into an NFA whose states are the active states of
   the graph: a state is active if it has a letter edge or is final. Each
   letter edge lands on the closed set of its target, the active states it
@@ -199,8 +200,7 @@ def silent_free(alphabet: tuple[str, ...], initial: Collection[int], finals: fro
 
 
 def from_region_automaton(ra: RegionAutomaton, final_classes: tuple[frozenset[int], ...] = (),
-                          delay: Optional[str] = None,
-                          suffixes: Optional[Mapping[int, tuple[str, ...]]] = None) -> NFA:
+                          delay: Optional[str] = None) -> NFA:
     """Silent-free NFA of a region automaton: `silent_free` of the graph in
     its edge arrays, where an edge is silent when its automaton edge is
     ε-labelled, or when it is a delay (`_edge_ta` -1) and `delay` is None;
@@ -209,15 +209,14 @@ def from_region_automaton(ra: RegionAutomaton, final_classes: tuple[frozenset[in
     Region i is state i of that graph, so `final_classes` are sets of
     region ids.
 
-    With `suffixes`, a region i of the final classes accepts only after
-    reading the nonempty word `suffixes[i]`, through a chain of fresh states
-    whose last is final in i's classes. A chain state is keyed by the rest
-    of the word it reads and that class set, so words share their common
-    tails; sharing a common prefix would accept the shorter word from the
-    longer one's region. Region i stands for the head of its chain, keyed by
-    the whole word: its one out-edge is a silent one to the head, so
-    `silent_free` drops it and its incoming edges land on the head, which
-    every final region with the same word and classes shares."""
+    A build with a stop rule (`ra.endings`) gives each final state of the
+    final classes a distinct ending, a nonempty suffix word and its
+    classes: the state reads the word through a chain of fresh states whose
+    last is final in those classes, and is no longer final itself. A chain
+    state is keyed by the rest of the word it reads and the class set, as
+    a final state is by its word, so words share their common tails;
+    sharing a common prefix would accept the shorter word from the longer
+    one's state."""
     labels = [e.action for e in ra._code.edges] + [delay]  # [-1]: a delay edge
     target, start, through = ra.edge_target, ra._edge_start, ra._edge_ta
     no_moves: dict[str, frozenset[int]] = {}  # shared by the states without letter edges
@@ -237,15 +236,15 @@ def from_region_automaton(ra: RegionAutomaton, final_classes: tuple[frozenset[in
     initial = frozenset([0]) if ra.n_states else frozenset()
     letters = set(ra.letters) if delay is None else {*ra.letters, delay}
     finals = ra.final_ids
-    if suffixes is not None:
-        chains: dict[tuple, int] = {}  # (rest of a word, classes) -> chain state
+    if ra.endings:
+        heads = {i: (ra.endings[i][0], tuple(k for k, c in enumerate(final_classes) if i in c))
+                 for i in sorted(set().union(*final_classes))}
+        chains = {key: i for i, key in heads.items()}  # (rest of a word, classes) -> state reading it
         ends: list[list[int]] = [[] for _ in final_classes]
-        for i in sorted(set().union(*final_classes)):
-            word = suffixes[i]
-            classes = tuple(k for k, c in enumerate(final_classes) if i in c)
+        for i, (word, classes) in heads.items():
             letters.update(word)
-            t = None  # the chain is made from its final end back to its head
-            for position in range(len(word), -1, -1):
+            t = None  # the chain is made from its final end back to state i
+            for position in range(len(word), 0, -1):
                 key = (word[position:], classes)
                 s = chains.get(key)
                 if s is None:
@@ -258,7 +257,7 @@ def from_region_automaton(ra: RegionAutomaton, final_classes: tuple[frozenset[in
                     else:
                         trans.append({word[position]: frozenset([t])})
                 t = s
-            eps[i] = (t,)  # a final region has no out-edge of its own
+            trans[i] = {word[0]: frozenset([t])}  # a final state has no out-edge of its own
         final_classes = tuple(frozenset(c) for c in ends)
         finals = frozenset().union(*final_classes)
     return silent_free(tuple(sorted(letters)), initial, finals, eps, trans, final_classes)

@@ -172,12 +172,14 @@ def _ticked_unfolding(ta: TimedAutomaton, n: int, stop: bool) -> tuple[TimedAuto
             copy_index = int(e.target.rsplit("~", 1)[1])
             resets = resets | {obs[copy_index]}
         edges.append(Edge(e.source, e.guard.conjoin(below1), e.action, resets, e.target))
-    # tick loops (not on unfolding finals) and silent observation-clock resets
+    # tick loops (not on unfolding finals) and silent observation-clock
+    # resets, their guards built once and shared by every location
+    tick, tick_reset = Guard.of(ClockConstraint(x0, "=", 1)), frozenset({x0})
+    resets = [(_group_guard(subset, rest), subset) for subset in _subsets(rest)[1:]]
     for loc in sorted(unfolded.locations - dead):
         if loc not in unfolded.final:
-            edges.append(Edge(loc, Guard.of(ClockConstraint(x0, "=", 1)), TICK_LETTER, frozenset({x0}), loc))
-        for subset in _subsets(rest)[1:]:
-            edges.append(Edge(loc, _group_guard(subset, rest), EPSILON, subset, loc))
+            edges.append(Edge(loc, tick, TICK_LETTER, tick_reset, loc))
+        edges += [Edge(loc, guard, EPSILON, subset, loc) for guard, subset in resets]
     inv = dict(unfolded.invariant)
     if stop:
         unit = Guard(tuple(ClockConstraint(c, "<=", 1) for c in obs))

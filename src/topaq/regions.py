@@ -27,10 +27,10 @@ import math
 import os
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Hashable, Iterable, Mapping, Optional
 
 from .ta import EPSILON, ClockConstraint, Edge, Guard, TimedAutomaton, TimedWord
 from .ta import step as ta_step
@@ -159,6 +159,11 @@ class RegionAutomaton:
     `initial`, `finals`, `edges` and `out_edges` decode them all on first
     access. `shortest_accepting_path` reads a shortest path to a final
     region off the numbering, with no second search.
+
+    A build with a stop rule has one final state per ending
+    (`build_region_automaton`), and `endings` maps each to its ending;
+    `region(i)` of such a state is the first final region the build met
+    with that ending. Without a stop rule `endings` is empty.
     """
 
     alphabet: frozenset[str]
@@ -171,6 +176,7 @@ class RegionAutomaton:
     _edge_ta: array  # index into the automaton's edges, -1 for a delay edge
     _keys: array  # state -> region key (clock-region id * locations + location id)
     _code: "_Compiled"
+    endings: dict[int, tuple] = field(default_factory=dict)  # final state -> its ending
 
     @property
     def n_states(self) -> int:
@@ -254,9 +260,15 @@ class _Compiled:
         lid = {name: i for i, name in enumerate(self.names)}
         self.final = [name in ta.final for name in self.names]
         guards: dict[tuple, int] = {(): 0}  # guard 0 is `true`
+        seen: dict[tuple, int] = {}  # a guard's conjuncts -> its id: each guard is compiled once
 
         def gid(guard: Guard) -> int:
-            return guards.setdefault(self._compile(guard, index), len(guards)) if guard.conjuncts else 0
+            if not guard.conjuncts:
+                return 0
+            g = seen.get(guard.conjuncts)
+            if g is None:
+                g = seen[guard.conjuncts] = guards.setdefault(self._compile(guard, index), len(guards))
+            return g
 
         self.inv = [gid(ta.invariant_of(name)) for name in self.names]
         masks: dict[Optional[tuple[int, ...]], int] = {(): 0, None: 1}
@@ -356,7 +368,9 @@ class _Compiled:
         return out
 
 
-def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None) -> RegionAutomaton:
+def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None,
+                           stop: Optional[Callable[[str, tuple, tuple], Optional[Hashable]]] = None
+                           ) -> RegionAutomaton:
     """Reachable region automaton of `ta` (dense or discrete per its domain).
 
     Final regions have no outgoing edges: runs end at the first final
@@ -364,23 +378,46 @@ def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None) -> Reg
     carry the silent self-loop. The search is breadth-first over int-coded
     regions, each region's edges in declaration order and then its delay
     edge, and it writes the edge arrays as it goes.
+
+    With a stop rule, a final region is known only by its ending
+    `stop(location, codes, ranks)` (its clocks' codes and ranks as in the
+    module docstring), worked out once per region: the build gives each
+    distinct ending one final state, which every final region with that
+    ending enters, and a final region whose ending is None no state and
+    no in-edge.
     """
     cap = region_cap(cap)
     maxc = ta.max_constants()
     code = _Compiled(ta, maxc)
     n_locs, n_masks = len(code.names), len(code.masks)
-    zero = (0,) * len(code.clocks)
-    init = code.intern(zero, zero)
     keys = array("q")  # state -> region key, clock region * n_locs + location
     ids: dict[int, int] = {}  # region key -> state
     finals: list[int] = []
-    if code.sat[init] >> code.inv[code.start] & 1:
-        ids[init * n_locs + code.start] = 0
-        keys.append(init * n_locs + code.start)
-        if code.final[code.start]:
+    moves, final, sat, after = code.moves, code.final, code.sat, code.after
+    by_ending: dict[Hashable, int] = {}  # ending -> final state
+    endless: set[int] = set()  # region keys of the final regions whose ending is None
+
+    def stop_state(key: int, loc: int, cr: int, new: int) -> Optional[int]:
+        # final region `key`'s state: its ending's, `new` for a new one, None for none
+        if key in endless:
+            return None
+        ending = stop(code.names[loc], *code.clock_regions[cr])
+        if ending is None:
+            endless.add(key)
+            return None
+        return by_ending.setdefault(ending, new)
+
+    zero = (0,) * len(code.clocks)
+    init, start = code.intern(zero, zero), code.start
+    key = init * n_locs + start
+    # the initial region, through the stop rule too when it is final
+    if sat[init] >> code.inv[start] & 1 and (stop is None or not final[start]
+                                            or stop_state(key, start, init, 0) is not None):
+        ids[key] = 0
+        keys.append(key)
+        if final[start]:
             finals.append(0)
     edge_start, edge_target, edge_ta = array("q", [0]), array("q"), array("q")
-    moves, final, sat, after = code.moves, code.final, code.sat, code.after
     memo: dict[int, int] = {}  # clock region * n_masks + mask id -> clock region after it
     i = 0
     while i < len(keys):  # states are numbered in discovery order, so i is the queue head
@@ -405,12 +442,18 @@ def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None) -> Reg
                 key = cr2 * n_locs + t
                 j = ids.get(key)
                 if j is None:
-                    j = ids[key] = len(keys)
-                    if j >= cap:
-                        raise RegionCapExceeded(cap)
-                    keys.append(key)
-                    if final[t]:
-                        finals.append(j)
+                    j = len(keys)
+                    if stop is not None and final[t]:
+                        j = stop_state(key, t, cr2, j)
+                        if j is None:
+                            continue
+                    ids[key] = j
+                    if j == len(keys):
+                        if j >= cap:
+                            raise RegionCapExceeded(cap)
+                        keys.append(key)
+                        if final[t]:
+                            finals.append(j)
                 edge_target.append(j)
                 edge_ta.append(k)
         edge_start.append(len(edge_target))
@@ -419,7 +462,7 @@ def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None) -> Reg
         raise RuntimeError(f"{len(keys)} reachable regions exceed the theoretical bound")
     letters = {ta.edges[k].action for k in set(edge_ta) if k >= 0} - {EPSILON}
     return RegionAutomaton(ta.actions, maxc, ta.time_domain, tuple(sorted(letters)), frozenset(finals),
-                           edge_target, edge_start, edge_ta, keys, code)
+                           edge_target, edge_start, edge_ta, keys, code, dict(zip(by_ending.values(), by_ending)))
 
 
 def region_state_bound(ta: TimedAutomaton) -> int:

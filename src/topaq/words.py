@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .ta import ClockConstraint, Edge, Guard, TimedAutomaton, TimedWord, make_ta
 
@@ -104,7 +104,7 @@ class TickedWord:
         return self.render()
 
 
-def render_group(k: frozenset[int]) -> str:
+def render_group(k: Collection[int]) -> str:
     return "f{" + ",".join(str(i) for i in sorted(k)) + "}"
 
 

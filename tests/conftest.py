@@ -112,6 +112,37 @@ def random_oera(rng):
                    final={l for l in locs if rng.random() < 0.4} or {locs[-1]}, name="oera")
 
 
+def plant_shared_trace(rng, base):
+    """`base` (a `random_discrete_ta` or a `random_oera`) with a planted
+    pair of branches from its initial location, made public and not final:
+    both read the same one or two letters under the same guards on a fresh
+    clock z that nothing resets (z = k, or k < z < k+1 in dense time), one
+    through the private location p0 and one through public locations, into
+    a fresh final location each. In about one model in three the public
+    branch's last guard is one unit later, so the pair shares no trace."""
+    dense = base.time_domain == "dense"
+    word = [rng.choice(sorted(base.actions)) for _ in range(rng.randint(1, 2))]
+    guards = []
+    for k in sorted(rng.randint(0, 2) for _ in word):
+        guards.append([ClockConstraint("z", "=", k)] if not dense or rng.random() < 0.5
+                      else [ClockConstraint("z", ">", k), ClockConstraint("z", "<", k + 1)])
+    late = rng.random() < 1 / 3
+    edges = list(base.edges)
+    for side in ("p", "u"):
+        source = base.init
+        for i, (a, g) in enumerate(zip(word, guards)):
+            if side == "u" and late and i == len(word) - 1:
+                g = [ClockConstraint("z", c.cmp, c.bound + 1) for c in g]
+            edges.append(edge(source, f"{side}{i}", a, Guard(tuple(g)), {f"x{a}"} if dense else ()))
+            source = f"{side}{i}"
+    branches = {f"{side}{i}" for side in "pu" for i in range(len(word))}
+    ends = {f"p{len(word) - 1}", f"u{len(word) - 1}"}
+    return make_ta(actions=base.actions, locations=base.locations | branches, init=base.init,
+                   final=(base.final - {base.init}) | ends, private=(base.private - {base.init}) | {"p0"},
+                   clocks=base.clocks | {"z"}, invariant=base.invariant, edges=edges,
+                   time_domain=base.time_domain, name="planted")
+
+
 def random_blocking_oera(rng):
     """A dense-time observable ERA whose letter-edge targets carry
     invariants that can fail right after the reset: a lower bound on the

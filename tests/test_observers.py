@@ -220,6 +220,28 @@ def test_stop_form_builds_only_live_regions(fig1, n):
     assert all(reach)
 
 
+@pytest.mark.parametrize("sel", [FirstN(n) for n in range(5)] + [Dynamic(1), Static((F(0), F(1, 2), F(3, 2)))],
+                         ids=[f"first:{n}" for n in range(5)] + ["dynamic:1", "static:0,1/2,3/2"])
+def test_stop_rule_builds_one_state_per_ending(fig1, sel):
+    """The bounded engine's build gives each ending of a final region one
+    state: the final states' endings are pairwise distinct, each names a
+    class, and they are the endings of the final regions of the build
+    without the rule. Every state still reaches a final one."""
+    from topaq.deciders import _attacker, _first_n_stop
+
+    automaton, n, _, _ = _attacker(fig1, sel)
+    ticked, stop = _first_n_stop(automaton, n, None)
+    ra = build_region_automaton(ticked, None, stop)
+    assert set(ra.endings) == ra.final_ids
+    assert len(set(ra.endings.values())) == len(ra.endings)
+    assert all(classes for _, classes in ra.endings.values())
+    plain = build_region_automaton(ticked)
+    assert set(ra.endings.values()) == {stop(plain.location_of(i), *plain.clock_codes(i))
+                                        for i in plain.final_ids} - {None}
+    succ = [[ra.edge_target[k] for k in ra.edge_ids(i)] for i in range(ra.n_states)]
+    assert all(_reach_table(succ, [i in ra.final_ids for i in range(ra.n_states)]))
+
+
 class TestNormalizeSequence:
     def test_value_examples(self):
         assert normalize_sequence((F(3, 10), F(17, 10), F(23, 10))) == (F(1, 3), F(5, 3), F(7, 3))
