@@ -4,7 +4,6 @@ evaluation of the opacity definitions on the enumerated trace sets."""
 from __future__ import annotations
 
 import functools
-import math
 from collections import deque
 from fractions import Fraction
 from typing import Optional, Union
@@ -78,7 +77,7 @@ def can_produce(
     really has no matching run on the other side at the stated grid.
     """
     horizon, granularity = Fraction(horizon), Fraction(granularity)
-    grid = TimeGrid(ta, granularity)
+    grid = TimeGrid(ta, granularity, horizon)
     init = ta.init
     if not grid.admits(init, grid.zero):
         return False
@@ -87,7 +86,6 @@ def can_produce(
     stamps = [grid.units(t) for t in w.timestamps()]  # None never matches
     letters = w.untimed()
     n = len(letters)
-    horizon_u = math.floor(horizon * grid.q)
 
     # (location, valuation, privacy flag, elapsed units, letters matched)
     start = (init, grid.zero, init in ta.private, 0, 0)
@@ -100,9 +98,8 @@ def can_produce(
             if i == n and (flag if want_private else True):
                 return True
             continue  # runs end at the first final location
-        for d, move, after in grid.attempts(location, valuation, horizon_u - elapsed):
-            if after is None:
-                continue
+        rows, _ = grid.successors(location, valuation, grid.horizon - elapsed)
+        for _, d, move, after in rows:
             _, _, _, _, target, action, target_private = move
             now = elapsed + d
             if action is EPSILON:

@@ -11,6 +11,7 @@ import gc
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Mapping, Optional
 
 EPSILON = None  # unobservable action on an edge
@@ -455,7 +456,8 @@ def step(ta: TimedAutomaton, cfg: Configuration, delay: Fraction, e: Edge) -> Co
 
 
 class TimeGrid:
-    """`ta` compiled onto the time grid of one granularity p/q.
+    """`ta` compiled onto the time grid of one granularity p/q, up to a
+    horizon.
 
     Every time value reachable with delays that are multiples of p/q is a
     whole number of 1/q units, so the searches over the grid run on ints:
@@ -464,10 +466,16 @@ class TimeGrid:
     (`ClockConstraint.interval`). Per source location, `moves` keeps each
     edge, in declaration order, as (edge, guard, target invariant, reset
     mask or None, target, action, target is private).
+
+    `successors` works out the moves out of a (location, valuation) node
+    once per grid, up to the horizon, and keeps them in a table, so a
+    search that reaches the same node again, with whatever time is left,
+    reads them back.
     """
 
-    def __init__(self, ta: TimedAutomaton, granularity: Fraction):
+    def __init__(self, ta: TimedAutomaton, granularity: Fraction, horizon: Fraction):
         self.p, self.q = granularity.numerator, granularity.denominator
+        self.horizon = horizon.numerator * self.q // horizon.denominator  # in whole 1/q units
         self.clocks = tuple(sorted(ta.clocks))
         self.zero = (0,) * len(self.clocks)
         index = {x: i for i, x in enumerate(self.clocks)}
@@ -480,6 +488,7 @@ class TimeGrid:
                 (e, self._compile(e.guard, index), self.invariants[e.target], mask, e.target, e.action,
                  e.target in ta.private))
         self.moves = {loc: tuple(ms) for loc, ms in moves.items()}
+        self._table: dict[tuple, tuple] = {}
 
     def _compile(self, guard: Guard, index: Mapping[str, int]) -> tuple[tuple[int, float, float], ...]:
         out = []
@@ -497,29 +506,57 @@ class TimeGrid:
         u = Fraction(t) * self.q
         return u.numerator if u.denominator == 1 else None
 
-    def attempts(self, location: str, valuation: tuple[int, ...], limit: int):
-        """Every (delay, edge) attempt from (location, valuation) with a delay
-        of at most `limit` units, delays ascending and edges in declaration
-        order: yields (delay, move, valuation after the step), the valuation
-        None where `step` fails. The checks are those of `step`: the source
-        invariant before and after the delay, the guard, and the target
-        invariant after the resets."""
-        moves = self.moves.get(location)
-        if moves is None:
-            return
+    def successors(self, location: str, valuation: tuple[int, ...], left: int):
+        """The attempts out of the node (location, valuation) with `left`
+        units of time left: an iterator over the successful ones, and the
+        number of all of them, failed ones included.
+
+        An attempt is a (delay, edge) pair, taken delays ascending and edges
+        in declaration order, so the attempt with delay d and the i-th of
+        the `width` edges out of `location` has the ordinal
+        (d // p) * width + i, and the node makes (left // p + 1) * width
+        attempts. A successful one comes as (ordinal, delay, move,
+        valuation after the step). The checks are those of `step`: the
+        source invariant before and after the delay, the guard, and the
+        target invariant after the resets."""
+        k = left // self.p  # the node's delays are 0, p, ..., k * p
+        if k < 0:
+            return iter(()), 0
+        key = (location, valuation)
+        found = self._table.get(key)
+        if found is None:
+            moves = self.moves.get(location)
+            if moves is None:
+                return iter(()), 0
+            found = self._table[key] = self._successors(location, valuation, moves)
+        width, rows, ends = found
+        return islice(rows, ends[k]), (k + 1) * width
+
+    def _successors(self, location, valuation, moves):
+        """(width, rows, ends): the node's successful attempts up to the
+        horizon as rows, and ends[k] the number of them with a delay of at
+        most k * p units."""
+        width = len(moves)
+        rows = []
+        ends = []
         inv = self.invariants[location]
-        before = _holds(inv, valuation)
-        for d in range(0, limit + 1, self.p):
-            delayed = tuple(v + d for v in valuation) if d else valuation
-            ok = before and _holds(inv, delayed)
-            for move in moves:
-                if ok and _holds(move[1], delayed):
-                    mask = move[3]
-                    after = delayed if mask is None else tuple(0 if r else v for r, v in zip(mask, delayed))
-                    if _holds(move[2], after):
-                        yield d, move, after
-                        continue
-                yield d, move, None
+        if _holds(inv, valuation):
+            for d in range(0, self.horizon + 1, self.p):
+                delayed = tuple([v + d for v in valuation]) if d else valuation
+                # an invariant is a box, so once a delay leaves it, every
+                # longer one does too
+                if not _holds(inv, delayed):
+                    break
+                first = len(ends) * width
+                for i, move in enumerate(moves):
+                    if _holds(move[1], delayed):
+                        mask = move[3]
+                        after = delayed if mask is None else tuple([0 if r else v for r, v in zip(mask, delayed)])
+                        if _holds(move[2], after):
+                            rows.append((first + i, d, move, after))
+                ends.append(len(rows))
+        ends.extend([len(rows)] * (self.horizon // self.p + 1 - len(ends)))
+        return width, tuple(rows), tuple(ends)
 
 
 def _holds(constraints, valuation) -> bool:
@@ -553,10 +590,12 @@ def enumerate_runs(
     subset that preserves trace sets and their private/public classification.
 
     The search runs on a `TimeGrid` (time in whole units of 1/q for a
-    granularity p/q) with an explicit stack of attempt iterators, one per
-    depth, so a deep step budget does not recurse. Each step of the shared
-    path is built once, when the search descends into it, so runs with a
-    common prefix share their step tuples.
+    granularity p/q) with an explicit stack of frames, one per depth, so a
+    deep step budget does not recurse. A frame resumes the successful
+    attempts of its node, read from the grid's successor table, and counts
+    the failed ones between them from their ordinals. Each step of the
+    shared path is built once, when the search descends into it, so runs
+    with a common prefix share their step tuples.
     """
     horizon = Fraction(horizon)
     granularity = Fraction(granularity)
@@ -565,7 +604,7 @@ def enumerate_runs(
     if ta.time_domain == "discrete" and granularity != 1:
         raise ValueError("discrete time requires granularity 1")
 
-    grid = TimeGrid(ta, granularity)
+    grid = TimeGrid(ta, granularity, horizon)
     init = ta.initial_configuration()
     priv0 = init.location in ta.private
     if not grid.admits(init.location, grid.zero):
@@ -577,7 +616,7 @@ def enumerate_runs(
         return EnumerationResult((), True, 0)
 
     q = grid.q
-    horizon_u = math.floor(horizon * q)
+    horizon_u = grid.horizon
     final = ta.final
     runs: list[Run] = []
     explored = 0
@@ -601,20 +640,25 @@ def enumerate_runs(
         return (delay, e, cfg)
 
     path: list[tuple[Fraction, Edge, Configuration]] = []
-    # frames[i] resumes the attempts out of the node at depth i, which
-    # nodes[i] describes as (elapsed units, private flag, trace)
-    frames = [grid.attempts(init.location, grid.zero, horizon_u)]
+    # frames[i] resumes the attempts out of the node at depth i as [its
+    # successful attempts, its attempt count, the ordinal of the last
+    # attempt made]; nodes[i] describes the node as (elapsed units,
+    # private flag, trace)
+    frames = [[*grid.successors(init.location, grid.zero, horizon_u), -1]]
     nodes = [(0, priv0, ())]
     while frames:
+        top = frames[-1]
+        rows, total, last = top
         elapsed, private, trace = nodes[-1]
         depth = len(frames)  # steps used by a successor
-        for d, move, after in frames[-1]:
-            if explored >= node_cap:
+        for o, d, move, after in rows:
+            # the attempts after the last one made fail, up to this one;
+            # the cap stops the search at the first attempt it meets
+            if explored + o - last > node_cap:
                 complete = False
                 break
-            explored += 1
-            if after is None:
-                continue
+            explored += o - last
+            last = o
             e, _, _, _, target, action, target_private = move
             done = target in final
             if not done and depth >= max_steps:
@@ -632,17 +676,24 @@ def enumerate_runs(
                 if best is not None and best <= depth:
                     continue
                 seen[key] = depth
+            top[2] = last
             path.append(entry(d, e, target, after))
-            frames.append(grid.attempts(target, after, horizon_u - now))
+            frames.append([*grid.successors(target, after, horizon_u - now), -1])
             nodes.append((now, nprivate, ntrace))
             break
         else:
-            frames.pop()
-            nodes.pop()
-            if path:
-                path.pop()
-            continue
+            # the node's attempts after the last one made all fail
+            if explored + total - 1 - last > node_cap:
+                complete = False
+            else:
+                explored += total - 1 - last
+                frames.pop()
+                nodes.pop()
+                if path:
+                    path.pop()
+                continue
         if not complete:
+            explored = node_cap
             break
     return EnumerationResult(tuple(runs), complete, explored, frozenset(traces[True]), frozenset(traces[False]))
 

@@ -30,6 +30,8 @@ QUERIES = [
     *[(f"{name}/exists", check_exists, name, ()) for name in MODELS],
     ("fig1-discrete/oracle/full", oracle_check, "fig1-discrete", ("full",)),
     ("fig1/oracle/full/first:1", oracle_check, "fig1", ("full", FirstN(1), F(3), 4, F(1, 2))),
+    # unprojected, so a candidate is re-checked by the membership search
+    ("fig1/oracle/full", oracle_check, "fig1", ("full", None, F(4), None, F(1, 2))),
 ]
 
 

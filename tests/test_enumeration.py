@@ -52,6 +52,9 @@ def enumeration_cases():
     for dedup in (False, True):
         yield late_guard_ta(), F(4), 3, F(1), 2_000_000, dedup
     fig1 = fig1_ta()
+    # a negative horizon leaves no time for a step
+    for horizon in (F(-1, 2), F(-3)):
+        yield fig1, horizon, 4, F(1, 2), 2_000_000, False
     for granularity in (F(1, 2), F(1, 3), F(2, 3), F(3, 4)):
         for horizon in (F(4), F(7, 2), F(9, 4)):
             for cap in (1, 50, 300, 2_000_000):
@@ -80,6 +83,45 @@ def test_enumeration_equals_reference():
     assert (1, False) in outcomes
 
 
+def cap_sweep_cases():
+    """(name, automaton, horizon, max_steps, granularity, dedup settings):
+    `fig1`, and the first three criterion-5 models whose enumeration makes
+    an attempt (the first six of the corpus start in a final location or
+    make none). Model 13 is the first where dedup cuts branches; it is
+    swept with dedup on only, as its undeduplicated search makes 1,152
+    attempts, and a sweep costs the square of that in reference steps."""
+    yield "fig1", fig1_ta(), F(3), 3, F(1, 2), (False, True)
+    for n in (6, 7, 8):
+        ta = CORPUS[n]
+        yield f"criterion5-{n}", ta, default_horizon(ta), discrete_state_count(ta), F(1), (False, True)
+    ta = CORPUS[13]
+    yield "criterion5-13", ta, default_horizon(ta), discrete_state_count(ta), F(1), (True,)
+
+
+def test_every_cap_stops_where_the_reference_stops():
+    """Every cap from 0 to one past the uncapped attempt count: the search
+    counts failed attempts in batches, so each cap must still stop it at
+    the same attempt as the reference, with the same runs. A cap equal to
+    the attempt count leaves the search complete, also where the search
+    ends on a batch of failed attempts, which then lands exactly on it."""
+    closing = set()  # cases whose last attempt fails, after some run was found
+    for name, ta, horizon, steps, granularity, dedups in cap_sweep_cases():
+        for dedup in dedups:
+            uncapped = enumerate_runs(ta, horizon, steps, granularity, dedup=dedup)
+            assert uncapped.complete and uncapped.explored > 0, name
+            for cap in range(uncapped.explored + 2):
+                got = enumerate_runs(ta, horizon, steps, granularity, node_cap=cap, dedup=dedup)
+                want = reference_enumerate_runs(ta, horizon, steps, granularity, node_cap=cap, dedup=dedup)
+                case = (name, dedup, cap)
+                assert (got.explored, got.complete) == (want.explored, want.complete), case
+                assert got.runs == want.runs, case
+                assert got.complete == (cap >= uncapped.explored), case
+            before = enumerate_runs(ta, horizon, steps, granularity, node_cap=uncapped.explored - 1, dedup=dedup)
+            if uncapped.runs and before.runs == uncapped.runs:
+                closing.add((name, dedup))
+    assert {("criterion5-8", False), ("criterion5-13", True)} <= closing
+
+
 def shifted(w, offset):
     return TimedWord(tuple((a, t + offset) for a, t in w.letters))
 
@@ -102,6 +144,9 @@ def membership_cases():
                 elif n < 10:
                     yield ta, w, want_private, horizon, F(1), 500_000
     fig1 = fig1_ta()
+    for horizon in (F(-1, 2), F(-3)):  # no time for a step
+        for w in (TimedWord(), TimedWord.of(("b", 0))):
+            yield fig1, w, False, horizon, F(1, 2), 500_000
     t_priv, t_pub, _ = trace_words(fig1, F(4), 3, F(1, 2))
     for w in sorted(t_priv | t_pub, key=lambda u: u.sort_key()):
         for v in (w, shifted(w, F(1, 4)), shifted(w, F(1, 2))):
