@@ -55,7 +55,6 @@ from .ta import (
     Configuration,
     Edge,
     Guard,
-    Run,
     TimedAutomaton,
     TimedWord,
     Verdict,
@@ -64,7 +63,6 @@ from .ta import (
     grid_word,
     make_ta,
     step,
-    trace_of,
     validate,
 )
 from .words import class_recognizer, distort, ticked_word, word_equiv

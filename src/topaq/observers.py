@@ -17,6 +17,7 @@ from .ta import (
     Guard,
     TimedAutomaton,
     TimedWord,
+    is_count,
 )
 from .words import _frac, _ipart, render_group
 
@@ -37,8 +38,7 @@ def _check_observations(n: int) -> None:
 
 
 def _check_count(n) -> None:
-    # bool is an int subclass, but True is no observation count
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not is_count(n):
         raise ValueError(f"observation count must be a nonnegative integer, not {n!r}")
 
 

@@ -17,9 +17,11 @@ from .ta import (
     TimedWord,
     TimeGrid,
     Verdict,
+    check_node_cap,
     collector_off,
     enumerate_runs,
     grid_word,
+    is_count,
 )
 
 
@@ -55,9 +57,11 @@ def trace_sets(
 ) -> tuple[frozenset[GridTrace], frozenset[GridTrace], bool]:
     """(private traces, public traces, complete?) over the enumerated runs.
     The traces are grid traces in 1/q units for the granularity p/q, as the
-    enumeration collects them; `grid_word` decodes one."""
-    result = enumerate_runs(ta, horizon, max_steps, granularity, node_cap=node_cap, dedup=True)
-    return result.private_traces, result.public_traces, result.complete
+    enumeration gives them; `grid_word` decodes one."""
+    result = enumerate_runs(ta, horizon, max_steps, granularity, node_cap=node_cap)
+    private = frozenset(t for t, p in result.runs if p)
+    public = frozenset(t for t, p in result.runs if not p)
+    return private, public, result.complete
 
 
 def can_produce(
@@ -74,15 +78,16 @@ def can_produce(
     A saturating search with no step budget: states deduplicate on
     (configuration, privacy flag, elapsed time, letters matched), so silent
     cycles cannot blow it up. Used to confirm that a violation candidate
-    really has no matching run on the other side at the stated grid.
+    really has no matching run on the other side at the stated grid. A
+    `node_cap` that is not a nonnegative int raises `ValueError`.
     """
-    horizon, granularity = Fraction(horizon), Fraction(granularity)
-    grid = TimeGrid(ta, granularity, horizon)
+    check_node_cap(node_cap)
     init = ta.init
-    if not grid.admits(init, grid.zero):
+    if not ta.invariant_of(init).holds(ta.zero_valuation()):
         return False
     if not want_private and init in ta.private:
         return False
+    grid = TimeGrid(ta, Fraction(granularity), Fraction(horizon))
     stamps = [grid.units(t) for t in w.timestamps()]  # None never matches
     letters = w.untimed()
     n = len(letters)
@@ -100,7 +105,7 @@ def can_produce(
             continue  # runs end at the first final location
         rows, _ = grid.successors(location, valuation, grid.horizon - elapsed)
         for _, d, move, after in rows:
-            _, _, _, _, target, action, target_private = move
+            _, _, _, target, action, target_private = move
             now = elapsed + d
             if action is EPSILON:
                 ni = i
@@ -128,18 +133,19 @@ class BadOracleBound(ValueError):
         super().__init__(f"{name} must be {want}, got {value}")
 
 
-def _check_bounds(ta: TimedAutomaton, horizon, max_steps, granularity) -> None:
+def _check_bounds(ta: TimedAutomaton, horizon, max_steps, granularity, node_cap) -> None:
     """Reject explicit bounds the enumeration cannot use (None: the default)."""
     if granularity is not None:
         if Fraction(granularity) <= 0:
             raise BadOracleBound("granularity", granularity, "positive")
         if ta.time_domain == "discrete" and granularity != 1:
             raise BadOracleBound("granularity", granularity, "1 in discrete time")
-    # bool is an int subclass, but True is no step budget
-    if max_steps is not None and (not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < 1):
+    if max_steps is not None and (not is_count(max_steps) or max_steps < 1):
         raise BadOracleBound("max_steps", max_steps, "a positive integer")
     if horizon is not None and Fraction(horizon) < 0:
         raise BadOracleBound("horizon", horizon, "non-negative")
+    if not is_count(node_cap):
+        raise BadOracleBound("node_cap", node_cap, "a nonnegative integer")
 
 
 @collector_off
@@ -164,11 +170,12 @@ def oracle_check(
     repeats can be cut without changing its trace); otherwise the verdict is
     inconclusive. An explicit bound out of range (a granularity that is
     not positive, or not 1 in discrete time, a step budget that is not an
-    integer of at least 1, or a negative horizon) raises `BadOracleBound`.
+    integer of at least 1, a negative horizon, or a node cap that is not a
+    nonnegative integer) raises `BadOracleBound`.
     """
     if query not in ("exists", "weak", "full"):
         raise ValueError("query must be exists|weak|full")
-    _check_bounds(ta, horizon, max_steps, granularity)
+    _check_bounds(ta, horizon, max_steps, granularity, node_cap)
     if isinstance(sel, Dynamic):
         raise ValueError(
             "the dynamic selection has no executable projection; use the free unfolding reduction instead"
@@ -177,12 +184,14 @@ def oracle_check(
     if granularity is None:
         granularity = default_granularity(ta, obs)
     cover = default_horizon(ta)
+    # only a discrete search can be definitive, and only with this many steps
+    states = discrete_state_count(ta) if ta.time_domain == "discrete" else None
     if horizon is None:
         horizon = cover
     if max_steps is None:
         # the discrete definitive cover needs the full region count; dense
         # searches are inconclusive-unless-violated anyway, so stay small
-        max_steps = min(discrete_state_count(ta), 24) if ta.time_domain == "discrete" else 8
+        max_steps = 8 if states is None else min(states, 24)
     horizon, granularity = Fraction(horizon), Fraction(granularity)
     q = granularity.denominator  # grid traces count time in 1/q units
 
@@ -195,12 +204,7 @@ def oracle_check(
     if sel is not None:
         t_priv, t_pub = projected(t_priv), projected(t_pub)
 
-    definitive = (
-        complete
-        and ta.time_domain == "discrete"
-        and horizon >= cover
-        and max_steps >= discrete_state_count(ta)
-    )
+    definitive = complete and states is not None and horizon >= cover and max_steps >= states
     diag = {
         "horizon": str(horizon),
         "granularity": str(granularity),

@@ -32,7 +32,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Optional
 
-from .ta import EPSILON, ClockConstraint, Edge, Guard, TimedAutomaton, TimedWord
+from .ta import EPSILON, ClockConstraint, Edge, Guard, TimedAutomaton, TimedWord, is_count
 from .ta import step as ta_step
 
 DEFAULT_REGION_CAP = 1_000_000
@@ -79,7 +79,7 @@ class BadRegionCap(ValueError):
 
 def region_cap(explicit: Optional[int] = None) -> int:
     if explicit is not None:
-        if isinstance(explicit, bool) or not isinstance(explicit, int) or explicit < 1:
+        if not is_count(explicit) or explicit < 1:
             raise BadRegionCap(explicit, "cap")
         return explicit
     env = os.environ.get(REGION_CAP_ENV)
@@ -168,7 +168,6 @@ class RegionAutomaton:
 
     alphabet: frozenset[str]
     max_constants: dict[str, int]
-    time_domain: str
     letters: tuple[str, ...]  # sorted letters of the lettered edges
     final_ids: frozenset[int]
     edge_target: array
@@ -461,7 +460,7 @@ def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None,
     if len(keys) > _state_bound(len(ta.locations), maxc.values()):
         raise RuntimeError(f"{len(keys)} reachable regions exceed the theoretical bound")
     letters = {ta.edges[k].action for k in set(edge_ta) if k >= 0} - {EPSILON}
-    return RegionAutomaton(ta.actions, maxc, ta.time_domain, tuple(sorted(letters)), frozenset(finals),
+    return RegionAutomaton(ta.actions, maxc, tuple(sorted(letters)), frozenset(finals),
                            edge_target, edge_start, edge_ta, keys, code, dict(zip(by_ending.values(), by_ending)))
 
 

@@ -24,7 +24,8 @@ class StepError(Exception):
 
 
 class BoundExhausted(Exception):
-    """Run enumeration hit its node cap before covering the requested bounds."""
+    """The membership search (`oracle.can_produce`) hit its node cap. The
+    run enumeration never raises it: it returns complete=False instead."""
 
 
 def collector_off(fn):
@@ -111,9 +112,6 @@ class Guard:
             if not c.holds(valuation[c.clock]):
                 return c
         return None
-
-    def clocks(self) -> frozenset[str]:
-        return frozenset(c.clock for c in self.conjuncts)
 
     def conjoin(self, other: "Guard") -> "Guard":
         return Guard(self.conjuncts + other.conjuncts)
@@ -287,9 +285,6 @@ class TimedWord:
     def prefix(self, n: int) -> "TimedWord":
         return TimedWord(self.letters[:n])
 
-    def append(self, letter: str, stamp: Fraction) -> "TimedWord":
-        return TimedWord(self.letters + ((letter, Fraction(stamp)),))
-
     def scaled(self, factor: Fraction) -> "TimedWord":
         return TimedWord(tuple((a, t * factor) for a, t in self.letters))
 
@@ -324,21 +319,6 @@ class Verdict:
         return {True: "holds", False: "violated", None: "inconclusive"}[self.holds]
 
 
-@dataclass(frozen=True)
-class Run:
-    """Alternating configurations and (delay, edge) steps, ending at the
-    first final location."""
-
-    initial: Configuration
-    steps: tuple[tuple[Fraction, Edge, Configuration], ...] = ()
-
-    def configurations(self) -> list[Configuration]:
-        return [self.initial] + [cfg for _, _, cfg in self.steps]
-
-    def visits(self, locations: frozenset[str]) -> bool:
-        return any(c.location in locations for c in self.configurations())
-
-
 # the trace of a run on the time grid of a granularity p/q: (letter,
 # absolute time in 1/q units) pairs; `grid_word` decodes one
 GridTrace = tuple[tuple[str, int], ...]
@@ -351,18 +331,24 @@ def grid_word(trace: GridTrace, q: int) -> TimedWord:
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Runs found within the bounds; `complete` is False when a node cap cut
-    the search short (a bound-exhausted result, distinct from `no runs`).
+    """The runs found within the bounds, one (grid trace, visits a private
+    location) pair each, the trace in 1/q units for the granularity p/q;
+    `complete` is False when a node cap cut the search short (a
+    bound-exhausted result, distinct from `no runs`)."""
 
-    `private_traces` and `public_traces` are the distinct traces of the
-    runs that visit a private location and of those that do not, as grid
-    traces in 1/q units for the granularity p/q."""
-
-    runs: tuple[Run, ...]
+    runs: tuple[tuple[GridTrace, bool], ...]
     complete: bool
     explored: int
-    private_traces: frozenset[GridTrace] = frozenset()
-    public_traces: frozenset[GridTrace] = frozenset()
+
+
+def is_count(n) -> bool:
+    """Is `n` a nonnegative int? A bool is an int to Python, but no count."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
+def check_node_cap(node_cap) -> None:
+    if not is_count(node_cap):
+        raise ValueError(f"node cap must be a nonnegative integer, not {node_cap!r}")
 
 
 @dataclass(frozen=True)
@@ -464,8 +450,8 @@ class TimeGrid:
     valuations are int tuples in sorted clock order, and each clock
     constraint becomes an inclusive interval of units
     (`ClockConstraint.interval`). Per source location, `moves` keeps each
-    edge, in declaration order, as (edge, guard, target invariant, reset
-    mask or None, target, action, target is private).
+    edge, in declaration order, as (guard, target invariant, reset mask or
+    None, target, action, target is private).
 
     `successors` works out the moves out of a (location, valuation) node
     once per grid, up to the horizon, and keeps them in a table, so a
@@ -485,7 +471,7 @@ class TimeGrid:
         for e in ta.edges:
             mask = tuple(x in e.resets for x in self.clocks) if e.resets & ta.clocks else None
             moves.setdefault(e.source, []).append(
-                (e, self._compile(e.guard, index), self.invariants[e.target], mask, e.target, e.action,
+                (self._compile(e.guard, index), self.invariants[e.target], mask, e.target, e.action,
                  e.target in ta.private))
         self.moves = {loc: tuple(ms) for loc, ms in moves.items()}
         self._table: dict[tuple, tuple] = {}
@@ -496,10 +482,6 @@ class TimeGrid:
             lo, hi = c.interval(self.q)
             out.append((index[c.clock], lo, hi))
         return tuple(out)
-
-    def admits(self, location: str, valuation: tuple[int, ...]) -> bool:
-        """Does the invariant of `location` hold at `valuation`?"""
-        return _holds(self.invariants[location], valuation)
 
     def units(self, t: Fraction) -> Optional[int]:
         """`t` in 1/q units, or None when `t` is not on the 1/q grid."""
@@ -549,10 +531,10 @@ class TimeGrid:
                     break
                 first = len(ends) * width
                 for i, move in enumerate(moves):
-                    if _holds(move[1], delayed):
-                        mask = move[3]
+                    if _holds(move[0], delayed):
+                        mask = move[2]
                         after = delayed if mask is None else tuple([0 if r else v for r, v in zip(mask, delayed)])
-                        if _holds(move[2], after):
+                        if _holds(move[1], after):
                             rows.append((first + i, d, move, after))
                 ends.append(len(rows))
         ends.extend([len(rows)] * (self.horizon // self.p + 1 - len(ends)))
@@ -572,30 +554,27 @@ def enumerate_runs(
     max_steps: int,
     granularity: Fraction,
     node_cap: int = 2_000_000,
-    dedup: bool = False,
 ) -> EnumerationResult:
-    """All runs whose delays are multiples of `granularity`, with total
+    """The runs whose delays are multiples of `granularity`, with total
     duration <= horizon and <= max_steps transitions, in deterministic
-    (depth-first, delays ascending, edges in declaration order) order.
+    (depth-first, delays ascending, edges in declaration order) order, each
+    as its grid trace and whether it visits a private location.
 
     `explored` counts (delay, edge) attempts, failed ones included; the
     search stops, with complete=False, at the first attempt once
-    `node_cap` attempts were made. Each run's grid trace goes, as it is
-    found, into `private_traces` or `public_traces` by whether the run
-    visits a private location.
+    `node_cap` attempts were made. A `node_cap` that is not a nonnegative
+    int raises `ValueError`.
 
-    With dedup=True, branches that revisit an already-expanded search node
-    (configuration, private flag, elapsed time, trace, remaining budget no
-    better than before) are cut; the returned runs then form a representative
-    subset that preserves trace sets and their private/public classification.
+    Branches that revisit an already-expanded search node (location,
+    valuation, private flag, elapsed time, trace, remaining budget no
+    better than before) are cut, so the runs found form a representative
+    subset of all runs with the same (trace, private) pairs.
 
     The search runs on a `TimeGrid` (time in whole units of 1/q for a
     granularity p/q) with an explicit stack of frames, one per depth, so a
     deep step budget does not recurse. A frame resumes the successful
     attempts of its node, read from the grid's successor table, and counts
-    the failed ones between them from their ordinals. Each step of the
-    shared path is built once, when the search descends into it, so runs
-    with a common prefix share their step tuples.
+    the failed ones between them from their ordinals.
     """
     horizon = Fraction(horizon)
     granularity = Fraction(granularity)
@@ -603,53 +582,30 @@ def enumerate_runs(
         raise ValueError("granularity must be positive")
     if ta.time_domain == "discrete" and granularity != 1:
         raise ValueError("discrete time requires granularity 1")
-
-    grid = TimeGrid(ta, granularity, horizon)
-    init = ta.initial_configuration()
-    priv0 = init.location in ta.private
-    if not grid.admits(init.location, grid.zero):
+    check_node_cap(node_cap)
+    if not ta.invariant_of(ta.init).holds(ta.zero_valuation()):
         return EnumerationResult((), True, 0)
-    if init.location in ta.final:
-        empty, traces = frozenset(), frozenset({()})
-        return EnumerationResult((Run(init),), True, 0, traces if priv0 else empty, empty if priv0 else traces)
+    priv0 = ta.init in ta.private
+    if ta.init in ta.final:
+        return EnumerationResult((((), priv0),), True, 0)
     if max_steps <= 0:
         return EnumerationResult((), True, 0)
 
-    q = grid.q
-    horizon_u = grid.horizon
+    grid = TimeGrid(ta, granularity, horizon)
     final = ta.final
-    runs: list[Run] = []
+    runs: list[tuple[GridTrace, bool]] = []
     explored = 0
     complete = True
-    # dedup key -> best (fewest-steps-used) visit seen so far
-    seen: dict[tuple, int] = {}
-    traces = {True: set(), False: set()}  # by private flag
-    if dedup:
-        seen[(init.location, grid.zero, priv0, 0, ())] = 0
-    delays: dict[int, Fraction] = {}
-    configs: dict[tuple, Configuration] = {}
-
-    def entry(d, e, location, valuation):
-        delay = delays.get(d)
-        if delay is None:
-            delay = delays[d] = Fraction(d, q)
-        cfg = configs.get((location, valuation))
-        if cfg is None:
-            cfg = configs[(location, valuation)] = Configuration(
-                location, {x: Fraction(v, q) for x, v in zip(grid.clocks, valuation)})
-        return (delay, e, cfg)
-
-    path: list[tuple[Fraction, Edge, Configuration]] = []
+    # search node (location, valuation, private flag, elapsed units, trace)
+    # -> the fewest steps it was reached with
+    seen = {(ta.init, grid.zero, priv0, 0, ()): 0}
     # frames[i] resumes the attempts out of the node at depth i as [its
     # successful attempts, its attempt count, the ordinal of the last
-    # attempt made]; nodes[i] describes the node as (elapsed units,
-    # private flag, trace)
-    frames = [[*grid.successors(init.location, grid.zero, horizon_u), -1]]
-    nodes = [(0, priv0, ())]
+    # attempt made, elapsed units, private flag, trace]
+    frames = [[*grid.successors(ta.init, grid.zero, grid.horizon), -1, 0, priv0, ()]]
     while frames:
         top = frames[-1]
-        rows, total, last = top
-        elapsed, private, trace = nodes[-1]
+        rows, total, last, elapsed, private, trace = top
         depth = len(frames)  # steps used by a successor
         for o, d, move, after in rows:
             # the attempts after the last one made fail, up to this one;
@@ -659,7 +615,7 @@ def enumerate_runs(
                 break
             explored += o - last
             last = o
-            e, _, _, _, target, action, target_private = move
+            _, _, _, target, action, target_private = move
             done = target in final
             if not done and depth >= max_steps:
                 continue
@@ -667,19 +623,15 @@ def enumerate_runs(
             ntrace = trace if action is EPSILON else trace + ((action, now),)
             nprivate = private or target_private
             if done:
-                runs.append(Run(init, (*path, entry(d, e, target, after))))
-                traces[nprivate].add(ntrace)
+                runs.append((ntrace, nprivate))
                 continue
-            if dedup:
-                key = (target, after, nprivate, now, ntrace)
-                best = seen.get(key)
-                if best is not None and best <= depth:
-                    continue
-                seen[key] = depth
+            key = (target, after, nprivate, now, ntrace)
+            best = seen.get(key)
+            if best is not None and best <= depth:
+                continue
+            seen[key] = depth
             top[2] = last
-            path.append(entry(d, e, target, after))
-            frames.append([*grid.successors(target, after, horizon_u - now), -1])
-            nodes.append((now, nprivate, ntrace))
+            frames.append([*grid.successors(target, after, grid.horizon - now), -1, now, nprivate, ntrace])
             break
         else:
             # the node's attempts after the last one made all fail
@@ -688,22 +640,8 @@ def enumerate_runs(
             else:
                 explored += total - 1 - last
                 frames.pop()
-                nodes.pop()
-                if path:
-                    path.pop()
                 continue
         if not complete:
             explored = node_cap
             break
-    return EnumerationResult(tuple(runs), complete, explored, frozenset(traces[True]), frozenset(traces[False]))
-
-
-def trace_of(run: Run) -> TimedWord:
-    """The timed word of a run: observable letters at their absolute times."""
-    letters = []
-    elapsed = Fraction(0)
-    for d, e, _ in run.steps:
-        elapsed += d
-        if e.action is not EPSILON:
-            letters.append((e.action, elapsed))
-    return TimedWord(tuple(letters))
+    return EnumerationResult(tuple(runs), complete, explored)

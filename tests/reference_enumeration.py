@@ -4,24 +4,60 @@
 `reference_can_produce` the breadth-first membership search, both stepping
 with `ta.step` on Fraction valuations. `topaq.ta.enumerate_runs` and
 `topaq.oracle.can_produce` must agree with them exactly: the same runs in
-the same order, the same `explored` count and the same cap behaviour.
+the same order (`grid_runs` maps a reference run to what the library
+gives for it), the same `explored` count and the same cap behaviour.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
 from topaq.ta import (
     EPSILON,
     BoundExhausted,
+    Configuration,
+    Edge,
     EnumerationResult,
-    Run,
     StepError,
     TimedAutomaton,
     TimedWord,
     step,
 )
+
+
+@dataclass(frozen=True)
+class Run:
+    """Alternating configurations and (delay, edge) steps, ending at the
+    first final location."""
+
+    initial: Configuration
+    steps: tuple[tuple[Fraction, Edge, Configuration], ...] = ()
+
+    def configurations(self) -> list[Configuration]:
+        return [self.initial] + [cfg for _, _, cfg in self.steps]
+
+    def visits(self, locations: frozenset[str]) -> bool:
+        return any(c.location in locations for c in self.configurations())
+
+
+def trace_of(run: Run) -> TimedWord:
+    """The timed word of a run: observable letters at their absolute times."""
+    letters = []
+    elapsed = Fraction(0)
+    for d, e, _ in run.steps:
+        elapsed += d
+        if e.action is not EPSILON:
+            letters.append((e.action, elapsed))
+    return TimedWord(tuple(letters))
+
+
+def grid_runs(ta: TimedAutomaton, runs, granularity: Fraction) -> tuple:
+    """Each run as `enumerate_runs` gives it: (its trace in 1/q units for
+    the granularity p/q, whether it visits a private location)."""
+    q = Fraction(granularity).denominator
+    return tuple((tuple((a, int(t * q)) for a, t in trace_of(r)), r.visits(ta.private)) for r in runs)
 
 
 def reference_enumerate_runs(
@@ -30,10 +66,11 @@ def reference_enumerate_runs(
     max_steps: int,
     granularity: Fraction,
     node_cap: int = 2_000_000,
-    dedup: bool = False,
+    dedup: bool = True,
 ) -> EnumerationResult:
     """Recursive enumeration: one call per run step (so deep budgets overflow
-    the interpreter stack)."""
+    the interpreter stack). Its `runs` are `Run`s, and with dedup=False it
+    cuts no revisited node, so it gives every run within the bounds."""
     horizon = Fraction(horizon)
     granularity = Fraction(granularity)
     if granularity <= 0:

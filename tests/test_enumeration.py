@@ -5,16 +5,16 @@ import random
 import warnings
 from fractions import Fraction as F
 
+import pytest
+
 from conftest import fig1_ta, late_guard_ta, trace_words
-from reference_enumeration import reference_can_produce, reference_enumerate_runs
+from reference_enumeration import grid_runs, reference_can_produce, reference_enumerate_runs
 from test_acceptance import random_discrete_ta
 from topaq.oracle import can_produce, default_horizon, discrete_state_count
 from topaq.ta import (
     BoundExhausted,
     TimedWord,
     enumerate_runs,
-    grid_word,
-    trace_of,
     validate,
     validate_errors,
 )
@@ -37,65 +37,61 @@ def criterion5_corpus(count=60):
 
 
 CORPUS = criterion5_corpus()
+# later draws of the same generator: most of CORPUS makes no attempt at the
+# oracle's settings (it starts in a final location or has no enabled edge)
+LATER_DRAWS = criterion5_corpus(110)[60:]
 
 
 def enumeration_cases():
-    """(automaton, horizon, max_steps, granularity, node_cap, dedup)."""
-    for ta in CORPUS:
+    """(automaton, horizon, max_steps, granularity, node_cap)."""
+    for ta in CORPUS + LATER_DRAWS:
         steps = discrete_state_count(ta)
         horizon = default_horizon(ta)
-        yield ta, horizon, steps, F(1), 40_000, True  # the oracle's settings
+        yield ta, horizon, steps, F(1), 40_000  # the oracle's settings
         for cap in (1, 50, 300):
-            for dedup in (False, True):
-                yield ta, horizon, steps, F(1), cap, dedup
+            yield ta, horizon, steps, F(1), cap
     # the only private location is the final one, entered by the last step
-    for dedup in (False, True):
-        yield late_guard_ta(), F(4), 3, F(1), 2_000_000, dedup
+    yield late_guard_ta(), F(4), 3, F(1), 2_000_000
     fig1 = fig1_ta()
     # a negative horizon leaves no time for a step
     for horizon in (F(-1, 2), F(-3)):
-        yield fig1, horizon, 4, F(1, 2), 2_000_000, False
+        yield fig1, horizon, 4, F(1, 2), 2_000_000
     for granularity in (F(1, 2), F(1, 3), F(2, 3), F(3, 4)):
         for horizon in (F(4), F(7, 2), F(9, 4)):
             for cap in (1, 50, 300, 2_000_000):
-                for dedup in (False, True):
-                    yield fig1, horizon, 4, granularity, cap, dedup
+                yield fig1, horizon, 4, granularity, cap
 
 
 def test_enumeration_equals_reference():
-    """The same runs, attempt count and cap behaviour as the reference, and
-    the grid traces the search collects decode to the traces of the
-    reference runs, split by whether the run visits a private location."""
+    """The same runs, each as (grid trace, visits a private location), the
+    same attempt count and the same cap behaviour as the reference."""
     outcomes = set()
-    for ta, horizon, steps, granularity, cap, dedup in enumeration_cases():
-        got = enumerate_runs(ta, horizon, steps, granularity, node_cap=cap, dedup=dedup)
-        want = reference_enumerate_runs(ta, horizon, steps, granularity, node_cap=cap, dedup=dedup)
-        case = (ta.name, horizon, granularity, cap, dedup)
+    attempting = set()  # the models that make an attempt at the oracle's settings
+    for ta, horizon, steps, granularity, cap in enumeration_cases():
+        got = enumerate_runs(ta, horizon, steps, granularity, node_cap=cap)
+        want = reference_enumerate_runs(ta, horizon, steps, granularity, node_cap=cap)
+        case = (ta.name, horizon, granularity, cap)
         assert got.explored == want.explored, case
         assert got.complete == want.complete, case
-        assert got.runs == want.runs, case
-        for private, traces in ((True, got.private_traces), (False, got.public_traces)):
-            want_traces = {trace_of(r) for r in want.runs if r.visits(ta.private) == private}
-            assert {grid_word(t, granularity.denominator) for t in traces} == want_traces, (*case, private)
+        assert got.runs == grid_runs(ta, want.runs, granularity), case
         outcomes.add((cap, got.complete))
+        if cap == 40_000 and got.explored:
+            attempting.add(id(ta))
     # every cap cuts some cases short and not others
     assert outcomes >= {(cap, done) for cap in (50, 300) for done in (True, False)}
     assert (1, False) in outcomes
+    assert len(attempting) >= 40
 
 
 def cap_sweep_cases():
-    """(name, automaton, horizon, max_steps, granularity, dedup settings):
-    `fig1`, and the first three criterion-5 models whose enumeration makes
-    an attempt (the first six of the corpus start in a final location or
-    make none). Model 13 is the first where dedup cuts branches; it is
-    swept with dedup on only, as its undeduplicated search makes 1,152
-    attempts, and a sweep costs the square of that in reference steps."""
-    yield "fig1", fig1_ta(), F(3), 3, F(1, 2), (False, True)
-    for n in (6, 7, 8):
+    """(name, automaton, horizon, max_steps, granularity): `fig1`, the
+    first three criterion-5 models whose enumeration makes an attempt (the
+    first six of the corpus start in a final location or make none), and
+    model 13, the first where the search cuts a revisited node."""
+    yield "fig1", fig1_ta(), F(3), 3, F(1, 2)
+    for n in (6, 7, 8, 13):
         ta = CORPUS[n]
-        yield f"criterion5-{n}", ta, default_horizon(ta), discrete_state_count(ta), F(1), (False, True)
-    ta = CORPUS[13]
-    yield "criterion5-13", ta, default_horizon(ta), discrete_state_count(ta), F(1), (True,)
+        yield f"criterion5-{n}", ta, default_horizon(ta), discrete_state_count(ta), F(1)
 
 
 def test_every_cap_stops_where_the_reference_stops():
@@ -105,21 +101,33 @@ def test_every_cap_stops_where_the_reference_stops():
     the attempt count leaves the search complete, also where the search
     ends on a batch of failed attempts, which then lands exactly on it."""
     closing = set()  # cases whose last attempt fails, after some run was found
-    for name, ta, horizon, steps, granularity, dedups in cap_sweep_cases():
-        for dedup in dedups:
-            uncapped = enumerate_runs(ta, horizon, steps, granularity, dedup=dedup)
-            assert uncapped.complete and uncapped.explored > 0, name
-            for cap in range(uncapped.explored + 2):
-                got = enumerate_runs(ta, horizon, steps, granularity, node_cap=cap, dedup=dedup)
-                want = reference_enumerate_runs(ta, horizon, steps, granularity, node_cap=cap, dedup=dedup)
-                case = (name, dedup, cap)
-                assert (got.explored, got.complete) == (want.explored, want.complete), case
-                assert got.runs == want.runs, case
-                assert got.complete == (cap >= uncapped.explored), case
-            before = enumerate_runs(ta, horizon, steps, granularity, node_cap=uncapped.explored - 1, dedup=dedup)
-            if uncapped.runs and before.runs == uncapped.runs:
-                closing.add((name, dedup))
-    assert {("criterion5-8", False), ("criterion5-13", True)} <= closing
+    for name, ta, horizon, steps, granularity in cap_sweep_cases():
+        uncapped = enumerate_runs(ta, horizon, steps, granularity)
+        assert uncapped.complete and uncapped.explored > 0, name
+        for cap in range(uncapped.explored + 2):
+            got = enumerate_runs(ta, horizon, steps, granularity, node_cap=cap)
+            want = reference_enumerate_runs(ta, horizon, steps, granularity, node_cap=cap)
+            case = (name, cap)
+            assert (got.explored, got.complete) == (want.explored, want.complete), case
+            assert got.runs == grid_runs(ta, want.runs, granularity), case
+            assert got.complete == (cap >= uncapped.explored), case
+        before = enumerate_runs(ta, horizon, steps, granularity, node_cap=uncapped.explored - 1)
+        if uncapped.runs and before.runs == uncapped.runs:
+            closing.add(name)
+    assert "criterion5-13" in closing
+
+
+@pytest.mark.parametrize("cap", [-3, True, 1.5, None])
+def test_bad_node_cap_refused(fig1, cap):
+    """A node cap that is not a nonnegative int, or is a bool, is refused
+    before either search starts; cap 0 is a cap."""
+    with pytest.raises(ValueError, match="node cap must be a nonnegative integer"):
+        enumerate_runs(fig1, F(3), 3, F(1, 2), node_cap=cap)
+    with pytest.raises(ValueError, match="node cap must be a nonnegative integer"):
+        can_produce(fig1, TimedWord(), False, F(3), F(1, 2), node_cap=cap)
+    assert enumerate_runs(fig1, F(3), 3, F(1, 2), node_cap=0).explored == 0
+    with pytest.raises(BoundExhausted):
+        can_produce(fig1, TimedWord.of(("b", 3)), False, F(3), F(1, 2), node_cap=0)
 
 
 def shifted(w, offset):
@@ -174,15 +182,8 @@ def test_can_produce_equals_reference():
 
 
 def test_deep_budget_does_not_recurse(fig1_discrete):
-    res = enumerate_runs(fig1_discrete, F(6), 3000, F(1), node_cap=4000, dedup=True)
+    res = enumerate_runs(fig1_discrete, F(6), 3000, F(1), node_cap=4000)
     assert not res.complete
     assert res.explored == 4000
-    assert max(len(r.steps) for r in res.runs) == 3000
-
-
-def test_common_prefixes_share_steps(fig1):
-    runs = enumerate_runs(fig1, F(3), 4, F(2, 3)).runs
-    first = {}
-    for run in runs:
-        for i, s in enumerate(run.steps):
-            assert first.setdefault(run.steps[: i + 1], s) is s
+    # all 3,000 steps of the deepest run are observable
+    assert max(len(trace) for trace, _ in res.runs) == 3000

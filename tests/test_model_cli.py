@@ -392,13 +392,13 @@ def test_public_names_pinned():
 
     assert sorted(topaq.__all__) == [
         "ClockConstraint", "Configuration", "Dynamic", "EPSILON", "Edge", "FirstN", "Guard",
-        "InclusionCapExceeded", "ModelError", "RegionAutomaton", "RegionCapExceeded", "ReservedLetter", "Run",
+        "InclusionCapExceeded", "ModelError", "RegionAutomaton", "RegionCapExceeded", "ReservedLetter",
         "Static", "TimedAutomaton", "TimedWord", "UndecidableClass", "Verdict", "accepts_word", "augment_ticks",
         "build_memo", "build_priv", "build_pub", "build_region_automaton", "check_bounded", "check_exists",
         "check_opacity", "class_recognizer", "decide", "distort", "edge", "embed_gadget", "enumerate_runs",
         "grid_word", "inclusion_gadget", "is_oera", "make_ta", "normalize_sequence", "oracle_check",
         "parse_model", "print_model", "product", "project", "step", "swap_gadget", "tick_construction",
-        "ticked_word", "trace_of", "unfold_first_n", "unfold_free", "unfold_tau", "validate", "verify_witness",
+        "ticked_word", "unfold_first_n", "unfold_free", "unfold_tau", "validate", "verify_witness",
         "word_equiv",
     ]
 

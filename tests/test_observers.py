@@ -26,7 +26,7 @@ from topaq.observers import (
     unfold_tau,
 )
 from topaq.regions import build_region_automaton
-from topaq.ta import TimedWord, enumerate_runs, trace_of
+from topaq.ta import TimedWord, enumerate_runs
 from topaq.words import ticked_word
 
 
@@ -420,7 +420,7 @@ class TestUnfoldFree:
 
     def test_observable_letters_capped_at_two_n(self, loop_deadline):
         u = unfold_free(loop_deadline, 2)
-        res = enumerate_runs(u, F(2), 7, F(1, 2), dedup=True)
+        res = enumerate_runs(u, F(2), 7, F(1, 2))
         assert res.complete
-        lengths = {len(trace_of(r)) for r in res.runs}
+        lengths = {len(trace) for trace, _ in res.runs}
         assert max(lengths) == 4

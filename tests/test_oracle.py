@@ -85,9 +85,9 @@ class TestOracleRobustness:
 
     @pytest.mark.parametrize("bounds", [
         {"granularity": F(0)}, {"granularity": F(-1, 2)}, {"max_steps": 0}, {"max_steps": -3}, {"max_steps": 1.5},
-        {"max_steps": True}, {"horizon": F(-1)},
+        {"max_steps": True}, {"horizon": F(-1)}, {"node_cap": -3}, {"node_cap": True},
     ], ids=["granularity-zero", "granularity-negative", "steps-zero", "steps-negative", "steps-fraction",
-            "steps-bool", "horizon-negative"])
+            "steps-bool", "horizon-negative", "cap-negative", "cap-bool"])
     def test_bad_bounds_rejected_before_the_search(self, fig1, bounds):
         with pytest.raises(BadOracleBound, match=next(iter(bounds))):
             oracle_check(fig1, "weak", **bounds)

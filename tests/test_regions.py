@@ -7,6 +7,7 @@ from typing import NamedTuple
 import pytest
 
 from conftest import fig1_ta, late_guard_ta, oera_pair_ta
+from reference_enumeration import reference_enumerate_runs
 from reference_nfa import accepts, language_upto, step
 from reference_regions import clock_region_of, graph_of
 from topaq.constructions import MEMO_TAGS, build_memo, build_priv, build_pub
@@ -32,7 +33,7 @@ from topaq.regions import (
     region_state_bound,
     tick_decode,
 )
-from topaq.ta import ClockConstraint, Configuration, Guard, TimedWord, edge, enumerate_runs, make_ta
+from topaq.ta import ClockConstraint, Configuration, Guard, TimedWord, edge, make_ta
 
 
 def renamed(m: NFA, old: str, new: str) -> NFA:
@@ -140,7 +141,7 @@ class TestBuildRegionAutomaton:
 
     def test_soundness_runs_map_to_region_paths(self, fig1):
         ra = build_region_automaton(fig1)
-        runs = enumerate_runs(fig1, F(3), 4, F(1, 2)).runs
+        runs = reference_enumerate_runs(fig1, F(3), 4, F(1, 2), dedup=False).runs
         for run in runs[:80]:
             current = ra.initial
             for delay, e, after in run.steps:

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from reference_enumeration import Run, grid_runs, reference_enumerate_runs, trace_of
 from topaq.ta import (
     ClockConstraint,
     Configuration,
@@ -10,9 +11,9 @@ from topaq.ta import (
     TimedWord,
     edge,
     enumerate_runs,
+    grid_word,
     make_ta,
     step,
-    trace_of,
     validate,
 )
 
@@ -85,10 +86,8 @@ class TestEnumerateRuns:
     def test_contains_private_witness_trace(self, fig1):
         res = enumerate_runs(fig1, F(3), 4, F(1, 2))
         assert res.complete
-        traces = {trace_of(r) for r in res.runs}
-        assert TimedWord.of(("b", F(3, 2))) in traces
-        private = [r for r in res.runs if r.visits(fig1.private)]
-        assert TimedWord.of(("b", F(3, 2))) in {trace_of(r) for r in private}
+        assert (("b", 3),) in {t for t, _ in res.runs}
+        assert ((("b", 3),), True) in res.runs
 
     def test_unreachable_final_gives_no_runs(self):
         ta = make_ta(
@@ -99,7 +98,7 @@ class TestEnumerateRuns:
 
     def test_discrete_example_traces(self, discrete_example):
         res = enumerate_runs(discrete_example, F(4), 6, F(1))
-        traces = {trace_of(r) for r in res.runs}
+        traces = {grid_word(t, 1) for t, _ in res.runs}
         assert TimedWord.of(("a", 3)) in traces
         assert TimedWord.of(("a", 4)) in traces
         assert all(t.timestamps()[0] > 2 for t in traces)
@@ -108,25 +107,10 @@ class TestEnumerateRuns:
         with pytest.raises(ValueError):
             enumerate_runs(discrete_example, F(4), 4, F(1, 2))
 
-    def test_runs_replay_through_step(self, fig1):
-        res = enumerate_runs(fig1, F(3), 4, F(1, 2))
-        for run in res.runs:
-            here = run.initial
-            for delay, e, after in run.steps:
-                here = step(fig1, here, delay, e)
-                assert here == after
-
-    def test_no_nonterminal_finals(self, fig1):
-        res = enumerate_runs(fig1, F(3), 4, F(1, 2))
-        for run in res.runs:
-            locs = [c.location for c in run.configurations()]
-            assert all(l not in fig1.final for l in locs[:-1])
-            assert locs[-1] in fig1.final
-
     def test_traces_nondecreasing(self, fig1):
         res = enumerate_runs(fig1, F(3), 4, F(1, 2))
-        for run in res.runs:
-            stamps = trace_of(run).timestamps()
+        for trace, _ in res.runs:
+            stamps = [u for _, u in trace]
             assert all(a <= b for a, b in zip(stamps, stamps[1:]))
 
     def test_monotone_in_bounds(self, fig1):
@@ -139,10 +123,18 @@ class TestEnumerateRuns:
         assert not res.complete
 
     def test_dedup_preserves_trace_sets(self, fig1):
-        full = enumerate_runs(fig1, F(2), 4, F(1))
-        dedup = enumerate_runs(fig1, F(2), 4, F(1), dedup=True)
-        key = lambda rs: {(trace_of(r), r.visits(fig1.private)) for r in rs.runs}
-        assert key(full) == key(dedup)
+        # the search cuts revisited nodes (the silent reset loop's); all
+        # runs, none cut, have the same (trace, private) pairs
+        loop = make_ta(
+            actions={"b"}, locations={"l0", "l1", "l2"}, init="l0", private={"l2"}, final={"l1"},
+            clocks={"x"}, edges=[edge("l0", "l0", resets={"x"}), edge("l0", "l2"), edge("l0", "l1", "b"),
+                                 edge("l2", "l1", "b")],
+        )
+        for ta in (fig1, loop):
+            every = reference_enumerate_runs(ta, F(2), 4, F(1), dedup=False)
+            cut = enumerate_runs(ta, F(2), 4, F(1))
+            assert set(cut.runs) == set(grid_runs(ta, every.runs, F(1)))
+        assert len(cut.runs) < len(every.runs)
 
 
 class TestTraceOf:
@@ -152,14 +144,10 @@ class TestTraceOf:
         c0 = fig1.initial_configuration()
         c1 = step(fig1, c0, F(3, 2), eps)
         c2 = step(fig1, c1, F(0), b_edge)
-        from topaq.ta import Run
-
         run = Run(c0, ((F(3, 2), eps, c1), (F(0), b_edge, c2)))
         assert trace_of(run) == TimedWord.of(("b", F(3, 2)))
 
     def test_epsilon_only_run_is_empty_word(self, fig1):
-        from topaq.ta import Run
-
         assert trace_of(Run(fig1.initial_configuration(), ())) == TimedWord(())
 
     def test_identity_on_observables(self, fig1):
@@ -169,7 +157,5 @@ class TestTraceOf:
         c1 = step(fig1, c0, F(1), a)
         c2 = step(fig1, c1, F(1), a)
         c3 = step(fig1, c2, F(0), b)
-        from topaq.ta import Run
-
         run = Run(c0, ((F(1), a, c1), (F(1), a, c2), (F(0), b, c3)))
         assert trace_of(run) == TimedWord.of(("a", 1), ("a", 2), ("b", 2))
