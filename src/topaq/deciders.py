@@ -177,10 +177,12 @@ DELAY_LETTER = ""
 
 
 def _ticked_language(automaton: TimedAutomaton, cap: Optional[int], tags: tuple[str, ...] = (),
-                     delay: Optional[str] = None, stop: Optional[Callable] = None) -> NFA:
+                     delay: Optional[str] = None, stop: Optional[Callable] = None,
+                     wrap: tuple[str, ...] = ()) -> NFA:
     """Untimed language of `automaton`'s region automaton, whose delay edges
-    are silent (`delay` None: a tick construction emits its own ticks `t`)
-    or read the letter `delay`, with the run of ticks (`t`, or `delay`)
+    are silent (`delay` None: a tick construction emits its own ticks `t`,
+    by the wrap of the tick clock among the wrap-around clocks `wrap`) or
+    read the letter `delay`, with the run of ticks (`t`, or `delay`)
     between the last observed letter and the f-letter suffix erased: they
     only encode unobserved waiting, which the trace does not record.
     Without f-letters the erased run is the trailing one.
@@ -192,7 +194,7 @@ def _ticked_language(automaton: TimedAutomaton, cap: Optional[int], tags: tuple[
     instead each final state its ending: an f-suffix, whose letters are the
     strip's suffix letters, and the indices of its classes
     (`nfa.from_region_automaton`)."""
-    ra = build_region_automaton(automaton, cap, stop)
+    ra = build_region_automaton(automaton, cap, stop, wrap=wrap)
     if stop is None:
         classes = tuple(frozenset(i for i in ra.final_ids if ra.location_of(i).endswith(tag)) for tag in tags)
         suffix = frozenset()
@@ -406,14 +408,16 @@ def _first_n_languages(ta: TimedAutomaton, n: int, cap: Optional[int]) -> list[N
     """[private, public] ticked first-N languages of `ta`, equal to those of
     the `tick_construction` of `build_priv` and of `build_pub` of `ta`,
     from a region build that stops where a run stops (`_first_n_stop`)."""
-    ticked, stop = _first_n_stop(ta, n, cap)
-    return _ticked_language(ticked, cap, MEMO_TAGS, stop=stop).views()
+    ticked, obs, stop = _first_n_stop(ta, n, cap)
+    return _ticked_language(ticked, cap, MEMO_TAGS, stop=stop, wrap=obs).views()
 
 
-def _first_n_stop(ta: TimedAutomaton, n: int, cap: Optional[int]) -> tuple[TimedAutomaton, Callable]:
+def _first_n_stop(ta: TimedAutomaton, n: int, cap: Optional[int]
+                  ) -> tuple[TimedAutomaton, tuple[str, ...], Callable]:
     """The tick construction of `ta`'s memo automaton cut where a run stops
-    (`last_observation_ticks`), and its stop rule for
-    `build_region_automaton`. The ending of a final region is the f-suffix
+    (`last_observation_ticks`), its observation clocks, tick clock first,
+    which `build_region_automaton` takes as wrap-around clocks, and its
+    stop rule for that build. The ending of a final region is the f-suffix
     the gadget would emit from it (`_suffix_word`) and the indices of the
     classes of `MEMO_TAGS` a run reaches from its location and model clocks
     (`_reachable_classes`), or None when it reaches none. Suffix words are
@@ -440,7 +444,7 @@ def _first_n_stop(ta: TimedAutomaton, n: int, cap: Optional[int]) -> tuple[Timed
             word = words[key] = _suffix_word(key)
         return word, found
 
-    return ticked, stop
+    return ticked, tuple(obs), stop
 
 
 def _renumber(ranks: list[int]) -> tuple[int, ...]:

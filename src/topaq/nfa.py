@@ -8,7 +8,9 @@ frozensets:
   `from_region_automaton` reads a region automaton's edge arrays into
   per-state silent and letter successors, which exist only for the
   conversion; a delay edge is silent, or reads a letter the caller names
-  (the discrete engine's tick, the event-recording engine's delay letter);
+  (the discrete engine's tick, the event-recording engine's delay letter),
+  except that a delay wrapping the tick clock of a build with wrap-around
+  clocks reads the tick `t` (the bounded attacker's ticks);
   a final state of a build with a stop rule reads its ending's suffix
   word through a chain before it accepts (the bounded attacker's
   f-letters). `silent_free`
@@ -204,8 +206,12 @@ def from_region_automaton(ra: RegionAutomaton, final_classes: tuple[frozenset[in
     """Silent-free NFA of a region automaton: `silent_free` of the graph in
     its edge arrays, where an edge is silent when its automaton edge is
     ε-labelled, or when it is a delay (`_edge_ta` -1) and `delay` is None;
-    otherwise a delay edge reads the letter `delay`. The alphabet is the
-    set of letters on the lettered edges, with `delay` when it is given.
+    otherwise a -1 delay edge reads the letter `delay`. A delay that wraps
+    the tick clock (`_edge_ta` -2, only in a build with wrap-around clocks)
+    reads `TICK_LETTER`, which is where the bounded attacker's ticks come
+    from. The alphabet is the set of letters on the lettered edges, `t`
+    with them when a tick edge exists (`ra.letters`), and `delay` when it
+    is given.
     Region i is state i of that graph, so `final_classes` are sets of
     region ids.
 
@@ -217,7 +223,7 @@ def from_region_automaton(ra: RegionAutomaton, final_classes: tuple[frozenset[in
     a final state is by its word, so words share their common tails;
     sharing a common prefix would accept the shorter word from the longer
     one's state."""
-    labels = [e.action for e in ra._code.edges] + [delay]  # [-1]: a delay edge
+    labels = [e.action for e in ra._code.edges] + [TICK_LETTER, delay]  # [-2]: a tick, [-1]: another delay
     target, start, through = ra.edge_target, ra._edge_start, ra._edge_ta
     no_moves: dict[str, frozenset[int]] = {}  # shared by the states without letter edges
     eps: list[Collection[int]] = []

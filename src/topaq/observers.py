@@ -135,19 +135,23 @@ def _group_guard(at_one: frozenset[str], inside: Sequence[str]) -> Guard:
 
 
 def _ticked_unfolding(ta: TimedAutomaton, n: int, stop: bool) -> tuple[TimedAutomaton, list[str]]:
-    """The final-relaxed N-unfolding of `ta` with a global tick clock that
-    emits `t` each time unit and one clock per observation that records its
-    timestamp's fractional part (all kept below 1 by silent reset loops),
-    and the observation clocks, tick clock first. Finals have no tick loop;
-    with `stop`, they and the last copy's locations have no out-edge and
-    are final. A model letter `t` or `f{...}` would read as a tick or an
-    f-letter, so it is refused.
+    """The final-relaxed N-unfolding of `ta` with one clock per observation
+    that records its timestamp's fractional part and a global tick clock,
+    and those observation clocks, tick clock first. A model letter `t` or
+    `f{...}` would read as a tick or an f-letter, so it is refused.
 
-    With `stop`, every other location also keeps each observation clock at
-    most 1 by its invariant. This changes no language: every model edge
-    needs them all below 1 and every reset needs its clocks at exactly 1,
-    so a run that lets one pass 1 never moves again and never stops, and
-    its regions, which the invariant removes, reach no final region."""
+    Without `stop`, the gadget form: the tick clock emits `t` each time
+    unit by a tick loop on every location but the finals, every model edge
+    needs the observation clocks below 1, and silent reset loops take each
+    of them back to 0 as it reaches 1.
+
+    With `stop`, the unfolding's finals and the last copy's locations have
+    no out-edge and are final, and the form keeps only the model edges and
+    their observation resets: no tick loop, no reset loop and no guard on
+    an observation clock. It is built with the observation clocks as
+    wrap-around clocks (`regions.build_region_automaton`), whose delay goes
+    from the last fraction straight to 0 and reads `t` when it wraps the
+    tick clock, as the gadget's loops would fire at once."""
     reserve_letters(ta.actions, [TICK_LETTER, *(a for a in ta.actions if a.startswith("f{"))],
                     "tick construction")
     unfolded = relax_finals(unfold_first_n(ta, n))
@@ -157,13 +161,12 @@ def _ticked_unfolding(ta: TimedAutomaton, n: int, stop: bool) -> tuple[TimedAuto
         c = fresh_name(f"tk{i}", taken)
         obs.append(c)
         taken.add(c)
-    x0, rest = obs[0], obs[1:]
     below1 = Guard(tuple(ClockConstraint(c, "<", 1) for c in obs))
     dead = unfolded.final | {l for l in unfolded.locations if l.endswith(f"~{n}")} if stop else frozenset()
 
     edges = []
-    # original edges, confined to sub-unit observation clocks (the relaxed
-    # unfolding has no exits from final locations)
+    # original edges with their observation resets (the relaxed unfolding
+    # has no exits from final locations)
     for e in unfolded.edges:
         if e.source in dead:
             continue
@@ -171,31 +174,29 @@ def _ticked_unfolding(ta: TimedAutomaton, n: int, stop: bool) -> tuple[TimedAuto
         if e.action is not EPSILON:
             copy_index = int(e.target.rsplit("~", 1)[1])
             resets = resets | {obs[copy_index]}
-        edges.append(Edge(e.source, e.guard.conjoin(below1), e.action, resets, e.target))
-    # tick loops (not on unfolding finals) and silent observation-clock
-    # resets, their guards built once and shared by every location
-    tick, tick_reset = Guard.of(ClockConstraint(x0, "=", 1)), frozenset({x0})
-    resets = [(_group_guard(subset, rest), subset) for subset in _subsets(rest)[1:]]
-    for loc in sorted(unfolded.locations - dead):
-        if loc not in unfolded.final:
-            edges.append(Edge(loc, tick, TICK_LETTER, tick_reset, loc))
-        edges += [Edge(loc, guard, EPSILON, subset, loc) for guard, subset in resets]
-    inv = dict(unfolded.invariant)
-    if stop:
-        unit = Guard(tuple(ClockConstraint(c, "<=", 1) for c in obs))
-        for loc in unfolded.locations - dead:
-            inv[loc] = unfolded.invariant_of(loc).conjoin(unit)
+        edges.append(Edge(e.source, e.guard if stop else e.guard.conjoin(below1), e.action, resets, e.target))
+    if not stop:
+        # tick loops (not on unfolding finals) and silent observation-clock
+        # resets, their guards built once and shared by every location
+        x0, rest = obs[0], obs[1:]
+        tick, tick_reset = Guard.of(ClockConstraint(x0, "=", 1)), frozenset({x0})
+        resets = [(_group_guard(subset, rest), subset) for subset in _subsets(rest)[1:]]
+        for loc in sorted(unfolded.locations):
+            if loc not in unfolded.final:
+                edges.append(Edge(loc, tick, TICK_LETTER, tick_reset, loc))
+            edges += [Edge(loc, guard, EPSILON, subset, loc) for guard, subset in resets]
     return replace(unfolded, actions=unfolded.actions | {TICK_LETTER}, final=unfolded.final | dead,
-                   clocks=unfolded.clocks | frozenset(obs), invariant=inv, edges=tuple(edges),
+                   clocks=unfolded.clocks | frozenset(obs), edges=tuple(edges),
                    time_domain="dense", name=f"{ta.name}~tick{n}"), obs
 
 
 def last_observation_ticks(ta: TimedAutomaton, n: int) -> tuple[TimedAutomaton, list[str]]:
     """The tick construction of `ta` cut where a run stops, and its
-    observation clocks, tick clock first: no end gadget, and the
-    unfolding's finals and the last copy's locations final with no
-    out-edges. The stop region fixes the rest of the ticked word, which the
-    bounded engine attaches (`deciders._first_n_languages`)."""
+    observation clocks, tick clock first, which its region build takes as
+    wrap-around clocks (`_ticked_unfolding`): no end gadget, no tick or
+    reset loop, and the unfolding's finals and the last copy's locations
+    final with no out-edges. The stop region fixes the rest of the ticked
+    word, which the bounded engine attaches (`deciders._first_n_languages`)."""
     return _ticked_unfolding(ta, n, stop=True)
 
 

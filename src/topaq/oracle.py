@@ -11,12 +11,14 @@ from typing import Optional, Union
 from .observers import Dynamic, FirstN, Static, project
 from .ta import (
     EPSILON,
+    BadOracleBound,
     BoundExhausted,
     GridTrace,
     TimedAutomaton,
     TimedWord,
     TimeGrid,
     Verdict,
+    check_granularity,
     check_node_cap,
     collector_off,
     enumerate_runs,
@@ -79,15 +81,18 @@ def can_produce(
     (configuration, privacy flag, elapsed time, letters matched), so silent
     cycles cannot blow it up. Used to confirm that a violation candidate
     really has no matching run on the other side at the stated grid. A
-    `node_cap` that is not a nonnegative int raises `ValueError`.
+    granularity the grid cannot use raises `BadOracleBound`
+    (`check_granularity`), and a `node_cap` that is not a nonnegative int
+    `ValueError`.
     """
+    granularity = check_granularity(ta, granularity)
     check_node_cap(node_cap)
     init = ta.init
     if not ta.invariant_of(init).holds(ta.zero_valuation()):
         return False
     if not want_private and init in ta.private:
         return False
-    grid = TimeGrid(ta, Fraction(granularity), Fraction(horizon))
+    grid = TimeGrid(ta, granularity, Fraction(horizon))
     stamps = [grid.units(t) for t in w.timestamps()]  # None never matches
     letters = w.untimed()
     n = len(letters)
@@ -126,20 +131,10 @@ def can_produce(
     return False
 
 
-class BadOracleBound(ValueError):
-    """A search bound given to `oracle_check` is out of range."""
-
-    def __init__(self, name: str, value, want: str):
-        super().__init__(f"{name} must be {want}, got {value}")
-
-
 def _check_bounds(ta: TimedAutomaton, horizon, max_steps, granularity, node_cap) -> None:
     """Reject explicit bounds the enumeration cannot use (None: the default)."""
     if granularity is not None:
-        if Fraction(granularity) <= 0:
-            raise BadOracleBound("granularity", granularity, "positive")
-        if ta.time_domain == "discrete" and granularity != 1:
-            raise BadOracleBound("granularity", granularity, "1 in discrete time")
+        check_granularity(ta, granularity)
     if max_steps is not None and (not is_count(max_steps) or max_steps < 1):
         raise BadOracleBound("max_steps", max_steps, "a positive integer")
     if horizon is not None and Fraction(horizon) < 0:

@@ -12,7 +12,10 @@ Every constraint is then an inclusive interval of codes, its
 `ClockConstraint.interval` at unit 2 with open ends 0 and 2M+1: `x<b` is
 [0, 2b-1] and `x>b` [2b+1, 2M+1].
 The fractional order is a per-clock rank: 0 for an integral or above clock,
-and 1, 2, ... for the classes of equal nonzero fraction, ascending. A clock
+and 1, 2, ... for the classes of equal nonzero fraction, ascending.
+A build may name wrap-around clocks, which only ever record a fractional
+part: each has maximum constant 1 and code 0 or 1, and the delay that
+brings its class to the next integer takes it straight back to 0. A clock
 region is an interned (codes, ranks) pair and a region a (location id,
 clock-region id) pair. The `RegionAutomaton` it returns holds its graph
 only as edge arrays over the int states; `ClockRegion`, `Region` and `RAEdge`
@@ -30,7 +33,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping, Optional
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .ta import EPSILON, ClockConstraint, Edge, Guard, TimedAutomaton, TimedWord, is_count
 from .ta import step as ta_step
@@ -136,7 +139,7 @@ class Region:
 
 @dataclass(frozen=True)
 class RAEdge:
-    label: Optional[str]  # None for silent (delay edges and ε-action edges)
+    label: Optional[str]  # None for silent (delay edges other than a tick, and ε-action edges)
     target: Region
     kind: str  # "delay" | "action"
     ta_edge: Optional[Edge] = None
@@ -151,10 +154,12 @@ class RegionAutomaton:
     the edge arrays: the out-edges of state i are the edge ids
     `edge_ids(i)`, in build order, edge k entering state `edge_target[k]`
     through the automaton's edge `_edge_ta[k]`, or through a delay when that
-    is -1. Delay edges and ε-labelled action edges are unlabelled, and
+    is negative: -2 for a delay that wraps the tick clock of a build with
+    wrap-around clocks, which reads the tick letter `t`, and -1 for any
+    other. Other delay edges and ε-labelled action edges are unlabelled, and
     `letters` are the sorted labels of the others; `nfa.from_region_automaton`
-    reads the arrays into a silent-free NFA, a delay edge silent or read as
-    a letter it is given. `region(i)` and `edge(k)` decode one
+    reads the arrays into a silent-free NFA, a -1 delay edge silent or read
+    as a letter it is given. `region(i)` and `edge(k)` decode one
     `Region` or `RAEdge`; `states`,
     `initial`, `finals`, `edges` and `out_edges` decode them all on first
     access. `shortest_accepting_path` reads a shortest path to a final
@@ -172,7 +177,7 @@ class RegionAutomaton:
     final_ids: frozenset[int]
     edge_target: array
     _edge_start: array  # state i's edge ids are _edge_start[i] .. _edge_start[i+1]-1
-    _edge_ta: array  # index into the automaton's edges, -1 for a delay edge
+    _edge_ta: array  # index into the automaton's edges, -2 for a tick, -1 for another delay edge
     _keys: array  # state -> region key (clock-region id * locations + location id)
     _code: "_Compiled"
     endings: dict[int, tuple] = field(default_factory=dict)  # final state -> its ending
@@ -199,7 +204,7 @@ class RegionAutomaton:
     def edge(self, k: int) -> RAEdge:
         target, index = self.region(self.edge_target[k]), self._edge_ta[k]
         if index < 0:
-            return RAEdge(None, target, "delay", None)
+            return RAEdge(TICK_LETTER if index == -2 else None, target, "delay", None)
         e = self._code.edges[index]
         return RAEdge(e.action, target, "action", e)
 
@@ -245,13 +250,19 @@ class _Compiled:
     a clock region satisfies are the AND of its clocks' rows, one bitmask
     (`sat`) per clock region. Mask id 0 is no reset, mask id 1 the delay
     successor, and the others the edges' reset masks; `after` applies one.
+    With wrap-around clocks, tick clock first, the delay move is two
+    moves, each under a guard computed per clock region rather than per
+    clock: the tick (edge -2) when the delay wraps the tick clock, and the
+    plain delay (-1) when it does not.
     `build_region_automaton` runs on it, and its `RegionAutomaton` keeps it
     to decode regions and edges.
     """
 
-    def __init__(self, ta: TimedAutomaton, maxc: Mapping[str, int]):
+    def __init__(self, ta: TimedAutomaton, maxc: Mapping[str, int], wrap: Sequence[str] = ()):
         self.clocks = tuple(sorted(ta.clocks))
         self.tops = tuple(2 * maxc[x] + 1 for x in self.clocks)
+        # the code change of a clock as its class reaches the next integer
+        self.steps = tuple(-1 if x in wrap else 1 for x in self.clocks) if wrap else (1,) * len(self.clocks)
         self.discrete = ta.time_domain == "discrete"
         self.edges = ta.edges
         index = {x: i for i, x in enumerate(self.clocks)}
@@ -278,11 +289,16 @@ class _Compiled:
             t = lid[e.target]
             self.moves[lid[e.source]].append(
                 (gid(e.guard), masks.setdefault(mask, len(masks)), self.inv[t], t, e.action, k))
+        self.tick = index[wrap[0]] if wrap else -1
+        self.tick_guard = n = len(guards)
         for loc, moves in enumerate(self.moves):
-            moves.append((0, 1, self.inv[loc], loc, None, -1))
+            if wrap:  # guard ids n and n+1: the tick's and the plain delay's, one set by `intern`
+                moves += [(n, 1, self.inv[loc], loc, None, -2), (n + 1, 1, self.inv[loc], loc, None, -1)]
+            else:
+                moves.append((0, 1, self.inv[loc], loc, None, -1))
         self.start = lid[ta.init]
         self.masks = list(masks)
-        self.full = (1 << len(guards)) - 1
+        self.full = (1 << n + 2 * bool(wrap)) - 1
         self.table = [[self.full] * (top + 1) for top in self.tops]
         for g, conjuncts in enumerate(guards):
             for i, lo, hi in conjuncts:
@@ -314,6 +330,12 @@ class _Compiled:
             sat = self.full
             for row, c in zip(self.table, codes):
                 sat &= row[c]
+            if self.tick >= 0:
+                # the delay wraps the tick clock when it is in the largest
+                # class and no clock has a zero fraction (`after`)
+                t = self.tick
+                ticks = codes[t] == 1 and ranks[t] == max(ranks) and all(c & 1 for c in codes)
+                sat &= ~(1 << self.tick_guard + ticks)  # clear the guard that fails
             self.sat.append(sat)
         return cr
 
@@ -344,9 +366,9 @@ class _Compiled:
             return self.intern(tuple(c | 1 for c in codes), tuple(
                 r + stay if r else int(not c & 1 and c + 1 < t) for c, r, t in zip(codes, ranks, tops)))
         # the largest class reaches the next integer, which is at most M: a
-        # clock in (k, k+1) has k < M
+        # clock in (k, k+1) has k < M; a wrap-around clock goes back to 0
         last = max(ranks)
-        return self.intern(tuple(c + 1 if r == last else c for c, r in zip(codes, ranks)),
+        return self.intern(tuple(c + s if r == last else c for c, r, s in zip(codes, ranks, self.steps)),
                            tuple(0 if r == last else r for r in ranks))
 
     def clock_region(self, cr: int) -> ClockRegion:
@@ -368,8 +390,8 @@ class _Compiled:
 
 
 def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None,
-                           stop: Optional[Callable[[str, tuple, tuple], Optional[Hashable]]] = None
-                           ) -> RegionAutomaton:
+                           stop: Optional[Callable[[str, tuple, tuple], Optional[Hashable]]] = None,
+                           *, wrap: Sequence[str] = ()) -> RegionAutomaton:
     """Reachable region automaton of `ta` (dense or discrete per its domain).
 
     Final regions have no outgoing edges: runs end at the first final
@@ -384,10 +406,20 @@ def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None,
     distinct ending one final state, which every final region with that
     ending enters, and a final region whose ending is None no state and
     no in-edge.
+
+    `wrap` names the wrap-around clocks of a dense-time `ta`, tick clock
+    first (module docstring): the bounded engine's observation clocks
+    (`observers.last_observation_ticks`). Each has maximum constant 1,
+    whatever `ta`'s guards say, and the delay edge that wraps the tick
+    clock reads the tick letter `t` (`RegionAutomaton`).
     """
     cap = region_cap(cap)
+    if wrap and ta.time_domain == "discrete":
+        raise ValueError("wrap-around clocks need a dense-time automaton")
     maxc = ta.max_constants()
-    code = _Compiled(ta, maxc)
+    for x in wrap:
+        maxc[x] = 1
+    code = _Compiled(ta, maxc, wrap)
     n_locs, n_masks = len(code.names), len(code.masks)
     keys = array("q")  # state -> region key, clock region * n_locs + location
     ids: dict[int, int] = {}  # region key -> state
@@ -459,7 +491,10 @@ def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None,
 
     if len(keys) > _state_bound(len(ta.locations), maxc.values()):
         raise RuntimeError(f"{len(keys)} reachable regions exceed the theoretical bound")
-    letters = {ta.edges[k].action for k in set(edge_ta) if k >= 0} - {EPSILON}
+    used = set(edge_ta)
+    letters = {ta.edges[k].action for k in used if k >= 0} - {EPSILON}
+    if -2 in used:
+        letters.add(TICK_LETTER)
     return RegionAutomaton(ta.actions, maxc, tuple(sorted(letters)), frozenset(finals),
                            edge_target, edge_start, edge_ta, keys, code, dict(zip(by_ending.values(), by_ending)))
 

@@ -346,6 +346,25 @@ def is_count(n) -> bool:
     return isinstance(n, int) and not isinstance(n, bool) and n >= 0
 
 
+class BadOracleBound(ValueError):
+    """A bound of the brute-force search (`oracle.oracle_check` and the
+    grid searches under it) is out of range."""
+
+    def __init__(self, name: str, value, want: str):
+        super().__init__(f"{name} must be {want}, got {value}")
+
+
+def check_granularity(ta: TimedAutomaton, granularity) -> Fraction:
+    """`granularity` as a Fraction, if a grid search on `ta` can use it: it
+    must be positive, and 1 in discrete time; otherwise `BadOracleBound`."""
+    g = Fraction(granularity)
+    if g <= 0:
+        raise BadOracleBound("granularity", granularity, "positive")
+    if ta.time_domain == "discrete" and g != 1:
+        raise BadOracleBound("granularity", granularity, "1 in discrete time")
+    return g
+
+
 def check_node_cap(node_cap) -> None:
     if not is_count(node_cap):
         raise ValueError(f"node cap must be a nonnegative integer, not {node_cap!r}")
@@ -562,8 +581,9 @@ def enumerate_runs(
 
     `explored` counts (delay, edge) attempts, failed ones included; the
     search stops, with complete=False, at the first attempt once
-    `node_cap` attempts were made. A `node_cap` that is not a nonnegative
-    int raises `ValueError`.
+    `node_cap` attempts were made. A granularity the grid cannot use
+    raises `BadOracleBound` (`check_granularity`), and a `node_cap` that is
+    not a nonnegative int `ValueError`.
 
     Branches that revisit an already-expanded search node (location,
     valuation, private flag, elapsed time, trace, remaining budget no
@@ -577,11 +597,7 @@ def enumerate_runs(
     the failed ones between them from their ordinals.
     """
     horizon = Fraction(horizon)
-    granularity = Fraction(granularity)
-    if granularity <= 0:
-        raise ValueError("granularity must be positive")
-    if ta.time_domain == "discrete" and granularity != 1:
-        raise ValueError("discrete time requires granularity 1")
+    granularity = check_granularity(ta, granularity)
     check_node_cap(node_cap)
     if not ta.invariant_of(ta.init).holds(ta.zero_valuation()):
         return EnumerationResult((), True, 0)

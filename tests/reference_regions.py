@@ -20,10 +20,11 @@ differential tests.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Collection, Mapping, Optional, Sequence
 
 from topaq.constructions import S_TAG, build_memo
 from topaq.deciders import DELAY_LETTER, decode_delay_tokens
@@ -34,8 +35,9 @@ from topaq.regions import (
     Region,
     RegionAutomaton,
     RegionCapExceeded,
+    TICK_LETTER,
+    _state_bound,
     region_cap,
-    region_state_bound,
 )
 from topaq.ta import EPSILON, ClockConstraint, Edge, Guard, TimedAutomaton, TimedWord, Verdict
 
@@ -100,8 +102,10 @@ def reset(cr: ClockRegion, clocks: frozenset[str]) -> ClockRegion:
     return ClockRegion(tuple(sorted(ip.items())), cr.above - clocks, (zero,) + tuple(frac_blocks), True)
 
 
-def dense_delay_successor(cr: ClockRegion, maxc: Mapping[str, int]) -> Optional[ClockRegion]:
-    """The adjacent time-successor region, or None for unbounded regions."""
+def dense_delay_successor(cr: ClockRegion, maxc: Mapping[str, int],
+                          wrap: Collection[str] = ()) -> Optional[ClockRegion]:
+    """The adjacent time-successor region, or None for unbounded regions; a
+    wrap-around clock of `wrap` that reaches 1 is at 0 instead."""
     if is_unbounded(cr):
         return None
     ip = dict(cr.ipart)
@@ -119,7 +123,7 @@ def dense_delay_successor(cr: ClockRegion, maxc: Mapping[str, int]) -> Optional[
     last = cr.blocks[-1]
     nip = dict(ip)
     for x in last:
-        nip[x] += 1
+        nip[x] = 0 if x in wrap else nip[x] + 1
     return ClockRegion(tuple(sorted(nip.items())), cr.above, (last,) + cr.blocks[:-1], True)
 
 
@@ -152,12 +156,19 @@ class ReferenceRegions:
         return self.edges.get(r, ())
 
 
-def reference_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None) -> ReferenceRegions:
+def reference_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None,
+                               wrap: Sequence[str] = ()) -> ReferenceRegions:
     """Reachable region automaton of `ta` by breadth-first search over
-    region objects: edges in declaration order, then the delay edge."""
+    region objects: edges in declaration order, then the delay edge. The
+    clocks of `wrap`, tick clock first, wrap around with maximum constant
+    1 (`dense_delay_successor`), and the delay that wraps the tick clock
+    reads `t`."""
     cap = region_cap(cap)
-    maxc = ta.max_constants()
-    successor = discrete_delay_successor if ta.time_domain == "discrete" else dense_delay_successor
+    maxc = {**ta.max_constants(), **dict.fromkeys(wrap, 1)}
+    if ta.time_domain == "discrete":
+        successor = discrete_delay_successor
+    else:
+        successor = functools.partial(dense_delay_successor, wrap=frozenset(wrap))
 
     init_cr = clock_region_of(ta.zero_valuation(), maxc)
     if not satisfies_guard(init_cr, ta.invariant_of(ta.init)):
@@ -189,7 +200,8 @@ def reference_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None) ->
         if succ is None:
             out.append(RAEdge(None, r, "delay", None))  # unbounded self-loop
         elif satisfies_guard(succ, ta.invariant_of(r.location)):
-            out.append(RAEdge(None, Region(r.location, succ), "delay", None))
+            ticks = bool(wrap) and not r.clock_region.zero_first and wrap[0] in r.clock_region.blocks[-1]
+            out.append(RAEdge(TICK_LETTER if ticks else None, Region(r.location, succ), "delay", None))
         edges[r] = tuple(out)
         for ra_edge in out:
             tgt = ra_edge.target
@@ -201,7 +213,7 @@ def reference_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None) ->
                 queue.append(tgt)
 
     finals = frozenset(r for r in states if r.location in ta.final)
-    if len(states) > region_state_bound(ta):
+    if len(states) > _state_bound(len(ta.locations), maxc.values()):
         raise RuntimeError(f"{len(states)} reachable regions exceed the theoretical bound")
     return ReferenceRegions(ta.actions, tuple(states), initial, finals, edges, maxc, ta.time_domain)
 
@@ -233,7 +245,8 @@ def graph_of(ra: RegionAutomaton, delay: Optional[str] = None):
     """(letters, initial, finals, eps, trans) of a region automaton in the
     shape of `reference_graph`, read from its edge arrays through the
     decoded edges: silent successors from the unlabelled edges, letter
-    successors from the others; with `delay`, a delay edge reads it."""
+    successors from the others; with `delay`, an unlabelled delay edge
+    reads it."""
     eps: list[frozenset[int]] = []
     trans: list[dict[str, frozenset[int]]] = []
     letters = set()
@@ -242,7 +255,7 @@ def graph_of(ra: RegionAutomaton, delay: Optional[str] = None):
         moves: dict[str, list[int]] = {}
         for k in ra.edge_ids(i):
             e = ra.edge(k)
-            label = delay if e.kind == "delay" else e.label
+            label = delay if e.kind == "delay" and e.label is None else e.label
             if label is None:
                 silent.append(ra.edge_target[k])
             else:

@@ -428,11 +428,11 @@ class TestCheckBounded:
         assert not accepts_word(unfold_first_n(build_priv(base), n), v.witness)
 
     @pytest.mark.parametrize("sel, calls", [
-        (FirstN(1), [(True, None, 36), (False, ("b", "f{0,1}"), 25)]),
-        (FirstN(2), [(True, None, 181), (False, ("b", "f{0,1,2}"), 110)]),
-        (FirstN(3), [(True, None, 853), (False, ("b", "f{0,1,2,3}"), 232)]),
-        (Dynamic(1), [(True, None, 174), (False, ("o0", "b", "f{0,1,2}"), 123)]),
-        (Static((F(0), F(1, 2), F(3, 2))), [(True, None, 1278), (False, ("a", "f{0,1,2,3}"), 40)]),
+        (FirstN(1), [(True, None, 30), (False, ("b", "f{0,1}"), 19)]),
+        (FirstN(2), [(True, None, 147), (False, ("b", "f{0,1,2}"), 80)]),
+        (FirstN(3), [(True, None, 715), (False, ("b", "f{0,1,2,3}"), 154)]),
+        (Dynamic(1), [(True, None, 140), (False, ("o0", "b", "f{0,1,2}"), 89)]),
+        (Static((F(0), F(1, 2), F(3, 2))), [(True, None, 959), (False, ("a", "f{0,1,2,3}"), 25)]),
     ], ids=["first1", "first2", "first3", "dynamic1", "static"])
     def test_fig1_ladder_inclusion_calls(self, fig1, monkeypatch, sel, calls):
         """(holds, counterexample, explored) of every inclusion a fig1 ladder

@@ -12,6 +12,7 @@ from reference_enumeration import grid_runs, reference_can_produce, reference_en
 from test_acceptance import random_discrete_ta
 from topaq.oracle import can_produce, default_horizon, discrete_state_count
 from topaq.ta import (
+    BadOracleBound,
     BoundExhausted,
     TimedWord,
     enumerate_runs,
@@ -128,6 +129,28 @@ def test_bad_node_cap_refused(fig1, cap):
     assert enumerate_runs(fig1, F(3), 3, F(1, 2), node_cap=0).explored == 0
     with pytest.raises(BoundExhausted):
         can_produce(fig1, TimedWord.of(("b", 3)), False, F(3), F(1, 2), node_cap=0)
+
+
+@pytest.mark.parametrize("granularity, want", [(F(0), "positive"), (F(-1, 2), "positive")],
+                         ids=["zero", "negative"])
+def test_bad_granularity_refused(fig1, granularity, want):
+    """A granularity that is not positive is refused before either search
+    builds its grid: at 0 the membership search divided by zero, and at
+    -1/2 it answered False for a word a public run produces at 1/2."""
+    word = TimedWord.of(("b", 3))
+    assert can_produce(fig1, word, False, F(3), F(1, 2))
+    with pytest.raises(BadOracleBound, match=f"^granularity must be {want}, got {granularity}$"):
+        enumerate_runs(fig1, F(3), 3, granularity)
+    with pytest.raises(BadOracleBound, match=f"^granularity must be {want}, got {granularity}$"):
+        can_produce(fig1, word, False, F(3), granularity)
+
+
+def test_discrete_time_grid_takes_granularity_one_only(fig1_discrete):
+    with pytest.raises(BadOracleBound, match="^granularity must be 1 in discrete time, got 1/2$"):
+        enumerate_runs(fig1_discrete, F(3), 3, F(1, 2))
+    with pytest.raises(BadOracleBound, match="^granularity must be 1 in discrete time, got 1/2$"):
+        can_produce(fig1_discrete, TimedWord.of(("b", 3)), False, F(3), F(1, 2))
+    assert can_produce(fig1_discrete, TimedWord.of(("b", 3)), False, F(3), F(1))
 
 
 def shifted(w, offset):

@@ -211,31 +211,60 @@ class TestTickConstruction:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_stop_form_builds_only_live_regions(fig1, n):
-    """Every region of the bounded engine's stop form reaches a final
-    region: the invariants that keep the observation clocks at most 1 cut
-    exactly the regions from which no run stops."""
-    ra = build_region_automaton(last_observation_ticks(build_memo(fig1), n)[0])
+    """The bounded engine's stop form, built as the engine builds it with
+    its observation clocks wrapping around, has no transient region: every
+    observation clock is at code 0 or 1 (0 or a fraction), a delay edge is
+    a tick (-2) exactly when the tick clock goes from code 1 to code 0, and
+    every region reaches a final region."""
+    ticked, obs = last_observation_ticks(build_memo(fig1), n)
+    ra = build_region_automaton(ticked, wrap=obs)
+    clocks = sorted(ticked.clocks)
+    observed = [clocks.index(c) for c in obs]
+    tick = observed[0]
+    for i in range(ra.n_states):
+        codes = ra.clock_codes(i)[0]
+        assert all(codes[j] in (0, 1) for j in observed)
+        for k in ra.edge_ids(i):
+            if ra.edge(k).kind == "delay":
+                wraps = (codes[tick], ra.clock_codes(ra.edge_target[k])[0][tick]) == (1, 0)
+                assert (ra._edge_ta[k] == -2) == wraps
+    assert -2 in ra._edge_ta and "t" in ra.letters
     succ = [[ra.edge_target[k] for k in ra.edge_ids(i)] for i in range(ra.n_states)]
     reach = _reach_table(succ, [i in ra.final_ids for i in range(ra.n_states)])
     assert all(reach)
 
 
-@pytest.mark.parametrize("sel", [FirstN(n) for n in range(5)] + [Dynamic(1), Static((F(0), F(1, 2), F(3, 2)))],
+def test_stop_form_has_no_loops_or_invariants(fig1):
+    # the wrap-around observation clocks replace the tick loops, the silent
+    # reset loops and the invariants that kept each observation clock at most 1
+    ticked, obs = last_observation_ticks(build_memo(fig1), 3)
+    for e in ticked.edges:
+        # a model edge: an observed one resets one observation clock
+        assert e.action != "t"
+        assert len(e.resets & set(obs)) == (e.action is not None)
+        assert not any(c.clock in obs for c in e.guard.conjuncts)
+    assert not any(c.clock in obs for g in ticked.invariant.values() for c in g.conjuncts)
+
+
+@pytest.mark.parametrize("sel, endings",
+                         [(FirstN(0), 1), (FirstN(1), 6), (FirstN(2), 18), (FirstN(3), 76), (FirstN(4), 375),
+                          (Dynamic(1), 18), (Static((F(0), F(1, 2), F(3, 2))), 78)],
                          ids=[f"first:{n}" for n in range(5)] + ["dynamic:1", "static:0,1/2,3/2"])
-def test_stop_rule_builds_one_state_per_ending(fig1, sel):
+def test_stop_rule_builds_one_state_per_ending(fig1, sel, endings):
     """The bounded engine's build gives each ending of a final region one
     state: the final states' endings are pairwise distinct, each names a
     class, and they are the endings of the final regions of the build
-    without the rule. Every state still reaches a final one."""
+    without the rule; their number is pinned. Every state still reaches a
+    final one."""
     from topaq.deciders import _attacker, _first_n_stop
 
     automaton, n, _, _ = _attacker(fig1, sel)
-    ticked, stop = _first_n_stop(automaton, n, None)
-    ra = build_region_automaton(ticked, None, stop)
+    ticked, obs, stop = _first_n_stop(automaton, n, None)
+    ra = build_region_automaton(ticked, None, stop, wrap=obs)
     assert set(ra.endings) == ra.final_ids
-    assert len(set(ra.endings.values())) == len(ra.endings)
+    assert len(set(ra.endings.values())) == len(ra.endings) == endings
     assert all(classes for _, classes in ra.endings.values())
-    plain = build_region_automaton(ticked)
+    plain = build_region_automaton(ticked, wrap=obs)
     assert set(ra.endings.values()) == {stop(plain.location_of(i), *plain.clock_codes(i))
                                         for i in plain.final_ids} - {None}
     succ = [[ra.edge_target[k] for k in ra.edge_ids(i)] for i in range(ra.n_states)]

@@ -56,9 +56,9 @@ def reference_path(ref):
     return None
 
 
-def assert_same(ta):
-    ra = build_region_automaton(ta)
-    ref = reference_region_automaton(ta)
+def assert_same(ta, wrap=()):
+    ra = build_region_automaton(ta, wrap=wrap)
+    ref = reference_region_automaton(ta, wrap=wrap)
     assert ra.states == ref.states
     assert ra.initial == ref.initial
     assert ra.finals == ref.finals
@@ -74,15 +74,16 @@ def assert_same(ta):
 
 
 def ticked_memo(ta, sel):
-    """The tick construction a bounded query builds for `sel`."""
+    """The tick construction a bounded query builds for `sel`, and its
+    wrap-around observation clocks."""
     base, n, _, _ = _attacker(ta, sel)
-    return last_observation_ticks(build_memo(dense_time(base)), n)[0]
+    return last_observation_ticks(build_memo(dense_time(base)), n)
 
 
 @pytest.mark.parametrize("sel", [FirstN(1), FirstN(2), FirstN(3), Dynamic(1), Static((F(0), F(1, 2), F(3, 2)))],
                          ids=["first:1", "first:2", "first:3", "dynamic:1", "static:0,1/2,3/2"])
 def test_fig1_tick_constructions(sel):
-    assert_same(ticked_memo(fig1_ta(), sel))
+    assert_same(*ticked_memo(fig1_ta(), sel))
 
 
 def criterion5_corpus(count):
@@ -258,13 +259,13 @@ def test_initial_invariant_fails():
 
 
 def test_cap_fires_at_the_same_state():
-    ta = ticked_memo(fig1_ta(), FirstN(1))
-    n = len(reference_region_automaton(ta).states)
+    ta, obs = ticked_memo(fig1_ta(), FirstN(1))
+    n = len(reference_region_automaton(ta, wrap=obs).states)
     for cap in (2, n - 1):
         for build in (build_region_automaton, reference_region_automaton):
             with pytest.raises(RegionCapExceeded):
-                build(ta, cap)
-    assert len(build_region_automaton(ta, n).states) == n
+                build(ta, cap, wrap=obs)
+    assert len(build_region_automaton(ta, n, wrap=obs).states) == n
 
 
 @pytest.mark.parametrize("cap", [0, -5, 1.5, True])
