@@ -27,7 +27,7 @@ from . import export
 from .deciders import UndecidableClass, applicable, decide, dense_time, is_oera
 from .model import ModelError, parse_scaled_model
 from .nfa import InclusionCapExceeded
-from .observers import Dynamic, FirstN, ObservationCapExceeded, Static, tick_construction
+from .observers import Dynamic, FirstN, ObservationCapExceeded, Static, observation_clocks, tick_construction
 from .oracle import BadOracleBound
 from .regions import (
     BadRegionCap,
@@ -98,8 +98,8 @@ def build_parser() -> _Parser:
 
     exp = sub.add_parser("export", help="export the model or derived automata")
     exp.add_argument("--what", default="ta", choices=["ta", "region-automaton", "tick"],
-                     help="tick: the tick construction in its reference form, with the end gadget "
-                          "that the bounded engine reads off the regions instead")
+                     help="tick: the region automaton of the tick construction as the bounded engine "
+                          "builds it, ticking (t) by the delays that wrap its tick clock")
     exp.add_argument("--format", default="dot", choices=["dot", "json"])
     exp.add_argument("--obs", help="first:N for --what tick (default first:1)")
     exp.add_argument("--scale", action="store_true")
@@ -170,10 +170,10 @@ def _run_export(args) -> int:
             sel = parse_observation(args.obs) if args.obs else FirstN(1)
             if not isinstance(sel, FirstN):
                 raise _UsageError("--what tick takes --obs first:N")
-            subject = tick_construction(dense_time(ta), sel.n)
+            base = dense_time(ta)
+            ra = build_region_automaton(tick_construction(base, sel.n), wrap=observation_clocks(base, sel.n))
         else:
-            subject = augment_ticks(ta) if ta.time_domain == "discrete" else ta
-        ra = build_region_automaton(subject)
+            ra = build_region_automaton(augment_ticks(ta) if ta.time_domain == "discrete" else ta)
         text = (
             export.region_automaton_to_dot(ra)
             if args.format == "dot"

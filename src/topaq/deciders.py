@@ -22,9 +22,10 @@ from .observers import (
     FirstN,
     Static,
     TimeSelection,
-    last_observation_ticks,
     normalize_sequence,
+    observation_clocks,
     switch_scale,
+    tick_construction,
     unfold_first_n,
     unfold_free,
     unfold_tau,
@@ -405,25 +406,26 @@ def check_bounded(
 
 
 def _first_n_languages(ta: TimedAutomaton, n: int, cap: Optional[int]) -> list[NFA]:
-    """[private, public] ticked first-N languages of `ta`, equal to those of
-    the `tick_construction` of `build_priv` and of `build_pub` of `ta`,
-    from a region build that stops where a run stops (`_first_n_stop`)."""
+    """[private, public] ticked first-N languages of `ta`, read off one
+    region build of the `tick_construction` of its memo automaton that stops
+    where a run stops (`_first_n_stop`): the f-letters the ending of a stop
+    region carries complete each ticked word."""
     ticked, obs, stop = _first_n_stop(ta, n, cap)
     return _ticked_language(ticked, cap, MEMO_TAGS, stop=stop, wrap=obs).views()
 
 
 def _first_n_stop(ta: TimedAutomaton, n: int, cap: Optional[int]
                   ) -> tuple[TimedAutomaton, tuple[str, ...], Callable]:
-    """The tick construction of `ta`'s memo automaton cut where a run stops
-    (`last_observation_ticks`), its observation clocks, tick clock first,
-    which `build_region_automaton` takes as wrap-around clocks, and its
-    stop rule for that build. The ending of a final region is the f-suffix
-    the gadget would emit from it (`_suffix_word`) and the indices of the
-    classes of `MEMO_TAGS` a run reaches from its location and model clocks
+    """The `tick_construction` of `ta`'s memo automaton, its
+    `observation_clocks`, tick clock first, which `build_region_automaton`
+    takes as wrap-around clocks, and its stop rule for that build. The
+    ending of a final region is the f-suffix of its observation clocks'
+    fractional groups (`_suffix_word`) and the indices of the classes of
+    `MEMO_TAGS` a run reaches from its location and model clocks
     (`_reachable_classes`), or None when it reaches none. Suffix words are
     worked out once per ranking of the observation clocks."""
     memo = build_memo(dense_time(ta))
-    ticked, obs = last_observation_ticks(memo, n)
+    ticked, obs = tick_construction(memo, n), observation_clocks(memo, n)
     reachable = _reachable_classes(memo, cap)
     column = {x: j for j, x in enumerate(sorted(ticked.clocks))}
     model = [column[x] for x in sorted(memo.clocks)]
@@ -444,7 +446,7 @@ def _first_n_stop(ta: TimedAutomaton, n: int, cap: Optional[int]
             word = words[key] = _suffix_word(key)
         return word, found
 
-    return ticked, tuple(obs), stop
+    return ticked, obs, stop
 
 
 def _renumber(ranks: list[int]) -> tuple[int, ...]:
@@ -455,7 +457,7 @@ def _renumber(ranks: list[int]) -> tuple[int, ...]:
 
 
 def _suffix_word(ranks: tuple[int, ...]) -> tuple[str, ...]:
-    """The f-suffix the end gadget emits from a stop region whose
+    """The f-suffix that completes the ticked word of a stop region whose
     observation clocks, tick clock first, have the fractional ranks `ranks`:
     their groups of equal fraction in the order they reach the next integer,
     decreasing cyclic order from the tick clock's group."""

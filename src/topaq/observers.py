@@ -1,6 +1,8 @@
 """Attacker models: time-selection functions and their projections, the
-first-N unfolding, the tick construction, simple-time-sequence normalization,
-the switch-time unfolding, and the free unfolding for dynamic attackers."""
+first-N unfolding, the tick construction with its observation clocks (whose
+region build ticks by wrap-around delays), simple-time-sequence
+normalization, the switch-time unfolding, and the free unfolding for
+dynamic attackers."""
 
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from .ta import (
     TimedWord,
     is_count,
 )
-from .words import _frac, _ipart, render_group
+from .words import _frac, _ipart
 
 DEFAULT_OBSERVATION_CAP = 8
 
@@ -118,126 +120,52 @@ def unfold_first_n(ta: TimedAutomaton, n: int) -> TimedAutomaton:
                           edges, f"{ta.name}~unfold{n}")
 
 
-def _subsets(items: Sequence[str]) -> list[frozenset[str]]:
-    """Every subset of `items`, the empty one first."""
-    return [frozenset(x for i, x in enumerate(items) if mask >> i & 1) for mask in range(1 << len(items))]
-
-
-def _group_guard(at_one: frozenset[str], inside: Sequence[str]) -> Guard:
-    """The clocks `at_one` at 1, the other clocks of `inside` strictly
-    between 0 and 1."""
-    conj = [ClockConstraint(c, "=", 1) for c in sorted(at_one)]
-    for c in inside:
-        if c not in at_one:
-            conj.append(ClockConstraint(c, ">", 0))
-            conj.append(ClockConstraint(c, "<", 1))
-    return Guard(tuple(conj))
-
-
-def _ticked_unfolding(ta: TimedAutomaton, n: int, stop: bool) -> tuple[TimedAutomaton, list[str]]:
-    """The final-relaxed N-unfolding of `ta` with one clock per observation
-    that records its timestamp's fractional part and a global tick clock,
-    and those observation clocks, tick clock first. A model letter `t` or
-    `f{...}` would read as a tick or an f-letter, so it is refused.
-
-    Without `stop`, the gadget form: the tick clock emits `t` each time
-    unit by a tick loop on every location but the finals, every model edge
-    needs the observation clocks below 1, and silent reset loops take each
-    of them back to 0 as it reaches 1.
-
-    With `stop`, the unfolding's finals and the last copy's locations have
-    no out-edge and are final, and the form keeps only the model edges and
-    their observation resets: no tick loop, no reset loop and no guard on
-    an observation clock. It is built with the observation clocks as
-    wrap-around clocks (`regions.build_region_automaton`), whose delay goes
-    from the last fraction straight to 0 and reads `t` when it wraps the
-    tick clock, as the gadget's loops would fire at once."""
-    reserve_letters(ta.actions, [TICK_LETTER, *(a for a in ta.actions if a.startswith("f{"))],
-                    "tick construction")
-    unfolded = relax_finals(unfold_first_n(ta, n))
-    taken = set(unfolded.clocks)
+def observation_clocks(ta: TimedAutomaton, n: int) -> tuple[str, ...]:
+    """The N+1 observation clocks of `ta`'s tick construction, tick clock
+    first: `tk0` ... `tkN`, each renamed away from `ta`'s clocks and the
+    observation clocks before it. The region build of the construction
+    takes them as its wrap-around clocks."""
+    taken = set(ta.clocks)
     obs = []
     for i in range(n + 1):
         c = fresh_name(f"tk{i}", taken)
         obs.append(c)
         taken.add(c)
-    below1 = Guard(tuple(ClockConstraint(c, "<", 1) for c in obs))
-    dead = unfolded.final | {l for l in unfolded.locations if l.endswith(f"~{n}")} if stop else frozenset()
+    return tuple(obs)
 
+
+def tick_construction(ta: TimedAutomaton, n: int) -> TimedAutomaton:
+    """Dense-time automaton whose region build with its `observation_clocks`
+    as wrap-around clocks (`regions.build_region_automaton`) encodes the
+    first-N projected traces of `ta` as ticked words, cut where a run stops.
+
+    It is the N-unfolding of `ta`, final-relaxed (a run ends the moment it
+    reaches a final location, so exits from finals are dead and their
+    invariants only matter at entry), in which each observed edge resets
+    the clock of its observation, which records the timestamp's fractional
+    part; the tick clock reads `t` each time its delay wraps. The
+    unfolding's finals and the last copy's locations are final with no
+    out-edge: the stop region fixes the rest of the ticked word, the
+    f-letters of the observation clocks' fractional groups, which the
+    bounded engine attaches (`deciders._first_n_stop`). A model letter `t`
+    or `f{...}` would read as a tick or an f-letter, so it is refused.
+    """
+    reserve_letters(ta.actions, [TICK_LETTER, *(a for a in ta.actions if a.startswith("f{"))],
+                    "tick construction")
+    unfolded = relax_finals(unfold_first_n(ta, n))
+    obs = observation_clocks(ta, n)
+    dead = unfolded.final | {l for l in unfolded.locations if l.endswith(f"~{n}")}
     edges = []
-    # original edges with their observation resets (the relaxed unfolding
-    # has no exits from final locations)
     for e in unfolded.edges:
         if e.source in dead:
             continue
         resets = e.resets
         if e.action is not EPSILON:
-            copy_index = int(e.target.rsplit("~", 1)[1])
-            resets = resets | {obs[copy_index]}
-        edges.append(Edge(e.source, e.guard if stop else e.guard.conjoin(below1), e.action, resets, e.target))
-    if not stop:
-        # tick loops (not on unfolding finals) and silent observation-clock
-        # resets, their guards built once and shared by every location
-        x0, rest = obs[0], obs[1:]
-        tick, tick_reset = Guard.of(ClockConstraint(x0, "=", 1)), frozenset({x0})
-        resets = [(_group_guard(subset, rest), subset) for subset in _subsets(rest)[1:]]
-        for loc in sorted(unfolded.locations):
-            if loc not in unfolded.final:
-                edges.append(Edge(loc, tick, TICK_LETTER, tick_reset, loc))
-            edges += [Edge(loc, guard, EPSILON, subset, loc) for guard, subset in resets]
-    return replace(unfolded, actions=unfolded.actions | {TICK_LETTER}, final=unfolded.final | dead,
+            resets = resets | {obs[int(e.target.rsplit("~", 1)[1])]}
+        edges.append(Edge(e.source, e.guard, e.action, resets, e.target))
+    return replace(unfolded, actions=unfolded.actions | {TICK_LETTER}, final=dead,
                    clocks=unfolded.clocks | frozenset(obs), edges=tuple(edges),
-                   time_domain="dense", name=f"{ta.name}~tick{n}"), obs
-
-
-def last_observation_ticks(ta: TimedAutomaton, n: int) -> tuple[TimedAutomaton, list[str]]:
-    """The tick construction of `ta` cut where a run stops, and its
-    observation clocks, tick clock first, which its region build takes as
-    wrap-around clocks (`_ticked_unfolding`): no end gadget, no tick or
-    reset loop, and the unfolding's finals and the last copy's locations
-    final with no out-edges. The stop region fixes the rest of the ticked
-    word, which the bounded engine attaches (`deciders._first_n_languages`)."""
-    return _ticked_unfolding(ta, n, stop=True)
-
-
-def tick_construction(ta: TimedAutomaton, n: int) -> TimedAutomaton:
-    """Dense-time gadget whose region automaton's untimed language encodes
-    the first-N projected traces of `ta` as ticked words: the reference
-    form, which `topaq export --what tick` shows, of the bounded engine's
-    `last_observation_ticks`. An end gadget reached from the final
-    locations of `_ticked_unfolding` emits the fractional groups of the
-    observation clocks as f-letters, one full time unit long.
-
-    The unfolding is final-relaxed first: a run ends the moment it reaches a
-    final location, so exits from finals are dead and their invariants only
-    matter at entry; the relaxation is what lets the gadget spend its extra
-    time units there.
-    """
-    unfolded, obs = _ticked_unfolding(ta, n, stop=False)
-    x0, rest = obs[0], obs[1:]
-    g0 = fresh_name("gadget0", unfolded.locations)
-    g1 = fresh_name("gadget1", unfolded.locations)
-    finals = sorted(unfolded.final)
-    # end gadget: first the group synchronized with the tick clock, then each
-    # later fractional group as it reaches 1, closing after one full unit
-    edges = list(unfolded.edges)
-    f_letters = set()
-    index_of = {c: i for i, c in enumerate(obs)}
-    for subset in _subsets(rest):
-        group = subset | {x0}
-        letter = render_group(frozenset(index_of[c] for c in group))
-        f_letters.add(letter)
-        for lf in finals:
-            edges.append(Edge(lf, _group_guard(group, obs), letter, group, g0))
-        edges.append(Edge(g0, _group_guard(group, obs), EPSILON, frozenset(), g1))
-    for subset in _subsets(rest)[1:]:
-        letter = render_group(frozenset(index_of[c] for c in subset))
-        f_letters.add(letter)
-        edges.append(Edge(g0, _group_guard(subset, obs), letter, subset, g0))
-
-    inv = {**unfolded.invariant, g0: Guard.true(), g1: Guard.true()}
-    return replace(unfolded, actions=unfolded.actions | f_letters, locations=unfolded.locations | {g0, g1},
-                   final=frozenset({g1}), invariant=inv, edges=tuple(edges))
+                   time_domain="dense", name=f"{ta.name}~tick{n}")
 
 
 def normalize_sequence(tau: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -13,9 +13,10 @@ Every constraint is then an inclusive interval of codes, its
 [0, 2b-1] and `x>b` [2b+1, 2M+1].
 The fractional order is a per-clock rank: 0 for an integral or above clock,
 and 1, 2, ... for the classes of equal nonzero fraction, ascending.
-A build may name wrap-around clocks, which only ever record a fractional
-part: each has maximum constant 1 and code 0 or 1, and the delay that
-brings its class to the next integer takes it straight back to 0. A clock
+A build may name wrap-around clocks (the observation clocks of
+`observers.tick_construction`), which only ever record a fractional part:
+each has maximum constant 1 and code 0 or 1, and the delay that brings its
+class to the next integer takes it straight back to 0. A clock
 region is an interned (codes, ranks) pair and a region a (location id,
 clock-region id) pair. The `RegionAutomaton` it returns holds its graph
 only as edge arrays over the int states; `ClockRegion`, `Region` and `RAEdge`
@@ -408,10 +409,10 @@ def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None,
     no in-edge.
 
     `wrap` names the wrap-around clocks of a dense-time `ta`, tick clock
-    first (module docstring): the bounded engine's observation clocks
-    (`observers.last_observation_ticks`). Each has maximum constant 1,
-    whatever `ta`'s guards say, and the delay edge that wraps the tick
-    clock reads the tick letter `t` (`RegionAutomaton`).
+    first (module docstring): the `observers.observation_clocks` of the
+    bounded engine's `observers.tick_construction`. Each has maximum
+    constant 1, whatever `ta`'s guards say, and the delay edge that wraps
+    the tick clock reads the tick letter `t` (`RegionAutomaton`).
     """
     cap = region_cap(cap)
     if wrap and ta.time_domain == "discrete":

@@ -119,7 +119,7 @@ def ticked_word(w: TimedWord, bound: int) -> TickedWord:
     """Ticked form of `w` under observation budget `bound` (requires |w| <= bound).
 
     Unused observation indices join the fraction-zero group: their clocks in
-    the tick gadget are never reset by an observation, so they stay in step
+    the tick construction are never reset by an observation, so they stay in step
     with the global tick clock.
     """
     n = len(w)

@@ -7,6 +7,7 @@ import warnings
 from fractions import Fraction as F
 
 from conftest import fig1_ta, nfa_accepts_expanded, oera_pair_ta, random_discrete_ta
+from reference_languages import reference_tick_construction
 from reference_nfa import language_upto
 from reference_regions import graph_of
 from topaq.constructions import (
@@ -33,7 +34,6 @@ from topaq.observers import (
     FirstN,
     Static,
     normalize_sequence,
-    tick_construction,
     unfold_free,
 )
 from topaq.oracle import discrete_state_count, oracle_check
@@ -254,7 +254,7 @@ def test_criterion_9_region_count_bounds():
                 * 2 ** n_clocks
                 * (n + n_clocks + 1) ** n_clocks
             )
-            ra = build_region_automaton(tick_construction(base, n))
+            ra = build_region_automaton(reference_tick_construction(base, n))
             m = from_region_automaton(ra)
             # the NFA's sets keep only active states; bound the full closures
             # of the region graph along the same words
@@ -280,9 +280,9 @@ def test_criterion_10_witness_verifier():
         )
         fig1 = fig1_ta()
         ras = [
-            build_region_automaton(tick_construction(interval, 1)),
-            build_region_automaton(tick_construction(build_priv(fig1), 1)),
-            build_region_automaton(tick_construction(build_pub(fig1), 1)),
+            build_region_automaton(reference_tick_construction(interval, 1)),
+            build_region_automaton(reference_tick_construction(build_priv(fig1), 1)),
+            build_region_automaton(reference_tick_construction(build_pub(fig1), 1)),
         ]
         nfas = [from_region_automaton(ra) for ra in ras]
         for i in range(200):

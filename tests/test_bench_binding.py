@@ -52,17 +52,21 @@ def test_benchmark_answers_are_correct(workload):
 def test_traced_benchmark_answers_are_correct():
     # traced and untraced passes alternate; a tracer counter that no longer
     # fits the layer it wraps fails the queries it traces, and the exact
-    # counts fail any change to the region graph or the strip
+    # counts fail any change to the region graph or the strip. The observer
+    # counts are those of the tick constructions and unfoldings the engine
+    # builds: a query that bypasses `observers.tick_construction` moves them
     result = run_benchmark("first-n", 1)
     assert result["correct"] is True and result["failed"] == 0
     metrics = result["metrics"]
     assert metrics["regions.states"]["value"] == 880
     assert metrics["regions.edges"]["value"] == 1584
     assert metrics["nfa.strip_states"]["value"] == 896
+    assert metrics["observers.locations"]["value"] == 234
+    assert metrics["observers.clocks"]["value"] == 34
 
 
 def test_traced_switch_time_counts():
-    # the static switch-time reduction, on the same stop form and wrap-around
+    # the static switch-time reduction, on the same tick construction and wrap-around
     # observation clocks: the exact counts fail any change to its region
     # graph or the strip
     result = run_benchmark("switch-times", 1)
@@ -71,6 +75,8 @@ def test_traced_switch_time_counts():
     assert metrics["regions.states"]["value"] == 594
     assert metrics["regions.edges"]["value"] == 1402
     assert metrics["nfa.strip_states"]["value"] == 419
+    assert metrics["observers.locations"]["value"] == 189
+    assert metrics["observers.clocks"]["value"] == 8
 
 
 def test_traced_oracle_counts():

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (fig1_ta, nfa_accepts_expanded, plant_shared_trace, random_discrete_ta, random_oera,
                       single_word_ta)
+from reference_languages import reference_tick_construction
 from test_enumeration import CORPUS
 from topaq.constructions import (
     _public_runs,
@@ -40,7 +41,6 @@ from topaq.observers import (
     FirstN,
     Static,
     normalize_sequence,
-    tick_construction,
     unfold_first_n,
     unfold_free,
     unfold_tau,
@@ -664,15 +664,15 @@ class TestVerifyWitness:
         )
 
     def test_worked_example(self):
-        ra = build_region_automaton(tick_construction(self.interval_ta(), 1))
+        ra = build_region_automaton(reference_tick_construction(self.interval_ta(), 1))
         acc, other = verify_witness(ra, None, "t^2 a f{0} f{1}")
         assert acc is True and other is None
         assert verify_witness(ra, None, "t^3 a f{0} f{1}")[0] is False
         assert verify_witness(ra, None, "t^2 a f{0,1}")[0] is False
 
     def test_two_automata(self, fig1):
-        ra1 = build_region_automaton(tick_construction(build_priv(fig1), 1))
-        ra2 = build_region_automaton(tick_construction(build_pub(fig1), 1))
+        ra1 = build_region_automaton(reference_tick_construction(build_priv(fig1), 1))
+        ra2 = build_region_automaton(reference_tick_construction(build_pub(fig1), 1))
         acc1, acc2 = verify_witness(ra1, ra2, "t b f{0} f{1}")
         assert acc1 is True and acc2 is True
         acc1, acc2 = verify_witness(ra1, ra2, "t^3 b f{0,1}")
@@ -684,13 +684,13 @@ class TestVerifyWitness:
         assert verify_witness(ra, None, "")[0] is True
 
     def test_unknown_letter_is_an_error(self):
-        ra = build_region_automaton(tick_construction(self.interval_ta(), 1))
+        ra = build_region_automaton(reference_tick_construction(self.interval_ta(), 1))
         with pytest.raises(ValueError):
             verify_witness(ra, None, "t z f{0}")
 
     def test_matches_expanded_simulation(self):
         rng = random.Random(7)
-        ra = build_region_automaton(tick_construction(self.interval_ta(), 1))
+        ra = build_region_automaton(reference_tick_construction(self.interval_ta(), 1))
         m = from_region_automaton(ra)
         letters = [a for a in m.alphabet if a != "t"]
         for _ in range(60):
@@ -705,6 +705,6 @@ class TestVerifyWitness:
             assert verify_witness(ra, None, desc)[0] == nfa_accepts_expanded(m, parsed)
 
     def test_huge_exponent_runs(self):
-        ra = build_region_automaton(tick_construction(self.interval_ta(), 1))
+        ra = build_region_automaton(reference_tick_construction(self.interval_ta(), 1))
         acc, _ = verify_witness(ra, None, f"t^{2**64} a f{{0}} f{{1}}")
         assert acc is False  # the guard caps waiting at 3 units

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from topaq.cli import main
+from topaq.deciders import dense_time
 from topaq.export import region_automaton_to_dot, region_automaton_to_json, ta_to_dot, ta_to_json
 from topaq.model import ModelError, parse_model, print_model
+from topaq.observers import observation_clocks, tick_construction
 from topaq.regions import augment_ticks, build_region_automaton
 from topaq.ta import EPSILON
 
@@ -426,17 +428,18 @@ class TestBundledModels:
         assert main(["classify", str(path)]) == 0
         assert f"\nregion state bound: {self.REGION_STATE_BOUNDS[path.name]}\n" in capsys.readouterr().out
 
-    # sha256 of `topaq export --what tick` (first:1): the one-class tick
-    # construction, its region automaton and the export stay byte-identical
+    # sha256 of `topaq export --what tick` (first:1): the region automaton of
+    # the tick construction as the bounded engine builds it, with wrap-around
+    # observation clocks, stays byte-identical
     TICK_EXPORTS = {
-        ("fig1-discrete.ta", "dot"): "56fa4e9a70a906e6d2ef0aa9cbe5d5e7c6d0c1fea4249f1a8620a435e353dc88",
-        ("fig1-discrete.ta", "json"): "7a3a1689571242987f35074e2de958e9e30e252d79ece318b88e8a687b08f51f",
-        ("fig1.ta", "dot"): "60ac9c837c64f846618508750fb5cd90845cb5a264f9bc82c0814ac92d58e8bc",
-        ("fig1.ta", "json"): "50635cb5a34d990246e2931f7c635c12c5eb710c2577a2f95c8550867b7588f6",
-        ("late-guard.ta", "dot"): "1fe081ae1bcacfa137dfdcc06c8f82d4225ece23919601c506441503e6c5593a",
-        ("late-guard.ta", "json"): "044f87bd5947599be80f3918d314a311363e828e0dcfb7e372894ef0a96a5a6a",
-        ("oera-pair.ta", "dot"): "ffda6c2267a625001834b5616d3a767d9cbe5496ea5d78adf658c73c2af43564",
-        ("oera-pair.ta", "json"): "2ce80c86b5f297038732052a6b2b7faf9aba8e94e5a23d5a0443f59abb69d59f",
+        ("fig1-discrete.ta", "dot"): "bb9069052777533a4748490b7e079378d54a4e0b00028534069701d89193d262",
+        ("fig1-discrete.ta", "json"): "af80a1c222794f68f16654c13339548f383f25217ab7d896fb78078bbc0a2a75",
+        ("fig1.ta", "dot"): "b95086a91eed0efc8468c841415f9808bf8964dc5b8be4d43ca7c1ff7e7ee0a6",
+        ("fig1.ta", "json"): "dffb872b0dc6e94013342488dfa11ceb92ddf7983025367295b27e6e51cce828",
+        ("late-guard.ta", "dot"): "8ab80ad7e133195981695e11406e4cb71e19c9eb608aca827f21c1b93568aaff",
+        ("late-guard.ta", "json"): "ce18e4dd6b0149a9388f8beaca72a930f59e5cd1f3968f58b1d354617c2771d9",
+        ("oera-pair.ta", "dot"): "30edce842200afeeba62848733909e3094c33f0a4e6e95c9229292c350ee59af",
+        ("oera-pair.ta", "json"): "f80338390fcb3b4cc12400bd5739ed6428c5885d096e63de5d70914c0c7cf908",
     }
 
     @pytest.mark.parametrize("fmt", ["dot", "json"])
@@ -445,6 +448,23 @@ class TestBundledModels:
         assert main(["export", "--what", "tick", "--format", fmt, str(path)]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert digest == self.TICK_EXPORTS[(path.name, fmt)]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tick_export_is_the_engine_build(self, n, capsys):
+        # no end gadget (no f-letter, no gadget location), every tick a delay
+        # that wraps the tick clock, and the states and edges of the direct
+        # wrap build of the tick construction
+        path = next(p for p in self.MODELS if p.name == "fig1.ta")
+        assert main(["export", "--what", "tick", "--format", "json", "--obs", f"first:{n}", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert not any(a.startswith("f{") for a in doc["alphabet"])
+        assert not any(e["label"].startswith("f{") for e in doc["edges"])
+        assert not any(s["location"].startswith("gadget") for s in doc["states"])
+        ticks = [e for e in doc["edges"] if e["label"] == "t"]
+        assert ticks and all(e["kind"] == "delay" for e in ticks)
+        base = dense_time(parse_model(path.read_text()))
+        ra = build_region_automaton(tick_construction(base, n), wrap=observation_clocks(base, n))
+        assert (len(doc["states"]), len(doc["edges"])) == (ra.n_states, len(ra.edge_target))
 
     def test_oera_model_classified(self, capsys):
         path = next(p for p in self.MODELS if p.name == "oera-pair.ta")

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -8,17 +9,18 @@ from pathlib import Path
 import pytest
 
 from conftest import fig1_ta, trace_words
+from reference_languages import reference_tick_construction
 from reference_nfa import language_upto
 from topaq.constructions import build_memo, build_priv, build_pub
-from topaq.model import print_model
+from topaq.model import parse_model, print_model
 from topaq.nfa import _reach_table, from_region_automaton, strip_ticks_before_suffix
 from topaq.observers import (
     Dynamic,
     FirstN,
     ObservationCapExceeded,
     Static,
-    last_observation_ticks,
     normalize_sequence,
+    observation_clocks,
     project,
     tick_construction,
     unfold_first_n,
@@ -132,8 +134,10 @@ class TestUnfoldFirstN:
 
 
 class TestTickConstruction:
+    # the gadget form of the tests' reference, whose plain region build
+    # spells out each ticked word to its end
     def stripped(self, part, n, maxlen=9):
-        tk = tick_construction(part, n)
+        tk = reference_tick_construction(part, n)
         m = from_region_automaton(build_region_automaton(tk))
         suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
         return language_upto(strip_ticks_before_suffix(m, suffix), maxlen)
@@ -173,7 +177,7 @@ class TestTickConstruction:
         from topaq.deciders import _suffix_word
 
         memo = build_memo(fig1)
-        ticked = tick_construction(memo, n)
+        ticked = reference_tick_construction(memo, n)
         ra = build_region_automaton(ticked)
         column = {x: j for j, x in enumerate(sorted(ticked.clocks))}
         observed = [column[f"tk{i}"] for i in range(n + 1)]
@@ -216,7 +220,8 @@ def test_stop_form_builds_only_live_regions(fig1, n):
     observation clock is at code 0 or 1 (0 or a fraction), a delay edge is
     a tick (-2) exactly when the tick clock goes from code 1 to code 0, and
     every region reaches a final region."""
-    ticked, obs = last_observation_ticks(build_memo(fig1), n)
+    memo = build_memo(fig1)
+    ticked, obs = tick_construction(memo, n), observation_clocks(memo, n)
     ra = build_region_automaton(ticked, wrap=obs)
     clocks = sorted(ticked.clocks)
     observed = [clocks.index(c) for c in obs]
@@ -237,13 +242,34 @@ def test_stop_form_builds_only_live_regions(fig1, n):
 def test_stop_form_has_no_loops_or_invariants(fig1):
     # the wrap-around observation clocks replace the tick loops, the silent
     # reset loops and the invariants that kept each observation clock at most 1
-    ticked, obs = last_observation_ticks(build_memo(fig1), 3)
+    memo = build_memo(fig1)
+    ticked, obs = tick_construction(memo, 3), observation_clocks(memo, 3)
     for e in ticked.edges:
         # a model edge: an observed one resets one observation clock
         assert e.action != "t"
         assert len(e.resets & set(obs)) == (e.action is not None)
         assert not any(c.clock in obs for c in e.guard.conjuncts)
     assert not any(c.clock in obs for g in ticked.invariant.values() for c in g.conjuncts)
+
+
+@pytest.mark.parametrize("mode", ["weak", "full"])
+def test_observation_clocks_avoid_a_model_clock(fig1, mode):
+    """fig1 with its clock renamed `tk0`: the observation clocks are renamed
+    away from it, the tick construction adds exactly them, tick clock first
+    (the one no observation resets), and the bounded answers and witnesses
+    are fig1's."""
+    from topaq.deciders import check_bounded
+
+    clash = parse_model(re.sub(r"\bx\b", "tk0", print_model(fig1)))
+    assert clash.clocks == {"tk0"}
+    assert observation_clocks(clash, 3) == ("tk00", "tk1", "tk2", "tk3")
+    for n in range(4):
+        obs = observation_clocks(clash, n)
+        ticked = tick_construction(clash, n)
+        assert ticked.clocks - clash.clocks == set(obs)
+        assert {c for e in ticked.edges for c in e.resets} & set(obs) == set(obs[1:])
+    for sel in [FirstN(1), FirstN(2), FirstN(3), Dynamic(1), Static((F(0), F(1, 2), F(3, 2)))]:
+        assert check_bounded(clash, sel, mode) == check_bounded(fig1, sel, mode), sel
 
 
 @pytest.mark.parametrize("sel, endings",

@@ -8,11 +8,12 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_blocking_oera, random_discrete_ta, random_oera, trace_words
+from reference_languages import reference_tick_construction
 from reference_nfa import language_upto
 from topaq.constructions import build_priv, build_pub, prune_final_exits
 from topaq.deciders import accepts_word, check_bounded, check_exists, check_opacity
 from topaq.nfa import from_region_automaton, strip_ticks_before_suffix
-from topaq.observers import FirstN, project, tick_construction
+from topaq.observers import FirstN, project
 from topaq.oracle import discrete_state_count, oracle_check
 from topaq.regions import augment_ticks, build_region_automaton, tick_decode
 from topaq.ta import EPSILON, ClockConstraint, Guard, edge, make_ta, validate, validate_errors
@@ -56,7 +57,7 @@ def test_exists_follows_from_weak_with_nonempty_private(fig1_discrete):
 def test_bounded_comparison_languages_are_n_bounded(fig1):
     for n in (0, 1, 2):
         for part in (build_priv(fig1), build_pub(fig1)):
-            m = from_region_automaton(build_region_automaton(tick_construction(part, n)))
+            m = from_region_automaton(build_region_automaton(reference_tick_construction(part, n)))
             suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
             stripped = strip_ticks_before_suffix(m, suffix)
             sigma = set("ab")

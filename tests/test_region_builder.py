@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import fig1_ta, oera_pair_ta, random_blocking_oera, random_discrete_ta, random_oera
+from reference_languages import reference_tick_construction
 from reference_regions import (
     graph_of,
     reference_check_oera,
@@ -27,7 +28,7 @@ from topaq.deciders import _attacker, check_opacity, dense_time, is_oera
 from topaq.export import region_automaton_to_dot, region_automaton_to_json
 from topaq.model import parse_model
 from topaq.nfa import from_region_automaton
-from topaq.observers import Dynamic, FirstN, Static, last_observation_ticks, tick_construction
+from topaq.observers import Dynamic, FirstN, Static, observation_clocks, tick_construction
 from topaq.oracle import discrete_state_count
 from topaq.regions import BadRegionCap, RegionCapExceeded, augment_ticks, build_region_automaton
 from topaq.ta import ClockConstraint, Guard, edge, make_ta, validate, validate_errors
@@ -77,7 +78,8 @@ def ticked_memo(ta, sel):
     """The tick construction a bounded query builds for `sel`, and its
     wrap-around observation clocks."""
     base, n, _, _ = _attacker(ta, sel)
-    return last_observation_ticks(build_memo(dense_time(base)), n)
+    memo = build_memo(dense_time(base))
+    return tick_construction(memo, n), observation_clocks(memo, n)
 
 
 @pytest.mark.parametrize("sel", [FirstN(1), FirstN(2), FirstN(3), Dynamic(1), Static((F(0), F(1, 2), F(3, 2)))],
@@ -236,10 +238,12 @@ def test_oera_cap_is_the_memo_region_cap():
 @pytest.mark.parametrize("path", MODELS, ids=[p.stem for p in MODELS])
 def test_models_and_their_exports(path):
     ta = parse_model(path.read_text())
-    subjects = [ta, augment_ticks(ta)] if ta.time_domain == "discrete" else [ta]
-    subjects.append(tick_construction(dense_time(ta), 1))
-    for subject in subjects:
-        ra, ref = assert_same(subject)
+    base = dense_time(ta)
+    subjects = [(ta, ()), (augment_ticks(ta), ())] if ta.time_domain == "discrete" else [(ta, ())]
+    # the tick export (`topaq export --what tick`) and the gadget form
+    subjects += [(tick_construction(base, 1), observation_clocks(base, 1)), (reference_tick_construction(base, 1), ())]
+    for subject, wrap in subjects:
+        ra, ref = assert_same(subject, wrap)
         assert region_automaton_to_json(ra) == region_automaton_to_json(ref)
         assert region_automaton_to_dot(ra) == region_automaton_to_dot(ref)
 

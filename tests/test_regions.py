@@ -8,6 +8,7 @@ import pytest
 
 from conftest import fig1_ta, late_guard_ta, oera_pair_ta
 from reference_enumeration import reference_enumerate_runs
+from reference_languages import reference_tick_construction
 from reference_nfa import accepts, language_upto, step
 from reference_regions import clock_region_of, graph_of
 from topaq.constructions import MEMO_TAGS, build_memo, build_priv, build_pub
@@ -502,7 +503,8 @@ class TestRegularInclusion:
         else:
             kind, n = label.split(":")
             ta, n = (fig1_ta(), int(n)) if kind == "first" else (unfold_free(fig1_ta(), int(n)), 2 * int(n))
-            parts = [build_region_automaton(tick_construction(part, n)) for part in (build_priv(ta), build_pub(ta))]
+            parts = [build_region_automaton(reference_tick_construction(part, n))
+                     for part in (build_priv(ta), build_pub(ta))]
             cases, delay = [(ra, (ra.final_ids,)) for ra in parts], None
         for ra, classes in cases:
             m = from_region_automaton(ra, classes, delay)
@@ -533,7 +535,7 @@ class TestRegularInclusion:
         # with `t` renamed: stripping on the new letter gives the renamed
         # language
         if subject == "fig1-first:2":
-            parts = [build_region_automaton(tick_construction(part, 2))
+            parts = [build_region_automaton(reference_tick_construction(part, 2))
                      for part in (build_priv(fig1_ta()), build_pub(fig1_ta()))]
             cases = [from_region_automaton(ra, (ra.final_ids,)) for ra in parts]
         else:
