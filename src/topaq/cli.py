@@ -27,7 +27,15 @@ from . import export
 from .deciders import UndecidableClass, applicable, decide, dense_time, is_oera
 from .model import ModelError, parse_scaled_model
 from .nfa import InclusionCapExceeded
-from .observers import Dynamic, FirstN, ObservationCapExceeded, Static, observation_clocks, tick_construction
+from .observers import (
+    Dynamic,
+    FirstN,
+    ObservationCapExceeded,
+    Static,
+    _tick_constants,
+    observation_clocks,
+    tick_construction,
+)
 from .oracle import BadOracleBound
 from .regions import (
     BadRegionCap,
@@ -171,7 +179,8 @@ def _run_export(args) -> int:
             if not isinstance(sel, FirstN):
                 raise _UsageError("--what tick takes --obs first:N")
             base = dense_time(ta)
-            ra = build_region_automaton(tick_construction(base, sel.n), wrap=observation_clocks(base, sel.n))
+            ra = build_region_automaton(tick_construction(base, sel.n), wrap=observation_clocks(base, sel.n),
+                                        constants=_tick_constants(base, sel.n))
         else:
             ra = build_region_automaton(augment_ticks(ta) if ta.time_domain == "discrete" else ta)
         text = (

@@ -22,6 +22,7 @@ from .observers import (
     FirstN,
     Static,
     TimeSelection,
+    _tick_constants,
     normalize_sequence,
     observation_clocks,
     switch_scale,
@@ -179,7 +180,7 @@ DELAY_LETTER = ""
 
 def _ticked_language(automaton: TimedAutomaton, cap: Optional[int], tags: tuple[str, ...] = (),
                      delay: Optional[str] = None, stop: Optional[Callable] = None,
-                     wrap: tuple[str, ...] = ()) -> NFA:
+                     wrap: tuple[str, ...] = (), constants: Optional[dict[str, int]] = None) -> NFA:
     """Untimed language of `automaton`'s region automaton, whose delay edges
     are silent (`delay` None: a tick construction emits its own ticks `t`,
     by the wrap of the tick clock among the wrap-around clocks `wrap`) or
@@ -194,8 +195,9 @@ def _ticked_language(automaton: TimedAutomaton, cap: Optional[int], tags: tuple[
     all. For the bounded attacker, the build's stop rule `stop` gives
     instead each final state its ending: an f-suffix, whose letters are the
     strip's suffix letters, and the indices of its classes
-    (`nfa.from_region_automaton`)."""
-    ra = build_region_automaton(automaton, cap, stop, wrap=wrap)
+    (`nfa.from_region_automaton`), and `constants` are the build's maximum
+    constants of the model clocks."""
+    ra = build_region_automaton(automaton, cap, stop, wrap=wrap, constants=constants)
     if stop is None:
         classes = tuple(frozenset(i for i in ra.final_ids if ra.location_of(i).endswith(tag)) for tag in tags)
         suffix = frozenset()
@@ -410,43 +412,52 @@ def _first_n_languages(ta: TimedAutomaton, n: int, cap: Optional[int]) -> list[N
     region build of the `tick_construction` of its memo automaton that stops
     where a run stops (`_first_n_stop`): the f-letters the ending of a stop
     region carries complete each ticked word."""
-    ticked, obs, stop = _first_n_stop(ta, n, cap)
-    return _ticked_language(ticked, cap, MEMO_TAGS, stop=stop, wrap=obs).views()
+    ticked, obs, constants, stop = _first_n_stop(ta, n, cap)
+    return _ticked_language(ticked, cap, MEMO_TAGS, stop=stop, wrap=obs, constants=constants).views()
 
 
 def _first_n_stop(ta: TimedAutomaton, n: int, cap: Optional[int]
-                  ) -> tuple[TimedAutomaton, tuple[str, ...], Callable]:
+                  ) -> tuple[TimedAutomaton, tuple[str, ...], dict[str, int], Callable]:
     """The `tick_construction` of `ta`'s memo automaton, its
     `observation_clocks`, tick clock first, which `build_region_automaton`
-    takes as wrap-around clocks, and its stop rule for that build. The
-    ending of a final region is the f-suffix of its observation clocks'
-    fractional groups (`_suffix_word`) and the indices of the classes of
-    `MEMO_TAGS` a run reaches from its location and model clocks
-    (`_reachable_classes`), or None when it reaches none. Suffix words are
-    worked out once per ranking of the observation clocks."""
+    takes as wrap-around clocks, the maximum constants of its model clocks
+    for that build, and its stop rule for that build. The ending of a final
+    region is the f-suffix of its observation clocks' fractional groups
+    (`_suffix_word`) and the indices of the classes of `MEMO_TAGS` a run
+    reaches from its location and model clocks (`_reachable_classes`), or
+    None when it reaches none. The rule works out each clock region's model
+    part and suffix word once, and each location's memo location once."""
     memo = build_memo(dense_time(ta))
     ticked, obs = tick_construction(memo, n), observation_clocks(memo, n)
+    # the model clocks take the constants of the whole unfolding, from n = 1
+    # those of the final-relaxed memo automaton that `_reachable_classes`
+    # builds, so the build's model codes and ranks are keys of its table
+    # (n = 0 builds only the initial region, all codes 0)
+    constants = _tick_constants(memo, n)
     reachable = _reachable_classes(memo, cap)
     column = {x: j for j, x in enumerate(sorted(ticked.clocks))}
     model = [column[x] for x in sorted(memo.clocks)]
     observed = [column[x] for x in obs]
+    bases: dict[str, str] = {}  # location of `ticked` -> its memo location
+    views: dict[tuple, tuple] = {}  # (codes, ranks) -> model codes, model ranks, suffix
     words: dict[tuple[int, ...], tuple[str, ...]] = {}  # observation ranks -> suffix
 
     def stop(location: str, codes: tuple[int, ...], ranks: tuple[int, ...]):
-        # the model clocks have the memo automaton's max constants: the
-        # copies below the last have all its edges (n = 0 builds only the
-        # initial region, all codes 0)
-        found = reachable[location.rsplit("~", 1)[0], tuple(map(codes.__getitem__, model)),
-                          _renumber(list(map(ranks.__getitem__, model)))]
-        if not found:
-            return None
-        key = tuple(map(ranks.__getitem__, observed))
-        word = words.get(key)
-        if word is None:
-            word = words[key] = _suffix_word(key)
-        return word, found
+        base = bases.get(location)
+        if base is None:
+            base = bases[location] = location.rsplit("~", 1)[0]
+        view = views.get((codes, ranks))
+        if view is None:
+            key = tuple(map(ranks.__getitem__, observed))
+            word = words.get(key)
+            if word is None:
+                word = words[key] = _suffix_word(key)
+            view = views[codes, ranks] = (tuple(map(codes.__getitem__, model)),
+                                          _renumber(list(map(ranks.__getitem__, model))), word)
+        found = reachable[base, view[0], view[1]]
+        return (view[2], found) if found else None
 
-    return ticked, obs, stop
+    return ticked, obs, constants, stop
 
 
 def _renumber(ranks: list[int]) -> tuple[int, ...]:
@@ -484,11 +495,11 @@ def _reachable_classes(memo: TimedAutomaton, cap: Optional[int]) -> dict[tuple, 
     reach = nfalib._reach_table([ra.edge_target[ra._edge_start[i]:ra._edge_start[i + 1]]
                                  for i in range(ra.n_states)],
                                 [i in ra.final_ids for i in range(ra.n_states)])
+    own = {f: {k for k, tag in enumerate(MEMO_TAGS) if ra.location_of(f).endswith(tag)} for f in ra.final_ids}
     found: dict[int, tuple[int, ...]] = {}  # id of a row of `reach` -> its classes
     for row in reach:
         if id(row) not in found:
-            found[id(row)] = tuple(k for k, tag in enumerate(MEMO_TAGS)
-                                   if any(ra.location_of(f).endswith(tag) for f in row))
+            found[id(row)] = tuple(sorted(set().union(*map(own.__getitem__, row))))
     return {(ra.location_of(i), *ra.clock_codes(i)): found[id(reach[i])] for i in range(ra.n_states)}
 
 

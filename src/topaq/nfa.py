@@ -58,7 +58,10 @@ from .regions import RegionAutomaton, TICK_LETTER
 
 
 class InclusionCapExceeded(Exception):
-    pass
+    def __init__(self, cap: int, explored: int):
+        super().__init__(f"inclusion search cap exceeded: {explored} states explored, above the cap of {cap}")
+        self.cap = cap
+        self.explored = explored
 
 
 @dataclass
@@ -330,7 +333,7 @@ def check_inclusion(a: NFA, b: NFA, pair_cap: int = 2_000_000) -> InclusionResul
             came_from[nxt] = (pair, letter)
             explored += len(s)
             if explored > pair_cap:
-                raise InclusionCapExceeded("inclusion search cap exceeded")
+                raise InclusionCapExceeded(pair_cap, explored)
             queue.append(nxt)
     return InclusionResult(True, None, explored)
 

@@ -136,36 +136,72 @@ def observation_clocks(ta: TimedAutomaton, n: int) -> tuple[str, ...]:
 
 def tick_construction(ta: TimedAutomaton, n: int) -> TimedAutomaton:
     """Dense-time automaton whose region build with its `observation_clocks`
-    as wrap-around clocks (`regions.build_region_automaton`) encodes the
-    first-N projected traces of `ta` as ticked words, cut where a run stops.
+    as wrap-around clocks and the constants `_tick_constants`
+    (`regions.build_region_automaton`) encodes the first-N projected traces
+    of `ta` as ticked words, cut where a run stops.
 
-    It is the N-unfolding of `ta`, final-relaxed (a run ends the moment it
-    reaches a final location, so exits from finals are dead and their
-    invariants only matter at entry), in which each observed edge resets
-    the clock of its observation, which records the timestamp's fractional
-    part; the tick clock reads `t` each time its delay wraps. The
-    unfolding's finals and the last copy's locations are final with no
-    out-edge: the stop region fixes the rest of the ticked word, the
-    f-letters of the observation clocks' fractional groups, which the
-    bounded engine attaches (`deciders._first_n_stop`). A model letter `t`
-    or `f{...}` would read as a tick or an f-letter, so it is refused.
+    It is the part of the N-unfolding of `ta` that the location graph
+    reaches from the initial location in copy 0: `ta` is final-relaxed
+    once (a run ends the moment it reaches a final location, so exits from
+    finals are dead and their invariants only matter at entry), and a
+    breadth-first worklist emits each reached `location~copy` with the
+    relaxed edges from its location, in `ta.edges` order, so the region
+    build numbers its states as on the whole unfolding. Each observed edge
+    resets the clock of its observation, which records the timestamp's
+    fractional part; the tick clock reads `t` each time its delay wraps.
+    The finals and the last copy's locations are final with no out-edge:
+    the stop region fixes the rest of the ticked word, the f-letters of the
+    observation clocks' fractional groups, which the bounded engine
+    attaches (`deciders._first_n_stop`). A model letter `t` or `f{...}`
+    would read as a tick or an f-letter, so it is refused.
     """
     reserve_letters(ta.actions, [TICK_LETTER, *(a for a in ta.actions if a.startswith("f{"))],
                     "tick construction")
-    unfolded = relax_finals(unfold_first_n(ta, n))
+    _check_count(n)
+    _check_observations(n)
+    relaxed = relax_finals(ta)
     obs = observation_clocks(ta, n)
-    dead = unfolded.final | {l for l in unfolded.locations if l.endswith(f"~{n}")}
-    edges = []
-    for e in unfolded.edges:
-        if e.source in dead:
+    out: dict[str, list[Edge]] = {}
+    for e in relaxed.edges:
+        out.setdefault(e.source, []).append(e)
+    work = [(ta.init, 0)]
+    reached = {work[0]: f"{ta.init}~0"}  # (location, copy) -> its name
+    edges, final = [], set()
+    for loc, i in work:  # breadth-first: the loop reads the pairs it appends
+        source = reached[loc, i]
+        if i == n or loc in relaxed.final:
+            final.add(source)
             continue
-        resets = e.resets
-        if e.action is not EPSILON:
-            resets = resets | {obs[int(e.target.rsplit("~", 1)[1])]}
-        edges.append(Edge(e.source, e.guard, e.action, resets, e.target))
-    return replace(unfolded, actions=unfolded.actions | {TICK_LETTER}, final=dead,
-                   clocks=unfolded.clocks | frozenset(obs), edges=tuple(edges),
-                   time_domain="dense", name=f"{ta.name}~tick{n}")
+        for e in out.get(loc, ()):
+            j = i if e.action is EPSILON else i + 1
+            target = reached.get((e.target, j))
+            if target is None:
+                target = reached[e.target, j] = f"{e.target}~{j}"
+                work.append((e.target, j))
+            edges.append(Edge(source, e.guard, e.action, e.resets if j == i else e.resets | {obs[j]}, target))
+    return TimedAutomaton(
+        actions=ta.actions | {TICK_LETTER},
+        locations=frozenset(reached.values()),
+        init=reached[work[0]],
+        private=frozenset(name for (loc, _), name in reached.items() if loc in relaxed.private),
+        final=frozenset(final),
+        clocks=ta.clocks | frozenset(obs),
+        invariant={name: relaxed.invariant_of(loc) for (loc, _), name in reached.items()},
+        edges=tuple(edges),
+        time_domain="dense",
+        name=f"{ta.name}~tick{n}",
+    )
+
+
+def _tick_constants(ta: TimedAutomaton, n: int) -> dict[str, int]:
+    """The maximum constants of `ta`'s clocks in the region build of
+    `tick_construction(ta, n)`: those of the whole final-relaxed
+    N-unfolding, so every location's invariant and, from n = 1, every
+    guard. The unreached part of the unfolding can hold a clock's largest
+    constant, and without it the build's regions would be coarser than
+    those the stop rule looks up (`deciders._first_n_stop`)."""
+    relaxed = relax_finals(ta)
+    return (relaxed if n else replace(relaxed, edges=())).max_constants()
 
 
 def normalize_sequence(tau: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -392,7 +392,8 @@ class _Compiled:
 
 def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None,
                            stop: Optional[Callable[[str, tuple, tuple], Optional[Hashable]]] = None,
-                           *, wrap: Sequence[str] = ()) -> RegionAutomaton:
+                           *, wrap: Sequence[str] = (),
+                           constants: Optional[Mapping[str, int]] = None) -> RegionAutomaton:
     """Reachable region automaton of `ta` (dense or discrete per its domain).
 
     Final regions have no outgoing edges: runs end at the first final
@@ -413,11 +414,15 @@ def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None,
     bounded engine's `observers.tick_construction`. Each has maximum
     constant 1, whatever `ta`'s guards say, and the delay edge that wraps
     the tick clock reads the tick letter `t` (`RegionAutomaton`).
+
+    `constants` are the maximum constants of the other clocks, at least
+    `ta.max_constants()`, which they default to: the tick construction
+    takes those of the whole unfolding (`observers.tick_construction`).
     """
     cap = region_cap(cap)
     if wrap and ta.time_domain == "discrete":
         raise ValueError("wrap-around clocks need a dense-time automaton")
-    maxc = ta.max_constants()
+    maxc = ta.max_constants() if constants is None else dict(constants)
     for x in wrap:
         maxc[x] = 1
     code = _Compiled(ta, maxc, wrap)

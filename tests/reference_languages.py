@@ -1,6 +1,12 @@
-"""Reference tick construction and reference weak/full deciders that
+"""Reference tick constructions and reference weak/full deciders that
 build the private and the public language separately, for differential
 tests.
+
+`reference_unfolded_tick_construction` is the bounded engine's tick
+construction on the whole N-unfolding, every copy of every location, where
+`observers.tick_construction` emits only the part a run reaches. Built with
+the same observation clocks, constants and stop rule, both give the same
+region automaton.
 
 `reference_tick_construction` is the gadget form of the tick construction:
 tick loops emit `t`, silent loops reset each observation clock as it
@@ -109,6 +115,27 @@ def reference_tick_construction(ta: TimedAutomaton, n: int) -> TimedAutomaton:
     inv = {**unfolded.invariant, g0: Guard.true(), g1: Guard.true()}
     return replace(unfolded, actions=unfolded.actions | {TICK_LETTER} | f_letters,
                    locations=unfolded.locations | {g0, g1}, final=frozenset({g1}), invariant=inv,
+                   clocks=unfolded.clocks | frozenset(obs), edges=tuple(edges), time_domain="dense",
+                   name=f"{ta.name}~tick{n}")
+
+
+def reference_unfolded_tick_construction(ta: TimedAutomaton, n: int) -> TimedAutomaton:
+    """`observers.tick_construction` over the whole final-relaxed
+    N-unfolding of `ta`: the unfolding's finals and the last copy's
+    locations are final with no out-edge, and each observed edge resets the
+    observation clock of the copy it enters."""
+    unfolded = relax_finals(unfold_first_n(ta, n))
+    obs = observation_clocks(ta, n)
+    dead = unfolded.final | {l for l in unfolded.locations if l.endswith(f"~{n}")}
+    edges = []
+    for e in unfolded.edges:
+        if e.source in dead:
+            continue
+        resets = e.resets
+        if e.action is not EPSILON:
+            resets = resets | {obs[int(e.target.rsplit("~", 1)[1])]}
+        edges.append(Edge(e.source, e.guard, e.action, resets, e.target))
+    return replace(unfolded, actions=unfolded.actions | {TICK_LETTER}, final=dead,
                    clocks=unfolded.clocks | frozenset(obs), edges=tuple(edges), time_domain="dense",
                    name=f"{ta.name}~tick{n}")
 

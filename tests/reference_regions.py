@@ -157,14 +157,16 @@ class ReferenceRegions:
 
 
 def reference_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None,
-                               wrap: Sequence[str] = ()) -> ReferenceRegions:
+                               wrap: Sequence[str] = (),
+                               constants: Optional[Mapping[str, int]] = None) -> ReferenceRegions:
     """Reachable region automaton of `ta` by breadth-first search over
     region objects: edges in declaration order, then the delay edge. The
     clocks of `wrap`, tick clock first, wrap around with maximum constant
     1 (`dense_delay_successor`), and the delay that wraps the tick clock
-    reads `t`."""
+    reads `t`. The other clocks take the maximum constants `constants`,
+    by default `ta.max_constants()`."""
     cap = region_cap(cap)
-    maxc = {**ta.max_constants(), **dict.fromkeys(wrap, 1)}
+    maxc = {**(ta.max_constants() if constants is None else constants), **dict.fromkeys(wrap, 1)}
     if ta.time_domain == "discrete":
         successor = discrete_delay_successor
     else:

@@ -54,14 +54,15 @@ def test_traced_benchmark_answers_are_correct():
     # fits the layer it wraps fails the queries it traces, and the exact
     # counts fail any change to the region graph or the strip. The observer
     # counts are those of the tick constructions and unfoldings the engine
-    # builds: a query that bypasses `observers.tick_construction` moves them
+    # builds, which emit only the locations a run reaches: a query that
+    # bypasses `observers.tick_construction` moves them
     result = run_benchmark("first-n", 1)
     assert result["correct"] is True and result["failed"] == 0
     metrics = result["metrics"]
     assert metrics["regions.states"]["value"] == 880
     assert metrics["regions.edges"]["value"] == 1584
     assert metrics["nfa.strip_states"]["value"] == 896
-    assert metrics["observers.locations"]["value"] == 234
+    assert metrics["observers.locations"]["value"] == 90
     assert metrics["observers.clocks"]["value"] == 34
 
 
@@ -75,7 +76,7 @@ def test_traced_switch_time_counts():
     assert metrics["regions.states"]["value"] == 594
     assert metrics["regions.edges"]["value"] == 1402
     assert metrics["nfa.strip_states"]["value"] == 419
-    assert metrics["observers.locations"]["value"] == 189
+    assert metrics["observers.locations"]["value"] == 56
     assert metrics["observers.clocks"]["value"] == 8
 
 

@@ -12,7 +12,7 @@ from topaq.cli import main
 from topaq.deciders import dense_time
 from topaq.export import region_automaton_to_dot, region_automaton_to_json, ta_to_dot, ta_to_json
 from topaq.model import ModelError, parse_model, print_model
-from topaq.observers import observation_clocks, tick_construction
+from topaq.observers import _tick_constants, observation_clocks, tick_construction
 from topaq.regions import augment_ticks, build_region_automaton
 from topaq.ta import EPSILON
 
@@ -325,7 +325,9 @@ class TestCli:
 
         monkeypatch.setattr(deciders, "check_inclusion", functools.partial(nfa.check_inclusion, pair_cap=10))
         assert main(["check", "--mode", "weak", "--obs", "first:1", fig1_file]) == 2
-        assert "refused: inclusion search cap exceeded" in capsys.readouterr().out
+        # the refusal names the states explored and the cap, as a region cap refusal does
+        assert "refused: inclusion search cap exceeded: 11 states explored, above the cap of 10" in \
+            capsys.readouterr().out
 
     def test_internal_error_exit_four(self, monkeypatch, capsys):
         from topaq import deciders
@@ -463,7 +465,8 @@ class TestBundledModels:
         ticks = [e for e in doc["edges"] if e["label"] == "t"]
         assert ticks and all(e["kind"] == "delay" for e in ticks)
         base = dense_time(parse_model(path.read_text()))
-        ra = build_region_automaton(tick_construction(base, n), wrap=observation_clocks(base, n))
+        ra = build_region_automaton(tick_construction(base, n), wrap=observation_clocks(base, n),
+                                    constants=_tick_constants(base, n))
         assert (len(doc["states"]), len(doc["edges"])) == (ra.n_states, len(ra.edge_target))
 
     def test_oera_model_classified(self, capsys):

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fig1_ta, trace_words
-from reference_languages import reference_tick_construction
+from conftest import fig1_ta, random_oera, trace_words
+from reference_languages import reference_bounded, reference_tick_construction, reference_unfolded_tick_construction
 from reference_nfa import language_upto
 from topaq.constructions import build_memo, build_priv, build_pub
 from topaq.model import parse_model, print_model
@@ -19,6 +19,7 @@ from topaq.observers import (
     FirstN,
     ObservationCapExceeded,
     Static,
+    _tick_constants,
     normalize_sequence,
     observation_clocks,
     project,
@@ -28,7 +29,7 @@ from topaq.observers import (
     unfold_tau,
 )
 from topaq.regions import build_region_automaton
-from topaq.ta import TimedWord, enumerate_runs
+from topaq.ta import ClockConstraint, Guard, TimedWord, edge, enumerate_runs, make_ta
 from topaq.words import ticked_word
 
 
@@ -222,7 +223,7 @@ def test_stop_form_builds_only_live_regions(fig1, n):
     every region reaches a final region."""
     memo = build_memo(fig1)
     ticked, obs = tick_construction(memo, n), observation_clocks(memo, n)
-    ra = build_region_automaton(ticked, wrap=obs)
+    ra = build_region_automaton(ticked, wrap=obs, constants=_tick_constants(memo, n))
     clocks = sorted(ticked.clocks)
     observed = [clocks.index(c) for c in obs]
     tick = observed[0]
@@ -285,16 +286,79 @@ def test_stop_rule_builds_one_state_per_ending(fig1, sel, endings):
     from topaq.deciders import _attacker, _first_n_stop
 
     automaton, n, _, _ = _attacker(fig1, sel)
-    ticked, obs, stop = _first_n_stop(automaton, n, None)
-    ra = build_region_automaton(ticked, None, stop, wrap=obs)
+    ticked, obs, constants, stop = _first_n_stop(automaton, n, None)
+    ra = build_region_automaton(ticked, None, stop, wrap=obs, constants=constants)
     assert set(ra.endings) == ra.final_ids
     assert len(set(ra.endings.values())) == len(ra.endings) == endings
     assert all(classes for _, classes in ra.endings.values())
-    plain = build_region_automaton(ticked, wrap=obs)
+    plain = build_region_automaton(ticked, wrap=obs, constants=constants)
     assert set(ra.endings.values()) == {stop(plain.location_of(i), *plain.clock_codes(i))
                                         for i in plain.final_ids} - {None}
     succ = [[ra.edge_target[k] for k in ra.edge_ids(i)] for i in range(ra.n_states)]
     assert all(_reach_table(succ, [i in ra.final_ids for i in range(ra.n_states)]))
+
+
+MODELS = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.ta"))
+BOUNDED = [FirstN(n) for n in range(5)] + [Dynamic(1), Dynamic(2), Static((F(0), F(1, 2), F(3, 2)))]
+
+
+def assert_builds_the_unfolding(ta, sel):
+    """The bounded engine's region build of `sel`'s reduction of `ta` (its
+    tick construction, observation clocks, constants and stop rule) is the
+    same build on the whole unfolding: the same states, edge arrays and
+    endings. An edge is compared by the automaton edge it takes, as the
+    whole unfolding numbers the unreached edges too."""
+    from topaq.deciders import _attacker, _first_n_stop, dense_time
+
+    automaton, n, _, _ = _attacker(ta, sel)
+    ticked, obs, constants, stop = _first_n_stop(automaton, n, None)
+    whole = reference_unfolded_tick_construction(build_memo(dense_time(automaton)), n)
+    assert ticked.locations <= whole.locations
+    got, want = (build_region_automaton(t, None, stop, wrap=obs, constants=constants) for t in (ticked, whole))
+    assert got.edge_target == want.edge_target
+    assert got._edge_start == want._edge_start
+    assert ([k if k < 0 else got._code.edges[k] for k in got._edge_ta]
+            == [k if k < 0 else want._code.edges[k] for k in want._edge_ta])
+    assert got.endings == want.endings
+    assert ([(got.location_of(i), got.clock_codes(i)) for i in range(got.n_states)]
+            == [(want.location_of(i), want.clock_codes(i)) for i in range(want.n_states)])
+    return got
+
+
+@pytest.mark.parametrize("sel", BOUNDED, ids=str)
+@pytest.mark.parametrize("path", MODELS, ids=lambda p: p.stem)
+def test_tick_construction_builds_as_the_whole_unfolding(path, sel):
+    assert_builds_the_unfolding(parse_model(path.read_text()), sel)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_oera_corpus_builds_as_the_whole_unfolding(n):
+    rng = random.Random(20261020)
+    for _ in range(40):
+        assert_builds_the_unfolding(random_oera(rng), FirstN(n))
+
+
+@pytest.mark.parametrize("mode", ["weak", "full"])
+def test_constants_of_the_unreached_unfolding(mode):
+    """x's largest constant, 5, sits only on an edge after the first
+    observation, which the tick construction of first:1 does not reach: its
+    own constant for x is 3. The build takes 5 (`_tick_constants`), as the
+    whole unfolding does, so the stop rule finds every region it looks up
+    and the answer is the reference's."""
+    from topaq.deciders import check_bounded
+
+    ta = make_ta(actions={"a", "b"}, locations={"l0", "l1", "l2", "l3"}, init="l0", clocks={"x"},
+                 private={"l2"}, final={"l2", "l3"},
+                 edges=[edge("l0", "l1", "a"), edge("l1", "l2", "b", Guard.of(ClockConstraint("x", ">", 5))),
+                        edge("l0", "l3", "a", Guard.of(ClockConstraint("x", "<", 3)))])
+    memo = build_memo(ta)
+    assert tick_construction(memo, 1).max_constants()["x"] == 3
+    assert _tick_constants(memo, 1)["x"] == 5
+    ra = assert_builds_the_unfolding(ta, FirstN(1))
+    assert ra.max_constants["x"] == 5
+    verdict = check_bounded(ta, FirstN(1), mode)
+    assert verdict == reference_bounded(ta, FirstN(1), mode)
+    assert (verdict.holds, verdict.side, verdict.witness) == (False, "priv-not-pub", tw(("a", 3)))
 
 
 class TestNormalizeSequence:

@@ -28,7 +28,7 @@ from topaq.deciders import _attacker, check_opacity, dense_time, is_oera
 from topaq.export import region_automaton_to_dot, region_automaton_to_json
 from topaq.model import parse_model
 from topaq.nfa import from_region_automaton
-from topaq.observers import Dynamic, FirstN, Static, observation_clocks, tick_construction
+from topaq.observers import Dynamic, FirstN, Static, _tick_constants, observation_clocks, tick_construction
 from topaq.oracle import discrete_state_count
 from topaq.regions import BadRegionCap, RegionCapExceeded, augment_ticks, build_region_automaton
 from topaq.ta import ClockConstraint, Guard, edge, make_ta, validate, validate_errors
@@ -57,9 +57,9 @@ def reference_path(ref):
     return None
 
 
-def assert_same(ta, wrap=()):
-    ra = build_region_automaton(ta, wrap=wrap)
-    ref = reference_region_automaton(ta, wrap=wrap)
+def assert_same(ta, wrap=(), constants=None):
+    ra = build_region_automaton(ta, wrap=wrap, constants=constants)
+    ref = reference_region_automaton(ta, wrap=wrap, constants=constants)
     assert ra.states == ref.states
     assert ra.initial == ref.initial
     assert ra.finals == ref.finals
@@ -75,11 +75,11 @@ def assert_same(ta, wrap=()):
 
 
 def ticked_memo(ta, sel):
-    """The tick construction a bounded query builds for `sel`, and its
-    wrap-around observation clocks."""
+    """The tick construction a bounded query builds for `sel`, its
+    wrap-around observation clocks and its model clocks' constants."""
     base, n, _, _ = _attacker(ta, sel)
     memo = build_memo(dense_time(base))
-    return tick_construction(memo, n), observation_clocks(memo, n)
+    return tick_construction(memo, n), observation_clocks(memo, n), _tick_constants(memo, n)
 
 
 @pytest.mark.parametrize("sel", [FirstN(1), FirstN(2), FirstN(3), Dynamic(1), Static((F(0), F(1, 2), F(3, 2)))],
@@ -239,11 +239,12 @@ def test_oera_cap_is_the_memo_region_cap():
 def test_models_and_their_exports(path):
     ta = parse_model(path.read_text())
     base = dense_time(ta)
-    subjects = [(ta, ()), (augment_ticks(ta), ())] if ta.time_domain == "discrete" else [(ta, ())]
+    subjects = [(ta,), (augment_ticks(ta),)] if ta.time_domain == "discrete" else [(ta,)]
     # the tick export (`topaq export --what tick`) and the gadget form
-    subjects += [(tick_construction(base, 1), observation_clocks(base, 1)), (reference_tick_construction(base, 1), ())]
-    for subject, wrap in subjects:
-        ra, ref = assert_same(subject, wrap)
+    subjects += [(tick_construction(base, 1), observation_clocks(base, 1), _tick_constants(base, 1)),
+                 (reference_tick_construction(base, 1),)]
+    for subject in subjects:
+        ra, ref = assert_same(*subject)
         assert region_automaton_to_json(ra) == region_automaton_to_json(ref)
         assert region_automaton_to_dot(ra) == region_automaton_to_dot(ref)
 
@@ -263,13 +264,13 @@ def test_initial_invariant_fails():
 
 
 def test_cap_fires_at_the_same_state():
-    ta, obs = ticked_memo(fig1_ta(), FirstN(1))
-    n = len(reference_region_automaton(ta, wrap=obs).states)
+    ta, obs, constants = ticked_memo(fig1_ta(), FirstN(1))
+    n = len(reference_region_automaton(ta, wrap=obs, constants=constants).states)
     for cap in (2, n - 1):
         for build in (build_region_automaton, reference_region_automaton):
             with pytest.raises(RegionCapExceeded):
-                build(ta, cap, wrap=obs)
-    assert len(build_region_automaton(ta, n, wrap=obs).states) == n
+                build(ta, cap, wrap=obs, constants=constants)
+    assert len(build_region_automaton(ta, n, wrap=obs, constants=constants).states) == n
 
 
 @pytest.mark.parametrize("cap", [0, -5, 1.5, True])

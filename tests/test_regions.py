@@ -610,8 +610,9 @@ class TestRegularInclusion:
             res = check_inclusion(a, b)
             assert check_inclusion(a, b, pair_cap=res.explored) == res
             if res.explored:
-                with pytest.raises(InclusionCapExceeded):
+                with pytest.raises(InclusionCapExceeded) as refused:
                     check_inclusion(a, b, pair_cap=res.explored - 1)
+                assert (refused.value.cap, refused.value.explored) == (res.explored - 1, res.explored)
 
     def test_region_automaton_level_inclusion(self, discrete_example):
         from topaq.ta import ClockConstraint, Guard, edge as mk_edge
