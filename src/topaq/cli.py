@@ -32,9 +32,7 @@ from .observers import (
     FirstN,
     ObservationCapExceeded,
     Static,
-    _tick_constants,
-    observation_clocks,
-    tick_construction,
+    tick_regions,
 )
 from .oracle import BadOracleBound
 from .regions import (
@@ -106,8 +104,9 @@ def build_parser() -> _Parser:
 
     exp = sub.add_parser("export", help="export the model or derived automata")
     exp.add_argument("--what", default="ta", choices=["ta", "region-automaton", "tick"],
-                     help="tick: the region automaton of the tick construction as the bounded engine "
-                          "builds it, ticking (t) by the delays that wrap its tick clock")
+                     help="tick: the region build of the model's own tick construction, ticking (t) by "
+                          "the delays that wrap its tick clock (the bounded engine builds its memo "
+                          "automaton's, with a stop rule)")
     exp.add_argument("--format", default="dot", choices=["dot", "json"])
     exp.add_argument("--obs", help="first:N for --what tick (default first:1)")
     exp.add_argument("--scale", action="store_true")
@@ -178,9 +177,7 @@ def _run_export(args) -> int:
             sel = parse_observation(args.obs) if args.obs else FirstN(1)
             if not isinstance(sel, FirstN):
                 raise _UsageError("--what tick takes --obs first:N")
-            base = dense_time(ta)
-            ra = build_region_automaton(tick_construction(base, sel.n), wrap=observation_clocks(base, sel.n),
-                                        constants=_tick_constants(base, sel.n))
+            ra = tick_regions(dense_time(ta), sel.n)
         else:
             ra = build_region_automaton(augment_ticks(ta) if ta.time_domain == "discrete" else ta)
         text = (

@@ -1,12 +1,13 @@
 """Opacity decision procedures. `decide` is the one router: it checks the
 question, picks the engine and reduces a bounded attacker (`_attacker`).
 Below it: the existence check; one region-to-inclusion pipeline
-(`_ticked_language`) under the discrete-time and observable event-recording
-engines and the bounded attacker, which differ only in what a delay edge
-reads and, for the bounded attacker, in the ending the build gives its stop
-regions (`_first_n_stop`); the class ladder that says which automata the two engines decide
-and why the rest are refused (`LADDER`); and the matrix-based witness
-verifier."""
+(`_ticked_language`, on a region build its caller makes) under the
+discrete-time and observable event-recording engines and the bounded
+attacker, which differ only in what a delay edge reads and, for the bounded
+attacker, in the build (`observers.tick_regions`) and the ending its stop
+rule gives its stop regions (`_first_n_stop`); the class ladder that says
+which automata the two engines decide and why the rest are refused
+(`LADDER`); and the matrix-based witness verifier."""
 
 from __future__ import annotations
 
@@ -22,11 +23,10 @@ from .observers import (
     FirstN,
     Static,
     TimeSelection,
-    _tick_constants,
     normalize_sequence,
     observation_clocks,
     switch_scale,
-    tick_construction,
+    tick_regions,
     unfold_first_n,
     unfold_free,
     unfold_tau,
@@ -178,12 +178,10 @@ def check_exists(ta: TimedAutomaton, cap: Optional[int] = None) -> Verdict:
 DELAY_LETTER = ""
 
 
-def _ticked_language(automaton: TimedAutomaton, cap: Optional[int], tags: tuple[str, ...] = (),
-                     delay: Optional[str] = None, stop: Optional[Callable] = None,
-                     wrap: tuple[str, ...] = (), constants: Optional[dict[str, int]] = None) -> NFA:
-    """Untimed language of `automaton`'s region automaton, whose delay edges
-    are silent (`delay` None: a tick construction emits its own ticks `t`,
-    by the wrap of the tick clock among the wrap-around clocks `wrap`) or
+def _ticked_language(ra: RegionAutomaton, tags: tuple[str, ...] = (), delay: Optional[str] = None) -> NFA:
+    """Untimed language of the region automaton `ra`, whose delay edges
+    are silent (`delay` None: a tick construction's build emits its own
+    ticks `t`, by the wrap of its tick clock, `observers.tick_regions`) or
     read the letter `delay`, with the run of ticks (`t`, or `delay`)
     between the last observed letter and the f-letter suffix erased: they
     only encode unobserved waiting, which the trace does not record.
@@ -192,19 +190,18 @@ def _ticked_language(automaton: TimedAutomaton, cap: Optional[int], tags: tuple[
     With `tags`, the final locations ending in the i-th tag make the i-th
     final class of the result, whose views (`NFA.views`) are the classes'
     languages: one region build, one conversion and one strip serve them
-    all. For the bounded attacker, the build's stop rule `stop` gives
-    instead each final state its ending: an f-suffix, whose letters are the
-    strip's suffix letters, and the indices of its classes
-    (`nfa.from_region_automaton`), and `constants` are the build's maximum
-    constants of the model clocks."""
-    ra = build_region_automaton(automaton, cap, stop, wrap=wrap, constants=constants)
-    if stop is None:
-        classes = tuple(frozenset(i for i in ra.final_ids if ra.location_of(i).endswith(tag)) for tag in tags)
-        suffix = frozenset()
-    else:
+    all. For the bounded attacker, the build's stop rule gives instead
+    each final state its ending (`ra.endings`): an f-suffix, whose letters
+    are the strip's suffix letters, and the indices of its classes
+    (`nfa.from_region_automaton`). Callers pass the build inline, so the
+    `del` below frees it before the strip."""
+    if ra.endings:
         classes = tuple(frozenset(i for i, (_, found) in ra.endings.items() if k in found)
                         for k in range(len(tags)))
         suffix = frozenset().union(*(word for word, _ in ra.endings.values()))
+    else:  # a stop rule's build without endings has no final state either
+        classes = tuple(frozenset(i for i in ra.final_ids if ra.location_of(i).endswith(tag)) for tag in tags)
+        suffix = frozenset()
     m = from_region_automaton(ra, classes, delay)
     del ra  # its edge arrays and interning tables: the strip needs only `m`
     return nfalib.strip_ticks_before_suffix(m, suffix, TICK_LETTER if delay is None else delay)
@@ -216,7 +213,7 @@ def _tick_language(ta: TimedAutomaton, cap: Optional[int], tags: tuple[str, ...]
     if ta.time_domain != "discrete":
         raise ValueError("tick augmentation requires a discrete-time automaton")
     reserve_letters(ta.actions, [TICK_LETTER], "tick augmentation")
-    return _ticked_language(ta, cap, tags, TICK_LETTER)
+    return _ticked_language(build_region_automaton(ta, cap), tags, TICK_LETTER)
 
 
 def _discrete_languages(ta: TimedAutomaton, cap: Optional[int]) -> list[NFA]:
@@ -242,7 +239,7 @@ def _check_oera(ta: TimedAutomaton, mode: str, cap: Optional[int]) -> Verdict:
     the first violation a breadth-first search over traces meets."""
     memo = build_memo(ta)
     reserve_letters(memo.actions, [DELAY_LETTER], "event-recording engine")
-    priv, pub = _ticked_language(memo, cap, MEMO_TAGS, DELAY_LETTER).views()
+    priv, pub = _ticked_language(build_region_automaton(memo, cap), MEMO_TAGS, DELAY_LETTER).views()
     return _compare(priv, pub, mode, lambda tokens: decode_delay_tokens(memo, tokens), least=True)
 
 
@@ -409,36 +406,30 @@ def check_bounded(
 
 def _first_n_languages(ta: TimedAutomaton, n: int, cap: Optional[int]) -> list[NFA]:
     """[private, public] ticked first-N languages of `ta`, read off one
-    region build of the `tick_construction` of its memo automaton that stops
-    where a run stops (`_first_n_stop`): the f-letters the ending of a stop
-    region carries complete each ticked word."""
-    ticked, obs, constants, stop = _first_n_stop(ta, n, cap)
-    return _ticked_language(ticked, cap, MEMO_TAGS, stop=stop, wrap=obs, constants=constants).views()
+    region build of the `tick_construction` of its memo automaton
+    (`tick_regions`) that stops where a run stops (`_first_n_stop`): the
+    f-letters the ending of a stop region carries complete each ticked
+    word."""
+    memo = build_memo(dense_time(ta))
+    return _ticked_language(tick_regions(memo, n, cap, _first_n_stop(memo, n, cap)), MEMO_TAGS).views()
 
 
-def _first_n_stop(ta: TimedAutomaton, n: int, cap: Optional[int]
-                  ) -> tuple[TimedAutomaton, tuple[str, ...], dict[str, int], Callable]:
-    """The `tick_construction` of `ta`'s memo automaton, its
-    `observation_clocks`, tick clock first, which `build_region_automaton`
-    takes as wrap-around clocks, the maximum constants of its model clocks
-    for that build, and its stop rule for that build. The ending of a final
+def _first_n_stop(memo: TimedAutomaton, n: int, cap: Optional[int]) -> Callable:
+    """The stop rule of `tick_regions(memo, n)`. The ending of a final
     region is the f-suffix of its observation clocks' fractional groups
     (`_suffix_word`) and the indices of the classes of `MEMO_TAGS` a run
     reaches from its location and model clocks (`_reachable_classes`), or
-    None when it reaches none. The rule works out each clock region's model
-    part and suffix word once, and each location's memo location once."""
-    memo = build_memo(dense_time(ta))
-    ticked, obs = tick_construction(memo, n), observation_clocks(memo, n)
-    # the model clocks take the constants of the whole unfolding, from n = 1
-    # those of the final-relaxed memo automaton that `_reachable_classes`
-    # builds, so the build's model codes and ranks are keys of its table
-    # (n = 0 builds only the initial region, all codes 0)
-    constants = _tick_constants(memo, n)
+    None when it reaches none. The build's model clocks take the constants
+    of the final-relaxed memo automaton that `_reachable_classes` builds,
+    so their codes and ranks are keys of its table. The rule works out
+    each clock region's model part and suffix word once, and each
+    location's memo location once."""
+    obs = observation_clocks(memo, n)
     reachable = _reachable_classes(memo, cap)
-    column = {x: j for j, x in enumerate(sorted(ticked.clocks))}
+    column = {x: j for j, x in enumerate(sorted(memo.clocks | set(obs)))}
     model = [column[x] for x in sorted(memo.clocks)]
     observed = [column[x] for x in obs]
-    bases: dict[str, str] = {}  # location of `ticked` -> its memo location
+    bases: dict[str, str] = {}  # location of the tick construction -> its memo location
     views: dict[tuple, tuple] = {}  # (codes, ranks) -> model codes, model ranks, suffix
     words: dict[tuple[int, ...], tuple[str, ...]] = {}  # observation ranks -> suffix
 
@@ -457,7 +448,7 @@ def _first_n_stop(ta: TimedAutomaton, n: int, cap: Optional[int]
         found = reachable[base, view[0], view[1]]
         return (view[2], found) if found else None
 
-    return ticked, obs, constants, stop
+    return stop
 
 
 def _renumber(ranks: list[int]) -> tuple[int, ...]:

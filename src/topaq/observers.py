@@ -1,17 +1,17 @@
 """Attacker models: time-selection functions and their projections, the
-first-N unfolding, the tick construction with its observation clocks (whose
-region build ticks by wrap-around delays), simple-time-sequence
-normalization, the switch-time unfolding, and the free unfolding for
-dynamic attackers."""
+first-N unfolding, the tick construction with its observation clocks and
+its one region build (`tick_regions`, which ticks by wrap-around delays),
+simple-time-sequence normalization, the switch-time unfolding, and the free
+unfolding for dynamic attackers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .constructions import copy_locations, relax_finals
-from .regions import fresh_name, reserve_letters, TICK_LETTER
+from .regions import RegionAutomaton, build_region_automaton, fresh_name, reserve_letters, TICK_LETTER
 from .ta import (
     EPSILON,
     ClockConstraint,
@@ -135,10 +135,8 @@ def observation_clocks(ta: TimedAutomaton, n: int) -> tuple[str, ...]:
 
 
 def tick_construction(ta: TimedAutomaton, n: int) -> TimedAutomaton:
-    """Dense-time automaton whose region build with its `observation_clocks`
-    as wrap-around clocks and the constants `_tick_constants`
-    (`regions.build_region_automaton`) encodes the first-N projected traces
-    of `ta` as ticked words, cut where a run stops.
+    """Dense-time automaton whose region build (`tick_regions`) encodes the
+    first-N projected traces of `ta` as ticked words, cut where a run stops.
 
     It is the part of the N-unfolding of `ta` that the location graph
     reaches from the initial location in copy 0: `ta` is final-relaxed
@@ -193,15 +191,18 @@ def tick_construction(ta: TimedAutomaton, n: int) -> TimedAutomaton:
     )
 
 
-def _tick_constants(ta: TimedAutomaton, n: int) -> dict[str, int]:
-    """The maximum constants of `ta`'s clocks in the region build of
-    `tick_construction(ta, n)`: those of the whole final-relaxed
-    N-unfolding, so every location's invariant and, from n = 1, every
-    guard. The unreached part of the unfolding can hold a clock's largest
-    constant, and without it the build's regions would be coarser than
-    those the stop rule looks up (`deciders._first_n_stop`)."""
-    relaxed = relax_finals(ta)
-    return (relaxed if n else replace(relaxed, edges=())).max_constants()
+def tick_regions(ta: TimedAutomaton, n: int, cap: Optional[int] = None,
+                 stop: Optional[Callable] = None) -> RegionAutomaton:
+    """The region build of `tick_construction(ta, n)`, the one the bounded
+    engine (with a stop rule `stop`, `deciders._first_n_stop`) and
+    `topaq export --what tick` make: its `observation_clocks` are the
+    wrap-around clocks, and the model clocks take the constants of the
+    final-relaxed `ta`, those of the whole N-unfolding. The unreached part
+    of the unfolding can hold a clock's largest constant, and without it
+    the build's regions would be coarser than those the stop rule looks
+    up. At n = 0 the build is the initial region alone, every code 0."""
+    return build_region_automaton(tick_construction(ta, n), cap, stop, wrap=observation_clocks(ta, n),
+                                  constants=relax_finals(ta).max_constants())
 
 
 def normalize_sequence(tau: Sequence[Fraction]) -> tuple[Fraction, ...]:

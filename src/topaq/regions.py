@@ -21,8 +21,11 @@ region is an interned (codes, ranks) pair and a region a (location id,
 clock-region id) pair. The `RegionAutomaton` it returns holds its graph
 only as edge arrays over the int states; `ClockRegion`, `Region` and `RAEdge`
 objects are decoded from them only when read, so `ClockRegion` only
-decodes and describes regions. Every engine reads the edge arrays
-through `nfa.from_region_automaton`.
+decodes and describes regions. The weak/full engines read the edge
+arrays through `nfa.from_region_automaton`; the bounded attacker's class
+table (`deciders._reachable_classes`) reads `edge_target` and
+`_edge_start` directly, and the existence check reads a shortest path off
+them (`RegionAutomaton.shortest_accepting_path`).
 """
 
 from __future__ import annotations
@@ -46,10 +49,12 @@ TICK_LETTER = "t"
 
 
 class RegionCapExceeded(Exception):
-    def __init__(self, cap: int):
-        super().__init__(
-            f"region construction exceeded the cap of {cap} states (override with {REGION_CAP_ENV})"
-        )
+    """A region build reached its cap, which came from `source`: the `cap`
+    argument, or the environment variable and its default (`region_cap`)."""
+
+    def __init__(self, cap: int, source: str = REGION_CAP_ENV):
+        advice = "set by the cap argument" if source == "cap" else f"override with {REGION_CAP_ENV}"
+        super().__init__(f"region construction exceeded the cap of {cap} states ({advice})")
         self.cap = cap
 
 
@@ -410,16 +415,17 @@ def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None,
     no in-edge.
 
     `wrap` names the wrap-around clocks of a dense-time `ta`, tick clock
-    first (module docstring): the `observers.observation_clocks` of the
-    bounded engine's `observers.tick_construction`. Each has maximum
-    constant 1, whatever `ta`'s guards say, and the delay edge that wraps
-    the tick clock reads the tick letter `t` (`RegionAutomaton`).
+    first (module docstring): the `observers.observation_clocks` of an
+    `observers.tick_construction`, which `observers.tick_regions` passes.
+    Each has maximum constant 1, whatever `ta`'s guards say, and the delay
+    edge that wraps the tick clock reads the tick letter `t`
+    (`RegionAutomaton`).
 
     `constants` are the maximum constants of the other clocks, at least
     `ta.max_constants()`, which they default to: the tick construction
-    takes those of the whole unfolding (`observers.tick_construction`).
+    takes those of the whole unfolding (`observers.tick_regions`).
     """
-    cap = region_cap(cap)
+    source, cap = REGION_CAP_ENV if cap is None else "cap", region_cap(cap)
     if wrap and ta.time_domain == "discrete":
         raise ValueError("wrap-around clocks need a dense-time automaton")
     maxc = ta.max_constants() if constants is None else dict(constants)
@@ -487,7 +493,7 @@ def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None,
                     ids[key] = j
                     if j == len(keys):
                         if j >= cap:
-                            raise RegionCapExceeded(cap)
+                            raise RegionCapExceeded(cap, source)
                         keys.append(key)
                         if final[t]:
                             finals.append(j)

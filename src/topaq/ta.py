@@ -175,9 +175,6 @@ class TimedAutomaton:
     def invariant_of(self, location: str) -> Guard:
         return self.invariant.get(location, _TRUE)
 
-    def edges_from(self, location: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.source == location)
-
     def max_constants(self) -> dict[str, int]:
         """M(x): the greatest constant x is compared against; 0 if unused.
 

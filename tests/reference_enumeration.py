@@ -42,6 +42,11 @@ class Run:
         return any(c.location in locations for c in self.configurations())
 
 
+def edges_from(ta: TimedAutomaton, location: str) -> tuple[Edge, ...]:
+    """The edges of `ta` leaving `location`, in `ta.edges` order."""
+    return tuple(e for e in ta.edges if e.source == location)
+
+
 def trace_of(run: Run) -> TimedWord:
     """The timed word of a run: observable letters at their absolute times."""
     letters = []
@@ -169,7 +174,7 @@ def reference_can_produce(
             d = k * granularity
             k += 1
             now = elapsed + d
-            for e in ta.edges_from(cfg.location):
+            for e in edges_from(ta, cfg.location):
                 if e.action is EPSILON:
                     ni = i
                 elif i < n and e.action == letters[i] and now == stamps[i]:

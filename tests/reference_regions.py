@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Mapping, Optional, Sequence
 
+from reference_enumeration import edges_from
 from topaq.constructions import S_TAG, build_memo
 from topaq.deciders import DELAY_LETTER, decode_delay_tokens
 from topaq.nfa import NFA, silent_free
@@ -318,7 +319,7 @@ def reference_check_oera(ta: TimedAutomaton, mode: str, cap: Optional[int] = Non
                 tags.add(t)
                 continue  # runs end at the first final location
             alive.add(loc)
-            for e in memo.edges_from(loc):
+            for e in edges_from(memo, loc):
                 if e.action is EPSILON and e.target not in seen:
                     if satisfies_guard(cr, e.guard) and satisfies_guard(cr, memo.invariant_of(e.target)):
                         seen.add(e.target)
@@ -388,7 +389,7 @@ def reference_check_oera(ta: TimedAutomaton, mode: str, cap: Optional[int] = Non
             targets = set()
             direct_tags = set()
             for loc in locs:
-                for e in memo.edges_from(loc):
+                for e in edges_from(memo, loc):
                     if e.action != letter or not satisfies_guard(cr, e.guard):
                         continue
                     cr2 = reset(cr, e.resets)

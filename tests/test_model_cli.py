@@ -1,3 +1,4 @@
+import ast
 import functools
 import hashlib
 import json
@@ -9,10 +10,11 @@ from pathlib import Path
 import pytest
 
 from topaq.cli import main
+from topaq.constructions import relax_finals
 from topaq.deciders import dense_time
 from topaq.export import region_automaton_to_dot, region_automaton_to_json, ta_to_dot, ta_to_json
 from topaq.model import ModelError, parse_model, print_model
-from topaq.observers import _tick_constants, observation_clocks, tick_construction
+from topaq.observers import observation_clocks, tick_construction
 from topaq.regions import augment_ticks, build_region_automaton
 from topaq.ta import EPSILON
 
@@ -312,7 +314,8 @@ class TestCli:
     def test_region_cap_env(self, fig1_file, monkeypatch, capsys):
         monkeypatch.setenv("TOPAQ_REGION_CAP", "2")
         assert main(["check", "--mode", "exists", fig1_file]) == 2
-        assert "cap" in capsys.readouterr().out
+        assert capsys.readouterr().out == \
+            "refused: region construction exceeded the cap of 2 states (override with TOPAQ_REGION_CAP)\n"
 
     @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
     def test_bad_region_cap_env_exit_three(self, fig1_file, monkeypatch, capsys, value):
@@ -407,6 +410,22 @@ def test_public_names_pinned():
     ]
 
 
+def test_cli_imports_no_private_name():
+    # the CLI only parses and prints: it reaches the library through names
+    # without a leading underscore
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "src" / "topaq" / "cli.py").read_text())
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "topaq"):
+            names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names if alias.name.split(".")[0] == "topaq"]
+        else:
+            continue
+        private += [name for name in names if any(part.startswith("_") for part in name.split("."))]
+    assert private == []
+
+
 class TestBundledModels:
     MODELS = sorted(__import__("pathlib").Path(__file__).parent.parent.glob("models/*.ta"))
 
@@ -430,9 +449,9 @@ class TestBundledModels:
         assert main(["classify", str(path)]) == 0
         assert f"\nregion state bound: {self.REGION_STATE_BOUNDS[path.name]}\n" in capsys.readouterr().out
 
-    # sha256 of `topaq export --what tick` (first:1): the region automaton of
-    # the tick construction as the bounded engine builds it, with wrap-around
-    # observation clocks, stays byte-identical
+    # sha256 of `topaq export --what tick` (first:1): the region build of the
+    # model's own tick construction with wrap-around observation clocks
+    # (`observers.tick_regions`) stays byte-identical
     TICK_EXPORTS = {
         ("fig1-discrete.ta", "dot"): "bb9069052777533a4748490b7e079378d54a4e0b00028534069701d89193d262",
         ("fig1-discrete.ta", "json"): "af80a1c222794f68f16654c13339548f383f25217ab7d896fb78078bbc0a2a75",
@@ -451,11 +470,12 @@ class TestBundledModels:
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert digest == self.TICK_EXPORTS[(path.name, fmt)]
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 2])
     def test_tick_export_is_the_engine_build(self, n, capsys):
-        # no end gadget (no f-letter, no gadget location), every tick a delay
-        # that wraps the tick clock, and the states and edges of the direct
-        # wrap build of the tick construction
+        # no end gadget (no f-letter, no gadget location), every tick (from
+        # first:1) a delay that wraps the tick clock, and the export of the
+        # direct wrap build of the tick construction, with the final-relaxed
+        # model's constants
         path = next(p for p in self.MODELS if p.name == "fig1.ta")
         assert main(["export", "--what", "tick", "--format", "json", "--obs", f"first:{n}", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -463,11 +483,11 @@ class TestBundledModels:
         assert not any(e["label"].startswith("f{") for e in doc["edges"])
         assert not any(s["location"].startswith("gadget") for s in doc["states"])
         ticks = [e for e in doc["edges"] if e["label"] == "t"]
-        assert ticks and all(e["kind"] == "delay" for e in ticks)
+        assert bool(ticks) == (n > 0) and all(e["kind"] == "delay" for e in ticks)
         base = dense_time(parse_model(path.read_text()))
         ra = build_region_automaton(tick_construction(base, n), wrap=observation_clocks(base, n),
-                                    constants=_tick_constants(base, n))
-        assert (len(doc["states"]), len(doc["edges"])) == (ra.n_states, len(ra.edge_target))
+                                    constants=relax_finals(base).max_constants())
+        assert doc == json.loads(region_automaton_to_json(ra))
 
     def test_oera_model_classified(self, capsys):
         path = next(p for p in self.MODELS if p.name == "oera-pair.ta")

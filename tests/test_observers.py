@@ -11,7 +11,7 @@ import pytest
 from conftest import fig1_ta, random_oera, trace_words
 from reference_languages import reference_bounded, reference_tick_construction, reference_unfolded_tick_construction
 from reference_nfa import language_upto
-from topaq.constructions import build_memo, build_priv, build_pub
+from topaq.constructions import build_memo, build_priv, build_pub, relax_finals
 from topaq.model import parse_model, print_model
 from topaq.nfa import _reach_table, from_region_automaton, strip_ticks_before_suffix
 from topaq.observers import (
@@ -19,11 +19,11 @@ from topaq.observers import (
     FirstN,
     ObservationCapExceeded,
     Static,
-    _tick_constants,
     normalize_sequence,
     observation_clocks,
     project,
     tick_construction,
+    tick_regions,
     unfold_first_n,
     unfold_free,
     unfold_tau,
@@ -223,7 +223,7 @@ def test_stop_form_builds_only_live_regions(fig1, n):
     every region reaches a final region."""
     memo = build_memo(fig1)
     ticked, obs = tick_construction(memo, n), observation_clocks(memo, n)
-    ra = build_region_automaton(ticked, wrap=obs, constants=_tick_constants(memo, n))
+    ra = tick_regions(memo, n)
     clocks = sorted(ticked.clocks)
     observed = [clocks.index(c) for c in obs]
     tick = observed[0]
@@ -283,15 +283,16 @@ def test_stop_rule_builds_one_state_per_ending(fig1, sel, endings):
     class, and they are the endings of the final regions of the build
     without the rule; their number is pinned. Every state still reaches a
     final one."""
-    from topaq.deciders import _attacker, _first_n_stop
+    from topaq.deciders import _attacker, _first_n_stop, dense_time
 
     automaton, n, _, _ = _attacker(fig1, sel)
-    ticked, obs, constants, stop = _first_n_stop(automaton, n, None)
-    ra = build_region_automaton(ticked, None, stop, wrap=obs, constants=constants)
+    memo = build_memo(dense_time(automaton))
+    stop = _first_n_stop(memo, n, None)
+    ra = tick_regions(memo, n, None, stop)
     assert set(ra.endings) == ra.final_ids
     assert len(set(ra.endings.values())) == len(ra.endings) == endings
     assert all(classes for _, classes in ra.endings.values())
-    plain = build_region_automaton(ticked, wrap=obs, constants=constants)
+    plain = tick_regions(memo, n)
     assert set(ra.endings.values()) == {stop(plain.location_of(i), *plain.clock_codes(i))
                                         for i in plain.final_ids} - {None}
     succ = [[ra.edge_target[k] for k in ra.edge_ids(i)] for i in range(ra.n_states)]
@@ -303,23 +304,31 @@ BOUNDED = [FirstN(n) for n in range(5)] + [Dynamic(1), Dynamic(2), Static((F(0),
 
 
 def assert_builds_the_unfolding(ta, sel):
-    """The bounded engine's region build of `sel`'s reduction of `ta` (its
-    tick construction, observation clocks, constants and stop rule) is the
-    same build on the whole unfolding: the same states, edge arrays and
-    endings. An edge is compared by the automaton edge it takes, as the
-    whole unfolding numbers the unreached edges too."""
+    """The bounded engine's region build of `sel`'s reduction of `ta`
+    (`tick_regions` with its stop rule) is the same build on the whole
+    unfolding, with the observation clocks and the final-relaxed memo
+    automaton's constants: the same states, edge arrays and endings. An
+    edge is compared by the automaton edge it takes, as the whole unfolding
+    numbers the unreached edges too. Its model clocks take the constants of
+    the class table's build (`deciders._reachable_classes`), so the stop
+    rule's keys are that table's."""
     from topaq.deciders import _attacker, _first_n_stop, dense_time
 
     automaton, n, _, _ = _attacker(ta, sel)
-    ticked, obs, constants, stop = _first_n_stop(automaton, n, None)
-    whole = reference_unfolded_tick_construction(build_memo(dense_time(automaton)), n)
-    assert ticked.locations <= whole.locations
-    got, want = (build_region_automaton(t, None, stop, wrap=obs, constants=constants) for t in (ticked, whole))
+    memo = build_memo(dense_time(automaton))
+    stop = _first_n_stop(memo, n, None)
+    whole = reference_unfolded_tick_construction(memo, n)
+    assert tick_construction(memo, n).locations <= whole.locations
+    got = tick_regions(memo, n, None, stop)
+    want = build_region_automaton(whole, None, stop, wrap=observation_clocks(memo, n),
+                                  constants=relax_finals(memo).max_constants())
     assert got.edge_target == want.edge_target
     assert got._edge_start == want._edge_start
     assert ([k if k < 0 else got._code.edges[k] for k in got._edge_ta]
             == [k if k < 0 else want._code.edges[k] for k in want._edge_ta])
     assert got.endings == want.endings
+    assert ({x: got.max_constants[x] for x in memo.clocks}
+            == build_region_automaton(relax_finals(memo)).max_constants)
     assert ([(got.location_of(i), got.clock_codes(i)) for i in range(got.n_states)]
             == [(want.location_of(i), want.clock_codes(i)) for i in range(want.n_states)])
     return got
@@ -342,7 +351,7 @@ def test_oera_corpus_builds_as_the_whole_unfolding(n):
 def test_constants_of_the_unreached_unfolding(mode):
     """x's largest constant, 5, sits only on an edge after the first
     observation, which the tick construction of first:1 does not reach: its
-    own constant for x is 3. The build takes 5 (`_tick_constants`), as the
+    own constant for x is 3. The build takes 5 (`tick_regions`), as the
     whole unfolding does, so the stop rule finds every region it looks up
     and the answer is the reference's."""
     from topaq.deciders import check_bounded
@@ -353,7 +362,7 @@ def test_constants_of_the_unreached_unfolding(mode):
                         edge("l0", "l3", "a", Guard.of(ClockConstraint("x", "<", 3)))])
     memo = build_memo(ta)
     assert tick_construction(memo, 1).max_constants()["x"] == 3
-    assert _tick_constants(memo, 1)["x"] == 5
+    assert tick_regions(memo, 1).max_constants["x"] == 5
     ra = assert_builds_the_unfolding(ta, FirstN(1))
     assert ra.max_constants["x"] == 5
     verdict = check_bounded(ta, FirstN(1), mode)

@@ -23,12 +23,12 @@ from reference_regions import (
     reference_nfa,
     reference_region_automaton,
 )
-from topaq.constructions import build_memo, build_priv, build_pub, product
+from topaq.constructions import build_memo, build_priv, build_pub, product, relax_finals
 from topaq.deciders import _attacker, check_opacity, dense_time, is_oera
 from topaq.export import region_automaton_to_dot, region_automaton_to_json
 from topaq.model import parse_model
 from topaq.nfa import from_region_automaton
-from topaq.observers import Dynamic, FirstN, Static, _tick_constants, observation_clocks, tick_construction
+from topaq.observers import Dynamic, FirstN, Static, observation_clocks, tick_construction
 from topaq.oracle import discrete_state_count
 from topaq.regions import BadRegionCap, RegionCapExceeded, augment_ticks, build_region_automaton
 from topaq.ta import ClockConstraint, Guard, edge, make_ta, validate, validate_errors
@@ -76,10 +76,11 @@ def assert_same(ta, wrap=(), constants=None):
 
 def ticked_memo(ta, sel):
     """The tick construction a bounded query builds for `sel`, its
-    wrap-around observation clocks and its model clocks' constants."""
+    wrap-around observation clocks and its model clocks' constants, those
+    of the final-relaxed memo automaton."""
     base, n, _, _ = _attacker(ta, sel)
     memo = build_memo(dense_time(base))
-    return tick_construction(memo, n), observation_clocks(memo, n), _tick_constants(memo, n)
+    return tick_construction(memo, n), observation_clocks(memo, n), relax_finals(memo).max_constants()
 
 
 @pytest.mark.parametrize("sel", [FirstN(1), FirstN(2), FirstN(3), Dynamic(1), Static((F(0), F(1, 2), F(3, 2)))],
@@ -241,7 +242,7 @@ def test_models_and_their_exports(path):
     base = dense_time(ta)
     subjects = [(ta,), (augment_ticks(ta),)] if ta.time_domain == "discrete" else [(ta,)]
     # the tick export (`topaq export --what tick`) and the gadget form
-    subjects += [(tick_construction(base, 1), observation_clocks(base, 1), _tick_constants(base, 1)),
+    subjects += [(tick_construction(base, 1), observation_clocks(base, 1), relax_finals(base).max_constants()),
                  (reference_tick_construction(base, 1),)]
     for subject in subjects:
         ra, ref = assert_same(*subject)
@@ -271,6 +272,21 @@ def test_cap_fires_at_the_same_state():
             with pytest.raises(RegionCapExceeded):
                 build(ta, cap, wrap=obs, constants=constants)
     assert len(build_region_automaton(ta, n, wrap=obs, constants=constants).states) == n
+
+
+def test_cap_refusal_names_its_source(monkeypatch):
+    # an explicit cap wins over the environment variable, so the refusal
+    # names the argument; without one it names the variable
+    monkeypatch.setenv("TOPAQ_REGION_CAP", "1000000")
+    with pytest.raises(RegionCapExceeded) as refused:
+        check_opacity(fig1_ta("discrete"), "weak", cap=2)
+    assert (str(refused.value), refused.value.cap) == \
+        ("region construction exceeded the cap of 2 states (set by the cap argument)", 2)
+    monkeypatch.setenv("TOPAQ_REGION_CAP", "3")
+    with pytest.raises(RegionCapExceeded) as refused:
+        check_opacity(fig1_ta("discrete"), "weak")
+    assert (str(refused.value), refused.value.cap) == \
+        ("region construction exceeded the cap of 3 states (override with TOPAQ_REGION_CAP)", 3)
 
 
 @pytest.mark.parametrize("cap", [0, -5, 1.5, True])
