@@ -23,8 +23,8 @@ from .observers import (
     FirstN,
     Static,
     TimeSelection,
+    _tick_columns,
     normalize_sequence,
-    observation_clocks,
     switch_scale,
     tick_regions,
     unfold_first_n,
@@ -423,12 +423,9 @@ def _first_n_stop(memo: TimedAutomaton, n: int, cap: Optional[int]) -> Callable:
     of the final-relaxed memo automaton that `_reachable_classes` builds,
     so their codes and ranks are keys of its table. The rule works out
     each clock region's model part and suffix word once, and each
-    location's memo location once."""
-    obs = observation_clocks(memo, n)
+    location's memo location once. `_tick_columns` refuses first."""
+    model, observed = _tick_columns(memo, n)
     reachable = _reachable_classes(memo, cap)
-    column = {x: j for j, x in enumerate(sorted(memo.clocks | set(obs)))}
-    model = [column[x] for x in sorted(memo.clocks)]
-    observed = [column[x] for x in obs]
     bases: dict[str, str] = {}  # location of the tick construction -> its memo location
     views: dict[tuple, tuple] = {}  # (codes, ranks) -> model codes, model ranks, suffix
     words: dict[tuple[int, ...], tuple[str, ...]] = {}  # observation ranks -> suffix

@@ -123,8 +123,14 @@ def unfold_first_n(ta: TimedAutomaton, n: int) -> TimedAutomaton:
 def observation_clocks(ta: TimedAutomaton, n: int) -> tuple[str, ...]:
     """The N+1 observation clocks of `ta`'s tick construction, tick clock
     first: `tk0` ... `tkN`, each renamed away from `ta`'s clocks and the
-    observation clocks before it. The region build of the construction
-    takes them as its wrap-around clocks."""
+    observation clocks before it: the wrap-around clocks of its region
+    build. Every path to that build starts here, so the construction's
+    refusals come before any build: a bad count, more observations than
+    the cap, and a model letter `t` or `f{...}` (a tick or an f-letter)."""
+    reserve_letters(ta.actions, [TICK_LETTER, *(a for a in ta.actions if a.startswith("f{"))],
+                    "tick construction")
+    _check_count(n)
+    _check_observations(n)
     taken = set(ta.clocks)
     obs = []
     for i in range(n + 1):
@@ -150,15 +156,10 @@ def tick_construction(ta: TimedAutomaton, n: int) -> TimedAutomaton:
     The finals and the last copy's locations are final with no out-edge:
     the stop region fixes the rest of the ticked word, the f-letters of the
     observation clocks' fractional groups, which the bounded engine
-    attaches (`deciders._first_n_stop`). A model letter `t` or `f{...}`
-    would read as a tick or an f-letter, so it is refused.
+    attaches (`deciders._first_n_stop`).
     """
-    reserve_letters(ta.actions, [TICK_LETTER, *(a for a in ta.actions if a.startswith("f{"))],
-                    "tick construction")
-    _check_count(n)
-    _check_observations(n)
-    relaxed = relax_finals(ta)
     obs = observation_clocks(ta, n)
+    relaxed = relax_finals(ta)
     out: dict[str, list[Edge]] = {}
     for e in relaxed.edges:
         out.setdefault(e.source, []).append(e)
@@ -203,6 +204,15 @@ def tick_regions(ta: TimedAutomaton, n: int, cap: Optional[int] = None,
     up. At n = 0 the build is the initial region alone, every code 0."""
     return build_region_automaton(tick_construction(ta, n), cap, stop, wrap=observation_clocks(ta, n),
                                   constants=relax_finals(ta).max_constants())
+
+
+def _tick_columns(ta: TimedAutomaton, n: int) -> tuple[list[int], list[int]]:
+    """The columns of `ta`'s clocks, sorted, and of the observation clocks,
+    tick clock first, in the codes and ranks of `tick_regions(ta, n)`,
+    whose build orders the construction's clocks by name."""
+    obs = observation_clocks(ta, n)
+    column = {x: j for j, x in enumerate(sorted(ta.clocks | set(obs)))}
+    return [column[x] for x in sorted(ta.clocks)], [column[x] for x in obs]
 
 
 def normalize_sequence(tau: Sequence[Fraction]) -> tuple[Fraction, ...]:

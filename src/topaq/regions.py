@@ -49,11 +49,11 @@ TICK_LETTER = "t"
 
 
 class RegionCapExceeded(Exception):
-    """A region build reached its cap, which came from `source`: the `cap`
-    argument, or the environment variable and its default (`region_cap`)."""
+    """A region build reached its cap: the `cap` argument's when `explicit`,
+    else the environment variable's or its default (`region_cap`)."""
 
-    def __init__(self, cap: int, source: str = REGION_CAP_ENV):
-        advice = "set by the cap argument" if source == "cap" else f"override with {REGION_CAP_ENV}"
+    def __init__(self, cap: int, explicit: bool = False):
+        advice = "set by the cap argument" if explicit else f"override with {REGION_CAP_ENV}"
         super().__init__(f"region construction exceeded the cap of {cap} states ({advice})")
         self.cap = cap
 
@@ -425,7 +425,7 @@ def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None,
     `ta.max_constants()`, which they default to: the tick construction
     takes those of the whole unfolding (`observers.tick_regions`).
     """
-    source, cap = REGION_CAP_ENV if cap is None else "cap", region_cap(cap)
+    explicit, cap = cap is not None, region_cap(cap)
     if wrap and ta.time_domain == "discrete":
         raise ValueError("wrap-around clocks need a dense-time automaton")
     maxc = ta.max_constants() if constants is None else dict(constants)
@@ -493,7 +493,7 @@ def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None,
                     ids[key] = j
                     if j == len(keys):
                         if j >= cap:
-                            raise RegionCapExceeded(cap, source)
+                            raise RegionCapExceeded(cap, explicit)
                         keys.append(key)
                         if final[t]:
                             finals.append(j)

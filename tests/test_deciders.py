@@ -41,6 +41,7 @@ from topaq.observers import (
     FirstN,
     Static,
     normalize_sequence,
+    tick_regions,
     unfold_first_n,
     unfold_free,
     unfold_tau,
@@ -293,6 +294,15 @@ class TestEngineLetters:
             with pytest.raises(ReservedLetter) as info:
                 call()
             assert str(info.value) == "the model uses the letter 't', which the tick augmentation reserves"
+
+    def test_bounded_model_using_the_tick_letter_is_refused_before_any_build(self, fig1):
+        # the tick construction's refusal comes before the class table's
+        # region build, which a region cap of 1 would stop
+        ta = renamed_letter(fig1, "a", "t")
+        for call in (lambda: check_bounded(ta, FirstN(1), "weak", cap=1), lambda: tick_regions(ta, 1, cap=1)):
+            with pytest.raises(ReservedLetter) as info:
+                call()
+            assert str(info.value) == "the model uses the letter 't', which the tick construction reserves"
 
     @pytest.mark.parametrize("letter", ["f{1}", "a"])
     def test_model_letter_like_an_f_letter_is_not_a_suffix(self, letter):

@@ -169,6 +169,19 @@ class TestTickConstruction:
         with pytest.raises(ObservationCapExceeded):
             tick_construction(fig1, 9)
 
+    @pytest.mark.parametrize("n", [9, 10**9])
+    def test_observation_cap_comes_before_any_build(self, fig1, n, monkeypatch):
+        # the engine and the export refuse too many observations before they
+        # name a clock or build a region: a region cap of 1 would stop any
+        # build, and a billion observation clocks would not fit in memory
+        import topaq.observers as observers
+        from topaq.deciders import check_bounded
+
+        monkeypatch.setattr(observers, "fresh_name", lambda *args: pytest.fail("named a clock"))
+        for call in (lambda: check_bounded(fig1, FirstN(n), "weak", cap=1), lambda: tick_regions(fig1, n, cap=1)):
+            with pytest.raises(ObservationCapExceeded):
+                call()
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gadget_emits_the_suffix_read_off_the_ranks(self, fig1, n):
         # every region where a run of the gadget form enters an unfolding
