@@ -18,6 +18,7 @@ violation).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import traceback
 from fractions import Fraction
@@ -61,10 +62,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# Python's `int` and `Fraction` also take underscores, surrounding spaces,
+# a leading `+` and non-ASCII digits; the command line takes plain ASCII
+# numbers only, with an optional `-` so that a negative value reaches the
+# check that names it
+_INTEGER = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
+def _parse_integer(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise _UsageError(f"bad integer {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
+    if not _RATIONAL.fullmatch(text):
+        raise _UsageError(f"bad rational {text!r}")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise _UsageError(f"bad rational {text!r}") from exc
 
 
@@ -72,13 +89,13 @@ def parse_observation(text: str):
     kind, _, rest = text.partition(":")
     try:
         if kind == "first":
-            return FirstN(int(rest))
+            return FirstN(_parse_integer(rest))
         if kind == "dynamic":
-            return Dynamic(int(rest))
+            return Dynamic(_parse_integer(rest))
         if kind == "static":
             times = tuple(parse_rational(p) for p in rest.split(",")) if rest else ()
             return Static(times)
-    except ValueError as exc:
+    except (ValueError, _UsageError) as exc:
         raise _UsageError(f"bad observation spec {text!r}: {exc}") from exc
     raise _UsageError(f"bad observation spec {text!r} (want first:N, static:LIST, or dynamic:N)")
 
@@ -93,7 +110,7 @@ def build_parser() -> _Parser:
     check.add_argument("--engine", default="auto", choices=["auto", "discrete", "oera", "oracle"])
     check.add_argument("--horizon", help="oracle horizon (rational)")
     check.add_argument("--granularity", help="oracle granularity (rational)")
-    check.add_argument("--max-steps", type=int, help="oracle step budget")
+    check.add_argument("--max-steps", type=_parse_integer, help="oracle step budget")
     check.add_argument("--scale", action="store_true",
                        help="scale non-integer constants of a dense-time model (times stay in its units)")
     check.add_argument("file")

@@ -482,7 +482,7 @@ def _reachable_classes(memo: TimedAutomaton, cap: Optional[int]) -> dict[tuple, 
     ra = build_region_automaton(relax_finals(memo), cap)
     reach = nfalib._reach_table([ra.edge_target[ra._edge_start[i]:ra._edge_start[i + 1]]
                                  for i in range(ra.n_states)],
-                                [i in ra.final_ids for i in range(ra.n_states)])
+                                [i if i in ra.final_ids else None for i in range(ra.n_states)])
     own = {f: {k for k, tag in enumerate(MEMO_TAGS) if ra.location_of(f).endswith(tag)} for f in ra.final_ids}
     found: dict[int, tuple[int, ...]] = {}  # id of a row of `reach` -> its classes
     for row in reach:

@@ -23,10 +23,11 @@ frozensets:
   verdict or counterexample; it only makes the sets, and every macro-state
   and product pair built from them, smaller.
 - One reachability routine, `_reach_table`, gives every state the kept
-  part of its reflexive-transitive successor set by SCC condensation. It
-  serves the silent closure of `silent_free` (keeping active states) and
-  the tick jump of `strip_ticks_before_suffix` (keeping finals and
-  suffix-ready states).
+  part of its reflexive-transitive successor set by SCC condensation,
+  each row built once and written in the numbering its caller reads. It
+  serves the silent closure of `silent_free` (keeping active states, under
+  their NFA numbers) and the tick jump of `strip_ticks_before_suffix`
+  (keeping finals and suffix-ready states).
 - One tick-stripping construction, `strip_ticks_before_suffix`, erases the
   run of a tick letter before the suffix block (the f-letters of the
   bounded attacker); `strip_trailing_letter` is its case without suffix
@@ -85,14 +86,16 @@ class NFA:
         return self.initial
 
 
-def _reach_table(succ: Sequence[Collection[int]], keep: Sequence[bool]) -> list[frozenset[int]]:
+def _reach_table(succ: Sequence[Collection[int]], ids: Sequence[Optional[int]]) -> list[frozenset[int]]:
     """Kept part of the reflexive-transitive successor set of every state
-    of the graph `succ` (state -> successor states): the states `v` with
-    `keep[v]` that the state reaches.
+    of the graph `succ` (state -> successor states), written in the
+    caller's numbering: a state `v` is kept when `ids[v]` is not None, and
+    its row holds `ids[v]` for every kept state `v` that the state reaches.
 
     Tarjan's algorithm finishes strongly connected components in reverse
-    topological order, so a component's set is its kept members plus the
-    finished sets of the components its edges enter. The members of one
+    topological order, so a component's set is its kept members' ids plus
+    the finished sets of the components its edges enter. A state without
+    successors is finished when it is first seen. The members of one
     component share one frozenset, and so does a chain link (a state alone
     in its component, not kept, with one successor) with its successor.
     """
@@ -100,21 +103,32 @@ def _reach_table(succ: Sequence[Collection[int]], keep: Sequence[bool]) -> list[
     index = [-1] * n
     low = [0] * n
     reach: list[Optional[frozenset[int]]] = [None] * n  # None until finished
+    empty: frozenset[int] = frozenset()
     stack: list[int] = []
     counter = 0
     for root in range(n):
         if index[root] >= 0:
             continue
-        index[root] = low[root] = counter
+        index[root] = counter
         counter += 1
+        if not succ[root]:
+            k = ids[root]
+            reach[root] = empty if k is None else frozenset([k])
+            continue
+        low[root] = index[root]
         stack.append(root)
         work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
             for w in it:
                 if index[w] < 0:
-                    index[w] = low[w] = counter
+                    index[w] = counter
                     counter += 1
+                    if not succ[w]:  # a sink is its own component
+                        k = ids[w]
+                        reach[w] = empty if k is None else frozenset([k])
+                        continue
+                    low[w] = index[w]
                     stack.append(w)
                     work.append((w, iter(succ[w])))
                     break
@@ -128,7 +142,7 @@ def _reach_table(succ: Sequence[Collection[int]], keep: Sequence[bool]) -> list[
                         low[u] = low[v]
                 if low[v] != index[v]:
                     continue
-                if stack[-1] == v and not keep[v] and len(succ[v]) == 1:
+                if stack[-1] == v and ids[v] is None and len(succ[v]) == 1:
                     # a chain link: a singleton that is not kept and has one
                     # successor shares that successor's finished set
                     (w,) = succ[v]
@@ -142,12 +156,11 @@ def _reach_table(succ: Sequence[Collection[int]], keep: Sequence[bool]) -> list[
                     members.append(w)
                     if w == v:
                         break
-                out = {m for m in members if keep[m]}
+                out = {k for k in map(ids.__getitem__, members) if k is not None}
                 for m in members:
                     for w in succ[m]:
                         r = reach[w]  # None: w is a member of this component
-                        # w in out: w is kept and reached, so r is already inside
-                        if r is not None and w not in out:
+                        if r is not None:
                             out |= r
                 done = frozenset(out)
                 for m in members:
@@ -164,7 +177,7 @@ def _union(rows: Sequence[frozenset[int]] | Mapping[int, frozenset[int]], states
 
 
 def silent_free(alphabet: tuple[str, ...], initial: Collection[int], finals: frozenset[int],
-                eps: Sequence[Collection[int]], trans: Sequence[dict[str, frozenset[int]]],
+                eps: Sequence[Collection[int]], trans: Sequence[Mapping[str, Collection[int]]],
                 final_classes: tuple[frozenset[int], ...] = ()) -> NFA:
     """The NFA of the graph with per-state silent successors `eps` and
     letter successors `trans`, with the same languages and no silent moves.
@@ -177,15 +190,11 @@ def silent_free(alphabet: tuple[str, ...], initial: Collection[int], finals: fro
     set holds the letter edges and the finals of every state it stands for,
     so each language is unchanged."""
     every = finals.union(*final_classes)
-    keep = [bool(d) or s in every for s, d in enumerate(trans)]
-    table = _reach_table(eps, keep)
-    active = [s for s, k in enumerate(keep) if k]
-    new = dict(zip(active, range(len(active))))
-    rows: dict[int, frozenset[int]] = {}  # id of a row of `table` -> the row renumbered
-    for row in table:
-        if id(row) not in rows:
-            rows[id(row)] = frozenset([new[q] for q in row])
-    closure = [rows[id(row)] for row in table]
+    active = [s for s, d in enumerate(trans) if d or s in every]
+    new: list[Optional[int]] = [None] * len(trans)  # graph id -> NFA state, None if not active
+    for i, s in enumerate(active):
+        new[s] = i
+    closure = _reach_table(eps, new)
     out = []
     for s in active:
         moves = {}
@@ -228,9 +237,9 @@ def from_region_automaton(ra: RegionAutomaton, final_classes: tuple[frozenset[in
     one's state."""
     labels = [e.action for e in ra._code.edges] + [TICK_LETTER, delay]  # [-2]: a tick, [-1]: another delay
     target, start, through = ra.edge_target, ra._edge_start, ra._edge_ta
-    no_moves: dict[str, frozenset[int]] = {}  # shared by the states without letter edges
+    no_moves: dict[str, list[int]] = {}  # shared by the states without letter edges
     eps: list[Collection[int]] = []
-    trans: list[dict[str, frozenset[int]]] = []
+    trans: list[dict[str, Collection[int]]] = []
     for i in range(ra.n_states):
         silent: list[int] = []
         moves: dict[str, list[int]] = {}
@@ -241,7 +250,7 @@ def from_region_automaton(ra: RegionAutomaton, final_classes: tuple[frozenset[in
             else:
                 moves.setdefault(a, []).append(target[k])
         eps.append(silent)
-        trans.append({a: frozenset(v) for a, v in moves.items()} if moves else no_moves)
+        trans.append(moves or no_moves)
     initial = frozenset([0]) if ra.n_states else frozenset()
     letters = set(ra.letters) if delay is None else {*ra.letters, delay}
     finals = ra.final_ids
@@ -264,9 +273,9 @@ def from_region_automaton(ra: RegionAutomaton, final_classes: tuple[frozenset[in
                         for k in classes:
                             ends[k].append(s)
                     else:
-                        trans.append({word[position]: frozenset([t])})
+                        trans.append({word[position]: (t,)})
                 t = s
-            trans[i] = {word[0]: frozenset([t])}  # a final state has no out-edge of its own
+            trans[i] = {word[0]: (t,)}  # a final state has no out-edge of its own
         final_classes = tuple(frozenset(c) for c in ends)
         finals = frozenset().union(*final_classes)
     return silent_free(tuple(sorted(letters)), initial, finals, eps, trans, final_classes)
@@ -378,16 +387,15 @@ def strip_ticks_before_suffix(m: NFA, suffix_letters: frozenset[str], tick: str 
         for succs in m.trans[s].values():
             todo += succs - stop
             stop.update(succs)
-    jump = _reach_table([d.get(tick, ()) for d in m.trans], [s in stop and bool(s in finals or d)
-                                                            for s, d in enumerate(m.trans)])
-    reads = [s not in stop and bool(d) for s, d in enumerate(m.trans)]
-    enter = [jump[s] | {s} if r else jump[s] for s, r in enumerate(reads)]
-    enter_tick = [frozenset([s]) if r else frozenset() for s, r in enumerate(reads)]
+    jump = _reach_table([d.get(tick, ()) for d in m.trans],
+                        [s if s in stop and (s in finals or d) else None for s, d in enumerate(m.trans)])
+    reading = frozenset([s for s, d in enumerate(m.trans) if d and s not in stop])
+    enter = [jump[s] | {s} if s in reading else jump[s] for s in range(m.n_states)]
     trans = []
     for d in m.trans:
         moves = {}
         for a, succs in d.items():
-            t = succs if a in suffix_letters else _union(enter_tick if a == tick else enter, succs)
+            t = succs if a in suffix_letters else succs & reading if a == tick else _union(enter, succs)
             if t:
                 moves[a] = t
         trans.append(moves)

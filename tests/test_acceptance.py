@@ -259,7 +259,7 @@ def test_criterion_9_region_count_bounds():
             # the NFA's sets keep only active states; bound the full closures
             # of the region graph along the same words
             _, _, _, eps, trans = graph_of(ra)
-            full = _reach_table(eps, [True] * ra.n_states)
+            full = _reach_table(eps, list(range(ra.n_states)))
             for word in sorted(language_upto(m, 8))[:40]:
                 visited = set()
                 states = full[0]

@@ -19,7 +19,9 @@ MODELS = {
     "fig1": lambda rng: fig1_ta(),
 }
 VALID_OBS = [None, "first:0", "first:1", "first:2", "first:3", "dynamic:1", "static:0,1/2,3/2"]
-INVALID_OBS = ["first:-1", "dynamic:x", "static:1,0", "last:2"]
+INVALID_OBS = ["first:-1", "dynamic:x", "static:1,0", "last:2",
+               # forms Python's int and Fraction take but the command line does not
+               "static:1_0", "first:0_2", "first:\u0663", "dynamic:+1", "first: 2", "static:1/2 ", "static:\u0661"]
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -35,3 +37,12 @@ def test_check_exits_with_a_contract_code(kind, seed, mode, obs):
     assert code in {0, 1, 2, 3}, (args, print_model(ta))
     if obs in INVALID_OBS:
         assert code == 3, args
+
+
+def test_every_invalid_obs_is_a_usage_error(capsys):
+    path = str(Path(__file__).resolve().parent.parent / "models" / "fig1.ta")
+    for obs in INVALID_OBS:
+        assert main(["check", "--mode", "weak", "--obs", obs, path]) == 3, obs
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage error: bad observation spec {obs!r}"), captured.err
+        assert captured.out == ""

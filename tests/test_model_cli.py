@@ -256,6 +256,7 @@ class TestCli:
 
     def test_static_and_dynamic_obs(self, fig1_file):
         assert main(["check", "--mode", "weak", "--obs", "static:0,3/2", fig1_file]) == 0
+        assert main(["check", "--mode", "weak", "--obs", "static:0,1.5", fig1_file]) == 0
         assert main(["check", "--mode", "weak", "--obs", "dynamic:1", fig1_file]) == 0
 
     def test_dynamic2_weak_decided(self, fig1_file, capsys):
@@ -266,6 +267,18 @@ class TestCli:
         assert main(["check", "--mode", "sideways", fig1_file]) == 3
         assert main(["check", "--mode", "weak", "--obs", "sometimes:2", fig1_file]) == 3
         assert main(["check", "--mode", "weak", "missing-file.ta"]) == 3
+
+    @pytest.mark.parametrize("option, value", [
+        ("--horizon", "1_0"), ("--horizon", " 4"), ("--horizon", "+4"), ("--horizon", "\u0664"),
+        ("--granularity", "1/2_0"), ("--granularity", "+1/2"), ("--granularity", "1/0"),
+        ("--max-steps", "1_0"), ("--max-steps", " 4"), ("--max-steps", "+4"), ("--max-steps", "\u0664"),
+    ])
+    def test_numbers_are_plain_ascii(self, capsys, option, value):
+        # Python's int and Fraction take these, and would read 1_0 as 10
+        path = str(Path(__file__).parent.parent / "models" / "fig1.ta")
+        assert main(["check", "--mode", "weak", "--engine", "oracle", path, f"{option}={value}"]) == 3
+        kind = "integer" if option == "--max-steps" else "rational"
+        assert capsys.readouterr().err == f"usage error: bad {kind} {value!r}\n"
 
     @pytest.mark.parametrize("model, option, message", [
         ("fig1.ta", ["--granularity", "0"], "granularity must be positive, got 0"),

@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,9 +12,10 @@ import pytest
 from conftest import fig1_ta, random_oera, trace_words
 from reference_languages import reference_bounded, reference_tick_construction, reference_unfolded_tick_construction
 from reference_nfa import language_upto
-from topaq.constructions import build_memo, build_priv, build_pub, relax_finals
+from reference_regions import graph_of
+from topaq.constructions import MEMO_TAGS, build_memo, build_priv, build_pub, relax_finals
 from topaq.model import parse_model, print_model
-from topaq.nfa import _reach_table, from_region_automaton, strip_ticks_before_suffix
+from topaq.nfa import NFA, _reach_table, from_region_automaton, strip_ticks_before_suffix
 from topaq.observers import (
     Dynamic,
     FirstN,
@@ -249,7 +251,7 @@ def test_stop_form_builds_only_live_regions(fig1, n):
                 assert (ra._edge_ta[k] == -2) == wraps
     assert -2 in ra._edge_ta and "t" in ra.letters
     succ = [[ra.edge_target[k] for k in ra.edge_ids(i)] for i in range(ra.n_states)]
-    reach = _reach_table(succ, [i in ra.final_ids for i in range(ra.n_states)])
+    reach = _reach_table(succ, [i if i in ra.final_ids else None for i in range(ra.n_states)])
     assert all(reach)
 
 
@@ -309,7 +311,7 @@ def test_stop_rule_builds_one_state_per_ending(fig1, sel, endings):
     assert set(ra.endings.values()) == {stop(plain.location_of(i), *plain.clock_codes(i))
                                         for i in plain.final_ids} - {None}
     succ = [[ra.edge_target[k] for k in ra.edge_ids(i)] for i in range(ra.n_states)]
-    assert all(_reach_table(succ, [i in ra.final_ids for i in range(ra.n_states)]))
+    assert all(_reach_table(succ, [i if i in ra.final_ids else None for i in range(ra.n_states)]))
 
 
 MODELS = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.ta"))
@@ -351,6 +353,110 @@ def assert_builds_the_unfolding(ta, sel):
 @pytest.mark.parametrize("path", MODELS, ids=lambda p: p.stem)
 def test_tick_construction_builds_as_the_whole_unfolding(path, sel):
     assert_builds_the_unfolding(parse_model(path.read_text()), sel)
+
+
+def naive_conversion(ra, final_classes) -> NFA:
+    """Reference for `from_region_automaton(ra, final_classes)` of a build
+    with a stop rule, read from the decoded edges (`graph_of`). Each final
+    state of the classes reads its ending's word through a chain of fresh
+    states, keyed by the rest of the word and the classes and numbered after
+    the regions in order of first use: final states in increasing order,
+    each chain from its accepting end. Then every silent closure is found by
+    DFS, and the states with a letter edge or final are renumbered in
+    increasing order."""
+    letters, initial, finals, eps, trans = graph_of(ra)
+    letters, eps, trans = set(letters), list(eps), list(trans)
+    if ra.endings:
+        chain = {}  # (rest of a word, classes) -> state
+        heads = {}  # final state -> (word, classes)
+        for i in sorted(set().union(*final_classes)):
+            word, classes = heads[i] = ra.endings[i][0], tuple(k for k, c in enumerate(final_classes) if i in c)
+            letters.update(word)
+            for size in range(len(word)):
+                chain.setdefault((word[len(word) - size:], classes), ra.n_states + len(chain))
+        ends = [set() for _ in final_classes]
+        for (rest, classes), s in chain.items():
+            eps.append(frozenset())
+            trans.append({rest[0]: frozenset([chain[rest[1:], classes]])} if rest else {})
+            for k in classes if not rest else ():
+                ends[k].add(s)
+        for i, (word, classes) in heads.items():
+            trans[i] = {word[0]: frozenset([chain[word[1:], classes]])}
+        final_classes = tuple(map(frozenset, ends))
+        finals = frozenset().union(*final_classes)
+
+    def closure(s):
+        seen, todo = {s}, [s]
+        while todo:
+            for t in eps[todo.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        return seen
+
+    every = finals.union(*final_classes)
+    active = [s for s, d in enumerate(trans) if d or s in every]
+    new = {s: k for k, s in enumerate(active)}
+
+    def close(states):
+        return frozenset(new[q] for s in states for q in closure(s) if q in new)
+
+    moves = [{a: close(t) for a, t in trans[s].items() if close(t)} for s in active]
+    return NFA(tuple(sorted(letters)), len(active), close(initial), frozenset(map(new.get, finals)), moves,
+               tuple(frozenset(map(new.get, c)) for c in final_classes))
+
+
+def naive_strip(m: NFA, suffix_letters, tick: str = "t") -> NFA:
+    """Reference for `strip_ticks_before_suffix(m, suffix_letters, tick)` on
+    an NFA in stop form: every tick run found by DFS; a non-tick letter
+    enters a state that reads a non-suffix letter and the stop states that
+    are final or read a letter and that the state reaches by ticks, a tick
+    enters only a state that reads a non-suffix letter, and a suffix letter
+    keeps its targets."""
+    finals = m.finals.union(*m.final_classes)
+    stop = set(finals) | {s for s, d in enumerate(m.trans) if not suffix_letters.isdisjoint(d)}
+    todo = list(stop)
+    while todo:
+        for t in set().union(*m.trans[todo.pop()].values()) - stop:
+            stop.add(t)
+            todo.append(t)
+    reading = {s for s, d in enumerate(m.trans) if d and s not in stop}
+
+    def enter(s):
+        seen, todo = {s}, [s]
+        while todo:
+            for t in m.trans[todo.pop()].get(tick, ()):
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        return {q for q in seen if q in stop and (q in finals or m.trans[q])} | ({s} & reading)
+
+    def reroute(a, succs):
+        if a in suffix_letters:
+            return succs
+        return frozenset(succs & reading if a == tick else set().union(*map(enter, succs)))
+
+    trans = [{a: reroute(a, t) for a, t in d.items() if reroute(a, t)} for d in m.trans]
+    return replace(m, initial=frozenset().union(*map(enter, m.initial)), trans=trans)
+
+
+@pytest.mark.parametrize("sel", BOUNDED, ids=str)
+@pytest.mark.parametrize("path", MODELS, ids=lambda p: p.stem)
+def test_conversion_and_strip_are_the_naive_ones(path, sel):
+    """The bounded engine's conversion and strip of its stop-rule build
+    (`deciders._ticked_language`) are, state for state, the naive
+    conversion and the naive strip of the naive NFA."""
+    from topaq.deciders import _attacker, _first_n_stop, dense_time
+
+    automaton, n, _, _ = _attacker(parse_model(path.read_text()), sel)
+    memo = build_memo(dense_time(automaton))
+    ra = tick_regions(memo, n, None, _first_n_stop(memo, n, None))
+    classes = tuple(frozenset(i for i, (_, found) in ra.endings.items() if k in found)
+                    for k in range(len(MEMO_TAGS)))
+    suffix = frozenset().union(*(word for word, _ in ra.endings.values()))
+    m, ref = from_region_automaton(ra, classes), naive_conversion(ra, classes)
+    assert m == ref
+    assert strip_ticks_before_suffix(m, suffix) == naive_strip(ref, suffix)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -437,7 +437,7 @@ class TestRegularInclusion:
             ga, gb = cyclic_graph(rng, rng.randint(2, 9)), cyclic_graph(rng, rng.randint(2, 9))
             for g in (ga, gb):
                 states = range(len(g.trans))
-                assert _reach_table(g.eps, [True] * len(states)) == [naive_closure(g, s) for s in states]
+                assert _reach_table(g.eps, list(states)) == [naive_closure(g, s) for s in states]
                 # the silent-free states are the active ones (a letter edge or
                 # final) in increasing order, and its sets are their closures
                 active = [s for s in states if g.trans[s] or s in g.finals]
@@ -454,6 +454,42 @@ class TestRegularInclusion:
             assert res.counterexample == shortlex_counterexample(naive_silent_free(ga), naive_silent_free(gb))
             violated += not res.holds
         assert 20 <= violated <= 130  # both outcomes are exercised
+
+    def test_reach_table_keeps_some_states_under_new_ids(self):
+        # random graphs with cycles, sinks, self-loops and chain links; some
+        # states kept, under ids in a shuffled order (id 0 included, which is
+        # falsy): each row is the ids of the kept states the state reaches
+        rng = random.Random(20261030)
+        links = 0
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            succ = []
+            for _ in range(n):
+                kind = rng.random()
+                if kind < 0.25:
+                    succ.append([])  # a sink
+                elif kind < 0.35:
+                    succ.append([len(succ)])  # a self-loop only
+                elif kind < 0.6:
+                    succ.append([rng.randrange(n)])  # a chain link, unless it is kept
+                else:
+                    succ.append(rng.sample(range(n), rng.randint(1, min(3, n))))
+            kept = [s for s in range(n) if rng.random() < 0.5]
+            ids = [None] * n
+            for k, s in enumerate(rng.sample(kept, len(kept))):
+                ids[s] = k
+            g = Graph((), frozenset(), frozenset(), [frozenset(d) for d in succ], [{} for _ in succ])
+            closure = [naive_closure(g, s) for s in range(n)]
+            rows = _reach_table(succ, ids)
+            assert rows == [frozenset(ids[t] for t in closure[s] if ids[t] is not None) for s in range(n)]
+            for s in range(n):
+                for t in closure[s]:
+                    if s in closure[t]:  # one component: one shared set
+                        assert rows[s] is rows[t]
+                if ids[s] is None and len(succ[s]) == 1 and s not in closure[succ[s][0]]:
+                    assert rows[s] is rows[succ[s][0]]  # a chain link shares its successor's set
+                    links += 1
+        assert links >= 100
 
     def test_answers_do_not_depend_on_state_numbering(self):
         # one queue entry per pair of macro-states, reached in shortlex order
