@@ -182,29 +182,26 @@ def _ticked_language(ra: RegionAutomaton, tags: tuple[str, ...] = (), delay: Opt
     """Untimed language of the region automaton `ra`, whose delay edges
     are silent (`delay` None: a tick construction's build emits its own
     ticks `t`, by the wrap of its tick clock, `observers.tick_regions`) or
-    read the letter `delay`, with the run of ticks (`t`, or `delay`)
-    between the last observed letter and the f-letter suffix erased: they
-    only encode unobserved waiting, which the trace does not record.
-    Without f-letters the erased run is the trailing one.
+    read the letter `delay`, with the trailing run of ticks (`t`, or
+    `delay`) erased (`nfa.strip_trailing_letter`): they only encode
+    unobserved waiting, which the trace does not record.
 
     With `tags`, the final locations ending in the i-th tag make the i-th
     final class of the result, whose views (`NFA.views`) are the classes'
     languages: one region build, one conversion and one strip serve them
     all. For the bounded attacker, the build's stop rule gives instead
-    each final state its ending (`ra.endings`): an f-suffix, whose letters
-    are the strip's suffix letters, and the indices of its classes
-    (`nfa.from_region_automaton`). Callers pass the build inline, so the
-    `del` below frees it before the strip."""
+    each final state its ending (`ra.endings`): the indices of its classes,
+    and an f-suffix that the NFA keeps as the state's ending
+    (`NFA.endings`), after the erased tick run. Callers pass the build
+    inline, so the `del` below frees it before the strip."""
     if ra.endings:
         classes = tuple(frozenset(i for i, (_, found) in ra.endings.items() if k in found)
                         for k in range(len(tags)))
-        suffix = frozenset().union(*(word for word, _ in ra.endings.values()))
     else:  # a stop rule's build without endings has no final state either
         classes = tuple(frozenset(i for i in ra.final_ids if ra.location_of(i).endswith(tag)) for tag in tags)
-        suffix = frozenset()
     m = from_region_automaton(ra, classes, delay)
     del ra  # its edge arrays and interning tables: the strip needs only `m`
-    return nfalib.strip_ticks_before_suffix(m, suffix, TICK_LETTER if delay is None else delay)
+    return nfalib.strip_trailing_letter(m, TICK_LETTER if delay is None else delay)
 
 
 def _tick_language(ta: TimedAutomaton, cap: Optional[int], tags: tuple[str, ...] = ()) -> NFA:
@@ -285,13 +282,6 @@ def decode_delay_tokens(ta: TimedAutomaton, tokens) -> TimedWord:
     return TimedWord(tuple(letters))
 
 
-def language_inclusion_discrete(a: TimedAutomaton, b: TimedAutomaton, cap: Optional[int] = None):
-    """Trace-language inclusion of two discrete-time TAs via their ticked
-    region automata; returns (holds, counterexample timed word or None)."""
-    inc = check_inclusion(_tick_language(a, cap), _tick_language(b, cap))
-    return inc.holds, None if inc.holds else tick_decode(inc.counterexample)
-
-
 # ---------------------------------------------------------------------------
 # The class ladder for unbounded weak/full opacity
 
@@ -335,11 +325,6 @@ def _engine_rung(engine: str) -> Rung:
         if rung.name == engine and rung.engine is not None:
             return rung
     raise ValueError(f"unknown engine {engine!r}")
-
-
-def opacity_class(ta: TimedAutomaton) -> str:
-    """The name of the first class of `LADDER` that `ta` belongs to."""
-    return _rung_of(ta).name
 
 
 def applicable(ta: TimedAutomaton) -> tuple[list[str], Optional[str]]:
@@ -408,8 +393,8 @@ def _first_n_languages(ta: TimedAutomaton, n: int, cap: Optional[int]) -> list[N
     """[private, public] ticked first-N languages of `ta`, read off one
     region build of the `tick_construction` of its memo automaton
     (`tick_regions`) that stops where a run stops (`_first_n_stop`): the
-    f-letters the ending of a stop region carries complete each ticked
-    word."""
+    f-suffix of a stop region's ending completes each ticked word, as the
+    ending of its final state (`NFA.endings`), which no edge reads."""
     memo = build_memo(dense_time(ta))
     return _ticked_language(tick_regions(memo, n, cap, _first_n_stop(memo, n, cap)), MEMO_TAGS).views()
 
@@ -417,13 +402,15 @@ def _first_n_languages(ta: TimedAutomaton, n: int, cap: Optional[int]) -> list[N
 def _first_n_stop(memo: TimedAutomaton, n: int, cap: Optional[int]) -> Callable:
     """The stop rule of `tick_regions(memo, n)`. The ending of a final
     region is the f-suffix of its observation clocks' fractional groups
-    (`_suffix_word`) and the indices of the classes of `MEMO_TAGS` a run
-    reaches from its location and model clocks (`_reachable_classes`), or
-    None when it reaches none. The build's model clocks take the constants
-    of the final-relaxed memo automaton that `_reachable_classes` builds,
-    so their codes and ranks are keys of its table. The rule works out
-    each clock region's model part and suffix word once, and each
-    location's memo location once. `_tick_columns` refuses first."""
+    (`_suffix_word`), which the NFA keeps as the ending of the region's
+    final state and the inclusion compares per macro-state, and the
+    indices of the classes of `MEMO_TAGS` a run reaches from its location
+    and model clocks (`_reachable_classes`), or None when it reaches none.
+    The build's model clocks take the constants of the final-relaxed memo
+    automaton that `_reachable_classes` builds, so their codes and ranks
+    are keys of its table. The rule works out each clock region's model
+    part and suffix word once, and each location's memo location once.
+    `_tick_columns` refuses first."""
     model, observed = _tick_columns(memo, n)
     reachable = _reachable_classes(memo, cap)
     bases: dict[str, str] = {}  # location of the tick construction -> its memo location

@@ -10,10 +10,7 @@ frozensets:
   conversion; a delay edge is silent, or reads a letter the caller names
   (the discrete engine's tick, the event-recording engine's delay letter),
   except that a delay wrapping the tick clock of a build with wrap-around
-  clocks reads the tick `t` (the bounded attacker's ticks);
-  a final state of a build with a stop rule reads its ending's suffix
-  word through a chain before it accepts (the bounded attacker's
-  f-letters). `silent_free`
+  clocks reads the tick `t` (the bounded attacker's ticks). `silent_free`
   turns that raw graph into an NFA whose states are the active states of
   the graph: a state is active if it has a letter edge or is final. Each
   letter edge lands on the closed set of its target, the active states it
@@ -21,29 +18,37 @@ frozensets:
   future of a closed set (its letter steps and whether it accepts) depends
   only on its active members, so dropping the others changes no language,
   verdict or counterexample; it only makes the sets, and every macro-state
-  and product pair built from them, smaller.
+  built from them, smaller.
+- A final state may carry an ending (`NFA.endings`): the suffix word it
+  accepts with, which no edge reads. A word w + s is accepted when w
+  reaches a final whose ending is s, so a language is the set of these
+  words; without endings every final accepts with the empty word. The
+  bounded attacker's stop regions keep their f-suffixes this way
+  (`from_region_automaton` of a build with a stop rule), so the f-letters
+  occur only in endings and every accepted word splits one way as w + s.
 - One reachability routine, `_reach_table`, gives every state the kept
   part of its reflexive-transitive successor set by SCC condensation,
   each row built once and written in the numbering its caller reads. It
   serves the silent closure of `silent_free` (keeping active states, under
-  their NFA numbers) and the tick jump of `strip_ticks_before_suffix`
-  (keeping finals and suffix-ready states).
-- One tick-stripping construction, `strip_ticks_before_suffix`, erases the
-  run of a tick letter before the suffix block (the f-letters of the
-  bounded attacker); `strip_trailing_letter` is its case without suffix
-  letters. It takes a silent-free NFA in stop form, where finals and the
-  states of the suffix block read suffix letters only, and keeps its
-  states and numbering: in one phase it reroutes the letters that enter a
-  state, a non-tick letter also entering what the state reaches by ticks.
+  their NFA numbers) and the tick jump of `strip_trailing_letter`
+  (keeping finals).
+- One tick-stripping construction, `strip_trailing_letter`, erases the
+  maximal trailing run of a tick letter from the words the edges read,
+  the run before the ending. Final states read no letter, and it keeps the
+  states, their numbering, the finals and the endings: in one phase it
+  reroutes the letters that enter a state, a non-tick letter also entering
+  the finals the state reaches by ticks. `strip_ticks_before_suffix`
+  names the same strip by what it erases: the ticks before the suffix.
 - One NFA can carry several final classes (`final_classes`), such as the
   private and public languages of the memo automaton. `NFA.views` gives one
-  NFA per class; the views share the transitions, and their active states
-  are those final in any class.
-- Language inclusion is one breadth-first subset construction over pairs
-  of macro-states (frozensets), one of each automaton, with a visited set.
-  The views of one NFA share their transitions and initial set, so a word
-  reaches the same macro-state in both, and an inclusion between them
-  determinizes that one NFA.
+  NFA per class; the views share the transitions and the endings, and
+  their active states are those final in any class.
+- Language inclusion is between two views of one NFA: one breadth-first
+  subset construction of that NFA, with a visited set of macro-states
+  (frozensets). A macro-state M violates the inclusion when some final of
+  the first view in M has an ending that no final of the second view in M
+  has, and the counterexample is the shortlex-least w + s over the first
+  word w to reach each violating M and its least violating ending s.
 - Boolean reachability matrices for the witness verifier complete the
   module: row s of a matrix is the set of states s reaches, so a letter's
   matrix is a column of `NFA.trans`.
@@ -51,8 +56,7 @@ frozensets:
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Collection, Mapping, Optional, Sequence
 
 from .regions import RegionAutomaton, TICK_LETTER
@@ -74,12 +78,14 @@ class NFA:
     trans: list[dict[str, frozenset[int]]]  # per-state successors per letter
     # the final sets of the views (`views`); empty for an NFA of one language
     final_classes: tuple[frozenset[int], ...] = ()
+    # final state -> the suffix word it accepts with; empty: the empty word for every final
+    endings: Mapping[int, tuple[str, ...]] = field(default_factory=dict)
 
     def views(self) -> list["NFA"]:
         """One NFA per final class, with that class as its final set. The
-        views share this NFA's transitions: a state final only in another
-        class stays in the state sets, where it is not final, so it changes
-        no language."""
+        views share this NFA's transitions and endings: a state final only
+        in another class stays in the state sets, where it is not final, so
+        it changes no language."""
         return [replace(self, finals=finals) for finals in self.final_classes]
 
     def start(self) -> frozenset[int]:
@@ -178,7 +184,8 @@ def _union(rows: Sequence[frozenset[int]] | Mapping[int, frozenset[int]], states
 
 def silent_free(alphabet: tuple[str, ...], initial: Collection[int], finals: frozenset[int],
                 eps: Sequence[Collection[int]], trans: Sequence[Mapping[str, Collection[int]]],
-                final_classes: tuple[frozenset[int], ...] = ()) -> NFA:
+                final_classes: tuple[frozenset[int], ...] = (),
+                endings: Mapping[int, tuple[str, ...]] = {}) -> NFA:
     """The NFA of the graph with per-state silent successors `eps` and
     letter successors `trans`, with the same languages and no silent moves.
 
@@ -186,9 +193,9 @@ def silent_free(alphabet: tuple[str, ...], initial: Collection[int], finals: fro
     in `finals` or in a final class), numbered in increasing order of their
     graph ids. A letter edge s -a-> t becomes s -a-> closure(t), the active
     states t reaches silently, and the initial set is the closure of
-    `initial`; the finals and every final class keep their members. A closed
-    set holds the letter edges and the finals of every state it stands for,
-    so each language is unchanged."""
+    `initial`; the finals, every final class and the `endings` of the
+    finals keep their members. A closed set holds the letter edges and the
+    finals of every state it stands for, so each language is unchanged."""
     every = finals.union(*final_classes)
     active = [s for s, d in enumerate(trans) if d or s in every]
     new: list[Optional[int]] = [None] * len(trans)  # graph id -> NFA state, None if not active
@@ -210,6 +217,7 @@ def silent_free(alphabet: tuple[str, ...], initial: Collection[int], finals: fro
         finals=frozenset(new[s] for s in finals),
         trans=out,
         final_classes=tuple(frozenset(new[s] for s in c) for c in final_classes),
+        endings={new[s]: word for s, word in endings.items()},
     )
 
 
@@ -227,14 +235,10 @@ def from_region_automaton(ra: RegionAutomaton, final_classes: tuple[frozenset[in
     Region i is state i of that graph, so `final_classes` are sets of
     region ids.
 
-    A build with a stop rule (`ra.endings`) gives each final state of the
-    final classes a distinct ending, a nonempty suffix word and its
-    classes: the state reads the word through a chain of fresh states whose
-    last is final in those classes, and is no longer final itself. A chain
-    state is keyed by the rest of the word it reads and the class set, as
-    a final state is by its word, so words share their common tails;
-    sharing a common prefix would accept the shorter word from the longer
-    one's state."""
+    A build with a stop rule (`ra.endings`) gives each final state its
+    ending, a nonempty suffix word and its classes: the NFA keeps the
+    finals of `final_classes`, each with its word as its ending
+    (`NFA.endings`), and the classes say which views accept it."""
     labels = [e.action for e in ra._code.edges] + [TICK_LETTER, delay]  # [-2]: a tick, [-1]: another delay
     target, start, through = ra.edge_target, ra._edge_start, ra._edge_ta
     no_moves: dict[str, list[int]] = {}  # shared by the states without letter edges
@@ -252,154 +256,132 @@ def from_region_automaton(ra: RegionAutomaton, final_classes: tuple[frozenset[in
         eps.append(silent)
         trans.append(moves or no_moves)
     initial = frozenset([0]) if ra.n_states else frozenset()
-    letters = set(ra.letters) if delay is None else {*ra.letters, delay}
-    finals = ra.final_ids
+    letters = ra.letters if delay is None else tuple(sorted({*ra.letters, delay}))
+    finals, endings = ra.final_ids, {}
     if ra.endings:
-        heads = {i: (ra.endings[i][0], tuple(k for k, c in enumerate(final_classes) if i in c))
-                 for i in sorted(set().union(*final_classes))}
-        chains = {key: i for i, key in heads.items()}  # (rest of a word, classes) -> state reading it
-        ends: list[list[int]] = [[] for _ in final_classes]
-        for i, (word, classes) in heads.items():
-            letters.update(word)
-            t = None  # the chain is made from its final end back to state i
-            for position in range(len(word), 0, -1):
-                key = (word[position:], classes)
-                s = chains.get(key)
-                if s is None:
-                    s = chains[key] = len(trans)
-                    eps.append(())
-                    if t is None:
-                        trans.append({})
-                        for k in classes:
-                            ends[k].append(s)
-                    else:
-                        trans.append({word[position]: (t,)})
-                t = s
-            trans[i] = {word[0]: (t,)}  # a final state has no out-edge of its own
-        final_classes = tuple(frozenset(c) for c in ends)
         finals = frozenset().union(*final_classes)
-    return silent_free(tuple(sorted(letters)), initial, finals, eps, trans, final_classes)
+        endings = {i: ra.endings[i][0] for i in finals}
+    return silent_free(letters, initial, finals, eps, trans, final_classes, endings)
 
 
 @dataclass(frozen=True)
 class InclusionResult:
     holds: bool
     counterexample: Optional[tuple[str, ...]] = None
-    explored: int = 0  # states of the reached macro-states of `a`, counted toward `pair_cap`
+    explored: int = 0  # states of the reached macro-states, counted toward `pair_cap`
+
+
+def _shortlex(word: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
+    return len(word), word
 
 
 def check_inclusion(a: NFA, b: NFA, pair_cap: int = 2_000_000) -> InclusionResult:
-    """Does L(a) ⊆ L(b)? On failure returns the shortlex-least
-    counterexample: shortest, ties broken lexicographically by alphabet
-    order.
+    """Does L(a) ⊆ L(b), for two views of one NFA (`NFA.views`)? On failure
+    returns the shortlex-least counterexample: shortest, ties broken
+    lexicographically by alphabet order. `ValueError` if `a` and `b` do not
+    share their transitions.
 
-    Breadth-first over words, in alphabet order, through the product of the
-    subset constructions of `a` and `b`. A pair holds the macro-states that
-    a word reaches in `a` and in `b`. Pairs are reached in shortlex order of
-    their words, so only the first word to reach a pair is searched on, and
-    the first pair with a final of `a` and no final of `b` gives the
-    shortlex-least counterexample, whatever the numbering of the states or
-    the iteration order of the sets. A macro-state's letter successors are
-    computed in one pass over its members and memoized. The views of one
-    NFA (`NFA.views`) share their transitions and initial set, so they share
-    the memo, each pair is one macro-state taken twice, and the search
-    determinizes one NFA. The states of each newly reached macro-state of
-    `a` count toward `pair_cap`.
+    Breadth-first over words, in alphabet order, through the subset
+    construction of the one NFA. Macro-states are reached in shortlex order
+    of their words, so only the first word w to reach a macro-state M is
+    searched on, whatever the numbering of the states or the iteration
+    order of the sets. M violates the inclusion with an ending s when a
+    final of `a` in M has the ending s and no final of `b` in M has it; the
+    least such w + s over every M is the counterexample. An ending is read
+    by no edge, so every accepted word splits one way as w + s, and the
+    search stops once every word still to come is longer than the best
+    candidate. A final without an ending has the empty one, so without
+    endings the first violating M gives the counterexample and its level is
+    the last searched. A macro-state's letter successors are computed in
+    one pass over its members. The states of each newly reached macro-state
+    count toward `pair_cap`.
     """
-    a_memo: dict[frozenset[int], dict[str, frozenset[int]]] = {}
-    b_memo = a_memo if a.trans is b.trans else {}
+    if a.trans is not b.trans:
+        raise ValueError("check_inclusion compares two views of one NFA")
+    trans, endings = a.trans, a.endings
+    shortest = min(map(len, endings.values()), default=0)  # the shortest ending
+    came_from: dict[frozenset[int], Optional[tuple]] = {a.initial: None}  # macro-state -> (one before, letter)
 
-    def moves(m: NFA, memo: dict, states: frozenset[int]) -> dict[str, frozenset[int]]:
-        """Letter -> successors of `states`, in alphabet order."""
-        out = memo.get(states)
-        if out is None:
+    def word_to(states: frozenset[int]) -> tuple[str, ...]:
+        word = []
+        while came_from[states] is not None:
+            states, letter = came_from[states]
+            word.append(letter)
+        return tuple(reversed(word))
+
+    best: Optional[tuple[str, ...]] = None
+    explored = depth = 0
+    level = [a.initial]
+    while level and (best is None or depth + shortest <= len(best)):
+        following = []
+        for states in level:
+            if not a.finals.isdisjoint(states):
+                left = {endings.get(s, ()) for s in a.finals.intersection(states)}
+                left.difference_update([endings.get(s, ()) for s in b.finals.intersection(states)])
+                if left:
+                    found = word_to(states) + min(left, key=_shortlex)
+                    if best is None or _shortlex(found) < _shortlex(best):
+                        best = found
+            if best is not None and depth + 1 + shortest > len(best):
+                continue  # its successors' words are all longer than `best`
             parts: dict[str, list[frozenset[int]]] = {}
             for s in states:
-                for letter, succs in m.trans[s].items():
+                for letter, succs in trans[s].items():
                     parts.setdefault(letter, []).append(succs)
-            out = memo[states] = {letter: sets[0] if len(sets) == 1 else frozenset().union(*sets)
-                                  for letter, sets in sorted(parts.items())}
-        return out
-
-    empty: frozenset[int] = frozenset()
-    pair = (a.initial, b.initial)
-    came_from: dict[tuple, Optional[tuple]] = {pair: None}  # pair -> (pair before, letter)
-    explored = 0
-    queue = deque([pair])
-    while queue:
-        pair = queue.popleft()
-        if not a.finals.isdisjoint(pair[0]) and b.finals.isdisjoint(pair[1]):
-            word = []
-            while came_from[pair] is not None:
-                pair, letter = came_from[pair]
-                word.append(letter)
-            return InclusionResult(False, tuple(reversed(word)), explored)
-        b_moves = moves(b, b_memo, pair[1])
-        for letter, s in moves(a, a_memo, pair[0]).items():
-            nxt = (s, b_moves.get(letter, empty))
-            if not s or nxt in came_from:
-                continue
-            came_from[nxt] = (pair, letter)
-            explored += len(s)
-            if explored > pair_cap:
-                raise InclusionCapExceeded(pair_cap, explored)
-            queue.append(nxt)
-    return InclusionResult(True, None, explored)
+            for letter, sets in sorted(parts.items()):
+                nxt = sets[0] if len(sets) == 1 else frozenset().union(*sets)
+                if nxt in came_from:
+                    continue
+                came_from[nxt] = (states, letter)
+                explored += len(nxt)
+                if explored > pair_cap:
+                    raise InclusionCapExceeded(pair_cap, explored)
+                following.append(nxt)
+        level = following
+        depth += 1
+    return InclusionResult(best is None, best, explored)
 
 
-def strip_trailing_letter(m: NFA) -> NFA:
-    """Language image under removal of a maximal trailing tick run: the
-    case of `strip_ticks_before_suffix` without suffix letters."""
-    return strip_ticks_before_suffix(m, frozenset())
+def strip_trailing_letter(m: NFA, tick: str = TICK_LETTER) -> NFA:
+    """Language image under removal of the maximal trailing run of `tick`
+    letters from the word the edges read, the run before the ending: a
+    silent-free NFA on `m`'s own states and numbering, with `m`'s finals,
+    final classes (`NFA.final_classes`) and endings.
 
-
-def strip_ticks_before_suffix(m: NFA, suffix_letters: frozenset[str], tick: str = TICK_LETTER) -> NFA:
-    """Language image under removal of the maximal run of `tick` letters
-    separating the last non-suffix letter from the suffix block: a
-    silent-free NFA on `m`'s own states and numbering, with `m`'s finals and
-    final classes (`NFA.final_classes`).
-
-    `m` must be in stop form, or `ValueError` is raised: a state that is
-    final in any class, reads a suffix letter, or is entered by a suffix
-    letter from such a state (a stop state) reads no other letter. The
-    region build gives final regions no out-edges, and the suffix chains of
-    `from_region_automaton` read only suffix letters. On stop form the
-    strip only reroutes the letters that enter a state t:
-    - a non-tick letter enters t, if t reads a non-suffix letter, and
-      `jump[t]`, the stop states that are final or read a suffix letter
-      and that t reaches by ticks (t itself included), so the tick run
+    A final state, in any class, must read no letter, or `ValueError` is
+    raised; the region build gives final regions no out-edges. The strip
+    then only reroutes the letters that enter a state t:
+    - a non-tick letter enters t, if t reads a letter, and `jump[t]`, the
+      finals that t reaches by ticks (t itself included), so the tick run
       after the letter is skipped;
-    - a tick enters t only if t reads a non-suffix letter, as the erased
-      run must be maximal: no tick stands right before the suffix block;
-    - a suffix letter keeps its targets.
+    - a tick enters t only if t reads a letter, as the erased run must be
+      maximal: no word of the result ends in a tick.
     The initial set is rerouted like a non-tick letter. A jump onto a final
     of another class is a dead end in a view, so the views are the stripped
     languages of `m`'s views.
     """
     finals = m.finals.union(*m.final_classes)
-    stop = set(finals).union([s for s, d in enumerate(m.trans) if not suffix_letters.isdisjoint(d)])
-    todo = list(stop)
-    while todo:
-        s = todo.pop()
-        if not suffix_letters.issuperset(m.trans[s]):
-            raise ValueError(f"state {s} is final, reads a suffix letter or follows one, "
-                             "and reads another letter: the NFA is not in stop form")
-        for succs in m.trans[s].values():
-            todo += succs - stop
-            stop.update(succs)
-    jump = _reach_table([d.get(tick, ()) for d in m.trans],
-                        [s if s in stop and (s in finals or d) else None for s, d in enumerate(m.trans)])
-    reading = frozenset([s for s, d in enumerate(m.trans) if d and s not in stop])
+    for s in finals:
+        if m.trans[s]:
+            raise ValueError(f"state {s} is final and reads a letter")
+    jump = _reach_table([d.get(tick, ()) for d in m.trans], [s if s in finals else None for s in range(m.n_states)])
+    reading = frozenset([s for s, d in enumerate(m.trans) if d])
     enter = [jump[s] | {s} if s in reading else jump[s] for s in range(m.n_states)]
     trans = []
     for d in m.trans:
         moves = {}
         for a, succs in d.items():
-            t = succs if a in suffix_letters else succs & reading if a == tick else _union(enter, succs)
+            t = succs & reading if a == tick else _union(enter, succs)
             if t:
                 moves[a] = t
         trans.append(moves)
     return replace(m, initial=_union(enter, m.initial), trans=trans)
+
+
+def strip_ticks_before_suffix(m: NFA, tick: str = TICK_LETTER) -> NFA:
+    """`strip_trailing_letter`, named by what it erases in an NFA with
+    endings: the tick run before the suffix."""
+    return strip_trailing_letter(m, tick)
 
 
 # ---------------------------------------------------------------------------

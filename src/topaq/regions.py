@@ -251,11 +251,15 @@ class RegionAutomaton:
 class _Compiled:
     """`ta` compiled onto int clock codes (module docstring).
 
-    Guards and invariants share one id space. `table[i][c]` has bit g set
-    when every conjunct of guard g on clock i accepts code c, so the guards
-    a clock region satisfies are the AND of its clocks' rows, one bitmask
-    (`sat`) per clock region. Mask id 0 is no reset, mask id 1 the delay
-    successor, and the others the edges' reset masks; `after` applies one.
+    Guards and invariants share one id space. A clock i that some guard
+    constrains has a row (`rows`): the codes where a conjunct's interval
+    starts or ends cut its codes into segments, sorted, and segment k, from
+    `cuts[k]` on, has bit g set when every conjunct of guard g on clock i
+    accepts its codes. The guards a clock region satisfies are the AND of
+    its constrained clocks' segments, found by bisection, one bitmask
+    (`sat`) per clock region. A row grows with the conjuncts, not with the
+    constants. Mask id 0 is no reset, mask id 1 the delay successor, and
+    the others the edges' reset masks; `after` applies one.
     With wrap-around clocks, tick clock first, the delay move is two
     moves, each under a guard computed per clock region rather than per
     clock: the tick (edge -2) when the delay wraps the tick clock, and the
@@ -305,13 +309,22 @@ class _Compiled:
         self.start = lid[ta.init]
         self.masks = list(masks)
         self.full = (1 << n + 2 * bool(wrap)) - 1
-        self.table = [[self.full] * (top + 1) for top in self.tops]
+        bounds: dict[int, list[tuple[int, int, int]]] = {}  # clock -> (guard bit, lo, hi) per conjunct
         for g, conjuncts in enumerate(guards):
             for i, lo, hi in conjuncts:
-                row = self.table[i]
-                for c in range(len(row)):
+                bounds.setdefault(i, []).append((1 << g, lo, hi))
+        # per constrained clock: (clock, segment starts, segment masks)
+        self.rows: list[tuple[int, list[int], list[int]]] = []
+        for i, conjuncts in sorted(bounds.items()):
+            cuts = sorted({0, *(lo for _, lo, _ in conjuncts), *(hi + 1 for _, _, hi in conjuncts)})
+            masks = []
+            for c in cuts:
+                sat = self.full
+                for bit, lo, hi in conjuncts:
                     if not lo <= c <= hi:
-                        row[c] &= ~(1 << g)
+                        sat &= ~bit
+                masks.append(sat)
+            self.rows.append((i, cuts, masks))
         self.clock_regions: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # id -> (codes, ranks)
         self.sat: list[int] = []  # id -> bitmask of the guards it satisfies
         self._ids: dict[tuple, int] = {}
@@ -334,8 +347,8 @@ class _Compiled:
             cr = self._ids[key] = len(self.clock_regions)
             self.clock_regions.append(key)
             sat = self.full
-            for row, c in zip(self.table, codes):
-                sat &= row[c]
+            for i, cuts, masks in self.rows:
+                sat &= masks[bisect_right(cuts, codes[i]) - 1]
             if self.tick >= 0:
                 # the delay wraps the tick clock when it is in the largest
                 # class and no clock has a zero fraction (`after`)

@@ -24,7 +24,20 @@ automaton. In discrete time the tick automaton is `augment_ticks`, whose
 extra clock emits the ticks as letters, where the discrete engine reads
 the delay edges of the plain region automaton as ticks. `topaq.deciders`
 must agree with them: equal languages per side, and the same status, side
-and witness.
+and witness. The two languages of a side-by-side reference are two NFAs,
+compared through the product of their subset constructions
+(`reference_nfa.product_inclusion`), as is the test-only trace-language
+inclusion of two discrete-time automata (`language_inclusion_discrete`).
+
+`reference_check_bounded` is the bounded engine's pipeline as it ran
+before endings were final labels: the engine's own stop-rule build,
+converted with each ending spelled out as a chain of f-letters
+(`reference_nfa.chain_conversion`), stripped of the ticks before that
+suffix block (`reference_nfa.suffix_strip`) and compared through the
+product of the two views.
+
+`opacity_class` names the class of `deciders.LADDER` an automaton
+belongs to.
 """
 
 from __future__ import annotations
@@ -32,11 +45,21 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from topaq import nfa as nfalib
-from topaq.constructions import build_priv, build_pub, relax_finals
-from topaq.deciders import _attacker, _compare, decode_ticked_tokens, dense_time
-from topaq.nfa import NFA, from_region_automaton
-from topaq.observers import TimeSelection, observation_clocks, unfold_first_n
+from reference_nfa import chain_conversion, product_inclusion, suffix_strip
+from topaq.constructions import MEMO_TAGS, build_memo, build_priv, build_pub, relax_finals
+from topaq.deciders import (
+    EMPTY_NOTE,
+    _attacker,
+    _first_n_stop,
+    _has_no_run,
+    _noted,
+    _rung_of,
+    _tick_language,
+    decode_ticked_tokens,
+    dense_time,
+)
+from topaq.nfa import NFA
+from topaq.observers import TimeSelection, observation_clocks, tick_regions, unfold_first_n
 from topaq.regions import TICK_LETTER, augment_ticks, build_region_automaton, fresh_name, reserve_letters, tick_decode
 from topaq.ta import EPSILON, ClockConstraint, Edge, Guard, TimedAutomaton, Verdict
 from topaq.words import render_group
@@ -142,9 +165,8 @@ def reference_unfolded_tick_construction(ta: TimedAutomaton, n: int) -> TimedAut
 
 def reference_ticked_language(ticked: TimedAutomaton, cap: Optional[int] = None) -> NFA:
     """Stripped untimed language of one tick automaton."""
-    m = from_region_automaton(build_region_automaton(ticked, cap))
-    suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
-    return nfalib.strip_ticks_before_suffix(m, suffix)
+    m = chain_conversion(build_region_automaton(ticked, cap))
+    return suffix_strip(m, frozenset(a for a in m.alphabet if a.startswith("f{")))
 
 
 def reference_discrete_languages(ta: TimedAutomaton) -> tuple[NFA, NFA]:
@@ -160,9 +182,20 @@ def reference_first_n_languages(ta: TimedAutomaton, n: int) -> tuple[NFA, NFA]:
             reference_ticked_language(reference_tick_construction(build_pub(base), n)))
 
 
+def product_compare(priv: NFA, pub: NFA, mode: str, decode) -> Verdict:
+    """`deciders._compare` (without `least`) of two NFAs through
+    `product_inclusion`."""
+    checks = [("priv-not-pub", priv, pub)] + ([("pub-not-priv", pub, priv)] if mode == "full" else [])
+    for side, a, b in checks:
+        inc = product_inclusion(a, b)
+        if not inc.holds:
+            return Verdict(False, witness=decode(inc.counterexample), side=side)
+    return Verdict(True)
+
+
 def reference_discrete(ta: TimedAutomaton, mode: str) -> Verdict:
     priv, pub = reference_discrete_languages(ta)
-    return _compare(priv, pub, mode, tick_decode)
+    return product_compare(priv, pub, mode, tick_decode)
 
 
 def reference_bounded(ta: TimedAutomaton, sel: TimeSelection, mode: str,
@@ -173,7 +206,31 @@ def reference_bounded(ta: TimedAutomaton, sel: TimeSelection, mode: str,
     carries the reduction's note."""
     base, n, scale, note = _attacker(ta, sel)
     priv, pub = languages or reference_first_n_languages(base, n)
-    inner = _compare(priv, pub, mode, decode_ticked_tokens)
-    if note is None or inner.witness is None:
-        return inner
-    return Verdict(inner.holds, inner.witness.scaled(scale), inner.side, note)
+    return _noted(product_compare(priv, pub, mode, decode_ticked_tokens), scale, note)
+
+
+def reference_check_bounded(ta: TimedAutomaton, sel: TimeSelection, mode: str) -> Verdict:
+    """`check_bounded` through the chain pipeline (module docstring) on
+    the engine's stop-rule build."""
+    automaton, n, scale, note = _attacker(ta, sel)
+    if _has_no_run(ta, None):
+        return Verdict(True, note=EMPTY_NOTE)
+    memo = build_memo(dense_time(automaton))
+    ra = tick_regions(memo, n, None, _first_n_stop(memo, n, None))
+    classes = tuple(frozenset(i for i, (_, found) in ra.endings.items() if k in found)
+                    for k in range(len(MEMO_TAGS)))
+    suffix = frozenset().union(*(word for word, _ in ra.endings.values()))
+    priv, pub = suffix_strip(chain_conversion(ra, classes), suffix).views()
+    return _noted(product_compare(priv, pub, mode, decode_ticked_tokens), scale, note)
+
+
+def language_inclusion_discrete(a: TimedAutomaton, b: TimedAutomaton, cap: Optional[int] = None):
+    """Trace-language inclusion of two discrete-time TAs via their ticked
+    region automata; returns (holds, counterexample timed word or None)."""
+    inc = product_inclusion(_tick_language(a, cap), _tick_language(b, cap))
+    return inc.holds, None if inc.holds else tick_decode(inc.counterexample)
+
+
+def opacity_class(ta: TimedAutomaton) -> str:
+    """The name of the first class of `deciders.LADDER` that `ta` belongs to."""
+    return _rung_of(ta).name

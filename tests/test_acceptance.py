@@ -7,7 +7,7 @@ import warnings
 from fractions import Fraction as F
 
 from conftest import fig1_ta, nfa_accepts_expanded, oera_pair_ta, random_discrete_ta
-from reference_languages import reference_tick_construction
+from reference_languages import language_inclusion_discrete, reference_tick_construction
 from reference_nfa import language_upto
 from reference_regions import graph_of
 from topaq.constructions import (
@@ -24,7 +24,6 @@ from topaq.deciders import (
     check_exists,
     check_opacity,
     decide,
-    language_inclusion_discrete,
     parse_witness_description,
     verify_witness,
 )

@@ -61,7 +61,7 @@ def test_traced_benchmark_answers_are_correct():
     metrics = result["metrics"]
     assert metrics["regions.states"]["value"] == 880
     assert metrics["regions.edges"]["value"] == 1584
-    assert metrics["nfa.strip_states"]["value"] == 896
+    assert metrics["nfa.strip_states"]["value"] == 660
     assert metrics["observers.locations"]["value"] == 90
     assert metrics["observers.clocks"]["value"] == 34
 
@@ -75,7 +75,7 @@ def test_traced_switch_time_counts():
     metrics = result["metrics"]
     assert metrics["regions.states"]["value"] == 594
     assert metrics["regions.edges"]["value"] == 1402
-    assert metrics["nfa.strip_states"]["value"] == 419
+    assert metrics["nfa.strip_states"]["value"] == 341
     assert metrics["observers.locations"]["value"] == 56
     assert metrics["observers.clocks"]["value"] == 8
 

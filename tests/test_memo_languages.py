@@ -1,8 +1,8 @@
 """The weak/full engines read the private and the public language off one
 memo automaton with two final classes. Differential tests against the
-separate builds of `reference_languages.py`: each view equals the language
-built on its own, and `decide` gives the reference's status, side and
-witness."""
+separate builds of `reference_languages.py`: each view, its endings spelled
+out, equals the language built on its own, and `decide` gives the
+reference's status, side and witness."""
 
 import random
 import warnings
@@ -17,17 +17,19 @@ from conftest import (
     loop_and_deadline_ta,
     oera_pair_ta,
     random_blocking_oera,
+    random_dense_automaton,
     random_discrete_ta,
     random_oera,
 )
 from reference_languages import (
     reference_bounded,
+    reference_check_bounded,
     reference_discrete,
     reference_discrete_languages,
     reference_first_n_languages,
 )
-from topaq.deciders import _attacker, _discrete_languages, _first_n_languages, decide
-from topaq.nfa import check_inclusion
+from reference_nfa import product_inclusion, spelled
+from topaq.deciders import _attacker, _discrete_languages, _first_n_languages, check_bounded, decide
 from topaq.observers import Dynamic, FirstN, Static
 from topaq.oracle import discrete_state_count
 from topaq.ta import validate, validate_errors
@@ -46,9 +48,11 @@ LADDER = {
 
 
 def assert_same_language(view, reference):
-    forward = check_inclusion(view, reference)
+    # the view's endings spelled out: the reference reads its f-suffixes
+    view = spelled(view)
+    forward = product_inclusion(view, reference)
     assert forward.holds, forward.counterexample
-    backward = check_inclusion(reference, view)
+    backward = product_inclusion(reference, view)
     assert backward.holds, backward.counterexample
 
 
@@ -130,3 +134,30 @@ def test_discrete_corpus_first_n_views_and_verdicts():
                 assert_same_language(view, reference)
             for mode in ("weak", "full"):
                 assert decide(ta, mode, FirstN(1)) == reference_bounded(ta, FirstN(1), mode, references)
+
+
+def test_bounded_engine_matches_the_chain_pipeline():
+    """`check_bounded`, whose stop regions keep their f-suffixes as endings
+    and whose inclusion determinizes one NFA, against the chain pipeline of
+    `reference_check_bounded` on the same build: the same verdict, witness,
+    side and note, on random models of the four generators under the
+    bounded ladder, weak and full."""
+    rng = random.Random(20261020)
+    selections = [FirstN(n) for n in range(4)] + [Dynamic(1), Static(SWITCH_TIMES)]
+    violated = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # vacuous guards, empty public languages
+        for make in (random_oera, random_discrete_ta, random_blocking_oera, random_dense_automaton):
+            made = 0
+            while made < 25:
+                ta = make(rng)
+                if validate_errors(validate(ta)):
+                    continue
+                made += 1
+                for sel in selections:
+                    for mode in ("weak", "full"):
+                        got, want = check_bounded(ta, sel, mode), reference_check_bounded(ta, sel, mode)
+                        assert (got.holds, got.witness, got.side, got.note) == \
+                            (want.holds, want.witness, want.side, want.note), (ta, sel, mode)
+                        violated += got.holds is False
+    assert violated >= 300  # witnesses are compared, not only verdicts

@@ -342,7 +342,7 @@ class TestCli:
         monkeypatch.setattr(deciders, "check_inclusion", functools.partial(nfa.check_inclusion, pair_cap=10))
         assert main(["check", "--mode", "weak", "--obs", "first:1", fig1_file]) == 2
         # the refusal names the states explored and the cap, as a region cap refusal does
-        assert "refused: inclusion search cap exceeded: 11 states explored, above the cap of 10" in \
+        assert "refused: inclusion search cap exceeded: 12 states explored, above the cap of 10" in \
             capsys.readouterr().out
 
     def test_internal_error_exit_four(self, monkeypatch, capsys):
@@ -404,6 +404,58 @@ def test_python_dash_m_runs_the_cli():
     done = run()
     assert done.returncode == 3
     assert done.stderr.startswith("usage error:")
+
+
+HUGE_GUARD_TEXT = """ta huge {
+  clocks: x;
+  actions: a;
+  init: l0;
+  private: lp;
+  final: lf;
+  loc l0 { }
+  loc lp { }
+  loc lf { }
+  edge l0 -> lp { act: a; }
+  edge lp -> lf { when: x >= 1000000000; act: a; }
+  edge l0 -> lf { when: x >= 1000000000; act: a; }
+}
+"""
+
+HUGE_GUARD_CHILD = """
+import sys
+from topaq.deciders import check_exists
+from topaq.model import parse_model
+from topaq.regions import RegionCapExceeded
+try:
+    check_exists(parse_model(open(sys.argv[1]).read()), cap=1000)
+except RegionCapExceeded as refused:
+    print(refused)
+"""
+
+
+def _address_space_of_1_gb():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_huge_guard_constant_is_refused_at_the_region_cap(tmp_path):
+    # a guard constant of 10^9 sizes no table before the region cap acts: the
+    # library and the CLI refuse at a cap of 1000 states, in children whose
+    # address space is limited to 1 GB, so a table of 2*10^9 entries per
+    # clock would end in a MemoryError there
+    root = Path(__file__).resolve().parent.parent
+    path = tmp_path / "huge.ta"
+    path.write_text(HUGE_GUARD_TEXT)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    message = "region construction exceeded the cap of 1000 states"
+    done = subprocess.run([sys.executable, "-c", HUGE_GUARD_CHILD, str(path)], env=env, capture_output=True,
+                          text=True, timeout=60, preexec_fn=_address_space_of_1_gb)
+    assert (done.returncode, done.stdout) == (0, message + " (set by the cap argument)\n"), done.stderr
+    done = subprocess.run([sys.executable, "-m", "topaq", "check", "--mode", "exists", str(path)],
+                          env=dict(env, TOPAQ_REGION_CAP="1000"), capture_output=True, text=True, timeout=60,
+                          preexec_fn=_address_space_of_1_gb)
+    assert (done.returncode, done.stdout) == (2, f"refused: {message} (override with TOPAQ_REGION_CAP)\n"), done.stderr
 
 
 def test_public_names_pinned():

@@ -7,16 +7,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_blocking_oera, random_discrete_ta, random_oera, trace_words
-from reference_languages import reference_tick_construction
-from reference_nfa import language_upto
+from conftest import random_blocking_oera, random_dense_automaton, random_discrete_ta, random_oera, trace_words
+from reference_nfa import language_upto, spelled
 from topaq.constructions import build_priv, build_pub, prune_final_exits
-from topaq.deciders import accepts_word, check_bounded, check_exists, check_opacity
-from topaq.nfa import from_region_automaton, strip_ticks_before_suffix
+from topaq.deciders import _first_n_languages, accepts_word, check_bounded, check_exists, check_opacity
+from topaq.nfa import from_region_automaton
 from topaq.observers import FirstN, project
 from topaq.oracle import discrete_state_count, oracle_check
 from topaq.regions import augment_ticks, build_region_automaton, tick_decode
-from topaq.ta import EPSILON, ClockConstraint, Guard, edge, make_ta, validate, validate_errors
+from topaq.ta import EPSILON, validate, validate_errors
 
 
 def test_discrete_tick_words_decode_to_accepted_traces(fig1_discrete):
@@ -55,14 +54,13 @@ def test_exists_follows_from_weak_with_nonempty_private(fig1_discrete):
 
 
 def test_bounded_comparison_languages_are_n_bounded(fig1):
+    # the engine's private and public languages, their endings spelled out
     for n in (0, 1, 2):
-        for part in (build_priv(fig1), build_pub(fig1)):
-            m = from_region_automaton(build_region_automaton(reference_tick_construction(part, n)))
-            suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
-            stripped = strip_ticks_before_suffix(m, suffix)
-            sigma = set("ab")
-            for word in language_upto(stripped, 7):
-                assert sum(1 for tok in word if tok in sigma) <= n
+        for view in _first_n_languages(fig1, n, None):
+            words = language_upto(spelled(view), 7)
+            assert words
+            for word in words:
+                assert sum(1 for tok in word if tok in "ab") <= n
 
 
 def test_observed_projections_respect_switch_times(fig1):
@@ -99,36 +97,6 @@ def test_oracle_never_contradicts_deciders_on_corpus(fig1_discrete, oera_guarded
     o = oracle_check(oera_guarded, "weak", granularity=F(1, 2), horizon=F(3), max_steps=3)
     d = check_opacity(oera_guarded, "weak")
     assert o.status == "violated" and d.holds is False
-
-
-def random_dense_automaton(rng):
-    n_loc = rng.randint(2, 4)
-    locs = [f"q{i}" for i in range(n_loc)]
-    clocks = [f"c{i}" for i in range(rng.randint(0, 2))]
-    letters = ["a", "b"][: rng.randint(1, 2)]
-
-    def rguard():
-        conj = []
-        for x in clocks:
-            if rng.random() < 0.4:
-                conj.append(ClockConstraint(x, rng.choice(["<", "<=", "=", ">=", ">"]), rng.randint(0, 2)))
-        return Guard(tuple(conj))
-
-    edges = []
-    for _ in range(rng.randint(1, 5)):
-        a = rng.choice(letters + [None])
-        resets = frozenset(x for x in clocks if rng.random() < 0.3)
-        edges.append(edge(rng.choice(locs), rng.choice(locs), a, rguard(), resets))
-    inv = {}
-    for l in locs:
-        if clocks and rng.random() < 0.3:
-            inv[l] = Guard.of(ClockConstraint(rng.choice(clocks), "<=", rng.randint(0, 2)))
-    private = {l for l in locs if rng.random() < 0.35}
-    final = {l for l in locs if rng.random() < 0.4} or {locs[-1]}
-    return make_ta(
-        actions=letters, locations=locs, init=locs[0], final=final, private=private,
-        clocks=clocks, invariant=inv, edges=edges, time_domain="dense", name="rnd",
-    )
 
 
 def test_bounded_pipeline_never_contradicts_oracle_first_n():

@@ -9,7 +9,7 @@ import pytest
 from conftest import fig1_ta, late_guard_ta, oera_pair_ta
 from reference_enumeration import reference_enumerate_runs
 from reference_languages import reference_tick_construction
-from reference_nfa import accepts, language_upto, step
+from reference_nfa import accepts, language_upto, product_inclusion, spelled, step, suffix_strip
 from reference_regions import clock_region_of, graph_of
 from topaq.constructions import MEMO_TAGS, build_memo, build_priv, build_pub
 from topaq.deciders import DELAY_LETTER
@@ -357,10 +357,6 @@ def cyclic_graph(rng, n_states, letters=("a", "b", "c")) -> Graph:
     return Graph(tuple(letters), initial, finals, [frozenset(e) for e in eps], trans)
 
 
-def cyclic_nfa(rng, n_states, letters=("a", "b", "c")) -> NFA:
-    return silent_free(*cyclic_graph(rng, n_states, letters))
-
-
 def with_two_classes(rng, g: Graph) -> Graph:
     """`g` with its finals split at random into two final classes."""
     split = [rng.random() < 0.5 for _ in g.trans]
@@ -395,7 +391,26 @@ def renumbered(m: NFA, perm: list[int]) -> NFA:
     for s, d in enumerate(m.trans):
         trans[perm[s]] = {a: image(succs) for a, succs in d.items()}
     return NFA(m.alphabet, m.n_states, image(m.initial), image(m.finals), trans,
-               tuple(image(c) for c in m.final_classes))
+               tuple(image(c) for c in m.final_classes), {perm[s]: word for s, word in m.endings.items()})
+
+
+def strip(m: NFA, suffix_letters: frozenset[str], tick: str = TICK_LETTER) -> NFA:
+    """The library's strip, or the reference's (`suffix_strip`) for an NFA
+    that reads suffix letters."""
+    return suffix_strip(m, suffix_letters, tick) if suffix_letters else strip_trailing_letter(m, tick)
+
+
+ENDINGS = ((), ("f{1}",), ("f{2}",), ("f{1}", "f{2}"), ("f{2}", "f{1}"), ("f{1}", "f{1}"))
+
+
+def labelled_views(rng, n_states: int) -> tuple[NFA, NFA]:
+    """The two views of a random silent-free NFA with two final classes,
+    whose finals carry random endings over letters no edge reads (in a
+    third of the cases none, so every ending is the empty word)."""
+    m = silent_free(*with_two_classes(rng, cyclic_graph(rng, n_states)))
+    if rng.random() < 2 / 3:
+        m = replace(m, endings={s: rng.choice(ENDINGS) for s in m.finals})
+    return tuple(m.views())
 
 
 class TestRegularInclusion:
@@ -411,20 +426,20 @@ class TestRegularInclusion:
     def test_counterexample_is_shortest(self):
         m1 = self.make_word_nfa(("t", "t", "t", "t", "a"), {"a", "t"})
         m2 = self.make_word_nfa(("t", "t", "t", "a"), {"a", "t"})
-        res = check_inclusion(m1, m2)
+        res = product_inclusion(m1, m2)
         assert not res.holds
         assert res.counterexample == ("t", "t", "t", "t", "a")
 
     def test_empty_language_included_in_anything(self):
         empty = NFA(("a",), 1, frozenset({0}), frozenset(), [{}])
         m = self.make_word_nfa(("a",), {"a"})
-        assert check_inclusion(empty, m).holds
+        assert product_inclusion(empty, m).holds
 
     def test_agrees_with_naive_subset_construction(self):
         rng = random.Random(1234)
         for _ in range(120):
             a, b = random_nfa(rng), random_nfa(rng)
-            res = check_inclusion(a, b)
+            res = product_inclusion(a, b)
             assert res.holds == naive_inclusion(a, b)
             if not res.holds:
                 assert accepts(a, res.counterexample)
@@ -449,7 +464,7 @@ class TestRegularInclusion:
                     cur, want = step(m, cur, letter), step(ref, want, letter)
                 assert {active[i] for i in cur} == want.intersection(active)
             a, b = silent_free(*ga), silent_free(*gb)
-            res = check_inclusion(a, b)
+            res = product_inclusion(a, b)
             assert res.holds == naive_inclusion(a, b)
             assert res.counterexample == shortlex_counterexample(naive_silent_free(ga), naive_silent_free(gb))
             violated += not res.holds
@@ -492,20 +507,44 @@ class TestRegularInclusion:
         assert links >= 100
 
     def test_answers_do_not_depend_on_state_numbering(self):
-        # one queue entry per pair of macro-states, reached in shortlex order
-        # of words: the verdict, the counterexample and the explored count
-        # are the same under any renumbering of the states
+        # one queue entry per macro-state, reached in shortlex order of
+        # words: the verdict, the counterexample and the explored count are
+        # the same under any renumbering of the states
         rng = random.Random(20261022)
         violated = 0
         for _ in range(150):
-            a, b = cyclic_nfa(rng, rng.randint(2, 9)), cyclic_nfa(rng, rng.randint(2, 9))
+            a, b = labelled_views(rng, rng.randint(2, 9))
             res = check_inclusion(a, b)
             for _ in range(3):
-                pa, pb = rng.sample(range(a.n_states), a.n_states), rng.sample(range(b.n_states), b.n_states)
-                got = check_inclusion(renumbered(a, pa), renumbered(b, pb))
+                ra, rb = renumbered(replace(a, final_classes=(a.finals, b.finals)),
+                                    rng.sample(range(a.n_states), a.n_states)).views()
+                got = check_inclusion(ra, rb)
                 assert (got.holds, got.counterexample, got.explored) == (res.holds, res.counterexample, res.explored)
             violated += not res.holds
         assert violated >= 20
+
+    def test_labelled_views_agree_with_the_spelled_product(self):
+        # the one-NFA search over endings against the product inclusion of
+        # the two views with their endings spelled out, and against the
+        # test's own breadth-first search: the same verdict and the same
+        # shortlex-least counterexample
+        rng = random.Random(20261101)
+        outcomes = set()
+        for _ in range(400):
+            a, b = labelled_views(rng, rng.randint(2, 9))
+            got = check_inclusion(a, b)
+            sa, sb = spelled(a), spelled(b)
+            want = product_inclusion(sa, sb)
+            assert (got.holds, got.counterexample) == (want.holds, want.counterexample)
+            assert got.counterexample == shortlex_counterexample(sa, sb)
+            outcomes.add((bool(a.endings), got.holds))
+        assert len(outcomes) == 4  # with and without endings, both verdicts
+
+    def test_inclusion_refuses_nfas_that_are_not_views_of_one(self):
+        a, b = random_nfa(random.Random(3)), random_nfa(random.Random(4))
+        for x, y in ((a, b), (a, replace(a, trans=list(a.trans)))):
+            with pytest.raises(ValueError, match="two views of one NFA"):
+                check_inclusion(x, y)
 
     def test_strip_ticks_before_suffix_matches_dense_jump(self):
         rng = random.Random(20261018)
@@ -515,9 +554,13 @@ class TestRegularInclusion:
             suffix = rng.choice(suffixes)
             g = stop_form(cyclic_graph(rng, rng.randint(2, 8), letters=("a", "f{1}", "f{2}", "t")), suffix)
             m = silent_free(*g)
-            # without suffix letters the construction is `strip_trailing_letter`
-            stripped = strip_ticks_before_suffix(m, suffix) if suffix else strip_trailing_letter(m)
+            # without suffix letters the library's `strip_trailing_letter`,
+            # which `strip_ticks_before_suffix` names too; with them the
+            # reference's strip before the suffix block
+            stripped = strip(m, suffix)
             assert stripped.n_states == m.n_states
+            if not suffix:
+                assert strip_ticks_before_suffix(m) == stripped
             words = language_upto(stripped, 6)
             assert words == language_upto(dense_strip_ticks_before_suffix(g, suffix, "t"), 6)
             nonempty[suffix] += bool(words)
@@ -546,7 +589,7 @@ class TestRegularInclusion:
             m = from_region_automaton(ra, classes, delay)
             suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
             tick = TICK_LETTER if delay is None else delay
-            views = strip_ticks_before_suffix(m, suffix, tick).views()
+            views = strip(m, suffix, tick).views()
             for view, finals in zip(views, classes):
                 letters, initial, _, eps, trans = graph_of(ra, delay)
                 g = Graph(letters, initial, finals, eps, trans)
@@ -559,9 +602,14 @@ class TestRegularInclusion:
         [{"f{1}": frozenset({1})}, {"a": frozenset({0})}],
     ], ids=["final-reads-a-letter", "reads-f-and-a", "f-into-a-reader"])
     def test_strip_refuses_an_nfa_not_in_stop_form(self, trans):
+        # the reference's stop form; the library's strip refuses only a final
+        # that reads a letter
         m = NFA(("a", "f{1}"), 2, frozenset({0}), frozenset({1}), trans)
         with pytest.raises(ValueError, match="stop form"):
-            strip_ticks_before_suffix(m, frozenset({"f{1}"}))
+            suffix_strip(m, frozenset({"f{1}"}))
+        if trans[1]:
+            with pytest.raises(ValueError, match="state 1 is final and reads a letter"):
+                strip_trailing_letter(m)
 
     @pytest.mark.parametrize("subject", ["fig1-first:2", "discrete-memo"])
     def test_strip_erases_the_tick_letter_it_is_given(self, subject):
@@ -585,14 +633,14 @@ class TestRegularInclusion:
             cases = [from_region_automaton(ra, classes, TICK_LETTER)]
         for m in cases:
             suffix = frozenset(a for a in m.alphabet if a.startswith("f{"))
-            expected = strip_ticks_before_suffix(m, suffix).views()
+            expected = strip(m, suffix).views()
             for new in ("w", ""):  # "" is falsy: a test `tick or ...` would miss it
-                stripped = strip_ticks_before_suffix(renamed(m, TICK_LETTER, new), suffix, new).views()
+                stripped = strip(renamed(m, TICK_LETTER, new), suffix, new).views()
                 for got, want in zip(stripped, (renamed(v, TICK_LETTER, new) for v in expected)):
-                    assert check_inclusion(got, want).holds and check_inclusion(want, got).holds
+                    assert product_inclusion(got, want).holds and product_inclusion(want, got).holds
                 # stripping on the old letter erases nothing
-                unstripped = strip_ticks_before_suffix(renamed(m, TICK_LETTER, new), suffix).views()
-                assert any(not check_inclusion(got, renamed(want, TICK_LETTER, new)).holds
+                unstripped = strip(renamed(m, TICK_LETTER, new), suffix).views()
+                assert any(not product_inclusion(got, renamed(want, TICK_LETTER, new)).holds
                            for got, want in zip(unstripped, expected))
 
     def test_final_class_views_match_separate_strips(self):
@@ -606,15 +654,14 @@ class TestRegularInclusion:
             g = with_two_classes(rng, stop_form(cyclic_graph(rng, rng.randint(2, 8), letters=("a", "f{1}", "t")),
                                                 suffix))
             m = silent_free(*g)
-            stripped = strip_ticks_before_suffix(m, suffix)
+            stripped = strip(m, suffix)
             assert stripped.n_states == m.n_states
             views = stripped.views()
-            alone = [strip_ticks_before_suffix(silent_free(*g._replace(finals=c, final_classes=())), suffix)
-                     for c in g.final_classes]
+            alone = [strip(silent_free(*g._replace(finals=c, final_classes=())), suffix) for c in g.final_classes]
             for view, single in zip(views, alone):
                 assert language_upto(view, 6) == language_upto(single, 6)
             for x, y in ((0, 1), (1, 0)):
-                got, want = check_inclusion(views[x], views[y]), check_inclusion(alone[x], alone[y])
+                got, want = check_inclusion(views[x], views[y]), product_inclusion(alone[x], alone[y])
                 assert (got.holds, got.counterexample) == (want.holds, want.counterexample)
                 # the views share one memo: check it against the test reference too
                 assert got.counterexample == shortlex_counterexample(views[x], views[y])
@@ -631,7 +678,7 @@ class TestRegularInclusion:
             assert free.n_states == len(active)
             views, free_views = ref.views(), free.views()
             for x, y in zip(views, free_views):
-                assert check_inclusion(x, y).holds and check_inclusion(y, x).holds
+                assert product_inclusion(x, y).holds and product_inclusion(y, x).holds
                 assert language_upto(x, 6) == language_upto(y, 6)
             # the shortlex-least counterexample is a property of the languages
             got, want = check_inclusion(free_views[0], free_views[1]), check_inclusion(views[0], views[1])
@@ -642,7 +689,7 @@ class TestRegularInclusion:
     def test_explored_is_what_the_cap_counts(self):
         rng = random.Random(99)
         for _ in range(60):
-            a, b = cyclic_nfa(rng, rng.randint(2, 7)), cyclic_nfa(rng, rng.randint(2, 7))
+            a, b = labelled_views(rng, rng.randint(2, 7))
             res = check_inclusion(a, b)
             assert check_inclusion(a, b, pair_cap=res.explored) == res
             if res.explored:
@@ -660,21 +707,29 @@ class TestRegularInclusion:
         )
         ra_loose = build_region_automaton(augment_ticks(discrete_example))
         ra_tight = build_region_automaton(augment_ticks(tight))
-        res = check_inclusion(from_region_automaton(ra_tight), from_region_automaton(ra_loose))
+        res = product_inclusion(from_region_automaton(ra_tight), from_region_automaton(ra_loose))
         assert res.holds
-        res = check_inclusion(from_region_automaton(ra_loose), from_region_automaton(ra_tight))
+        res = product_inclusion(from_region_automaton(ra_loose), from_region_automaton(ra_tight))
         assert not res.holds
         assert res.counterexample == ("t", "t", "t", "t", "a")
 
     def test_counterexample_lexicographic_tiebreak(self):
+        # against the view of an empty final class
+        def against_empty(m):
+            return check_inclusion(*replace(m, final_classes=(m.finals, frozenset())).views())
+
         # both `ab` and `aa` distinguish; `aa` sorts first
         a = NFA(("a", "b"), 3, frozenset({0}), frozenset({2}),
                 [{"a": frozenset({1})}, {"a": frozenset({2}), "b": frozenset({2})}, {}])
-        empty = NFA(("a", "b"), 1, frozenset({0}), frozenset(), [{}])
-        res = check_inclusion(a, empty)
-        assert res.counterexample == ("a", "a")
+        assert against_empty(a).counterexample == ("a", "a")
         # `xb` and `xa` reach the final from two states of one set: `xa`
         a = NFA(("a", "b", "x"), 4, frozenset({0}), frozenset({3}),
                 [{"x": frozenset({1, 2})}, {"b": frozenset({3})}, {"a": frozenset({3})}, {}])
-        empty = NFA(("a", "b", "x"), 1, frozenset({0}), frozenset(), [{}])
-        assert check_inclusion(a, empty).counterexample == ("x", "a")
+        assert against_empty(a).counterexample == ("x", "a")
+        # with endings: `a` + `f{2}` is shorter than `x` + `f{1} f{1}`, and
+        # `x` + `f{1}` sorts before `x` + `f{2}`
+        a = replace(a, finals=frozenset({1, 2, 3}), trans=[{"x": frozenset({1, 2}), "a": frozenset({3})}, {}, {}, {}],
+                    endings={1: ("f{1}", "f{1}"), 2: ("f{2}",), 3: ("f{2}",)})
+        assert against_empty(a).counterexample == ("a", "f{2}")
+        a = replace(a, endings={1: ("f{2}",), 2: ("f{1}",), 3: ("f{1}", "f{1}")})
+        assert against_empty(a).counterexample == ("x", "f{1}")
