@@ -23,8 +23,8 @@ from .observers import (
     FirstN,
     Static,
     TimeSelection,
-    _tick_columns,
     normalize_sequence,
+    observation_clocks,
     switch_scale,
     tick_regions,
     unfold_first_n,
@@ -394,45 +394,79 @@ def _first_n_languages(ta: TimedAutomaton, n: int, cap: Optional[int]) -> list[N
     region build of the `tick_construction` of its memo automaton
     (`tick_regions`) that stops where a run stops (`_first_n_stop`): the
     f-suffix of a stop region's ending completes each ticked word, as the
-    ending of its final state (`NFA.endings`), which no edge reads."""
+    ending of its final state (`NFA.endings`), which no edge reads. The
+    memo automaton is final-relaxed once, for the construction, its
+    constants and the stop rule's class table."""
     memo = build_memo(dense_time(ta))
-    return _ticked_language(tick_regions(memo, n, cap, _first_n_stop(memo, n, cap)), MEMO_TAGS).views()
+    relaxed = relax_finals(memo)
+    stop = _first_n_stop(memo, n, cap, relaxed)
+    return _ticked_language(tick_regions(memo, n, cap, stop, relaxed=relaxed), MEMO_TAGS).views()
 
 
-def _first_n_stop(memo: TimedAutomaton, n: int, cap: Optional[int]) -> Callable:
-    """The stop rule of `tick_regions(memo, n)`. The ending of a final
+def _first_n_stop(memo: TimedAutomaton, n: int, cap: Optional[int],
+                  relaxed: Optional[TimedAutomaton] = None) -> Callable:
+    """The stop rule of `tick_regions(memo, n)`, in the protocol of
+    `build_region_automaton`: bound to a build's compiled automaton, it
+    takes a location id and a clock-region id. The ending of a final
     region is the f-suffix of its observation clocks' fractional groups
     (`_suffix_word`), which the NFA keeps as the ending of the region's
     final state and the inclusion compares per macro-state, and the
     indices of the classes of `MEMO_TAGS` a run reaches from its location
     and model clocks (`_reachable_classes`), or None when it reaches none.
+
     The build's model clocks take the constants of the final-relaxed memo
-    automaton that `_reachable_classes` builds, so their codes and ranks
-    are keys of its table. The rule works out each clock region's model
-    part and suffix word once, and each location's memo location once.
-    `_tick_columns` refuses first."""
-    model, observed = _tick_columns(memo, n)
-    reachable = _reachable_classes(memo, cap)
-    bases: dict[str, str] = {}  # location of the tick construction -> its memo location
-    views: dict[tuple, tuple] = {}  # (codes, ranks) -> model codes, model ranks, suffix
-    words: dict[tuple[int, ...], tuple[str, ...]] = {}  # observation ranks -> suffix
+    automaton `relaxed` (`relax_finals(memo)` when not given), which the
+    class table's build takes too, so a region's model codes are codes of
+    that build. The rule works out once per clock region its suffix word
+    and its model view, the table build's clock-region id of its model
+    part, each keyed by the packed parts it reads (`regions` module
+    docstring): the observation clocks' zero-fraction set and classes,
+    and the model clocks' codes and classes. `observation_clocks` refuses
+    first."""
+    obs = observation_clocks(memo, n)
+    table, classes = _reachable_classes(relax_finals(memo) if relaxed is None else relaxed, cap)
+    known, n_known = table._code, len(table._code.names)
+    state = {key: i for i, key in enumerate(table._keys)}  # the table build's region key -> state
+    memo_location = {name: i for i, name in enumerate(known.names)}
 
-    def stop(location: str, codes: tuple[int, ...], ranks: tuple[int, ...]):
-        base = bases.get(location)
-        if base is None:
-            base = bases[location] = location.rsplit("~", 1)[0]
-        view = views.get((codes, ranks))
-        if view is None:
-            key = tuple(map(ranks.__getitem__, observed))
-            word = words.get(key)
-            if word is None:
-                word = words[key] = _suffix_word(key)
-            view = views[codes, ranks] = (tuple(map(codes.__getitem__, model)),
-                                          _renumber(list(map(ranks.__getitem__, model))), word)
-        found = reachable[base, view[0], view[1]]
-        return (view[2], found) if found else None
+    def bind(code) -> Callable[[int, int], Optional[tuple]]:
+        w, column = code.width, {x: i for i, x in enumerate(code.clocks)}
+        model = [column[x] for x in known.clocks]
+        model_codes = sum(code.field << w * i for i in model)
+        model_mask = sum(1 << w * i for i in model)
+        observed = {1 << w * column[x]: k for k, x in enumerate(obs)}  # clock bit -> index, tick clock 0
+        seen = sum(observed)
+        base = [memo_location[name.rsplit("~", 1)[0]] for name in code.names]
+        parts: dict[int, tuple] = {}  # clock region -> table region key of its location 0, suffix word
+        views: dict[tuple, int] = {}  # packed model part -> table region key of its location 0
+        words: dict[tuple, tuple[str, ...]] = {}  # packed observation part -> suffix word
 
-    return stop
+        def rule(loc: int, cr: int) -> Optional[tuple]:
+            part = parts.get(cr)
+            if part is None:
+                codes, groups = code.clock_regions[cr]
+                view = (codes & model_codes, tuple([g & model_mask for g in groups if g & model_mask]))
+                at = views.get(view)
+                if at is None:
+                    ranks = code.decode(cr)[1]
+                    at = views[view] = n_known * known._ids[known.pack(
+                        [codes >> w * i & code.field for i in model], _renumber([ranks[i] for i in model]))]
+                key = (~codes & seen, tuple([g & seen for g in groups if g & seen]))
+                word = words.get(key)
+                if word is None:
+                    ranks = [0] * len(obs)
+                    for r, g in enumerate(key[1], 1):
+                        for bit, k in observed.items():
+                            if g & bit:
+                                ranks[k] = r
+                    word = words[key] = _suffix_word(tuple(ranks))
+                part = parts[cr] = (at, word)
+            found = classes[state[part[0] + base[loc]]]
+            return (part[1], found) if found else None
+
+        return rule
+
+    return bind
 
 
 def _renumber(ranks: list[int]) -> tuple[int, ...]:
@@ -460,13 +494,14 @@ def _group_letter(indices: tuple[int, ...]) -> str:
     return render_group(indices)
 
 
-def _reachable_classes(memo: TimedAutomaton, cap: Optional[int]) -> dict[tuple, tuple[int, ...]]:
-    """The final classes (indices into `MEMO_TAGS`) a run of the
-    final-relaxed memo automaton reaches from each region, letters read as
-    silent, keyed by location, codes and ranks: a final's own class, and
-    what the last copy of the unfolding, all silent, adds to a run entering
-    it there (its observation clocks never block a move)."""
-    ra = build_region_automaton(relax_finals(memo), cap)
+def _reachable_classes(relaxed: TimedAutomaton, cap: Optional[int]) -> tuple[RegionAutomaton, list[tuple[int, ...]]]:
+    """The region build of the final-relaxed memo automaton `relaxed`, and
+    per state the final classes (indices into `MEMO_TAGS`) a run reaches
+    from it, letters read as silent: a final's own class, and what the last
+    copy of the unfolding, all silent, adds to a run entering it there (its
+    observation clocks never block a move). A region's state is found
+    through the build's region keys (`RegionAutomaton._keys`)."""
+    ra = build_region_automaton(relaxed, cap)
     reach = nfalib._reach_table([ra.edge_target[ra._edge_start[i]:ra._edge_start[i + 1]]
                                  for i in range(ra.n_states)],
                                 [i if i in ra.final_ids else None for i in range(ra.n_states)])
@@ -475,7 +510,7 @@ def _reachable_classes(memo: TimedAutomaton, cap: Optional[int]) -> dict[tuple, 
     for row in reach:
         if id(row) not in found:
             found[id(row)] = tuple(sorted(set().union(*map(own.__getitem__, row))))
-    return {(ra.location_of(i), *ra.clock_codes(i)): found[id(reach[i])] for i in range(ra.n_states)}
+    return ra, [found[id(row)] for row in reach]
 
 
 def dense_time(ta: TimedAutomaton) -> TimedAutomaton:

@@ -140,7 +140,7 @@ def observation_clocks(ta: TimedAutomaton, n: int) -> tuple[str, ...]:
     return tuple(obs)
 
 
-def tick_construction(ta: TimedAutomaton, n: int) -> TimedAutomaton:
+def tick_construction(ta: TimedAutomaton, n: int, *, relaxed: Optional[TimedAutomaton] = None) -> TimedAutomaton:
     """Dense-time automaton whose region build (`tick_regions`) encodes the
     first-N projected traces of `ta` as ticked words, cut where a run stops.
 
@@ -156,10 +156,12 @@ def tick_construction(ta: TimedAutomaton, n: int) -> TimedAutomaton:
     The finals and the last copy's locations are final with no out-edge:
     the stop region fixes the rest of the ticked word, the f-letters of the
     observation clocks' fractional groups, which the bounded engine
-    attaches (`deciders._first_n_stop`).
+    attaches (`deciders._first_n_stop`). A caller that has `relax_finals(ta)`
+    passes it as `relaxed`.
     """
     obs = observation_clocks(ta, n)
-    relaxed = relax_finals(ta)
+    if relaxed is None:
+        relaxed = relax_finals(ta)
     out: dict[str, list[Edge]] = {}
     for e in relaxed.edges:
         out.setdefault(e.source, []).append(e)
@@ -192,8 +194,8 @@ def tick_construction(ta: TimedAutomaton, n: int) -> TimedAutomaton:
     )
 
 
-def tick_regions(ta: TimedAutomaton, n: int, cap: Optional[int] = None,
-                 stop: Optional[Callable] = None) -> RegionAutomaton:
+def tick_regions(ta: TimedAutomaton, n: int, cap: Optional[int] = None, stop: Optional[Callable] = None,
+                 *, relaxed: Optional[TimedAutomaton] = None) -> RegionAutomaton:
     """The region build of `tick_construction(ta, n)`, the one the bounded
     engine (with a stop rule `stop`, `deciders._first_n_stop`) and
     `topaq export --what tick` make: its `observation_clocks` are the
@@ -201,18 +203,12 @@ def tick_regions(ta: TimedAutomaton, n: int, cap: Optional[int] = None,
     final-relaxed `ta`, those of the whole N-unfolding. The unreached part
     of the unfolding can hold a clock's largest constant, and without it
     the build's regions would be coarser than those the stop rule looks
-    up. At n = 0 the build is the initial region alone, every code 0."""
-    return build_region_automaton(tick_construction(ta, n), cap, stop, wrap=observation_clocks(ta, n),
-                                  constants=relax_finals(ta).max_constants())
-
-
-def _tick_columns(ta: TimedAutomaton, n: int) -> tuple[list[int], list[int]]:
-    """The columns of `ta`'s clocks, sorted, and of the observation clocks,
-    tick clock first, in the codes and ranks of `tick_regions(ta, n)`,
-    whose build orders the construction's clocks by name."""
-    obs = observation_clocks(ta, n)
-    column = {x: j for j, x in enumerate(sorted(ta.clocks | set(obs)))}
-    return [column[x] for x in sorted(ta.clocks)], [column[x] for x in obs]
+    up. At n = 0 the build is the initial region alone, every code 0.
+    `relaxed`, when given, is `relax_finals(ta)`."""
+    if relaxed is None:
+        relaxed = relax_finals(ta)
+    return build_region_automaton(tick_construction(ta, n, relaxed=relaxed), cap, stop,
+                                  wrap=observation_clocks(ta, n), constants=relaxed.max_constants())
 
 
 def normalize_sequence(tau: Sequence[Fraction]) -> tuple[Fraction, ...]:

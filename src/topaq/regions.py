@@ -198,7 +198,7 @@ class RegionAutomaton:
     def clock_codes(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The int codes and fractional ranks of region i's clocks, in
         sorted clock order (module docstring)."""
-        return self._code.clock_regions[self._keys[i] // len(self._code.names)]
+        return self._code.decode(self._keys[i] // len(self._code.names))
 
     def region(self, i: int) -> Region:
         cr, loc = divmod(self._keys[i], len(self._code.names))
@@ -249,7 +249,8 @@ class RegionAutomaton:
 
 
 class _Compiled:
-    """`ta` compiled onto int clock codes (module docstring).
+    """`ta` compiled onto int clock codes, one clock region a packed pair
+    (module docstring).
 
     Guards and invariants share one id space. A clock i that some guard
     constrains has a row (`rows`): the codes where a conjunct's interval
@@ -271,12 +272,22 @@ class _Compiled:
     def __init__(self, ta: TimedAutomaton, maxc: Mapping[str, int], wrap: Sequence[str] = ()):
         self.clocks = tuple(sorted(ta.clocks))
         self.tops = tuple(2 * maxc[x] + 1 for x in self.clocks)
-        # the code change of a clock as its class reaches the next integer
-        self.steps = tuple(-1 if x in wrap else 1 for x in self.clocks) if wrap else (1,) * len(self.clocks)
+        # one field of `width` bits per clock; `low` has bit 0 of each field
+        self.width = w = max(self.tops, default=1).bit_length()
+        self.field = (1 << w) - 1
+        self.low = low = sum(1 << w * i for i in range(len(self.clocks)))
+        self.top = sum(t << w * i for i, t in enumerate(self.tops))
+        # the high bit of each field, and the bits below it (`_successor`)
+        self.high, self.below = low << w - 1, (low << w - 1) - low
+        index = {x: i for i, x in enumerate(self.clocks)}
+        self.wrap = sum(1 << w * index[x] for x in wrap)
         self.discrete = ta.time_domain == "discrete"
         self.edges = ta.edges
-        index = {x: i for i, x in enumerate(self.clocks)}
-        self.names = list(ta.locations | {ta.init} | {loc for e in ta.edges for loc in (e.source, e.target)})
+        names = dict.fromkeys(ta.locations)
+        names[ta.init] = None
+        for e in ta.edges:
+            names[e.source] = names[e.target] = None
+        self.names = list(names)
         lid = {name: i for i, name in enumerate(self.names)}
         self.final = [name in ta.final for name in self.names]
         guards: dict[tuple, int] = {(): 0}  # guard 0 is `true`
@@ -290,16 +301,17 @@ class _Compiled:
                 g = seen[guard.conjuncts] = guards.setdefault(self._compile(guard, index), len(guards))
             return g
 
-        self.inv = [gid(ta.invariant_of(name)) for name in self.names]
-        masks: dict[Optional[tuple[int, ...]], int] = {(): 0, None: 1}
+        invariant = ta.invariant
+        self.inv = [gid(invariant[name]) if name in invariant else 0 for name in self.names]
+        masks: dict[Optional[int], int] = {0: 0, None: 1}  # packed reset mask -> its id
         # per location: (guard, mask id, target invariant, target, label, edge index)
         self.moves: list[list[tuple]] = [[] for _ in self.names]
         for k, e in enumerate(ta.edges):
-            mask = tuple(sorted(index[x] for x in e.resets if x in index)) if e.resets else ()
+            mask = sum(1 << w * index[x] for x in e.resets if x in index)
             t = lid[e.target]
             self.moves[lid[e.source]].append(
                 (gid(e.guard), masks.setdefault(mask, len(masks)), self.inv[t], t, e.action, k))
-        self.tick = index[wrap[0]] if wrap else -1
+        self.tick = 1 << w * index[wrap[0]] if wrap else 0
         self.tick_guard = n = len(guards)
         for loc, moves in enumerate(self.moves):
             if wrap:  # guard ids n and n+1: the tick's and the plain delay's, one set by `intern`
@@ -313,7 +325,7 @@ class _Compiled:
         for g, conjuncts in enumerate(guards):
             for i, lo, hi in conjuncts:
                 bounds.setdefault(i, []).append((1 << g, lo, hi))
-        # per constrained clock: (clock, segment starts, segment masks)
+        # per constrained clock: (its field's shift, segment starts, segment masks)
         self.rows: list[tuple[int, list[int], list[int]]] = []
         for i, conjuncts in sorted(bounds.items()):
             cuts = sorted({0, *(lo for _, lo, _ in conjuncts), *(hi + 1 for _, _, hi in conjuncts)})
@@ -324,8 +336,8 @@ class _Compiled:
                     if not lo <= c <= hi:
                         sat &= ~bit
                 masks.append(sat)
-            self.rows.append((i, cuts, masks))
-        self.clock_regions: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # id -> (codes, ranks)
+            self.rows.append((w * i, cuts, masks))
+        self.clock_regions: list[tuple[int, tuple[int, ...]]] = []  # id -> packed (codes, classes)
         self.sat: list[int] = []  # id -> bitmask of the guards it satisfies
         self._ids: dict[tuple, int] = {}
         self._decoded: dict[int, ClockRegion] = {}
@@ -340,20 +352,42 @@ class _Compiled:
                 out.append((i, lo, hi))
         return tuple(out)
 
-    def intern(self, codes: tuple[int, ...], ranks: tuple[int, ...]) -> int:
-        key = (codes, ranks)
+    def pack(self, codes: Sequence[int], ranks: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+        """The packed pair of clock codes and fractional ranks 1, 2, ...
+        (module docstring); `decode` inverts it."""
+        w = self.width
+        groups = [0] * max(ranks, default=0)
+        for i, r in enumerate(ranks):
+            if r:
+                groups[r - 1] |= 1 << w * i
+        return sum(c << w * i for i, c in enumerate(codes)), tuple(groups)
+
+    def decode(self, cr: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The codes and fractional ranks of clock-region id `cr`, per clock
+        in sorted order (module docstring)."""
+        codes, groups = self.clock_regions[cr]
+        w, field = self.width, self.field
+        ranks = [0] * len(self.clocks)
+        for r, g in enumerate(groups, 1):
+            while g:
+                bit = g & -g
+                ranks[(bit.bit_length() - 1) // w] = r
+                g ^= bit
+        return tuple(codes >> w * i & field for i in range(len(self.clocks))), tuple(ranks)
+
+    def intern(self, codes: int, groups: tuple[int, ...]) -> int:
+        key = (codes, groups)
         cr = self._ids.get(key)
         if cr is None:
             cr = self._ids[key] = len(self.clock_regions)
             self.clock_regions.append(key)
-            sat = self.full
-            for i, cuts, masks in self.rows:
-                sat &= masks[bisect_right(cuts, codes[i]) - 1]
-            if self.tick >= 0:
+            sat, field = self.full, self.field
+            for shift, cuts, masks in self.rows:
+                sat &= masks[bisect_right(cuts, codes >> shift & field) - 1]
+            if self.tick:
                 # the delay wraps the tick clock when it is in the largest
                 # class and no clock has a zero fraction (`after`)
-                t = self.tick
-                ticks = codes[t] == 1 and ranks[t] == max(ranks) and all(c & 1 for c in codes)
+                ticks = codes & self.low == self.low and bool(groups[-1] & self.tick)
                 sat &= ~(1 << self.tick_guard + ticks)  # clear the guard that fails
             self.sat.append(sat)
         return cr
@@ -362,39 +396,37 @@ class _Compiled:
         """Clock region `cr` after its delay successor (m = 1) or the reset
         of mask m; the delay of a region with every clock above is the
         region itself (the silent self-loop)."""
-        codes, ranks = self.clock_regions[cr]
+        codes, groups = self.clock_regions[cr]
         mask = self.masks[m]
         if mask is not None:
-            codes, ranks = list(codes), list(ranks)
-            emptied = any(ranks[i] for i in mask)
-            for i in mask:
-                codes[i] = ranks[i] = 0
-            if emptied:  # renumber the classes left 1, 2, ...
-                order = {r: k for k, r in enumerate(sorted(set(ranks)))}
-                ranks = [order[r] for r in ranks]
-            return self.intern(tuple(codes), tuple(ranks))
-        tops = self.tops
-        if codes == tops:
+            keep = ~mask
+            return self.intern(codes & ~(mask * self.field), tuple([g & keep for g in groups if g & keep]))
+        if codes == self.top:
             return cr
-        if self.discrete:
-            return self.intern(tuple(min(c + 2, t) for c, t in zip(codes, tops)), ranks)
-        if any(not c & 1 for c in codes):
-            # the zero-fraction clocks move into the open: those at their
-            # maximum constant go above, the rest make the new smallest class
-            stay = any(not c & 1 and c + 1 < t for c, t in zip(codes, tops))
-            return self.intern(tuple(c | 1 for c in codes), tuple(
-                r + stay if r else int(not c & 1 and c + 1 < t) for c, r, t in zip(codes, ranks, tops)))
+        zero = ~codes & self.low
+        if zero:
+            # the zero-fraction clocks move into the open; those that reach
+            # their top code go above, the rest make the new smallest class
+            # (discrete time: move on to the next integer). A field of
+            # `codes ^ top` is 0 where a clock is at its top code: the sum
+            # below sets its high bit everywhere else, with no carry out of it
+            codes += zero
+            x = codes ^ self.top
+            first = zero & (((x & self.below) + self.below | x) & self.high) >> self.width - 1
+            if self.discrete:
+                return self.intern(codes + first, groups)
+            return self.intern(codes, (first, *groups) if first else groups)
         # the largest class reaches the next integer, which is at most M: a
         # clock in (k, k+1) has k < M; a wrap-around clock goes back to 0
-        last = max(ranks)
-        return self.intern(tuple(c + s if r == last else c for c, r, s in zip(codes, ranks, self.steps)),
-                           tuple(0 if r == last else r for r in ranks))
+        last = groups[-1]
+        wrapped = last & self.wrap
+        return self.intern(codes + last - 2 * wrapped, groups[:-1])
 
     def clock_region(self, cr: int) -> ClockRegion:
         """The `ClockRegion` object of clock-region id `cr`."""
         out = self._decoded.get(cr)
         if out is None:
-            codes, ranks = self.clock_regions[cr]
+            codes, ranks = self.decode(cr)
             ipart, above, zero = [], [], []
             fracs: list[list[str]] = [[] for _ in range(max(ranks, default=0))]
             for x, c, r, top in zip(self.clocks, codes, ranks, self.tops):
@@ -409,7 +441,7 @@ class _Compiled:
 
 
 def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None,
-                           stop: Optional[Callable[[str, tuple, tuple], Optional[Hashable]]] = None,
+                           stop: Optional[Callable[["_Compiled"], Callable[[int, int], Optional[Hashable]]]] = None,
                            *, wrap: Sequence[str] = (),
                            constants: Optional[Mapping[str, int]] = None) -> RegionAutomaton:
     """Reachable region automaton of `ta` (dense or discrete per its domain).
@@ -420,12 +452,13 @@ def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None,
     regions, each region's edges in declaration order and then its delay
     edge, and it writes the edge arrays as it goes.
 
-    With a stop rule, a final region is known only by its ending
-    `stop(location, codes, ranks)` (its clocks' codes and ranks as in the
-    module docstring), worked out once per region: the build gives each
-    distinct ending one final state, which every final region with that
-    ending enters, and a final region whose ending is None no state and
-    no in-edge.
+    With a stop rule, a final region is known only by its ending. The build
+    binds the rule to its compiled automaton once, `rule = stop(code)`, and
+    asks `rule(location id, clock-region id)` once per final region, ids
+    of `code` (`code.names` and `code.clock_regions`, which `code.decode`
+    reads as codes and ranks). It gives each distinct ending one final
+    state, which every final region with that ending enters, and a final
+    region whose ending is None no state and no in-edge.
 
     `wrap` names the wrap-around clocks of a dense-time `ta`, tick clock
     first (module docstring): the `observers.observation_clocks` of an
@@ -452,19 +485,19 @@ def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None,
     moves, final, sat, after = code.moves, code.final, code.sat, code.after
     by_ending: dict[Hashable, int] = {}  # ending -> final state
     endless: set[int] = set()  # region keys of the final regions whose ending is None
+    rule = None if stop is None else stop(code)
 
     def stop_state(key: int, loc: int, cr: int, new: int) -> Optional[int]:
         # final region `key`'s state: its ending's, `new` for a new one, None for none
         if key in endless:
             return None
-        ending = stop(code.names[loc], *code.clock_regions[cr])
+        ending = rule(loc, cr)
         if ending is None:
             endless.add(key)
             return None
         return by_ending.setdefault(ending, new)
 
-    zero = (0,) * len(code.clocks)
-    init, start = code.intern(zero, zero), code.start
+    init, start = code.intern(0, ()), code.start
     key = init * n_locs + start
     # the initial region, through the stop rule too when it is final
     if sat[init] >> code.inv[start] & 1 and (stop is None or not final[start]

@@ -308,7 +308,8 @@ def test_stop_rule_builds_one_state_per_ending(fig1, sel, endings):
     assert len(set(ra.endings.values())) == len(ra.endings) == endings
     assert all(classes for _, classes in ra.endings.values())
     plain = tick_regions(memo, n)
-    assert set(ra.endings.values()) == {stop(plain.location_of(i), *plain.clock_codes(i))
+    rule, n_locs = stop(plain._code), len(plain._code.names)
+    assert set(ra.endings.values()) == {rule(plain._keys[i] % n_locs, plain._keys[i] // n_locs)
                                         for i in plain.final_ids} - {None}
     succ = [[ra.edge_target[k] for k in ra.edge_ids(i)] for i in range(ra.n_states)]
     assert all(_reach_table(succ, [i if i in ra.final_ids else None for i in range(ra.n_states)]))
