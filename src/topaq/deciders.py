@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from . import nfa as nfalib
 from .constructions import MEMO_TAGS, _public_runs, build_memo, build_priv, product, relax_finals
@@ -426,7 +426,7 @@ def _first_n_stop(memo: TimedAutomaton, n: int, cap: Optional[int],
     obs = observation_clocks(memo, n)
     table, classes = _reachable_classes(relax_finals(memo) if relaxed is None else relaxed, cap)
     known, n_known = table._code, len(table._code.names)
-    state = {key: i for i, key in enumerate(table._keys)}  # the table build's region key -> state
+    reached = dict(zip(table._keys, classes))  # the table build's region key -> its state's classes
     memo_location = {name: i for i, name in enumerate(known.names)}
 
     def bind(code) -> Callable[[int, int], Optional[tuple]]:
@@ -435,33 +435,38 @@ def _first_n_stop(memo: TimedAutomaton, n: int, cap: Optional[int],
         model_codes = sum(code.field << w * i for i in model)
         model_mask = sum(1 << w * i for i in model)
         observed = {1 << w * column[x]: k for k, x in enumerate(obs)}  # clock bit -> index, tick clock 0
-        seen = sum(observed)
+        seen, tick = sum(observed), 1 << w * column[obs[0]]
         base = [memo_location[name.rsplit("~", 1)[0]] for name in code.names]
-        parts: dict[int, tuple] = {}  # clock region -> table region key of its location 0, suffix word
-        views: dict[tuple, int] = {}  # packed model part -> table region key of its location 0
+        parts: dict[int, tuple] = {}  # clock region -> table region key at location 0, suffix word
+        views: dict[tuple, int] = {}  # packed model part -> table region key at location 0
         words: dict[tuple, tuple[str, ...]] = {}  # packed observation part -> suffix word
+        letters: dict[int, str] = {}  # class of observation clocks -> its f-letter
+
+        def letter(group: int) -> str:
+            out = letters.get(group)
+            if out is None:
+                out = letters[group] = _group_letter(tuple(sorted(k for bit, k in observed.items() if group & bit)))
+            return out
+
+        def part_of(cr: int) -> tuple:
+            codes, groups = code.clock_regions[cr]
+            view = (codes & model_codes, tuple([g & model_mask for g in groups if g & model_mask]))
+            at = views.get(view)
+            if at is None:
+                ranks = code.decode(cr)[1]
+                at = views[view] = n_known * known._ids[known.pack(
+                    [codes >> w * i & code.field for i in model], _renumber([ranks[i] for i in model]))]
+            key = (~codes & seen, *[g & seen for g in groups])
+            word = words.get(key)
+            if word is None:
+                word = words[key] = tuple(map(letter, _suffix_order(key, tick)))
+            return at, word
 
         def rule(loc: int, cr: int) -> Optional[tuple]:
             part = parts.get(cr)
             if part is None:
-                codes, groups = code.clock_regions[cr]
-                view = (codes & model_codes, tuple([g & model_mask for g in groups if g & model_mask]))
-                at = views.get(view)
-                if at is None:
-                    ranks = code.decode(cr)[1]
-                    at = views[view] = n_known * known._ids[known.pack(
-                        [codes >> w * i & code.field for i in model], _renumber([ranks[i] for i in model]))]
-                key = (~codes & seen, tuple([g & seen for g in groups if g & seen]))
-                word = words.get(key)
-                if word is None:
-                    ranks = [0] * len(obs)
-                    for r, g in enumerate(key[1], 1):
-                        for bit, k in observed.items():
-                            if g & bit:
-                                ranks[k] = r
-                    word = words[key] = _suffix_word(tuple(ranks))
-                part = parts[cr] = (at, word)
-            found = classes[state[part[0] + base[loc]]]
+                part = parts[cr] = part_of(cr)
+            found = reached[part[0] + base[loc]]
             return (part[1], found) if found else None
 
         return rule
@@ -479,14 +484,23 @@ def _renumber(ranks: list[int]) -> tuple[int, ...]:
 def _suffix_word(ranks: tuple[int, ...]) -> tuple[str, ...]:
     """The f-suffix that completes the ticked word of a stop region whose
     observation clocks, tick clock first, have the fractional ranks `ranks`:
-    their groups of equal fraction in the order they reach the next integer,
-    decreasing cyclic order from the tick clock's group."""
-    groups: dict[int, list[int]] = {}
+    their groups of equal fraction in the order they reach the next integer
+    (`_suffix_order`)."""
+    classes = [0] * (max(ranks) + 1)
     for i, r in enumerate(ranks):
-        groups.setdefault(r, []).append(i)
-    order = sorted(groups, reverse=True)
-    k = order.index(ranks[0])
-    return tuple(_group_letter(tuple(groups[g])) for g in order[k:] + order[:k])
+        classes[r] |= 1 << i
+    return tuple(_group_letter(tuple(i for i in range(len(ranks)) if g >> i & 1))
+                 for g in _suffix_order(classes, 1))
+
+
+def _suffix_order(classes: Sequence[int], tick: int) -> list[int]:
+    """The nonempty `classes` of observation clocks, bitmasks in ascending
+    order of fractional part, in the order they reach the next integer:
+    decreasing cyclic order from the class that holds the tick clock's bit
+    `tick`."""
+    order = [g for g in reversed(classes) if g]
+    k = next(k for k, g in enumerate(order) if g & tick)
+    return order[k:] + order[:k]
 
 
 @functools.cache  # bounded: one entry per set of observation clocks, at most 2^(cap+1)

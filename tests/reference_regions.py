@@ -4,6 +4,10 @@ differential tests.
 - The region of a concrete valuation (`clock_region_of`), and the
   operations on region objects: guard truth, resets and the dense and
   discrete delay successors.
+- The clock regions of the compiled builder as they were before they were
+  packed (`TupleClockRegions`): a (codes, ranks) pair of tuples, interned
+  by a dict and moved on by a per-clock successor. The packed successor
+  of `regions._Compiled` must agree with it clock region for clock region.
 - The object breadth-first search that `topaq.regions` ran before its
   compiled integer builder, with the matching graph of silent and letter
   edges. `build_region_automaton` must agree with it: the same numbered
@@ -21,6 +25,7 @@ differential tests.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,6 +146,72 @@ def discrete_delay_successor(cr: ClockRegion, maxc: Mapping[str, int]) -> Option
             nip[x] = k + 1
     blocks = (frozenset(nip),) if nip else ()
     return ClockRegion(tuple(sorted(nip.items())), frozenset(above), blocks, bool(nip))
+
+
+class TupleClockRegions:
+    """The clock regions of `regions._Compiled` for `ta` as tuples: codes
+    and fractional ranks per clock in sorted order (the `regions` module
+    docstring), interned with the guards they satisfy, and moved on by
+    `after` under a reset of `resets` (clock indices) or, for None, by the
+    delay. Only the guard rows come from the compiled automaton `code`,
+    each with its clock index in place of its field's shift."""
+
+    def __init__(self, ta: TimedAutomaton, maxc: Mapping[str, int], wrap: Sequence[str], code):
+        clocks = tuple(sorted(ta.clocks))
+        self.tops = tuple(2 * maxc[x] + 1 for x in clocks)
+        self.steps = tuple(-1 if x in wrap else 1 for x in clocks)
+        self.discrete = ta.time_domain == "discrete"
+        self.tick = clocks.index(wrap[0]) if wrap else -1
+        self.tick_guard, self.full = code.tick_guard, code.full
+        self.rows = [(shift // code.width, cuts, masks) for shift, cuts, masks in code.rows]
+        self.clock_regions: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self.sat: list[int] = []
+        self._ids: dict[tuple, int] = {}
+
+    def intern(self, codes: tuple[int, ...], ranks: tuple[int, ...]) -> int:
+        key = (codes, ranks)
+        cr = self._ids.get(key)
+        if cr is None:
+            cr = self._ids[key] = len(self.clock_regions)
+            self.clock_regions.append(key)
+            sat = self.full
+            for i, cuts, masks in self.rows:
+                sat &= masks[bisect_right(cuts, codes[i]) - 1]
+            if self.tick >= 0:
+                # the delay wraps the tick clock when it is in the largest
+                # class and no clock has a zero fraction
+                t = self.tick
+                ticks = codes[t] == 1 and ranks[t] == max(ranks) and all(c & 1 for c in codes)
+                sat &= ~(1 << self.tick_guard + ticks)
+            self.sat.append(sat)
+        return cr
+
+    def after(self, cr: int, resets: Optional[Sequence[int]]) -> int:
+        codes, ranks = self.clock_regions[cr]
+        if resets is not None:
+            codes, ranks = list(codes), list(ranks)
+            emptied = any(ranks[i] for i in resets)
+            for i in resets:
+                codes[i] = ranks[i] = 0
+            if emptied:  # renumber the classes left 1, 2, ...
+                order = {r: k for k, r in enumerate(sorted(set(ranks)))}
+                ranks = [order[r] for r in ranks]
+            return self.intern(tuple(codes), tuple(ranks))
+        tops = self.tops
+        if codes == tops:
+            return cr
+        if self.discrete:
+            return self.intern(tuple(min(c + 2, t) for c, t in zip(codes, tops)), ranks)
+        if any(not c & 1 for c in codes):
+            # the zero-fraction clocks move into the open: those at their
+            # maximum constant go above, the rest make the new smallest class
+            stay = any(not c & 1 and c + 1 < t for c, t in zip(codes, tops))
+            return self.intern(tuple(c | 1 for c in codes), tuple(
+                r + stay if r else int(not c & 1 and c + 1 < t) for c, r, t in zip(codes, ranks, tops)))
+        # the largest class reaches the next integer; a wrap-around clock goes back to 0
+        last = max(ranks)
+        return self.intern(tuple(c + s if r == last else c for c, r, s in zip(codes, ranks, self.steps)),
+                           tuple(0 if r == last else r for r in ranks))
 
 
 @dataclass

@@ -17,6 +17,7 @@ import pytest
 from conftest import fig1_ta, oera_pair_ta, random_blocking_oera, random_discrete_ta, random_oera
 from reference_languages import reference_tick_construction
 from reference_regions import (
+    TupleClockRegions,
     graph_of,
     reference_check_oera,
     reference_graph,
@@ -30,7 +31,7 @@ from topaq.model import parse_model
 from topaq.nfa import from_region_automaton
 from topaq.observers import Dynamic, FirstN, Static, observation_clocks, tick_construction
 from topaq.oracle import discrete_state_count
-from topaq.regions import BadRegionCap, RegionCapExceeded, augment_ticks, build_region_automaton
+from topaq.regions import BadRegionCap, RegionCapExceeded, _Compiled, augment_ticks, build_region_automaton
 from topaq.ta import ClockConstraint, Guard, edge, make_ta, validate, validate_errors
 
 MODELS = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.ta"))
@@ -297,3 +298,75 @@ def test_explicit_cap_must_be_a_positive_int(cap):
         check_opacity(oera_pair_ta(True), "weak", engine="oera", cap=cap)
     with pytest.raises(BadRegionCap):
         build_region_automaton(fig1_ta(), cap)
+
+
+def random_clock_region(rng, tops, wrap, discrete):
+    """A random (codes, ranks) of clocks with top codes `tops`: a clock of
+    `wrap` at 0 or in (0, 1), any other at an integer, in an open unit
+    interval below its top code or above it; the fractional ones in
+    random classes, ranked 1, 2, ... Discrete time has no fractional one."""
+    codes = []
+    for i, top in enumerate(tops):
+        if i in wrap:
+            codes.append(rng.choice((0, 1)))
+        elif discrete:
+            codes.append(rng.choice((top, 2 * rng.randrange(top // 2 + 1))))
+        else:
+            codes.append(rng.choice((top, rng.randrange(top + 1), rng.randrange(min(top, 4) + 1),
+                                     rng.randrange(max(1, top - 4), top + 1))))
+    fractional = [i for i, c in enumerate(codes) if c & 1 and (i in wrap or c < tops[i])]
+    classes = rng.randint(1, len(fractional)) if fractional else 0
+    ranks = [0] * len(codes)
+    order = list(range(1, classes + 1)) + [rng.randint(1, classes) for _ in fractional[classes:]]
+    rng.shuffle(order)
+    for i, r in zip(fractional, order):
+        ranks[i] = r
+    return tuple(codes), tuple(ranks)
+
+
+@pytest.mark.parametrize("discrete", [False, True], ids=["dense", "discrete"])
+def test_packed_successor_matches_the_tuple_successor(discrete):
+    """The packed clock regions of the compiled builder against their tuple
+    form (`reference_regions.TupleClockRegions`), on random clock sets of
+    1-6 clocks, some wrap-around in dense time, with constants 0-3 and one
+    of at least 2^20, so that some fields are wide: each random clock
+    region, and the clock regions a few random moves reach from it, packs
+    and decodes to itself, and after the delay and after every reset mask
+    it decodes to the tuple successor and satisfies the same guards,
+    the guards of the tick and the plain delay included."""
+    rng = random.Random(20261022)
+    for _ in range(120):
+        clocks = [f"c{i}" for i in range(rng.randint(1, 6))]
+        maxc = {x: rng.randint(0, 3) for x in clocks}
+        maxc[rng.choice(clocks)] = rng.randint(2**20, 2**21)
+        wrap = [] if discrete else rng.sample(clocks, rng.randint(0, len(clocks) - 1))
+        for x in wrap:
+            maxc[x] = 1
+        resets = [tuple(x for k, x in enumerate(clocks) if bits >> k & 1) for bits in range(2 ** len(clocks))]
+        edges = []
+        for r in resets:
+            x = rng.choice(clocks)
+            guard = Guard.of(ClockConstraint(x, rng.choice(["<", "<=", "=", ">=", ">"]), rng.randint(0, maxc[x])))
+            edges.append(edge("l", "l", "a", guard, r))
+        ta = make_ta(actions={"a"}, locations={"l"}, init="l", final=(), clocks=clocks, edges=edges,
+                     time_domain="discrete" if discrete else "dense")
+        code, mask = _Compiled(ta, maxc, wrap), {}
+        ref = TupleClockRegions(ta, maxc, wrap, code)
+        for _, m, _, _, _, k in code.moves[0]:
+            mask[m] = None if k < 0 else tuple(sorted(clocks.index(x) for x in edges[k].resets))
+        assert sorted(mask) == list(range(len(code.masks)))
+        wrapped = {clocks.index(x) for x in wrap}
+        for _ in range(8):
+            todo = [ref.intern(*random_clock_region(rng, ref.tops, wrapped, discrete))]
+            for _ in range(6):
+                todo.append(ref.after(todo[-1], rng.choice(list(mask.values()))))
+            for r in todo:
+                x = ref.clock_regions[r]
+                cr = code.intern(*code.pack(*x))
+                assert code.decode(cr) == x
+                assert code.sat[cr] == ref.sat[r]
+                for m, reset in mask.items():
+                    if m:
+                        got, want = code.after(cr, m), ref.after(r, reset)
+                        assert code.decode(got) == ref.clock_regions[want], (x, reset)
+                        assert code.sat[got] == ref.sat[want], (x, reset)
