@@ -427,6 +427,7 @@ def _first_n_stop(memo: TimedAutomaton, n: int, cap: Optional[int],
     table, classes = _reachable_classes(relax_finals(memo) if relaxed is None else relaxed, cap)
     known, n_known = table._code, len(table._code.names)
     reached = dict(zip(table._keys, classes))  # the table build's region key -> its state's classes
+    interned = {pair: cr for cr, pair in enumerate(known.clock_regions)}  # the table build's clock regions
     memo_location = {name: i for i, name in enumerate(known.names)}
 
     def bind(code) -> Callable[[int, int], Optional[tuple]]:
@@ -454,7 +455,7 @@ def _first_n_stop(memo: TimedAutomaton, n: int, cap: Optional[int],
             at = views.get(view)
             if at is None:
                 ranks = code.decode(cr)[1]
-                at = views[view] = n_known * known._ids[known.pack(
+                at = views[view] = n_known * interned[known.pack(
                     [codes >> w * i & code.field for i in model], _renumber([ranks[i] for i in model]))]
             key = (~codes & seen, *[g & seen for g in groups])
             word = words.get(key)

@@ -16,16 +16,28 @@ and 1, 2, ... for the classes of equal nonzero fraction, ascending.
 A build may name wrap-around clocks (the observation clocks of
 `observers.tick_construction`), which only ever record a fractional part:
 each has maximum constant 1 and code 0 or 1, and the delay that brings its
-class to the next integer takes it straight back to 0. A clock
-region is an interned (codes, ranks) pair and a region a (location id,
-clock-region id) pair. The `RegionAutomaton` it returns holds its graph
-only as edge arrays over the int states; `ClockRegion`, `Region` and `RAEdge`
-objects are decoded from them only when read, so `ClockRegion` only
-decodes and describes regions. The weak/full engines read the edge
-arrays through `nfa.from_region_automaton`; the bounded attacker's class
-table (`deciders._reachable_classes`) reads `edge_target` and
-`_edge_start` directly, and the existence check reads a shortest path off
-them (`RegionAutomaton.shortest_accepting_path`).
+class to the next integer takes it straight back to 0.
+
+A clock region is packed as a pair (codes, classes) of an int and a tuple
+of ints, interned to a clock-region id, and a region is a (location id,
+clock-region id) pair. Clock i owns the field of bits W*i .. W*i+W-1 of
+an int, W the bit length of the largest code 2M+1, and a clock set is the
+int with bit W*i set for each clock i in it. `codes` holds each clock's
+code in its field, and `classes` the clock sets of the ranks 1, 2, ...,
+in order. The zero-fraction clocks are those with an even code, `~codes &
+LOW` for LOW the set of all clocks. A delay or a reset is then a few
+integer operations on the pair (`_Compiled.after`), and `_Compiled.decode`
+gives back the codes and ranks as tuples, which `RegionAutomaton.clock_codes`
+returns.
+
+The `RegionAutomaton` a build returns holds its graph only as edge arrays
+over the int states; `ClockRegion`, `Region` and `RAEdge` objects are
+decoded from them only when read, so `ClockRegion` only decodes and
+describes regions. The weak/full engines read the edge arrays through
+`nfa.from_region_automaton`; the bounded attacker's class table
+(`deciders._reachable_classes`) reads `edge_target` and `_edge_start`
+directly, and the existence check reads a shortest path off them
+(`RegionAutomaton.shortest_accepting_path`).
 """
 
 from __future__ import annotations
@@ -270,54 +282,58 @@ class _Compiled:
     """
 
     def __init__(self, ta: TimedAutomaton, maxc: Mapping[str, int], wrap: Sequence[str] = ()):
-        self.clocks = tuple(sorted(ta.clocks))
-        self.tops = tuple(2 * maxc[x] + 1 for x in self.clocks)
-        # one field of `width` bits per clock; `low` has bit 0 of each field
-        self.width = w = max(self.tops, default=1).bit_length()
+        self.clocks = clocks = tuple(sorted(ta.clocks))
+        self.tops = tops = tuple([2 * maxc[x] + 1 for x in clocks])
+        # clock i's field: `width` bits from bit w*i, its bit in a clock set
+        self.width = w = max(tops, default=1).bit_length()
         self.field = (1 << w) - 1
-        self.low = low = sum(1 << w * i for i in range(len(self.clocks)))
-        self.top = sum(t << w * i for i, t in enumerate(self.tops))
-        # the high bit of each field, and the bits below it (`_successor`)
+        index, bit, low, top = {}, {}, 0, 0
+        for i, x in enumerate(clocks):
+            index[x], bit[x] = i, 1 << w * i
+            low |= bit[x]
+            top |= tops[i] << w * i
+        self.low, self.top = low, top
+        # the high bit of each field, and the bits below it (`after`)
         self.high, self.below = low << w - 1, (low << w - 1) - low
-        index = {x: i for i, x in enumerate(self.clocks)}
-        self.wrap = sum(1 << w * index[x] for x in wrap)
+        self.wrap = sum(map(bit.__getitem__, wrap)) if wrap else 0
         self.discrete = ta.time_domain == "discrete"
-        self.edges = ta.edges
+        self.edges = edges = ta.edges
         names = dict.fromkeys(ta.locations)
         names[ta.init] = None
-        for e in ta.edges:
+        for e in edges:
             names[e.source] = names[e.target] = None
         self.names = list(names)
         lid = {name: i for i, name in enumerate(self.names)}
         self.final = [name in ta.final for name in self.names]
         guards: dict[tuple, int] = {(): 0}  # guard 0 is `true`
-        seen: dict[tuple, int] = {}  # a guard's conjuncts -> its id: each guard is compiled once
+        seen: dict[int, int] = {}  # id of a guard object -> its id: each guard is compiled once
 
         def gid(guard: Guard) -> int:
             if not guard.conjuncts:
                 return 0
-            g = seen.get(guard.conjuncts)
+            g = seen.get(id(guard))
             if g is None:
-                g = seen[guard.conjuncts] = guards.setdefault(self._compile(guard, index), len(guards))
+                g = seen[id(guard)] = guards.setdefault(self._compile(guard, index), len(guards))
             return g
 
         invariant = ta.invariant
-        self.inv = [gid(invariant[name]) if name in invariant else 0 for name in self.names]
-        masks: dict[Optional[int], int] = {0: 0, None: 1}  # packed reset mask -> its id
+        self.inv = inv = [gid(invariant[name]) if name in invariant else 0 for name in self.names]
+        masks: dict[Optional[int], int] = {0: 0, None: 1}  # reset clock set -> its mask id
         # per location: (guard, mask id, target invariant, target, label, edge index)
         self.moves: list[list[tuple]] = [[] for _ in self.names]
-        for k, e in enumerate(ta.edges):
-            mask = sum(1 << w * index[x] for x in e.resets if x in index)
+        for k, e in enumerate(edges):
+            mask = sum(bit[x] for x in e.resets if x in bit) if e.resets else 0
             t = lid[e.target]
             self.moves[lid[e.source]].append(
-                (gid(e.guard), masks.setdefault(mask, len(masks)), self.inv[t], t, e.action, k))
-        self.tick = 1 << w * index[wrap[0]] if wrap else 0
+                (gid(e.guard), masks.setdefault(mask, len(masks)), inv[t], t, e.action, k))
+        self.tick = bit[wrap[0]] if wrap else 0
         self.tick_guard = n = len(guards)
-        for loc, moves in enumerate(self.moves):
-            if wrap:  # guard ids n and n+1: the tick's and the plain delay's, one set by `intern`
-                moves += [(n, 1, self.inv[loc], loc, None, -2), (n + 1, 1, self.inv[loc], loc, None, -1)]
-            else:
-                moves.append((0, 1, self.inv[loc], loc, None, -1))
+        if wrap:  # guard ids n and n+1: the tick's and the plain delay's, one set by `intern`
+            for loc, moves in enumerate(self.moves):
+                moves += [(n, 1, inv[loc], loc, None, -2), (n + 1, 1, inv[loc], loc, None, -1)]
+        else:
+            for loc, moves in enumerate(self.moves):
+                moves.append((0, 1, inv[loc], loc, None, -1))
         self.start = lid[ta.init]
         self.masks = list(masks)
         self.full = (1 << n + 2 * bool(wrap)) - 1
@@ -547,6 +563,7 @@ def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None,
                 edge_ta.append(k)
         edge_start.append(len(edge_target))
 
+    code._ids = code.sat = None  # only the build interns and tests guards: free them before the caller reads
     if len(keys) > _state_bound(len(ta.locations), maxc.values()):
         raise RuntimeError(f"{len(keys)} reachable regions exceed the theoretical bound")
     used = set(edge_ta)
