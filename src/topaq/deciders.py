@@ -453,10 +453,9 @@ def _first_n_stop(memo: TimedAutomaton, n: int, cap: Optional[int],
             codes, groups = code.clock_regions[cr]
             view = (codes & model_codes, tuple([g & model_mask for g in groups if g & model_mask]))
             at = views.get(view)
-            if at is None:
-                ranks = code.decode(cr)[1]
-                at = views[view] = n_known * interned[known.pack(
-                    [codes >> w * i & code.field for i in model], _renumber([ranks[i] for i in model]))]
+            if at is None:  # the view's classes are the model clocks' own, ranked 1, 2, ...
+                ranks = [next((r for r, g in enumerate(view[1], 1) if g >> w * i & 1), 0) for i in model]
+                at = views[view] = n_known * interned[known.pack([codes >> w * i & code.field for i in model], ranks)]
             key = (~codes & seen, *[g & seen for g in groups])
             word = words.get(key)
             if word is None:
@@ -473,13 +472,6 @@ def _first_n_stop(memo: TimedAutomaton, n: int, cap: Optional[int],
         return rule
 
     return bind
-
-
-def _renumber(ranks: list[int]) -> tuple[int, ...]:
-    """Fractional ranks of some clocks as a build on them alone ranks them:
-    renumbered 1, 2, ... in order, 0 (a zero fraction) kept."""
-    levels = sorted({0, *ranks})
-    return tuple(map(levels.index, ranks))
 
 
 def _suffix_word(ranks: tuple[int, ...]) -> tuple[str, ...]:
