@@ -436,7 +436,7 @@ def _first_n_stop(memo: TimedAutomaton, n: int, cap: Optional[int],
         model_codes = sum(code.field << w * i for i in model)
         model_mask = sum(1 << w * i for i in model)
         observed = {1 << w * column[x]: k for k, x in enumerate(obs)}  # clock bit -> index, tick clock 0
-        seen, tick = sum(observed), 1 << w * column[obs[0]]
+        obs_set, tick = sum(observed), 1 << w * column[obs[0]]
         base = [memo_location[name.rsplit("~", 1)[0]] for name in code.names]
         parts: dict[int, tuple] = {}  # clock region -> table region key at location 0, suffix word
         views: dict[tuple, int] = {}  # packed model part -> table region key at location 0
@@ -456,7 +456,7 @@ def _first_n_stop(memo: TimedAutomaton, n: int, cap: Optional[int],
             if at is None:  # the view's classes are the model clocks' own, ranked 1, 2, ...
                 ranks = [next((r for r, g in enumerate(view[1], 1) if g >> w * i & 1), 0) for i in model]
                 at = views[view] = n_known * interned[known.pack([codes >> w * i & code.field for i in model], ranks)]
-            key = (~codes & seen, *[g & seen for g in groups])
+            key = (~codes & obs_set, *[g & obs_set for g in groups])
             word = words.get(key)
             if word is None:
                 word = words[key] = tuple(map(letter, _suffix_order(key, tick)))

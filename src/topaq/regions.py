@@ -18,13 +18,13 @@ A build may name wrap-around clocks (the observation clocks of
 each has maximum constant 1 and code 0 or 1, and the delay that brings its
 class to the next integer takes it straight back to 0.
 
-A clock region is packed as a pair (codes, classes) of an int and a tuple
+A clock region is packed as a pair (codes, groups) of an int and a tuple
 of ints, interned to a clock-region id, and a region is a (location id,
 clock-region id) pair. Clock i owns the field of bits W*i .. W*i+W-1 of
 an int, W the bit length of the largest code 2M+1, and a clock set is the
 int with bit W*i set for each clock i in it. `codes` holds each clock's
-code in its field, and `classes` the clock sets of the ranks 1, 2, ...,
-in order. The zero-fraction clocks are those with an even code, `~codes &
+code in its field, and `groups` the clock sets of the ranks 1, 2, ...,
+in order: the classes of equal nonzero fraction. The zero-fraction clocks are those with an even code, `~codes &
 LOW` for LOW the set of all clocks. A delay or a reset is then a few
 integer operations on the pair (`_Compiled.after`), and `_Compiled.decode`
 gives back the codes and ranks as tuples, which `RegionAutomaton.clock_codes`
@@ -277,8 +277,10 @@ class _Compiled:
     moves, each under a guard computed per clock region rather than per
     clock: the tick (edge -2) when the delay wraps the tick clock, and the
     plain delay (-1) when it does not.
-    `build_region_automaton` runs on it, and its `RegionAutomaton` keeps it
-    to decode regions and edges.
+    `build_region_automaton` runs on it and drops its interning table and
+    guard masks (`_ids`, `sat`) at the end, as nothing interns after the
+    build; its `RegionAutomaton` keeps the rest to decode regions and
+    edges.
     """
 
     def __init__(self, ta: TimedAutomaton, maxc: Mapping[str, int], wrap: Sequence[str] = ()):
@@ -295,7 +297,7 @@ class _Compiled:
         self.low, self.top = low, top
         # the high bit of each field, and the bits below it (`after`)
         self.high, self.below = low << w - 1, (low << w - 1) - low
-        self.wrap = sum(map(bit.__getitem__, wrap)) if wrap else 0
+        self.wrap = sum(map(bit.__getitem__, wrap))
         self.discrete = ta.time_domain == "discrete"
         self.edges = edges = ta.edges
         names = dict.fromkeys(ta.locations)
@@ -353,7 +355,7 @@ class _Compiled:
                         sat &= ~bit
                 masks.append(sat)
             self.rows.append((w * i, cuts, masks))
-        self.clock_regions: list[tuple[int, tuple[int, ...]]] = []  # id -> packed (codes, classes)
+        self.clock_regions: list[tuple[int, tuple[int, ...]]] = []  # id -> packed (codes, groups)
         self.sat: list[int] = []  # id -> bitmask of the guards it satisfies
         self._ids: dict[tuple, int] = {}
         self._decoded: dict[int, ClockRegion] = {}
@@ -433,10 +435,10 @@ class _Compiled:
                 return self.intern(codes + first, groups)
             return self.intern(codes, (first, *groups) if first else groups)
         # the largest class reaches the next integer, which is at most M: a
-        # clock in (k, k+1) has k < M; a wrap-around clock goes back to 0
+        # clock in (k, k+1) has k < M, and its code goes up by 1; a
+        # wrap-around clock goes back to 0, its code down by 1
         last = groups[-1]
-        wrapped = last & self.wrap
-        return self.intern(codes + last - 2 * wrapped, groups[:-1])
+        return self.intern(codes + last - 2 * (last & self.wrap), groups[:-1])
 
     def clock_region(self, cr: int) -> ClockRegion:
         """The `ClockRegion` object of clock-region id `cr`."""
@@ -563,7 +565,7 @@ def build_region_automaton(ta: TimedAutomaton, cap: Optional[int] = None,
                 edge_ta.append(k)
         edge_start.append(len(edge_target))
 
-    code._ids = code.sat = None  # only the build interns and tests guards: free them before the caller reads
+    code._ids = code.sat = None  # nothing interns after the build (`_Compiled`)
     if len(keys) > _state_bound(len(ta.locations), maxc.values()):
         raise RuntimeError(f"{len(keys)} reachable regions exceed the theoretical bound")
     used = set(edge_ta)
