@@ -23,6 +23,7 @@ from .ta import (
     Edge,
     Guard,
     TimedAutomaton,
+    _constants_of,
 )
 
 S_TAG = "~S"       # already visited the private set
@@ -39,7 +40,8 @@ def prune_final_exits(ta: TimedAutomaton) -> TimedAutomaton:
     edges = tuple(e for e in ta.edges if e.source not in ta.final)
     if len(edges) == len(ta.edges):
         return ta
-    return replace(ta, edges=edges)
+    return TimedAutomaton(ta.actions, ta.locations, ta.init, ta.private, ta.final, ta.clocks, ta.invariant,
+                          edges, ta.time_domain, ta.name)
 
 
 def copy_locations(
@@ -137,9 +139,10 @@ def _visit_copies(ta: TimedAutomaton, final_tags: Sequence[str], name: str) -> T
     edges += [copy(e, NS_TAG, NS_TAG) for e in ta.edges if e.target not in ta.private]
     edges += [copy(e, NS_TAG, S_TAG) for e in ta.edges if e.target in ta.private]
     memo = copy_locations(ta, ["nS", "S"], lambda l, c: ta.invariant_of(l), edges, name)
-    return replace(memo, init=ta.init + S_TAG if ta.init in ta.private else memo.init,
-                   private=frozenset(l + S_TAG for l in ta.private),
-                   final=frozenset(l + tag for l in ta.final for tag in final_tags))
+    return TimedAutomaton(memo.actions, memo.locations, ta.init + S_TAG if ta.init in ta.private else memo.init,
+                          frozenset(l + S_TAG for l in ta.private),
+                          frozenset(l + tag for l in ta.final for tag in final_tags),
+                          memo.clocks, memo.invariant, memo.edges, memo.time_domain, memo.name)
 
 
 def relax_finals(ta: TimedAutomaton) -> TimedAutomaton:
@@ -174,19 +177,18 @@ def relax_finals(ta: TimedAutomaton) -> TimedAutomaton:
         # the zero-step run was never admissible, so nothing is accepted
         finals = frozenset()
         edges = []
-    return replace(ta, final=finals, invariant=inv, edges=tuple(edges))
+    return TimedAutomaton(ta.actions, ta.locations, ta.init, ta.private, finals, ta.clocks, inv, tuple(edges),
+                          ta.time_domain, ta.name)
 
 
 def rename_clocks(ta: TimedAutomaton, mapping: dict[str, str]) -> TimedAutomaton:
     remap = lambda g: Guard(tuple(ClockConstraint(mapping[c.clock], c.cmp, c.bound) for c in g.conjuncts))
-    return replace(
-        ta,
-        clocks=frozenset(mapping[x] for x in ta.clocks),
-        invariant={loc: remap(g) for loc, g in ta.invariant.items()},
-        edges=tuple(
-            Edge(e.source, remap(e.guard), e.action, frozenset(mapping[x] for x in e.resets), e.target)
-            for e in ta.edges
-        ),
+    return TimedAutomaton(
+        ta.actions, ta.locations, ta.init, ta.private, ta.final, frozenset(mapping[x] for x in ta.clocks),
+        {loc: remap(g) for loc, g in ta.invariant.items()},
+        tuple(Edge(e.source, remap(e.guard), e.action, frozenset(mapping[x] for x in e.resets), e.target)
+              for e in ta.edges),
+        ta.time_domain, ta.name,
     )
 
 
@@ -196,7 +198,18 @@ def product(ta1: TimedAutomaton, ta2: TimedAutomaton) -> TimedAutomaton:
     silent edges interleave, invariants conjoin, finals pair up.
 
     The clocks of `ta2` are renamed fresh first, and both factors are
-    final-relaxed so a factor that has already accepted can idle."""
+    final-relaxed so a factor that has already accepted can idle. Only the
+    location pairs reachable from the initial pair are emitted, breadth
+    first; each pair's edges come in the order the whole product would give
+    them: the silent edges of `ta1`, those of `ta2`, then the synchronized
+    pairs."""
+    return _product(ta1, ta2)[0]
+
+
+def _product(ta1: TimedAutomaton, ta2: TimedAutomaton) -> tuple[TimedAutomaton, dict[str, int]]:
+    """`product`, and the maximum constants of the whole product, every
+    location pair included: what its region build and witness decode take
+    to build the regions of the whole product (`deciders.check_exists`)."""
     if ta1.time_domain != ta2.time_domain:
         raise ValueError("product factors must share a time domain")
     taken = set(ta1.clocks) | set(ta2.clocks)
@@ -209,48 +222,63 @@ def product(ta1: TimedAutomaton, ta2: TimedAutomaton) -> TimedAutomaton:
     b = relax_finals(rename_clocks(ta2, mapping))
 
     shared = a.actions & b.actions
-    name = lambda l1, l2: f"({l1}|{l2})"
-    locations = set()
-    inv = {}
-    for l1 in a.locations:
-        for l2 in b.locations:
-            loc = name(l1, l2)
-            locations.add(loc)
-            inv[loc] = a.invariant_of(l1).conjoin(b.invariant_of(l2))
+    silent_a: dict[str, list[Edge]] = {}
+    silent_b: dict[str, list[Edge]] = {}
+    sync_a: dict[str, list[Edge]] = {}
+    sync_b: dict[tuple, list[Edge]] = {}  # (source, letter) -> edges
+    for e in a.edges:
+        if e.action is EPSILON:
+            silent_a.setdefault(e.source, []).append(e)
+        elif e.action in shared:
+            sync_a.setdefault(e.source, []).append(e)
+    for e in b.edges:
+        if e.action is EPSILON:
+            silent_b.setdefault(e.source, []).append(e)
+        elif e.action in shared:
+            sync_b.setdefault((e.source, e.action), []).append(e)
+    # the whole product holds every invariant and silent edge of a factor, and
+    # every letter edge whose letter an edge of the other factor reads
+    read_a, read_b = {e.action for out in sync_a.values() for e in out}, {letter for _, letter in sync_b}
+    constants = _constants_of(a.clocks | b.clocks, [
+        *map(a.invariant_of, a.locations), *map(b.invariant_of, b.locations),
+        *(e.guard for e in a.edges if e.action is EPSILON or e.action in read_b),
+        *(e.guard for e in b.edges if e.action is EPSILON or e.action in read_a)])
+
+    names: dict[tuple[str, str], str] = {}
+    queue: list[tuple[str, str]] = []
+
+    def visit(l1: str, l2: str) -> str:
+        loc = names.get((l1, l2))
+        if loc is None:
+            loc = names[l1, l2] = f"({l1}|{l2})"
+            queue.append((l1, l2))
+        return loc
+
+    visit(a.init, b.init)
     edges = []
-    for e1 in a.edges:
-        if e1.action is EPSILON:
-            for l2 in sorted(b.locations):
-                edges.append(Edge(name(e1.source, l2), e1.guard, EPSILON, e1.resets, name(e1.target, l2)))
-    for e2 in b.edges:
-        if e2.action is EPSILON:
-            for l1 in sorted(a.locations):
-                edges.append(Edge(name(l1, e2.source), e2.guard, EPSILON, e2.resets, name(l1, e2.target)))
-    for e1 in a.edges:
-        if e1.action in shared:
-            for e2 in b.edges:
-                if e2.action == e1.action:
-                    edges.append(
-                        Edge(
-                            name(e1.source, e2.source),
-                            e1.guard.conjoin(e2.guard),
-                            e1.action,
-                            e1.resets | e2.resets,
-                            name(e1.target, e2.target),
-                        )
-                    )
-    return TimedAutomaton(
+    for l1, l2 in queue:  # grows as pairs are reached
+        source = names[l1, l2]
+        for e in silent_a.get(l1, ()):
+            edges.append(Edge(source, e.guard, EPSILON, e.resets, visit(e.target, l2)))
+        for e in silent_b.get(l2, ()):
+            edges.append(Edge(source, e.guard, EPSILON, e.resets, visit(l1, e.target)))
+        for e1 in sync_a.get(l1, ()):
+            for e2 in sync_b.get((l2, e1.action), ()):
+                edges.append(Edge(source, e1.guard.conjoin(e2.guard), e1.action, e1.resets | e2.resets,
+                                  visit(e1.target, e2.target)))
+    prod = TimedAutomaton(
         actions=a.actions | b.actions,
-        locations=frozenset(locations),
-        init=name(a.init, b.init),
+        locations=frozenset(names.values()),
+        init=names[a.init, b.init],
         private=frozenset(),
-        final=frozenset(name(l1, l2) for l1 in a.final for l2 in b.final),
+        final=frozenset(loc for (l1, l2), loc in names.items() if l1 in a.final and l2 in b.final),
         clocks=a.clocks | b.clocks,
-        invariant=inv,
+        invariant={loc: a.invariant_of(l1).conjoin(b.invariant_of(l2)) for (l1, l2), loc in names.items()},
         edges=tuple(edges),
         time_domain=ta1.time_domain,
         name=f"({ta1.name}x{ta2.name})",
     )
+    return prod, constants
 
 
 def urgent_choice(

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from . import nfa as nfalib
-from .constructions import MEMO_TAGS, _public_runs, build_memo, build_priv, product, relax_finals
+from .constructions import MEMO_TAGS, _product, _public_runs, build_memo, build_priv, product, relax_finals
 from .nfa import NFA, check_inclusion, from_region_automaton
 from .observers import (
     Dynamic,
@@ -43,7 +43,7 @@ from .regions import (
     reserve_letters,
     tick_decode,
 )
-from .ta import EPSILON, TimedAutomaton, TimedWord, Verdict, collector_off
+from .ta import EPSILON, TimedAutomaton, TimedWord, Verdict, _constants_of, collector_off
 from .words import class_recognizer, parse_group, render_group
 
 
@@ -162,12 +162,15 @@ def is_oera(ta: TimedAutomaton) -> bool:
 def check_exists(ta: TimedAutomaton, cap: Optional[int] = None) -> Verdict:
     """Existential opacity: some trace produced by both a private and a
     public run, decided as final-region reachability in the product of the
-    private-runs and public-runs automata."""
-    prod = product(build_priv(ta), _public_runs(ta))
-    path = build_region_automaton(prod, cap).shortest_accepting_path()
+    private-runs and public-runs automata. The product holds only the
+    location pairs its initial pair reaches (`constructions.product`); its
+    region build and witness take the constants of the whole product, so
+    they are those of the whole product too."""
+    prod, constants = _product(build_priv(ta), _public_runs(ta))
+    path = build_region_automaton(prod, cap, constants=constants).shortest_accepting_path()
     if path is None:
         return Verdict(False, note="no trace is produced by both a private and a public run")
-    return Verdict(True, witness=concretize_region_path(prod, path), side="intersection")
+    return Verdict(True, witness=concretize_region_path(prod, path, constants), side="intersection")
 
 
 # ---------------------------------------------------------------------------
@@ -204,19 +207,49 @@ def _ticked_language(ra: RegionAutomaton, tags: tuple[str, ...] = (), delay: Opt
     return nfalib.strip_trailing_letter(m, TICK_LETTER if delay is None else delay)
 
 
-def _tick_language(ta: TimedAutomaton, cap: Optional[int], tags: tuple[str, ...] = ()) -> NFA:
+def _tick_language(ta: TimedAutomaton, cap: Optional[int], tags: tuple[str, ...] = (),
+                   constants: Optional[dict[str, int]] = None) -> NFA:
     """Ticked language of a discrete-time automaton: a delay edge of its
-    region automaton is one time unit, read as a tick `t`."""
+    region automaton, built with `constants` (`build_region_automaton`), is
+    one time unit, read as a tick `t`."""
     if ta.time_domain != "discrete":
         raise ValueError("tick augmentation requires a discrete-time automaton")
     reserve_letters(ta.actions, [TICK_LETTER], "tick augmentation")
-    return _ticked_language(build_region_automaton(ta, cap), tags, TICK_LETTER)
+    return _ticked_language(build_region_automaton(ta, cap, constants=constants), tags, TICK_LETTER)
+
+
+def _reached_memo(ta: TimedAutomaton) -> tuple[TimedAutomaton, dict[str, int]]:
+    """The memo automaton of the part of `ta` its initial location reaches,
+    and the maximum constants of the memo automaton of all of `ta`: every
+    invariant, and every guard on an edge that does not leave a final.
+
+    Runs end at finals, so no edge out of one is followed. The alphabet
+    stays `ta`'s, so the reserved letters are checked on all of it. Built
+    with these constants, the memo automaton gives the region states and
+    edges of the whole memo automaton's build, in the same order, and so
+    the same languages and witnesses."""
+    live = [e for e in ta.edges if e.source not in ta.final]
+    out: dict[str, list[str]] = {}
+    for e in live:
+        out.setdefault(e.source, []).append(e.target)
+    reached, stack = {ta.init}, [ta.init]
+    while stack:
+        for t in out.get(stack.pop(), ()):
+            if t not in reached:
+                reached.add(t)
+                stack.append(t)
+    part = TimedAutomaton(ta.actions, ta.locations & reached, ta.init, ta.private & reached, ta.final & reached,
+                          ta.clocks, {l: g for l, g in ta.invariant.items() if l in reached},
+                          tuple(e for e in live if e.source in reached), ta.time_domain, ta.name)
+    return build_memo(part), _constants_of(ta.clocks, [*map(ta.invariant_of, ta.locations),
+                                                       *(e.guard for e in live)])
 
 
 def _discrete_languages(ta: TimedAutomaton, cap: Optional[int]) -> list[NFA]:
     """[private, public] ticked languages of a discrete-time automaton: the
-    two final classes of its memo automaton."""
-    return _tick_language(build_memo(ta), cap, MEMO_TAGS).views()
+    two final classes of its memo automaton (`_reached_memo`)."""
+    memo, constants = _reached_memo(ta)
+    return _tick_language(memo, cap, MEMO_TAGS, constants).views()
 
 
 def _check_discrete(ta: TimedAutomaton, mode: str, cap: Optional[int]) -> Verdict:
@@ -233,11 +266,13 @@ def _check_oera(ta: TimedAutomaton, mode: str, cap: Optional[int]) -> Verdict:
     the delay steps between them) is the same on every run, and a trace is
     private or public exactly when its region word is. In full mode the
     shortlex-lesser of the two inclusions' counterexamples is reported:
-    the first violation a breadth-first search over traces meets."""
-    memo = build_memo(ta)
+    the first violation a breadth-first search over traces meets. The
+    memo automaton is the one of the reached part (`_reached_memo`)."""
+    memo, constants = _reached_memo(ta)
     reserve_letters(memo.actions, [DELAY_LETTER], "event-recording engine")
-    priv, pub = _ticked_language(build_region_automaton(memo, cap), MEMO_TAGS, DELAY_LETTER).views()
-    return _compare(priv, pub, mode, lambda tokens: decode_delay_tokens(memo, tokens), least=True)
+    priv, pub = _ticked_language(build_region_automaton(memo, cap, constants=constants), MEMO_TAGS,
+                                 DELAY_LETTER).views()
+    return _compare(priv, pub, mode, lambda tokens: decode_delay_tokens(memo, tokens, constants), least=True)
 
 
 def _compare(priv: NFA, pub: NFA, mode: str, decode, least: bool = False) -> Verdict:
@@ -261,13 +296,14 @@ def _compare(priv: NFA, pub: NFA, mode: str, decode, least: bool = False) -> Ver
     return Verdict(False, witness=decode(word), side=side)
 
 
-def decode_delay_tokens(ta: TimedAutomaton, tokens) -> TimedWord:
+def decode_delay_tokens(ta: TimedAutomaton, tokens, constants: Optional[dict[str, int]] = None) -> TimedWord:
     """Timed word of a word of the observable ERA `ta` with delay steps
     (`DELAY_LETTER`): each delay step is one canonical delay
-    (`_canonical_delay`) of the clocks, which every run on the word shares,
-    and each letter is stamped with the time so far and resets its clock."""
+    (`_canonical_delay`, under `constants`, `ta.max_constants()` when not
+    given) of the clocks, which every run on the word shares, and each
+    letter is stamped with the time so far and resets its clock."""
     clock_of = {e.action: clock for e in ta.edges if e.action is not EPSILON for clock in e.resets}
-    maxc = ta.max_constants()
+    maxc = ta.max_constants() if constants is None else constants
     val = {x: Fraction(0) for x in ta.clocks}
     now = Fraction(0)
     letters = []

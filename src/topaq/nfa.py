@@ -56,7 +56,7 @@ frozensets:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Collection, Mapping, Optional, Sequence
 
 from .regions import RegionAutomaton, TICK_LETTER
@@ -86,7 +86,8 @@ class NFA:
         views share this NFA's transitions and endings: a state final only
         in another class stays in the state sets, where it is not final, so
         it changes no language."""
-        return [replace(self, finals=finals) for finals in self.final_classes]
+        return [NFA(self.alphabet, self.n_states, self.initial, finals, self.trans, self.final_classes, self.endings)
+                for finals in self.final_classes]
 
     def start(self) -> frozenset[int]:
         return self.initial
@@ -375,7 +376,7 @@ def strip_trailing_letter(m: NFA, tick: str = TICK_LETTER) -> NFA:
             if t:
                 moves[a] = t
         trans.append(moves)
-    return replace(m, initial=_union(enter, m.initial), trans=trans)
+    return NFA(m.alphabet, m.n_states, _union(enter, m.initial), m.finals, trans, m.final_classes, m.endings)
 
 
 def strip_ticks_before_suffix(m: NFA, tick: str = TICK_LETTER) -> NFA:

@@ -659,9 +659,11 @@ def tick_decode(tokens) -> TimedWord:
     return TimedWord(tuple(letters))
 
 
-def concretize_region_path(ta: TimedAutomaton, path: list[RAEdge]) -> TimedWord:
+def concretize_region_path(ta: TimedAutomaton, path: list[RAEdge],
+                           constants: Optional[Mapping[str, int]] = None) -> TimedWord:
     """The timed word of a region path replayed with concrete rational
-    delays.
+    delays, under the maximum constants of its build (`constants`,
+    `ta.max_constants()` when not given).
 
     Delay edges take the canonical representative duration: half the gap to
     the next boundary when leaving a zero-fraction region, otherwise exactly
@@ -669,7 +671,7 @@ def concretize_region_path(ta: TimedAutomaton, path: list[RAEdge]) -> TimedWord:
     integer. Action edges fire with the accumulated pending delay, validated
     through the concrete step semantics.
     """
-    maxc = ta.max_constants()
+    maxc = ta.max_constants() if constants is None else constants
     cfg = ta.initial_configuration()
     val_now = dict(cfg.valuation)
     now = pending = Fraction(0)

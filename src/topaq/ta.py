@@ -125,6 +125,16 @@ class Guard:
 _TRUE = Guard()
 
 
+def _constants_of(clocks: Iterable[str], guards: Iterable[Guard]) -> dict[str, int]:
+    """M(x) of each of `clocks` over the conjuncts of `guards`, at least 0."""
+    m = dict.fromkeys(clocks, 0)
+    for g in guards:
+        for c in g.conjuncts:
+            if c.clock in m and c.bound > m[c.clock]:
+                m[c.clock] = c.bound
+    return m
+
+
 @dataclass(frozen=True)
 class Edge:
     source: str
@@ -180,16 +190,7 @@ class TimedAutomaton:
 
         Negative bounds are clamped to 0 so M(x) is always a natural number.
         """
-        m = {x: 0 for x in self.clocks}
-        constraints: list[ClockConstraint] = []
-        for g in self.invariant.values():
-            constraints.extend(g.conjuncts)
-        for e in self.edges:
-            constraints.extend(e.guard.conjuncts)
-        for c in constraints:
-            if c.clock in m:
-                m[c.clock] = max(m[c.clock], c.bound)
-        return m
+        return _constants_of(self.clocks, [*self.invariant.values(), *(e.guard for e in self.edges)])
 
     def zero_valuation(self) -> dict[str, Fraction]:
         return {x: Fraction(0) for x in self.clocks}

@@ -80,6 +80,20 @@ def test_traced_switch_time_counts():
     assert metrics["observers.clocks"]["value"] == 8
 
 
+def test_traced_small_model_counts():
+    # the weak/full engines build the memo automaton of the reached part of
+    # each model and the existence check the reachable location pairs of its
+    # product, with the constants of the whole constructions: the exact
+    # counts are those of the whole constructions' region builds, and fail
+    # any change to the regions they give
+    result = run_benchmark("small-models", 1)
+    assert result["correct"] is True and result["failed"] == 0
+    metrics = result["metrics"]
+    assert metrics["regions.states"]["value"] == 18683
+    assert metrics["regions.edges"]["value"] == 27066
+    assert metrics["nfa.strip_states"]["value"] == 10794
+
+
 def test_traced_oracle_counts():
     # the traces the oracle collects, the runs it enumerates and the queries
     # it leaves open on the criterion-5 corpus and fig1: a change to the
